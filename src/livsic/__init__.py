@@ -35,6 +35,7 @@ from .errors import (
     InadmissibleWord,
     InfiniteGroup,
     InvalidCocycle,
+    InvariantViolation,
     LivsicError,
     NotAGroup,
     NotAHomomorphism,
@@ -105,6 +106,7 @@ from .sft import (
     is_primitive,
     primitive_root,
     validate_sft,
+    walk_primitive_orbits,
 )
 from .skew import (
     FrobeniusClassTag,
@@ -118,6 +120,7 @@ from .skew import (
     enumerate_trivial_class_orbits,
     frobenius_class,
     make_skew_system,
+    orbit_weights,
     psi_n,
     psi_n_cyclic,
 )

@@ -11,6 +11,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     CocycleObstruction,
@@ -19,6 +20,7 @@ from .errors import (
     NotStronglyConnected,
     NotTransitiveError,
     TorsionAlpha,
+    check_invariant,
     max_states_cap,
 )
 from .groups import smith_diagonal
@@ -31,15 +33,14 @@ from .sft import (
     birkhoff_sum,
     build_block_graph,
     canonical_rotation,
-    enumerate_periodic_orbits,
     primitive_root,
 )
 from .skew import (
     SkewSystem,
     bfs_arborescence,
     build_product_graph,
+    enumerate_trivial_class_orbits,
     find_violating_cycle,
-    frobenius_class,
     path_from_root,
     path_to_root,
     product_scc_witness,
@@ -162,9 +163,7 @@ def verify_vanishing(
     Orbits are scanned in (period, word) order, so the returned witness is
     deterministic.
     """
-    for orbit in enumerate_periodic_orbits(system.sft, max_period):
-        if not frobenius_class(system, orbit).trivial:
-            continue
+    for orbit, _ in enumerate_trivial_class_orbits(system, max_period):
         total = birkhoff_sum(cocycle, orbit)
         if total != 0:
             return ViolationWitness(orbit=orbit, multiplicity=1, total=total)
@@ -223,7 +222,7 @@ def solve_finite_gamma(
             root,
             lambda seg: 1 if sum(weight(x) for x in seg) != 0 else 0,
         )
-        assert cycle is not None
+        check_invariant(cycle is not None, "closure defect without a violating cycle")
         total = sum(weight(x) for x in cycle)
         core, mult = primitive_root(pg.project_cycle(cycle))
         witness = ViolationWitness(
@@ -239,11 +238,11 @@ def solve_finite_gamma(
         val = pot[bi * order + e_idx]
         for g in range(order):
             # Fiber constancy is forced: deck shifts are constants killed by torsion.
-            assert pot[bi * order + g] == val
+            check_invariant(pot[bi * order + g] == val, "potential varies along a fiber")
         u[block] = val
     solution = CohomologySolution(block_length=r, u=u, alpha=None)
     report = verify_solution(system, cocycle, solution)
-    assert report.certified
+    check_invariant(report.certified, "solution fails its own certification")
     return CohomologySolution(
         block_length=r, u=u, alpha=None, certificate=report
     )
@@ -331,7 +330,7 @@ def solve_free_abelian(
         block_length=r, u=u, alpha=tuple(alpha), degenerate=degenerate
     )
     report = verify_solution(system, cocycle, solution)
-    assert report.certified
+    check_invariant(report.certified, "solution fails its own certification")
     return CohomologySolution(
         block_length=r,
         u=u,
@@ -393,7 +392,7 @@ def _inconsistency_certificate(
     denom_lcm = 1
     for c in combo:
         if c:
-            g = _int_gcd(denom_lcm, c.denominator)
+            g = gcd(denom_lcm, c.denominator)
             denom_lcm = denom_lcm * c.denominator // g
     coeffs = [int(c * denom_lcm) for c in combo]
 
@@ -433,10 +432,10 @@ def _inconsistency_certificate(
         return sum((f_weight(e) for e in walk), Fraction(0))
 
     v = walk_psi(plus)
-    assert walk_psi(minus) == v
+    check_invariant(walk_psi(minus) == v, "certificate walks differ in weight")
     sum_plus = walk_sum(plus)
     sum_minus = walk_sum(minus)
-    assert sum_plus != sum_minus
+    check_invariant(sum_plus != sum_minus, "certificate walks agree in sum")
 
     correction: list[int] | None = [] if not any(v) else _closing_walk(
         system, bg, root, tuple(-x for x in v)
@@ -496,12 +495,6 @@ def _closing_walk(system, bg, root, target, *, max_states: int = 50_000):
                 return None
             queue.append(nstate)
     return None
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def verify_solution(

@@ -32,6 +32,8 @@ from .errors import (
 )
 from .matrix import (
     MatrixCocycle,
+    _checked_inverse,
+    certification_tolerance,
     check_distortion_assumption,
     estimate_distortion,
     make_matrix_cocycle,
@@ -58,8 +60,8 @@ from .serialization import (
     violation_witness_doc,
     word_to_key,
 )
-from .sft import enumerate_periodic_orbits, validate_sft
-from .skew import check_transitivity, enumerate_trivial_class_orbits, frobenius_class
+from .sft import by_period, validate_sft
+from .skew import check_transitivity, class_tag, orbit_weights
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,6 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-solution", "recheck a solution document against the system")
     p.add_argument("--solution", required=True)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="residual tolerance for matrix solutions, scaled as in solve")
 
     p = add("generate", "build a solvable rational cocycle into the document")
     src = p.add_mutually_exclusive_group(required=True)
@@ -192,25 +196,26 @@ def _cmd_check_transitivity(args, command_line: str) -> int:
 def _cmd_orbits(args, command_line: str) -> int:
     env = _load_system(args.system)
     system = env.system
+    group = system.group
     k = system.sft.k
+    pairs = by_period(orbit_weights(system, args.max_period), args.max_period)
     if args.trivial_only:
-        pairs = enumerate_trivial_class_orbits(system, args.max_period)
-    else:
-        pairs = [
-            (orbit, frobenius_class(system, orbit))
-            for orbit in enumerate_periodic_orbits(system.sft, args.max_period)
-        ]
+        pairs = [pair for pair in pairs if pair[1] == group.identity]
+    tags: dict = {}
+    for _, weight in pairs:
+        if weight not in tags:
+            tags[weight] = class_tag_doc(class_tag(group, weight), group)
     _emit(
         {
             "max_period": args.max_period,
             "count": len(pairs),
             "orbits": [
                 {
-                    "word": word_to_key(orbit.word, k),
-                    "period": orbit.period,
-                    "class": class_tag_doc(tag, system.group),
+                    "word": word_to_key(word, k),
+                    "period": len(word),
+                    "class": tags[weight],
                 }
-                for orbit, tag in pairs
+                for word, weight in pairs
             ],
         }
     )
@@ -305,8 +310,12 @@ def _cmd_verify_solution(args, command_line: str) -> int:
         return 0 if report.certified else 1
     cocycle = _require_matrix(env)
     solution = sol_env.solution
-    # Recheck under the same tolerance the original certification used.
-    check_tol = solution.certificate.tol if solution.certificate else solution.tol
+    # Scale the caller's tolerance as solve does, from u itself: every
+    # tolerance and defect the document states is a claim under test.
+    u_pairs = [
+        (m, _checked_inverse(m, f"u at {block}")) for block, m in solution.u.items()
+    ]
+    check_tol = certification_tolerance(args.tol, u_pairs)
     report = verify_matrix_solution(system, cocycle, solution, tol=check_tol)
     _emit(
         {

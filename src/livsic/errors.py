@@ -24,6 +24,20 @@ class LivsicError(Exception):
     """Base class for all structured failures raised by this package."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal certification or witness invariant failed.
+
+    This signals a bug, never bad input, so it is deliberately not a
+    LivsicError: the CLI must not report it as invalid input (exit 2), and
+    unlike ``assert`` it still fires under ``python -O``.
+    """
+
+
+def check_invariant(condition: bool, what: str) -> None:
+    if not condition:
+        raise InvariantViolation(what)
+
+
 class BadShape(LivsicError):
     pass
 

@@ -28,6 +28,7 @@ from .errors import (
     RangeTooLarge,
     SingularMatrix,
     DEFAULT_MAX_WORK,
+    check_invariant,
     max_states_cap,
 )
 from .sft import (
@@ -335,15 +336,11 @@ def solve_matrix_finite(
         max_residual=max_residual,
         tol=tol,
     )
-    cond = max(
-        float(np.linalg.norm(m) * np.linalg.norm(mi))
-        for m, mi in zip(transfer, transfer_inv)
-    )
-    check_tol = 10.0 * (tol + defect) * max(1.0, cond)
+    check_tol = certification_tolerance(tol, zip(transfer, transfer_inv), defect)
     report = verify_matrix_solution(system, cocycle, solution, tol=check_tol)
     # Centrality follows exactly from fiber constancy, so a failure here is
     # an internal inconsistency rather than a property of the input.
-    assert report.certified
+    check_invariant(report.certified, "solution fails its own certification")
     return MatrixSolution(
         block_length=r,
         u=u,
@@ -383,6 +380,17 @@ def _matrix_witness(
     orbit = PeriodicOrbit(word=canonical_rotation(core))
     deviation = _deviation(cyclic_product(cocycle, orbit.word * mult))
     return MatrixViolationWitness(orbit=orbit, multiplicity=mult, deviation=deviation)
+
+
+def certification_tolerance(tol: float, pairs, defect: float = 0.0) -> float:
+    """Residual bound for certifying a matrix solution.
+
+    Residuals are absolute, so the requested tol plus the deck-factor
+    defect is scaled by the worst condition number among the (matrix,
+    inverse) pairs of transfer matrices.
+    """
+    cond = max(float(np.linalg.norm(m) * np.linalg.norm(mi)) for m, mi in pairs)
+    return 10.0 * (tol + defect) * max(1.0, cond)
 
 
 def verify_matrix_solution(

@@ -348,51 +348,104 @@ def _word_count_estimate(spec: SftSpec, max_len: int) -> int:
     return total
 
 
-def enumerate_periodic_orbits(
-    spec: SftSpec, max_period: int, *, max_work: int | None = None
-) -> list[PeriodicOrbit]:
-    """All primitive periodic orbits of period <= max_period.
+def walk_primitive_orbits(
+    spec: SftSpec,
+    max_period: int,
+    act=None,
+    identity=None,
+    *,
+    max_work: int | None = None,
+):
+    """Every primitive periodic orbit of period <= max_period, with its weight.
 
-    Orbits are returned sorted by (period, word).  The search walks every
-    admissible word whose symbols stay >= its first symbol, keeping words
-    that close up admissibly and are the least rotation of a primitive
-    cycle, so no deduplication set is needed.
+    Returns an iterator of (word, weight) pairs, one per orbit, where word
+    is the least rotation (a Lyndon word) and the orbit's words come in
+    lexicographic order, so a prefix precedes its extensions.  The period
+    cap and the work budget are checked here, before any word is produced.
+
+    ``act[b-1]`` maps the weight of a word to the weight of that word
+    followed by symbol b, i.e. left multiplication by the weight of b;
+    ``identity`` is the weight of the empty word.  Without ``act`` every
+    weight is ``identity``.
     """
     cap = max_period_cap()
     if max_period > cap:
         raise RangeTooLarge(f"period {max_period} exceeds cap {cap}")
     if max_period < 1:
-        return []
+        return iter(())
     budget = DEFAULT_MAX_WORK if max_work is None else max_work
     if _word_count_estimate(spec, max_period) > budget:
         raise RangeTooLarge(
             f"orbit enumeration up to period {max_period} exceeds the work budget"
         )
+    if act is None:
+        act = (lambda w: w,) * spec.k
+    return _lyndon_walk(spec, max_period, act, identity)
 
-    succ = [spec.successors(a) for a in range(1, spec.k + 1)]
-    found: list[Word] = []
 
-    def extend(word: list[int]) -> None:
-        a = word[-1]
-        first = word[0]
-        if spec.allows(a, first):
-            w = tuple(word)
-            if w == canonical_rotation(w) and is_primitive(w):
-                found.append(w)
-        if len(word) == max_period:
-            return
-        for b in succ[a - 1]:
-            if b < first:
-                continue
-            word.append(b)
-            extend(word)
-            word.pop()
+def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
+    """Depth-first walk over admissible prenecklaces (Fredricksen-Kessler-Maiorana).
 
-    for start in range(1, spec.k + 1):
-        extend([start])
+    A prenecklace is a prefix of some necklace.  Let p be the length of the
+    longest Lyndon prefix of a word of length t.  An extension by b is a
+    prenecklace iff b >= word[t-p]: b == word[t-p] keeps p, b > word[t-p]
+    makes p = t+1.  A word is a Lyndon word iff p equals its length, and it
+    is an orbit iff the wrap transition back to its first symbol is allowed.
+    Every admissible Lyndon word has only admissible prenecklaces as
+    prefixes, so the walk misses none (Ruskey-Savage-Wang, 1992).
+    """
+    k = spec.k
+    allowed = ((0,) * (k + 1),) + tuple((0, *row) for row in spec.transitions)
+    # successors_from[a][lo]: successors of a that are >= lo, ascending.
+    successors_from = [()] + [
+        [tuple(b for b in spec.successors(a) if b >= lo) for lo in range(k + 1)]
+        for a in range(1, k + 1)
+    ]
+    act = (None, *act)
+    word = [0] * max_period
+    period = [0] * max_period
+    weight = [identity] * (max_period + 1)
+    frames = [iter(range(1, k + 1))]
+    while frames:
+        t = len(frames)  # length of the word once b is placed
+        for b in frames[-1]:
+            word[t - 1] = b
+            if t == 1:
+                p = 1
+            else:
+                p = period[t - 2]
+                if b != word[t - 1 - p]:
+                    p = t
+            period[t - 1] = p
+            w = weight[t] = act[b](weight[t - 1])
+            if p == t and allowed[b][word[0]]:
+                yield tuple(word[:t]), w
+            if t < max_period:
+                frames.append(iter(successors_from[b][word[t - p]]))
+                break
+        else:
+            frames.pop()
 
-    found.sort(key=lambda w: (len(w), w))
-    return [PeriodicOrbit(word=w) for w in found]
+
+def enumerate_periodic_orbits(
+    spec: SftSpec, max_period: int, *, max_work: int | None = None
+) -> list[PeriodicOrbit]:
+    """All primitive periodic orbits of period <= max_period.
+
+    Orbits are returned sorted by (period, word).  Each orbit is the Lyndon
+    word of walk_primitive_orbits, which produces every orbit exactly once,
+    so sorting reduces to bucketing by period.
+    """
+    words = walk_primitive_orbits(spec, max_period, max_work=max_work)
+    return [PeriodicOrbit(word=w) for w, _ in by_period(words, max_period)]
+
+
+def by_period(pairs, max_period: int) -> list:
+    """Reorder lexicographically ordered (word, ...) pairs into (period, word) order."""
+    buckets: list[list] = [[] for _ in range(max_period + 1)]
+    for pair in pairs:
+        buckets[len(pair[0])].append(pair)
+    return [pair for bucket in buckets for pair in bucket]
 
 
 def _int_mat_mult(a, b):

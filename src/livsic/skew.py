@@ -9,7 +9,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
+from math import gcd
+from operator import add
 
 from .errors import (
     DimensionMismatch,
@@ -24,9 +26,11 @@ from .sft import (
     PeriodicOrbit,
     SftSpec,
     Word,
+    _reachable_from,
     _tarjan_scc,
     build_block_graph,
-    enumerate_periodic_orbits,
+    by_period,
+    walk_primitive_orbits,
 )
 
 
@@ -80,11 +84,8 @@ class FrobeniusClassTag:
     vector: tuple[int, ...] | None = None
 
 
-def frobenius_class(system: SkewSystem, orbit: PeriodicOrbit) -> FrobeniusClassTag:
-    if not system.sft.is_admissible(orbit.word, cyclic=True):
-        raise InadmissibleWord(orbit.word)
-    weight = psi_n(system, orbit.word)
-    group = system.group
+def class_tag(group: Group, weight: GroupElement) -> FrobeniusClassTag:
+    """Conjugacy class (finite groups) or the vector itself (Z^d) of a weight."""
     if group.is_finite:
         members = sorted(
             {group.mul(group.mul(g, weight), group.inv(g)) for g in group.elements()}
@@ -95,16 +96,45 @@ def frobenius_class(system: SkewSystem, orbit: PeriodicOrbit) -> FrobeniusClassT
     return FrobeniusClassTag(trivial=not any(weight), vector=weight)
 
 
+def frobenius_class(system: SkewSystem, orbit: PeriodicOrbit) -> FrobeniusClassTag:
+    if not system.sft.is_admissible(orbit.word, cyclic=True):
+        raise InadmissibleWord(orbit.word)
+    return class_tag(system.group, psi_n(system, orbit.word))
+
+
+def orbit_weights(system: SkewSystem, max_period: int):
+    """(word, psi_n(word)) for every primitive orbit of period <= max_period.
+
+    Words come in lexicographic order, as from walk_primitive_orbits; the
+    period cap and work budget are checked when this is called.
+    """
+    group = system.group
+    if group.is_finite:
+        act = [group.table[g].__getitem__ for g in system.psi]
+    else:
+        act = [partial(_add_vectors, g) for g in system.psi]
+    return walk_primitive_orbits(system.sft, max_period, act, group.identity)
+
+
+def _add_vectors(a, b):
+    return tuple(map(add, a, b))
+
+
 def enumerate_trivial_class_orbits(
     system: SkewSystem, max_period: int
 ) -> list[tuple[PeriodicOrbit, FrobeniusClassTag]]:
-    """Primitive orbits of period <= max_period whose weight is the identity."""
-    out = []
-    for orbit in enumerate_periodic_orbits(system.sft, max_period):
-        tag = frobenius_class(system, orbit)
-        if tag.trivial:
-            out.append((orbit, tag))
-    return out
+    """Primitive orbits of period <= max_period whose weight is the identity.
+
+    Orbits come sorted by (period, word); every one shares the identity's tag.
+    """
+    identity = system.group.identity
+    trivial = [
+        pair for pair in orbit_weights(system, max_period) if pair[1] == identity
+    ]
+    tag = class_tag(system.group, identity)
+    return [
+        (PeriodicOrbit(word=word), tag) for word, _ in by_period(trivial, max_period)
+    ]
 
 
 @dataclass(frozen=True)
@@ -181,8 +211,9 @@ def product_scc_witness(pg: ProductGraph):
     Only called on graphs already known not to be strongly connected.
     """
     n = pg.n_vertices
+    succ = [[pg.edge_head[e] for e in out] for out in pg.out_edges]
     for v in range(n):
-        reach = _forward_reach(n, pg.out_edges, pg.edge_head, v)
+        reach = _reachable_from(n, succ, v)
         if len(reach) != n:
             u = next(x for x in range(n) if x not in reach)
             return pg.vertex_label(v), pg.vertex_label(u)
@@ -332,7 +363,7 @@ def _strict_functional_dim2(vectors):
         return None
 
     def primitive(v):
-        g = _gcd(v[0], v[1])
+        g = gcd(v[0], v[1])
         return (v[0] // g, v[1] // g)
 
     dirs = sorted(set(primitive(v) for v in vectors))
@@ -399,14 +430,8 @@ def _nullspace_vector(rows, d):
         sol[col] = -mat[row_i][free]
     denom = 1
     for x in sol:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = denom * x.denominator // gcd(denom, x.denominator)
     return tuple(int(x * denom) for x in sol)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _zero_in_interior(vectors, d) -> bool:
@@ -491,16 +516,19 @@ def check_transitivity(system: SkewSystem, *, probe_depth: int = 12) -> Transiti
         )
 
     d = group.rank
-    orbits = enumerate_periodic_orbits(system.sft, probe_depth)
-    classes = [psi_n_cyclic(system, o.word) for o in orbits]
-    distinct = tuple(sorted(set(classes)))
+    orbit_count = 0
+    classes = set()
+    for _, weight in orbit_weights(system, probe_depth):
+        orbit_count += 1
+        classes.add(weight)
+    distinct = tuple(sorted(classes))
     report = subgroup_rank_and_index(list(distinct), d)
     covers = probe_depth >= system.sft.k
     interior = _zero_in_interior(distinct, d) if distinct else False
     evidence = TransitivityEvidence(
         probe_depth=probe_depth,
         probe_covers_simple_cycles=covers,
-        orbit_count=len(orbits),
+        orbit_count=orbit_count,
         distinct_classes=distinct,
         lattice_rank=report.rank,
         lattice_diagonal=report.diagonal,
@@ -537,15 +565,3 @@ def psi_n_cyclic(system: SkewSystem, word) -> GroupElement:
         raise InadmissibleWord(word)
     return psi_n(system, word)
 
-
-def _forward_reach(n, out_edges, edge_head, start) -> set[int]:
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for e in out_edges[v]:
-            w = edge_head[e]
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen

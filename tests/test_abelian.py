@@ -1,7 +1,11 @@
 """Exact rational cohomology: solutions, obstructions, degenerate lattices."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -314,3 +318,49 @@ def test_alpha_is_zero_property():
     assert not CohomologySolution(
         block_length=1, u=base, alpha=(Fraction(1, 2),)
     ).alpha_is_zero
+
+
+_UNCERTIFIED_UNDER_O = r"""
+import json
+import livsic.abelian as abelian
+import livsic.matrix as matrix
+from livsic import InvariantViolation, parse_system_document
+
+assert False, "this script must run under python -O"
+
+abelian.verify_solution = lambda *a, **k: abelian.VerificationReport(
+    certified=False, edges_checked=0, failures=()
+)
+matrix.verify_matrix_solution = lambda *a, **k: matrix.MatrixVerificationReport(
+    certified=False, edges_checked=0, max_residual=0.0, hom_defect=0.0,
+    centrality_defect=0.0, tol=0.0,
+)
+for name, solve in (
+    ("gm-c2.json", abelian.solve_finite_gamma),
+    ("full2-z.json", abelian.solve_free_abelian),
+    ("full2-c2-halfturn.json", matrix.solve_matrix_finite),
+):
+    with open(EXAMPLES + "/" + name) as fh:
+        env = parse_system_document(json.load(fh))
+    try:
+        solve(env.system, env.cocycle)
+        print(name, "returned")
+    except InvariantViolation:
+        print(name, "raised")
+"""
+
+
+def test_uncertified_solution_raises_under_python_O():
+    root = Path(__file__).resolve().parent.parent
+    script = f"EXAMPLES = {str(root / 'docs' / 'examples')!r}\n" + _UNCERTIFIED_UNDER_O
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "gm-c2.json raised",
+        "full2-z.json raised",
+        "full2-c2-halfturn.json raised",
+        "",
+    ]

@@ -229,6 +229,25 @@ def test_verify_matrix_solution_roundtrip(capsys, tmp_path):
     assert payload["hom_defect"] == 0.0
     assert payload["centrality_defect"] == 0.0
 
+    # A tampered u with a loose stated tolerance must not pass: the recheck
+    # tolerance comes from the caller, never from the document under test.
+    doc = json.loads(out.read_text())
+    doc["u"]["2"] = [[2.05, 0.0], [0.0, 1.0]]
+    doc["tolerance"] = 1e6
+    doc["certification"]["tolerance"] = 1e6
+    out.write_text(json.dumps(doc))
+    code, payload, _ = _run_json(
+        capsys,
+        "verify-solution",
+        _example("full2-c2-halfturn.json"),
+        "--solution",
+        out,
+    )
+    assert code == 1
+    assert payload["certified"] is False
+    assert payload["max_residual"] == pytest.approx(1.05)
+    assert payload["tolerance"] < 1e-7
+
 
 def test_generate_reproduces_committed_document(capsys):
     code, stdout, _ = _run(

@@ -18,10 +18,15 @@ from livsic import (
     build_group,
     count_periodic_points,
     enumerate_periodic_orbits,
+    generate_cocycle,
+    is_primitive,
     make_cocycle,
     make_skew_system,
+    orbit_weights,
+    psi_n_cyclic,
+    verify_vanishing,
 )
-from corpus import random_irreducible_sft, rng_for
+from corpus import random_irreducible_sft, rng_for, s3_group
 
 FULL_2 = SftSpec.full_shift(2)
 
@@ -43,11 +48,81 @@ def test_oracle_rejects_infinite_groups():
         brute_transitivity(system)
 
 
+def _random_sft(rng, k: int) -> SftSpec:
+    """Any 0/1 matrix, so reducible systems and dead symbols occur too."""
+    density = rng.choice((0.3, 0.6, 1.0))
+    return SftSpec.from_rows(
+        [[int(rng.random() < density) for _ in range(k)] for _ in range(k)]
+    )
+
+
+# (k, largest period) pairs that keep the brute-force lists small.
+_ORBIT_SHAPES = ((1, 9), (2, 9), (3, 9), (4, 7), (5, 6))
+
+
 def test_orbit_list_agrees_with_enumeration():
     for seed in range(8):
         spec = random_irreducible_sft(rng_for(47, seed), 3)
         fast = [o.word for o in enumerate_periodic_orbits(spec, 7)]
         assert brute_orbit_list(spec, 7) == fast
+    for seed, (k, p) in enumerate(_ORBIT_SHAPES * 4):
+        rng = rng_for(59, seed)
+        spec = _random_sft(rng, k)
+        for max_period in (0, rng.randint(1, p), p):
+            fast = [o.word for o in enumerate_periodic_orbits(spec, max_period)]
+            assert brute_orbit_list(spec, max_period) == fast
+    assert [o.word for o in enumerate_periodic_orbits(SftSpec.full_shift(1), 9)] == [(1,)]
+    assert enumerate_periodic_orbits(SftSpec.from_rows([[0]]), 9) == []
+
+
+def _weighted_systems():
+    fibers = (
+        build_group(GroupSpec.cyclic(2)),
+        s3_group(),
+        build_group(GroupSpec.free_abelian(1)),
+        build_group(GroupSpec.free_abelian(2)),
+    )
+    for seed in range(24):
+        rng = rng_for(61, seed)
+        group = fibers[seed % len(fibers)]
+        spec = _random_sft(rng, rng.randint(1, 3)) if seed % 2 else random_irreducible_sft(rng, 3)
+        if group.is_finite:
+            psi = [rng.randrange(group.order) for _ in range(spec.k)]
+        else:
+            psi = [tuple(rng.randint(-1, 1) for _ in range(group.rank)) for _ in range(spec.k)]
+        yield rng, make_skew_system(spec, group, psi)
+
+
+def test_walk_weights_match_cyclic_products():
+    for _, system in _weighted_systems():
+        pairs = list(orbit_weights(system, 7))
+        words = [word for word, _ in pairs]
+        assert words == sorted(words)
+        assert sorted(words, key=lambda w: (len(w), w)) == [
+            o.word for o in enumerate_periodic_orbits(system.sft, 7)
+        ]
+        for word, weight in pairs:
+            assert weight == psi_n_cyclic(system, word)
+
+
+def test_vanishing_witness_matches_brute_scan():
+    compared = 0
+    for rng, system in _weighted_systems():
+        solvable = generate_cocycle(system, block_range=1, seed=rng.randrange(1000))
+        if not solvable.values:
+            continue
+        values = {w: v + rng.randint(-1, 1) for w, v in solvable.values.items()}
+        cocycle = make_cocycle(system.sft, 1, values)
+        witness = verify_vanishing(system, cocycle, 6)
+        brute = brute_vanishing(system, cocycle, 6)
+        if brute is None:
+            assert witness is None
+        elif is_primitive(brute[0]):
+            # An imprimitive first hit is a torsion weight closing up in a
+            # power, which the primitive-orbit scan does not see.
+            compared += 1
+            assert (witness.word, witness.total) == brute
+    assert compared >= 8
 
 
 def test_census_agrees_with_trace():

@@ -6,19 +6,26 @@ import pytest
 from livsic import (
     BadShape,
     DeadSymbol,
+    GroupSpec,
     NotIrreducible,
     PeriodicOrbit,
     RangeTooLarge,
     SftSpec,
     birkhoff_sum,
     build_block_graph,
+    build_group,
     canonical_rotation,
+    check_transitivity,
     count_periodic_points,
     enumerate_periodic_orbits,
     is_primitive,
     make_cocycle,
+    make_skew_system,
+    orbit_weights,
     primitive_root,
     validate_sft,
+    verify_vanishing,
+    walk_primitive_orbits,
 )
 from corpus import random_irreducible_sft, rng_for
 
@@ -131,10 +138,30 @@ def test_census_matches_orbit_counts():
             assert total == count_periodic_points(spec, n)
 
 
+def _orbit_consumers(spec: SftSpec):
+    """Each orbit consumer on spec, as a function of the period bound."""
+    z1 = build_group(GroupSpec.free_abelian(1))
+    system = make_skew_system(spec, z1, [(s % 3 - 1,) for s in range(spec.k)])
+    cocycle = make_cocycle(spec, 0, {(s,): 0 for s in range(1, spec.k + 1)})
+    return [
+        lambda p: walk_primitive_orbits(spec, p),
+        lambda p: orbit_weights(system, p),
+        lambda p: enumerate_periodic_orbits(spec, p),
+        lambda p: check_transitivity(system, probe_depth=p),
+        lambda p: verify_vanishing(system, cocycle, p),
+    ]
+
+
 def test_enumeration_cap(monkeypatch):
+    # Every consumer refuses when called, not at its first next().
     monkeypatch.setenv("LIVSIC_MAX_PERIOD", "4")
-    with pytest.raises(RangeTooLarge):
-        enumerate_periodic_orbits(FULL_2, 5)
+    for call in _orbit_consumers(FULL_2):
+        with pytest.raises(RangeTooLarge, match="exceeds cap"):
+            call(5)
+    monkeypatch.delenv("LIVSIC_MAX_PERIOD")
+    for call in _orbit_consumers(SftSpec.full_shift(9)):
+        with pytest.raises(RangeTooLarge, match="work budget"):
+            call(9)
 
 
 def test_birkhoff_sum_rotation_invariant():
