@@ -198,7 +198,9 @@ def _cmd_orbits(args, command_line: str) -> int:
     system = env.system
     group = system.group
     k = system.sft.k
-    pairs = by_period(orbit_weights(system, args.max_period), args.max_period)
+    pairs = by_period(
+        orbit_weights(system, args.max_period), args.max_period, lambda p: len(p[0])
+    )
     if args.trivial_only:
         pairs = [pair for pair in pairs if pair[1] == group.identity]
     tags: dict = {}

@@ -436,16 +436,17 @@ def enumerate_periodic_orbits(
     word of walk_primitive_orbits, which produces every orbit exactly once,
     so sorting reduces to bucketing by period.
     """
-    words = walk_primitive_orbits(spec, max_period, max_work=max_work)
-    return [PeriodicOrbit(word=w) for w, _ in by_period(words, max_period)]
+    walk = walk_primitive_orbits(spec, max_period, max_work=max_work)
+    orbits = (PeriodicOrbit(word=word) for word, _ in walk)
+    return by_period(orbits, max_period, lambda orbit: len(orbit.word))
 
 
-def by_period(pairs, max_period: int) -> list:
-    """Reorder lexicographically ordered (word, ...) pairs into (period, word) order."""
+def by_period(items, max_period: int, period=len) -> list:
+    """Reorder items listed in lexicographic word order into (period, word) order."""
     buckets: list[list] = [[] for _ in range(max_period + 1)]
-    for pair in pairs:
-        buckets[len(pair[0])].append(pair)
-    return [pair for bucket in buckets for pair in bucket]
+    for item in items:
+        buckets[period(item)].append(item)
+    return [item for bucket in buckets for item in bucket]
 
 
 def _int_mat_mult(a, b):

@@ -128,13 +128,9 @@ def enumerate_trivial_class_orbits(
     Orbits come sorted by (period, word); every one shares the identity's tag.
     """
     identity = system.group.identity
-    trivial = [
-        pair for pair in orbit_weights(system, max_period) if pair[1] == identity
-    ]
+    words = [w for w, weight in orbit_weights(system, max_period) if weight == identity]
     tag = class_tag(system.group, identity)
-    return [
-        (PeriodicOrbit(word=word), tag) for word, _ in by_period(trivial, max_period)
-    ]
+    return [(PeriodicOrbit(word=w), tag) for w in by_period(words, max_period)]
 
 
 @dataclass(frozen=True)
