@@ -7,6 +7,7 @@ every operation here is exact.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -359,9 +360,11 @@ def walk_primitive_orbits(
     """Every primitive periodic orbit of period <= max_period, with its weight.
 
     Returns an iterator of (word, weight) pairs, one per orbit, where word
-    is the least rotation (a Lyndon word) and the orbit's words come in
-    lexicographic order, so a prefix precedes its extensions.  The period
-    cap and the work budget are checked here, before any word is produced.
+    is the orbit's least rotation (a Lyndon word).  Words come in
+    lexicographic order, so a prefix precedes its extensions; by_period
+    turns that into (period, word) order.  The period cap and the work
+    budget are checked here, when the iterator is made, not when it is
+    first advanced.
 
     ``act[b-1]`` maps the weight of a word to the weight of that word
     followed by symbol b, i.e. left multiplication by the weight of b;
@@ -396,11 +399,7 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
     """
     k = spec.k
     allowed = ((0,) * (k + 1),) + tuple((0, *row) for row in spec.transitions)
-    # successors_from[a][lo]: successors of a that are >= lo, ascending.
-    successors_from = [()] + [
-        [tuple(b for b in spec.successors(a) if b >= lo) for lo in range(k + 1)]
-        for a in range(1, k + 1)
-    ]
+    successors = [()] + [spec.successors(a) for a in range(1, k + 1)]
     act = (None, *act)
     word = [0] * max_period
     period = [0] * max_period
@@ -410,18 +409,18 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
         t = len(frames)  # length of the word once b is placed
         for b in frames[-1]:
             word[t - 1] = b
-            if t == 1:
-                p = 1
-            else:
+            # b >= word[t-1-p] by the bisection that made this frame; equality keeps p.
+            if t > 1 and b == word[t - 1 - period[t - 2]]:
                 p = period[t - 2]
-                if b != word[t - 1 - p]:
-                    p = t
+            else:
+                p = t
             period[t - 1] = p
             w = weight[t] = act[b](weight[t - 1])
             if p == t and allowed[b][word[0]]:
                 yield tuple(word[:t]), w
             if t < max_period:
-                frames.append(iter(successors_from[b][word[t - p]]))
+                after = successors[b]
+                frames.append(iter(after[bisect_left(after, word[t - p]) :]))
                 break
         else:
             frames.pop()

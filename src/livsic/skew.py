@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 from math import gcd
 from operator import add
 
@@ -112,12 +112,8 @@ def orbit_weights(system: SkewSystem, max_period: int):
     if group.is_finite:
         act = [group.table[g].__getitem__ for g in system.psi]
     else:
-        act = [partial(_add_vectors, g) for g in system.psi]
+        act = [lambda w, g=g: tuple(map(add, g, w)) for g in system.psi]
     return walk_primitive_orbits(system.sft, max_period, act, group.identity)
-
-
-def _add_vectors(a, b):
-    return tuple(map(add, a, b))
 
 
 def enumerate_trivial_class_orbits(
