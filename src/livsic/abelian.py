@@ -235,10 +235,10 @@ def solve_finite_gamma(
     e_idx = group.identity_index
     u: dict[Word, Fraction] = {}
     for bi, block in enumerate(pg.base.vertices):
-        val = pot[bi * order + e_idx]
-        for g in range(order):
-            # Fiber constancy is forced: deck shifts are constants killed by torsion.
-            check_invariant(pot[bi * order + g] == val, "potential varies along a fiber")
+        fiber = pot[bi * order : (bi + 1) * order]
+        val = fiber[e_idx]
+        # Fiber constancy is forced: deck shifts are constants killed by torsion.
+        check_invariant(fiber.count(val) == order, "potential varies along a fiber")
         u[block] = val
     solution = CohomologySolution(block_length=r, u=u, alpha=None)
     report = verify_solution(system, cocycle, solution)
