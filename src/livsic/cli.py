@@ -198,11 +198,10 @@ def _cmd_orbits(args, command_line: str) -> int:
     system = env.system
     group = system.group
     k = system.sft.k
-    pairs = by_period(
-        orbit_weights(system, args.max_period), args.max_period, lambda p: len(p[0])
-    )
+    pairs = orbit_weights(system, args.max_period)
     if args.trivial_only:
-        pairs = [pair for pair in pairs if pair[1] == group.identity]
+        pairs = (pair for pair in pairs if pair[1] == group.identity)
+    pairs = by_period(pairs, args.max_period, lambda pair: len(pair[0]))
     tags: dict = {}
     for _, weight in pairs:
         if weight not in tags:

@@ -409,7 +409,7 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
         t = len(frames)  # length of the word once b is placed
         for b in frames[-1]:
             word[t - 1] = b
-            # b >= word[t-1-p] by the bisection that made this frame; equality keeps p.
+            # b >= word[t-1-p] by this frame's bisection; equality keeps p.
             if t > 1 and b == word[t - 1 - period[t - 2]]:
                 p = period[t - 2]
             else:
