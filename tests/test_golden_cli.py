@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 EXAMPLES = "docs/examples"
 AUXILIARY = {"so2-basis.json", "u-table.json"}  # inputs to options, not systems
 RATIONAL = ("full2-z-drift", "full2-z-perturbed", "full2-z", "full3-z2", "gm-c2", "gm-s3")
+MATRIX = ("full2-c2-halfturn", "full2-c2-quarterturn", "full2-diag-sl2")
 
 
 def commands() -> list[list[str]]:
@@ -34,7 +35,7 @@ def commands() -> list[list[str]]:
         out.append(["orbits", path, "--max-period", "6"])
         out.append(["orbits", path, "--max-period", "6", "--trivial-only"])
         out.append(["verify-vanishing", path, "--max-period", "6"])
-    out.extend(["solve", f"{EXAMPLES}/{name}.json"] for name in RATIONAL)
+    out.extend(["solve", f"{EXAMPLES}/{name}.json"] for name in RATIONAL + MATRIX)
     return out
 
 
