@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    DEFAULT_MAX_STATES,
     CocycleObstruction,
     DimensionMismatch,
     InvalidCocycle,
@@ -23,13 +24,12 @@ from .errors import (
     check_invariant,
     max_states_cap,
 )
-from .groups import smith_diagonal
+from .groups import gauss_jordan, smith_diagonal
 from .sft import (
     PeriodicOrbit,
     SftSpec,
     Word,
     _admissible_words,
-    _tarjan_scc,
     birkhoff_sum,
     build_block_graph,
     canonical_rotation,
@@ -37,14 +37,10 @@ from .sft import (
 )
 from .skew import (
     SkewSystem,
-    bfs_arborescence,
+    SpanningTree,
     build_product_graph,
     enumerate_trivial_class_orbits,
-    find_violating_cycle,
-    path_from_root,
-    path_to_root,
     product_scc_witness,
-    shortest_return_edges,
 )
 
 
@@ -184,10 +180,9 @@ def solve_finite_gamma(
     group = system.group
     r = cocycle.effective_block_length
     pg = build_product_graph(system, r)
-    n = pg.n_vertices
-    comps = _tarjan_scc(n, lambda v: [pg.edge_head[e] for e in pg.out_edges[v]])
-    if len(comps) > 1:
-        raise NotTransitiveError(product_scc_witness(pg))
+    disconnected = product_scc_witness(pg)
+    if disconnected is not None:
+        raise NotTransitiveError(disconnected)
 
     rf = cocycle.block_range
     order = pg.order
@@ -195,40 +190,19 @@ def solve_finite_gamma(
     def weight(e: int) -> Fraction:
         return cocycle.window_value(pg.base.edges[e // order][: rf + 1])
 
-    root = 0
-    parent, visit = bfs_arborescence(n, pg.out_edges, pg.edge_head, root)
-    pot: list[Fraction | None] = [None] * n
-    pot[root] = Fraction(0)
-    for v in visit[1:]:
-        e = parent[v]
-        pot[v] = pot[pg.edge_tail[e]] + weight(e)
-    next_edge = shortest_return_edges(n, pg.edge_tail, pg.edge_head, root)
+    def violates(walk) -> int:
+        return 1 if sum(weight(x) for x in walk) != 0 else 0
 
+    tree = SpanningTree(pg)
+    pot = tree.potentials(Fraction(0), lambda e, p: p + weight(e))
     for e in range(len(pg.edge_tail)):
-        t, h = pg.edge_tail[e], pg.edge_head[e]
-        rho = weight(e) - (pot[h] - pot[t])
-        if rho == 0:
+        if weight(e) == pot[pg.edge_head[e]] - pot[pg.edge_tail[e]]:
             continue
-        walk_a = path_from_root(parent, pg.edge_tail, t) + [e] + path_to_root(
-            next_edge, pg.edge_head, h
-        )
-        walk_b = path_from_root(parent, pg.edge_tail, h) + path_to_root(
-            next_edge, pg.edge_head, h
-        )
-        walk = walk_a if sum(weight(x) for x in walk_a) != 0 else walk_b
-        cycle = find_violating_cycle(
-            walk,
-            pg.edge_head,
-            root,
-            lambda seg: 1 if sum(weight(x) for x in seg) != 0 else 0,
-        )
-        check_invariant(cycle is not None, "closure defect without a violating cycle")
+        cycle, word, mult = tree.witness(e, violates)
         total = sum(weight(x) for x in cycle)
-        core, mult = primitive_root(pg.project_cycle(cycle))
+        check_invariant(total != 0, "closure defect without a violating cycle")
         witness = ViolationWitness(
-            orbit=PeriodicOrbit(word=canonical_rotation(core)),
-            multiplicity=mult,
-            total=total,
+            orbit=PeriodicOrbit(word=word), multiplicity=mult, total=total
         )
         raise CocycleObstruction(witness)
 
@@ -268,9 +242,7 @@ def solve_free_abelian(
     d = group.rank
     r = cocycle.effective_block_length
     bg = build_block_graph(system.sft, r)
-    n = len(bg.vertices)
-    comps = _tarjan_scc(n, bg.successors)
-    if len(comps) > 1:
+    if not bg.is_strongly_connected():
         raise NotStronglyConnected("block graph is not strongly connected")
 
     rf = cocycle.block_range
@@ -281,42 +253,39 @@ def solve_free_abelian(
     def psi_weight(e: int):
         return system.psi_of(bg.edges[e][0])
 
-    root = 0
-    parent, visit = bfs_arborescence(n, bg.out_edges, bg.edge_head, root)
-    pot_f: list[Fraction | None] = [None] * n
-    pot_psi: list[tuple[int, ...] | None] = [None] * n
-    pot_f[root] = Fraction(0)
-    pot_psi[root] = (0,) * d
-    for v in visit[1:]:
-        e = parent[v]
-        t = bg.edge_tail[e]
-        pot_f[v] = pot_f[t] + f_weight(e)
-        pot_psi[v] = tuple(a + b for a, b in zip(pot_psi[t], psi_weight(e)))
-    next_edge = shortest_return_edges(n, bg.edge_tail, bg.edge_head, root)
+    tree = SpanningTree(bg)
+    pot_f = tree.potentials(Fraction(0), lambda e, p: p + f_weight(e))
+    pot_psi = tree.potentials(
+        (0,) * d, lambda e, p: tuple(a + b for a, b in zip(p, psi_weight(e)))
+    )
 
-    rows: list[tuple[int, tuple[int, ...], Fraction]] = []
+    # One row alpha . rho_psi = rho_f per non-tree edge, rhs as the last entry.
+    edges: list[int] = []
+    rows: list[tuple] = []
     for e in range(len(bg.edge_tail)):
         t, h = bg.edge_tail[e], bg.edge_head[e]
-        if parent[h] == e:
+        if tree.parent[h] == e:
             continue
-        rho_psi = tuple(
+        rho_psi = (
             w + a - b for w, a, b in zip(psi_weight(e), pot_psi[t], pot_psi[h])
         )
-        rho_f = f_weight(e) + pot_f[t] - pot_f[h]
-        rows.append((e, rho_psi, rho_f))
+        edges.append(e)
+        rows.append((*rho_psi, f_weight(e) + pot_f[t] - pot_f[h]))
 
-    alpha, bad_combo, pivots = _solve_alpha(rows, d)
-    if bad_combo is not None:
-        raise CocycleObstruction(
-            _inconsistency_certificate(
-                system, bg, rows, bad_combo, parent, next_edge, root, f_weight
+    reduced, provenance, pivots = gauss_jordan(rows, d)
+    for i in range(len(pivots), len(rows)):
+        if reduced[i][d]:
+            raise CocycleObstruction(
+                _inconsistency_certificate(system, tree, edges, provenance[i], f_weight)
             )
-        )
+    alpha = [Fraction(0)] * d
+    for row_i, col in enumerate(pivots):
+        alpha[col] = reduced[row_i][d]
 
     degenerate = None
     free_cols = tuple(c for c in range(d) if c not in pivots)
     if free_cols:
-        diag = smith_diagonal([list(row[1]) for row in rows], d)
+        diag = smith_diagonal([row[:d] for row in rows], d)
         degenerate = DegenerateReport(
             lattice_rank=len(diag),
             lattice_diagonal=diag,
@@ -340,76 +309,25 @@ def solve_free_abelian(
     )
 
 
-def _solve_alpha(rows, d):
-    """Row-reduce alpha . rho_psi = rho_f with provenance tracking.
+def _inconsistency_certificate(system, tree, edges, combo, f_weight):
+    """Turn a vanishing row combination into closed-word evidence.
 
-    Returns (alpha, None, pivots) when consistent, or (None, combo, ())
-    where combo maps row positions to rational coefficients of a vanishing
-    combination with nonzero right-hand side.
+    combo maps row positions (indices into edges) to rational coefficients.
     """
-    m = len(rows)
-    lhs = [[Fraction(x) for x in rows[i][1]] for i in range(m)]
-    rhs = [Fraction(rows[i][2]) for i in range(m)]
-    prov = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for i in range(rank, m):
-            if lhs[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        lhs[rank], lhs[pivot] = lhs[pivot], lhs[rank]
-        rhs[rank], rhs[pivot] = rhs[pivot], rhs[rank]
-        prov[rank], prov[pivot] = prov[pivot], prov[rank]
-        inv = 1 / lhs[rank][col]
-        lhs[rank] = [x * inv for x in lhs[rank]]
-        rhs[rank] *= inv
-        prov[rank] = [x * inv for x in prov[rank]]
-        for i in range(m):
-            if i != rank and lhs[i][col]:
-                factor = lhs[i][col]
-                lhs[i] = [a - factor * b for a, b in zip(lhs[i], lhs[rank])]
-                rhs[i] -= factor * rhs[rank]
-                prov[i] = [a - factor * b for a, b in zip(prov[i], prov[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if rhs[i]:
-            return None, prov[i], ()
-    alpha = [Fraction(0)] * d
-    for row_i, col in enumerate(pivots):
-        alpha[col] = rhs[row_i]
-    return alpha, None, tuple(pivots)
-
-
-def _inconsistency_certificate(
-    system, bg, rows, combo, parent, next_edge, root, f_weight
-):
-    """Turn a vanishing row combination into closed-word evidence."""
+    bg = tree.graph
     denom_lcm = 1
-    for c in combo:
+    for c in combo.values():
         if c:
             g = gcd(denom_lcm, c.denominator)
             denom_lcm = denom_lcm * c.denominator // g
-    coeffs = [int(c * denom_lcm) for c in combo]
 
     plus: list[int] = []
     minus: list[int] = []
-    for (e, _, _), nmul in zip(rows, coeffs):
+    for i, c in sorted(combo.items()):
+        nmul = int(c * denom_lcm)
         if not nmul:
             continue
-        t, h = bg.edge_tail[e], bg.edge_head[e]
-        cycle_walk = (
-            path_from_root(parent, bg.edge_tail, t)
-            + [e]
-            + path_to_root(next_edge, bg.edge_head, h)
-        )
-        shadow_walk = path_from_root(parent, bg.edge_tail, h) + path_to_root(
-            next_edge, bg.edge_head, h
-        )
+        cycle_walk, shadow_walk = tree.walks(edges[i])
         if nmul > 0:
             plus.extend(cycle_walk * nmul)
             minus.extend(shadow_walk * nmul)
@@ -438,7 +356,7 @@ def _inconsistency_certificate(
     check_invariant(sum_plus != sum_minus, "certificate walks agree in sum")
 
     correction: list[int] | None = [] if not any(v) else _closing_walk(
-        system, bg, root, tuple(-x for x in v)
+        system, bg, tuple(-x for x in v)
     )
     if correction is not None:
         plus_closed = plus + correction
@@ -461,12 +379,12 @@ def _inconsistency_certificate(
     )
 
 
-def _closing_walk(system, bg, root, target, *, max_states: int = 50_000):
-    """Closed walk at root whose weight is target, by bounded lattice BFS."""
+def _closing_walk(system, bg, target):
+    """Closed walk at block 0 whose weight is target, by bounded lattice BFS."""
     d = system.group.rank
     bound = max(8, 2 * max(abs(x) for x in target) if any(target) else 8)
-    start = (root, (0,) * d)
-    goal = (root, tuple(target))
+    start = (0, (0,) * d)
+    goal = (0, tuple(target))
     if start == goal:
         return []
     prev: dict = {start: None}
@@ -491,7 +409,7 @@ def _closing_walk(system, bg, root, target, *, max_states: int = 50_000):
                     walk.append(edge)
                 walk.reverse()
                 return walk
-            if len(prev) > max_states:
+            if len(prev) > DEFAULT_MAX_STATES:
                 return None
             queue.append(nstate)
     return None

@@ -6,7 +6,8 @@ their group around.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     BadShape,
@@ -361,6 +362,42 @@ def smith_diagonal(rows, width: int) -> tuple[int, ...]:
         divisors.append(abs(p))
         t += 1
     return tuple(divisors)
+
+
+def gauss_jordan(rows, width: int):
+    """Exact Gauss-Jordan reduction of rational rows on their first width columns.
+
+    Entries past the first width (a right-hand side, say) are carried
+    along but never pivoted on.  Returns (reduced, provenance, pivots):
+    the reduced rows, pivot rows first in pivot order and the rest in the
+    order the pivot swaps leave them; for each reduced row a dict
+    {original row index: coefficient} whose combination of the input rows
+    it equals; and the pivot columns.  At most width rows are ever
+    pivots, so a provenance holds at most width + 1 entries and the work
+    is O(m * width^2).
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    prov = [{i: 1} for i in range(len(mat))]
+    pivots: list[int] = []
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prov[rank], prov[pivot] = prov[pivot], prov[rank]
+        inv = 1 / mat[rank][col]
+        prow = mat[rank] = [x * inv for x in mat[rank]]
+        pprov = prov[rank] = {j: c * inv for j, c in prov[rank].items()}
+        for i, row in enumerate(mat):
+            factor = row[col]
+            if factor and i != rank:
+                mat[i] = [a - factor * b for a, b in zip(row, prow)]
+                combo = prov[i]
+                for j, c in pprov.items():
+                    combo[j] = combo.get(j, 0) - factor * c
+        pivots.append(col)
+    return mat, prov, tuple(pivots)
 
 
 def subgroup_rank_and_index(vectors, ambient_rank: int) -> SubgroupReport:

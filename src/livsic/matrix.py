@@ -1,8 +1,9 @@
 """Matrix cocycles over finite extensions: solver, verifier, distortion.
 
-Values live in GL(m, R) as float64 arrays.  The solver mirrors the exact
-rational one: propagate a candidate transfer function along a spanning
-tree of the product graph, then measure how badly every edge closes up.
+Values live in GL(m, R) as float64 arrays.  The solver runs on the same
+spanning-tree kernel as the exact rational ones (skew.SpanningTree):
+propagate a candidate transfer function along the tree of the product
+graph, then measure how badly every edge closes up.
 All comparisons are at an explicit tolerance and every reported witness
 carries its measured deviation, so nothing silently rounds to success.
 """
@@ -36,22 +37,11 @@ from .sft import (
     SftSpec,
     Word,
     _admissible_words,
-    _tarjan_scc,
     _word_count_estimate,
     build_block_graph,
-    canonical_rotation,
-    primitive_root,
+    cyclic_fold,
 )
-from .skew import (
-    SkewSystem,
-    bfs_arborescence,
-    build_product_graph,
-    find_violating_cycle,
-    path_from_root,
-    path_to_root,
-    product_scc_witness,
-    shortest_return_edges,
-)
+from .skew import SkewSystem, SpanningTree, build_product_graph, product_scc_witness
 
 
 def _as_matrix(entry, dim: int | None) -> np.ndarray:
@@ -224,17 +214,9 @@ class MatrixSolution:
 def cyclic_product(cocycle: MatrixCocycle, word) -> np.ndarray:
     """Ordered product of window values around a cyclic word, leftmost last."""
     word = tuple(word)
-    spec = cocycle.sft
-    if not spec.is_admissible(word, cyclic=True):
+    if not cocycle.sft.is_admissible(word, cyclic=True):
         raise InvalidCocycle(f"word {word} is not cyclically admissible")
-    n = len(word)
-    rf = cocycle.block_range
-    reps = 1 + (rf + n - 1) // n if rf else 1
-    ext = word * max(reps, 1)
-    prod = np.eye(cocycle.dim)
-    for i in range(n):
-        prod = cocycle.window_value(ext[i : i + rf + 1]) @ prod
-    return prod
+    return cyclic_fold(cocycle, word)
 
 
 def _deviation(mat: np.ndarray) -> float:
@@ -260,9 +242,9 @@ def solve_matrix_finite(
     r = cocycle.effective_block_length
     pg = build_product_graph(system, r)
     n = pg.n_vertices
-    comps = _tarjan_scc(n, lambda v: [pg.edge_head[e] for e in pg.out_edges[v]])
-    if len(comps) > 1:
-        raise NotTransitiveError(product_scc_witness(pg))
+    disconnected = product_scc_witness(pg)
+    if disconnected is not None:
+        raise NotTransitiveError(disconnected)
 
     rf = cocycle.block_range
     order = pg.order
@@ -270,17 +252,18 @@ def solve_matrix_finite(
     def factor(e: int) -> np.ndarray:
         return cocycle.window_value(pg.base.edges[e // order][: rf + 1])
 
-    root = 0
-    parent, visit = bfs_arborescence(n, pg.out_edges, pg.edge_head, root)
-    transfer: list[np.ndarray | None] = [None] * n
-    transfer[root] = np.eye(cocycle.dim)
-    for v in visit[1:]:
-        e = parent[v]
-        transfer[v] = factor(e) @ transfer[pg.edge_tail[e]]
+    tree = SpanningTree(pg)
+    transfer = tree.potentials(np.eye(cocycle.dim), lambda e, t: factor(e) @ t)
     transfer_inv = [
         _checked_inverse(t, "transfer candidate") for t in transfer
     ]
-    next_edge = shortest_return_edges(n, pg.edge_tail, pg.edge_head, root)
+
+    def excess(walk) -> float:
+        """Deviation from identity of the walk's product, less tol."""
+        prod = np.eye(cocycle.dim)
+        for x in walk:
+            prod = factor(x) @ prod
+        return _deviation(prod) - tol
 
     max_residual = 0.0
     for e in range(len(pg.edge_tail)):
@@ -289,8 +272,12 @@ def solve_matrix_finite(
         max_residual = max(max_residual, residual)
         if residual <= tol:
             continue
+        _, word, mult = tree.witness(e, excess)
+        deviation = _deviation(cyclic_product(cocycle, word * mult))
         raise CocycleObstruction(
-            _matrix_witness(cocycle, pg, e, parent, next_edge, root, factor, tol)
+            MatrixViolationWitness(
+                orbit=PeriodicOrbit(word=word), multiplicity=mult, deviation=deviation
+            )
         )
 
     e_idx = group.identity_index
@@ -350,36 +337,6 @@ def solve_matrix_finite(
         tol=tol,
         certificate=report,
     )
-
-
-def _matrix_witness(
-    cocycle, pg, e, parent, next_edge, root, factor, tol
-) -> MatrixViolationWitness:
-    """Closed walk through the failing edge, trimmed to a short witness."""
-    t, h = pg.edge_tail[e], pg.edge_head[e]
-    walk_a = path_from_root(parent, pg.edge_tail, t) + [e] + path_to_root(
-        next_edge, pg.edge_head, h
-    )
-    walk_b = path_from_root(parent, pg.edge_tail, h) + path_to_root(
-        next_edge, pg.edge_head, h
-    )
-
-    def walk_dev(walk) -> float:
-        prod = np.eye(cocycle.dim)
-        for x in walk:
-            prod = factor(x) @ prod
-        return _deviation(prod)
-
-    walk = max([walk_a, walk_b], key=walk_dev)
-    seg = find_violating_cycle(
-        walk, pg.edge_head, root, lambda s: walk_dev(s) - tol
-    )
-    if seg is not None and walk_dev(seg) > tol:
-        walk = seg
-    core, mult = primitive_root(pg.project_cycle(walk))
-    orbit = PeriodicOrbit(word=canonical_rotation(core))
-    deviation = _deviation(cyclic_product(cocycle, orbit.word * mult))
-    return MatrixViolationWitness(orbit=orbit, multiplicity=mult, deviation=deviation)
 
 
 def certification_tolerance(tol: float, pairs, defect: float = 0.0) -> float:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import add
 
 from .errors import (
     BadShape,
@@ -210,17 +212,6 @@ class BlockGraph:
     edge_head: tuple[int, ...]
     out_edges: tuple[tuple[int, ...], ...]
 
-    def vertex_index(self, block: Word) -> int:
-        # Vertices are sorted, so bisection would do; linear maps are small
-        # enough that a dict is built lazily by callers that need bulk lookup.
-        try:
-            return self.vertices.index(tuple(block))
-        except ValueError:
-            raise InadmissibleWord(block) from None
-
-    def index_map(self) -> dict[Word, int]:
-        return {b: i for i, b in enumerate(self.vertices)}
-
     def successors(self, v: int) -> list[int]:
         return [self.edge_head[e] for e in self.out_edges[v]]
 
@@ -247,12 +238,11 @@ def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
     return words
 
 
-def build_block_graph(spec: SftSpec, r: int, *, max_vertices: int | None = None) -> BlockGraph:
+def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
     """Build the r-block presentation.  Raises RangeTooLarge beyond the cap."""
     if r < 1:
         raise BadShape("block length must be at least 1")
-    cap = max_states_cap() if max_vertices is None else max_vertices
-    vertices = tuple(_admissible_words(spec, r, cap))
+    vertices = tuple(_admissible_words(spec, r, max_states_cap()))
     index = {w: i for i, w in enumerate(vertices)}
     edges: list[Word] = []
     tails: list[int] = []
@@ -349,14 +339,7 @@ def _word_count_estimate(spec: SftSpec, max_len: int) -> int:
     return total
 
 
-def walk_primitive_orbits(
-    spec: SftSpec,
-    max_period: int,
-    act=None,
-    identity=None,
-    *,
-    max_work: int | None = None,
-):
+def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=None):
     """Every primitive periodic orbit of period <= max_period, with its weight.
 
     Returns an iterator of (word, weight) pairs, one per orbit, where word
@@ -376,8 +359,7 @@ def walk_primitive_orbits(
         raise RangeTooLarge(f"period {max_period} exceeds cap {cap}")
     if max_period < 1:
         return iter(())
-    budget = DEFAULT_MAX_WORK if max_work is None else max_work
-    if _word_count_estimate(spec, max_period) > budget:
+    if _word_count_estimate(spec, max_period) > DEFAULT_MAX_WORK:
         raise RangeTooLarge(
             f"orbit enumeration up to period {max_period} exceeds the work budget"
         )
@@ -426,16 +408,14 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
             frames.pop()
 
 
-def enumerate_periodic_orbits(
-    spec: SftSpec, max_period: int, *, max_work: int | None = None
-) -> list[PeriodicOrbit]:
+def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> list[PeriodicOrbit]:
     """All primitive periodic orbits of period <= max_period.
 
     Orbits are returned sorted by (period, word).  Each orbit is the Lyndon
     word of walk_primitive_orbits, which produces every orbit exactly once,
     so sorting reduces to bucketing by period.
     """
-    walk = walk_primitive_orbits(spec, max_period, max_work=max_work)
+    walk = walk_primitive_orbits(spec, max_period)
     orbits = (PeriodicOrbit(word=word) for word, _ in walk)
     return by_period(orbits, max_period, lambda orbit: len(orbit.word))
 
@@ -487,23 +467,22 @@ def birkhoff_sum(cocycle, orbit: PeriodicOrbit):
     matrix cocycles it is the ordered product with the step at index n-1
     applied last, i.e. leftmost.
     """
-    word = orbit.word
-    n = len(word)
-    spec = cocycle.sft
-    if not spec.is_admissible(word, cyclic=True):
-        raise InadmissibleWord(word)
-    rf = cocycle.block_range
-    reps = 1 + (rf + n - 1) // n if rf else 1
-    ext = word * max(reps, 1)
-    if getattr(cocycle, "is_matrix_valued", False):
-        import numpy as np
+    if not cocycle.sft.is_admissible(orbit.word, cyclic=True):
+        raise InadmissibleWord(orbit.word)
+    return cyclic_fold(cocycle, orbit.word)
 
-        prod = np.eye(cocycle.dim)
-        for i in range(n):
-            prod = cocycle.window_value(ext[i : i + rf + 1]) @ prod
-        return prod
-    total = None
-    for i in range(n):
-        v = cocycle.window_value(ext[i : i + rf + 1])
-        total = v if total is None else total + v
-    return total
+
+def cyclic_fold(cocycle, word: Word):
+    """Combine a cocycle's window values around a cyclic word, position 0 first.
+
+    Rational values are added; matrix values are multiplied with each later
+    step on the left.  The caller checks that the word is cyclically
+    admissible.
+    """
+    n = len(word)
+    width = cocycle.block_range + 1
+    ext = word * (1 + (width + n - 2) // n)
+    values = (cocycle.window_value(ext[i : i + width]) for i in range(n))
+    if cocycle.is_matrix_valued:
+        return reduce(lambda prod, value: value @ prod, values)
+    return reduce(add, values)

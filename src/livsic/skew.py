@@ -6,7 +6,6 @@ psi(w[n-1]) ... psi(w[1]) psi(w[0]).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -20,7 +19,7 @@ from .errors import (
     RangeTooLarge,
     max_states_cap,
 )
-from .groups import Group, GroupElement, subgroup_rank_and_index
+from .groups import Group, GroupElement, gauss_jordan, subgroup_rank_and_index
 from .sft import (
     BlockGraph,
     PeriodicOrbit,
@@ -30,6 +29,8 @@ from .sft import (
     _tarjan_scc,
     build_block_graph,
     by_period,
+    canonical_rotation,
+    primitive_root,
     walk_primitive_orbits,
 )
 
@@ -194,80 +195,115 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic graph plumbing shared by the cohomology solvers.
+# Deterministic graph plumbing shared by the cohomology solvers: one
+# strong-connectivity check for product graphs and one spanning-tree kernel
+# that gives solve_finite_gamma, solve_free_abelian and solve_matrix_finite
+# their potentials and their closed witness walks.
 
 
 def product_scc_witness(pg: ProductGraph):
-    """First ordered pair of product vertices with no connecting path.
-
-    Only called on graphs already known not to be strongly connected.
-    """
+    """None if the product graph is strongly connected, otherwise the first
+    ordered pair of product vertices (as labels) with no connecting path."""
     n = pg.n_vertices
     succ = [[pg.edge_head[e] for e in out] for out in pg.out_edges]
+    if len(_tarjan_scc(n, succ.__getitem__)) == 1:
+        return None
     for v in range(n):
         reach = _reachable_from(n, succ, v)
         if len(reach) != n:
             u = next(x for x in range(n) if x not in reach)
             return pg.vertex_label(v), pg.vertex_label(u)
-    raise AssertionError("graph is strongly connected")
 
 
-def bfs_arborescence(n: int, out_edges, edge_head, root: int):
-    """Forward BFS tree from root: (parent_edge per vertex, visit order)."""
-    parent = [None] * n
+class SpanningTree:
+    """Breadth-first arborescence from vertex 0 and shortest returns to it.
+
+    Works on any graph with out_edges, edge_tail and edge_head (block and
+    product graphs).  parent[v] is the tree edge into v, visit the BFS
+    order, and next_edge[v] the first edge of a shortest path from v back
+    to vertex 0.  Edge and vertex orders fix every choice, so potentials
+    and walks are deterministic.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        n = len(graph.out_edges)
+        self.parent, self.visit = _bfs_edges(n, graph.out_edges, graph.edge_head)
+        in_edges: list[list[int]] = [[] for _ in range(n)]
+        for e, h in enumerate(graph.edge_head):
+            in_edges[h].append(e)
+        self.next_edge, _ = _bfs_edges(n, in_edges, graph.edge_tail)
+
+    def potentials(self, start, step) -> list:
+        """pot[0] = start and pot[head e] = step(e, pot[tail e]) on tree edges.
+
+        Covers Q and Z^d under + and GL(m) under left multiplication.
+        """
+        pot = [None] * len(self.parent)
+        pot[0] = start
+        tail = self.graph.edge_tail
+        for v in self.visit[1:]:
+            e = self.parent[v]
+            pot[v] = step(e, pot[tail[e]])
+        return pot
+
+    def walks(self, e: int) -> tuple[list[int], list[int]]:
+        """The closed walks root->tail.e.head->root and root->head->root.
+
+        Their weights differ by exactly the closure defect of edge e.
+        """
+        tail, head = self.graph.edge_tail, self.graph.edge_head
+        back = []
+        v = head[e]
+        while self.next_edge[v] is not None:
+            back.append(self.next_edge[v])
+            v = head[back[-1]]
+        return self._from_root(tail[e]) + [e] + back, self._from_root(head[e]) + back
+
+    def _from_root(self, v: int) -> list[int]:
+        path = []
+        while self.parent[v] is not None:
+            path.append(self.parent[v])
+            v = self.graph.edge_tail[path[-1]]
+        path.reverse()
+        return path
+
+    def witness(self, e: int, score) -> tuple[list[int], Word, int]:
+        """Short closed word through a closure defect at edge e.
+
+        Takes the higher-scoring of walks(e), trims it to its first simple
+        cycle with positive score (keeping the whole walk when there is
+        none), and returns (cycle, least rotation of the primitive core of
+        its projected word, multiplicity of that core).  Needs a graph with
+        project_cycle, i.e. a product graph.
+        """
+        walk = max(self.walks(e), key=score)
+        cycle = find_violating_cycle(walk, self.graph.edge_head, 0, score)
+        if cycle is None or score(cycle) <= 0:
+            cycle = walk
+        core, mult = primitive_root(self.graph.project_cycle(cycle))
+        return cycle, canonical_rotation(core), mult
+
+
+def _bfs_edges(n: int, edges_at, far_end):
+    """BFS from vertex 0, where edges_at[v] lists the edges to follow from v
+    and far_end[e] is the vertex edge e leads to.
+
+    Returns (the edge each vertex was first reached by, None at vertex 0;
+    the visit order).
+    """
+    via: list[int | None] = [None] * n
     seen = [False] * n
-    seen[root] = True
-    order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for e in out_edges[v]:
-            w = edge_head[e]
+    seen[0] = True
+    order = [0]
+    for v in order:
+        for e in edges_at[v]:
+            w = far_end[e]
             if not seen[w]:
                 seen[w] = True
-                parent[w] = e
+                via[w] = e
                 order.append(w)
-                queue.append(w)
-    return parent, order
-
-
-def shortest_return_edges(n: int, edge_tail, edge_head, root: int):
-    """next_edge[v] = first edge of a shortest forward path from v to root."""
-    in_edges: list[list[int]] = [[] for _ in range(n)]
-    for e in range(len(edge_tail)):
-        in_edges[edge_head[e]].append(e)
-    next_edge = [None] * n
-    seen = [False] * n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for e in in_edges[v]:
-            t = edge_tail[e]
-            if not seen[t]:
-                seen[t] = True
-                next_edge[t] = e
-                queue.append(t)
-    return next_edge
-
-
-def path_from_root(parent_edge, edge_tail, v: int) -> list[int]:
-    path = []
-    while parent_edge[v] is not None:
-        e = parent_edge[v]
-        path.append(e)
-        v = edge_tail[e]
-    path.reverse()
-    return path
-
-
-def path_to_root(next_edge, edge_head, v: int) -> list[int]:
-    path = []
-    while next_edge[v] is not None:
-        e = next_edge[v]
-        path.append(e)
-        v = edge_head[e]
-    return path
+    return via, order
 
 
 def find_violating_cycle(walk_edges, edge_head, start: int, score):
@@ -393,27 +429,8 @@ def _strict_functional_dim2(vectors):
 
 def _nullspace_vector(rows, d):
     """One integer vector orthogonal to all rows, or None if they span Q^d."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank == d:
+    mat, _, pivots = gauss_jordan(rows, d)
+    if len(pivots) == d:
         return None
     free = next(c for c in range(d) if c not in pivots)
     sol = [Fraction(0)] * d
@@ -498,14 +515,10 @@ def check_transitivity(system: SkewSystem, *, probe_depth: int = 12) -> Transiti
     """
     group = system.group
     if group.is_finite:
-        pg = build_product_graph(system, 1)
-        n = pg.n_vertices
-        comps = _tarjan_scc(n, lambda v: [pg.edge_head[e] for e in pg.out_edges[v]])
-        if len(comps) == 1:
+        witness = product_scc_witness(build_product_graph(system, 1))
+        if witness is None:
             return TransitivityVerdict(status="transitive")
-        return TransitivityVerdict(
-            status="not_transitive", witness=product_scc_witness(pg)
-        )
+        return TransitivityVerdict(status="not_transitive", witness=witness)
 
     d = group.rank
     orbit_count = 0

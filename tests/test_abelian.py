@@ -364,3 +364,33 @@ def test_uncertified_solution_raises_under_python_O():
         "full2-c2-halfturn.json raised",
         "",
     ]
+
+
+_FULL4_Z_R5 = r"""
+import resource
+from fractions import Fraction
+from livsic import GroupSpec, SftSpec, build_group, generate_cocycle, make_skew_system
+from livsic import solve_free_abelian
+
+system = make_skew_system(
+    SftSpec.full_shift(4), build_group(GroupSpec.free_abelian(1)), ((1,), (-2,), (3,), (0,))
+)
+cocycle = generate_cocycle(system, alpha=(Fraction(2, 7),), block_range=5, seed=5)
+solution = solve_free_abelian(system, cocycle)
+print(len(solution.u), solution.alpha == (Fraction(2, 7),), solution.certificate.certified)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_full4_z_r5_solves_in_little_memory():
+    # 1 024 blocks and 3 073 non-tree rows: a dense row-provenance matrix
+    # would hold about 9.4 million Fractions (over 500 MB).
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FULL4_Z_R5], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary, peak_kib = proc.stdout.split("\n")[:2]
+    assert summary == "1024 True True"
+    assert int(peak_kib) < 200 * 1024

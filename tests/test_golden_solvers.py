@@ -84,8 +84,10 @@ def _spec(rng, shape):
     return SftSpec.full_shift(shape)
 
 
-def _finite_system(rng, spec, group):
+def _finite_system(rng, shape, group):
+    """A transitive system; the shift is redrawn too, as a sparse one may admit none."""
     while True:
+        spec = _spec(rng, shape)
         system = make_skew_system(spec, group, [rng.randrange(group.order) for _ in range(spec.k)])
         if brute_transitivity(system):
             return system
@@ -110,7 +112,7 @@ def _finite_cases(out: dict) -> None:
                 for i in range(2):
                     rng = rng_for(BASE_SEED, index)
                     index += 1
-                    system = _finite_system(rng, _spec(rng, shape), group)
+                    system = _finite_system(rng, shape, group)
                     cocycle = generate_cocycle(system, block_range=r, seed=rng.randrange(2**31))
                     bad, _, _ = perturb_one_value(cocycle, rng)
                     name = f"finite {gname} {shape} r{r} #{i}"
@@ -177,7 +179,7 @@ def _matrix_cases(out: dict) -> None:
                 for r in (1, 2):
                     rng = rng_for(BASE_SEED, index)
                     index += 1
-                    system = _finite_system(rng, _spec(rng, shape), group)
+                    system = _finite_system(rng, shape, group)
                     blocks = build_block_graph(system.sft, r).vertices
                     names = [group.name_of(g) for g in group.elements()]
                     if family == "rotation":
@@ -223,5 +225,8 @@ def test_solver_results_match_recording():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    # One case per line keeps a changed answer to one line of the diff.
+    cases = sorted(capture().items())
+    lines = (f"{json.dumps(name)}: {json.dumps(result, sort_keys=True)}" for name, result in cases)
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     sys.exit(0)

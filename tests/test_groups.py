@@ -1,6 +1,9 @@
 """Group construction, conjugacy data and lattice arithmetic."""
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from livsic import (
@@ -14,6 +17,8 @@ from livsic import (
     smith_diagonal,
     subgroup_rank_and_index,
 )
+from livsic.groups import gauss_jordan
+from livsic.skew import _nullspace_vector
 from corpus import q8_group, s3_group
 
 
@@ -136,3 +141,93 @@ def test_subgroup_report():
 
     line = subgroup_rank_and_index([(2, 4)], 2)
     assert line.rank == 1 and line.index is None and not line.full
+
+
+def _dense_solve(rows, d):
+    """Gauss-Jordan with a dense identity provenance, kept as a reference."""
+    m = len(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    prov = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    pivots = []
+    for col in range(d):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prov[rank], prov[pivot] = prov[pivot], prov[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        prov[rank] = [x * inv for x in prov[rank]]
+        for i in range(m):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+                prov[i] = [a - f * b for a, b in zip(prov[i], prov[rank])]
+        pivots.append(col)
+    return mat, prov, tuple(pivots)
+
+
+def _random_system(rng, d):
+    """Integer rows (lhs of width d, then rhs), often of deficient rank."""
+    m = rng.randint(0, 6)
+    basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, d))]
+    rows = []
+    for _ in range(m):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        lhs = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d)]
+        rows.append((*lhs, rng.randint(-2, 2) if rng.random() < 0.5 else sum(lhs)))
+    return rows
+
+
+def test_gauss_jordan_certifies_both_outcomes():
+    rng = random.Random(20251)
+    seen = {"consistent": 0, "inconsistent": 0, "empty": 0, "deficient": 0}
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        rows = _random_system(rng, d)
+        reduced, prov, pivots = gauss_jordan(rows, d)
+        # Every reduced row is the combination its provenance names, and a
+        # provenance never holds more than d + 1 rows.
+        for red, combo in zip(reduced, prov):
+            assert len(combo) <= d + 1
+            for j in range(d + 1):
+                assert red[j] == sum(c * rows[i][j] for i, c in combo.items())
+        dense_mat, dense_prov, dense_pivots = _dense_solve(rows, d)
+        assert (reduced, pivots) == (dense_mat, dense_pivots)
+        for combo, dense in zip(prov, dense_prov):
+            assert {i: c for i, c in combo.items() if c} == {
+                i: c for i, c in enumerate(dense) if c
+            }
+        bad = [i for i in range(len(pivots), len(rows)) if reduced[i][d]]
+        if bad:
+            seen["inconsistent"] += 1
+            combo = prov[bad[0]]
+            for j in range(d):
+                assert sum(c * rows[i][j] for i, c in combo.items()) == 0
+            assert sum(c * rows[i][d] for i, c in combo.items()) != 0
+        else:
+            seen["consistent"] += 1
+            alpha = [Fraction(0)] * d
+            for row_i, col in enumerate(pivots):
+                alpha[col] = reduced[row_i][d]
+            for row in rows:
+                assert sum(a * x for a, x in zip(alpha, row)) == row[d]
+        seen["empty"] += not rows
+        seen["deficient"] += len(pivots) < d
+    assert min(seen.values()) > 0, seen
+
+
+def test_nullspace_vector_orthogonal_and_none_at_full_rank():
+    rng = random.Random(20252)
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        rows = [row[:d] for row in _random_system(rng, d)]
+        vec = _nullspace_vector(rows, d)
+        if len(smith_diagonal(rows, d)) == d:
+            assert vec is None
+        else:
+            assert vec is not None and any(vec)
+            assert all(isinstance(x, int) for x in vec)
+            for row in rows:
+                assert sum(a * b for a, b in zip(vec, row)) == 0

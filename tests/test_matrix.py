@@ -268,15 +268,23 @@ def test_adjoint_norm_values():
 
 def test_cyclic_product_matches_birkhoff_product():
     system = _c2_system()
-    cocycle = generate_matrix_cocycle(
-        system, None, None, block_range=1, seed=9, family="rotation"
-    )
-    for word in [(1,), (1, 2), (1, 1, 2)]:
-        direct = cyclic_product(cocycle, word)
-        via_orbit = birkhoff_sum(cocycle, PeriodicOrbit(word=word))
-        assert np.allclose(direct, via_orbit, atol=1e-12)
-    with pytest.raises(InvalidCocycle):
-        cyclic_product(cocycle, (3,))
+    for rf in (1, 2):
+        cocycle = generate_matrix_cocycle(
+            system, None, None, block_range=rf, seed=9, family="rotation"
+        )
+        for word in [(1,), (1, 2), (1, 1, 2), (2, 1, 2, 2)]:
+            # Windows of rf + 1 symbols around the cyclic word, later ones on the left.
+            n = len(word)
+            expected = np.eye(2)
+            for i in range(n):
+                window = tuple(word[(i + j) % n] for j in range(rf + 1))
+                expected = cocycle.window_value(window) @ expected
+            direct = cyclic_product(cocycle, word)
+            via_orbit = birkhoff_sum(cocycle, PeriodicOrbit(word=word))
+            assert np.allclose(direct, expected, atol=1e-12)
+            assert np.allclose(via_orbit, expected, atol=1e-12)
+        with pytest.raises(InvalidCocycle):
+            cyclic_product(cocycle, (3,))
 
 
 def test_distortion_diagonal_cocycle():
