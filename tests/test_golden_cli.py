@@ -36,6 +36,17 @@ def commands() -> list[list[str]]:
         out.append(["orbits", path, "--max-period", "6", "--trivial-only"])
         out.append(["verify-vanishing", path, "--max-period", "6"])
     out.extend(["solve", f"{EXAMPLES}/{name}.json"] for name in RATIONAL + MATRIX)
+    sl2 = f"{EXAMPLES}/full2-diag-sl2.json"
+    so2 = f"{EXAMPLES}/so2-basis.json"
+    out += [
+        ["distortion", sl2, "--depth", "4"],
+        ["distortion", f"{EXAMPLES}/full2-c2-quarterturn.json", "--depth", "6", "--algebra", so2],
+        ["check-distortion", sl2, "--theta", "3"],
+        ["check-distortion", sl2, "--theta", "2"],
+        ["distortion", sl2, "--depth", "3", "--ambient"],
+        # so(2) is not invariant under the diagonal values: AlgebraNotClosed, exit 2.
+        ["distortion", sl2, "--depth", "3", "--algebra", so2],
+    ]
     return out
 
 
