@@ -226,6 +226,17 @@ def _alpha_dot(alpha, vec) -> Fraction:
     return sum((a * x for a, x in zip(alpha, vec)), Fraction(0))
 
 
+def _drift_table(system: SkewSystem, alpha) -> list[Fraction] | None:
+    """alpha . psi(a) for each symbol a (index a - 1); None without alpha.
+
+    Edge identities add alpha . psi of the edge's first symbol, so k dot
+    products serve every edge.
+    """
+    if alpha is None:
+        return None
+    return [_alpha_dot(alpha, system.psi_of(a)) for a in range(1, system.sft.k + 1)]
+
+
 def solve_free_abelian(
     system: SkewSystem, cocycle: LocallyConstantCocycle
 ) -> CohomologySolution:
@@ -437,13 +448,12 @@ def verify_solution(
             raise DimensionMismatch("alpha length does not match the group rank")
     bg = build_block_graph(system.sft, r)
     rf = cocycle.block_range
+    drift = _drift_table(system, alpha)
     failures = []
-    for e, word in enumerate(bg.edges):
-        prefix = word[:-1]
-        suffix = word[1:]
-        expected = solution.u[suffix] - solution.u[prefix]
-        if alpha is not None:
-            expected += _alpha_dot(alpha, system.psi_of(word[0]))
+    for word in bg.edges:
+        expected = solution.u[word[1:]] - solution.u[word[:-1]]
+        if drift is not None:
+            expected += drift[word[0] - 1]
         residual = cocycle.window_value(word[: rf + 1]) - expected
         if residual != 0:
             failures.append((word, residual))
@@ -500,11 +510,12 @@ def generate_cocycle(
         u = {tuple(k): _as_fraction(v) for k, v in u.items()}
         if set(u) != set(bg.vertices):
             raise InvalidCocycle("u must assign a value to every admissible block")
+    drift = _drift_table(system, alpha_vec)
     values = {}
     for word in bg.edges:
         val = u[word[1:]] - u[word[:-1]]
-        if alpha_vec is not None:
-            val += _alpha_dot(alpha_vec, system.psi_of(word[0]))
+        if drift is not None:
+            val += drift[word[0] - 1]
         values[word] = val
     return LocallyConstantCocycle(
         sft=system.sft, block_range=block_range, values=values

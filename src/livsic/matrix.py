@@ -59,10 +59,19 @@ def _as_matrix(entry, dim: int | None) -> np.ndarray:
 
 
 def _checked_inverse(mat: np.ndarray, context: str) -> np.ndarray:
+    """Inverse of a matrix, or of each matrix in an (N, m, m) stack.
+
+    SingularMatrix names the determinant of the first matrix whose
+    determinant is not finite or is below 1e-12 times its largest entry
+    to the power m (at least 1).
+    """
     det = np.linalg.det(mat)
-    scale = max(1.0, float(np.abs(mat).max()) ** mat.shape[0])
-    if not np.isfinite(det) or abs(det) < 1e-12 * scale:
-        raise SingularMatrix(f"{context}: determinant {det} too close to zero")
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)) ** mat.shape[-1])
+    bad = ~np.isfinite(det) | (np.abs(det) < 1e-12 * scale)
+    if bad.any():
+        raise SingularMatrix(
+            f"{context}: determinant {np.extract(bad, det)[0]} too close to zero"
+        )
     return np.linalg.inv(mat)
 
 
@@ -149,28 +158,36 @@ def _check_algebra_closed(basis, tol: float) -> None:
 
 def adjoint_norm(g: np.ndarray, basis, tol: float = 1e-9) -> float:
     """Operator 2-norm of conjugation by g, on the declared or ambient algebra."""
-    if basis is None:
-        return _adjoint_norm_with(g, None, None, None, tol)
-    b_mat = _basis_matrix(basis)
-    return _adjoint_norm_with(g, basis, b_mat, np.linalg.pinv(b_mat), tol)
+    return float(_adjoint_norms(g[None], basis, tol)[0])
 
 
-def _adjoint_norm_with(g, basis, b_mat, pinv, tol) -> float:
+def _adjoint_norms(g: np.ndarray, basis, tol: float) -> np.ndarray:
+    """2-norm of Ad(g) for each matrix of an (N, m, m) stack.
+
+    Every matrix must pass _checked_inverse (SingularMatrix otherwise).
+    On the ambient algebra (basis None) Ad(g) is kron(g, g^-T).  On a
+    declared algebra each conjugated basis element must stay in the span,
+    to tol relative to its norm, or AlgebraNotClosed names the element;
+    the norm is then that of the coefficient matrix, one column per basis
+    element.
+    """
+    n, m = g.shape[0], g.shape[-1]
     g_inv = _checked_inverse(g, "adjoint")
     if basis is None:
-        return float(np.linalg.norm(np.kron(g, g_inv.T), 2))
-    cols = []
-    for j, x in enumerate(basis):
-        vec = (g @ x @ g_inv).reshape(-1)
-        coeffs = pinv @ vec
-        residual = float(np.linalg.norm(b_mat @ coeffs - vec))
-        if residual > tol * (1.0 + float(np.linalg.norm(vec))):
-            raise AlgebraNotClosed(
-                f"conjugation moves basis element {j} out of the declared span "
-                f"(residual {residual:.3e})"
-            )
-        cols.append(coeffs)
-    return float(np.linalg.norm(np.stack(cols, axis=1), 2))
+        ad = g[:, :, None, :, None] * np.swapaxes(g_inv, 1, 2)[:, None, :, None, :]
+        return np.linalg.norm(ad.reshape(n, m * m, m * m), 2, axis=(1, 2))
+    b_mat = _basis_matrix(basis)
+    vecs = (g[:, None] @ np.stack(basis) @ g_inv[:, None]).reshape(n, len(basis), m * m)
+    coeffs = np.linalg.pinv(b_mat) @ vecs[..., None]
+    residual = np.linalg.norm((b_mat @ coeffs)[..., 0] - vecs, axis=-1)
+    leaks = residual > tol * (1.0 + np.linalg.norm(vecs, axis=-1))
+    if leaks.any():
+        row, j = np.argwhere(leaks)[0]
+        raise AlgebraNotClosed(
+            f"conjugation moves basis element {j} out of the declared span "
+            f"(residual {residual[row, j]:.3e})"
+        )
+    return np.linalg.norm(np.swapaxes(coeffs[..., 0], 1, 2), 2, axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -254,9 +271,7 @@ def solve_matrix_finite(
 
     tree = SpanningTree(pg)
     transfer = tree.potentials(np.eye(cocycle.dim), lambda e, t: factor(e) @ t)
-    transfer_inv = [
-        _checked_inverse(t, "transfer candidate") for t in transfer
-    ]
+    transfer_inv = list(_checked_inverse(np.stack(transfer), "transfer candidate"))
 
     def excess(walk) -> float:
         """Deviation from identity of the walk's product, less tol."""
@@ -418,6 +433,11 @@ class DistortionReport:
     algebra_dim: int
 
 
+# Words scored per batch.  The walk holds at most depth * k chunks, so
+# memory stays bounded however wide a depth level grows.
+_CHUNK = 512
+
+
 def estimate_distortion(
     cocycle: MatrixCocycle, n_max: int, *, tol: float = 1e-6
 ) -> DistortionReport:
@@ -426,6 +446,15 @@ def estimate_distortion(
     The forward rate uses products of n window values; the backward rate
     uses their inverses.  Both are reported per n together with the values
     at n_max, which are the estimates callers should quote.
+
+    The admissible words of length n + block_range are walked depth first
+    in chunks of at most _CHUNK words, each carrying its (chunk, m, m)
+    stacks of forward and backward products.  A popped chunk is scored
+    with one batched adjoint-norm call per direction, and its children,
+    found through a table of window successors, get their products as
+    value @ product and inverse-product @ inverse, the order of a
+    word-by-word scan, before being split into chunks and pushed.  The
+    largest norm at each n, over rows and chunks, gives the rate.
     """
     if n_max < 1:
         raise InvalidCocycle("distortion estimation needs n_max >= 1")
@@ -435,46 +464,43 @@ def estimate_distortion(
         raise RangeTooLarge(
             f"distortion scan to depth {n_max} exceeds the work budget"
         )
-    inv_cache = {
-        w: _checked_inverse(m, f"value at {w}") for w, m in cocycle.values.items()
-    }
+    windows = sorted(cocycle.values)
+    index = {w: i for i, w in enumerate(windows)}
+    vals = np.stack([cocycle.values[w] for w in windows])
+    invs = np.stack([_checked_inverse(cocycle.values[w], f"value at {w}") for w in windows])
+    successor = np.full((len(windows), spec.k), -1, dtype=np.intp)
+    for i, w in enumerate(windows):
+        for b in spec.successors(w[-1]):
+            successor[i, b - 1] = index[w[1:] + (b,)]
     basis = cocycle.algebra
-    b_mat = _basis_matrix(basis) if basis is not None else None
-    pinv = np.linalg.pinv(b_mat) if b_mat is not None else None
     best_s = [0.0] * (n_max + 1)
     best_u = [0.0] * (n_max + 1)
-    identity = np.eye(cocycle.dim)
+    stack = []
 
-    def scan(word: tuple[int, ...], prod, inv_prod) -> None:
-        n = len(word) - rf
-        if n >= 1:
-            rate = _adjoint_norm_with(prod, basis, b_mat, pinv, tol) ** (1.0 / n)
-            best_s[n] = max(best_s[n], rate)
-            rate = _adjoint_norm_with(inv_prod, basis, b_mat, pinv, tol) ** (1.0 / n)
-            best_u[n] = max(best_u[n], rate)
-            if n == n_max:
-                return
-        for b in spec.successors(word[-1]):
-            nxt = word + (b,)
-            if len(nxt) >= rf + 1:
-                window = nxt[-(rf + 1) :]
-                scan(
-                    nxt,
-                    cocycle.window_value(window) @ prod,
-                    inv_prod @ inv_cache[window],
-                )
-            else:
-                scan(nxt, prod, inv_prod)
+    def push(n, words, prods, inv_prods):
+        for lo in reversed(range(0, len(words), _CHUNK)):
+            hi = lo + _CHUNK
+            stack.append((n, words[lo:hi], prods[lo:hi], inv_prods[lo:hi]))
 
-    for a in range(1, spec.k + 1):
-        word = (a,)
-        if rf == 0:
-            scan(word, cocycle.window_value(word), inv_cache[word])
-        else:
-            scan(word, identity, identity)
+    # The depth-1 words are the windows themselves, in lexicographic order.
+    push(1, np.arange(len(windows)), vals, invs)
+    while stack:
+        n, words, prods, inv_prods = stack.pop()
+        best_s[n] = max(best_s[n], float(_adjoint_norms(prods, basis, tol).max()))
+        best_u[n] = max(best_u[n], float(_adjoint_norms(inv_prods, basis, tol).max()))
+        if n < n_max:
+            succ = successor[words]
+            parent, symbol = np.nonzero(succ >= 0)
+            child = succ[parent, symbol]
+            push(n + 1, child, vals[child] @ prods[parent], inv_prods[parent] @ invs[child])
 
-    mu_s_by_n = tuple(best_s[1:])
-    mu_u_by_n = tuple(best_u[1:])
+    for n in range(1, n_max + 1):
+        if best_s[n] == 0.0:
+            raise InvalidCocycle(
+                f"no admissible word of length {n + rf}, so no product at depth {n}"
+            )
+    mu_s_by_n = tuple(best_s[n] ** (1.0 / n) for n in range(1, n_max + 1))
+    mu_u_by_n = tuple(best_u[n] ** (1.0 / n) for n in range(1, n_max + 1))
     mu_s = mu_s_by_n[-1]
     mu_u = mu_u_by_n[-1]
     threshold = max(abs(math.log(mu_s)), abs(math.log(mu_u))) / math.log(2)

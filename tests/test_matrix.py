@@ -1,7 +1,12 @@
 """Matrix-valued cocycles: solver, witnesses, verification, distortion."""
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +40,7 @@ from livsic import (
     solve_matrix_finite,
     verify_matrix_solution,
 )
-from corpus import rng_for, s3_group
+from corpus import random_irreducible_sft, rng_for, s3_group
 
 FULL_2 = SftSpec.full_shift(2)
 C2 = build_group(GroupSpec.cyclic(2))
@@ -332,3 +337,165 @@ def test_distortion_budget_and_bounds():
         estimate_distortion(cocycle, 12)
     with pytest.raises(InvalidCocycle):
         estimate_distortion(cocycle, 0)
+
+
+def _sl_basis(m: int) -> list[np.ndarray]:
+    """Traceless matrices: invariant under conjugation by any GL(m) value."""
+    basis = []
+    for i, j in itertools.product(range(m), repeat=2):
+        if i != j:
+            basis.append(np.eye(m)[:, [i]] @ np.eye(m)[[j], :])
+    for i in range(m - 1):
+        basis.append(np.diag([1.0 if t == i else -1.0 if t == i + 1 else 0.0 for t in range(m)]))
+    return basis
+
+
+def _reference_rates(cocycle, n_max):
+    """Per-n forward and backward rates from a word-by-word recursive scan.
+
+    Independent of matrix.py: the ambient norm is ||g|| ||g^-1|| and a
+    declared algebra's coefficients come from least squares.
+    """
+    spec, rf = cocycle.sft, cocycle.block_range
+    inverse = {w: np.linalg.inv(v) for w, v in cocycle.values.items()}
+    best_s = [0.0] * (n_max + 1)
+    best_u = [0.0] * (n_max + 1)
+
+    def ad_norm(g):
+        g_inv = np.linalg.inv(g)
+        if cocycle.algebra is None:
+            return np.linalg.norm(g, 2) * np.linalg.norm(g_inv, 2)
+        b_mat = np.stack([x.ravel() for x in cocycle.algebra], axis=1)
+        cols = [
+            np.linalg.lstsq(b_mat, (g @ x @ g_inv).ravel(), rcond=None)[0]
+            for x in cocycle.algebra
+        ]
+        return np.linalg.norm(np.stack(cols, axis=1), 2)
+
+    def visit(word, prod, inv_prod):
+        n = len(word) - rf
+        if n >= 1:
+            best_s[n] = max(best_s[n], ad_norm(prod) ** (1.0 / n))
+            best_u[n] = max(best_u[n], ad_norm(inv_prod) ** (1.0 / n))
+        if n == n_max:
+            return
+        for b in spec.successors(word[-1]) if word else range(1, spec.k + 1):
+            nxt = word + (b,)
+            if len(nxt) <= rf:
+                visit(nxt, prod, inv_prod)
+                continue
+            window = nxt[-(rf + 1) :]
+            visit(nxt, cocycle.values[window] @ prod, inv_prod @ inverse[window])
+
+    eye = np.eye(cocycle.dim)
+    visit((), eye, eye)
+    return best_s[1:], best_u[1:]
+
+
+def _near_identity(rng, m: int) -> np.ndarray:
+    return np.eye(m) + 0.3 * np.array([[rng.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(m)])
+
+
+def test_batched_scan_matches_word_by_word_reference():
+    cases = []
+    for i in range(48):
+        rng = rng_for(61, i)
+        k = rng.randint(1, 3)
+        spec = SftSpec.full_shift(k) if i % 2 else random_irreducible_sft(rng, k)
+        rf, m = rng.randint(0, 2), rng.choice((2, 3))
+        windows = [
+            w for w in itertools.product(range(1, k + 1), repeat=rf + 1)
+            if spec.is_admissible(w)
+        ]
+        values = {w: _near_identity(rng, m) for w in windows}
+        algebra = _sl_basis(m) if i % 4 < 2 else None
+        depth = rng.randint(1, 6 if k < 3 else 4)
+        cases.append((make_matrix_cocycle(spec, rf, values, algebra=algebra), depth))
+    # 1 024 words at depth 10 of the full 2-shift and 2 187 at depth 7 of
+    # the full 3-shift: several chunks per depth level.
+    rng = rng_for(67, 0)
+    for k, depth, algebra in ((2, 10, SL2_BASIS), (3, 7, None)):
+        values = {(a,): _near_identity(rng, 2) for a in range(1, k + 1)}
+        cases.append((make_matrix_cocycle(SftSpec.full_shift(k), 0, values, algebra=algebra), depth))
+    for cocycle, depth in cases:
+        report = estimate_distortion(cocycle, depth)
+        ref_s, ref_u = _reference_rates(cocycle, depth)
+        assert report.mu_s_by_n == pytest.approx(ref_s, rel=1e-12, abs=0.0)
+        assert report.mu_u_by_n == pytest.approx(ref_u, rel=1e-12, abs=0.0)
+        algebra = cocycle.algebra
+        assert report.algebra_dim == (len(algebra) if algebra else cocycle.dim**2)
+
+
+def test_scan_rejects_a_singular_product_at_depth_three():
+    # Each value has determinant 1 and passes the check; the product of
+    # three, diag(1e-9, 1e9), is below 1e-12 times its largest entry squared.
+    steep = [[1e-3, 0.0], [0.0, 1e3]]
+    cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): steep, (2,): steep})
+    assert estimate_distortion(cocycle, 2).mu_s == pytest.approx(1e6, rel=1e-9)
+    with pytest.raises(SingularMatrix):
+        estimate_distortion(cocycle, 3)
+
+
+def test_scan_names_a_depth_without_words():
+    # 1 -> 2 and nothing after 2: the longest admissible word has length 2.
+    spec = SftSpec.from_rows([[0, 1], [0, 0]])
+    cocycle = make_matrix_cocycle(spec, 0, {(1,): IDENTITY_2, (2,): DIAG_2_HALF})
+    assert estimate_distortion(cocycle, 2).mu_s == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(InvalidCocycle, match="length 3"):
+        estimate_distortion(cocycle, 3)
+
+
+_SCAN_UNDER_O = r"""
+assert False, "this script must run under python -O"
+from livsic import AlgebraNotClosed, SftSpec, estimate_distortion, make_matrix_cocycle
+
+diag = [[2.0, 0.0], [0.0, 0.5]]
+so2 = [[[0.0, -1.0], [1.0, 0.0]]]
+cocycle = make_matrix_cocycle(SftSpec.full_shift(2), 0, {(1,): diag, (2,): diag}, algebra=so2)
+try:
+    estimate_distortion(cocycle, 3)
+    print("returned")
+except AlgebraNotClosed as err:
+    print("raised", err)
+"""
+
+
+def test_algebra_not_closed_under_python_O():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SCAN_UNDER_O], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised conjugation moves basis element 0"), proc.stdout
+
+
+_FULL2_DEPTH18 = r"""
+import resource
+from livsic import SftSpec, estimate_distortion, make_matrix_cocycle
+
+basis = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+values = {(1,): [[2.0, 0.0], [0.0, 0.5]], (2,): [[0.5, 0.0], [0.0, 2.0]]}
+report = estimate_distortion(
+    make_matrix_cocycle(SftSpec.full_shift(2), 0, values, algebra=basis), 18
+)
+print(len(report.mu_s_by_n), max(abs(x - 4.0) for x in report.mu_s_by_n + report.mu_u_by_n))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_full2_depth18_scan_in_little_memory():
+    # 262 144 words at depth 18, 524 286 in all.  Stacking a whole depth
+    # level at once peaks near 180 MB here; chunks stay near the 33 MB of
+    # the interpreter and numpy.  Diagonal values: the rate at every depth
+    # is exactly 4 (the all-1 and all-2 words).
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FULL2_DEPTH18], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary, peak_kib = proc.stdout.split("\n")[:2]
+    depths, worst = summary.split()
+    assert depths == "18" and float(worst) < 1e-12
+    assert int(peak_kib) < 80 * 1024
