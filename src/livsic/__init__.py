@@ -48,13 +48,10 @@ from .errors import (
     TorsionAlpha,
 )
 from .groups import (
-    ConjugacyClass,
     Group,
     GroupSpec,
     SubgroupReport,
     build_group,
-    center,
-    conjugacy_classes,
     smith_diagonal,
     subgroup_rank_and_index,
 )

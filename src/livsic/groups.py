@@ -257,42 +257,6 @@ def build_group(spec: GroupSpec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) ->
 
 
 @dataclass(frozen=True)
-class ConjugacyClass:
-    representative: int
-    members: tuple[int, ...]
-
-
-def conjugacy_classes(group: Group) -> list[ConjugacyClass]:
-    """Conjugacy classes of a finite group, ordered by least member."""
-    if not group.is_finite:
-        raise InfiniteGroup("conjugacy classes require a finite group")
-    n = group.order
-    seen = [False] * n
-    classes = []
-    for a in range(n):
-        if seen[a]:
-            continue
-        members = set()
-        for g in range(n):
-            members.add(group.mul(group.mul(g, a), group.inv(g)))
-        members = tuple(sorted(members))
-        for x in members:
-            seen[x] = True
-        classes.append(ConjugacyClass(representative=members[0], members=members))
-    return classes
-
-
-def center(group: Group) -> tuple[int, ...]:
-    """Elements commuting with everything, for a finite group."""
-    if not group.is_finite:
-        raise InfiniteGroup("center enumeration requires a finite group")
-    n = group.order
-    return tuple(
-        a for a in range(n) if all(group.mul(a, g) == group.mul(g, a) for g in range(n))
-    )
-
-
-@dataclass(frozen=True)
 class SubgroupReport:
     """Shape of the subgroup of Z^d generated by a family of integer vectors."""
 

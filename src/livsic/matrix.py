@@ -594,6 +594,7 @@ def generate_matrix_cocycle(
         raise InvalidCocycle("generation needs block range >= 1")
     bg = build_block_graph(system.sft, block_range)
     u_mats: dict[Word, np.ndarray] = {}
+    u_inv: dict[Word, np.ndarray] = {}
     dim = None
     if u is None:
         if seed is None or family is None:
@@ -604,6 +605,7 @@ def generate_matrix_cocycle(
         rng = random.Random(seed)
         for block in bg.vertices:
             u_mats[block] = draw(rng)
+            u_inv[block] = np.linalg.inv(u_mats[block])  # determinant 1 by construction
         dim = u_mats[bg.vertices[0]].shape[0]
     else:
         for key, entry in u.items():
@@ -611,7 +613,7 @@ def generate_matrix_cocycle(
             mat = _as_matrix(entry, dim)
             if dim is None:
                 dim = mat.shape[0]
-            _checked_inverse(mat, f"u at {block}")
+            u_inv[block] = _checked_inverse(mat, f"u at {block}")
             u_mats[block] = mat
         if set(u_mats) != set(bg.vertices):
             raise InvalidCocycle("u must assign a matrix to every admissible block")
@@ -651,7 +653,6 @@ def generate_matrix_cocycle(
         for block in bg.vertices:
             commute_or_raise(alpha_mats[gi], u_mats[block], f"u at {block}")
 
-    u_inv = {block: _checked_inverse(m, f"u at {block}") for block, m in u_mats.items()}
     values = {}
     for word in bg.edges:
         step = alpha_mats[system.psi_of(word[0])]

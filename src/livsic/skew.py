@@ -7,10 +7,9 @@ psi(w[n-1]) ... psi(w[1]) psi(w[0]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
+from itertools import combinations
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -19,7 +18,7 @@ from .errors import (
     RangeTooLarge,
     max_states_cap,
 )
-from .groups import Group, GroupElement, gauss_jordan, subgroup_rank_and_index
+from .groups import Group, GroupElement, subgroup_rank_and_index
 from .sft import (
     BlockGraph,
     PeriodicOrbit,
@@ -376,142 +375,68 @@ class TransitivityVerdict:
     evidence: TransitivityEvidence | None = None
 
 
-def _cross(a, b) -> int:
-    return a[0] * b[1] - a[1] * b[0]
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    sign = prev = 1
+    for i in range(len(m)):
+        p = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if p is None:
+            return 0
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            sign = -sign
+        for r in range(i + 1, len(m)):
+            for c in range(i + 1, len(m)):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
 
 
-def _strict_functional_dim2(vectors):
-    """An integer functional positive on every vector, or None.
+def _normal(rows, d) -> tuple[int, ...]:
+    """Primitive integer vector orthogonal to d-1 integer rows (their
+    generalised cross product), or zero if the rows are dependent."""
+    lam = [(-1) ** i * _det([r[:i] + r[i + 1 :] for r in rows]) for i in range(d)]
+    g = gcd(*lam)
+    return tuple(x // g for x in lam) if g else tuple(lam)
 
-    Exists iff all directions fit in an open half plane; decided exactly by
-    sorting directions around the circle and looking for a gap wider than
-    a half turn.
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _dual_rays(vectors, d) -> set[tuple[int, ...]]:
+    """Primitive extreme rays of the dual cone {lam : lam.v >= 0 for all v}
+    of a family of integer vectors spanning Q^d.
+
+    Each ray vanishes on d-1 independent vectors, so it is the normal of a
+    (d-1)-subset, with one of its two signs.  The set is empty exactly when
+    0 is interior to the convex hull of the vectors; when some functional
+    is > 0 on every vector, so is the sum of the set, a positive
+    combination of every extreme ray.
     """
-    if any(not any(v) for v in vectors):
-        return None
-
-    def primitive(v):
-        g = gcd(v[0], v[1])
-        return (v[0] // g, v[1] // g)
-
-    dirs = sorted(set(primitive(v) for v in vectors))
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(a, b):
-        if half(a) != half(b):
-            return half(a) - half(b)
-        c = _cross(a, b)
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    dirs.sort(key=cmp_to_key(cmp))
-    m = len(dirs)
-    if m == 1:
-        lam = dirs[0]
-    else:
-        lam = None
-        for i in range(m):
-            a = dirs[i]
-            b = dirs[(i + 1) % m]
-            # Gap from a counterclockwise to b exceeds a half turn; the
-            # occupied arc then runs from b counterclockwise to a, and the
-            # sum of the two inward normals is positive on all of it.
-            if _cross(a, b) < 0:
-                lam = (a[1] - b[1], b[0] - a[0])
-                break
-        if lam is None:
-            return None
-    if all(lam[0] * v[0] + lam[1] * v[1] > 0 for v in vectors):
-        return lam
-    return None
+    rays = set()
+    for rows in combinations(vectors, d - 1):
+        lam = _normal(rows, d)
+        for ray in (lam, tuple(-x for x in lam)) if any(lam) else ():
+            if all(_dot(ray, v) >= 0 for v in vectors):
+                rays.add(ray)
+    return rays
 
 
-def _nullspace_vector(rows, d):
-    """One integer vector orthogonal to all rows, or None if they span Q^d."""
-    mat, _, pivots = gauss_jordan(rows, d)
-    if len(pivots) == d:
-        return None
-    free = next(c for c in range(d) if c not in pivots)
-    sol = [Fraction(0)] * d
-    sol[free] = Fraction(1)
-    for row_i, col in enumerate(pivots):
-        sol[col] = -mat[row_i][free]
-    denom = 1
-    for x in sol:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in sol)
-
-
-def _zero_in_interior(vectors, d) -> bool:
-    """Whether 0 is interior to the convex hull of the given lattice vectors.
-
-    Equivalent to: no nonzero functional is >= 0 on all of them.  Candidate
-    functionals are taken from nullspaces of (d-1)-subsets, which covers the
-    extreme rays of the dual cone; invariant under scaling each vector by a
-    positive factor, so normalized class vectors give the same answer.
-    """
-    vecs = sorted(set(tuple(v) for v in vectors))
-    if not vecs:
-        return False
-    from itertools import combinations
-
-    candidates = []
-    perp = _nullspace_vector(vecs, d)
-    if perp is not None:
-        candidates.append(perp)
-    for subset in combinations(vecs, max(d - 1, 0)):
-        lam = _nullspace_vector(list(subset), d)
-        if lam is not None:
-            candidates.append(lam)
-    if d == 1:
-        candidates.append((1,))
-    for lam in candidates:
-        if not any(lam):
-            continue
-        for sign in (1, -1):
-            if all(sign * sum(l * x for l, x in zip(lam, v)) >= 0 for v in vecs):
-                return False
-    return True
-
-
-def _strict_functional(vectors, d):
-    if d == 1:
-        if all(v[0] > 0 for v in vectors):
-            return (1,)
-        if all(v[0] < 0 for v in vectors):
-            return (-1,)
-        return None
-    if d == 2:
-        return _strict_functional_dim2(vectors)
-    # Higher rank: try dual cone extreme-ray candidates, soundly incomplete.
-    from itertools import combinations
-
-    vecs = sorted(set(tuple(v) for v in vectors))
-    candidates = []
-    for subset in combinations(vecs, max(d - 1, 0)):
-        lam = _nullspace_vector(list(subset), d)
-        if lam is not None:
-            candidates.extend([lam, tuple(-x for x in lam)])
-    total = None
-    for lam in candidates:
-        if all(sum(l * x for l, x in zip(lam, v)) >= 0 for v in vecs):
-            total = lam if total is None else tuple(a + b for a, b in zip(total, lam))
-    if total is not None and all(
-        sum(l * x for l, x in zip(total, v)) > 0 for v in vecs
-    ):
-        return total
-    return None
-
-
-def check_transitivity(system: SkewSystem, *, probe_depth: int = 12) -> TransitivityVerdict:
+def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     """Decide transitivity exactly for finite groups; for Z^d return a
-    three-valued verdict backed by periodic orbit weights.
+    three-valued verdict backed by the weights of the orbits of period <= k.
 
     Finite groups: the extension is transitive iff the product graph over
-    1-blocks is strongly connected.  Z^d: a verified one-sided functional or
-    a proper weight lattice refutes transitivity; transitivity itself is
-    never certified, the best positive answer is "unknown" with evidence.
+    1-blocks is strongly connected.  Z^d: psi depends on one symbol, so the
+    orbits of period <= k (the alphabet size) include every simple cycle of
+    the symbol graph, and every closed walk's weight is a sum of their
+    weights.  A functional strictly positive on every class (one_sided) or
+    a proper weight lattice (proper_subgroup) therefore refutes
+    transitivity; transitivity itself is never certified, the best positive
+    answer is "unknown" with evidence.  RangeTooLarge is raised when k
+    exceeds LIVSIC_MAX_PERIOD or the orbit walk exceeds the work budget.
     """
     group = system.group
     if group.is_finite:
@@ -521,18 +446,27 @@ def check_transitivity(system: SkewSystem, *, probe_depth: int = 12) -> Transiti
         return TransitivityVerdict(status="not_transitive", witness=witness)
 
     d = group.rank
+    k = system.sft.k
     orbit_count = 0
     classes = set()
-    for _, weight in orbit_weights(system, probe_depth):
+    cycle_classes = set()
+    for word, weight in orbit_weights(system, k):
         orbit_count += 1
         classes.add(weight)
+        if len(set(word)) == len(word):
+            cycle_classes.add(weight)
     distinct = tuple(sorted(classes))
     report = subgroup_rank_and_index(list(distinct), d)
-    covers = probe_depth >= system.sft.k
-    interior = _zero_in_interior(distinct, d) if distinct else False
+    # Classes inside a hyperplane: its normal is >= 0 (indeed 0) on all of
+    # them, so zero is not interior to their hull and no ray is needed.
+    # Otherwise the simple cycles (words with no repeated symbol) generate
+    # the same cone as every class, with far fewer (d-1)-subsets.
+    spans = report.rank == d
+    rays = _dual_rays(tuple(sorted(cycle_classes)), d) if spans else set()
+    interior = spans and not rays
     evidence = TransitivityEvidence(
-        probe_depth=probe_depth,
-        probe_covers_simple_cycles=covers,
+        probe_depth=k,
+        probe_covers_simple_cycles=True,
         orbit_count=orbit_count,
         distinct_classes=distinct,
         lattice_rank=report.rank,
@@ -541,26 +475,23 @@ def check_transitivity(system: SkewSystem, *, probe_depth: int = 12) -> Transiti
         zero_in_interior=interior,
         heuristic_transitive=report.full and interior,
     )
-    if covers and distinct:
-        lam = _strict_functional(distinct, d)
-        if lam is not None:
-            return TransitivityVerdict(
-                status="not_transitive",
-                certificate=NonTransitivityCertificate(
-                    kind="one_sided", functional=lam
-                ),
-                evidence=evidence,
-            )
-        if not report.full:
-            return TransitivityVerdict(
-                status="not_transitive",
-                certificate=NonTransitivityCertificate(
-                    kind="proper_subgroup",
-                    lattice_rank=report.rank,
-                    lattice_diagonal=report.diagonal,
-                ),
-                evidence=evidence,
-            )
+    lam = tuple(map(sum, zip(*rays)))
+    if rays and all(_dot(lam, v) > 0 for v in distinct):
+        return TransitivityVerdict(
+            status="not_transitive",
+            certificate=NonTransitivityCertificate(kind="one_sided", functional=lam),
+            evidence=evidence,
+        )
+    if distinct and not report.full:
+        return TransitivityVerdict(
+            status="not_transitive",
+            certificate=NonTransitivityCertificate(
+                kind="proper_subgroup",
+                lattice_rank=report.rank,
+                lattice_diagonal=report.diagonal,
+            ),
+            evidence=evidence,
+        )
     return TransitivityVerdict(status="unknown", evidence=evidence)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,13 +13,11 @@ from livsic import (
     GroupSpec,
     NotAGroup,
     build_group,
-    center,
-    conjugacy_classes,
     smith_diagonal,
     subgroup_rank_and_index,
 )
 from livsic.groups import gauss_jordan
-from livsic.skew import _nullspace_vector
+from livsic.skew import _det, _normal, class_tag
 from corpus import q8_group, s3_group
 
 
@@ -45,20 +44,27 @@ def test_permutation_closure_s3():
     assert {"s", "r"} <= set(g.names)
 
 
+def _class_sizes(g):
+    return sorted(len(m) for m in {class_tag(g, a).members for a in range(g.order)})
+
+
+def _center(g):
+    """Central elements are exactly those alone in their conjugacy class."""
+    return tuple(a for a in range(g.order) if class_tag(g, a).members == (a,))
+
+
 def test_s3_conjugacy_classes_and_center():
     g = s3_group()
-    sizes = sorted(len(c.members) for c in conjugacy_classes(g))
-    assert sizes == [1, 2, 3]
-    assert center(g) == (g.identity_index,)
+    assert _class_sizes(g) == [1, 2, 3]
+    assert _center(g) == (g.identity_index,)
 
 
 def test_q8_table_is_a_group():
     g = q8_group()
     assert g.order == 8
-    z = center(g)
+    z = _center(g)
     assert sorted(g.name_of(i) for i in z) == ["-1", "1"]
-    sizes = sorted(len(c.members) for c in conjugacy_classes(g))
-    assert sizes == [1, 1, 2, 2, 2]
+    assert _class_sizes(g) == [1, 1, 2, 2, 2]
 
 
 def test_table_rejects_broken_rows():
@@ -218,16 +224,31 @@ def test_gauss_jordan_certifies_both_outcomes():
     assert min(seen.values()) > 0, seen
 
 
-def test_nullspace_vector_orthogonal_and_none_at_full_rank():
+def _laplace_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+def test_normal_orthogonal_primitive_and_zero_when_dependent():
     rng = random.Random(20252)
+    seen = {"dependent": 0, "independent": 0}
     for _ in range(600):
-        d = rng.randint(1, 3)
-        rows = [row[:d] for row in _random_system(rng, d)]
-        vec = _nullspace_vector(rows, d)
-        if len(smith_diagonal(rows, d)) == d:
-            assert vec is None
+        d = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(d - 1)]
+        square = [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(d + 1)]
+        assert _det(square) == _laplace_det(square)
+        vec = _normal(rows, d)
+        assert all(isinstance(x, int) for x in vec)
+        if len(smith_diagonal(rows, d)) < d - 1:
+            assert not any(vec)
+            seen["dependent"] += 1
         else:
-            assert vec is not None and any(vec)
-            assert all(isinstance(x, int) for x in vec)
+            assert gcd(*vec) == 1
             for row in rows:
                 assert sum(a * b for a, b in zip(vec, row)) == 0
+            seen["independent"] += 1
+    assert min(seen.values()) > 0, seen

@@ -147,7 +147,10 @@ def _orbit_consumers(spec: SftSpec):
         lambda p: walk_primitive_orbits(spec, p),
         lambda p: orbit_weights(system, p),
         lambda p: enumerate_periodic_orbits(spec, p),
-        lambda p: check_transitivity(system, probe_depth=p),
+        # check_transitivity probes to depth k, so the full p-shift stands in.
+        lambda p: check_transitivity(
+            make_skew_system(SftSpec.full_shift(p), z1, [(s % 3 - 1,) for s in range(p)])
+        ),
         lambda p: verify_vanishing(system, cocycle, p),
     ]
 

@@ -1,6 +1,8 @@
 """Skew products: weights, orbit classes, product graphs, transitivity."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from livsic import (
@@ -16,9 +18,10 @@ from livsic import (
     make_skew_system,
     psi_n,
     psi_n_cyclic,
+    subgroup_rank_and_index,
 )
 from livsic.oracles import brute_transitivity
-from livsic.skew import find_violating_cycle
+from livsic.skew import _dual_rays, find_violating_cycle, orbit_weights
 from corpus import (
     random_finite_group,
     random_irreducible_sft,
@@ -167,6 +170,7 @@ def test_lattice_unknown_with_evidence():
     assert ev.zero_in_interior
     assert ev.heuristic_transitive
     assert ev.probe_covers_simple_cycles
+    assert ev.probe_depth == FULL_2.k
 
 
 def test_lattice_two_dimensional_one_sided():
@@ -184,7 +188,7 @@ def test_lattice_refutations_agree_with_weights():
     """Every refutation must hold against all probed orbit weights."""
     for seed in range(40):
         rng = rng_for(29, seed)
-        system = random_lattice_system(rng, rng.randint(1, 2))
+        system = random_lattice_system(rng, rng.randint(1, 3))
         verdict = check_transitivity(system)
         if verdict.status != "not_transitive":
             continue
@@ -196,6 +200,78 @@ def test_lattice_refutations_agree_with_weights():
             )
         else:
             assert not verdict.evidence.lattice_full
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _box_functionals(vectors, d):
+    """(some nonzero lam is >= 0 on every vector, some lam is > 0 on every
+    vector), searched over integer lam with entries in [-6, 6]."""
+    weak = strict = False
+    for lam in product(range(-6, 7), repeat=d):
+        low = min(_dot(lam, v) for v in vectors)
+        weak |= any(lam) and low >= 0
+        strict |= low > 0
+    return weak, strict
+
+
+def test_dual_rays_match_box_search():
+    # Entries in {-1, 0, 1} keep every minor of order <= 2 within 2, so each
+    # primitive ray has entries within 2 and d independent rays sum to a
+    # strict functional (when one exists) with entries within 6.
+    seen = {"interior": 0, "weak": 0, "strict": 0, "flat": 0}
+    for seed in range(400):
+        rng = rng_for(31, seed)
+        d = rng.randint(1, 3)
+        vectors = sorted(
+            {tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rng.randint(1, 6))}
+        )
+        weak, strict = _box_functionals(vectors, d)
+        if subgroup_rank_and_index(vectors, d).rank < d:
+            # check_transitivity skips the rays here: a normal is >= 0.
+            assert weak
+            seen["flat"] += 1
+            continue
+        rays = _dual_rays(vectors, d)
+        assert all(_dot(ray, v) >= 0 for ray in rays for v in vectors)
+        assert bool(rays) == weak
+        total = tuple(map(sum, zip(*rays)))
+        assert strict == (bool(rays) and all(_dot(total, v) > 0 for v in vectors))
+        seen["strict" if strict else "weak" if weak else "interior"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_simple_cycles_give_the_rays_of_every_class():
+    # check_transitivity enumerates rays over the simple-cycle classes only.
+    for seed in range(60):
+        rng = rng_for(37, seed)
+        d = rng.randint(1, 3)
+        system = random_lattice_system(rng, d)
+        weights = list(orbit_weights(system, system.sft.k))
+        every = sorted({w for _, w in weights})
+        cycles = sorted({w for word, w in weights if len(set(word)) == len(word)})
+        assert _dual_rays(cycles, d) == _dual_rays(every, d)
+
+
+def test_lattice_full5_shift_gets_a_verdict():
+    # Orbits up to period 12 over five symbols are past the work budget;
+    # the probe now stops at period k = 5.
+    full5 = SftSpec.full_shift(5)
+    cases = [
+        (1, [(1,), (-1,), (2,), (0,), (-2,)], "unknown"),
+        (2, [(1, 0), (0, 1), (-1, -1), (0, 0), (1, 1)], "unknown"),
+        (2, [(1, 0), (1, 1), (1, -1), (2, 0), (1, 2)], "not_transitive"),
+    ]
+    for d, psi, status in cases:
+        system = make_skew_system(full5, build_group(GroupSpec.free_abelian(d)), psi)
+        verdict = check_transitivity(system)
+        assert verdict.status == status
+        assert verdict.evidence.probe_depth == 5
+        if verdict.certificate is not None:
+            lam = verdict.certificate.functional
+            assert all(_dot(lam, v) > 0 for v in verdict.evidence.distinct_classes)
 
 
 def test_trivial_class_orbits_golden_mean():
