@@ -5,8 +5,13 @@ type with finite or free abelian fiber groups, solves the cohomological
 equation for rational and matrix valued cocycles whose sums vanish on
 trivial-class periodic orbits, and estimates the distortion constants
 that gate the matrix theory.
+
+The matrix layer and the brute-force oracles load on first use (PEP 562),
+so rational work never imports numpy.
 """
 from __future__ import annotations
+
+import importlib
 
 from .abelian import (
     CohomologySolution,
@@ -55,31 +60,6 @@ from .groups import (
     smith_diagonal,
     subgroup_rank_and_index,
 )
-from .matrix import (
-    DistortionReport,
-    DistortionVerdict,
-    MatrixCocycle,
-    MatrixSolution,
-    MatrixVerificationReport,
-    MatrixViolationWitness,
-    adjoint_norm,
-    check_distortion_assumption,
-    cyclic_product,
-    estimate_distortion,
-    generate_matrix_cocycle,
-    make_matrix_cocycle,
-    solve_matrix_finite,
-    verify_matrix_solution,
-)
-from .oracles import (
-    OracleConfig,
-    brute_matrix_solution_check,
-    brute_orbit_list,
-    brute_periodic_census,
-    brute_solution_check,
-    brute_transitivity,
-    brute_vanishing,
-)
 from .serialization import (
     SolutionEnvelope,
     SystemEnvelope,
@@ -123,3 +103,46 @@ from .skew import (
 )
 
 __version__ = TOOL_VERSION
+
+_LAZY = {
+    "matrix": (
+        "DistortionReport",
+        "DistortionVerdict",
+        "MatrixCocycle",
+        "MatrixSolution",
+        "MatrixVerificationReport",
+        "MatrixViolationWitness",
+        "adjoint_norm",
+        "check_distortion_assumption",
+        "cyclic_product",
+        "estimate_distortion",
+        "generate_matrix_cocycle",
+        "make_matrix_cocycle",
+        "solve_matrix_finite",
+        "verify_matrix_solution",
+    ),
+    "oracles": (
+        "OracleConfig",
+        "brute_matrix_solution_check",
+        "brute_orbit_list",
+        "brute_periodic_census",
+        "brute_solution_check",
+        "brute_transitivity",
+        "brute_vanishing",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    # Not cached in globals(): the name always reads the submodule's
+    # current binding.  Unknown names (submodules included) raise, so
+    # `from livsic import matrix` falls back to importing the submodule.
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_HOME})

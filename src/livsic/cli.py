@@ -5,6 +5,9 @@ output and signals its result through the exit code: 0 when the checked
 property holds or the requested artifact was produced, 1 when the
 property fails (with a witness in the payload), 2 for invalid input with
 a structured error on standard error.
+
+The matrix layer, and numpy with it, is imported inside the handlers
+that need it, so commands on rational documents never load it.
 """
 from __future__ import annotations
 
@@ -29,16 +32,6 @@ from .errors import (
     DocumentError,
     LivsicError,
     NotAHomomorphism,
-)
-from .matrix import (
-    MatrixCocycle,
-    _checked_inverse,
-    certification_tolerance,
-    check_distortion_assumption,
-    estimate_distortion,
-    make_matrix_cocycle,
-    solve_matrix_finite,
-    verify_matrix_solution,
 )
 from .serialization import (
     SolutionEnvelope,
@@ -136,7 +129,9 @@ def _require_rational(env: SystemEnvelope) -> LocallyConstantCocycle:
     return env.cocycle
 
 
-def _require_matrix(env: SystemEnvelope) -> MatrixCocycle:
+def _require_matrix(env: SystemEnvelope):
+    from .matrix import MatrixCocycle
+
     if not isinstance(env.cocycle, MatrixCocycle):
         raise DocumentError("/cocycle", "this command needs a matrix cocycle")
     return env.cocycle
@@ -178,7 +173,9 @@ def _cmd_validate(args, command_line: str) -> int:
             "cocycle": None
             if cocycle is None
             else {
-                "kind": "matrix" if isinstance(cocycle, MatrixCocycle) else "rational",
+                "kind": "rational"
+                if isinstance(cocycle, LocallyConstantCocycle)
+                else "matrix",
                 "range": cocycle.block_range,
             },
         }
@@ -248,7 +245,9 @@ def _cmd_solve(args, command_line: str) -> int:
     if cocycle is None:
         raise DocumentError("/cocycle", "missing field")
     try:
-        if isinstance(cocycle, MatrixCocycle):
+        if not isinstance(cocycle, LocallyConstantCocycle):
+            from .matrix import solve_matrix_finite
+
             kind = "matrix"
             solution = solve_matrix_finite(system, cocycle, tol=args.tol)
         elif system.group.is_finite:
@@ -309,15 +308,19 @@ def _cmd_verify_solution(args, command_line: str) -> int:
             }
         )
         return 0 if report.certified else 1
+    from .matrix import certification_tolerance, invert_blocks, verify_matrix_solution
+
     cocycle = _require_matrix(env)
     solution = sol_env.solution
     # Scale the caller's tolerance as solve does, from u itself: every
     # tolerance and defect the document states is a claim under test.
-    u_pairs = [
-        (m, _checked_inverse(m, f"u at {block}")) for block, m in solution.u.items()
-    ]
-    check_tol = certification_tolerance(args.tol, u_pairs)
-    report = verify_matrix_solution(system, cocycle, solution, tol=check_tol)
+    u_inv = invert_blocks(solution.u)
+    check_tol = certification_tolerance(
+        args.tol, ((solution.u[block], m) for block, m in u_inv.items())
+    )
+    report = verify_matrix_solution(
+        system, cocycle, solution, tol=check_tol, u_inv=u_inv
+    )
     _emit(
         {
             "certified": report.certified,
@@ -361,6 +364,8 @@ def _cmd_generate(args, command_line: str) -> int:
 
 
 def _cmd_distortion(args, command_line: str) -> int:
+    from .matrix import estimate_distortion, make_matrix_cocycle
+
     env = _load_system(args.system)
     cocycle = _require_matrix(env)
     if args.ambient:
@@ -388,6 +393,8 @@ def _cmd_distortion(args, command_line: str) -> int:
 
 
 def _cmd_check_distortion(args, command_line: str) -> int:
+    from .matrix import check_distortion_assumption, estimate_distortion
+
     env = _load_system(args.system)
     cocycle = _require_matrix(env)
     report = estimate_distortion(cocycle, args.depth)

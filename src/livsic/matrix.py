@@ -58,21 +58,31 @@ def _as_matrix(entry, dim: int | None) -> np.ndarray:
     return mat
 
 
-def _checked_inverse(mat: np.ndarray, context: str) -> np.ndarray:
+def _checked_inverse(mat: np.ndarray, context: str, labels=None) -> np.ndarray:
     """Inverse of a matrix, or of each matrix in an (N, m, m) stack.
 
     SingularMatrix names the determinant of the first matrix whose
     determinant is not finite or is below 1e-12 times its largest entry
-    to the power m (at least 1).
+    to the power m (at least 1).  With one label per stacked matrix, the
+    message also names that matrix's label after the context.
     """
     det = np.linalg.det(mat)
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)) ** mat.shape[-1])
     bad = ~np.isfinite(det) | (np.abs(det) < 1e-12 * scale)
     if bad.any():
-        raise SingularMatrix(
-            f"{context}: determinant {np.extract(bad, det)[0]} too close to zero"
-        )
+        i = int(np.flatnonzero(bad)[0])
+        name = context if labels is None else f"{context} at {labels[i]}"
+        raise SingularMatrix(f"{name}: determinant {np.ravel(det)[i]} too close to zero")
     return np.linalg.inv(mat)
+
+
+def invert_blocks(u: dict[Word, np.ndarray]) -> dict[Word, np.ndarray]:
+    """u[block]^-1 for every block, from one stacked inversion.
+
+    SingularMatrix names the first singular block."""
+    blocks = list(u)
+    inverses = _checked_inverse(np.stack([u[b] for b in blocks]), "u", labels=blocks)
+    return dict(zip(blocks, inverses))
 
 
 @dataclass(frozen=True)
@@ -371,8 +381,12 @@ def verify_matrix_solution(
     solution: MatrixSolution,
     *,
     tol: float = 1e-9,
+    u_inv: dict[Word, np.ndarray] | None = None,
 ) -> MatrixVerificationReport:
-    """Recheck reconstruction, alpha multiplicativity and alpha centrality."""
+    """Recheck reconstruction, alpha multiplicativity and alpha centrality.
+
+    u_inv, when given, is invert_blocks(solution.u) already computed by the
+    caller (for instance to scale tol), so u is inverted only once."""
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
@@ -383,7 +397,8 @@ def verify_matrix_solution(
         )
     bg = build_block_graph(system.sft, r)
     rf = cocycle.block_range
-    u_inv = {block: _checked_inverse(m, f"u at {block}") for block, m in solution.u.items()}
+    if u_inv is None:
+        u_inv = invert_blocks(solution.u)
     worst = 0.0
     for word in bg.edges:
         alpha_mat = solution.alpha[group.name_of(system.psi_of(word[0]))]

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .abelian import (
     CohomologySolution,
@@ -25,13 +24,6 @@ from .abelian import (
 )
 from .errors import BadShape, DocumentError, LivsicError
 from .groups import Group, GroupSpec, build_group
-from .matrix import (
-    MatrixCocycle,
-    MatrixSolution,
-    MatrixVerificationReport,
-    MatrixViolationWitness,
-    make_matrix_cocycle,
-)
 from .sft import SftSpec, validate_sft
 from .skew import (
     FrobeniusClassTag,
@@ -39,6 +31,11 @@ from .skew import (
     TransitivityVerdict,
     make_skew_system,
 )
+
+# The matrix layer, and numpy with it, is imported only by the branches
+# that handle matrix documents, so rational documents never load it.
+if TYPE_CHECKING:
+    from .matrix import MatrixCocycle, MatrixSolution, MatrixViolationWitness
 
 TOOL_NAME = "livsic"
 TOOL_VERSION = "0.1.0"
@@ -227,6 +224,8 @@ def parse_cocycle(doc, sft: SftSpec, pointer: str):
         except LivsicError as exc:
             raise DocumentError(f"{pointer}/values", str(exc)) from exc
     if kind == "matrix":
+        from .matrix import make_matrix_cocycle
+
         values = {}
         for key, raw in values_doc.items():
             vp = f"{pointer}/values/{key}"
@@ -327,7 +326,7 @@ def cocycle_to_doc(cocycle) -> dict:
 
 
 def _matrix_to_doc(mat) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(mat)]
+    return [[float(x) for x in row] for row in mat]
 
 
 def system_to_doc(env: SystemEnvelope) -> dict:
@@ -411,6 +410,10 @@ def _rational_solution_doc(env: SolutionEnvelope) -> dict:
 
 
 def _matrix_solution_doc(env: SolutionEnvelope) -> dict:
+    import numpy as np
+
+    from .matrix import MatrixSolution
+
     sol = env.solution
     assert isinstance(sol, MatrixSolution)
     dim = next(iter(sol.u.values())).shape[0]
@@ -522,6 +525,10 @@ def _parse_rational_solution(doc, k: int, block_length: int) -> CohomologySoluti
 
 
 def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
+    import numpy as np
+
+    from .matrix import MatrixSolution, MatrixVerificationReport
+
     dim = _as_int(_get(doc, "dim", ""), "/dim", minimum=1)
     u_doc = _get(doc, "u", "")
     if not isinstance(u_doc, dict) or not u_doc:
@@ -651,8 +658,10 @@ def transitivity_doc(verdict: TransitivityVerdict, k: int) -> dict:
 def _plain(value):
     if isinstance(value, Fraction):
         return fraction_to_str(value)
-    if isinstance(value, np.ndarray):
-        return _matrix_to_doc(value)
+    # Arrays by duck type, so no numpy import; numpy scalars have tolist
+    # too, but ndim 0, and float64 is already a float.
+    if getattr(value, "ndim", 0):
+        return _plain(value.tolist())
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

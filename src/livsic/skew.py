@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import add, mul
 
 from .errors import (
+    DEFAULT_MAX_WORK,
     DimensionMismatch,
     InadmissibleWord,
     InfiniteGroup,
@@ -414,7 +415,17 @@ def _dual_rays(vectors, d) -> set[tuple[int, ...]]:
     0 is interior to the convex hull of the vectors; when some functional
     is > 0 on every vector, so is the sum of the set, a positive
     combination of every extreme ray.
+
+    The search costs one dot product per subset and vector; RangeTooLarge
+    is raised before it starts when that exceeds the work budget.
     """
+    n = len(vectors)
+    subsets = comb(n, d - 1)
+    if subsets * n > DEFAULT_MAX_WORK:
+        raise RangeTooLarge(
+            f"dual-cone ray search over {subsets} subsets of {d - 1} among "
+            f"{n} simple-cycle classes exceeds the work budget"
+        )
     rays = set()
     for rows in combinations(vectors, d - 1):
         lam = _normal(rows, d)
@@ -436,7 +447,9 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     a proper weight lattice (proper_subgroup) therefore refutes
     transitivity; transitivity itself is never certified, the best positive
     answer is "unknown" with evidence.  RangeTooLarge is raised when k
-    exceeds LIVSIC_MAX_PERIOD or the orbit walk exceeds the work budget.
+    exceeds LIVSIC_MAX_PERIOD, when the orbit walk exceeds the work budget,
+    or when the dual-cone ray search over (rank - 1)-subsets of the
+    simple-cycle classes (times their number) would.
     """
     group = system.group
     if group.is_finite:

@@ -249,6 +249,34 @@ def test_verify_matrix_solution_roundtrip(capsys, tmp_path):
     assert payload["tolerance"] < 1e-7
 
 
+
+def test_verify_matrix_solution_inverts_u_once(capsys, tmp_path, monkeypatch):
+    import livsic.matrix as matrix
+
+    out = tmp_path / "matrix-solution.json"
+    assert _run(capsys, "solve", _example("full2-c2-halfturn.json"), "--out", out)[0] == 0
+    calls = []
+    checked_inverse = matrix._checked_inverse
+
+    def counted(mat, context, labels=None):
+        calls.append((context, mat.shape))
+        return checked_inverse(mat, context, labels)
+
+    monkeypatch.setattr(matrix, "_checked_inverse", counted)
+    args = ("verify-solution", _example("full2-c2-halfturn.json"), "--solution", out)
+    code, payload, _ = _run_json(capsys, *args)
+    assert code == 0 and payload["certified"] is True
+    assert [c for c in calls if c[0] == "u"] == [("u", (2, 2, 2))]
+
+    # The stacked inversion still names the singular block.
+    doc = json.loads(out.read_text())
+    doc["u"]["2"] = [[1.0, 2.0], [0.5, 1.0]]
+    out.write_text(json.dumps(doc))
+    code, _, error = _run_json(capsys, *args)
+    assert code == 2
+    assert error["error"] == "SingularMatrix"
+    assert error["message"].startswith("u at (2,): determinant")
+
 def test_generate_reproduces_committed_document(capsys):
     code, stdout, _ = _run(
         capsys,

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from livsic import (
@@ -22,6 +23,7 @@ from livsic import (
 )
 from livsic.serialization import (
     SolutionEnvelope,
+    _plain,
     error_doc,
     make_provenance,
     parse_rational,
@@ -227,6 +229,20 @@ def test_error_doc_payloads():
     payload = error_doc(pointer_err)
     assert payload["pointer"] == "/sft/k"
     assert "expected an integer" in payload["message"]
+
+
+def test_plain_maps_arrays_scalars_and_fractions():
+    # numpy scalars have tolist too; only arrays (ndim > 0) become lists.
+    scalar = _plain(np.float64(0.5))
+    assert isinstance(scalar, float) and scalar == 0.5
+    matrix = _plain(np.array([[1.0, -0.25], [0.0, 2.0]]))
+    assert matrix == [[1.0, -0.25], [0.0, 2.0]]
+    assert all(type(x) is float for row in matrix for x in row)
+    assert _plain((Fraction(1, 2), Fraction(-3))) == ["1/2", "-3"]
+    witness = ((1, 2), "e", "g", np.float64(0.5), np.eye(2))
+    assert canonical_json(_plain(witness)) == canonical_json(
+        [[1, 2], "e", "g", 0.5, [[1.0, 0.0], [0.0, 1.0]]]
+    )
 
 
 def test_transitivity_doc_shapes():

@@ -1,14 +1,18 @@
 """Skew products: weights, orbit classes, product graphs, transitivity."""
 from __future__ import annotations
 
+import random
+import time
 from itertools import product
 
 import pytest
 
+import livsic.skew as skew
 from livsic import (
     GroupSpec,
     InadmissibleWord,
     PeriodicOrbit,
+    RangeTooLarge,
     SftSpec,
     build_group,
     build_product_graph,
@@ -272,6 +276,27 @@ def test_lattice_full5_shift_gets_a_verdict():
         if verdict.certificate is not None:
             lam = verdict.certificate.functional
             assert all(_dot(lam, v) > 0 for v in verdict.evidence.distinct_classes)
+
+
+
+def test_lattice_ray_search_past_the_work_budget_is_refused(monkeypatch):
+    # 63 simple-cycle classes over Z^5 need C(63, 4) = 595 665 subsets,
+    # each tried on every class: refused before the first normal.
+    def enumerated(*args):
+        raise AssertionError("the ray search started")
+
+    monkeypatch.setattr(skew, "_normal", enumerated)
+    rng = random.Random(5)
+    psi = [tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(6)]
+    system = make_skew_system(
+        SftSpec.full_shift(6), build_group(GroupSpec.free_abelian(5)), psi
+    )
+    start = time.perf_counter()
+    with pytest.raises(RangeTooLarge) as err:
+        check_transitivity(system)
+    assert time.perf_counter() - start < 2.0
+    assert "595665 subsets" in str(err.value)
+    assert "work budget" in str(err.value)
 
 
 def test_trivial_class_orbits_golden_mean():
