@@ -2,8 +2,11 @@
 
 Given a locally constant rational function f on the shift, decide whether
 f(x) = u(shift x) - u(x) + alpha(psi(x0)) for some potential u on blocks
-and homomorphism alpha.  Everything runs over Fraction, so a returned
-solution is a certificate and a returned obstruction is a counterexample.
+and homomorphism alpha.  The solvers scale f by the lcm of its
+denominators and propagate integer potentials; Fraction appears at the
+boundary (u, the elimination rows, certification and witness totals), so
+a returned solution is a certificate and a returned obstruction is a
+counterexample.
 """
 from __future__ import annotations
 
@@ -11,7 +14,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import compress, count
+from math import gcd, lcm
+from operator import add, mul, ne, sub
 
 from .errors import (
     DEFAULT_MAX_STATES,
@@ -180,26 +185,28 @@ def solve_finite_gamma(
     group = system.group
     r = cocycle.effective_block_length
     pg = build_product_graph(system, r)
-    disconnected = product_scc_witness(pg)
-    if disconnected is not None:
-        raise NotTransitiveError(disconnected)
+    tree = SpanningTree(pg)
+    if not tree.strongly_connected:
+        raise NotTransitiveError(product_scc_witness(pg))
 
     rf = cocycle.block_range
     order = pg.order
-
-    def weight(e: int) -> Fraction:
-        return cocycle.window_value(pg.base.edges[e // order][: rf + 1])
+    base_weights, scale = _scaled_weights(cocycle, pg.base.edges)
+    # Product edge ids run base edge by base edge, order ids each.
+    weights = [x for x in base_weights for _ in range(order)]
 
     def violates(walk) -> int:
-        return 1 if sum(weight(x) for x in walk) != 0 else 0
+        return 1 if sum(map(weights.__getitem__, walk)) != 0 else 0
 
-    tree = SpanningTree(pg)
-    pot = tree.potentials(Fraction(0), lambda e, p: p + weight(e))
-    for e in range(len(pg.edge_tail)):
-        if weight(e) == pot[pg.edge_head[e]] - pot[pg.edge_tail[e]]:
-            continue
+    pot = tree.potentials(0, lambda e, p: p + weights[e])
+    at = pot.__getitem__
+    rises = map(sub, map(at, pg.edge_head), map(at, pg.edge_tail))
+    e = next(compress(count(), map(ne, weights, rises)), None)
+    if e is not None:
         cycle, word, mult = tree.witness(e, violates)
-        total = sum(weight(x) for x in cycle)
+        total = sum(
+            cocycle.window_value(pg.base.edges[x // order][: rf + 1]) for x in cycle
+        )
         check_invariant(total != 0, "closure defect without a violating cycle")
         witness = ViolationWitness(
             orbit=PeriodicOrbit(word=word), multiplicity=mult, total=total
@@ -213,13 +220,26 @@ def solve_finite_gamma(
         val = fiber[e_idx]
         # Fiber constancy is forced: deck shifts are constants killed by torsion.
         check_invariant(fiber.count(val) == order, "potential varies along a fiber")
-        u[block] = val
+        u[block] = Fraction(val, scale)
     solution = CohomologySolution(block_length=r, u=u, alpha=None)
     report = verify_solution(system, cocycle, solution)
     check_invariant(report.certified, "solution fails its own certification")
     return CohomologySolution(
         block_length=r, u=u, alpha=None, certificate=report
     )
+
+
+def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
+    """(scale * f on the leading window of each edge word, scale).
+
+    scale is the lcm of the denominators of f, so every weight is an int
+    and integer potentials divided by scale are the rational ones.
+    """
+    values = cocycle.values
+    scale = lcm(*{x.denominator for x in values.values()})
+    scaled = {w: x.numerator * (scale // x.denominator) for w, x in values.items()}
+    width = cocycle.block_range + 1
+    return [scaled[w[:width]] for w in edges], scale
 
 
 def _alpha_dot(alpha, vec) -> Fraction:
@@ -253,7 +273,8 @@ def solve_free_abelian(
     d = group.rank
     r = cocycle.effective_block_length
     bg = build_block_graph(system.sft, r)
-    if not bg.is_strongly_connected():
+    tree = SpanningTree(bg)
+    if not tree.strongly_connected:
         raise NotStronglyConnected("block graph is not strongly connected")
 
     rf = cocycle.block_range
@@ -261,27 +282,20 @@ def solve_free_abelian(
     def f_weight(e: int) -> Fraction:
         return cocycle.window_value(bg.edges[e][: rf + 1])
 
-    def psi_weight(e: int):
-        return system.psi_of(bg.edges[e][0])
-
-    tree = SpanningTree(bg)
-    pot_f = tree.potentials(Fraction(0), lambda e, p: p + f_weight(e))
-    pot_psi = tree.potentials(
-        (0,) * d, lambda e, p: tuple(a + b for a, b in zip(p, psi_weight(e)))
-    )
+    weights, scale = _scaled_weights(cocycle, bg.edges)
+    steps = [system.psi_of(word[0]) for word in bg.edges]
+    pot_f = tree.potentials(0, lambda e, p: p + weights[e])
+    pot_psi = tree.potentials((0,) * d, lambda e, p: tuple(map(add, p, steps[e])))
 
     # One row alpha . rho_psi = rho_f per non-tree edge, rhs as the last entry.
     edges: list[int] = []
     rows: list[tuple] = []
-    for e in range(len(bg.edge_tail)):
-        t, h = bg.edge_tail[e], bg.edge_head[e]
+    for e, (t, h) in enumerate(zip(bg.edge_tail, bg.edge_head)):
         if tree.parent[h] == e:
             continue
-        rho_psi = (
-            w + a - b for w, a, b in zip(psi_weight(e), pot_psi[t], pot_psi[h])
-        )
+        rho_psi = map(sub, map(add, steps[e], pot_psi[t]), pot_psi[h])
         edges.append(e)
-        rows.append((*rho_psi, f_weight(e) + pot_f[t] - pot_f[h]))
+        rows.append((*rho_psi, Fraction(weights[e] + pot_f[t] - pot_f[h], scale)))
 
     reduced, provenance, pivots = gauss_jordan(rows, d)
     for i in range(len(pivots), len(rows)):
@@ -305,7 +319,7 @@ def solve_free_abelian(
 
     u: dict[Word, Fraction] = {}
     for v, block in enumerate(bg.vertices):
-        u[block] = pot_f[v] - _alpha_dot(alpha, pot_psi[v])
+        u[block] = Fraction(pot_f[v], scale) - _alpha_dot(alpha, pot_psi[v])
     solution = CohomologySolution(
         block_length=r, u=u, alpha=tuple(alpha), degenerate=degenerate
     )
@@ -391,25 +405,36 @@ def _inconsistency_certificate(system, tree, edges, combo, f_weight):
 
 
 def _closing_walk(system, bg, target):
-    """Closed walk at block 0 whose weight is target, by bounded lattice BFS."""
-    d = system.group.rank
-    bound = max(8, 2 * max(abs(x) for x in target) if any(target) else 8)
-    start = (0, (0,) * d)
-    goal = (0, tuple(target))
-    if start == goal:
+    """Closed walk at block 0 whose weight is target, by bounded lattice BFS.
+
+    Offsets stay in the box [-bound, bound]^d, so a state (block, offset)
+    is coded as the int block * side**d + the offset's base-side digits.
+    Every out-edge of a block starts with the block's first symbol, so the
+    lattice step and the box check are made once per state.
+    """
+    if not any(target):
         return []
+    d = system.group.rank
+    bound = max(8, 2 * max(map(abs, target)))
+    side = 2 * bound + 1
+    digits = [side**i for i in range(d)]
+    width = side**d
+    steps = [system.psi_of(block[0]) for block in bg.vertices]
+    lifts = [sum(map(mul, step, digits)) for step in steps]
+    start = bound * sum(digits)
+    goal = start + sum(map(mul, target, digits))
     prev: dict = {start: None}
-    queue = deque([start])
+    queue = deque([(start, 0, (0,) * d)])
+    out_edges, edge_head = bg.out_edges, bg.edge_head
     while queue:
-        state = queue.popleft()
-        v, off = state
-        for e in bg.out_edges[v]:
-            h = bg.edge_head[e]
-            step = system.psi_of(bg.edges[e][0])
-            noff = tuple(a + b for a, b in zip(off, step))
-            if any(abs(x) > bound for x in noff):
-                continue
-            nstate = (h, noff)
+        state, v, off = queue.popleft()
+        noff = tuple(map(add, off, steps[v]))
+        if max(noff) > bound or min(noff) < -bound:
+            continue
+        ncode = state - v * width + lifts[v]
+        for e in out_edges[v]:
+            h = edge_head[e]
+            nstate = h * width + ncode
             if nstate in prev:
                 continue
             prev[nstate] = (state, e)
@@ -422,7 +447,7 @@ def _closing_walk(system, bg, target):
                 return walk
             if len(prev) > DEFAULT_MAX_STATES:
                 return None
-            queue.append(nstate)
+            queue.append((nstate, h, noff))
     return None
 
 

@@ -269,9 +269,9 @@ def solve_matrix_finite(
     r = cocycle.effective_block_length
     pg = build_product_graph(system, r)
     n = pg.n_vertices
-    disconnected = product_scc_witness(pg)
-    if disconnected is not None:
-        raise NotTransitiveError(disconnected)
+    tree = SpanningTree(pg)
+    if not tree.strongly_connected:
+        raise NotTransitiveError(product_scc_witness(pg))
 
     rf = cocycle.block_range
     order = pg.order
@@ -279,7 +279,6 @@ def solve_matrix_finite(
     def factor(e: int) -> np.ndarray:
         return cocycle.window_value(pg.base.edges[e // order][: rf + 1])
 
-    tree = SpanningTree(pg)
     transfer = tree.potentials(np.eye(cocycle.dim), lambda e, t: factor(e) @ t)
     transfer_inv = list(_checked_inverse(np.stack(transfer), "transfer candidate"))
 

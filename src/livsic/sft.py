@@ -75,60 +75,6 @@ class ValidationReport:
     period: int
 
 
-def _tarjan_scc(n: int, succ) -> list[list[int]]:
-    """Strongly connected components of vertices 0..n-1, iterative Tarjan.
-
-    Components are returned in a deterministic order; vertices inside a
-    component are sorted.
-    """
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = succ(v)
-            while pi < len(neighbors):
-                w = neighbors[pi]
-                pi += 1
-                if index[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components
-
-
 def validate_sft(spec: SftSpec) -> ValidationReport:
     """Check shape, absence of dead symbols and irreducibility.
 
@@ -153,15 +99,9 @@ def validate_sft(spec: SftSpec) -> ValidationReport:
             raise DeadSymbol(a, "predecessor")
 
     succ = [tuple(b - 1 for b in spec.successors(a)) for a in range(1, spec.k + 1)]
-    components = _tarjan_scc(spec.k, lambda v: succ[v])
-    if len(components) > 1:
-        # Exhibit the first ordered pair with no connecting path.
-        for i in range(spec.k):
-            reach = _reachable_from(spec.k, succ, i)
-            for j in range(spec.k):
-                if j not in reach:
-                    raise NotIrreducible((i + 1, j + 1))
-        raise NotIrreducible((1, 1))  # unreachable
+    gap = _unreachable_pair(succ)
+    if gap is not None:
+        raise NotIrreducible((gap[0] + 1, gap[1] + 1))
 
     # Cyclic period: gcd of (dist[u] + 1 - dist[v]) over edges u -> v.
     dist = [None] * spec.k
@@ -183,7 +123,7 @@ def validate_sft(spec: SftSpec) -> ValidationReport:
     return ValidationReport(irreducible=True, aperiodic=period == 1, period=period)
 
 
-def _reachable_from(n: int, succ, start: int) -> set[int]:
+def _reachable_from(succ, start: int) -> set[int]:
     seen = {start}
     queue = [start]
     while queue:
@@ -193,6 +133,30 @@ def _reachable_from(n: int, succ, start: int) -> set[int]:
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def _unreachable_pair(succ) -> tuple[int, int] | None:
+    """None when the nonempty graph with successor lists succ is strongly
+    connected, otherwise the first ordered pair (i, j) with no path i -> j.
+
+    The graph is strongly connected exactly when vertex 0 reaches every
+    vertex and every vertex reaches 0.  When 0 reaches every vertex, the
+    vertices that reach everything are those that reach 0, so the first
+    i is the least vertex outside the reverse search from 0.
+    """
+    n = len(succ)
+    i, reach = 0, _reachable_from(succ, 0)
+    if len(reach) == n:
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for v, ws in enumerate(succ):
+            for w in ws:
+                pred[w].append(v)
+        back = _reachable_from(pred, 0)
+        if len(back) == n:
+            return None
+        i = next(v for v in range(n) if v not in back)
+        reach = _reachable_from(succ, i)
+    return i, next(j for j in range(n) if j not in reach)
 
 
 @dataclass(frozen=True)
@@ -216,8 +180,8 @@ class BlockGraph:
         return [self.edge_head[e] for e in self.out_edges[v]]
 
     def is_strongly_connected(self) -> bool:
-        n = len(self.vertices)
-        return n > 0 and len(_tarjan_scc(n, self.successors)) == 1
+        succ = [self.successors(v) for v in range(len(self.vertices))]
+        return bool(succ) and _unreachable_pair(succ) is None
 
 
 def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
@@ -267,7 +231,7 @@ def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
     )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PeriodicOrbit:
     """A primitive periodic orbit, stored as the least rotation of its word."""
 

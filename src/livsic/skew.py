@@ -25,8 +25,7 @@ from .sft import (
     PeriodicOrbit,
     SftSpec,
     Word,
-    _reachable_from,
-    _tarjan_scc,
+    _unreachable_pair,
     build_block_graph,
     by_period,
     canonical_rotation,
@@ -173,24 +172,22 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     tails = []
     heads = []
     out: list[list[int]] = [[] for _ in range(n)]
-    for be in range(len(base.edges)):
-        symbol = base.edges[be][0]
-        step = system.psi_of(symbol)
-        tb = base.edge_tail[be]
-        hb = base.edge_head[be]
-        for g in range(order):
-            tail = tb * order + g
-            head = hb * order + group.mul(step, g)
-            out[tail].append(len(tails))
-            tails.append(tail)
-            heads.append(head)
+    for be, word in enumerate(base.edges):
+        # Left multiplication by psi of the edge's first symbol.
+        row = group.table[system.psi_of(word[0])]
+        tb = base.edge_tail[be] * order
+        hb = base.edge_head[be] * order
+        for g, x in enumerate(row):
+            out[tb + g].append(len(tails))
+            tails.append(tb + g)
+            heads.append(hb + x)
     return ProductGraph(
         system=system,
         base=base,
         order=order,
         edge_tail=tuple(tails),
         edge_head=tuple(heads),
-        out_edges=tuple(tuple(sorted(x)) for x in out),
+        out_edges=tuple(map(tuple, out)),
     )
 
 
@@ -204,15 +201,8 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
 def product_scc_witness(pg: ProductGraph):
     """None if the product graph is strongly connected, otherwise the first
     ordered pair of product vertices (as labels) with no connecting path."""
-    n = pg.n_vertices
-    succ = [[pg.edge_head[e] for e in out] for out in pg.out_edges]
-    if len(_tarjan_scc(n, succ.__getitem__)) == 1:
-        return None
-    for v in range(n):
-        reach = _reachable_from(n, succ, v)
-        if len(reach) != n:
-            u = next(x for x in range(n) if x not in reach)
-            return pg.vertex_label(v), pg.vertex_label(u)
+    gap = _unreachable_pair([[pg.edge_head[e] for e in out] for out in pg.out_edges])
+    return None if gap is None else tuple(map(pg.vertex_label, gap))
 
 
 class SpanningTree:
@@ -222,7 +212,8 @@ class SpanningTree:
     product graphs).  parent[v] is the tree edge into v, visit the BFS
     order, and next_edge[v] the first edge of a shortest path from v back
     to vertex 0.  Edge and vertex orders fix every choice, so potentials
-    and walks are deterministic.
+    and walks are deterministic.  strongly_connected is True when both
+    searches reach every vertex; potentials and walks need it.
     """
 
     def __init__(self, graph):
@@ -232,7 +223,8 @@ class SpanningTree:
         in_edges: list[list[int]] = [[] for _ in range(n)]
         for e, h in enumerate(graph.edge_head):
             in_edges[h].append(e)
-        self.next_edge, _ = _bfs_edges(n, in_edges, graph.edge_tail)
+        self.next_edge, back = _bfs_edges(n, in_edges, graph.edge_tail)
+        self.strongly_connected = len(self.visit) == n == len(back)
 
     def potentials(self, start, step) -> list:
         """pot[0] = start and pot[head e] = step(e, pot[tail e]) on tree edges.

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
 
+import livsic.abelian as abelian
 from livsic import (
     CocycleObstruction,
     CohomologySolution,
@@ -21,8 +25,10 @@ from livsic import (
     SftSpec,
     TorsionAlpha,
     ViolationWitness,
+    birkhoff_sum,
     brute_solution_check,
     brute_vanishing,
+    build_block_graph,
     build_group,
     enumerate_trivial_class_orbits,
     generate_cocycle,
@@ -36,11 +42,14 @@ from livsic import (
 )
 from corpus import (
     random_alpha,
+    random_irreducible_sft,
     random_lattice_system,
     random_rational,
     random_transitive_system,
     rng_for,
+    s3_group,
 )
+from livsic.skew import SpanningTree
 
 FULL_2 = SftSpec.full_shift(2)
 Z1 = build_group(GroupSpec.free_abelian(1))
@@ -394,3 +403,150 @@ def test_full4_z_r5_solves_in_little_memory():
     summary, peak_kib = proc.stdout.split("\n")[:2]
     assert summary == "1024 True True"
     assert int(peak_kib) < 200 * 1024
+
+
+def _reference_closing_walk(system, bg, target):
+    """The per-edge lattice BFS that _closing_walk must reproduce exactly."""
+    d = system.group.rank
+    bound = max(8, 2 * max(abs(x) for x in target) if any(target) else 8)
+    start = (0, (0,) * d)
+    goal = (0, tuple(target))
+    if start == goal:
+        return []
+    prev: dict = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        v, off = state
+        for e in bg.out_edges[v]:
+            h = bg.edge_head[e]
+            step = system.psi_of(bg.edges[e][0])
+            noff = tuple(a + b for a, b in zip(off, step))
+            if any(abs(x) > bound for x in noff):
+                continue
+            nstate = (h, noff)
+            if nstate in prev:
+                continue
+            prev[nstate] = (state, e)
+            if nstate == goal:
+                walk = []
+                while prev[nstate] is not None:
+                    nstate, edge = prev[nstate]
+                    walk.append(edge)
+                walk.reverse()
+                return walk
+            if len(prev) > abelian.DEFAULT_MAX_STATES:
+                return None
+            queue.append(nstate)
+    return None
+
+
+def _closing_walk_cases():
+    """Seeded (system, block graph, target) over Z, Z^2, Z^3 on full and sparse shifts."""
+    cases = []
+    for seed in range(12):
+        rng = rng_for(53, seed)
+        d = 1 + seed % 3
+        k = rng.randint(2, 3)
+        spec = SftSpec.full_shift(k) if seed % 2 else random_irreducible_sft(rng, k)
+        group = build_group(GroupSpec.free_abelian(d))
+        if seed % 4 == 3:
+            # Even steps only: every odd target is unreachable.
+            psi = [tuple(2 * rng.randint(-1, 1) for _ in range(d)) for _ in range(k)]
+        else:
+            psi = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        system = make_skew_system(spec, group, psi)
+        bg = build_block_graph(spec, rng.randint(1, 2))
+        targets = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(3)]
+        targets.append((1,) + (0,) * (d - 1))
+        targets.append((0,) * d)
+        # Weights of closed walks at block 0: random steps, then the way home.
+        home = SpanningTree(bg).next_edge
+        for _ in range(3):
+            v, walk = 0, []
+            for _ in range(rng.randint(1, 6)):
+                walk.append(rng.choice(bg.out_edges[v]))
+                v = bg.edge_head[walk[-1]]
+            while home[v] is not None:
+                walk.append(home[v])
+                v = bg.edge_head[walk[-1]]
+            steps = [system.psi_of(bg.edges[e][0]) for e in walk]
+            targets.append(tuple(map(sum, zip(*steps))))
+        cases.extend((system, bg, t) for t in targets)
+    return cases
+
+
+def test_closing_walk_matches_per_edge_bfs():
+    found = missing = 0
+    for system, bg, target in _closing_walk_cases():
+        walk = abelian._closing_walk(system, bg, target)
+        assert walk == _reference_closing_walk(system, bg, target), target
+        if walk is None:
+            missing += 1
+            continue
+        found += 1
+        assert all(bg.edge_head[a] == bg.edge_tail[b] for a, b in zip(walk, walk[1:]))
+        if walk:
+            assert bg.edge_tail[walk[0]] == 0 == bg.edge_head[walk[-1]]
+        total = [0] * system.group.rank
+        for e in walk:
+            total = [a + b for a, b in zip(total, system.psi_of(bg.edges[e][0]))]
+        assert tuple(total) == target
+    assert found and missing
+
+
+def test_closing_walk_matches_per_edge_bfs_under_a_small_state_cap(monkeypatch):
+    monkeypatch.setattr(abelian, "DEFAULT_MAX_STATES", 40)
+    outcomes = set()
+    for system, bg, target in _closing_walk_cases():
+        walk = abelian._closing_walk(system, bg, target)
+        assert walk == _reference_closing_walk(system, bg, target), target
+        outcomes.add(walk is None)
+    assert outcomes == {True, False}
+
+
+def _primes_from(n: int, count: int) -> list[int]:
+    primes = []
+    while len(primes) < count:
+        if all(n % q for q in range(2, isqrt(n) + 1)):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def test_exact_under_a_denominator_lcm_above_2_64():
+    full3 = SftSpec.full_shift(3)
+    s3 = s3_group()
+    s3_psi = (s3.element_by_name("s"), s3.element_by_name("r"), s3.identity)
+    cases = [
+        (make_skew_system(full3, Z1, ((1,), (-1,), (0,))), solve_free_abelian),
+        (make_skew_system(full3, C2, (1, 0, 0)), solve_finite_gamma),
+        (make_skew_system(full3, s3, s3_psi), solve_finite_gamma),
+    ]
+    primes = _primes_from(999_000, 11)
+    for system, solve in cases:
+        bg = build_block_graph(full3, 2)
+        u = {b: Fraction(i + 1, p) for i, (b, p) in enumerate(zip(bg.vertices, primes))}
+        alpha = (Fraction(3, primes[9]),) if system.group.rank else None
+        cocycle = generate_cocycle(system, u=u, alpha=alpha, block_range=2)
+        assert lcm(*(x.denominator for x in cocycle.values.values())) > 2**64
+        solution = solve(system, cocycle)
+        assert solution.certificate.certified
+        rebuilt = generate_cocycle(
+            system, u=solution.u, alpha=solution.alpha, block_range=2
+        )
+        assert rebuilt.values == cocycle.values
+
+        values = dict(cocycle.values)
+        values[(1, 2, 3)] += Fraction(1, primes[10])
+        perturbed = make_cocycle(full3, 2, values)
+        with pytest.raises(CocycleObstruction) as err:
+            solve(system, perturbed)
+        witness = err.value.witness
+        assert isinstance(witness, ViolationWitness)
+        assert witness.total != 0
+        assert witness.total == witness.multiplicity * birkhoff_sum(
+            perturbed, witness.orbit
+        )
+        assert psi_n_cyclic(system, witness.word) == system.group.identity
+        assert pickle.loads(pickle.dumps(witness)) == witness

@@ -1,6 +1,9 @@
 """Symbolic dynamics core: validation, block graphs, orbits, censuses."""
 from __future__ import annotations
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from livsic import (
@@ -178,3 +181,23 @@ def test_birkhoff_sum_rotation_invariant():
         for i in range(1, len(word)):
             rotated = PeriodicOrbit(word=word[i:] + word[:i])
             assert birkhoff_sum(cocycle, rotated) == base
+
+
+def test_periodic_orbit_pickles_compares_and_orders():
+    orbit = PeriodicOrbit.from_word((2, 1, 2))
+    assert orbit == PeriodicOrbit(word=(1, 2, 2))
+    assert hash(orbit) == hash(PeriodicOrbit(word=(1, 2, 2)))
+    assert orbit.period == 3
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(orbit, protocol))
+        assert copy == orbit and type(copy) is PeriodicOrbit
+    shorter, other = PeriodicOrbit(word=(1, 2)), PeriodicOrbit(word=(1, 3))
+    assert sorted([other, orbit, shorter]) == [shorter, orbit, other]
+    assert shorter < orbit < other
+    assert not hasattr(orbit, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        orbit.word = (1,)
+    with pytest.raises(BadShape):
+        PeriodicOrbit.from_word(())
+    with pytest.raises(BadShape):
+        PeriodicOrbit.from_word((1, 2, 1, 2))

@@ -11,21 +11,34 @@ import livsic.skew as skew
 from livsic import (
     GroupSpec,
     InadmissibleWord,
+    NotIrreducible,
+    NotStronglyConnected,
+    NotTransitiveError,
     PeriodicOrbit,
     RangeTooLarge,
     SftSpec,
+    build_block_graph,
     build_group,
     build_product_graph,
     check_transitivity,
     enumerate_trivial_class_orbits,
     frobenius_class,
+    generate_cocycle,
     make_skew_system,
     psi_n,
     psi_n_cyclic,
+    solve_finite_gamma,
+    solve_free_abelian,
     subgroup_rank_and_index,
+    validate_sft,
 )
 from livsic.oracles import brute_transitivity
-from livsic.skew import _dual_rays, find_violating_cycle, orbit_weights
+from livsic.skew import (
+    _dual_rays,
+    find_violating_cycle,
+    orbit_weights,
+    product_scc_witness,
+)
 from corpus import (
     random_finite_group,
     random_irreducible_sft,
@@ -320,3 +333,86 @@ def test_find_violating_cycle_positive_segment():
     fallback = find_violating_cycle(walk, heads, 0, lambda seg: 0)
     assert fallback == [1, 2]
     assert find_violating_cycle([], heads, 0, lambda seg: 1) is None
+
+
+def _reach_closure(succ):
+    """reach[i][j]: j is reachable from i (every vertex reaches itself)."""
+    n = len(succ)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            reach[v][w] = True
+    for m in range(n):
+        for i in range(n):
+            if reach[i][m]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[m])]
+    return reach
+
+
+def _first_gap(succ):
+    """First ordered pair (i, j) with no path from i to j, or None."""
+    reach = _reach_closure(succ)
+    return next(
+        ((i, j) for i, row in enumerate(reach) for j, ok in enumerate(row) if not ok),
+        None,
+    )
+
+
+def _random_sft_without_dead_symbols(rng, k):
+    rows = [[int(rng.random() < 0.3) for _ in range(k)] for _ in range(k)]
+    for a in range(k):
+        if not any(rows[a]):
+            rows[a][rng.randrange(k)] = 1
+    for a in range(k):
+        if not any(row[a] for row in rows):
+            rows[rng.randrange(k)][a] = 1
+    return SftSpec.from_rows(rows)
+
+
+def test_strong_connectivity_matches_brute_closure():
+    z1 = build_group(GroupSpec.free_abelian(1))
+    reducible = not_transitive = 0
+    for seed in range(40):
+        rng = rng_for(59, seed)
+        k = rng.randint(2, 5)
+        spec = _random_sft_without_dead_symbols(rng, k)
+        gap = _first_gap([[b - 1 for b in spec.successors(a)] for a in range(1, k + 1)])
+        if gap is None:
+            assert validate_sft(spec).irreducible
+        else:
+            reducible += 1
+            with pytest.raises(NotIrreducible) as err:
+                validate_sft(spec)
+            assert err.value.witness == (gap[0] + 1, gap[1] + 1)
+        for r in (1, 2):
+            bg = build_block_graph(spec, r)
+            succ = [bg.successors(v) for v in range(len(bg.vertices))]
+            assert bg.is_strongly_connected() == (_first_gap(succ) is None)
+
+        group = random_finite_group(rng)
+        system = make_skew_system(
+            spec, group, [rng.randrange(group.order) for _ in range(k)]
+        )
+        pg = build_product_graph(system, 1)
+        pg_gap = _first_gap([[pg.edge_head[e] for e in out] for out in pg.out_edges])
+        expected = None if pg_gap is None else tuple(map(pg.vertex_label, pg_gap))
+        assert product_scc_witness(pg) == expected
+        assert check_transitivity(system).witness == expected
+        cocycle = generate_cocycle(system, block_range=1, seed=seed)
+        if expected is None:
+            assert solve_finite_gamma(system, cocycle).certificate.certified
+        else:
+            not_transitive += 1
+            with pytest.raises(NotTransitiveError) as err:
+                solve_finite_gamma(system, cocycle)
+            assert err.value.witness == expected
+
+        lattice = make_skew_system(spec, z1, [(rng.randint(-2, 2),) for _ in range(k)])
+        cocycle = generate_cocycle(lattice, block_range=1, seed=seed)
+        if gap is None:
+            assert solve_free_abelian(lattice, cocycle).certificate.certified
+        else:
+            with pytest.raises(NotStronglyConnected):
+                solve_free_abelian(lattice, cocycle)
+    assert 10 <= reducible < 40
+    assert 10 <= not_transitive < 40
