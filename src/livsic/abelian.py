@@ -2,11 +2,16 @@
 
 Given a locally constant rational function f on the shift, decide whether
 f(x) = u(shift x) - u(x) + alpha(psi(x0)) for some potential u on blocks
-and homomorphism alpha.  The solvers scale f by the lcm of its
-denominators and propagate integer potentials; Fraction appears at the
-boundary (u, the elimination rows, certification and witness totals), so
-a returned solution is a certificate and a returned obstruction is a
-counterexample.
+and homomorphism alpha.
+
+One kernel, _solve_cover, solves for a deck group Z^d x F: it works on
+the product graph over the finite factor F and carries Z^d potentials of
+width d.  solve_finite_gamma names its d = 0 corner (alpha vanishes by
+torsion) and solve_free_abelian its |F| = 1 corner (the product graph is
+the block graph).  The kernel scales f by the lcm of its denominators and
+propagates integer potentials; Fraction appears at the boundary (u, the
+elimination, certification and witness totals), so a returned solution is
+a certificate and a returned obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -15,8 +20,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd, lcm
-from operator import add, mul, ne, sub
+from math import lcm
+from operator import add, mul, sub
 
 from .errors import (
     DEFAULT_MAX_STATES,
@@ -180,53 +185,120 @@ def solve_finite_gamma(
     must then close up exactly.  A nonzero closure defect is converted into
     a concrete identity-weight closed word with nonzero sum and raised as
     CocycleObstruction.  On success alpha is forced to vanish because the
-    group is torsion and the reals are torsion-free.
+    group is torsion and the reals are torsion-free.  NotTransitiveError,
+    with an unreachable pair, when the product graph is not strongly
+    connected.
+    """
+    return _solve_cover(system, cocycle)
+
+
+def solve_free_abelian(
+    system: SkewSystem, cocycle: LocallyConstantCocycle
+) -> CohomologySolution:
+    """Exact solver for Z^d fibers via fundamental-cycle elimination.
+
+    A spanning tree on the block graph defines rational and lattice
+    potentials; each non-tree edge contributes one linear condition on
+    alpha.  The reduced system either determines alpha (possibly pinning
+    coordinates that no cycle weight sees, reported as degenerate), or is
+    inconsistent, in which case the tracked row combination is reassembled
+    into explicit closed words certifying the obstruction.
+    NotStronglyConnected when the block graph is not strongly connected.
+    """
+    return _solve_cover(system, cocycle)
+
+
+def _solve_cover(
+    system: SkewSystem, cocycle: LocallyConstantCocycle
+) -> CohomologySolution:
+    """The one solver behind both public names, for a deck group Z^d x F.
+
+    Works on the product graph over the finite factor F (F is trivial over
+    Z^d, and d = 0 over a finite group).  The spanning tree carries integer
+    f-potentials, scaled by the lcm of f's denominators, and Z^d
+    potentials of width d; each edge's closure defect is scale * f minus
+    the potential's rise.  With d = 0 the first nonzero defect is the
+    obstruction; with d > 0 the non-tree edges give the rows
+    alpha . rho_psi = defect / scale for gauss_jordan.
     """
     group = system.group
+    d = 0 if group.is_finite else group.rank
     r = cocycle.effective_block_length
     pg = build_product_graph(system, r)
     tree = SpanningTree(pg)
     if not tree.strongly_connected:
+        if d:
+            raise NotStronglyConnected("block graph is not strongly connected")
         raise NotTransitiveError(product_scc_witness(pg))
 
-    rf = cocycle.block_range
     order = pg.order
     base_weights, scale = _scaled_weights(cocycle, pg.base.edges)
     # Product edge ids run base edge by base edge, order ids each.
     weights = [x for x in base_weights for _ in range(order)]
-
-    def violates(walk) -> int:
-        return 1 if sum(map(weights.__getitem__, walk)) != 0 else 0
-
     pot = tree.potentials(0, lambda e, p: p + weights[e])
     at = pot.__getitem__
-    rises = map(sub, map(at, pg.edge_head), map(at, pg.edge_tail))
-    e = next(compress(count(), map(ne, weights, rises)), None)
-    if e is not None:
-        cycle, word, mult = tree.witness(e, violates)
-        total = sum(
-            cocycle.window_value(pg.base.edges[x // order][: rf + 1]) for x in cycle
-        )
-        check_invariant(total != 0, "closure defect without a violating cycle")
-        witness = ViolationWitness(
-            orbit=PeriodicOrbit(word=word), multiplicity=mult, total=total
-        )
-        raise CocycleObstruction(witness)
+    tails, heads = pg.edge_tail, pg.edge_head
+    # scale * f minus the potential's rise, edge by edge, read once.
+    defects = map(sub, map(add, weights, map(at, tails)), map(at, heads))
 
-    e_idx = group.identity_index
+    def walk_sum(walk) -> Fraction:
+        return Fraction(sum(map(weights.__getitem__, walk)), scale)
+
+    alpha, degenerate = [], None
+    if not d:
+        e = next(compress(count(), defects), None)
+        if e is not None:
+            # Trimming to a simple cycle keeps its weight the identity only
+            # over a finite group, so the witness is found here.
+            cycle, word, mult = tree.witness(e, lambda w: 1 if walk_sum(w) else 0)
+            total = walk_sum(cycle)
+            check_invariant(total != 0, "closure defect without a violating cycle")
+            witness = ViolationWitness(
+                orbit=PeriodicOrbit(word=word), multiplicity=mult, total=total
+            )
+            raise CocycleObstruction(witness)
+    else:
+        steps = [system.psi_of(word[0]) for word in pg.base.edges for _ in range(order)]
+        pot_psi = tree.potentials((0,) * d, lambda e, p: tuple(map(add, p, steps[e])))
+        # One row alpha . rho_psi = defect per non-tree edge, rhs as the last entry.
+        edges, rows = [], []
+        for e, (t, h, defect) in enumerate(zip(tails, heads, defects)):
+            if tree.parent[h] != e:
+                edges.append(e)
+                rho_psi = map(sub, map(add, steps[e], pot_psi[t]), pot_psi[h])
+                rows.append((*rho_psi, defect))
+        reduced, provenance, pivots = gauss_jordan(rows, d)
+        for i in range(len(pivots), len(rows)):
+            if reduced[i][d]:
+                raise CocycleObstruction(_inconsistency_certificate(
+                    system, tree, edges, provenance[i], steps, walk_sum
+                ))
+        alpha = [Fraction(0)] * d
+        for row_i, col in enumerate(pivots):
+            alpha[col] = reduced[row_i][d] / scale
+        free_cols = tuple(c for c in range(d) if c not in pivots)
+        if free_cols:
+            diag = smith_diagonal([row[:d] for row in rows], d)
+            degenerate = DegenerateReport(
+                lattice_rank=len(diag),
+                lattice_diagonal=diag,
+                pinned_coordinates=free_cols,
+            )
+
     u: dict[Word, Fraction] = {}
     for bi, block in enumerate(pg.base.vertices):
+        v = bi * order + group.identity_index
         fiber = pot[bi * order : (bi + 1) * order]
-        val = fiber[e_idx]
         # Fiber constancy is forced: deck shifts are constants killed by torsion.
-        check_invariant(fiber.count(val) == order, "potential varies along a fiber")
-        u[block] = Fraction(val, scale)
-    solution = CohomologySolution(block_length=r, u=u, alpha=None)
-    report = verify_solution(system, cocycle, solution)
+        check_invariant(fiber.count(pot[v]) == order, "potential varies along a fiber")
+        u[block] = Fraction(pot[v], scale)
+        if d:
+            u[block] -= _alpha_dot(alpha, pot_psi[v])
+    alpha_out = tuple(alpha) if d else None
+    solution = CohomologySolution(r, u, alpha_out, degenerate)
+    report = _check_edges(system, cocycle, solution, pg.base)
     check_invariant(report.certified, "solution fails its own certification")
-    return CohomologySolution(
-        block_length=r, u=u, alpha=None, certificate=report
-    )
+    return CohomologySolution(r, u, alpha_out, degenerate, certificate=report)
 
 
 def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
@@ -257,122 +329,29 @@ def _drift_table(system: SkewSystem, alpha) -> list[Fraction] | None:
     return [_alpha_dot(alpha, system.psi_of(a)) for a in range(1, system.sft.k + 1)]
 
 
-def solve_free_abelian(
-    system: SkewSystem, cocycle: LocallyConstantCocycle
-) -> CohomologySolution:
-    """Exact solver for Z^d fibers via fundamental-cycle elimination.
-
-    A spanning tree on the block graph defines rational and lattice
-    potentials; each non-tree edge contributes one linear condition on
-    alpha.  The reduced system either determines alpha (possibly pinning
-    coordinates that no cycle weight sees, reported as degenerate), or is
-    inconsistent, in which case the tracked row combination is reassembled
-    into explicit closed words certifying the obstruction.
-    """
-    group = system.group
-    d = group.rank
-    r = cocycle.effective_block_length
-    bg = build_block_graph(system.sft, r)
-    tree = SpanningTree(bg)
-    if not tree.strongly_connected:
-        raise NotStronglyConnected("block graph is not strongly connected")
-
-    rf = cocycle.block_range
-
-    def f_weight(e: int) -> Fraction:
-        return cocycle.window_value(bg.edges[e][: rf + 1])
-
-    weights, scale = _scaled_weights(cocycle, bg.edges)
-    steps = [system.psi_of(word[0]) for word in bg.edges]
-    pot_f = tree.potentials(0, lambda e, p: p + weights[e])
-    pot_psi = tree.potentials((0,) * d, lambda e, p: tuple(map(add, p, steps[e])))
-
-    # One row alpha . rho_psi = rho_f per non-tree edge, rhs as the last entry.
-    edges: list[int] = []
-    rows: list[tuple] = []
-    for e, (t, h) in enumerate(zip(bg.edge_tail, bg.edge_head)):
-        if tree.parent[h] == e:
-            continue
-        rho_psi = map(sub, map(add, steps[e], pot_psi[t]), pot_psi[h])
-        edges.append(e)
-        rows.append((*rho_psi, Fraction(weights[e] + pot_f[t] - pot_f[h], scale)))
-
-    reduced, provenance, pivots = gauss_jordan(rows, d)
-    for i in range(len(pivots), len(rows)):
-        if reduced[i][d]:
-            raise CocycleObstruction(
-                _inconsistency_certificate(system, tree, edges, provenance[i], f_weight)
-            )
-    alpha = [Fraction(0)] * d
-    for row_i, col in enumerate(pivots):
-        alpha[col] = reduced[row_i][d]
-
-    degenerate = None
-    free_cols = tuple(c for c in range(d) if c not in pivots)
-    if free_cols:
-        diag = smith_diagonal([row[:d] for row in rows], d)
-        degenerate = DegenerateReport(
-            lattice_rank=len(diag),
-            lattice_diagonal=diag,
-            pinned_coordinates=free_cols,
-        )
-
-    u: dict[Word, Fraction] = {}
-    for v, block in enumerate(bg.vertices):
-        u[block] = Fraction(pot_f[v], scale) - _alpha_dot(alpha, pot_psi[v])
-    solution = CohomologySolution(
-        block_length=r, u=u, alpha=tuple(alpha), degenerate=degenerate
-    )
-    report = verify_solution(system, cocycle, solution)
-    check_invariant(report.certified, "solution fails its own certification")
-    return CohomologySolution(
-        block_length=r,
-        u=u,
-        alpha=tuple(alpha),
-        degenerate=degenerate,
-        certificate=report,
-    )
-
-
-def _inconsistency_certificate(system, tree, edges, combo, f_weight):
+def _inconsistency_certificate(system, tree, edges, combo, steps, walk_sum):
     """Turn a vanishing row combination into closed-word evidence.
 
-    combo maps row positions (indices into edges) to rational coefficients.
+    combo maps row positions (indices into edges) to rational coefficients;
+    steps[e] is the lattice step of edge e and walk_sum(walk) the exact sum
+    of f along a walk.
     """
-    bg = tree.graph
-    denom_lcm = 1
-    for c in combo.values():
-        if c:
-            g = gcd(denom_lcm, c.denominator)
-            denom_lcm = denom_lcm * c.denominator // g
+    pg = tree.graph
+    denom_lcm = lcm(*(c.denominator for c in combo.values() if c))
 
     plus: list[int] = []
     minus: list[int] = []
     for i, c in sorted(combo.items()):
         nmul = int(c * denom_lcm)
-        if not nmul:
-            continue
-        cycle_walk, shadow_walk = tree.walks(edges[i])
-        if nmul > 0:
-            plus.extend(cycle_walk * nmul)
-            minus.extend(shadow_walk * nmul)
-        else:
-            plus.extend(shadow_walk * -nmul)
-            minus.extend(cycle_walk * -nmul)
-
-    def walk_word(walk):
-        return tuple(bg.edges[e][0] for e in walk)
+        if nmul:
+            walk, shadow = tree.walks(edges[i])
+            if nmul < 0:
+                walk, shadow, nmul = shadow, walk, -nmul
+            plus.extend(walk * nmul)
+            minus.extend(shadow * nmul)
 
     def walk_psi(walk):
-        d = system.group.rank
-        acc = [0] * d
-        for e in walk:
-            for j, x in enumerate(system.psi_of(bg.edges[e][0])):
-                acc[j] += x
-        return tuple(acc)
-
-    def walk_sum(walk) -> Fraction:
-        return sum((f_weight(e) for e in walk), Fraction(0))
+        return tuple(sum(steps[e][j] for e in walk) for j in range(system.group.rank))
 
     v = walk_psi(plus)
     check_invariant(walk_psi(minus) == v, "certificate walks differ in weight")
@@ -380,24 +359,20 @@ def _inconsistency_certificate(system, tree, edges, combo, f_weight):
     sum_minus = walk_sum(minus)
     check_invariant(sum_plus != sum_minus, "certificate walks agree in sum")
 
-    correction: list[int] | None = [] if not any(v) else _closing_walk(
-        system, bg, tuple(-x for x in v)
-    )
+    correction = _closing_walk(system, pg.base, tuple(-x for x in v))
     if correction is not None:
         plus_closed = plus + correction
         minus_closed = minus + correction
         chosen = plus_closed if walk_sum(plus_closed) != 0 else minus_closed
-        word = walk_word(chosen)
-        core, mult = primitive_root(word)
-        total = walk_sum(chosen)
+        core, mult = primitive_root(pg.project_cycle(chosen))
         return ViolationWitness(
             orbit=PeriodicOrbit(word=canonical_rotation(core)),
             multiplicity=1,
-            total=total / mult,
+            total=walk_sum(chosen) / mult,
         )
     return EqualWeightPair(
-        word_a=walk_word(plus),
-        word_b=walk_word(minus),
+        word_a=pg.project_cycle(plus),
+        word_b=pg.project_cycle(minus),
         weight=v,
         sum_a=sum_plus,
         sum_b=sum_minus,
@@ -454,29 +429,33 @@ def _closing_walk(system, bg, target):
 def verify_solution(
     system: SkewSystem, cocycle: LocallyConstantCocycle, solution: CohomologySolution
 ) -> VerificationReport:
-    """Re-check every edge identity exactly; list residuals that fail."""
-    group = system.group
+    """Re-check every edge identity exactly; list residuals that fail.
+
+    DimensionMismatch when the block length, the blocks u is defined on or
+    the length of alpha do not fit the system; TorsionAlpha for a nonzero
+    alpha over a finite group.
+    """
     r = solution.block_length
     if r != cocycle.effective_block_length:
         raise DimensionMismatch(
             f"solution blocks have length {r}, cocycle needs {cocycle.effective_block_length}"
         )
-    if group.is_finite:
-        if solution.alpha is not None and any(solution.alpha):
-            raise TorsionAlpha("finite fiber groups admit only alpha = 0")
-        alpha = None
-    else:
-        alpha = solution.alpha
-        if alpha is None:
-            alpha = (Fraction(0),) * group.rank
-        if len(alpha) != group.rank:
-            raise DimensionMismatch("alpha length does not match the group rank")
     bg = build_block_graph(system.sft, r)
+    if solution.u.keys() != set(bg.vertices):
+        raise DimensionMismatch(
+            f"u must be defined on exactly the {len(bg.vertices)} admissible blocks"
+        )
+    return _check_edges(system, cocycle, solution, bg)
+
+
+def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
+    """Check f(w) = u(w[1:]) - u(w[:-1]) + alpha . psi(w[0]) on every edge w of bg."""
     rf = cocycle.block_range
-    drift = _drift_table(system, alpha)
+    u = solution.u
+    drift = _drift_table(system, _alpha_vector(system.group, solution.alpha))
     failures = []
     for word in bg.edges:
-        expected = solution.u[word[1:]] - solution.u[word[:-1]]
+        expected = u[word[1:]] - u[word[:-1]]
         if drift is not None:
             expected += drift[word[0] - 1]
         residual = cocycle.window_value(word[: rf + 1]) - expected
@@ -487,6 +466,21 @@ def verify_solution(
         edges_checked=len(bg.edges),
         failures=tuple(failures),
     )
+
+
+def _alpha_vector(group, alpha) -> tuple[Fraction, ...] | None:
+    """alpha as a rank-length vector over Z^d (None reads as zero), and
+    None over a finite group, where torsion forces alpha = 0."""
+    if group.is_finite:
+        if alpha is not None and any(Fraction(a) for a in alpha):
+            raise TorsionAlpha("finite fiber groups admit only alpha = 0")
+        return None
+    if alpha is None:
+        return (Fraction(0),) * group.rank
+    vec = tuple(_as_fraction(a) for a in alpha)
+    if len(vec) != group.rank:
+        raise DimensionMismatch("alpha length does not match the group rank")
+    return vec
 
 
 def generate_cocycle(
@@ -505,20 +499,9 @@ def generate_cocycle(
     block.  A nonzero alpha over a finite group is rejected: torsion forces
     alpha = 0, so no such cocycle exists.
     """
-    group = system.group
     if block_range < 1:
         raise InvalidCocycle("generation needs block range >= 1")
-    if group.is_finite:
-        if alpha is not None and any(Fraction(a) for a in alpha):
-            raise TorsionAlpha("finite fiber groups admit only alpha = 0")
-        alpha_vec = None
-    else:
-        if alpha is None:
-            alpha_vec = (Fraction(0),) * group.rank
-        else:
-            alpha_vec = tuple(_as_fraction(a) for a in alpha)
-            if len(alpha_vec) != group.rank:
-                raise DimensionMismatch("alpha length does not match the group rank")
+    alpha_vec = _alpha_vector(system.group, alpha)
     bg = build_block_graph(system.sft, block_range)
     if u is None:
         if seed is None:

@@ -29,6 +29,7 @@ from .abelian import (
 from .errors import (
     AlphaNotConstant,
     CocycleObstruction,
+    DimensionMismatch,
     DocumentError,
     LivsicError,
     NotAHomomorphism,
@@ -294,6 +295,8 @@ def _cmd_verify_solution(args, command_line: str) -> int:
     sol_env = parse_solution_document(_load_json(args.solution))
     system = env.system
     k = system.sft.k
+    if sol_env.k != k:
+        raise DimensionMismatch(f"solution is for {sol_env.k} symbols, the system has {k}")
     if sol_env.kind == "rational":
         cocycle = _require_rational(env)
         report = verify_solution(system, cocycle, sol_env.solution)

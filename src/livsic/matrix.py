@@ -395,6 +395,12 @@ def verify_matrix_solution(
             f"solution blocks have length {r}, cocycle needs {cocycle.effective_block_length}"
         )
     bg = build_block_graph(system.sft, r)
+    if solution.u.keys() != set(bg.vertices):
+        raise DimensionMismatch(
+            f"u must be defined on exactly the {len(bg.vertices)} admissible blocks"
+        )
+    if solution.alpha.keys() != set(group.names):
+        raise DimensionMismatch("alpha must be keyed by exactly the group's element names")
     rf = cocycle.block_range
     if u_inv is None:
         u_inv = invert_blocks(solution.u)

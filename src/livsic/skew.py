@@ -15,7 +15,6 @@ from .errors import (
     DEFAULT_MAX_WORK,
     DimensionMismatch,
     InadmissibleWord,
-    InfiniteGroup,
     RangeTooLarge,
     max_states_cap,
 )
@@ -131,7 +130,10 @@ def enumerate_trivial_class_orbits(
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """Block graph crossed with a finite group.
+    """Block graph crossed with the finite factor of the fiber group.
+
+    A Z^d group contributes the trivial factor, so its product graph has
+    the block graph's vertex and edge ids.
 
     Vertex ids are block-major: vid = block_index * order + element_index.
     Edge ids follow base edge order, then element order, so every traversal
@@ -162,10 +164,12 @@ class ProductGraph:
 
 def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     group = system.group
-    if not group.is_finite:
-        raise InfiniteGroup("product graphs require a finite group")
+    # Z^d contributes the trivial factor; its weights live in the potentials.
+    finite = group.is_finite
+    table = group.table if finite else ((0,),)
+    psi = system.psi if finite else (0,) * system.sft.k
     base = build_block_graph(system.sft, r)
-    order = group.order
+    order = len(table)
     n = len(base.vertices) * order
     if n > max_states_cap():
         raise RangeTooLarge(f"product graph would have {n} vertices")
@@ -174,7 +178,7 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     out: list[list[int]] = [[] for _ in range(n)]
     for be, word in enumerate(base.edges):
         # Left multiplication by psi of the edge's first symbol.
-        row = group.table[system.psi_of(word[0])]
+        row = table[psi[word[0] - 1]]
         tb = base.edge_tail[be] * order
         hb = base.edge_head[be] * order
         for g, x in enumerate(row):
@@ -193,9 +197,10 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
 
 # ---------------------------------------------------------------------------
 # Deterministic graph plumbing shared by the cohomology solvers: one
-# strong-connectivity check for product graphs and one spanning-tree kernel
-# that gives solve_finite_gamma, solve_free_abelian and solve_matrix_finite
-# their potentials and their closed witness walks.
+# strong-connectivity witness for product graphs and one spanning-tree
+# kernel that gives abelian._solve_cover (behind solve_finite_gamma and
+# solve_free_abelian) and solve_matrix_finite their potentials and their
+# closed witness walks.
 
 
 def product_scc_witness(pg: ProductGraph):

@@ -41,6 +41,7 @@ from livsic import (
     verify_vanishing,
 )
 from corpus import (
+    perturb_one_value,
     random_alpha,
     random_irreducible_sft,
     random_lattice_system,
@@ -49,7 +50,7 @@ from corpus import (
     rng_for,
     s3_group,
 )
-from livsic.skew import SpanningTree
+from livsic.skew import SpanningTree, build_product_graph
 
 FULL_2 = SftSpec.full_shift(2)
 Z1 = build_group(GroupSpec.free_abelian(1))
@@ -280,6 +281,11 @@ def test_verify_solution_shape_checks():
     wrong_block = CohomologySolution(block_length=2, u=solution.u, alpha=solution.alpha)
     with pytest.raises(DimensionMismatch):
         verify_solution(system, cocycle, wrong_block)
+    missing_block = CohomologySolution(
+        block_length=1, u={(1,): solution.u[(1,)]}, alpha=solution.alpha
+    )
+    with pytest.raises(DimensionMismatch):
+        verify_solution(system, cocycle, missing_block)
 
     finite_system = make_skew_system(FULL_2, C2, (1, 0))
     finite_cocycle = generate_cocycle(finite_system, block_range=1, seed=2)
@@ -337,7 +343,7 @@ from livsic import InvariantViolation, parse_system_document
 
 assert False, "this script must run under python -O"
 
-abelian.verify_solution = lambda *a, **k: abelian.VerificationReport(
+abelian._check_edges = lambda *a, **k: abelian.VerificationReport(
     certified=False, edges_checked=0, failures=()
 )
 matrix.verify_matrix_solution = lambda *a, **k: matrix.MatrixVerificationReport(
@@ -550,3 +556,52 @@ def test_exact_under_a_denominator_lcm_above_2_64():
         )
         assert psi_n_cyclic(system, witness.word) == system.group.identity
         assert pickle.loads(pickle.dumps(witness)) == witness
+
+
+def _corner_shifts():
+    """Full 2- and 3-shifts and seeded sparse irreducible shifts."""
+    shifts = [SftSpec.full_shift(2), SftSpec.full_shift(3)]
+    shifts += [random_irreducible_sft(rng_for(43, i), 2 + i % 3) for i in range(6)]
+    return shifts
+
+
+def test_free_abelian_product_graph_is_the_block_graph():
+    for i, sft in enumerate(_corner_shifts()):
+        d = 1 + i % 2
+        group = build_group(GroupSpec.free_abelian(d))
+        system = make_skew_system(sft, group, [(s,) * d for s in range(sft.k)])
+        for r in (1, 2):
+            pg = build_product_graph(system, r)
+            bg = build_block_graph(sft, r)
+            assert pg.order == 1 and pg.base == bg
+            assert pg.edge_tail == bg.edge_tail
+            assert pg.edge_head == bg.edge_head
+            assert pg.out_edges == bg.out_edges
+
+
+def test_trivial_group_and_flat_lattice_corners_agree():
+    c1 = build_group(GroupSpec.cyclic(1))
+    for i, sft in enumerate(_corner_shifts()):
+        finite = make_skew_system(sft, c1, (0,) * sft.k)
+        flat = make_skew_system(sft, Z1, ((0,),) * sft.k)
+        r = 1 + i % 2
+        cocycle = generate_cocycle(finite, block_range=r, seed=i)
+        a = solve_finite_gamma(finite, cocycle)
+        b = solve_free_abelian(flat, cocycle)
+        assert a.u == b.u
+        assert a.alpha is None and b.alpha == (Fraction(0),)
+        # No cycle weight sees the lattice, so alpha is pinned, not solved.
+        assert b.degenerate == abelian.DegenerateReport(
+            lattice_rank=0, lattice_diagonal=(), pinned_coordinates=(0,)
+        )
+
+        perturbed, _, _ = perturb_one_value(cocycle, rng_for(43, i))
+        for system, solve in ((finite, solve_finite_gamma), (flat, solve_free_abelian)):
+            with pytest.raises(CocycleObstruction) as err:
+                solve(system, perturbed)
+            witness = err.value.witness
+            assert isinstance(witness, ViolationWitness)
+            assert witness.total != 0
+            assert witness.total == witness.multiplicity * birkhoff_sum(
+                perturbed, witness.orbit
+            )

@@ -211,6 +211,43 @@ def test_verify_solution_roundtrip_and_tamper(capsys, tmp_path):
         assert failure["residual"] != "0"
 
 
+def _drop_a_block(doc):
+    del doc["u"][min(doc["u"])]
+
+
+def _drop_an_element(doc):
+    del doc["alpha"]["g"]
+
+
+def _other_alphabet(doc):
+    doc["k"] += 1
+
+
+@pytest.mark.parametrize(
+    "example, tamper",
+    [
+        ("full2-z.json", _drop_a_block),
+        ("gm-c2.json", _drop_a_block),
+        ("full2-c2-halfturn.json", _drop_a_block),
+        ("full2-c2-halfturn.json", _drop_an_element),
+        ("full2-z.json", _other_alphabet),
+        ("full2-c2-halfturn.json", _other_alphabet),
+    ],
+)
+def test_verify_solution_refuses_a_malformed_solution(capsys, tmp_path, example, tamper):
+    out = tmp_path / "solution.json"
+    assert _run(capsys, "solve", _example(example), "--out", out)[0] == 0
+    doc = json.loads(out.read_text())
+    tamper(doc)
+    out.write_text(json.dumps(doc))
+    code, payload, error = _run_json(
+        capsys, "verify-solution", _example(example), "--solution", out
+    )
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "DimensionMismatch"
+
+
 def test_verify_matrix_solution_roundtrip(capsys, tmp_path):
     out = tmp_path / "matrix-solution.json"
     code, _, _ = _run(
