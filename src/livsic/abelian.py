@@ -38,8 +38,10 @@ from .groups import gauss_jordan, smith_diagonal
 from .sft import (
     PeriodicOrbit,
     SftSpec,
+    SpanningTree,
     Word,
     _admissible_words,
+    _solution_block_graph,
     birkhoff_sum,
     build_block_graph,
     canonical_rotation,
@@ -47,7 +49,6 @@ from .sft import (
 )
 from .skew import (
     SkewSystem,
-    SpanningTree,
     build_product_graph,
     enumerate_trivial_class_orbits,
     product_scc_witness,
@@ -435,16 +436,7 @@ def verify_solution(
     the length of alpha do not fit the system; TorsionAlpha for a nonzero
     alpha over a finite group.
     """
-    r = solution.block_length
-    if r != cocycle.effective_block_length:
-        raise DimensionMismatch(
-            f"solution blocks have length {r}, cocycle needs {cocycle.effective_block_length}"
-        )
-    bg = build_block_graph(system.sft, r)
-    if solution.u.keys() != set(bg.vertices):
-        raise DimensionMismatch(
-            f"u must be defined on exactly the {len(bg.vertices)} admissible blocks"
-        )
+    bg = _solution_block_graph(system.sft, cocycle, solution)
     return _check_edges(system, cocycle, solution, bg)
 
 

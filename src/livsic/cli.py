@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from .abelian import (
 )
 from .errors import (
     AlphaNotConstant,
+    BadShape,
     CocycleObstruction,
     DimensionMismatch,
     DocumentError,
@@ -415,6 +417,16 @@ def _cmd_check_distortion(args, command_line: str) -> int:
     return 0 if verdict.status == "satisfied" else 1
 
 
+def _check_float_flags(args) -> None:
+    """A --tol must be finite and at least 0, a --theta finite."""
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadShape(f"--tol must be a finite number >= 0, got {tol}")
+    theta = getattr(args, "theta", 0.0)
+    if not math.isfinite(theta):
+        raise BadShape(f"--theta must be a finite number, got {theta}")
+
+
 _HANDLERS = {
     "validate": _cmd_validate,
     "check-transitivity": _cmd_check_transitivity,
@@ -434,6 +446,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command_line = " ".join(["livsic", *argv])
     try:
+        _check_float_flags(args)
         return _HANDLERS[args.command](args, command_line)
     except json.JSONDecodeError as exc:
         sys.stderr.write(

@@ -1,7 +1,7 @@
 """Matrix cocycles over finite extensions: solver, verifier, distortion.
 
 Values live in GL(m, R) as float64 arrays.  The solver runs on the same
-spanning-tree kernel as the exact rational ones (skew.SpanningTree):
+spanning-tree kernel as the exact rational ones (sft.SpanningTree):
 propagate a candidate transfer function along the tree of the product
 graph, then measure how badly every edge closes up.
 All comparisons are at an explicit tolerance and every reported witness
@@ -35,13 +35,15 @@ from .errors import (
 from .sft import (
     PeriodicOrbit,
     SftSpec,
+    SpanningTree,
     Word,
     _admissible_words,
+    _solution_block_graph,
     _word_count_estimate,
     build_block_graph,
     cyclic_fold,
 )
-from .skew import SkewSystem, SpanningTree, build_product_graph, product_scc_witness
+from .skew import SkewSystem, build_product_graph, product_scc_witness
 
 
 def _as_matrix(entry, dim: int | None) -> np.ndarray:
@@ -384,23 +386,21 @@ def verify_matrix_solution(
 ) -> MatrixVerificationReport:
     """Recheck reconstruction, alpha multiplicativity and alpha centrality.
 
-    u_inv, when given, is invert_blocks(solution.u) already computed by the
-    caller (for instance to scale tol), so u is inverted only once."""
+    DimensionMismatch when the block length, the blocks u is defined on,
+    the names alpha is keyed by or the size of a u or alpha matrix do not
+    fit the system and cocycle.  u_inv, when given, is
+    invert_blocks(solution.u) already computed by the caller (for instance
+    to scale tol), so u is inverted only once."""
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
-    r = solution.block_length
-    if r != cocycle.effective_block_length:
-        raise DimensionMismatch(
-            f"solution blocks have length {r}, cocycle needs {cocycle.effective_block_length}"
-        )
-    bg = build_block_graph(system.sft, r)
-    if solution.u.keys() != set(bg.vertices):
-        raise DimensionMismatch(
-            f"u must be defined on exactly the {len(bg.vertices)} admissible blocks"
-        )
+    bg = _solution_block_graph(system.sft, cocycle, solution)
     if solution.alpha.keys() != set(group.names):
         raise DimensionMismatch("alpha must be keyed by exactly the group's element names")
+    dim = cocycle.dim
+    for name, mats in (("u", solution.u), ("alpha", solution.alpha)):
+        if any(m.shape != (dim, dim) for m in mats.values()):
+            raise DimensionMismatch(f"{name} matrices must be {dim}x{dim}, as the cocycle's are")
     rf = cocycle.block_range
     if u_inv is None:
         u_inv = invert_blocks(solution.u)

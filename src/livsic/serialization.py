@@ -9,6 +9,7 @@ tests rely on.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -74,6 +75,23 @@ def _as_int(value, pointer: str, *, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         _fail(pointer, f"must be at least {minimum}")
     return value
+
+
+def _get_int_list(doc, key: str, pointer: str) -> tuple[int, ...]:
+    raw = _get(doc, key, pointer)
+    if not isinstance(raw, list):
+        _fail(f"{pointer}/{key}", "expected a list of integers")
+    return tuple(_as_int(x, f"{pointer}/{key}/{i}") for i, x in enumerate(raw))
+
+
+def _get_number(doc, key: str, pointer: str, default: float | None = None) -> float:
+    """doc[key] as a finite float; a missing key reads as default if one is given."""
+    value = _get(doc, key, pointer) if default is None else doc.get(key, default)
+    # NaN fails the comparison; an int too large for a float fails it too.
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        _fail(f"{pointer}/{key}", "expected a finite number")
+    return float(value)
 
 
 def parse_rational(value, pointer: str) -> Fraction:
@@ -495,14 +513,8 @@ def _parse_rational_solution(doc, k: int, block_length: int) -> CohomologySoluti
                 _get(deg_doc, "lattice_rank", "/degenerate"),
                 "/degenerate/lattice_rank",
             ),
-            lattice_diagonal=tuple(
-                _as_int(x, "/degenerate/lattice_diagonal")
-                for x in _get(deg_doc, "lattice_diagonal", "/degenerate")
-            ),
-            pinned_coordinates=tuple(
-                _as_int(x, "/degenerate/pinned_coordinates")
-                for x in _get(deg_doc, "pinned_coordinates", "/degenerate")
-            ),
+            lattice_diagonal=_get_int_list(deg_doc, "lattice_diagonal", "/degenerate"),
+            pinned_coordinates=_get_int_list(deg_doc, "pinned_coordinates", "/degenerate"),
         )
     certificate = None
     cert_doc = doc.get("certification")
@@ -549,9 +561,6 @@ def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
         if mat.shape != (dim, dim):
             _fail(f"/alpha/{name}", f"expected a {dim}x{dim} matrix")
         alpha[name] = mat
-    tol = _get(doc, "tolerance", "")
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-        _fail("/tolerance", "expected a number")
     certificate = None
     cert_doc = doc.get("certification")
     if cert_doc is not None:
@@ -561,20 +570,18 @@ def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
                 _get(cert_doc, "edges_checked", "/certification"),
                 "/certification/edges_checked",
             ),
-            max_residual=float(_get(cert_doc, "max_residual", "/certification")),
-            hom_defect=float(_get(cert_doc, "hom_defect", "/certification")),
-            centrality_defect=float(
-                _get(cert_doc, "centrality_defect", "/certification")
-            ),
-            tol=float(_get(cert_doc, "tolerance", "/certification")),
+            max_residual=_get_number(cert_doc, "max_residual", "/certification"),
+            hom_defect=_get_number(cert_doc, "hom_defect", "/certification"),
+            centrality_defect=_get_number(cert_doc, "centrality_defect", "/certification"),
+            tol=_get_number(cert_doc, "tolerance", "/certification"),
         )
     return MatrixSolution(
         block_length=block_length,
         u=u,
         alpha=alpha,
-        alpha_constancy_defect=float(doc.get("alpha_constancy_defect", 0.0)),
-        max_residual=float(doc.get("max_residual", 0.0)),
-        tol=float(tol),
+        alpha_constancy_defect=_get_number(doc, "alpha_constancy_defect", "", 0.0),
+        max_residual=_get_number(doc, "max_residual", "", 0.0),
+        tol=_get_number(doc, "tolerance", ""),
         certificate=certificate,
     )
 

@@ -16,6 +16,7 @@ from operator import add
 from .errors import (
     BadShape,
     DeadSymbol,
+    DimensionMismatch,
     InadmissibleWord,
     NotIrreducible,
     RangeTooLarge,
@@ -78,8 +79,9 @@ class ValidationReport:
 def validate_sft(spec: SftSpec) -> ValidationReport:
     """Check shape, absence of dead symbols and irreducibility.
 
-    Raises BadShape, DeadSymbol or NotIrreducible.  The report records the
-    cyclic period of the transition graph; irreducibility is required, so a
+    Raises BadShape, DeadSymbol or NotIrreducible, and RangeTooLarge when
+    the symbols outnumber the state cap.  The report records the cyclic
+    period of the transition graph; irreducibility is required, so a
     returned report always has ``irreducible=True``.
     """
     if spec.k < 1:
@@ -98,65 +100,16 @@ def validate_sft(spec: SftSpec) -> ValidationReport:
         if not any(spec.transitions[b - 1][a - 1] for b in range(1, spec.k + 1)):
             raise DeadSymbol(a, "predecessor")
 
-    succ = [tuple(b - 1 for b in spec.successors(a)) for a in range(1, spec.k + 1)]
-    gap = _unreachable_pair(succ)
+    tree = SpanningTree(build_block_graph(spec, 1))
+    gap = tree.unreachable_pair()
     if gap is not None:
         raise NotIrreducible((gap[0] + 1, gap[1] + 1))
-
-    # Cyclic period: gcd of (dist[u] + 1 - dist[v]) over edges u -> v.
-    dist = [None] * spec.k
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for w in succ[v]:
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    period = 0
-    for v in range(spec.k):
-        for w in succ[v]:
-            period = gcd(period, dist[v] + 1 - dist[w])
-    period = abs(period)
-    if period == 0:
-        period = 1
+    # Cyclic period: gcd of (depth[t] + 1 - depth[h]) over edges t -> h.
+    # Every cycle has positive length, so some term is nonzero.
+    depth = tree.potentials(0, lambda e, p: p + 1)
+    edges = zip(tree.graph.edge_tail, tree.graph.edge_head)
+    period = gcd(*(depth[t] + 1 - depth[h] for t, h in edges))
     return ValidationReport(irreducible=True, aperiodic=period == 1, period=period)
-
-
-def _reachable_from(succ, start: int) -> set[int]:
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-def _unreachable_pair(succ) -> tuple[int, int] | None:
-    """None when the nonempty graph with successor lists succ is strongly
-    connected, otherwise the first ordered pair (i, j) with no path i -> j.
-
-    The graph is strongly connected exactly when vertex 0 reaches every
-    vertex and every vertex reaches 0.  When 0 reaches every vertex, the
-    vertices that reach everything are those that reach 0, so the first
-    i is the least vertex outside the reverse search from 0.
-    """
-    n = len(succ)
-    i, reach = 0, _reachable_from(succ, 0)
-    if len(reach) == n:
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for v, ws in enumerate(succ):
-            for w in ws:
-                pred[w].append(v)
-        back = _reachable_from(pred, 0)
-        if len(back) == n:
-            return None
-        i = next(v for v in range(n) if v not in back)
-        reach = _reachable_from(succ, i)
-    return i, next(j for j in range(n) if j not in reach)
 
 
 @dataclass(frozen=True)
@@ -176,12 +129,8 @@ class BlockGraph:
     edge_head: tuple[int, ...]
     out_edges: tuple[tuple[int, ...], ...]
 
-    def successors(self, v: int) -> list[int]:
-        return [self.edge_head[e] for e in self.out_edges[v]]
-
     def is_strongly_connected(self) -> bool:
-        succ = [self.successors(v) for v in range(len(self.vertices))]
-        return bool(succ) and _unreachable_pair(succ) is None
+        return bool(self.vertices) and SpanningTree(self).strongly_connected
 
 
 def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
@@ -229,6 +178,173 @@ def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
         edge_head=tuple(heads),
         out_edges=tuple(tuple(x) for x in out),
     )
+
+
+def _solution_block_graph(spec: SftSpec, cocycle, solution) -> BlockGraph:
+    """The block graph a solution's u lives on, for a verifier.
+
+    DimensionMismatch when the solution's block length is not the one the
+    cocycle needs or u is not keyed by exactly the admissible blocks.
+    """
+    r = solution.block_length
+    if r != cocycle.effective_block_length:
+        raise DimensionMismatch(
+            f"solution blocks have length {r}, cocycle needs {cocycle.effective_block_length}"
+        )
+    bg = build_block_graph(spec, r)
+    if solution.u.keys() != set(bg.vertices):
+        raise DimensionMismatch(
+            f"u must be defined on exactly the {len(bg.vertices)} admissible blocks"
+        )
+    return bg
+
+
+class SpanningTree:
+    """Breadth-first arborescence from vertex 0 and shortest returns to it.
+
+    Works on any graph with out_edges, edge_tail and edge_head (block and
+    product graphs).  parent[v] is the tree edge into v, visit the BFS
+    order, and next_edge[v] the first edge of a shortest path from v back
+    to vertex 0.  Edge and vertex orders fix every choice, so potentials
+    and walks are deterministic.  strongly_connected is True when both
+    searches reach every vertex; potentials and walks need it.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        n = len(graph.out_edges)
+        self.parent, self.visit = _bfs_edges(graph.out_edges, graph.edge_head, 0)
+        in_edges: list[list[int]] = [[] for _ in range(n)]
+        for e, h in enumerate(graph.edge_head):
+            in_edges[h].append(e)
+        self.next_edge, back = _bfs_edges(in_edges, graph.edge_tail, 0)
+        self.strongly_connected = len(self.visit) == n == len(back)
+
+    def unreachable_pair(self) -> tuple[int, int] | None:
+        """None when the graph is strongly connected, otherwise the first
+        ordered pair (i, j) with no path i -> j.
+
+        When vertex 0 misses some vertex, i = 0.  Otherwise the vertices
+        that reach everything are those that reach 0, so i is the least
+        vertex with no return to 0, and one more search from i finds j.
+        """
+        if self.strongly_connected:
+            return None
+        i, reached = 0, self.parent
+        if len(self.visit) == len(self.parent):
+            i = self.next_edge.index(None, 1)
+            reached, _ = _bfs_edges(self.graph.out_edges, self.graph.edge_head, i)
+        j = next(j for j, e in enumerate(reached) if e is None and j != i)
+        return i, j
+
+    def potentials(self, start, step) -> list:
+        """pot[0] = start and pot[head e] = step(e, pot[tail e]) on tree edges.
+
+        Covers Q and Z^d under + and GL(m) under left multiplication.
+        """
+        pot = [None] * len(self.parent)
+        pot[0] = start
+        tail = self.graph.edge_tail
+        for v in self.visit[1:]:
+            e = self.parent[v]
+            pot[v] = step(e, pot[tail[e]])
+        return pot
+
+    def walks(self, e: int) -> tuple[list[int], list[int]]:
+        """The closed walks root->tail.e.head->root and root->head->root.
+
+        Their weights differ by exactly the closure defect of edge e.
+        """
+        tail, head = self.graph.edge_tail, self.graph.edge_head
+        back = []
+        v = head[e]
+        while self.next_edge[v] is not None:
+            back.append(self.next_edge[v])
+            v = head[back[-1]]
+        return self._from_root(tail[e]) + [e] + back, self._from_root(head[e]) + back
+
+    def _from_root(self, v: int) -> list[int]:
+        path = []
+        while self.parent[v] is not None:
+            path.append(self.parent[v])
+            v = self.graph.edge_tail[path[-1]]
+        path.reverse()
+        return path
+
+    def witness(self, e: int, score) -> tuple[list[int], Word, int]:
+        """Short closed word through a closure defect at edge e.
+
+        Takes the higher-scoring of walks(e), trims it to its first simple
+        cycle with positive score (keeping the whole walk when there is
+        none), and returns (cycle, least rotation of the primitive core of
+        its projected word, multiplicity of that core).  Needs a graph with
+        project_cycle, i.e. a product graph.
+        """
+        walk = max(self.walks(e), key=score)
+        cycle = find_violating_cycle(walk, self.graph.edge_head, 0, score)
+        if cycle is None or score(cycle) <= 0:
+            cycle = walk
+        core, mult = primitive_root(self.graph.project_cycle(cycle))
+        return cycle, canonical_rotation(core), mult
+
+
+def _bfs_edges(edges_at, far_end, start: int):
+    """BFS from vertex start, where edges_at[v] lists the edges to follow
+    from v and far_end[e] is the vertex edge e leads to.
+
+    Returns (the edge each vertex was first reached by, None at start and
+    at every vertex not reached; the visit order).
+    """
+    n = len(edges_at)
+    via: list[int | None] = [None] * n
+    seen = [False] * n
+    seen[start] = True
+    order = [start]
+    for v in order:
+        for e in edges_at[v]:
+            w = far_end[e]
+            if not seen[w]:
+                seen[w] = True
+                via[w] = e
+                order.append(w)
+    return via, order
+
+
+def find_violating_cycle(walk_edges, edge_head, start: int, score):
+    """Extract a simple cycle with positive score from a closed walk.
+
+    The walk is scanned left to right; whenever a vertex repeats, the
+    enclosed simple cycle is scored.  A positively scored cycle is returned
+    at once; zero or negative cycles are spliced out and the scan continues.
+    Returns the best-scoring cycle seen if none is positive, or None for an
+    empty walk.  ``score`` maps an edge-id list to a number; exact callers
+    use 1 for violating and 0 for clean cycles.
+    """
+    pos = {start: 0}
+    stack_vertices = [start]
+    stack_edges: list[int] = []
+    best = None
+    best_score = None
+    for e in walk_edges:
+        stack_edges.append(e)
+        v = edge_head[e]
+        if v in pos:
+            i = pos[v]
+            seg = stack_edges[i:]
+            s = score(seg)
+            if s > 0:
+                return seg
+            if best_score is None or s > best_score:
+                best_score = s
+                best = seg
+            for u in stack_vertices[i + 1 :]:
+                del pos[u]
+            del stack_vertices[i + 1 :]
+            del stack_edges[i:]
+        else:
+            pos[v] = len(stack_vertices)
+            stack_vertices.append(v)
+    return best
 
 
 @dataclass(frozen=True, order=True, slots=True)

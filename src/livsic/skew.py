@@ -23,12 +23,10 @@ from .sft import (
     BlockGraph,
     PeriodicOrbit,
     SftSpec,
+    SpanningTree,
     Word,
-    _unreachable_pair,
     build_block_graph,
     by_period,
-    canonical_rotation,
-    primitive_root,
     walk_primitive_orbits,
 )
 
@@ -196,148 +194,15 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic graph plumbing shared by the cohomology solvers: one
-# strong-connectivity witness for product graphs and one spanning-tree
-# kernel that gives abelian._solve_cover (behind solve_finite_gamma and
-# solve_free_abelian) and solve_matrix_finite their potentials and their
-# closed witness walks.
+# Strong connectivity of product graphs, read from sft.SpanningTree, the
+# one graph search of validate_sft, check_transitivity and the solvers.
 
 
 def product_scc_witness(pg: ProductGraph):
     """None if the product graph is strongly connected, otherwise the first
     ordered pair of product vertices (as labels) with no connecting path."""
-    gap = _unreachable_pair([[pg.edge_head[e] for e in out] for out in pg.out_edges])
+    gap = SpanningTree(pg).unreachable_pair()
     return None if gap is None else tuple(map(pg.vertex_label, gap))
-
-
-class SpanningTree:
-    """Breadth-first arborescence from vertex 0 and shortest returns to it.
-
-    Works on any graph with out_edges, edge_tail and edge_head (block and
-    product graphs).  parent[v] is the tree edge into v, visit the BFS
-    order, and next_edge[v] the first edge of a shortest path from v back
-    to vertex 0.  Edge and vertex orders fix every choice, so potentials
-    and walks are deterministic.  strongly_connected is True when both
-    searches reach every vertex; potentials and walks need it.
-    """
-
-    def __init__(self, graph):
-        self.graph = graph
-        n = len(graph.out_edges)
-        self.parent, self.visit = _bfs_edges(n, graph.out_edges, graph.edge_head)
-        in_edges: list[list[int]] = [[] for _ in range(n)]
-        for e, h in enumerate(graph.edge_head):
-            in_edges[h].append(e)
-        self.next_edge, back = _bfs_edges(n, in_edges, graph.edge_tail)
-        self.strongly_connected = len(self.visit) == n == len(back)
-
-    def potentials(self, start, step) -> list:
-        """pot[0] = start and pot[head e] = step(e, pot[tail e]) on tree edges.
-
-        Covers Q and Z^d under + and GL(m) under left multiplication.
-        """
-        pot = [None] * len(self.parent)
-        pot[0] = start
-        tail = self.graph.edge_tail
-        for v in self.visit[1:]:
-            e = self.parent[v]
-            pot[v] = step(e, pot[tail[e]])
-        return pot
-
-    def walks(self, e: int) -> tuple[list[int], list[int]]:
-        """The closed walks root->tail.e.head->root and root->head->root.
-
-        Their weights differ by exactly the closure defect of edge e.
-        """
-        tail, head = self.graph.edge_tail, self.graph.edge_head
-        back = []
-        v = head[e]
-        while self.next_edge[v] is not None:
-            back.append(self.next_edge[v])
-            v = head[back[-1]]
-        return self._from_root(tail[e]) + [e] + back, self._from_root(head[e]) + back
-
-    def _from_root(self, v: int) -> list[int]:
-        path = []
-        while self.parent[v] is not None:
-            path.append(self.parent[v])
-            v = self.graph.edge_tail[path[-1]]
-        path.reverse()
-        return path
-
-    def witness(self, e: int, score) -> tuple[list[int], Word, int]:
-        """Short closed word through a closure defect at edge e.
-
-        Takes the higher-scoring of walks(e), trims it to its first simple
-        cycle with positive score (keeping the whole walk when there is
-        none), and returns (cycle, least rotation of the primitive core of
-        its projected word, multiplicity of that core).  Needs a graph with
-        project_cycle, i.e. a product graph.
-        """
-        walk = max(self.walks(e), key=score)
-        cycle = find_violating_cycle(walk, self.graph.edge_head, 0, score)
-        if cycle is None or score(cycle) <= 0:
-            cycle = walk
-        core, mult = primitive_root(self.graph.project_cycle(cycle))
-        return cycle, canonical_rotation(core), mult
-
-
-def _bfs_edges(n: int, edges_at, far_end):
-    """BFS from vertex 0, where edges_at[v] lists the edges to follow from v
-    and far_end[e] is the vertex edge e leads to.
-
-    Returns (the edge each vertex was first reached by, None at vertex 0;
-    the visit order).
-    """
-    via: list[int | None] = [None] * n
-    seen = [False] * n
-    seen[0] = True
-    order = [0]
-    for v in order:
-        for e in edges_at[v]:
-            w = far_end[e]
-            if not seen[w]:
-                seen[w] = True
-                via[w] = e
-                order.append(w)
-    return via, order
-
-
-def find_violating_cycle(walk_edges, edge_head, start: int, score):
-    """Extract a simple cycle with positive score from a closed walk.
-
-    The walk is scanned left to right; whenever a vertex repeats, the
-    enclosed simple cycle is scored.  A positively scored cycle is returned
-    at once; zero or negative cycles are spliced out and the scan continues.
-    Returns the best-scoring cycle seen if none is positive, or None for an
-    empty walk.  ``score`` maps an edge-id list to a number; exact callers
-    use 1 for violating and 0 for clean cycles.
-    """
-    pos = {start: 0}
-    stack_vertices = [start]
-    stack_edges: list[int] = []
-    best = None
-    best_score = None
-    for e in walk_edges:
-        stack_edges.append(e)
-        v = edge_head[e]
-        if v in pos:
-            i = pos[v]
-            seg = stack_edges[i:]
-            s = score(seg)
-            if s > 0:
-                return seg
-            if best_score is None or s > best_score:
-                best_score = s
-                best = seg
-            for u in stack_vertices[i + 1 :]:
-                del pos[u]
-            del stack_vertices[i + 1 :]
-            del stack_edges[i:]
-        else:
-            pos[v] = len(stack_vertices)
-            stack_vertices.append(v)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ from corpus import (
     rng_for,
     s3_group,
 )
-from livsic.skew import SpanningTree, build_product_graph
+from livsic.sft import SpanningTree
+from livsic.skew import build_product_graph
 
 FULL_2 = SftSpec.full_shift(2)
 Z1 = build_group(GroupSpec.free_abelian(1))

@@ -223,6 +223,15 @@ def _other_alphabet(doc):
     doc["k"] += 1
 
 
+def _other_dim(doc):
+    # Every matrix gains a trailing identity block, so the document parses.
+    n = doc["dim"]
+    doc["dim"] = n + 1
+    for table in (doc["u"], doc["alpha"]):
+        for key, mat in table.items():
+            table[key] = [row + [0.0] for row in mat] + [[0.0] * n + [1.0]]
+
+
 @pytest.mark.parametrize(
     "example, tamper",
     [
@@ -232,6 +241,7 @@ def _other_alphabet(doc):
         ("full2-c2-halfturn.json", _drop_an_element),
         ("full2-z.json", _other_alphabet),
         ("full2-c2-halfturn.json", _other_alphabet),
+        ("full2-c2-halfturn.json", _other_dim),
     ],
 )
 def test_verify_solution_refuses_a_malformed_solution(capsys, tmp_path, example, tamper):
@@ -313,6 +323,36 @@ def test_verify_matrix_solution_inverts_u_once(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert error["error"] == "SingularMatrix"
     assert error["message"].startswith("u at (2,): determinant")
+
+
+@pytest.mark.parametrize(
+    "command, example, flag, value",
+    [
+        ("check-distortion", "full2-diag-sl2.json", "--theta", "nan"),
+        ("check-distortion", "full2-diag-sl2.json", "--theta", "inf"),
+        ("solve", "full2-c2-halfturn.json", "--tol", "inf"),
+        ("solve", "full2-c2-halfturn.json", "--tol", "nan"),
+        ("solve", "full2-c2-halfturn.json", "--tol", "-1"),
+        ("verify-solution", "full2-c2-halfturn.json", "--tol", "nan"),
+        ("verify-solution", "full2-c2-halfturn.json", "--tol", "-0.5"),
+    ],
+)
+def test_non_finite_or_negative_flags_are_refused(
+    capsys, tmp_path, command, example, flag, value
+):
+    extra = []
+    if command == "verify-solution":
+        out = tmp_path / "solution.json"
+        assert _run(capsys, "solve", _example(example), "--out", out)[0] == 0
+        extra = ["--solution", out]
+    code, payload, error = _run_json(
+        capsys, command, _example(example), *extra, flag, value
+    )
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "BadShape"
+    assert flag in error["message"]
+
 
 def test_generate_reproduces_committed_document(capsys):
     code, stdout, _ = _run(

@@ -216,6 +216,59 @@ def test_solution_document_error_pointers():
         parse_solution_document(base)
     assert err.value.pointer == "/u/112"
 
+    # Numbers and integer lists of a well-formed document, one at a time
+    # replaced by a value of the wrong type, fail at their own pointer.
+    rational = dict(base, u={"1": "0", "2": "1/2"}, alpha=["1"])
+    rational["degenerate"] = {
+        "lattice_rank": 0, "lattice_diagonal": [], "pinned_coordinates": [0]
+    }
+    cert = {"certified": True, "edges_checked": 4, "max_residual": 0.0}
+    cert.update(hom_defect=0.0, centrality_defect=0.0, tolerance=1e-9)
+    matrix = {
+        "kind": "matrix",
+        "k": 2,
+        "block_length": 1,
+        "dim": 1,
+        "u": {"1": [[1.0]], "2": [[2.0]]},
+        "alpha": {"e": [[1.0]]},
+        "alpha_constancy_defect": 0.0,
+        "max_residual": 0.0,
+        "tolerance": 1e-9,
+        "certification": cert,
+        "provenance": make_provenance("test"),
+    }
+    numbers = [
+        ("certification", "max_residual"),
+        ("certification", "hom_defect"),
+        ("certification", "centrality_defect"),
+        ("certification", "tolerance"),
+        ("alpha_constancy_defect",),
+        ("max_residual",),
+        ("tolerance",),
+    ]
+    lists = [("degenerate", "lattice_diagonal"), ("degenerate", "pinned_coordinates")]
+    cases = [
+        (matrix, path, bad)
+        for path in numbers
+        for bad in ("0.5", [0.5], None, True, math.inf, 10**400)
+    ]
+    cases += [(rational, path, bad) for path in lists for bad in ("0", 3, None, {"0": 1})]
+    for good, path, bad in cases:
+        parse_solution_document(good)
+        doc = json.loads(json.dumps(good))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        with pytest.raises(DocumentError) as err:
+            parse_solution_document(doc)
+        assert err.value.pointer == "/" + "/".join(path), (path, bad)
+    doc = json.loads(json.dumps(rational))
+    doc["degenerate"]["pinned_coordinates"] = [0, "1"]
+    with pytest.raises(DocumentError) as err:
+        parse_solution_document(doc)
+    assert err.value.pointer == "/degenerate/pinned_coordinates/1"
+
 
 def test_error_doc_payloads():
     doc = _load("bad-reducible.json")

@@ -53,6 +53,13 @@ def test_validate_bipartite_period():
     assert report.period == 2
 
 
+def test_validate_refuses_more_symbols_than_the_state_cap(monkeypatch):
+    monkeypatch.setenv("LIVSIC_MAX_STATES", "2")
+    assert validate_sft(FULL_2).period == 1
+    with pytest.raises(RangeTooLarge):
+        validate_sft(SftSpec.full_shift(3))
+
+
 def test_validate_rejects_bad_shapes():
     with pytest.raises(BadShape):
         validate_sft(SftSpec(k=2, transitions=((1, 1),)))

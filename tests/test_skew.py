@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -32,13 +33,9 @@ from livsic import (
     subgroup_rank_and_index,
     validate_sft,
 )
-from livsic.oracles import brute_transitivity
-from livsic.skew import (
-    _dual_rays,
-    find_violating_cycle,
-    orbit_weights,
-    product_scc_witness,
-)
+from livsic.oracles import brute_periodic_census, brute_transitivity
+from livsic.sft import SpanningTree, find_violating_cycle
+from livsic.skew import _dual_rays, orbit_weights, product_scc_witness
 from corpus import (
     random_finite_group,
     random_irreducible_sft,
@@ -378,7 +375,11 @@ def test_strong_connectivity_matches_brute_closure():
         spec = _random_sft_without_dead_symbols(rng, k)
         gap = _first_gap([[b - 1 for b in spec.successors(a)] for a in range(1, k + 1)])
         if gap is None:
-            assert validate_sft(spec).irreducible
+            report = validate_sft(spec)
+            assert report.irreducible
+            # Simple cycles have length <= k, and their lengths fix the period.
+            lengths = [n for n in range(1, k + 1) if brute_periodic_census(spec, n)]
+            assert report.period == gcd(*lengths)
         else:
             reducible += 1
             with pytest.raises(NotIrreducible) as err:
@@ -386,8 +387,10 @@ def test_strong_connectivity_matches_brute_closure():
             assert err.value.witness == (gap[0] + 1, gap[1] + 1)
         for r in (1, 2):
             bg = build_block_graph(spec, r)
-            succ = [bg.successors(v) for v in range(len(bg.vertices))]
-            assert bg.is_strongly_connected() == (_first_gap(succ) is None)
+            succ = [[bg.edge_head[e] for e in out] for out in bg.out_edges]
+            bg_gap = _first_gap(succ)
+            assert bg.is_strongly_connected() == (bg_gap is None)
+            assert SpanningTree(bg).unreachable_pair() == bg_gap
 
         group = random_finite_group(rng)
         system = make_skew_system(
