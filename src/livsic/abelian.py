@@ -8,10 +8,10 @@ One kernel, _solve_cover, solves for a deck group Z^d x F: it works on
 the product graph over the finite factor F and carries Z^d potentials of
 width d.  solve_finite_gamma names its d = 0 corner (alpha vanishes by
 torsion) and solve_free_abelian its |F| = 1 corner (the product graph is
-the block graph).  The kernel scales f by the lcm of its denominators and
-propagates integer potentials; Fraction appears at the boundary (u, the
-elimination, certification and witness totals), so a returned solution is
-a certificate and a returned obstruction is a counterexample.
+the block graph).  The kernel scales f by the lcm of its denominators,
+propagates integer potentials and eliminates in ints; Fraction appears
+only for u, alpha, certification and witness totals, so a returned
+solution is a certificate and a returned obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -20,11 +20,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import (
-    DEFAULT_MAX_STATES,
     CocycleObstruction,
     DimensionMismatch,
     InvalidCocycle,
@@ -219,8 +218,9 @@ def _solve_cover(
     f-potentials, scaled by the lcm of f's denominators, and Z^d
     potentials of width d; each edge's closure defect is scale * f minus
     the potential's rise.  With d = 0 the first nonzero defect is the
-    obstruction; with d > 0 the non-tree edges give the rows
-    alpha . rho_psi = defect / scale for gauss_jordan.
+    obstruction; with d > 0 each non-tree edge gives an integer row
+    (rho_psi, defect), and gauss_jordan's pivot rows give
+    alpha = rhs / (pivot * scale).
     """
     group = system.group
     d = 0 if group.is_finite else group.rank
@@ -230,7 +230,7 @@ def _solve_cover(
     if not tree.strongly_connected:
         if d:
             raise NotStronglyConnected("block graph is not strongly connected")
-        raise NotTransitiveError(product_scc_witness(pg))
+        raise NotTransitiveError(product_scc_witness(tree))
 
     order = pg.order
     base_weights, scale = _scaled_weights(cocycle, pg.base.edges)
@@ -276,7 +276,7 @@ def _solve_cover(
                 ))
         alpha = [Fraction(0)] * d
         for row_i, col in enumerate(pivots):
-            alpha[col] = reduced[row_i][d] / scale
+            alpha[col] = Fraction(reduced[row_i][d], reduced[row_i][col] * scale)
         free_cols = tuple(c for c in range(d) if c not in pivots)
         if free_cols:
             diag = smith_diagonal([row[:d] for row in rows], d)
@@ -333,17 +333,17 @@ def _drift_table(system: SkewSystem, alpha) -> list[Fraction] | None:
 def _inconsistency_certificate(system, tree, edges, combo, steps, walk_sum):
     """Turn a vanishing row combination into closed-word evidence.
 
-    combo maps row positions (indices into edges) to rational coefficients;
+    combo maps row positions (indices into edges) to integer coefficients;
     steps[e] is the lattice step of edge e and walk_sum(walk) the exact sum
     of f along a walk.
     """
     pg = tree.graph
-    denom_lcm = lcm(*(c.denominator for c in combo.values() if c))
+    content = gcd(*combo.values())
 
     plus: list[int] = []
     minus: list[int] = []
     for i, c in sorted(combo.items()):
-        nmul = int(c * denom_lcm)
+        nmul = c // content
         if nmul:
             walk, shadow = tree.walks(edges[i])
             if nmul < 0:
@@ -391,6 +391,7 @@ def _closing_walk(system, bg, target):
     if not any(target):
         return []
     d = system.group.rank
+    cap = max_states_cap()
     bound = max(8, 2 * max(map(abs, target)))
     side = 2 * bound + 1
     digits = [side**i for i in range(d)]
@@ -421,7 +422,7 @@ def _closing_walk(system, bg, target):
                     walk.append(edge)
                 walk.reverse()
                 return walk
-            if len(prev) > DEFAULT_MAX_STATES:
+            if len(prev) > cap:
                 return None
             queue.append((nstate, h, noff))
     return None

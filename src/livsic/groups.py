@@ -7,7 +7,6 @@ their group around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadShape,
@@ -329,20 +328,24 @@ def smith_diagonal(rows, width: int) -> tuple[int, ...]:
 
 
 def gauss_jordan(rows, width: int):
-    """Exact Gauss-Jordan reduction of rational rows on their first width columns.
+    """Fraction-free Gauss-Jordan reduction of integer rows on their first width columns.
 
-    Entries past the first width (a right-hand side, say) are carried
-    along but never pivoted on.  Returns (reduced, provenance, pivots):
-    the reduced rows, pivot rows first in pivot order and the rest in the
-    order the pivot swaps leave them; for each reduced row a dict
-    {original row index: coefficient} whose combination of the input rows
-    it equals; and the pivot columns.  At most width rows are ever
-    pivots, so a provenance holds at most width + 1 entries and the work
-    is O(m * width^2).
+    Bareiss's step r <- (p * r - r[col] * q) // prev, on every row r but the
+    pivot row q, divides exactly (Math. Comp. 22, 1968); p is the pivot,
+    made positive by negating q and its provenance, and prev the one before
+    (1 at first).  So every pivot row holds the same pivot value, and each
+    reduced row and provenance is that value times its rational row.
+    Entries past the first width (a right-hand side, say) are carried along
+    but never pivoted on.  Returns (reduced, provenance, pivots): the
+    reduced rows, pivot rows first in pivot order and the rest in the order
+    the pivot swaps leave them; for each reduced row a dict {original row
+    index: int coefficient} whose combination of the input rows it equals;
+    and the pivot columns.  A provenance holds at most width + 1 entries.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     prov = [{i: 1} for i in range(len(mat))]
     pivots: list[int] = []
+    prev = 1
     for col in range(width):
         rank = len(pivots)
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
@@ -350,16 +353,19 @@ def gauss_jordan(rows, width: int):
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prov[rank], prov[pivot] = prov[pivot], prov[rank]
-        inv = 1 / mat[rank][col]
-        prow = mat[rank] = [x * inv for x in mat[rank]]
-        pprov = prov[rank] = {j: c * inv for j, c in prov[rank].items()}
-        for i, row in enumerate(mat):
-            factor = row[col]
-            if factor and i != rank:
-                mat[i] = [a - factor * b for a, b in zip(row, prow)]
-                combo = prov[i]
-                for j, c in pprov.items():
-                    combo[j] = combo.get(j, 0) - factor * c
+        sign = 1 if mat[rank][col] > 0 else -1
+        prow = mat[rank] = [sign * x for x in mat[rank]]
+        pprov = prov[rank] = {j: sign * c for j, c in prov[rank].items()}
+        p = prow[col]
+        for i, (row, combo) in enumerate(zip(mat, prov)):
+            if i != rank:
+                f = row[col]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+                prov[i] = {
+                    j: (p * combo.get(j, 0) - f * pprov.get(j, 0)) // prev
+                    for j in combo | pprov
+                }
+        prev = p
         pivots.append(col)
     return mat, prov, tuple(pivots)
 

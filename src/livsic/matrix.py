@@ -273,7 +273,7 @@ def solve_matrix_finite(
     n = pg.n_vertices
     tree = SpanningTree(pg)
     if not tree.strongly_connected:
-        raise NotTransitiveError(product_scc_witness(pg))
+        raise NotTransitiveError(product_scc_witness(tree))
 
     rf = cocycle.block_range
     order = pg.order

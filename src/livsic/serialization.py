@@ -87,10 +87,16 @@ def _get_int_list(doc, key: str, pointer: str) -> tuple[int, ...]:
 def _get_number(doc, key: str, pointer: str, default: float | None = None) -> float:
     """doc[key] as a finite float; a missing key reads as default if one is given."""
     value = _get(doc, key, pointer) if default is None else doc.get(key, default)
-    # NaN fails the comparison; an int too large for a float fails it too.
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
-        _fail(f"{pointer}/{key}", "expected a finite number")
+    return _as_finite_float(value, f"{pointer}/{key}")
+
+
+def _as_finite_float(value, pointer: str) -> float:
+    """A JSON number or parsed rational as a finite float.  NaN fails the
+    comparison, and so does an int or Fraction too large for a float,
+    where float() would raise OverflowError."""
+    number = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        _fail(pointer, "expected a finite number")
     return float(value)
 
 
@@ -279,14 +285,14 @@ def _parse_matrix(raw, pointer: str) -> list[list[float]]:
             _fail(f"{pointer}/{i}", "ragged matrix")
         out_row = []
         for j, cell in enumerate(row):
+            at = f"{pointer}/{i}/{j}"
             if isinstance(cell, bool):
-                _fail(f"{pointer}/{i}/{j}", "expected a number")
-            if isinstance(cell, (int, float)):
-                out_row.append(float(cell))
-            elif isinstance(cell, str):
-                out_row.append(float(parse_rational(cell, f"{pointer}/{i}/{j}")))
-            else:
-                _fail(f"{pointer}/{i}/{j}", "expected a number or rational string")
+                _fail(at, "expected a number")
+            if isinstance(cell, str):
+                cell = parse_rational(cell, at)
+            elif not isinstance(cell, (int, float)):
+                _fail(at, "expected a number or rational string")
+            out_row.append(_as_finite_float(cell, at))
         rows.append(out_row)
     if len(rows) != width:
         _fail(pointer, "matrix must be square")
@@ -395,7 +401,6 @@ def solution_to_doc(env: SolutionEnvelope) -> dict:
 
 def _rational_solution_doc(env: SolutionEnvelope) -> dict:
     sol = env.solution
-    assert isinstance(sol, CohomologySolution)
     doc = {
         "kind": "rational",
         "k": env.k,
@@ -430,10 +435,7 @@ def _rational_solution_doc(env: SolutionEnvelope) -> dict:
 def _matrix_solution_doc(env: SolutionEnvelope) -> dict:
     import numpy as np
 
-    from .matrix import MatrixSolution
-
     sol = env.solution
-    assert isinstance(sol, MatrixSolution)
     dim = next(iter(sol.u.values())).shape[0]
     identity = np.eye(dim)
     zero = all(

@@ -536,7 +536,6 @@ def count_periodic_points(spec: SftSpec, n: int) -> int:
         e >>= 1
         if e:
             base = _int_mat_mult(base, base)
-    assert result is not None
     return sum(result[i][i] for i in range(spec.k))
 
 

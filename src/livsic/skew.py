@@ -18,7 +18,7 @@ from .errors import (
     RangeTooLarge,
     max_states_cap,
 )
-from .groups import Group, GroupElement, subgroup_rank_and_index
+from .groups import Group, GroupElement, gauss_jordan, subgroup_rank_and_index
 from .sft import (
     BlockGraph,
     PeriodicOrbit,
@@ -198,11 +198,11 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
 # one graph search of validate_sft, check_transitivity and the solvers.
 
 
-def product_scc_witness(pg: ProductGraph):
-    """None if the product graph is strongly connected, otherwise the first
+def product_scc_witness(tree: SpanningTree):
+    """None if the tree's graph is strongly connected, otherwise the first
     ordered pair of product vertices (as labels) with no connecting path."""
-    gap = SpanningTree(pg).unreachable_pair()
-    return None if gap is None else tuple(map(pg.vertex_label, gap))
+    gap = tree.unreachable_pair()
+    return None if gap is None else tuple(map(tree.graph.vertex_label, gap))
 
 
 # ---------------------------------------------------------------------------
@@ -238,30 +238,20 @@ class TransitivityVerdict:
     evidence: TransitivityEvidence | None = None
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix, by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    sign = prev = 1
-    for i in range(len(m)):
-        p = next((r for r in range(i, len(m)) if m[r][i]), None)
-        if p is None:
-            return 0
-        if p != i:
-            m[i], m[p] = m[p], m[i]
-            sign = -sign
-        for r in range(i + 1, len(m)):
-            for c in range(i + 1, len(m)):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-        prev = m[i][i]
-    return sign * prev
-
-
 def _normal(rows, d) -> tuple[int, ...]:
-    """Primitive integer vector orthogonal to d-1 integer rows (their
-    generalised cross product), or zero if the rows are dependent."""
-    lam = [(-1) ** i * _det([r[:i] + r[i + 1 :] for r in rows]) for i in range(d)]
+    """Primitive integer vector orthogonal to d-1 integer rows, of either
+    sign, or zero if the rows are dependent.  The free column of their
+    reduction takes the pivot value (1 with no pivot), and each pivot
+    column minus its row's entry in the free column."""
+    reduced, _, pivots = gauss_jordan(rows, d)
+    if len(pivots) < d - 1:
+        return (0,) * d
+    free = next(c for c in range(d) if c not in pivots)
+    lam = [reduced[0][pivots[0]] if pivots else 1] * d
+    for row, col in zip(reduced, pivots):
+        lam[col] = -row[free]
     g = gcd(*lam)
-    return tuple(x // g for x in lam) if g else tuple(lam)
+    return tuple(x // g for x in lam)
 
 
 def _dot(a, b) -> int:
@@ -315,7 +305,7 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     """
     group = system.group
     if group.is_finite:
-        witness = product_scc_witness(build_product_graph(system, 1))
+        witness = product_scc_witness(SpanningTree(build_product_graph(system, 1)))
         if witness is None:
             return TransitivityVerdict(status="transitive")
         return TransitivityVerdict(status="not_transitive", witness=witness)

@@ -50,6 +50,7 @@ from corpus import (
     rng_for,
     s3_group,
 )
+from livsic.errors import max_states_cap
 from livsic.sft import SpanningTree
 from livsic.skew import build_product_graph
 
@@ -442,7 +443,7 @@ def _reference_closing_walk(system, bg, target):
                     walk.append(edge)
                 walk.reverse()
                 return walk
-            if len(prev) > abelian.DEFAULT_MAX_STATES:
+            if len(prev) > max_states_cap():
                 return None
             queue.append(nstate)
     return None
@@ -503,7 +504,7 @@ def test_closing_walk_matches_per_edge_bfs():
 
 
 def test_closing_walk_matches_per_edge_bfs_under_a_small_state_cap(monkeypatch):
-    monkeypatch.setattr(abelian, "DEFAULT_MAX_STATES", 40)
+    monkeypatch.setenv("LIVSIC_MAX_STATES", "40")
     outcomes = set()
     for system, bg, target in _closing_walk_cases():
         walk = abelian._closing_walk(system, bg, target)

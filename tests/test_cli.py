@@ -58,6 +58,18 @@ def test_missing_file_and_broken_json(capsys, tmp_path):
     assert error["error"] == "JSONDecodeError"
 
 
+def test_matrix_cell_too_large_for_a_float_is_refused(capsys, tmp_path):
+    doc = json.loads(Path(_example("full2-c2-halfturn.json")).read_text())
+    doc["cocycle"]["values"]["2"][1][1] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, payload, error = _run_json(capsys, "validate", path)
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "DocumentError"
+    assert error["pointer"] == "/cocycle/values/2/1/1"
+
+
 def test_check_transitivity_exit_codes(capsys):
     code, payload, _ = _run_json(capsys, "check-transitivity", _example("gm-c2.json"))
     assert code == 0 and payload["status"] == "transitive"

@@ -17,7 +17,7 @@ from livsic import (
     subgroup_rank_and_index,
 )
 from livsic.groups import gauss_jordan
-from livsic.skew import _det, _normal, class_tag
+from livsic.skew import _normal, class_tag
 from corpus import q8_group, s3_group
 
 
@@ -193,16 +193,25 @@ def test_gauss_jordan_certifies_both_outcomes():
         d = rng.randint(1, 3)
         rows = _random_system(rng, d)
         reduced, prov, pivots = gauss_jordan(rows, d)
-        # Every reduced row is the combination its provenance names, and a
-        # provenance never holds more than d + 1 rows.
+        # Every entry and coefficient is an int, every reduced row is the
+        # combination its provenance names, and a provenance never holds
+        # more than d + 1 rows.
         for red, combo in zip(reduced, prov):
+            assert all(type(x) is int for x in red)
+            assert all(type(c) is int for c in combo.values())
             assert len(combo) <= d + 1
             for j in range(d + 1):
                 assert red[j] == sum(c * rows[i][j] for i, c in combo.items())
+        # Every pivot row holds one positive pivot value, and each row and
+        # provenance is that value times the rational reference.
+        pivot = reduced[0][pivots[0]] if pivots else 1
+        assert pivot > 0
+        assert all(reduced[i][col] == pivot for i, col in enumerate(pivots))
         dense_mat, dense_prov, dense_pivots = _dense_solve(rows, d)
-        assert (reduced, pivots) == (dense_mat, dense_pivots)
+        assert pivots == dense_pivots
+        assert [[Fraction(x, pivot) for x in red] for red in reduced] == dense_mat
         for combo, dense in zip(prov, dense_prov):
-            assert {i: c for i, c in combo.items() if c} == {
+            assert {i: Fraction(c, pivot) for i, c in combo.items() if c} == {
                 i: c for i, c in enumerate(dense) if c
             }
         bad = [i for i in range(len(pivots), len(rows)) if reduced[i][d]]
@@ -216,7 +225,7 @@ def test_gauss_jordan_certifies_both_outcomes():
             seen["consistent"] += 1
             alpha = [Fraction(0)] * d
             for row_i, col in enumerate(pivots):
-                alpha[col] = reduced[row_i][d]
+                alpha[col] = Fraction(reduced[row_i][d], reduced[row_i][col])
             for row in rows:
                 assert sum(a * x for a, x in zip(alpha, row)) == row[d]
         seen["empty"] += not rows
@@ -239,14 +248,20 @@ def test_normal_orthogonal_primitive_and_zero_when_dependent():
     for _ in range(600):
         d = rng.randint(1, 4)
         rows = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(d - 1)]
-        square = [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(d + 1)]
-        assert _det(square) == _laplace_det(square)
         vec = _normal(rows, d)
-        assert all(isinstance(x, int) for x in vec)
+        assert all(type(x) is int for x in vec)
+        # The generalised cross product, by Laplace expansion.
+        cross = [
+            (-1) ** i * _laplace_det([r[:i] + r[i + 1 :] for r in rows])
+            for i in range(d)
+        ]
         if len(smith_diagonal(rows, d)) < d - 1:
-            assert not any(vec)
+            assert not any(vec) and not any(cross)
             seen["dependent"] += 1
         else:
+            g = gcd(*cross)
+            primitive = tuple(x // g for x in cross)
+            assert vec in (primitive, tuple(-x for x in primitive))
             assert gcd(*vec) == 1
             for row in rows:
                 assert sum(a * b for a, b in zip(vec, row)) == 0

@@ -185,6 +185,12 @@ def test_document_error_pointers():
     doc["cocycle"]["kind"] = "quaternionic"
     assert _pointer_of(doc) == "/cocycle/kind"
 
+    # A matrix cell too large for a float, as an int or a rational string.
+    for bad in (10**400, "1e400"):
+        doc = _load("full2-c2-halfturn.json")
+        doc["cocycle"]["values"]["1"][0][1] = bad
+        assert _pointer_of(doc) == "/cocycle/values/1/0/1"
+
 
 def test_finite_psi_requires_known_names():
     doc = _load("gm-c2.json")
@@ -247,19 +253,21 @@ def test_solution_document_error_pointers():
         ("tolerance",),
     ]
     lists = [("degenerate", "lattice_diagonal"), ("degenerate", "pinned_coordinates")]
+    cells = [("u", "2", "0", "0"), ("alpha", "e", "0", "0")]
     cases = [
         (matrix, path, bad)
         for path in numbers
         for bad in ("0.5", [0.5], None, True, math.inf, 10**400)
     ]
     cases += [(rational, path, bad) for path in lists for bad in ("0", 3, None, {"0": 1})]
+    cases += [(matrix, path, bad) for path in cells for bad in (10**400, "1e400")]
     for good, path, bad in cases:
         parse_solution_document(good)
         doc = json.loads(json.dumps(good))
         parent = doc
         for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = bad
+            parent = parent[int(key) if isinstance(parent, list) else key]
+        parent[int(path[-1]) if isinstance(parent, list) else path[-1]] = bad
         with pytest.raises(DocumentError) as err:
             parse_solution_document(doc)
         assert err.value.pointer == "/" + "/".join(path), (path, bad)

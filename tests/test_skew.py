@@ -25,11 +25,13 @@ from livsic import (
     enumerate_trivial_class_orbits,
     frobenius_class,
     generate_cocycle,
+    make_matrix_cocycle,
     make_skew_system,
     psi_n,
     psi_n_cyclic,
     solve_finite_gamma,
     solve_free_abelian,
+    solve_matrix_finite,
     subgroup_rank_and_index,
     validate_sft,
 )
@@ -399,7 +401,7 @@ def test_strong_connectivity_matches_brute_closure():
         pg = build_product_graph(system, 1)
         pg_gap = _first_gap([[pg.edge_head[e] for e in out] for out in pg.out_edges])
         expected = None if pg_gap is None else tuple(map(pg.vertex_label, pg_gap))
-        assert product_scc_witness(pg) == expected
+        assert product_scc_witness(SpanningTree(pg)) == expected
         assert check_transitivity(system).witness == expected
         cocycle = generate_cocycle(system, block_range=1, seed=seed)
         if expected is None:
@@ -419,3 +421,31 @@ def test_strong_connectivity_matches_brute_closure():
                 solve_free_abelian(lattice, cocycle)
     assert 10 <= reducible < 40
     assert 10 <= not_transitive < 40
+
+
+def test_a_refused_finite_cover_builds_one_spanning_tree(monkeypatch):
+    # The unreachable pair is read from the tree the caller already holds.
+    system = make_skew_system(FULL_2, C2, (0, 0))
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    cocycles = {
+        solve_finite_gamma: generate_cocycle(system, block_range=1, seed=1),
+        solve_matrix_finite: make_matrix_cocycle(
+            FULL_2, 0, {(1,): identity, (2,): identity}
+        ),
+    }
+    built = []
+    init = SpanningTree.__init__
+
+    def counting(self, graph):
+        built.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(SpanningTree, "__init__", counting)
+    for solve, cocycle in cocycles.items():
+        built.clear()
+        with pytest.raises(NotTransitiveError):
+            solve(system, cocycle)
+        assert len(built) == 1, solve.__name__
+    built.clear()
+    assert check_transitivity(system).status == "not_transitive"
+    assert len(built) == 1
