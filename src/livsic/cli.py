@@ -56,7 +56,7 @@ from .serialization import (
     violation_witness_doc,
     word_to_key,
 )
-from .sft import by_period, validate_sft
+from .sft import validate_sft
 from .skew import check_transitivity, class_tag, orbit_weights
 
 
@@ -198,10 +198,9 @@ def _cmd_orbits(args, command_line: str) -> int:
     system = env.system
     group = system.group
     k = system.sft.k
-    pairs = orbit_weights(system, args.max_period)
+    pairs = list(orbit_weights(system, args.max_period))
     if args.trivial_only:
-        pairs = (pair for pair in pairs if pair[1] == group.identity)
-    pairs = by_period(pairs, args.max_period, lambda pair: len(pair[0]))
+        pairs = [pair for pair in pairs if pair[1] == group.identity]
     tags: dict = {}
     for _, weight in pairs:
         if weight not in tags:
@@ -417,14 +416,18 @@ def _cmd_check_distortion(args, command_line: str) -> int:
     return 0 if verdict.status == "satisfied" else 1
 
 
-def _check_float_flags(args) -> None:
-    """A --tol must be finite and at least 0, a --theta finite."""
+def _check_flags(args) -> None:
+    """A --tol must be finite and at least 0, a --theta finite and a
+    --max-period at least 1."""
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise BadShape(f"--tol must be a finite number >= 0, got {tol}")
     theta = getattr(args, "theta", 0.0)
     if not math.isfinite(theta):
         raise BadShape(f"--theta must be a finite number, got {theta}")
+    max_period = getattr(args, "max_period", 1)
+    if max_period < 1:
+        raise BadShape(f"--max-period must be at least 1, got {max_period}")
 
 
 _HANDLERS = {
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command_line = " ".join(["livsic", *argv])
     try:
-        _check_float_flags(args)
+        _check_flags(args)
         return _HANDLERS[args.command](args, command_line)
     except json.JSONDecodeError as exc:
         sys.stderr.write(

@@ -8,8 +8,10 @@ every operation here is exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 from math import gcd
 from operator import add
 
@@ -422,29 +424,25 @@ def _word_count_estimate(spec: SftSpec, max_len: int) -> int:
 def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=None):
     """Every primitive periodic orbit of period <= max_period, with its weight.
 
-    Returns an iterator of (word, weight) pairs, one per orbit, where word
-    is the orbit's least rotation (a Lyndon word).  Words come in
-    lexicographic order, so a prefix precedes its extensions; by_period
-    turns that into (period, word) order.  The period cap and the work
-    budget are checked here, when the iterator is made, not when it is
-    first advanced.
+    Returns two lists of equal length, (words, weights): words[i] is an
+    orbit's least rotation (a Lyndon word) and weights[i] its weight.  The
+    lists come in (period, word) order, so no caller sorts them.  The period
+    cap and the work budget are checked before the walk starts.
 
     ``act[b-1]`` maps the weight of a word to the weight of that word
     followed by symbol b, i.e. left multiplication by the weight of b;
-    ``identity`` is the weight of the empty word.  Without ``act`` every
-    weight is ``identity``.
+    ``identity`` is the weight of the empty word.  Without ``act`` the walk
+    makes no weight step and every weight is ``identity``.
     """
     cap = max_period_cap()
     if max_period > cap:
         raise RangeTooLarge(f"period {max_period} exceeds cap {cap}")
     if max_period < 1:
-        return iter(())
+        return [], []
     if _word_count_estimate(spec, max_period) > DEFAULT_MAX_WORK:
         raise RangeTooLarge(
             f"orbit enumeration up to period {max_period} exceeds the work budget"
         )
-    if act is None:
-        act = (lambda w: w,) * spec.k
     return _lyndon_walk(spec, max_period, act, identity)
 
 
@@ -458,11 +456,18 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
     is an orbit iff the wrap transition back to its first symbol is allowed.
     Every admissible Lyndon word has only admissible prenecklaces as
     prefixes, so the walk misses none (Ruskey-Savage-Wang, 1992).
+
+    The walk visits words in lexicographic order and appends each orbit to
+    the lists of its period, so the flattened lists (words, weights) are in
+    (period, word) order.  With ``act`` None the weight step is skipped.
     """
     k = spec.k
     allowed = ((0,) * (k + 1),) + tuple((0, *row) for row in spec.transitions)
     successors = [()] + [spec.successors(a) for a in range(1, k + 1)]
-    act = (None, *act)
+    if act is not None:
+        act = (None, *act)
+    words: list[list[Word]] = [[] for _ in range(max_period + 1)]
+    weights: list[list] = [[] for _ in range(max_period + 1)]
     word = [0] * max_period
     period = [0] * max_period
     weight = [identity] * (max_period + 1)
@@ -477,35 +482,33 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
             else:
                 p = t
             period[t - 1] = p
-            w = weight[t] = act[b](weight[t - 1])
+            if act is not None:
+                weight[t] = act[b](weight[t - 1])
             if p == t and allowed[b][word[0]]:
-                yield tuple(word[:t]), w
+                words[t].append(tuple(word[:t]))
+                weights[t].append(weight[t])
             if t < max_period:
                 after = successors[b]
                 frames.append(iter(after[bisect_left(after, word[t - p]) :]))
                 break
         else:
             frames.pop()
+    return list(chain.from_iterable(words)), list(chain.from_iterable(weights))
 
 
 def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> list[PeriodicOrbit]:
-    """All primitive periodic orbits of period <= max_period.
+    """All primitive periodic orbits of period <= max_period, sorted by (period, word).
 
-    Orbits are returned sorted by (period, word).  Each orbit is the Lyndon
-    word of walk_primitive_orbits, which produces every orbit exactly once,
-    so sorting reduces to bucketing by period.
+    The orbits are built in bulk, without a call to ``__init__`` each:
+    ``object.__new__`` makes every instance and the slot's own descriptor
+    sets its word, both driven by ``map``.  That is sound because the walk's
+    words are already least rotations of primitive words, which is all
+    ``from_word`` would enforce, and PeriodicOrbit has no ``__post_init__``.
     """
-    walk = walk_primitive_orbits(spec, max_period)
-    orbits = (PeriodicOrbit(word=word) for word, _ in walk)
-    return by_period(orbits, max_period, lambda orbit: len(orbit.word))
-
-
-def by_period(items, max_period: int, period=len) -> list:
-    """Reorder items listed in lexicographic word order into (period, word) order."""
-    buckets: list[list] = [[] for _ in range(max_period + 1)]
-    for item in items:
-        buckets[period(item)].append(item)
-    return [item for bucket in buckets for item in bucket]
+    words, _ = walk_primitive_orbits(spec, max_period)
+    orbits = list(map(object.__new__, repeat(PeriodicOrbit, len(words))))
+    deque(map(PeriodicOrbit.word.__set__, orbits, words), maxlen=0)
+    return orbits
 
 
 def _int_mat_mult(a, b):

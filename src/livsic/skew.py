@@ -26,7 +26,6 @@ from .sft import (
     SpanningTree,
     Word,
     build_block_graph,
-    by_period,
     walk_primitive_orbits,
 )
 
@@ -102,15 +101,16 @@ def frobenius_class(system: SkewSystem, orbit: PeriodicOrbit) -> FrobeniusClassT
 def orbit_weights(system: SkewSystem, max_period: int):
     """(word, psi_n(word)) for every primitive orbit of period <= max_period.
 
-    Words come in lexicographic order, as from walk_primitive_orbits; the
-    period cap and work budget are checked when this is called.
+    An iterator over the lists of walk_primitive_orbits, so it comes in
+    (period, word) order; the period cap and work budget are checked, and
+    the walk made, when this is called.
     """
     group = system.group
     if group.is_finite:
         act = [group.table[g].__getitem__ for g in system.psi]
     else:
         act = [lambda w, g=g: tuple(map(add, g, w)) for g in system.psi]
-    return walk_primitive_orbits(system.sft, max_period, act, group.identity)
+    return zip(*walk_primitive_orbits(system.sft, max_period, act, group.identity))
 
 
 def enumerate_trivial_class_orbits(
@@ -121,9 +121,12 @@ def enumerate_trivial_class_orbits(
     Orbits come sorted by (period, word); every one shares the identity's tag.
     """
     identity = system.group.identity
-    words = [w for w, weight in orbit_weights(system, max_period) if weight == identity]
     tag = class_tag(system.group, identity)
-    return [(PeriodicOrbit(word=w), tag) for w in by_period(words, max_period)]
+    return [
+        (PeriodicOrbit(word=w), tag)
+        for w, weight in orbit_weights(system, max_period)
+        if weight == identity
+    ]
 
 
 @dataclass(frozen=True)
@@ -171,25 +174,27 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     n = len(base.vertices) * order
     if n > max_states_cap():
         raise RangeTooLarge(f"product graph would have {n} vertices")
-    tails = []
-    heads = []
-    out: list[list[int]] = [[] for _ in range(n)]
-    for be, word in enumerate(base.edges):
-        # Left multiplication by psi of the edge's first symbol.
-        row = table[psi[word[0] - 1]]
-        tb = base.edge_tail[be] * order
-        hb = base.edge_head[be] * order
-        for g, x in enumerate(row):
-            out[tb + g].append(len(tails))
-            tails.append(tb + g)
-            heads.append(hb + x)
+    if order == 1:  # the block graph's own edges, not a copy
+        tails, heads, out = base.edge_tail, base.edge_head, base.out_edges
+    else:
+        tails, heads, out = [], [], [[] for _ in range(n)]
+        for be, word in enumerate(base.edges):
+            # Left multiplication by psi of the edge's first symbol.
+            row = table[psi[word[0] - 1]]
+            tb = base.edge_tail[be] * order
+            hb = base.edge_head[be] * order
+            for g, x in enumerate(row):
+                out[tb + g].append(len(tails))
+                tails.append(tb + g)
+                heads.append(hb + x)
+        tails, heads, out = tuple(tails), tuple(heads), tuple(map(tuple, out))
     return ProductGraph(
         system=system,
         base=base,
         order=order,
-        edge_tail=tuple(tails),
-        edge_head=tuple(heads),
-        out_edges=tuple(map(tuple, out)),
+        edge_tail=tails,
+        edge_head=heads,
+        out_edges=out,
     )
 
 

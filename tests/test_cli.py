@@ -347,6 +347,10 @@ def test_verify_matrix_solution_inverts_u_once(capsys, tmp_path, monkeypatch):
         ("solve", "full2-c2-halfturn.json", "--tol", "-1"),
         ("verify-solution", "full2-c2-halfturn.json", "--tol", "nan"),
         ("verify-solution", "full2-c2-halfturn.json", "--tol", "-0.5"),
+        ("orbits", "gm-c2.json", "--max-period", "0"),
+        ("orbits", "gm-c2.json", "--max-period", "-1"),
+        ("verify-vanishing", "full2-z-perturbed.json", "--max-period", "0"),
+        ("verify-vanishing", "full2-z-perturbed.json", "--max-period", "-1"),
     ],
 )
 def test_non_finite_or_negative_flags_are_refused(

@@ -1,6 +1,7 @@
 """The brute-force oracles themselves: caps, and agreement with the fast paths."""
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from livsic import (
     GroupSpec,
     InfiniteGroup,
     OracleConfig,
+    PeriodicOrbit,
     SftSpec,
     StateSpaceTooLarge,
     brute_orbit_list,
@@ -60,17 +62,24 @@ def _random_sft(rng, k: int) -> SftSpec:
 _ORBIT_SHAPES = ((1, 9), (2, 9), (3, 9), (4, 7), (5, 6))
 
 
+def _assert_orbits_match_brute(spec: SftSpec, max_period: int) -> None:
+    """The bulk-built orbits are the constructor-built ones, object for object."""
+    fast = enumerate_periodic_orbits(spec, max_period)
+    built = [PeriodicOrbit(word=w) for w in brute_orbit_list(spec, max_period)]
+    assert fast == built
+    assert all(type(o) is PeriodicOrbit and type(o.word) is tuple for o in fast)
+    assert list(map(hash, fast)) == list(map(hash, built))
+    assert pickle.dumps(fast) == pickle.dumps(built)
+
+
 def test_orbit_list_agrees_with_enumeration():
     for seed in range(8):
-        spec = random_irreducible_sft(rng_for(47, seed), 3)
-        fast = [o.word for o in enumerate_periodic_orbits(spec, 7)]
-        assert brute_orbit_list(spec, 7) == fast
+        _assert_orbits_match_brute(random_irreducible_sft(rng_for(47, seed), 3), 7)
     for seed, (k, p) in enumerate(_ORBIT_SHAPES * 4):
         rng = rng_for(59, seed)
         spec = _random_sft(rng, k)
         for max_period in (0, rng.randint(1, p), p):
-            fast = [o.word for o in enumerate_periodic_orbits(spec, max_period)]
-            assert brute_orbit_list(spec, max_period) == fast
+            _assert_orbits_match_brute(spec, max_period)
     assert [o.word for o in enumerate_periodic_orbits(SftSpec.full_shift(1), 9)] == [(1,)]
     assert enumerate_periodic_orbits(SftSpec.from_rows([[0]]), 9) == []
 
@@ -97,10 +106,8 @@ def test_walk_weights_match_cyclic_products():
     for _, system in _weighted_systems():
         pairs = list(orbit_weights(system, 7))
         words = [word for word, _ in pairs]
-        assert words == sorted(words)
-        assert sorted(words, key=lambda w: (len(w), w)) == [
-            o.word for o in enumerate_periodic_orbits(system.sft, 7)
-        ]
+        assert words == sorted(words, key=lambda w: (len(w), w))
+        assert words == [o.word for o in enumerate_periodic_orbits(system.sft, 7)]
         for word, weight in pairs:
             assert weight == psi_n_cyclic(system, word)
 

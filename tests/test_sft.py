@@ -166,7 +166,7 @@ def _orbit_consumers(spec: SftSpec):
 
 
 def test_enumeration_cap(monkeypatch):
-    # Every consumer refuses when called, not at its first next().
+    # Every consumer refuses before any walk starts.
     monkeypatch.setenv("LIVSIC_MAX_PERIOD", "4")
     for call in _orbit_consumers(FULL_2):
         with pytest.raises(RangeTooLarge, match="exceeds cap"):
@@ -175,6 +175,22 @@ def test_enumeration_cap(monkeypatch):
     for call in _orbit_consumers(SftSpec.full_shift(9)):
         with pytest.raises(RangeTooLarge, match="work budget"):
             call(9)
+
+
+def test_walk_returns_two_lists_in_period_order():
+    for spec in (GOLDEN_MEAN, FULL_2, SftSpec.full_shift(3)):
+        for max_period in (0, 1, 6):
+            words, weights = walk_primitive_orbits(spec, max_period)
+            assert type(words) is list and type(weights) is list
+            assert len(words) == len(weights)
+            assert words == sorted(words, key=lambda w: (len(w), w))
+            # Without act the weight step is skipped: every weight is identity.
+            assert weights == [None] * len(words)
+            # A symbol count as weight: the walk's weights are the word lengths.
+            act = [lambda n: n + 1] * spec.k
+            counted, lengths = walk_primitive_orbits(spec, max_period, act, 0)
+            assert counted == words
+            assert lengths == list(map(len, words))
 
 
 def test_birkhoff_sum_rotation_invariant():
@@ -191,19 +207,22 @@ def test_birkhoff_sum_rotation_invariant():
 
 
 def test_periodic_orbit_pickles_compares_and_orders():
-    orbit = PeriodicOrbit.from_word((2, 1, 2))
-    assert orbit == PeriodicOrbit(word=(1, 2, 2))
-    assert hash(orbit) == hash(PeriodicOrbit(word=(1, 2, 2)))
-    assert orbit.period == 3
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        copy = pickle.loads(pickle.dumps(orbit, protocol))
-        assert copy == orbit and type(copy) is PeriodicOrbit
-    shorter, other = PeriodicOrbit(word=(1, 2)), PeriodicOrbit(word=(1, 3))
-    assert sorted([other, orbit, shorter]) == [shorter, orbit, other]
-    assert shorter < orbit < other
-    assert not hasattr(orbit, "__dict__")
-    with pytest.raises(FrozenInstanceError):
-        orbit.word = (1,)
+    # The enumerator builds its orbits in bulk, without __init__; they must
+    # behave exactly like the constructor's.
+    enumerated = enumerate_periodic_orbits(FULL_2, 3)[-1]
+    for orbit in (PeriodicOrbit.from_word((2, 1, 2)), enumerated):
+        assert orbit == PeriodicOrbit(word=(1, 2, 2))
+        assert hash(orbit) == hash(PeriodicOrbit(word=(1, 2, 2)))
+        assert orbit.period == 3
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(orbit, protocol))
+            assert copy == orbit and type(copy) is PeriodicOrbit
+        shorter, other = PeriodicOrbit(word=(1, 2)), PeriodicOrbit(word=(1, 3))
+        assert sorted([other, orbit, shorter]) == [shorter, orbit, other]
+        assert shorter < orbit < other
+        assert not hasattr(orbit, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            orbit.word = (1,)
     with pytest.raises(BadShape):
         PeriodicOrbit.from_word(())
     with pytest.raises(BadShape):

@@ -118,6 +118,16 @@ def test_product_graph_shapes():
     assert pg2.n_vertices == 4
     assert len(pg2.edge_tail) == 6
 
+    # Over Z^d the fiber factor is trivial: the block graph's own tuples.
+    for rank in (1, 2):
+        lattice = build_group(GroupSpec.free_abelian(rank))
+        system = make_skew_system(GOLDEN_MEAN, lattice, [(1,) * rank, (0,) * rank])
+        pg3 = build_product_graph(system, 2)
+        assert pg3.order == 1
+        assert pg3.edge_tail is pg3.base.edge_tail
+        assert pg3.edge_head is pg3.base.edge_head
+        assert pg3.out_edges is pg3.base.out_edges
+
 
 def test_product_graph_fiber_bijection():
     """Each base edge lifts to one edge per fiber element, hitting each fiber once."""
