@@ -6,27 +6,14 @@ equation for rational and matrix valued cocycles whose sums vanish on
 trivial-class periodic orbits, and estimates the distortion constants
 that gate the matrix theory.
 
-The matrix layer and the brute-force oracles load on first use (PEP 562),
-so rational work never imports numpy.
+The solver layer (``abelian``), the matrix layer and the brute-force
+oracles load on first use (PEP 562), so rational work never imports
+numpy and work that solves nothing never imports the solvers.
 """
 from __future__ import annotations
 
 import importlib
 
-from .abelian import (
-    CohomologySolution,
-    DegenerateReport,
-    EqualWeightPair,
-    LocallyConstantCocycle,
-    VerificationReport,
-    ViolationWitness,
-    generate_cocycle,
-    make_cocycle,
-    solve_finite_gamma,
-    solve_free_abelian,
-    verify_solution,
-    verify_vanishing,
-)
 from .errors import (
     AlgebraNotClosed,
     AlphaNotConstant,
@@ -72,6 +59,7 @@ from .serialization import (
 )
 from .sft import (
     BlockGraph,
+    LocallyConstantCocycle,
     PeriodicOrbit,
     SftSpec,
     ValidationReport,
@@ -81,6 +69,7 @@ from .sft import (
     count_periodic_points,
     enumerate_periodic_orbits,
     is_primitive,
+    make_cocycle,
     primitive_root,
     validate_sft,
     walk_primitive_orbits,
@@ -105,6 +94,18 @@ from .skew import (
 __version__ = TOOL_VERSION
 
 _LAZY = {
+    "abelian": (
+        "CohomologySolution",
+        "DegenerateReport",
+        "EqualWeightPair",
+        "VerificationReport",
+        "ViolationWitness",
+        "generate_cocycle",
+        "solve_finite_gamma",
+        "solve_free_abelian",
+        "verify_solution",
+        "verify_vanishing",
+    ),
     "matrix": (
         "DistortionReport",
         "DistortionVerdict",

@@ -34,16 +34,18 @@ from .errors import (
     max_states_cap,
 )
 from .groups import gauss_jordan, smith_diagonal
+from .record import record
 from .sft import (
+    LocallyConstantCocycle,
     PeriodicOrbit,
-    SftSpec,
     SpanningTree,
     Word,
-    _admissible_words,
+    _as_fraction,
     _solution_block_graph,
     birkhoff_sum,
     build_block_graph,
     canonical_rotation,
+    make_cocycle,
     primitive_root,
 )
 from .skew import (
@@ -54,50 +56,9 @@ from .skew import (
 )
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InvalidCocycle(f"expected a rational value, got {x!r}")
-
-
-@dataclass(frozen=True)
-class LocallyConstantCocycle:
-    """Rational function of block_range + 1 consecutive symbols."""
-
-    sft: SftSpec
-    block_range: int
-    values: dict[Word, Fraction]
-
-    is_matrix_valued = False
-
-    def window_value(self, word: Word) -> Fraction:
-        return self.values[tuple(word)]
-
-    @property
-    def effective_block_length(self) -> int:
-        return max(self.block_range, 1)
-
-
-def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocycle:
-    """Validate that values cover exactly the admissible windows."""
-    if block_range < 0:
-        raise InvalidCocycle("block range must be >= 0")
-    table = {tuple(int(s) for s in k): _as_fraction(v) for k, v in values.items()}
-    expected = set(_admissible_words(sft, block_range + 1, max_states_cap()))
-    got = set(table)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        raise InvalidCocycle(
-            f"cocycle domain mismatch: missing {missing[:4]}, extra {extra[:4]}"
-        )
-    return LocallyConstantCocycle(sft=sft, block_range=block_range, values=table)
-
-
+# ViolationWitness, EqualWeightPair and CohomologySolution are dataclasses,
+# not records, while the benchmark's checker tests derive tampered answers
+# from them with dataclasses.replace.
 @dataclass(frozen=True)
 class ViolationWitness:
     """A closed word with identity weight and nonzero sum.
@@ -132,7 +93,7 @@ class EqualWeightPair:
     sum_b: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class DegenerateReport:
     """Cycle weights span a proper sublattice; alpha is pinned on the rest."""
 
@@ -141,7 +102,7 @@ class DegenerateReport:
     pinned_coordinates: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     certified: bool
     edges_checked: int
@@ -518,6 +479,4 @@ def generate_cocycle(
         if drift is not None:
             val += drift[word[0] - 1]
         values[word] = val
-    return LocallyConstantCocycle(
-        sft=system.sft, block_range=block_range, values=values
-    )
+    return make_cocycle(system.sft, block_range, values)

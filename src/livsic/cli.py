@@ -6,8 +6,10 @@ property holds or the requested artifact was produced, 1 when the
 property fails (with a witness in the payload), 2 for invalid input with
 a structured error on standard error.
 
-The matrix layer, and numpy with it, is imported inside the handlers
-that need it, so commands on rational documents never load it.
+The solver layer is imported inside the handlers that solve or verify,
+and the matrix layer, with numpy, inside those that handle a matrix
+document, so `validate`, `check-transitivity` and `orbits` load neither
+and commands on rational documents never load numpy.
 """
 from __future__ import annotations
 
@@ -15,18 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
-from .abelian import (
-    EqualWeightPair,
-    LocallyConstantCocycle,
-    ViolationWitness,
-    generate_cocycle,
-    solve_finite_gamma,
-    solve_free_abelian,
-    verify_solution,
-    verify_vanishing,
-)
 from .errors import (
     AlphaNotConstant,
     BadShape,
@@ -56,7 +47,7 @@ from .serialization import (
     violation_witness_doc,
     word_to_key,
 )
-from .sft import validate_sft
+from .sft import LocallyConstantCocycle, validate_sft
 from .skew import check_transitivity, class_tag, orbit_weights
 
 
@@ -148,12 +139,14 @@ def _emit(payload, out_path: str | None = None) -> None:
             fh.write(text)
 
 
-def _witness_doc(witness, k: int) -> dict:
+def _witness_doc(witness, k: int, kind: str) -> dict:
+    if kind == "matrix":
+        return matrix_witness_doc(witness, k)
+    from .abelian import ViolationWitness
+
     if isinstance(witness, ViolationWitness):
         return violation_witness_doc(witness, k)
-    if isinstance(witness, EqualWeightPair):
-        return pair_witness_doc(witness, k)
-    return matrix_witness_doc(witness, k)
+    return pair_witness_doc(witness, k)
 
 
 def _cmd_validate(args, command_line: str) -> int:
@@ -223,6 +216,8 @@ def _cmd_orbits(args, command_line: str) -> int:
 
 
 def _cmd_verify_vanishing(args, command_line: str) -> int:
+    from .abelian import verify_vanishing
+
     env = _load_system(args.system)
     cocycle = _require_rational(env)
     witness = verify_vanishing(env.system, cocycle, args.max_period)
@@ -252,14 +247,14 @@ def _cmd_solve(args, command_line: str) -> int:
 
             kind = "matrix"
             solution = solve_matrix_finite(system, cocycle, tol=args.tol)
-        elif system.group.is_finite:
-            kind = "rational"
-            solution = solve_finite_gamma(system, cocycle)
         else:
+            from .abelian import solve_finite_gamma, solve_free_abelian
+
             kind = "rational"
-            solution = solve_free_abelian(system, cocycle)
+            solve = solve_finite_gamma if system.group.is_finite else solve_free_abelian
+            solution = solve(system, cocycle)
     except CocycleObstruction as exc:
-        _emit({"solvable": False, "witness": _witness_doc(exc.witness, k)})
+        _emit({"solvable": False, "witness": _witness_doc(exc.witness, k, kind)})
         return 1
     except AlphaNotConstant as exc:
         block, eta, gamma, deviation = exc.witness
@@ -299,6 +294,8 @@ def _cmd_verify_solution(args, command_line: str) -> int:
     if sol_env.k != k:
         raise DimensionMismatch(f"solution is for {sol_env.k} symbols, the system has {k}")
     if sol_env.kind == "rational":
+        from .abelian import verify_solution
+
         cocycle = _require_rational(env)
         report = verify_solution(system, cocycle, sol_env.solution)
         _emit(
@@ -346,6 +343,8 @@ def _parse_alpha_spec(text: str):
 
 
 def _cmd_generate(args, command_line: str) -> int:
+    from .abelian import generate_cocycle
+
     env = _load_system(args.system)
     system = env.system
     k = system.sft.k
@@ -368,12 +367,15 @@ def _cmd_generate(args, command_line: str) -> int:
 
 
 def _cmd_distortion(args, command_line: str) -> int:
-    from .matrix import estimate_distortion, make_matrix_cocycle
+    from .matrix import MatrixCocycle, estimate_distortion, make_matrix_cocycle
 
     env = _load_system(args.system)
     cocycle = _require_matrix(env)
     if args.ambient:
-        cocycle = replace(cocycle, algebra=None)
+        cocycle = MatrixCocycle(
+            sft=cocycle.sft, block_range=cocycle.block_range, dim=cocycle.dim,
+            values=cocycle.values, algebra=None,
+        )
     elif args.algebra is not None:
         cocycle = make_matrix_cocycle(
             cocycle.sft,

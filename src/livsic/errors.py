@@ -12,12 +12,27 @@ ASSOCIATIVITY_CHECK_LIMIT = 128
 
 def max_period_cap() -> int:
     """Longest cyclic word any enumeration will consider (env LIVSIC_MAX_PERIOD)."""
-    return int(os.environ.get("LIVSIC_MAX_PERIOD", DEFAULT_MAX_PERIOD))
+    return _cap("LIVSIC_MAX_PERIOD", DEFAULT_MAX_PERIOD)
 
 
 def max_states_cap() -> int:
     """Largest vertex count any graph construction will accept (env LIVSIC_MAX_STATES)."""
-    return int(os.environ.get("LIVSIC_MAX_STATES", DEFAULT_MAX_STATES))
+    return _cap("LIVSIC_MAX_STATES", DEFAULT_MAX_STATES)
+
+
+def _cap(variable: str, default: int) -> int:
+    """The cap set in the environment, or default when unset.  BadShape
+    names the variable when its value is not an integer >= 1."""
+    raw = os.environ.get(variable)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise BadShape(f"{variable} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 class LivsicError(Exception):

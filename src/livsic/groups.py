@@ -6,8 +6,6 @@ their group around.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadShape,
     ClosureTooLarge,
@@ -16,11 +14,12 @@ from .errors import (
     ASSOCIATIVITY_CHECK_LIMIT,
     DEFAULT_MAX_GROUP_ORDER,
 )
+from .record import record
 
 GroupElement = int | tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     """Declarative description of a group, as it appears in system documents."""
 
@@ -62,7 +61,7 @@ class GroupSpec:
         return cls(variant="free_abelian", rank=rank)
 
 
-@dataclass(frozen=True)
+@record
 class Group:
     variant: str
     names: tuple[str, ...] = ()
@@ -255,7 +254,7 @@ def build_group(spec: GroupSpec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) ->
     raise BadShape(f"unknown group variant {spec.variant!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SubgroupReport:
     """Shape of the subgroup of Z^d generated by a family of integer vectors."""
 

@@ -32,6 +32,7 @@ from .errors import (
     check_invariant,
     max_states_cap,
 )
+from .record import record
 from .sft import (
     PeriodicOrbit,
     SftSpec,
@@ -87,7 +88,7 @@ def invert_blocks(u: dict[Word, np.ndarray]) -> dict[Word, np.ndarray]:
     return dict(zip(blocks, inverses))
 
 
-@dataclass(frozen=True)
+@record
 class MatrixCocycle:
     """GL(m)-valued function of block_range + 1 consecutive symbols.
 
@@ -202,7 +203,7 @@ def _adjoint_norms(g: np.ndarray, basis, tol: float) -> np.ndarray:
     return np.linalg.norm(np.swapaxes(coeffs[..., 0], 1, 2), 2, axis=(1, 2))
 
 
-@dataclass(frozen=True)
+@record
 class MatrixViolationWitness:
     """Closed word of trivial weight whose matrix product misses identity."""
 
@@ -215,7 +216,7 @@ class MatrixViolationWitness:
         return self.orbit.word * self.multiplicity
 
 
-@dataclass(frozen=True)
+@record
 class MatrixVerificationReport:
     """Residuals for the three certified families: reconstruction of f on
     every edge, multiplicativity of alpha, and alpha commuting with every
@@ -229,6 +230,8 @@ class MatrixVerificationReport:
     tol: float
 
 
+# A dataclass, not a record, while the benchmark's checker tests derive
+# tampered solutions with dataclasses.replace.
 @dataclass(frozen=True)
 class MatrixSolution:
     block_length: int
@@ -434,7 +437,7 @@ def verify_matrix_solution(
     )
 
 
-@dataclass(frozen=True)
+@record
 class DistortionReport:
     """Best adjoint growth rates seen along admissible words up to n_max.
 
@@ -535,7 +538,7 @@ def estimate_distortion(
     )
 
 
-@dataclass(frozen=True)
+@record
 class DistortionVerdict:
     status: str
     theta: float

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfiniteGroup, StateSpaceTooLarge
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class OracleConfig:
     max_period: int = 16
     max_state_count: int = 50_000

@@ -10,22 +10,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .abelian import (
-    CohomologySolution,
-    DegenerateReport,
-    EqualWeightPair,
-    LocallyConstantCocycle,
-    VerificationReport,
-    ViolationWitness,
-    make_cocycle,
-)
 from .errors import BadShape, DocumentError, LivsicError
 from .groups import Group, GroupSpec, build_group
-from .sft import SftSpec, validate_sft
+from .record import record
+from .sft import LocallyConstantCocycle, SftSpec, make_cocycle, validate_sft
 from .skew import (
     FrobeniusClassTag,
     SkewSystem,
@@ -33,9 +24,11 @@ from .skew import (
     make_skew_system,
 )
 
-# The matrix layer, and numpy with it, is imported only by the branches
-# that handle matrix documents, so rational documents never load it.
+# The solver layer is imported only by the solution parser, and the
+# matrix layer, with numpy, only by the branches that handle matrix
+# documents, so commands that solve nothing load neither.
 if TYPE_CHECKING:
+    from .abelian import CohomologySolution, EqualWeightPair, ViolationWitness
     from .matrix import MatrixCocycle, MatrixSolution, MatrixViolationWitness
 
 TOOL_NAME = "livsic"
@@ -134,7 +127,7 @@ def parse_word_key(key: str, k: int, pointer: str) -> Word:
 # System documents.
 
 
-@dataclass(frozen=True)
+@record
 class SystemEnvelope:
     """Parsed system document: the live objects plus a canonical group block."""
 
@@ -374,7 +367,7 @@ def system_to_doc(env: SystemEnvelope) -> dict:
 # Solution documents.
 
 
-@dataclass(frozen=True)
+@record
 class SolutionEnvelope:
     kind: str
     k: int
@@ -490,6 +483,8 @@ def parse_solution_document(doc) -> SolutionEnvelope:
 
 
 def _parse_rational_solution(doc, k: int, block_length: int) -> CohomologySolution:
+    from .abelian import CohomologySolution, DegenerateReport, VerificationReport
+
     u_doc = _get(doc, "u", "")
     if not isinstance(u_doc, dict) or not u_doc:
         _fail("/u", "expected a nonempty object keyed by blocks")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
 from math import gcd
@@ -20,17 +20,19 @@ from .errors import (
     DeadSymbol,
     DimensionMismatch,
     InadmissibleWord,
+    InvalidCocycle,
     NotIrreducible,
     RangeTooLarge,
     DEFAULT_MAX_WORK,
     max_period_cap,
     max_states_cap,
 )
+from .record import record
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SftSpec:
     """Alphabet size and 0/1 transition matrix over symbols 1..k.
 
@@ -71,7 +73,7 @@ class SftSpec:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     irreducible: bool
     aperiodic: bool
@@ -114,7 +116,7 @@ def validate_sft(spec: SftSpec) -> ValidationReport:
     return ValidationReport(irreducible=True, aperiodic=period == 1, period=period)
 
 
-@dataclass(frozen=True)
+@record
 class BlockGraph:
     """Presentation of the shift on admissible r-blocks.
 
@@ -349,7 +351,7 @@ def find_violating_cycle(walk_edges, edge_head, start: int, score):
     return best
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@record(order=True)
 class PeriodicOrbit:
     """A primitive periodic orbit, stored as the least rotation of its word."""
 
@@ -540,6 +542,50 @@ def count_periodic_points(spec: SftSpec, n: int) -> int:
         if e:
             base = _int_mat_mult(base, base)
     return sum(result[i][i] for i in range(spec.k))
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x)
+    raise InvalidCocycle(f"expected a rational value, got {x!r}")
+
+
+@record
+class LocallyConstantCocycle:
+    """Rational function of block_range + 1 consecutive symbols."""
+
+    sft: SftSpec
+    block_range: int
+    values: dict[Word, Fraction]
+
+    is_matrix_valued = False
+
+    def window_value(self, word: Word) -> Fraction:
+        return self.values[tuple(word)]
+
+    @property
+    def effective_block_length(self) -> int:
+        return max(self.block_range, 1)
+
+
+def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocycle:
+    """Validate that values cover exactly the admissible windows."""
+    if block_range < 0:
+        raise InvalidCocycle("block range must be >= 0")
+    table = {tuple(int(s) for s in k): _as_fraction(v) for k, v in values.items()}
+    expected = set(_admissible_words(sft, block_range + 1, max_states_cap()))
+    got = set(table)
+    if got != expected:
+        missing = sorted(expected - got)
+        extra = sorted(got - expected)
+        raise InvalidCocycle(
+            f"cocycle domain mismatch: missing {missing[:4]}, extra {extra[:4]}"
+        )
+    return LocallyConstantCocycle(sft=sft, block_range=block_range, values=table)
 
 
 def birkhoff_sum(cocycle, orbit: PeriodicOrbit):

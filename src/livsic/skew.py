@@ -6,7 +6,6 @@ psi(w[n-1]) ... psi(w[1]) psi(w[0]).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 from operator import add, mul
@@ -19,6 +18,7 @@ from .errors import (
     max_states_cap,
 )
 from .groups import Group, GroupElement, gauss_jordan, subgroup_rank_and_index
+from .record import record
 from .sft import (
     BlockGraph,
     PeriodicOrbit,
@@ -30,7 +30,7 @@ from .sft import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SkewSystem:
     sft: SftSpec
     group: Group
@@ -71,7 +71,7 @@ def psi_n(system: SkewSystem, word) -> GroupElement:
     return acc
 
 
-@dataclass(frozen=True)
+@record
 class FrobeniusClassTag:
     """Conjugacy class (finite groups) or lattice vector (Z^d) of an orbit weight."""
 
@@ -129,7 +129,7 @@ def enumerate_trivial_class_orbits(
     ]
 
 
-@dataclass(frozen=True)
+@record
 class ProductGraph:
     """Block graph crossed with the finite factor of the fiber group.
 
@@ -214,7 +214,7 @@ def product_scc_witness(tree: SpanningTree):
 # Transitivity.
 
 
-@dataclass(frozen=True)
+@record
 class NonTransitivityCertificate:
     kind: str
     functional: tuple[int, ...] | None = None
@@ -222,7 +222,7 @@ class NonTransitivityCertificate:
     lattice_diagonal: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class TransitivityEvidence:
     probe_depth: int
     probe_covers_simple_cycles: bool
@@ -235,7 +235,7 @@ class TransitivityEvidence:
     heuristic_transitive: bool
 
 
-@dataclass(frozen=True)
+@record
 class TransitivityVerdict:
     status: str
     witness: tuple[tuple[Word, str], tuple[Word, str]] | None = None

@@ -370,6 +370,28 @@ def test_non_finite_or_negative_flags_are_refused(
     assert flag in error["message"]
 
 
+@pytest.mark.parametrize(
+    "variable, value",
+    [
+        ("LIVSIC_MAX_PERIOD", "abc"),
+        ("LIVSIC_MAX_PERIOD", "0"),
+        ("LIVSIC_MAX_PERIOD", "2.5"),
+        ("LIVSIC_MAX_STATES", "0"),
+        ("LIVSIC_MAX_STATES", "-3"),
+        ("LIVSIC_MAX_STATES", ""),
+    ],
+)
+def test_malformed_cap_variable_is_refused(capsys, monkeypatch, variable, value):
+    monkeypatch.setenv(variable, value)
+    code, payload, error = _run_json(
+        capsys, "orbits", _example("gm-c2.json"), "--max-period", "3"
+    )
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "BadShape"
+    assert variable in error["message"]
+
+
 def test_generate_reproduces_committed_document(capsys):
     code, stdout, _ = _run(
         capsys,

@@ -60,8 +60,9 @@ def _plain(value):
         return value.tolist()
     if isinstance(value, float):
         return repr(value)
-    if is_dataclass(value):
-        out = {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if is_dataclass(value) or hasattr(type(value), "_fields"):
+        names = [f.name for f in fields(value)] if is_dataclass(value) else value._fields
+        out = {name: _plain(getattr(value, name)) for name in names}
         out["type"] = type(value).__name__
         return out
     if isinstance(value, dict):

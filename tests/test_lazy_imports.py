@@ -1,7 +1,10 @@
-"""numpy and the matrix layer load only when a matrix document needs them.
+"""numpy and the matrix layer load only when a matrix document needs them,
+and the solver layer only for the commands that solve or verify.
 
-The package resolves its matrix and oracle names on first use (PEP 562),
-and the command line imports the matrix layer inside the matrix handlers.
+The package resolves its solver, matrix and oracle names on first use
+(PEP 562), and the command line imports those layers inside the handlers
+that use them.  A command that solves nothing loads no ``dataclasses``
+either: its value types are records.
 Each command here runs in a fresh interpreter, exactly as `python -m
 livsic.cli` does, and reports which modules it loaded once main returned.
 """
@@ -21,6 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_text())
 EX = "docs/examples"
 LAZY = ("numpy", "livsic.matrix", "livsic.oracles")
+SOLVER_LAYER = ("livsic.abelian", "dataclasses", "inspect")
+SOLVE_NOTHING = ("validate", "check-transitivity", "orbits")
 
 # Runs the module as `python -m livsic.cli` would (its exit code passes
 # through) and writes the loaded module names to the file named by the
@@ -108,6 +113,11 @@ def test_rational_commands_load_no_numpy(tmp_path):
             assert proc.returncode == expected, (args, proc.stderr)
         assert "livsic.serialization" in modules, args
         assert not modules.intersection(LAZY), (args, modules.intersection(LAZY))
+        if args[0] in SOLVE_NOTHING:
+            loaded = modules.intersection(SOLVER_LAYER)
+            assert not loaded, (args, loaded)
+        else:
+            assert "livsic.abelian" in modules, args
 
 
 def test_matrix_commands_still_load_the_matrix_layer(tmp_path):
@@ -123,8 +133,10 @@ def test_package_namespace_keeps_every_public_name():
     for name in PUBLIC:
         assert getattr(livsic, name) is not None, name
         assert name in listed, name
-    from livsic import matrix, oracles
+    from livsic import abelian, matrix, oracles
 
+    assert livsic.solve_free_abelian is abelian.solve_free_abelian
+    assert livsic.make_cocycle is abelian.make_cocycle
     assert livsic.estimate_distortion is matrix.estimate_distortion
     assert livsic.MatrixCocycle is matrix.MatrixCocycle
     assert livsic.brute_transitivity is oracles.brute_transitivity

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import pickle
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -30,6 +29,7 @@ from livsic import (
     verify_vanishing,
     walk_primitive_orbits,
 )
+from livsic.record import FrozenInstanceError
 from corpus import random_irreducible_sft, rng_for
 
 GOLDEN_MEAN = SftSpec.from_rows([[1, 1], [1, 0]])
