@@ -21,8 +21,14 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 # Paths stay relative to ROOT so that recorded provenance is machine independent.
 EXAMPLES = "docs/examples"
-AUXILIARY = {"so2-basis.json", "u-table.json"}  # inputs to options, not systems
-RATIONAL = ("full2-z-drift", "full2-z-perturbed", "full2-z", "full3-z2", "gm-c2", "gm-s3")
+# Inputs to options, not systems.
+AUXILIARY = {
+    "so2-basis.json", "u-table.json", "full2-z.solution.json", "full2-c2-halfturn.solution.json"
+}
+RATIONAL = (
+    "full2-z-drift", "full2-z-drift-perturbed", "full2-z-perturbed", "full2-z", "full3-z2",
+    "gm-c2", "gm-s3",
+)
 MATRIX = ("full2-c2-halfturn", "full2-c2-quarterturn", "full2-diag-sl2")
 
 
@@ -31,11 +37,22 @@ def commands() -> list[list[str]]:
     out = []
     for name in docs:
         path = f"{EXAMPLES}/{name}"
+        out.append(["validate", path])
         out.append(["check-transitivity", path])
         out.append(["orbits", path, "--max-period", "6"])
         out.append(["orbits", path, "--max-period", "6", "--trivial-only"])
         out.append(["verify-vanishing", path, "--max-period", "6"])
     out.extend(["solve", f"{EXAMPLES}/{name}.json"] for name in RATIONAL + MATRIX)
+    # Each solution document is `solve --out` of its system; the perturbed
+    # system fails the rational one edge by edge.
+    for system, solution in (
+        ("full2-z", "full2-z"), ("full2-z-perturbed", "full2-z"),
+        ("full2-c2-halfturn", "full2-c2-halfturn"),
+    ):
+        out.append([
+            "verify-solution", f"{EXAMPLES}/{system}.json",
+            "--solution", f"{EXAMPLES}/{solution}.solution.json",
+        ])
     sl2 = f"{EXAMPLES}/full2-diag-sl2.json"
     so2 = f"{EXAMPLES}/so2-basis.json"
     out += [

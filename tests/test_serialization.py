@@ -34,7 +34,10 @@ from livsic.serialization import (
 from livsic.skew import check_transitivity
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
-AUXILIARY = {"bad-reducible.json", "u-table.json", "so2-basis.json"}
+AUXILIARY = {
+    "bad-reducible.json", "u-table.json", "so2-basis.json",
+    "full2-z.solution.json", "full2-c2-halfturn.solution.json",
+}
 
 
 def _system_doc_paths():
