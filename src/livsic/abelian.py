@@ -444,14 +444,12 @@ def generate_cocycle(
     *,
     block_range: int,
     seed: int | None = None,
-    numerator_bound: int = 9,
-    denominator_bound: int = 9,
 ) -> LocallyConstantCocycle:
     """Build f = u(shift .) - u + alpha(psi) over (block_range+1)-windows.
 
-    With u omitted, a seeded generator draws bounded random rationals per
-    block.  A nonzero alpha over a finite group is rejected: torsion forces
-    alpha = 0, so no such cocycle exists.
+    With u omitted, a seeded generator draws a random rational p/q per
+    block, with |p| <= 9 and 1 <= q <= 9.  A nonzero alpha over a finite
+    group is rejected: torsion forces alpha = 0, so no such cocycle exists.
     """
     if block_range < 1:
         raise InvalidCocycle("generation needs block range >= 1")
@@ -462,10 +460,7 @@ def generate_cocycle(
             raise InvalidCocycle("random generation requires a seed")
         rng = random.Random(seed)
         u = {
-            block: Fraction(
-                rng.randint(-numerator_bound, numerator_bound),
-                rng.randint(1, denominator_bound),
-            )
+            block: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for block in bg.vertices
         }
     else:

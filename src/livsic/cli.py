@@ -33,6 +33,7 @@ from .serialization import (
     canonical_json,
     class_tag_doc,
     error_doc,
+    fields_doc,
     fraction_to_str,
     make_provenance,
     matrix_witness_doc,
@@ -151,31 +152,19 @@ def _witness_doc(witness, k: int, kind: str) -> dict:
 
 def _cmd_validate(args, command_line: str) -> int:
     env = _load_system(args.system)
-    report = validate_sft(env.system.sft)
-    group = env.system.group
-    cocycle = env.cocycle
-    _emit(
-        {
-            "ok": True,
-            "k": env.system.sft.k,
-            "irreducible": report.irreducible,
-            "aperiodic": report.aperiodic,
-            "period": report.period,
-            "group": {
-                "type": group.variant,
-                "order": group.order,
-                "rank": None if group.is_finite else group.rank,
-            },
-            "cocycle": None
-            if cocycle is None
-            else {
-                "kind": "rational"
-                if isinstance(cocycle, LocallyConstantCocycle)
-                else "matrix",
-                "range": cocycle.block_range,
-            },
-        }
-    )
+    sft, group, cocycle = env.system.sft, env.system.group, env.cocycle
+    group_doc = {
+        "type": group.variant,
+        "order": group.order,
+        "rank": None if group.is_finite else group.rank,
+    }
+    cocycle_doc = None
+    if cocycle is not None:
+        kind = "rational" if isinstance(cocycle, LocallyConstantCocycle) else "matrix"
+        cocycle_doc = {"kind": kind, "range": cocycle.block_range}
+    report = validate_sft(sft)
+    _emit(fields_doc(report, sft.k, None, ok=True, k=sft.k, group=group_doc,
+                     cocycle=cocycle_doc))
     return 0
 
 
@@ -298,16 +287,11 @@ def _cmd_verify_solution(args, command_line: str) -> int:
 
         cocycle = _require_rational(env)
         report = verify_solution(system, cocycle, sol_env.solution)
-        _emit(
-            {
-                "certified": report.certified,
-                "edges_checked": report.edges_checked,
-                "failures": [
-                    {"word": word_to_key(w, k), "residual": fraction_to_str(res)}
-                    for w, res in report.failures
-                ],
-            }
-        )
+        failures = [
+            {"word": word_to_key(w, k), "residual": fraction_to_str(res)}
+            for w, res in report.failures
+        ]
+        _emit(fields_doc(report, k, None, failures=failures))
         return 0 if report.certified else 1
     from .matrix import certification_tolerance, invert_blocks, verify_matrix_solution
 
@@ -322,16 +306,7 @@ def _cmd_verify_solution(args, command_line: str) -> int:
     report = verify_matrix_solution(
         system, cocycle, solution, tol=check_tol, u_inv=u_inv
     )
-    _emit(
-        {
-            "certified": report.certified,
-            "edges_checked": report.edges_checked,
-            "max_residual": report.max_residual,
-            "hom_defect": report.hom_defect,
-            "centrality_defect": report.centrality_defect,
-            "tolerance": report.tol,
-        }
-    )
+    _emit(fields_doc(report, k, {"tol": "tolerance"}))
     return 0 if report.certified else 1
 
 
@@ -384,17 +359,7 @@ def _cmd_distortion(args, command_line: str) -> int:
             algebra=_load_json(args.algebra),
         )
     report = estimate_distortion(cocycle, args.depth)
-    _emit(
-        {
-            "depth": report.n_max,
-            "mu_s": report.mu_s,
-            "mu_u": report.mu_u,
-            "mu_s_by_n": list(report.mu_s_by_n),
-            "mu_u_by_n": list(report.mu_u_by_n),
-            "theta_threshold": report.theta_threshold,
-            "algebra_dim": report.algebra_dim,
-        }
-    )
+    _emit(fields_doc(report, cocycle.sft.k, {"n_max": "depth"}))
     return 0
 
 
@@ -405,16 +370,7 @@ def _cmd_check_distortion(args, command_line: str) -> int:
     cocycle = _require_matrix(env)
     report = estimate_distortion(cocycle, args.depth)
     verdict = check_distortion_assumption(report, args.theta)
-    _emit(
-        {
-            "status": verdict.status,
-            "theta": verdict.theta,
-            "threshold": verdict.threshold,
-            "mu_s": verdict.mu_s,
-            "mu_u": verdict.mu_u,
-            "depth": verdict.n_max,
-        }
-    )
+    _emit(fields_doc(verdict, cocycle.sft.k, {"n_max": "depth"}))
     return 0 if verdict.status == "satisfied" else 1
 
 

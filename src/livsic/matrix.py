@@ -46,6 +46,14 @@ from .sft import (
 )
 from .skew import SkewSystem, build_product_graph, product_scc_witness
 
+# Relative tolerance of the algebra checks: a declared basis closed under
+# commutators, conjugation keeping it in its span, and the homomorphism
+# and commutation checks of generate_matrix_cocycle.
+_ALGEBRA_TOL = 1e-9
+# A distortion scan compounds up to n_max values per product, so its span
+# check is looser; it is also the margin check_distortion_assumption asks.
+_DISTORTION_TOL = 1e-6
+
 
 def _as_matrix(entry, dim: int | None) -> np.ndarray:
     rows = []
@@ -113,7 +121,7 @@ class MatrixCocycle:
 
 
 def make_matrix_cocycle(
-    sft: SftSpec, block_range: int, values, *, algebra=None, tol: float = 1e-9
+    sft: SftSpec, block_range: int, values, *, algebra=None
 ) -> MatrixCocycle:
     """Validate domain coverage, invertibility and any declared algebra."""
     if block_range < 0:
@@ -139,7 +147,7 @@ def make_matrix_cocycle(
     basis = None
     if algebra is not None:
         basis = tuple(_as_matrix(entry, dim) for entry in algebra)
-        _check_algebra_closed(basis, tol)
+        _check_algebra_closed(basis)
     return MatrixCocycle(
         sft=sft, block_range=block_range, dim=dim, values=table, algebra=basis
     )
@@ -149,7 +157,7 @@ def _basis_matrix(basis) -> np.ndarray:
     return np.stack([b.reshape(-1) for b in basis], axis=1)
 
 
-def _check_algebra_closed(basis, tol: float) -> None:
+def _check_algebra_closed(basis) -> None:
     """Commutators of basis elements must stay in the span."""
     if not basis:
         raise AlgebraNotClosed("algebra basis is empty")
@@ -162,16 +170,16 @@ def _check_algebra_closed(basis, tol: float) -> None:
             comm = x @ y - y @ x
             vec = comm.reshape(-1)
             residual = float(np.linalg.norm(b_mat @ (pinv @ vec) - vec))
-            if residual > tol * (1.0 + float(np.linalg.norm(vec))):
+            if residual > _ALGEBRA_TOL * (1.0 + float(np.linalg.norm(vec))):
                 raise AlgebraNotClosed(
                     f"commutator of basis elements {i} and {j} leaves the span "
                     f"(residual {residual:.3e})"
                 )
 
 
-def adjoint_norm(g: np.ndarray, basis, tol: float = 1e-9) -> float:
+def adjoint_norm(g: np.ndarray, basis) -> float:
     """Operator 2-norm of conjugation by g, on the declared or ambient algebra."""
-    return float(_adjoint_norms(g[None], basis, tol)[0])
+    return float(_adjoint_norms(g[None], basis, _ALGEBRA_TOL)[0])
 
 
 def _adjoint_norms(g: np.ndarray, basis, tol: float) -> np.ndarray:
@@ -461,9 +469,7 @@ class DistortionReport:
 _CHUNK = 512
 
 
-def estimate_distortion(
-    cocycle: MatrixCocycle, n_max: int, *, tol: float = 1e-6
-) -> DistortionReport:
+def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     """Exhaustive scan of words: mu_hat(n) = max ||Ad(product)||^(1/n).
 
     The forward rate uses products of n window values; the backward rate
@@ -509,8 +515,8 @@ def estimate_distortion(
     push(1, np.arange(len(windows)), vals, invs)
     while stack:
         n, words, prods, inv_prods = stack.pop()
-        best_s[n] = max(best_s[n], float(_adjoint_norms(prods, basis, tol).max()))
-        best_u[n] = max(best_u[n], float(_adjoint_norms(inv_prods, basis, tol).max()))
+        best_s[n] = max(best_s[n], float(_adjoint_norms(prods, basis, _DISTORTION_TOL).max()))
+        best_u[n] = max(best_u[n], float(_adjoint_norms(inv_prods, basis, _DISTORTION_TOL).max()))
         if n < n_max:
             succ = successor[words]
             parent, symbol = np.nonzero(succ >= 0)
@@ -548,19 +554,17 @@ class DistortionVerdict:
     n_max: int
 
 
-def check_distortion_assumption(
-    report: DistortionReport, theta: float, *, tol: float = 1e-6
-) -> DistortionVerdict:
+def check_distortion_assumption(report: DistortionReport, theta: float) -> DistortionVerdict:
     """Compare theta against max(|log mu_s|, |log mu_u|) / log 2.
 
     The condition fails unless theta strictly exceeds the threshold;
-    satisfied requires clearing it by more than tol, anything in between
-    is marginal.
+    satisfied requires clearing it by more than _DISTORTION_TOL, anything
+    in between is marginal.
     """
     threshold = report.theta_threshold
     if theta <= threshold:
         status = "violated"
-    elif theta > threshold + tol:
+    elif theta > threshold + _DISTORTION_TOL:
         status = "satisfied"
     else:
         status = "marginal"
@@ -597,7 +601,6 @@ def generate_matrix_cocycle(
     algebra=None,
     seed: int | None = None,
     family: str | None = None,
-    tol: float = 1e-9,
 ) -> MatrixCocycle:
     """Build f = alpha(psi) . u(shift .) . u(.)^-1 from explicit data.
 
@@ -655,7 +658,7 @@ def generate_matrix_cocycle(
             lhs = alpha_mats[group.mul(a, b)]
             rhs = alpha_mats[a] @ alpha_mats[b]
             scale = 1.0 + float(np.linalg.norm(rhs))
-            if float(np.linalg.norm(lhs - rhs)) > tol * scale:
+            if float(np.linalg.norm(lhs - rhs)) > _ALGEBRA_TOL * scale:
                 raise NotAHomomorphism(
                     f"alpha({group.name_of(a)}) alpha({group.name_of(b)}) != "
                     f"alpha({group.name_of(group.mul(a, b))})"
@@ -663,7 +666,7 @@ def generate_matrix_cocycle(
 
     def commute_or_raise(x, y, what):
         defect = float(np.linalg.norm(x @ y - y @ x))
-        if defect > tol * (1.0 + float(np.linalg.norm(x) * np.linalg.norm(y))):
+        if defect > _ALGEBRA_TOL * (1.0 + float(np.linalg.norm(x) * np.linalg.norm(y))):
             raise CentralityImpossible(
                 f"alpha does not commute with {what} (defect {defect:.3e})"
             )

@@ -70,13 +70,6 @@ def _as_int(value, pointer: str, *, minimum: int | None = None) -> int:
     return value
 
 
-def _get_int_list(doc, key: str, pointer: str) -> tuple[int, ...]:
-    raw = _get(doc, key, pointer)
-    if not isinstance(raw, list):
-        _fail(f"{pointer}/{key}", "expected a list of integers")
-    return tuple(_as_int(x, f"{pointer}/{key}/{i}") for i, x in enumerate(raw))
-
-
 def _get_number(doc, key: str, pointer: str, default: float | None = None) -> float:
     """doc[key] as a finite float; a missing key reads as default if one is given."""
     value = _get(doc, key, pointer) if default is None else doc.get(key, default)
@@ -121,6 +114,59 @@ def parse_word_key(key: str, k: int, pointer: str) -> Word:
     if any(s < 1 or s > k for s in word):
         _fail(pointer, f"symbol out of range in word key {key!r}")
     return word
+
+
+def _as_bool(value, pointer: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(pointer, "expected true or false")
+    return value
+
+
+def _as_int_tuple(value, pointer: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        _fail(pointer, "expected a list of integers")
+    return tuple(_as_int(x, f"{pointer}/{i}") for i, x in enumerate(value))
+
+
+# Readers by annotation.  The modules that declare records import
+# `annotations` from `__future__`, so each annotation is its source text.
+_READERS = {
+    "int": _as_int,
+    "float": _as_finite_float,
+    "bool": _as_bool,
+    "tuple[int, ...]": _as_int_tuple,
+}
+
+
+def fields_doc(obj, k: int, rename: dict | None = None, /, **extra) -> dict:
+    """One key per annotated field of ``obj``, renamed through ``rename``.
+
+    ``None`` values are left out.  A ``Word`` or ``PeriodicOrbit`` field
+    is written as a word key over ``k`` symbols, any other value as
+    ``_plain`` writes it; the ``extra`` keys are set last.
+    """
+    doc = {}
+    for name, annotation in type(obj).__annotations__.items():
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        if annotation in ("Word", "PeriodicOrbit"):
+            value = word_to_key(getattr(value, "word", value), k)
+        doc[rename.get(name, name) if rename else name] = _plain(value)
+    doc.update(extra)
+    return doc
+
+
+def fields_from_doc(cls, doc, pointer: str, rename: dict | None = None, **extra):
+    """Build ``cls`` from the object ``doc`` at ``pointer``, the reverse of
+    ``fields_doc``: each annotated field not given in ``extra`` is read at
+    its renamed key with the reader its annotation names."""
+    values = dict(extra)
+    for name, annotation in cls.__annotations__.items():
+        if name not in extra:
+            key = rename.get(name, name) if rename else name
+            values[name] = _READERS[annotation](_get(doc, key, pointer), f"{pointer}/{key}")
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +421,10 @@ class SolutionEnvelope:
     provenance: dict
 
 
-def make_provenance(command: str, seed: int | None = None) -> dict:
+def make_provenance(command: str) -> dict:
     return {
         "command": command,
-        "seed": seed,
+        "seed": None,
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
     }
@@ -394,7 +440,7 @@ def solution_to_doc(env: SolutionEnvelope) -> dict:
 
 def _rational_solution_doc(env: SolutionEnvelope) -> dict:
     sol = env.solution
-    doc = {
+    return {
         "kind": "rational",
         "k": env.k,
         "block_length": sol.block_length,
@@ -407,11 +453,7 @@ def _rational_solution_doc(env: SolutionEnvelope) -> dict:
         "alpha_is_zero": sol.alpha_is_zero,
         "degenerate": None
         if sol.degenerate is None
-        else {
-            "lattice_rank": sol.degenerate.lattice_rank,
-            "lattice_diagonal": list(sol.degenerate.lattice_diagonal),
-            "pinned_coordinates": list(sol.degenerate.pinned_coordinates),
-        },
+        else fields_doc(sol.degenerate, env.k),
         "certification": None
         if sol.certificate is None
         else {
@@ -422,7 +464,6 @@ def _rational_solution_doc(env: SolutionEnvelope) -> dict:
         },
         "provenance": dict(env.provenance),
     }
-    return doc
 
 
 def _matrix_solution_doc(env: SolutionEnvelope) -> dict:
@@ -448,14 +489,7 @@ def _matrix_solution_doc(env: SolutionEnvelope) -> dict:
         "tolerance": float(sol.tol),
         "certification": None
         if cert is None
-        else {
-            "certified": cert.certified,
-            "edges_checked": cert.edges_checked,
-            "max_residual": float(cert.max_residual),
-            "hom_defect": float(cert.hom_defect),
-            "centrality_defect": float(cert.centrality_defect),
-            "tolerance": float(cert.tol),
-        },
+        else fields_doc(cert, env.k, {"tol": "tolerance"}),
         "provenance": dict(env.provenance),
     }
 
@@ -502,34 +536,18 @@ def _parse_rational_solution(doc, k: int, block_length: int) -> CohomologySoluti
         alpha = tuple(
             parse_rational(a, f"/alpha/{i}") for i, a in enumerate(alpha_doc)
         )
-    degenerate = None
     deg_doc = doc.get("degenerate")
-    if deg_doc is not None:
-        degenerate = DegenerateReport(
-            lattice_rank=_as_int(
-                _get(deg_doc, "lattice_rank", "/degenerate"),
-                "/degenerate/lattice_rank",
-            ),
-            lattice_diagonal=_get_int_list(deg_doc, "lattice_diagonal", "/degenerate"),
-            pinned_coordinates=_get_int_list(deg_doc, "pinned_coordinates", "/degenerate"),
-        )
-    certificate = None
     cert_doc = doc.get("certification")
-    if cert_doc is not None:
-        certificate = VerificationReport(
-            certified=bool(_get(cert_doc, "certified", "/certification")),
-            edges_checked=_as_int(
-                _get(cert_doc, "edges_checked", "/certification"),
-                "/certification/edges_checked",
-            ),
-            failures=(),
-        )
     return CohomologySolution(
         block_length=block_length,
         u=u,
         alpha=alpha,
-        degenerate=degenerate,
-        certificate=certificate,
+        degenerate=None
+        if deg_doc is None
+        else fields_from_doc(DegenerateReport, deg_doc, "/degenerate"),
+        certificate=None
+        if cert_doc is None
+        else fields_from_doc(VerificationReport, cert_doc, "/certification", failures=()),
     )
 
 
@@ -558,20 +576,7 @@ def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
         if mat.shape != (dim, dim):
             _fail(f"/alpha/{name}", f"expected a {dim}x{dim} matrix")
         alpha[name] = mat
-    certificate = None
     cert_doc = doc.get("certification")
-    if cert_doc is not None:
-        certificate = MatrixVerificationReport(
-            certified=bool(_get(cert_doc, "certified", "/certification")),
-            edges_checked=_as_int(
-                _get(cert_doc, "edges_checked", "/certification"),
-                "/certification/edges_checked",
-            ),
-            max_residual=_get_number(cert_doc, "max_residual", "/certification"),
-            hom_defect=_get_number(cert_doc, "hom_defect", "/certification"),
-            centrality_defect=_get_number(cert_doc, "centrality_defect", "/certification"),
-            tol=_get_number(cert_doc, "tolerance", "/certification"),
-        )
     return MatrixSolution(
         block_length=block_length,
         u=u,
@@ -579,7 +584,11 @@ def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
         alpha_constancy_defect=_get_number(doc, "alpha_constancy_defect", "", 0.0),
         max_residual=_get_number(doc, "max_residual", "", 0.0),
         tol=_get_number(doc, "tolerance", ""),
-        certificate=certificate,
+        certificate=None
+        if cert_doc is None
+        else fields_from_doc(
+            MatrixVerificationReport, cert_doc, "/certification", {"tol": "tolerance"}
+        ),
     )
 
 
@@ -588,33 +597,16 @@ def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
 
 
 def violation_witness_doc(witness: ViolationWitness, k: int) -> dict:
-    return {
-        "kind": "orbit",
-        "orbit": word_to_key(witness.orbit.word, k),
-        "multiplicity": witness.multiplicity,
-        "word": word_to_key(witness.word, k),
-        "sum": fraction_to_str(witness.total),
-    }
+    word = word_to_key(witness.word, k)
+    return fields_doc(witness, k, {"total": "sum"}, kind="orbit", word=word)
 
 
 def pair_witness_doc(witness: EqualWeightPair, k: int) -> dict:
-    return {
-        "kind": "pair",
-        "word_a": word_to_key(witness.word_a, k),
-        "word_b": word_to_key(witness.word_b, k),
-        "weight": list(witness.weight),
-        "sum_a": fraction_to_str(witness.sum_a),
-        "sum_b": fraction_to_str(witness.sum_b),
-    }
+    return fields_doc(witness, k, kind="pair")
 
 
 def matrix_witness_doc(witness: MatrixViolationWitness, k: int) -> dict:
-    return {
-        "kind": "orbit",
-        "orbit": word_to_key(witness.orbit.word, k),
-        "multiplicity": witness.multiplicity,
-        "deviation": float(witness.deviation),
-    }
+    return fields_doc(witness, k, kind="orbit")
 
 
 def class_tag_doc(tag: FrobeniusClassTag, group: Group) -> dict:
@@ -635,27 +627,9 @@ def transitivity_doc(verdict: TransitivityVerdict, k: int) -> dict:
             "to": {"block": word_to_key(block_b, k), "element": name_b},
         }
     if verdict.certificate is not None:
-        cert = verdict.certificate
-        cert_doc: dict = {"kind": cert.kind}
-        if cert.functional is not None:
-            cert_doc["functional"] = list(cert.functional)
-        if cert.lattice_rank is not None:
-            cert_doc["lattice_rank"] = cert.lattice_rank
-            cert_doc["lattice_diagonal"] = list(cert.lattice_diagonal or ())
-        doc["certificate"] = cert_doc
+        doc["certificate"] = fields_doc(verdict.certificate, k)
     if verdict.evidence is not None:
-        ev = verdict.evidence
-        doc["evidence"] = {
-            "probe_depth": ev.probe_depth,
-            "probe_covers_simple_cycles": ev.probe_covers_simple_cycles,
-            "orbit_count": ev.orbit_count,
-            "distinct_classes": [list(v) for v in ev.distinct_classes],
-            "lattice_rank": ev.lattice_rank,
-            "lattice_diagonal": list(ev.lattice_diagonal),
-            "lattice_full": ev.lattice_full,
-            "zero_in_interior": ev.zero_in_interior,
-            "heuristic_transitive": ev.heuristic_transitive,
-        }
+        doc["evidence"] = fields_doc(verdict.evidence, k)
     return doc
 
 

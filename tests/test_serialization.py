@@ -21,17 +21,22 @@ from livsic import (
     solve_matrix_finite,
     system_to_doc,
 )
+from livsic.abelian import DegenerateReport, EqualWeightPair, VerificationReport
+from livsic.matrix import MatrixVerificationReport
 from livsic.serialization import (
+    _READERS,
     SolutionEnvelope,
     _plain,
     error_doc,
+    fields_doc,
+    fields_from_doc,
     make_provenance,
     parse_rational,
     parse_word_key,
     transitivity_doc,
     word_to_key,
 )
-from livsic.skew import check_transitivity
+from livsic.skew import NonTransitivityCertificate, check_transitivity
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 AUXILIARY = {
@@ -195,6 +200,20 @@ def test_document_error_pointers():
         assert _pointer_of(doc) == "/cocycle/values/1/0/1"
 
 
+def test_finite_table_group_roundtrips_and_needs_its_full_name():
+    doc = _load("gm-c2.json")
+    doc["group"] = {
+        "type": "finite_table",
+        "payload": {"names": ["e", "g"], "table": [["e", "g"], ["g", "e"]]},
+    }
+    text = canonical_json(doc)
+    env = parse_system_document(json.loads(text))
+    assert env.system.group.order == 2
+    assert canonical_json(system_to_doc(env)) == text
+    doc["group"]["type"] = "table"
+    assert _pointer_of(doc) == "/group/type"
+
+
 def test_finite_psi_requires_known_names():
     doc = _load("gm-c2.json")
     doc["psi"][0] = "h"
@@ -231,6 +250,9 @@ def test_solution_document_error_pointers():
     rational["degenerate"] = {
         "lattice_rank": 0, "lattice_diagonal": [], "pinned_coordinates": [0]
     }
+    rational["certification"] = {
+        "certified": True, "edges_checked": 4, "max_residual": "0", "tolerance": None
+    }
     cert = {"certified": True, "edges_checked": 4, "max_residual": 0.0}
     cert.update(hom_defect=0.0, centrality_defect=0.0, tolerance=1e-9)
     matrix = {
@@ -264,6 +286,11 @@ def test_solution_document_error_pointers():
     ]
     cases += [(rational, path, bad) for path in lists for bad in ("0", 3, None, {"0": 1})]
     cases += [(matrix, path, bad) for path in cells for bad in (10**400, "1e400")]
+    cases += [
+        (good, ("certification", "certified"), bad)
+        for good in (rational, matrix)
+        for bad in ("false", 0, None)
+    ]
     for good, path, bad in cases:
         parse_solution_document(good)
         doc = json.loads(json.dumps(good))
@@ -320,3 +347,45 @@ def test_transitivity_doc_shapes():
     env2 = parse_system_document(_load("gm-c2.json"))
     doc2 = transitivity_doc(check_transitivity(env2.system), 2)
     assert doc2 == {"status": "transitive"}
+
+
+# Each record read back with fields_from_doc, with its key renames and
+# the fields its parser supplies rather than reads.
+READ_BACK = [
+    (DegenerateReport(lattice_rank=1, lattice_diagonal=(2,), pinned_coordinates=(0, 3)), None, {}),
+    (VerificationReport(certified=False, edges_checked=4, failures=()), None, {"failures": ()}),
+    (
+        MatrixVerificationReport(
+            certified=True, edges_checked=4, max_residual=0.5, hom_defect=0.0,
+            centrality_defect=1e-12, tol=2e-8,
+        ),
+        {"tol": "tolerance"},
+        {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, rename, extra", READ_BACK, ids=[type(case[0]).__name__ for case in READ_BACK]
+)
+def test_field_walk_reads_back_what_it_writes(record, rename, extra):
+    cls = type(record)
+    # A field type without a reader fails here, not on a user's document.
+    unread = {name: annotation for name, annotation in cls.__annotations__.items()
+              if name not in extra and annotation not in _READERS}
+    assert unread == {}
+    doc = json.loads(canonical_json(fields_doc(record, 2, rename)))
+    assert fields_from_doc(cls, doc, "", rename, **extra) == record
+
+
+def test_field_walk_writes_words_as_keys_and_drops_none():
+    pair = EqualWeightPair(
+        word_a=(1, 2), word_b=(1, 11), weight=(2, -1), sum_a=Fraction(0), sum_b=Fraction(2, 3)
+    )
+    assert fields_doc(pair, 11) == {
+        "word_a": "1,2", "word_b": "1,11", "weight": [2, -1], "sum_a": "0", "sum_b": "2/3"
+    }
+    cert = NonTransitivityCertificate(kind="one_sided", functional=(1, -2))
+    assert fields_doc(cert, 2, {"kind": "type"}, k=2) == {
+        "type": "one_sided", "functional": [1, -2], "k": 2
+    }
