@@ -40,6 +40,7 @@ from .sft import (
     Word,
     _admissible_words,
     _solution_block_graph,
+    _within_budget,
     _word_count_estimate,
     build_block_graph,
     cyclic_fold,
@@ -179,28 +180,43 @@ def _check_algebra_closed(basis) -> None:
 
 def adjoint_norm(g: np.ndarray, basis) -> float:
     """Operator 2-norm of conjugation by g, on the declared or ambient algebra."""
-    return float(_adjoint_norms(g[None], basis, _ALGEBRA_TOL)[0])
+    return float(_adjoint_norms(g[None], _algebra_frame(basis), _ALGEBRA_TOL)[0])
 
 
-def _adjoint_norms(g: np.ndarray, basis, tol: float) -> np.ndarray:
+def _algebra_frame(basis):
+    """(basis stack, basis matrix, its pseudo-inverse transposed), or None
+    for the ambient algebra: what _adjoint_norms needs, computed once."""
+    if basis is None:
+        return None
+    b_mat = _basis_matrix(basis)
+    return np.stack(basis), b_mat, np.linalg.pinv(b_mat).T
+
+
+def _spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (N, p, q) stack."""
+    gram = np.swapaxes(mats, 1, 2) @ mats
+    return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+
+
+def _adjoint_norms(g: np.ndarray, frame, tol: float) -> np.ndarray:
     """2-norm of Ad(g) for each matrix of an (N, m, m) stack.
 
     Every matrix must pass _checked_inverse (SingularMatrix otherwise).
-    On the ambient algebra (basis None) Ad(g) is kron(g, g^-T).  On a
-    declared algebra each conjugated basis element must stay in the span,
-    to tol relative to its norm, or AlgebraNotClosed names the element;
-    the norm is then that of the coefficient matrix, one column per basis
-    element.
+    On the ambient algebra (frame None) the norm is ||g|| ||g^-1||.  On a
+    declared algebra (frame from _algebra_frame) each conjugated basis
+    element must stay in the span, to tol relative to its norm, or
+    AlgebraNotClosed names the element; the norm is then that of the
+    coefficient matrix, one column per basis element.
     """
-    n, m = g.shape[0], g.shape[-1]
     g_inv = _checked_inverse(g, "adjoint")
-    if basis is None:
-        ad = g[:, :, None, :, None] * np.swapaxes(g_inv, 1, 2)[:, None, :, None, :]
-        return np.linalg.norm(ad.reshape(n, m * m, m * m), 2, axis=(1, 2))
-    b_mat = _basis_matrix(basis)
-    vecs = (g[:, None] @ np.stack(basis) @ g_inv[:, None]).reshape(n, len(basis), m * m)
-    coeffs = np.linalg.pinv(b_mat) @ vecs[..., None]
-    residual = np.linalg.norm((b_mat @ coeffs)[..., 0] - vecs, axis=-1)
+    if frame is None:
+        return _spectral_norms(g) * _spectral_norms(g_inv)
+    stack, b_mat, pinv_t = frame
+    n, m = g.shape[0], g.shape[-1]
+    vecs = (g[:, None] @ stack @ g_inv[:, None]).reshape(n, len(stack), m * m)
+    # Row j of coeffs[i] holds the coefficients of the j-th conjugated element.
+    coeffs = vecs @ pinv_t
+    residual = np.linalg.norm(coeffs @ b_mat.T - vecs, axis=-1)
     leaks = residual > tol * (1.0 + np.linalg.norm(vecs, axis=-1))
     if leaks.any():
         row, j = np.argwhere(leaks)[0]
@@ -208,7 +224,7 @@ def _adjoint_norms(g: np.ndarray, basis, tol: float) -> np.ndarray:
             f"conjugation moves basis element {j} out of the declared span "
             f"(residual {residual[row, j]:.3e})"
         )
-    return np.linalg.norm(np.swapaxes(coeffs[..., 0], 1, 2), 2, axis=(1, 2))
+    return _spectral_norms(coeffs)
 
 
 @record
@@ -257,6 +273,11 @@ def cyclic_product(cocycle: MatrixCocycle, word) -> np.ndarray:
     if not cocycle.sft.is_admissible(word, cyclic=True):
         raise InvalidCocycle(f"word {word} is not cyclically admissible")
     return cyclic_fold(cocycle, word)
+
+
+def _max_frobenius(mats: np.ndarray) -> float:
+    """Largest Frobenius norm over an (N, m, m) stack."""
+    return float(np.linalg.norm(mats, axis=(1, 2)).max())
 
 
 def _deviation(mat: np.ndarray) -> float:
@@ -415,25 +436,26 @@ def verify_matrix_solution(
     rf = cocycle.block_range
     if u_inv is None:
         u_inv = invert_blocks(solution.u)
+    edges = bg.edges
+    alpha = np.stack([solution.alpha[group.name_of(gi)] for gi in range(group.order)])
     worst = 0.0
-    for word in bg.edges:
-        alpha_mat = solution.alpha[group.name_of(system.psi_of(word[0]))]
-        expected = alpha_mat @ solution.u[word[1:]] @ u_inv[word[:-1]]
-        residual = float(np.linalg.norm(cocycle.window_value(word[: rf + 1]) - expected))
-        worst = max(worst, residual)
+    if edges:  # an unvalidated spec whose symbols have no successor has none
+        steps = alpha[[system.psi_of(word[0]) for word in edges]]
+        expected = steps @ np.stack([solution.u[w[1:]] for w in edges]) @ np.stack(
+            [u_inv[w[:-1]] for w in edges]
+        )
+        values = np.stack([cocycle.window_value(w[: rf + 1]) for w in edges])
+        worst = _max_frobenius(values - expected)
 
+    # One group element at a time against a stack of all the others (or of
+    # every cocycle value): memory stays linear in the order and windows.
     hom_defect = 0.0
-    for a in range(group.order):
-        for b in range(group.order):
-            lhs = solution.alpha[group.name_of(group.mul(a, b))]
-            rhs = solution.alpha[group.name_of(a)] @ solution.alpha[group.name_of(b)]
-            hom_defect = max(hom_defect, float(np.linalg.norm(lhs - rhs)))
-
     centrality_defect = 0.0
-    for mat in solution.alpha.values():
-        for value in cocycle.values.values():
-            gap = float(np.linalg.norm(mat @ value - value @ mat))
-            centrality_defect = max(centrality_defect, gap)
+    cocycle_values = np.stack(list(cocycle.values.values()))
+    for a, mat in enumerate(alpha):
+        hom_defect = max(hom_defect, _max_frobenius(alpha[list(group.table[a])] - mat @ alpha))
+        gaps = mat @ cocycle_values - cocycle_values @ mat
+        centrality_defect = max(centrality_defect, _max_frobenius(gaps))
 
     return MatrixVerificationReport(
         certified=worst <= tol and hom_defect <= tol and centrality_defect <= tol,
@@ -479,7 +501,7 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     The admissible words of length n + block_range are walked depth first
     in chunks of at most _CHUNK words, each carrying its (chunk, m, m)
     stacks of forward and backward products.  A popped chunk is scored
-    with one batched adjoint-norm call per direction, and its children,
+    with one batched adjoint-norm call over both stacks, and its children,
     found through a table of window successors, get their products as
     value @ product and inverse-product @ inverse, the order of a
     word-by-word scan, before being split into chunks and pushed.  The
@@ -492,16 +514,18 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     if _word_count_estimate(spec, n_max + rf) > DEFAULT_MAX_WORK:
         raise RangeTooLarge(
             f"distortion scan to depth {n_max} exceeds the work budget"
+            + _within_budget(spec, n_max + rf, "depth", rf)
         )
     windows = sorted(cocycle.values)
     index = {w: i for i, w in enumerate(windows)}
     vals = np.stack([cocycle.values[w] for w in windows])
-    invs = np.stack([_checked_inverse(cocycle.values[w], f"value at {w}") for w in windows])
+    invs = _checked_inverse(vals, "value", labels=windows)
     successor = np.full((len(windows), spec.k), -1, dtype=np.intp)
     for i, w in enumerate(windows):
         for b in spec.successors(w[-1]):
             successor[i, b - 1] = index[w[1:] + (b,)]
     basis = cocycle.algebra
+    frame = _algebra_frame(basis)
     best_s = [0.0] * (n_max + 1)
     best_u = [0.0] * (n_max + 1)
     stack = []
@@ -515,8 +539,16 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     push(1, np.arange(len(windows)), vals, invs)
     while stack:
         n, words, prods, inv_prods = stack.pop()
-        best_s[n] = max(best_s[n], float(_adjoint_norms(prods, basis, _DISTORTION_TOL).max()))
-        best_u[n] = max(best_u[n], float(_adjoint_norms(inv_prods, basis, _DISTORTION_TOL).max()))
+        try:
+            norms = _adjoint_norms(np.concatenate((prods, inv_prods)), frame, _DISTORTION_TOL)
+        except (SingularMatrix, AlgebraNotClosed):
+            # Name the failure a word-by-word scan meets first: every check
+            # of the forward stack comes before any of the backward one.
+            _adjoint_norms(prods, frame, _DISTORTION_TOL)
+            _adjoint_norms(inv_prods, frame, _DISTORTION_TOL)
+            raise
+        best_s[n] = max(best_s[n], float(norms[: len(words)].max()))
+        best_u[n] = max(best_u[n], float(norms[len(words) :].max()))
         if n < n_max:
             succ = successor[words]
             parent, symbol = np.nonzero(succ >= 0)

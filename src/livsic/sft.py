@@ -423,6 +423,18 @@ def _word_count_estimate(spec: SftSpec, max_len: int) -> int:
     return total
 
 
+def _within_budget(spec: SftSpec, max_len: int, what: str, offset: int = 0) -> str:
+    """Tail of a work-budget refusal for the words of length up to max_len:
+    the largest <what> (a word length less offset) whose words fit the
+    budget, or that none does."""
+    fits = max_len - 1
+    while fits > offset and _word_count_estimate(spec, fits) > DEFAULT_MAX_WORK:
+        fits -= 1
+    if fits > offset:
+        return f"; the largest {what} within it is {fits - offset}"
+    return f"; no {what} is within it"
+
+
 def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=None):
     """Every primitive periodic orbit of period <= max_period, with its weight.
 
@@ -444,6 +456,7 @@ def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=Non
     if _word_count_estimate(spec, max_period) > DEFAULT_MAX_WORK:
         raise RangeTooLarge(
             f"orbit enumeration up to period {max_period} exceeds the work budget"
+            + _within_budget(spec, max_period, "period")
         )
     return _lyndon_walk(spec, max_period, act, identity)
 

@@ -29,6 +29,7 @@ from livsic import (
     adjoint_norm,
     birkhoff_sum,
     brute_matrix_solution_check,
+    build_block_graph,
     build_group,
     check_distortion_assumption,
     cyclic_product,
@@ -40,6 +41,8 @@ from livsic import (
     solve_matrix_finite,
     verify_matrix_solution,
 )
+from livsic import matrix
+from livsic.sft import _within_budget
 from corpus import random_irreducible_sft, rng_for, s3_group
 
 FULL_2 = SftSpec.full_shift(2)
@@ -229,6 +232,96 @@ def test_verify_matrix_solution_detects_tampering():
     )
 
 
+def _looped_report(system, cocycle, solution, tol):
+    """verify_matrix_solution's three defects, one edge, pair and value at a time."""
+    group, rf = system.group, cocycle.block_range
+    u_inv = {block: np.linalg.inv(mat) for block, mat in solution.u.items()}
+    worst = 0.0
+    for word in build_block_graph(system.sft, solution.block_length).edges:
+        alpha_mat = solution.alpha[group.name_of(system.psi_of(word[0]))]
+        expected = alpha_mat @ solution.u[word[1:]] @ u_inv[word[:-1]]
+        residual = float(np.linalg.norm(cocycle.window_value(word[: rf + 1]) - expected))
+        worst = max(worst, residual)
+    hom_defect = 0.0
+    for a in range(group.order):
+        for b in range(group.order):
+            lhs = solution.alpha[group.name_of(group.mul(a, b))]
+            rhs = solution.alpha[group.name_of(a)] @ solution.alpha[group.name_of(b)]
+            hom_defect = max(hom_defect, float(np.linalg.norm(lhs - rhs)))
+    centrality_defect = 0.0
+    for mat in solution.alpha.values():
+        for value in cocycle.values.values():
+            gap = float(np.linalg.norm(mat @ value - value @ mat))
+            centrality_defect = max(centrality_defect, gap)
+    certified = worst <= tol and hom_defect <= tol and centrality_defect <= tol
+    return certified, worst, hom_defect, centrality_defect
+
+
+def _tampered_copies(solution, rng):
+    """The solution with one u matrix, then one alpha matrix, knocked off."""
+    block = rng.choice(sorted(solution.u))
+    name = rng.choice(sorted(solution.alpha))
+    dim = solution.u[block].shape[0]
+    kick = np.eye(dim) + 0.25 * np.triu(np.ones((dim, dim)), 1)
+    for u, alpha in (
+        ({**solution.u, block: solution.u[block] @ kick}, solution.alpha),
+        (solution.u, {**solution.alpha, name: kick @ solution.alpha[name]}),
+    ):
+        yield MatrixSolution(
+            block_length=solution.block_length,
+            u=u,
+            alpha=alpha,
+            alpha_constancy_defect=solution.alpha_constancy_defect,
+            max_residual=solution.max_residual,
+            tol=solution.tol,
+        )
+
+
+def test_stacked_verifier_matches_the_per_edge_loop():
+    s3 = s3_group()
+    s, r = s3.element_by_name("s"), s3.element_by_name("r")
+    full3 = SftSpec.full_shift(3)
+    half_turn = {"e": IDENTITY_2, "g": HALF_TURN}
+    instances = [  # system, deck factor, family
+        (_c2_system(), half_turn, "rotation"),
+        (make_skew_system(full3, C2, (1, 0, 1)), half_turn, "rotation"),
+        (make_skew_system(FULL_2, s3, (s, r)), None, "unipotent"),
+        (make_skew_system(full3, s3, (r, s3.identity_index, s)), None, "unipotent"),
+    ]
+    for i, (system, alpha, family) in enumerate(instances):
+        cocycle = generate_matrix_cocycle(
+            system, None, alpha, block_range=2, seed=80 + i, family=family
+        )
+        solution = solve_matrix_finite(system, cocycle)
+        tol = solution.certificate.tol
+        copies = [solution, *_tampered_copies(solution, rng_for(83, i))]
+        for copy in copies:
+            report = verify_matrix_solution(system, cocycle, copy, tol=tol)
+            certified, worst, hom_defect, centrality_defect = _looped_report(
+                system, cocycle, copy, tol
+            )
+            assert report.certified == certified
+            assert report.max_residual == pytest.approx(worst, rel=0.0, abs=1e-15)
+            assert report.hom_defect == pytest.approx(hom_defect, rel=0.0, abs=1e-15)
+            assert report.centrality_defect == pytest.approx(centrality_defect, rel=0.0, abs=1e-15)
+        assert [verify_matrix_solution(system, cocycle, c, tol=tol).certified for c in copies] == [
+            True, False, False,
+        ]
+
+
+def test_verifier_on_a_spec_without_edges():
+    # Documents refuse a dead symbol; the library takes the spec as given.
+    spec = SftSpec.from_rows([[0]])
+    system = make_skew_system(spec, C2, (1,))
+    cocycle = make_matrix_cocycle(spec, 0, {(1,): IDENTITY_2})
+    solution = MatrixSolution(
+        block_length=1, u={(1,): np.eye(2)}, alpha={"e": np.eye(2), "g": np.eye(2)},
+        alpha_constancy_defect=0.0, max_residual=0.0, tol=1e-9,
+    )
+    report = verify_matrix_solution(system, cocycle, solution)
+    assert report.certified and report.edges_checked == 0 and report.max_residual == 0.0
+
+
 def test_make_matrix_cocycle_validation():
     with pytest.raises(SingularMatrix):
         make_matrix_cocycle(FULL_2, 0, {(1,): [[1.0, 1.0], [1.0, 1.0]], (2,): IDENTITY_2})
@@ -333,10 +426,13 @@ def test_distortion_rotation_cocycle_is_undistorted():
 def test_distortion_budget_and_bounds():
     values = {(a,): IDENTITY_2 for a in range(1, 6)}
     cocycle = make_matrix_cocycle(SftSpec.full_shift(5), 0, values)
-    with pytest.raises(RangeTooLarge):
+    # 488 280 words up to length 8 on five symbols, 2 441 405 up to 9.
+    with pytest.raises(RangeTooLarge, match="work budget; the largest depth within it is 8$"):
         estimate_distortion(cocycle, 12)
     with pytest.raises(InvalidCocycle):
         estimate_distortion(cocycle, 0)
+    # Depth 1 at block range 9 needs the words up to length 10: none fits.
+    assert _within_budget(SftSpec.full_shift(5), 12, "depth", 9) == "; no depth is within it"
 
 
 def _sl_basis(m: int) -> list[np.ndarray]:
@@ -350,33 +446,42 @@ def _sl_basis(m: int) -> list[np.ndarray]:
     return basis
 
 
-def _reference_rates(cocycle, n_max):
-    """Per-n forward and backward rates from a word-by-word recursive scan.
+def _lstsq_ad_norm(g, algebra):
+    """Independent of matrix.py: the ambient norm is ||g|| ||g^-1|| and a
+    declared algebra's coefficients come from least squares."""
+    g_inv = np.linalg.inv(g)
+    if algebra is None:
+        return np.linalg.norm(g, 2) * np.linalg.norm(g_inv, 2)
+    b_mat = np.stack([x.ravel() for x in algebra], axis=1)
+    cols = [np.linalg.lstsq(b_mat, (g @ x @ g_inv).ravel(), rcond=None)[0] for x in algebra]
+    return np.linalg.norm(np.stack(cols, axis=1), 2)
 
-    Independent of matrix.py: the ambient norm is ||g|| ||g^-1|| and a
-    declared algebra's coefficients come from least squares.
-    """
+
+def _kron_ad_norm(g, algebra):
+    """The per-product formulas the batched scan replaced: the SVD of
+    kron(g, g^-T) on the ambient algebra, and on a declared one the SVD of
+    the coefficients that the basis pseudo-inverse projects out."""
+    g_inv = np.linalg.inv(g)
+    if algebra is None:
+        return np.linalg.norm(np.kron(g, g_inv.T), 2)
+    b_mat = np.stack([x.ravel() for x in algebra], axis=1)
+    conjugated = np.stack([(g @ x @ g_inv).ravel() for x in algebra], axis=1)
+    return np.linalg.norm(np.linalg.pinv(b_mat) @ conjugated, 2)
+
+
+def _reference_rates(cocycle, n_max, ad_norm=_lstsq_ad_norm):
+    """Per-n forward and backward rates from a word-by-word recursive scan,
+    each product scored by ad_norm(product, cocycle.algebra)."""
     spec, rf = cocycle.sft, cocycle.block_range
     inverse = {w: np.linalg.inv(v) for w, v in cocycle.values.items()}
     best_s = [0.0] * (n_max + 1)
     best_u = [0.0] * (n_max + 1)
 
-    def ad_norm(g):
-        g_inv = np.linalg.inv(g)
-        if cocycle.algebra is None:
-            return np.linalg.norm(g, 2) * np.linalg.norm(g_inv, 2)
-        b_mat = np.stack([x.ravel() for x in cocycle.algebra], axis=1)
-        cols = [
-            np.linalg.lstsq(b_mat, (g @ x @ g_inv).ravel(), rcond=None)[0]
-            for x in cocycle.algebra
-        ]
-        return np.linalg.norm(np.stack(cols, axis=1), 2)
-
     def visit(word, prod, inv_prod):
         n = len(word) - rf
         if n >= 1:
-            best_s[n] = max(best_s[n], ad_norm(prod) ** (1.0 / n))
-            best_u[n] = max(best_u[n], ad_norm(inv_prod) ** (1.0 / n))
+            best_s[n] = max(best_s[n], ad_norm(prod, cocycle.algebra) ** (1.0 / n))
+            best_u[n] = max(best_u[n], ad_norm(inv_prod, cocycle.algebra) ** (1.0 / n))
         if n == n_max:
             return
         for b in spec.successors(word[-1]) if word else range(1, spec.k + 1):
@@ -426,6 +531,57 @@ def test_batched_scan_matches_word_by_word_reference():
         assert report.algebra_dim == (len(algebra) if algebra else cocycle.dim**2)
 
 
+def _sl2_value(rng) -> np.ndarray:
+    """A random 2x2 matrix scaled to determinant 1."""
+    while True:
+        mat = np.array([[rng.uniform(-1.5, 1.5) for _ in range(2)] for _ in range(2)])
+        det = float(np.linalg.det(mat))
+        if det > 0.3:
+            return mat / math.sqrt(det)
+
+
+def _sl2_cocycle(rng, k: int, rf: int, algebra):
+    windows = itertools.product(range(1, k + 1), repeat=rf + 1)
+    values = {w: _sl2_value(rng) for w in windows}
+    return make_matrix_cocycle(SftSpec.full_shift(k), rf, values, algebra=algebra)
+
+
+def test_scan_matches_the_per_word_kron_and_projection_norms():
+    cases = [  # k, block range, depth, algebra
+        (2, 0, 6, SL2_BASIS),
+        (2, 0, 6, None),
+        (3, 0, 4, SL2_BASIS),
+        (2, 1, 5, SL2_BASIS),
+    ]
+    for i, (k, rf, depth, algebra) in enumerate(cases):
+        cocycle = _sl2_cocycle(rng_for(71, i), k, rf, algebra)
+        report = estimate_distortion(cocycle, depth)
+        ref_s, ref_u = _reference_rates(cocycle, depth, _kron_ad_norm)
+        assert report.mu_s_by_n == pytest.approx(ref_s, rel=1e-12, abs=0.0)
+        assert report.mu_u_by_n == pytest.approx(ref_u, rel=1e-12, abs=0.0)
+
+
+def test_scan_takes_one_pinv_and_one_norm_call_per_chunk(monkeypatch):
+    cocycle = _sl2_cocycle(rng_for(73, 0), 2, 0, SL2_BASIS)
+    calls = {"pinv": 0, "norms": 0}
+    pinv, norms = np.linalg.pinv, matrix._adjoint_norms
+
+    def counted_pinv(*args, **kwargs):
+        calls["pinv"] += 1
+        return pinv(*args, **kwargs)
+
+    def counted_norms(*args, **kwargs):
+        calls["norms"] += 1
+        return norms(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    monkeypatch.setattr(matrix, "_adjoint_norms", counted_norms)
+    estimate_distortion(cocycle, 8)
+    # 2, 4, ..., 256 words: one chunk per depth, forward and backward together.
+    assert calls["norms"] == 8
+    assert calls["pinv"] <= 1
+
+
 def test_scan_rejects_a_singular_product_at_depth_three():
     # Each value has determinant 1 and passes the check; the product of
     # three, diag(1e-9, 1e9), is below 1e-12 times its largest entry squared.
@@ -434,6 +590,26 @@ def test_scan_rejects_a_singular_product_at_depth_three():
     assert estimate_distortion(cocycle, 2).mu_s == pytest.approx(1e6, rel=1e-9)
     with pytest.raises(SingularMatrix):
         estimate_distortion(cocycle, 3)
+
+
+def test_scan_names_a_singular_window_value():
+    # make_matrix_cocycle refuses this value; a cocycle built directly
+    # reaches the scan's own check of the window values.
+    values = {(1,): np.eye(2), (2,): np.array([[1.0, 2.0], [2.0, 4.0]])}
+    cocycle = matrix.MatrixCocycle(sft=FULL_2, block_range=0, dim=2, values=values)
+    with pytest.raises(SingularMatrix, match=r"^value at \(2,\): determinant"):
+        estimate_distortion(cocycle, 2)
+
+
+def test_scan_names_a_forward_leak_before_a_backward_singular_product():
+    # The forward values leave so(2); their inverses, with entries near
+    # 1e-7, fall under the singularity test's absolute floor.  A
+    # word-by-word scan checks the forward product first.
+    big = [[2e7, 0.0], [0.0, 5e6]]
+    so2 = [[[0.0, -1.0], [1.0, 0.0]]]
+    cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): big, (2,): big}, algebra=so2)
+    with pytest.raises(AlgebraNotClosed, match="basis element 0"):
+        estimate_distortion(cocycle, 1)
 
 
 def test_scan_names_a_depth_without_words():
