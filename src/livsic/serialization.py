@@ -596,17 +596,15 @@ def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
 # Witness and verdict payloads for command line output.
 
 
-def violation_witness_doc(witness: ViolationWitness, k: int) -> dict:
+def violation_witness_doc(witness: ViolationWitness | MatrixViolationWitness, k: int) -> dict:
+    """An orbit witness with its unrolled word: a rational one writes its
+    total as ``sum``, a matrix one its float ``deviation``."""
     word = word_to_key(witness.word, k)
     return fields_doc(witness, k, {"total": "sum"}, kind="orbit", word=word)
 
 
 def pair_witness_doc(witness: EqualWeightPair, k: int) -> dict:
     return fields_doc(witness, k, kind="pair")
-
-
-def matrix_witness_doc(witness: MatrixViolationWitness, k: int) -> dict:
-    return fields_doc(witness, k, kind="orbit")
 
 
 def class_tag_doc(tag: FrobeniusClassTag, group: Group) -> dict:

@@ -590,15 +590,21 @@ def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocyc
     if block_range < 0:
         raise InvalidCocycle("block range must be >= 0")
     table = {tuple(int(s) for s in k): _as_fraction(v) for k, v in values.items()}
+    _check_window_domain(sft, block_range, table)
+    return LocallyConstantCocycle(sft=sft, block_range=block_range, values=table)
+
+
+def _check_window_domain(sft: SftSpec, block_range: int, windows) -> None:
+    """InvalidCocycle unless the windows are exactly the admissible words
+    of length block_range + 1, as every cocycle table must be."""
     expected = set(_admissible_words(sft, block_range + 1, max_states_cap()))
-    got = set(table)
+    got = set(windows)
     if got != expected:
         missing = sorted(expected - got)
         extra = sorted(got - expected)
         raise InvalidCocycle(
             f"cocycle domain mismatch: missing {missing[:4]}, extra {extra[:4]}"
         )
-    return LocallyConstantCocycle(sft=sft, block_range=block_range, values=table)
 
 
 def birkhoff_sum(cocycle, orbit: PeriodicOrbit):

@@ -300,13 +300,15 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     1-blocks is strongly connected.  Z^d: psi depends on one symbol, so the
     orbits of period <= k (the alphabet size) include every simple cycle of
     the symbol graph, and every closed walk's weight is a sum of their
-    weights.  A functional strictly positive on every class (one_sided) or
-    a proper weight lattice (proper_subgroup) therefore refutes
-    transitivity; transitivity itself is never certified, the best positive
-    answer is "unknown" with evidence.  RangeTooLarge is raised when k
-    exceeds LIVSIC_MAX_PERIOD, when the orbit walk exceeds the work budget,
-    or when the dual-cone ray search over (rank - 1)-subsets of the
-    simple-cycle classes (times their number) would.
+    weights.  A nonzero functional that is >= 0 on every class (one_sided:
+    the sum of the dual-cone rays, nonzero because the classes span) or a
+    proper weight lattice (proper_subgroup) therefore refutes transitivity:
+    no closed walk reaches a weight where the functional is negative, or
+    one outside the lattice.  Transitivity itself is never certified; the
+    best positive answer is "unknown" with evidence.  RangeTooLarge is
+    raised when k exceeds LIVSIC_MAX_PERIOD, when the orbit walk exceeds
+    the work budget, or when the dual-cone ray search over (rank - 1)-
+    subsets of the simple-cycle classes (times their number) would.
     """
     group = system.group
     if group.is_finite:
@@ -345,8 +347,8 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
         zero_in_interior=interior,
         heuristic_transitive=report.full and interior,
     )
-    lam = tuple(map(sum, zip(*rays)))
-    if rays and all(_dot(lam, v) > 0 for v in distinct):
+    if rays:
+        lam = tuple(map(sum, zip(*rays)))
         return TransitivityVerdict(
             status="not_transitive",
             certificate=NonTransitivityCertificate(kind="one_sided", functional=lam),

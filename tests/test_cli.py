@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,39 @@ def test_solve_matrix_documents(capsys):
     assert witness["orbit"] == "1"
     assert witness["multiplicity"] == 2
     assert witness["deviation"] == pytest.approx(2.8284271247461903)
+
+
+def test_solve_reports_a_deck_factor_that_differs_between_fibers(capsys, tmp_path):
+    # The cocycle of test_matrix.test_deck_factor_not_constant_over_fibers:
+    # every edge closes, but the fibers over block 2 read G F G^-1, not F.
+    c, s = math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)
+    f_mat = [[c, -s], [s, c]]
+    g_mat, g_inv = [[2.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 2.0]]
+    f_g_inv = [[sum(f_mat[i][t] * g_inv[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
+    doc = {
+        "sft": {"k": 2, "transition": [[1, 1], [1, 1]]},
+        "group": {"type": "cyclic", "payload": {"order": 3}},
+        "psi": ["g", "e"],
+        "cocycle": {
+            "kind": "matrix",
+            "dim": 2,
+            "range": 1,
+            "values": {"11": f_mat, "12": g_mat, "21": f_g_inv, "22": [[1.0, 0.0], [0.0, 1.0]]},
+        },
+    }
+    path = tmp_path / "deck-factor.json"
+    path.write_text(json.dumps(doc))
+    code, payload, error = _run_json(capsys, "solve", path)
+    assert code == 1 and error is None
+    assert sorted(payload) == ["reason", "solvable", "witness"]
+    assert payload["solvable"] is False
+    assert payload["reason"] == "alpha_not_constant"
+    witness = payload["witness"]
+    assert sorted(witness) == ["block", "deviation", "eta", "gamma"]
+    assert (witness["block"], witness["eta"]) == ("2", "e")
+    assert witness["gamma"] in ("g", "g^2")
+    # G F G^-1 - F has off-diagonal entries -3 s and -3 s / 4.
+    assert witness["deviation"] == pytest.approx(3.0 * s * math.sqrt(17.0) / 4.0, rel=1e-12)
 
 
 def test_solve_without_cocycle(capsys, tmp_path):

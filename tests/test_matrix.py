@@ -42,7 +42,8 @@ from livsic import (
     verify_matrix_solution,
 )
 from livsic import matrix
-from livsic.sft import _within_budget
+from livsic.sft import SpanningTree, _within_budget
+from livsic.skew import build_product_graph
 from corpus import random_irreducible_sft, rng_for, s3_group
 
 FULL_2 = SftSpec.full_shift(2)
@@ -277,18 +278,22 @@ def _tampered_copies(solution, rng):
         )
 
 
-def test_stacked_verifier_matches_the_per_edge_loop():
+def _generated_instances():
+    """(system, deck factor, family) for seeded C2 and S3 cocycles."""
     s3 = s3_group()
     s, r = s3.element_by_name("s"), s3.element_by_name("r")
     full3 = SftSpec.full_shift(3)
     half_turn = {"e": IDENTITY_2, "g": HALF_TURN}
-    instances = [  # system, deck factor, family
+    return [
         (_c2_system(), half_turn, "rotation"),
         (make_skew_system(full3, C2, (1, 0, 1)), half_turn, "rotation"),
         (make_skew_system(FULL_2, s3, (s, r)), None, "unipotent"),
         (make_skew_system(full3, s3, (r, s3.identity_index, s)), None, "unipotent"),
     ]
-    for i, (system, alpha, family) in enumerate(instances):
+
+
+def test_stacked_verifier_matches_the_per_edge_loop():
+    for i, (system, alpha, family) in enumerate(_generated_instances()):
         cocycle = generate_matrix_cocycle(
             system, None, alpha, block_range=2, seed=80 + i, family=family
         )
@@ -320,6 +325,143 @@ def test_verifier_on_a_spec_without_edges():
     )
     report = verify_matrix_solution(system, cocycle, solution)
     assert report.certified and report.edges_checked == 0 and report.max_residual == 0.0
+
+
+def _looped_solve(system, cocycle, tol=1e-9):
+    """solve_matrix_finite's closure and fiber checks, one product edge and
+    one (gamma, block, eta) at a time, as they were before being stacked.
+
+    Returns ("edge", the first edge over tol, (word, multiplicity)),
+    ("alpha", the AlphaNotConstant tuple) or
+    ("ok", max_residual, alpha_constancy_defect, the alpha matrices)."""
+    group = system.group
+    pg = build_product_graph(system, cocycle.effective_block_length)
+    tree = SpanningTree(pg)
+    rf, order, eye = cocycle.block_range, pg.order, np.eye(cocycle.dim)
+
+    def factor(e):
+        return cocycle.window_value(pg.base.edges[e // order][: rf + 1])
+
+    def excess(walk):
+        prod = eye
+        for x in walk:
+            prod = factor(x) @ prod
+        return float(np.linalg.norm(prod - eye)) - tol
+
+    transfer = tree.potentials(eye, lambda e, t: factor(e) @ t)
+    transfer_inv = list(np.linalg.inv(np.stack(transfer)))
+    max_residual = 0.0
+    for e in range(len(pg.edge_tail)):
+        t, h = pg.edge_tail[e], pg.edge_head[e]
+        residual = float(np.linalg.norm(factor(e) - transfer[h] @ transfer_inv[t]))
+        max_residual = max(max_residual, residual)
+        if residual > tol:
+            return "edge", e, tree.witness(e, excess)[1:]
+    e_idx = group.identity_index
+    alpha, defect, worst = [], 0.0, None
+    for gi in range(order):
+        ref = transfer[group.mul(e_idx, gi)] @ transfer_inv[e_idx]
+        alpha.append(ref)
+        for bi, block in enumerate(pg.base.vertices):
+            for eta in range(order):
+                vid = bi * order + group.mul(eta, gi)
+                dev = float(np.linalg.norm(transfer[vid] @ transfer_inv[bi * order + eta] - ref))
+                if dev > defect:
+                    defect = dev
+                    worst = (block, group.name_of(eta), group.name_of(gi), dev)
+    if defect > tol * max(10, pg.n_vertices):
+        return "alpha", worst
+    return "ok", max_residual, defect, alpha
+
+
+def _solver_instances():
+    """Seeded C2 and S3 cocycles of the form f = alpha(psi) u u^-1, each
+    also with one window value knocked off, and C2 and C3 cocycles whose
+    edges close but whose deck factor differs between fibers."""
+    for i, (system, alpha, family) in enumerate(_generated_instances()):
+        for block_range in (1, 2):
+            cocycle = generate_matrix_cocycle(
+                system, None, alpha, block_range=block_range, seed=90 + i, family=family
+            )
+            yield system, cocycle
+            rng = rng_for(97, 2 * i + block_range)
+            values = dict(cocycle.values)
+            window = rng.choice(sorted(values))
+            dim = cocycle.dim
+            kick = np.eye(dim) + rng.uniform(0.2, 1.0) * np.triu(np.ones((dim, dim)), 1)
+            values[window] = values[window] @ kick
+            yield system, make_matrix_cocycle(system.sft, block_range, values)
+    # ubar(1, g^j) = F^j and ubar(2, g^j) = G F^(j-1), as in
+    # test_deck_factor_not_constant_over_fibers, with F of order n.
+    for n, group, seed in ((2, C2, 0), (3, C3, 1), (3, C3, 2)):
+        rng = rng_for(101, seed)
+        p = np.array([[rng.uniform(1.0, 2.0), rng.uniform(-1.0, 1.0)], [0.0, 1.0]])
+        turn = np.diag([1.0, -1.0]) if n == 2 else np.array(
+            [[-0.5, -math.sqrt(0.75)], [math.sqrt(0.75), -0.5]]
+        )
+        f_mat = p @ turn @ np.linalg.inv(p)
+        g_mat = np.array([[rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0)], [0.0, 1.0]])
+        values = {
+            (1, 1): f_mat, (1, 2): g_mat, (2, 1): f_mat @ np.linalg.inv(g_mat), (2, 2): np.eye(2),
+        }
+        yield make_skew_system(FULL_2, group, (1, 0)), make_matrix_cocycle(FULL_2, 1, values)
+
+
+def test_stacked_solver_matches_the_per_edge_and_per_fiber_loops(monkeypatch):
+    edges = []
+    witness = SpanningTree.witness
+
+    def recorded(tree, e, score):
+        edges.append(e)
+        return witness(tree, e, score)
+
+    monkeypatch.setattr(SpanningTree, "witness", recorded)
+    seen = {"edge": 0, "alpha": 0, "ok": 0}
+    for system, cocycle in _solver_instances():
+        outcome, *expected = _looped_solve(system, cocycle)
+        edges.clear()
+        seen[outcome] += 1
+        if outcome == "edge":
+            e, (word, mult) = expected
+            with pytest.raises(CocycleObstruction) as err:
+                solve_matrix_finite(system, cocycle)
+            assert edges == [e]
+            found = err.value.witness
+            assert (found.orbit.word, found.multiplicity) == (word, mult)
+            product = cyclic_product(cocycle, word * mult)
+            assert found.deviation == float(np.linalg.norm(product - np.eye(cocycle.dim)))
+        elif outcome == "alpha":
+            with pytest.raises(AlphaNotConstant) as err:
+                solve_matrix_finite(system, cocycle)
+            assert err.value.witness == expected[0]
+        else:
+            max_residual, defect, alpha = expected
+            solution = solve_matrix_finite(system, cocycle)
+            assert solution.max_residual == pytest.approx(max_residual, rel=0.0, abs=1e-15)
+            assert solution.alpha_constancy_defect == pytest.approx(defect, rel=0.0, abs=1e-15)
+            for gi, mat in enumerate(alpha):
+                assert np.array_equal(solution.alpha[system.group.name_of(gi)], mat)
+    assert seen == {"edge": 8, "alpha": 3, "ok": 8}
+
+
+def test_solver_takes_a_few_norm_calls_per_group_element(monkeypatch):
+    s3 = s3_group()
+    system = make_skew_system(FULL_2, s3, (s3.element_by_name("s"), s3.element_by_name("r")))
+    cocycle = generate_matrix_cocycle(system, None, None, block_range=4, seed=7, family="unipotent")
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    solution = solve_matrix_finite(system, cocycle)
+    assert solution.certificate.certified
+    # 96 product states and 192 product edges, but one call per stack:
+    # closure 1, fiber constancy 6 (one per group element), condition
+    # number 2, then the verifier's edges 1 and its two checks 2 * 6.
+    assert len(calls) <= 2 * s3.order + 10
 
 
 def test_make_matrix_cocycle_validation():

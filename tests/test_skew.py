@@ -221,11 +221,46 @@ def test_lattice_refutations_agree_with_weights():
         cert = verdict.certificate
         vecs = verdict.evidence.distinct_classes
         if cert.kind == "one_sided":
-            assert all(
-                sum(l * x for l, x in zip(cert.functional, v)) > 0 for v in vecs
-            )
+            # A weak functional suffices: no closed walk reaches lam < 0.
+            assert any(cert.functional)
+            assert all(_dot(cert.functional, v) >= 0 for v in vecs)
         else:
             assert not verdict.evidence.lattice_full
+
+
+def test_one_sided_exactly_when_a_weak_functional_exists():
+    seen = {"strict": 0, "weak": 0, "none": 0}
+    for seed in range(40):
+        rng = rng_for(29, seed)
+        system = random_lattice_system(rng, rng.randint(1, 3))
+        d = system.group.rank
+        verdict = check_transitivity(system)
+        evidence = verdict.evidence
+        if evidence.lattice_rank < d:
+            continue
+        weak, strict = _box_functionals(evidence.distinct_classes, d)
+        one_sided = verdict.certificate is not None and verdict.certificate.kind == "one_sided"
+        assert one_sided == weak
+        seen["strict" if strict else "weak" if weak else "none"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_weak_one_sided_refutations():
+    # Each class vector has lam . v >= 0 and some have lam . v = 0: no
+    # functional is strictly positive on all of them, yet none is reached
+    # with lam . v < 0.
+    cases = [
+        (2, [(1,), (0,)], (1,)),
+        (3, [(1, 0), (0, 1), (0, 0)], (1, 1)),
+        (3, [(1, 0), (-1, 0), (0, 1)], (0, 1)),
+    ]
+    for k, psi, lam in cases:
+        group = build_group(GroupSpec.free_abelian(len(psi[0])))
+        verdict = check_transitivity(make_skew_system(SftSpec.full_shift(k), group, psi))
+        assert verdict.status == "not_transitive"
+        assert verdict.certificate.kind == "one_sided"
+        assert verdict.certificate.functional == lam
+        assert min(_dot(lam, v) for v in verdict.evidence.distinct_classes) == 0
 
 
 def _dot(a, b):
