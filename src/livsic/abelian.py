@@ -10,8 +10,9 @@ width d.  solve_finite_gamma names its d = 0 corner (alpha vanishes by
 torsion) and solve_free_abelian its |F| = 1 corner (the product graph is
 the block graph).  The kernel scales f by the lcm of its denominators,
 propagates integer potentials and eliminates in ints; Fraction appears
-only for u, alpha, certification and witness totals, so a returned
-solution is a certificate and a returned obstruction is a counterexample.
+only for u, alpha and witness totals, and the certification scales u,
+alpha and f back to ints.  So a returned solution is a certificate and a
+returned obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -344,49 +345,78 @@ def _inconsistency_certificate(system, tree, edges, combo, steps, walk_sum):
 def _closing_walk(system, bg, target):
     """Closed walk at block 0 whose weight is target, by bounded lattice BFS.
 
-    Offsets stay in the box [-bound, bound]^d, so a state (block, offset)
-    is coded as the int block * side**d + the offset's base-side digits.
-    Every out-edge of a block starts with the block's first symbol, so the
-    lattice step and the box check are made once per state.
+    A closed walk at b0 = bg.vertices[0] of length L >= r reads the word
+    b0 + z + b0, and its offsets are the prefix sums of psi over b0 + z.
+    So the search runs over (last symbol, prefix sum) states from
+    (b0[-1], psi(b0)), expands successor symbols in order and stops at the
+    first state whose sum is target and whose symbol may precede b0[0]:
+    the lexicographically least shortest walk in the box, the one a
+    search over (block, offset) states finds.  A walk with L < r exists
+    only when b0 is L-periodic, and is tried first.  Offsets stay in the
+    box [-bound, bound]^d, so a state is coded as the int
+    (symbol - 1) * side**d + the offset's base-side digits.
     """
+    target = tuple(target)
     if not any(target):
         return []
+    spec = bg.spec
     d = system.group.rank
     cap = max_states_cap()
     bound = max(8, 2 * max(map(abs, target)))
     side = 2 * bound + 1
     digits = [side**i for i in range(d)]
     width = side**d
-    steps = [system.psi_of(block[0]) for block in bg.vertices]
-    lifts = [sum(map(mul, step, digits)) for step in steps]
-    start = bound * sum(digits)
-    goal = start + sum(map(mul, target, digits))
+    psi = [None, *map(system.psi_of, range(1, spec.k + 1))]
+    lifts = [0, *(sum(map(mul, step, digits)) for step in psi[1:])]
+    b0 = bg.vertices[0]
+    r = len(b0)
+    off = (0,) * d
+    for n, a in enumerate(b0, 1):
+        off = tuple(map(add, off, psi[a]))
+        if max(off) > bound or min(off) < -bound:
+            return None
+        if n < r and off == target and b0[n:] == b0[:-n]:
+            return _edge_walk(bg, b0[r - n :])
+    first, last = b0[0], b0[-1]
+    if off == target and spec.allows(last, first):
+        return _edge_walk(bg, b0)
+    start = (last - 1) * width + sum(map(mul, off, digits)) + bound * sum(digits)
     prev: dict = {start: None}
-    queue = deque([(start, 0, (0,) * d)])
-    out_edges, edge_head = bg.out_edges, bg.edge_head
+    queue = deque([(start, last, off)])
+    successors = [None, *map(spec.successors, range(1, spec.k + 1))]
     while queue:
-        state, v, off = queue.popleft()
-        noff = tuple(map(add, off, steps[v]))
-        if max(noff) > bound or min(noff) < -bound:
-            continue
-        ncode = state - v * width + lifts[v]
-        for e in out_edges[v]:
-            h = edge_head[e]
-            nstate = h * width + ncode
+        state, a, off = queue.popleft()
+        code = state - (a - 1) * width
+        for b in successors[a]:
+            noff = tuple(map(add, off, psi[b]))
+            if max(noff) > bound or min(noff) < -bound:
+                continue
+            nstate = (b - 1) * width + code + lifts[b]
             if nstate in prev:
                 continue
-            prev[nstate] = (state, e)
-            if nstate == goal:
-                walk = []
-                while prev[nstate] is not None:
-                    nstate, edge = prev[nstate]
-                    walk.append(edge)
-                walk.reverse()
-                return walk
+            prev[nstate] = state
+            if noff == target and spec.allows(b, first):
+                z = []
+                while nstate != start:
+                    z.append(nstate // width + 1)
+                    nstate = prev[nstate]
+                z.reverse()
+                return _edge_walk(bg, z + list(b0))
             if len(prev) > cap:
                 return None
-            queue.append((nstate, h, noff))
+            queue.append((nstate, b, noff))
     return None
+
+
+def _edge_walk(bg, symbols) -> list[int]:
+    """Edge ids of the walk from block 0 that appends symbols in turn."""
+    walk, v = [], 0
+    edges, out_edges, edge_head = bg.edges, bg.out_edges, bg.edge_head
+    for b in symbols:
+        e = next(e for e in out_edges[v] if edges[e][-1] == b)
+        walk.append(e)
+        v = edge_head[e]
+    return walk
 
 
 def verify_solution(
@@ -403,22 +433,36 @@ def verify_solution(
 
 
 def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
-    """Check f(w) = u(w[1:]) - u(w[:-1]) + alpha . psi(w[0]) on every edge w of bg."""
-    rf = cocycle.block_range
+    """Check f(w) = u(w[1:]) - u(w[:-1]) + alpha . psi(w[0]) on every edge w of bg.
+
+    u, alpha and f are scaled by the lcm D of their denominators, so every
+    identity is checked exactly in ints; a failing residual is reported as
+    Fraction(residual, D).
+    """
     u = solution.u
-    drift = _drift_table(system, _alpha_vector(system.group, solution.alpha))
-    failures = []
-    for word in bg.edges:
-        expected = u[word[1:]] - u[word[:-1]]
-        if drift is not None:
-            expected += drift[word[0] - 1]
-        residual = cocycle.window_value(word[: rf + 1]) - expected
-        if residual != 0:
-            failures.append((word, residual))
+    alpha = _alpha_vector(system.group, solution.alpha) or ()
+    values = cocycle.values
+    scale = lcm(*{x.denominator for x in chain(u.values(), alpha, values.values())})
+
+    def scaled(x) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    pot = [scaled(u[block]) for block in bg.vertices]
+    f = {w: scaled(x) for w, x in values.items()}
+    # alpha . psi(w[0]) depends on the first symbol only: k dot products.
+    alpha = [scaled(a) for a in alpha]
+    symbols = range(1, system.sft.k + 1)
+    drift = [sum(map(mul, alpha, system.psi_of(a))) if alpha else 0 for a in symbols]
+    width = cocycle.block_range + 1
+    residuals = (
+        f[w[:width]] - drift[w[0] - 1] - pot[h] + pot[t]
+        for w, t, h in zip(bg.edges, bg.edge_tail, bg.edge_head)
+    )
+    failures = tuple((w, Fraction(x, scale)) for w, x in zip(bg.edges, residuals) if x)
     return VerificationReport(
         certified=not failures,
         edges_checked=len(bg.edges),
-        failures=tuple(failures),
+        failures=failures,
     )
 
 

@@ -73,13 +73,15 @@ def _checked_inverse(mat: np.ndarray, context: str, labels=None) -> np.ndarray:
     """Inverse of a matrix, or of each matrix in an (N, m, m) stack.
 
     SingularMatrix names the determinant of the first matrix whose
-    determinant is not finite or is below 1e-12 times its largest entry
-    to the power m (at least 1).  With one label per stacked matrix, the
-    message also names that matrix's label after the context.
+    determinant is not finite or is below 1e-15 times its largest entry
+    to the power m (at least 1): working precision, so a determinant-1
+    product with entries past 1e6 is still inverted.  With one label per
+    stacked matrix, the message also names that matrix's label after the
+    context.
     """
     det = np.linalg.det(mat)
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)) ** mat.shape[-1])
-    bad = ~np.isfinite(det) | (np.abs(det) < 1e-12 * scale)
+    bad = ~np.isfinite(det) | (np.abs(det) < 1e-15 * scale)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         name = context if labels is None else f"{context} at {labels[i]}"
@@ -300,8 +302,8 @@ def solve_matrix_finite(
     deviation) for the comparison of largest deviation, the first in
     (gamma, block, eta) order among equal ones.  Multiplicativity and
     centrality of alpha follow from closure and fiber constancy, and
-    verify_matrix_solution rechecks both, with the reconstruction, before
-    the solution is returned.
+    the verifier's check rechecks both, with the reconstruction, on the
+    solver's own block graph before the solution is returned.
     """
     group = system.group
     if not group.is_finite:
@@ -369,8 +371,8 @@ def solve_matrix_finite(
     )
     check_tol = certification_tolerance(tol, transfer, transfer_inv, defect)
     u_inv = dict(zip(pg.base.vertices, inv_fibers[:, e_idx]))
-    report = verify_matrix_solution(
-        system, cocycle, MatrixSolution(**fields), tol=check_tol, u_inv=u_inv
+    report = _check_solution(
+        system, cocycle, MatrixSolution(**fields), pg.base, check_tol, u_inv
     )
     # The report's hom_defect and centrality_defect recheck multiplicativity
     # and centrality, which follow exactly from closure and fiber constancy,
@@ -418,9 +420,16 @@ def verify_matrix_solution(
     for name, mats in (("u", solution.u), ("alpha", solution.alpha)):
         if any(m.shape != (dim, dim) for m in mats.values()):
             raise DimensionMismatch(f"{name} matrices must be {dim}x{dim}, as the cocycle's are")
-    rf = cocycle.block_range
     if u_inv is None:
         u_inv = invert_blocks(solution.u)
+    return _check_solution(system, cocycle, solution, bg, tol, u_inv)
+
+
+def _check_solution(system, cocycle, solution, bg, tol, u_inv) -> MatrixVerificationReport:
+    """Check the reconstruction on every edge of bg, and alpha's
+    multiplicativity and centrality, for a solution of the right shape."""
+    group = system.group
+    rf = cocycle.block_range
     edges = bg.edges
     alpha = np.stack([solution.alpha[group.name_of(gi)] for gi in range(group.order)])
     worst = 0.0

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm
 from pathlib import Path
@@ -348,7 +349,7 @@ assert False, "this script must run under python -O"
 abelian._check_edges = lambda *a, **k: abelian.VerificationReport(
     certified=False, edges_checked=0, failures=()
 )
-matrix.verify_matrix_solution = lambda *a, **k: matrix.MatrixVerificationReport(
+matrix._check_solution = lambda *a, **k: matrix.MatrixVerificationReport(
     certified=False, edges_checked=0, max_residual=0.0, hom_defect=0.0,
     centrality_defect=0.0, tol=0.0,
 )
@@ -504,13 +505,154 @@ def test_closing_walk_matches_per_edge_bfs():
 
 
 def test_closing_walk_matches_per_edge_bfs_under_a_small_state_cap(monkeypatch):
+    # The cap counts (symbol, offset) states here and (block, offset)
+    # states in the reference, so under a small cap the reference may give
+    # up where _closing_walk still finds the walk: it must then be the one
+    # the reference finds without the cap.
+    cases = _closing_walk_cases()
+    uncapped = [_reference_closing_walk(*case) for case in cases]
     monkeypatch.setenv("LIVSIC_MAX_STATES", "40")
     outcomes = set()
-    for system, bg, target in _closing_walk_cases():
+    newly_found = 0
+    for (system, bg, target), full in zip(cases, uncapped):
         walk = abelian._closing_walk(system, bg, target)
-        assert walk == _reference_closing_walk(system, bg, target), target
+        reference = _reference_closing_walk(system, bg, target)
+        if reference is not None:
+            assert walk == reference, target
+        else:
+            assert walk is None or walk == full, target
+            newly_found += walk is not None
         outcomes.add(walk is None)
     assert outcomes == {True, False}
+    assert newly_found
+
+
+def _closed_walk_weight(system, bg, walk) -> tuple[int, ...]:
+    """Weight of a walk of bg that must start and end at block 0."""
+    assert all(bg.edge_head[a] == bg.edge_tail[b] for a, b in zip(walk, walk[1:]))
+    assert bg.edge_tail[walk[0]] == 0 == bg.edge_head[walk[-1]]
+    steps = [system.psi_of(bg.edges[e][0]) for e in walk]
+    return tuple(map(sum, zip(*steps)))
+
+
+def test_closing_walk_finds_a_walk_whose_block_search_exceeds_the_cap():
+    # Full 3-shift over Z^2 at r = 3: 27 blocks times 81^2 offsets is past
+    # the state cap, 3 symbols times 81^2 is not.  Weight (20, -20) needs
+    # n1 - n3 = 20 and n2 - n3 = -20, so at least 3 * 20 = 60 steps.
+    spec = SftSpec.full_shift(3)
+    system = make_skew_system(
+        spec, build_group(GroupSpec.free_abelian(2)), ((1, 0), (0, 1), (-1, -1))
+    )
+    bg = build_block_graph(spec, 3)
+    assert len(bg.vertices) * 81**2 > max_states_cap() > spec.k * 81**2
+    walk = abelian._closing_walk(system, bg, (20, -20))
+    assert len(walk) == 60
+    assert _closed_walk_weight(system, bg, walk) == (20, -20)
+
+
+def test_closing_walk_closes_a_periodic_first_block_in_fewer_than_r_steps():
+    full = SftSpec.full_shift(2)
+    # No 1 -> 1, so the first 3-block is (1, 2, 1), which has period 2.
+    sparse = SftSpec.from_rows([[0, 1], [1, 1]])
+    for spec, r, target, length in (
+        (full, 3, (1,), 1),
+        (full, 4, (2,), 2),
+        (full, 3, (3,), 3),
+        (full, 3, (-1,), 5),
+        (sparse, 3, (-1,), 2),
+        (sparse, 3, (-2,), 4),
+    ):
+        system = make_skew_system(spec, Z1, ((1,), (-2,)))
+        bg = build_block_graph(spec, r)
+        walk = abelian._closing_walk(system, bg, target)
+        assert walk == _reference_closing_walk(system, bg, target)
+        assert len(walk) == length, (spec, r, target)
+        assert _closed_walk_weight(system, bg, walk) == target
+
+
+def _reference_check_edges(system, cocycle, solution, bg):
+    """The per-edge Fraction loop that _check_edges must agree with."""
+    rf = cocycle.block_range
+    u = solution.u
+    drift = abelian._drift_table(system, abelian._alpha_vector(system.group, solution.alpha))
+    failures = []
+    for word in bg.edges:
+        expected = u[word[1:]] - u[word[:-1]]
+        if drift is not None:
+            expected += drift[word[0] - 1]
+        residual = cocycle.window_value(word[: rf + 1]) - expected
+        if residual != 0:
+            failures.append((word, residual))
+    return not failures, len(bg.edges), tuple(failures)
+
+
+def _golden_rational_cases(monkeypatch):
+    """(solver, system, cocycle) for every exact-solver call of the golden corpus."""
+    import test_golden_solvers as golden
+
+    calls = []
+    monkeypatch.setattr(golden, "_run", lambda *call: calls.append(call) or {})
+    golden._finite_cases({})
+    golden._lattice_cases({})
+    return calls
+
+
+def test_integer_edge_check_matches_the_fraction_loop(monkeypatch):
+    calls = _golden_rational_cases(monkeypatch)
+    checked = failing = 0
+    for solver, system, cocycle in calls:
+        try:
+            solution = solver(system, cocycle)
+        except CocycleObstruction:
+            continue
+        bg = build_block_graph(system.sft, solution.block_length)
+        block = bg.vertices[-1]
+        variants = [replace(solution, u={**solution.u, block: solution.u[block] + Fraction(1, 3)})]
+        if solution.alpha is not None:
+            alpha = (solution.alpha[0] - Fraction(2, 7), *solution.alpha[1:])
+            variants.append(replace(solution, alpha=alpha))
+        # The solution against its own cocycle and the perturbed copy.
+        others = [c for _, s, c in calls if s is system and c.block_range == cocycle.block_range]
+        for candidate in (solution, *variants):
+            for target in others:
+                report = abelian._check_edges(system, target, candidate, bg)
+                expected = _reference_check_edges(system, target, candidate, bg)
+                assert (report.certified, report.edges_checked, report.failures) == expected
+                checked += 1
+                failing += not report.certified
+    assert checked > 300 and failing > 200
+
+
+class _NoArithmetic(Fraction):
+    """A Fraction whose arithmetic operators raise."""
+
+    def _refuse(self, *args):
+        raise AssertionError("Fraction arithmetic in the edge check")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __neg__ = __pos__ = __abs__ = _refuse
+
+
+def test_integer_edge_check_does_no_fraction_arithmetic():
+    z2 = build_group(GroupSpec.free_abelian(2))
+    lattice = make_skew_system(SftSpec.full_shift(3), z2, ((1, 0), (0, 2), (-1, 1)))
+    for system, alpha in (
+        (lattice, (Fraction(2, 3), Fraction(-5, 4))),
+        (make_skew_system(FULL_2, C2, (1, 0)), None),
+    ):
+        cocycle = generate_cocycle(system, alpha=alpha, block_range=2, seed=11)
+        solution = solve_free_abelian(system, cocycle)
+        inert = CohomologySolution(
+            block_length=solution.block_length,
+            u={block: _NoArithmetic(x) for block, x in solution.u.items()},
+            alpha=None if alpha is None else tuple(map(_NoArithmetic, solution.alpha)),
+        )
+        with pytest.raises(AssertionError, match="Fraction arithmetic"):
+            inert.u[(1, 1)] - inert.u[(1, 2)]
+        bg = build_block_graph(system.sft, solution.block_length)
+        report = abelian._check_edges(system, cocycle, inert, bg)
+        assert report.certified and report.edges_checked == len(bg.edges)
+        assert verify_solution(system, cocycle, inert).certified
 
 
 def _primes_from(n: int, count: int) -> list[int]:

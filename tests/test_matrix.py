@@ -726,12 +726,27 @@ def test_scan_takes_one_pinv_and_one_norm_call_per_chunk(monkeypatch):
 
 def test_scan_rejects_a_singular_product_at_depth_three():
     # Each value has determinant 1 and passes the check; the product of
-    # three, diag(1e-9, 1e9), is below 1e-12 times its largest entry squared.
+    # three, diag(1e-9, 1e9), is below 1e-15 times its largest entry squared.
     steep = [[1e-3, 0.0], [0.0, 1e3]]
     cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): steep, (2,): steep})
     assert estimate_distortion(cocycle, 2).mu_s == pytest.approx(1e6, rel=1e-9)
     with pytest.raises(SingularMatrix):
         estimate_distortion(cocycle, 3)
+
+
+def test_scan_inverts_a_determinant_one_product_with_entries_past_1e6():
+    # M^4 has entries near 6.8e6 and determinant 1 up to rounding, which
+    # is far above working precision times its largest entry squared.
+    mat = np.array([[50.0, 7.0], [7.0, 1.0]])
+    cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): mat, (2,): mat})
+    report = estimate_distortion(cocycle, 4)
+    power = np.linalg.matrix_power(mat, 4)
+    assert np.abs(power).max() > 1e6
+    # For a 2x2 determinant-1 g, ||Ad(g)|| = ||g|| ||g^-1|| = ||g||^2; the
+    # scan's inverse carries the determinant's rounding, near 1e-6.
+    expected = np.linalg.norm(power, 2) ** (2 / 4)
+    assert report.mu_s == pytest.approx(expected, rel=1e-5)
+    assert report.mu_u == pytest.approx(expected, rel=1e-5)
 
 
 def test_scan_names_a_singular_window_value():
@@ -745,9 +760,9 @@ def test_scan_names_a_singular_window_value():
 
 def test_scan_names_a_forward_leak_before_a_backward_singular_product():
     # The forward values leave so(2); their inverses, with entries near
-    # 1e-7, fall under the singularity test's absolute floor.  A
+    # 1e-8, fall under the singularity test's absolute floor.  A
     # word-by-word scan checks the forward product first.
-    big = [[2e7, 0.0], [0.0, 5e6]]
+    big = [[2e8, 0.0], [0.0, 5e7]]
     so2 = [[[0.0, -1.0], [1.0, 0.0]]]
     cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): big, (2,): big}, algebra=so2)
     with pytest.raises(AlgebraNotClosed, match="basis element 0"):
