@@ -36,17 +36,18 @@ from .serialization import (
     fraction_to_str,
     make_provenance,
     pair_witness_doc,
+    parse_matrix_list,
     parse_rational,
     parse_solution_document,
     parse_system_document,
-    parse_word_key,
     solution_to_doc,
     system_to_doc,
     transitivity_doc,
     violation_witness_doc,
+    word_table,
     word_to_key,
 )
-from .sft import LocallyConstantCocycle, validate_sft
+from .sft import validate_sft
 from .skew import check_transitivity, class_tag, orbit_weights
 
 
@@ -116,17 +117,10 @@ def _load_system(path: str) -> SystemEnvelope:
     return parse_system_document(_load_json(path))
 
 
-def _require_rational(env: SystemEnvelope) -> LocallyConstantCocycle:
-    if not isinstance(env.cocycle, LocallyConstantCocycle):
-        raise DocumentError("/cocycle", "this command needs a rational cocycle")
-    return env.cocycle
-
-
-def _require_matrix(env: SystemEnvelope):
-    from .matrix import MatrixCocycle
-
-    if not isinstance(env.cocycle, MatrixCocycle):
-        raise DocumentError("/cocycle", "this command needs a matrix cocycle")
+def _require(env: SystemEnvelope, kind: str):
+    """The document's cocycle, which must be of the given kind."""
+    if env.cocycle is None or env.cocycle.kind != kind:
+        raise DocumentError("/cocycle", f"this command needs a {kind} cocycle")
     return env.cocycle
 
 
@@ -157,8 +151,7 @@ def _cmd_validate(args, command_line: str) -> int:
     }
     cocycle_doc = None
     if cocycle is not None:
-        kind = "rational" if isinstance(cocycle, LocallyConstantCocycle) else "matrix"
-        cocycle_doc = {"kind": kind, "range": cocycle.block_range}
+        cocycle_doc = {"kind": cocycle.kind, "range": cocycle.block_range}
     report = validate_sft(sft)
     _emit(fields_doc(report, sft.k, None, ok=True, k=sft.k, group=group_doc,
                      cocycle=cocycle_doc))
@@ -205,7 +198,7 @@ def _cmd_verify_vanishing(args, command_line: str) -> int:
     from .abelian import verify_vanishing
 
     env = _load_system(args.system)
-    cocycle = _require_rational(env)
+    cocycle = _require(env, "rational")
     witness = verify_vanishing(env.system, cocycle, args.max_period)
     if witness is None:
         _emit({"holds": True, "max_period": args.max_period})
@@ -227,16 +220,15 @@ def _cmd_solve(args, command_line: str) -> int:
     cocycle = env.cocycle
     if cocycle is None:
         raise DocumentError("/cocycle", "missing field")
+    kind = cocycle.kind
     try:
-        if not isinstance(cocycle, LocallyConstantCocycle):
+        if kind == "matrix":
             from .matrix import solve_matrix_finite
 
-            kind = "matrix"
             solution = solve_matrix_finite(system, cocycle, tol=args.tol)
         else:
             from .abelian import solve_finite_gamma, solve_free_abelian
 
-            kind = "rational"
             solve = solve_finite_gamma if system.group.is_finite else solve_free_abelian
             solution = solve(system, cocycle)
     except CocycleObstruction as exc:
@@ -274,10 +266,10 @@ def _cmd_verify_solution(args, command_line: str) -> int:
     k = system.sft.k
     if sol_env.k != k:
         raise DimensionMismatch(f"solution is for {sol_env.k} symbols, the system has {k}")
+    cocycle = _require(env, sol_env.kind)
     if sol_env.kind == "rational":
         from .abelian import verify_solution
 
-        cocycle = _require_rational(env)
         report = verify_solution(system, cocycle, sol_env.solution)
         failures = [
             {"word": word_to_key(w, k), "residual": fraction_to_str(res)}
@@ -289,7 +281,6 @@ def _cmd_verify_solution(args, command_line: str) -> int:
 
     from .matrix import certification_tolerance, invert_blocks, verify_matrix_solution
 
-    cocycle = _require_matrix(env)
     solution = sol_env.solution
     # Scale the caller's tolerance as solve does, from u itself: every
     # tolerance and defect the document states is a claim under test.
@@ -320,13 +311,7 @@ def _cmd_generate(args, command_line: str) -> int:
     alpha = _parse_alpha_spec(args.alpha)
     u = None
     if args.u is not None:
-        raw = _load_json(args.u)
-        if not isinstance(raw, dict):
-            raise DocumentError("", "u file must be an object keyed by blocks")
-        u = {
-            parse_word_key(key, k, f"/{key}"): parse_rational(value, f"/{key}")
-            for key, value in raw.items()
-        }
+        u = word_table(_load_json(args.u), k, "", parse_rational)
     cocycle = generate_cocycle(
         system, u, alpha, block_range=args.block_range, seed=args.seed
     )
@@ -339,7 +324,7 @@ def _cmd_distortion(args, command_line: str) -> int:
     from .matrix import MatrixCocycle, estimate_distortion, make_matrix_cocycle
 
     env = _load_system(args.system)
-    cocycle = _require_matrix(env)
+    cocycle = _require(env, "matrix")
     if args.ambient:
         cocycle = MatrixCocycle(
             sft=cocycle.sft, block_range=cocycle.block_range, dim=cocycle.dim,
@@ -350,7 +335,7 @@ def _cmd_distortion(args, command_line: str) -> int:
             cocycle.sft,
             cocycle.block_range,
             cocycle.values,
-            algebra=_load_json(args.algebra),
+            algebra=parse_matrix_list(_load_json(args.algebra), ""),
         )
     report = estimate_distortion(cocycle, args.depth)
     _emit(fields_doc(report, cocycle.sft.k, {"n_max": "depth"}))
@@ -361,7 +346,7 @@ def _cmd_check_distortion(args, command_line: str) -> int:
     from .matrix import check_distortion_assumption, estimate_distortion
 
     env = _load_system(args.system)
-    cocycle = _require_matrix(env)
+    cocycle = _require(env, "matrix")
     report = estimate_distortion(cocycle, args.depth)
     verdict = check_distortion_assumption(report, args.theta)
     _emit(fields_doc(verdict, cocycle.sft.k, {"n_max": "depth"}))

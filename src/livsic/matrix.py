@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,9 +25,7 @@ from .errors import (
     InvalidCocycle,
     NotAHomomorphism,
     NotTransitiveError,
-    RangeTooLarge,
     SingularMatrix,
-    DEFAULT_MAX_WORK,
     check_invariant,
 )
 from .record import record
@@ -39,9 +36,8 @@ from .sft import (
     Word,
     _check_window_domain,
     _solution_block_graph,
-    _within_budget,
-    _word_count_estimate,
     build_block_graph,
+    check_work,
     cyclic_fold,
 )
 from .skew import SkewSystem, build_product_graph, product_scc_witness
@@ -56,10 +52,7 @@ _DISTORTION_TOL = 1e-6
 
 
 def _as_matrix(entry, dim: int | None) -> np.ndarray:
-    rows = []
-    for row in entry:
-        rows.append([float(Fraction(x)) if isinstance(x, str) else float(x) for x in row])
-    mat = np.array(rows, dtype=np.float64)
+    mat = np.array(entry, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidCocycle(f"matrix value must be square, got shape {mat.shape}")
     if dim is not None and mat.shape[0] != dim:
@@ -112,7 +105,7 @@ class MatrixCocycle:
     values: dict[Word, np.ndarray]
     algebra: tuple[np.ndarray, ...] | None = None
 
-    is_matrix_valued = True
+    kind = "matrix"
 
     def window_value(self, word: Word) -> np.ndarray:
         return self.values[tuple(word)]
@@ -505,11 +498,7 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
         raise InvalidCocycle("distortion estimation needs n_max >= 1")
     spec = cocycle.sft
     rf = cocycle.block_range
-    if _word_count_estimate(spec, n_max + rf) > DEFAULT_MAX_WORK:
-        raise RangeTooLarge(
-            f"distortion scan to depth {n_max} exceeds the work budget"
-            + _within_budget(spec, n_max + rf, "depth", rf)
-        )
+    check_work(spec, n_max + rf, f"distortion scan to depth {n_max}", "depth", rf)
     windows = sorted(cocycle.values)
     index = {w: i for i, w in enumerate(windows)}
     vals = np.stack([cocycle.values[w] for w in windows])

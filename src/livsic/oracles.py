@@ -19,7 +19,6 @@ from .record import record
 class OracleConfig:
     max_period: int = 16
     max_state_count: int = 50_000
-    tolerance: float = 1e-9
 
 
 def _cyclic_ok(spec, word) -> bool:

@@ -116,6 +116,31 @@ def parse_word_key(key: str, k: int, pointer: str) -> Word:
     return word
 
 
+def _table(doc, pointer: str, read, key=None) -> dict:
+    """The object ``doc`` at ``pointer`` as a dict.  Each entry is read as
+    ``read(value, pointer/name)`` and, given ``key``, its name as
+    ``key(name, pointer/name)``, names before values."""
+    if not isinstance(doc, dict):
+        _fail(pointer, "expected an object")
+    table = {}
+    for name, raw in doc.items():
+        at = f"{pointer}/{name}"
+        if key is not None:
+            name = key(name, at)
+        table[name] = read(raw, at)
+    return table
+
+
+def word_table(doc, k: int, pointer: str, read) -> dict:
+    """A ``_table`` keyed by words over ``k`` symbols."""
+    return _table(doc, pointer, read, lambda name, at: parse_word_key(name, k, at))
+
+
+def word_table_doc(table, k: int) -> dict:
+    """The reverse of ``word_table``: word keys, values as ``_plain`` writes them."""
+    return {word_to_key(w, k): _plain(v) for w, v in table.items()}
+
+
 def _as_bool(value, pointer: str) -> bool:
     if not isinstance(value, bool):
         _fail(pointer, "expected true or false")
@@ -182,19 +207,15 @@ class SystemEnvelope:
     group_doc: dict
 
 
-def parse_group(doc, pointer: str) -> tuple[Group, dict]:
+def parse_group(doc, pointer: str) -> GroupSpec:
     gtype = _get(doc, "type", pointer)
     payload = _get(doc, "payload", pointer)
     pp = f"{pointer}/payload"
     if gtype == "cyclic":
-        order = _as_int(_get(payload, "order", pp), f"{pp}/order", minimum=1)
-        spec = GroupSpec.cyclic(order)
-        canon = {"type": "cyclic", "payload": {"order": order}}
-    elif gtype == "free_abelian":
-        rank = _as_int(_get(payload, "rank", pp), f"{pp}/rank", minimum=1)
-        spec = GroupSpec.free_abelian(rank)
-        canon = {"type": "free_abelian", "payload": {"rank": rank}}
-    elif gtype == "finite_table":
+        return GroupSpec.cyclic(_as_int(_get(payload, "order", pp), f"{pp}/order", minimum=1))
+    if gtype == "free_abelian":
+        return GroupSpec.free_abelian(_as_int(_get(payload, "rank", pp), f"{pp}/rank", minimum=1))
+    if gtype == "finite_table":
         names = _get(payload, "names", pp)
         if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
             _fail(f"{pp}/names", "expected a list of element names")
@@ -210,16 +231,12 @@ def parse_group(doc, pointer: str) -> tuple[Group, dict]:
                 _fail(f"{pp}/table/{i}", f"expected {len(names)} entries")
             out_row = []
             for j, cell in enumerate(row):
-                if cell not in index:
+                if not isinstance(cell, str) or cell not in index:
                     _fail(f"{pp}/table/{i}/{j}", f"unknown element {cell!r}")
                 out_row.append(index[cell])
             rows.append(out_row)
-        spec = GroupSpec.finite_table(names, rows)
-        canon = {
-            "type": "finite_table",
-            "payload": {"names": list(names), "table": [list(r) for r in table_doc]},
-        }
-    elif gtype == "permutation":
+        return GroupSpec.finite_table(names, rows)
+    if gtype == "permutation":
         degree = _as_int(_get(payload, "degree", pp), f"{pp}/degree", minimum=1)
         gens_doc = _get(payload, "generators", pp)
         if not isinstance(gens_doc, list) or not gens_doc:
@@ -236,19 +253,20 @@ def parse_group(doc, pointer: str) -> tuple[Group, dict]:
             or not all(isinstance(x, str) for x in names)
         ):
             _fail(f"{pp}/names", "expected one name per generator")
-        spec = GroupSpec.permutation(degree, gens, names)
-        canon = {
-            "type": "permutation",
-            "payload": {
-                "degree": degree,
-                "generators": [list(g) for g in gens],
-                "names": list(spec.generator_names),
-            },
-        }
-    else:
-        _fail(f"{pointer}/type", f"unknown group type {gtype!r}")
-        raise AssertionError  # unreachable
-    return build_group(spec), canon
+        return GroupSpec.permutation(degree, gens, names)
+    _fail(f"{pointer}/type", f"unknown group type {gtype!r}")
+    raise AssertionError  # unreachable
+
+
+def group_doc(spec: GroupSpec) -> dict:
+    """The canonical group block of ``spec``: its set fields as the payload,
+    a permutation group's generator names as ``names`` and a Cayley table
+    by element names."""
+    payload = fields_doc(spec, 0, {"generator_names": "names"})
+    del payload["variant"]
+    if spec.table is not None:
+        payload["table"] = [[spec.names[j] for j in row] for row in spec.table]
+    return {"type": spec.variant, "payload": payload}
 
 
 def _parse_psi(doc, group: Group, k: int, pointer: str) -> list:
@@ -275,42 +293,31 @@ def parse_cocycle(doc, sft: SftSpec, pointer: str):
     kind = _get(doc, "kind", pointer)
     rng = _as_int(_get(doc, "range", pointer), f"{pointer}/range", minimum=0)
     values_doc = _get(doc, "values", pointer)
-    if not isinstance(values_doc, dict):
-        _fail(f"{pointer}/values", "expected an object keyed by words")
+    vp = f"{pointer}/values"
     if kind == "rational":
-        values = {}
-        for key, raw in values_doc.items():
-            vp = f"{pointer}/values/{key}"
-            values[parse_word_key(key, sft.k, vp)] = parse_rational(raw, vp)
-        try:
-            return make_cocycle(sft, rng, values)
-        except LivsicError as exc:
-            raise DocumentError(f"{pointer}/values", str(exc)) from exc
-    if kind == "matrix":
+        values = word_table(values_doc, sft.k, vp, parse_rational)
+        make, extra = make_cocycle, {}
+    elif kind == "matrix":
         from .matrix import make_matrix_cocycle
 
-        values = {}
-        for key, raw in values_doc.items():
-            vp = f"{pointer}/values/{key}"
-            values[parse_word_key(key, sft.k, vp)] = _parse_matrix(raw, vp)
-        algebra_doc = doc.get("algebra")
-        algebra = None
-        if algebra_doc is not None:
-            if not isinstance(algebra_doc, list) or not algebra_doc:
-                _fail(f"{pointer}/algebra", "expected a nonempty list of matrices")
-            algebra = [
-                _parse_matrix(m, f"{pointer}/algebra/{i}")
-                for i, m in enumerate(algebra_doc)
-            ]
-        try:
-            return make_matrix_cocycle(sft, rng, values, algebra=algebra)
-        except LivsicError as exc:
-            raise DocumentError(f"{pointer}/values", str(exc)) from exc
-    _fail(f"{pointer}/kind", f"unknown cocycle kind {kind!r}")
-    raise AssertionError  # unreachable
+        values = word_table(values_doc, sft.k, vp, _parse_matrix)
+        algebra = doc.get("algebra")
+        if algebra is not None:
+            algebra = parse_matrix_list(algebra, f"{pointer}/algebra")
+        make, extra = make_matrix_cocycle, {"algebra": algebra}
+    else:
+        _fail(f"{pointer}/kind", f"unknown cocycle kind {kind!r}")
+    try:
+        return make(sft, rng, values, **extra)
+    except LivsicError as exc:
+        raise DocumentError(vp, str(exc)) from exc
 
 
-def _parse_matrix(raw, pointer: str) -> list[list[float]]:
+def _parse_matrix(raw, pointer: str, dim: int | None = None):
+    """A square matrix of JSON numbers or rational strings, each a finite
+    float, as a float array; with ``dim``, it must be dim x dim."""
+    import numpy as np
+
     if not isinstance(raw, list) or not raw:
         _fail(pointer, "expected a matrix as a list of rows")
     width = None
@@ -325,17 +332,22 @@ def _parse_matrix(raw, pointer: str) -> list[list[float]]:
         out_row = []
         for j, cell in enumerate(row):
             at = f"{pointer}/{i}/{j}"
-            if isinstance(cell, bool):
-                _fail(at, "expected a number")
             if isinstance(cell, str):
                 cell = parse_rational(cell, at)
-            elif not isinstance(cell, (int, float)):
-                _fail(at, "expected a number or rational string")
             out_row.append(_as_finite_float(cell, at))
         rows.append(out_row)
     if len(rows) != width:
         _fail(pointer, "matrix must be square")
-    return rows
+    if dim is not None and width != dim:
+        _fail(pointer, f"expected a {dim}x{dim} matrix")
+    return np.array(rows)
+
+
+def parse_matrix_list(raw, pointer: str) -> list:
+    """A nonempty list of matrices, as a Lie algebra basis is written."""
+    if not isinstance(raw, list) or not raw:
+        _fail(pointer, "expected a nonempty list of matrices")
+    return [_parse_matrix(m, f"{pointer}/{i}") for i, m in enumerate(raw)]
 
 
 def parse_system_document(doc) -> SystemEnvelope:
@@ -354,42 +366,28 @@ def parse_system_document(doc) -> SystemEnvelope:
                 _fail(f"/sft/transition/{i}/{j}", "entries must be 0 or 1")
     spec = SftSpec.from_rows(rows)
     validate_sft(spec)
-    group, group_doc = parse_group(_get(doc, "group", ""), "/group")
+    group_spec = parse_group(_get(doc, "group", ""), "/group")
+    group = build_group(group_spec)
     psi = _parse_psi(_get(doc, "psi", ""), group, k, "/psi")
     system = make_skew_system(spec, group, psi)
     cocycle_doc = doc.get("cocycle")
     cocycle = None
     if cocycle_doc is not None:
         cocycle = parse_cocycle(cocycle_doc, spec, "/cocycle")
-    return SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc)
+    return SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(group_spec))
 
 
 def cocycle_to_doc(cocycle) -> dict:
-    k = cocycle.sft.k
-    if isinstance(cocycle, LocallyConstantCocycle):
-        return {
-            "kind": "rational",
-            "range": cocycle.block_range,
-            "values": {
-                word_to_key(w, k): fraction_to_str(v)
-                for w, v in cocycle.values.items()
-            },
-        }
     doc = {
-        "kind": "matrix",
+        "kind": cocycle.kind,
         "range": cocycle.block_range,
-        "dim": cocycle.dim,
-        "values": {
-            word_to_key(w, k): _matrix_to_doc(v) for w, v in cocycle.values.items()
-        },
+        "values": word_table_doc(cocycle.values, cocycle.sft.k),
     }
-    if cocycle.algebra is not None:
-        doc["algebra"] = [_matrix_to_doc(m) for m in cocycle.algebra]
+    if cocycle.kind == "matrix":
+        doc["dim"] = cocycle.dim
+        if cocycle.algebra is not None:
+            doc["algebra"] = _plain(cocycle.algebra)
     return doc
-
-
-def _matrix_to_doc(mat) -> list[list[float]]:
-    return [[float(x) for x in row] for row in mat]
 
 
 def system_to_doc(env: SystemEnvelope) -> dict:
@@ -444,12 +442,8 @@ def _rational_solution_doc(env: SolutionEnvelope) -> dict:
         "kind": "rational",
         "k": env.k,
         "block_length": sol.block_length,
-        "u": {
-            word_to_key(w, env.k): fraction_to_str(v) for w, v in sol.u.items()
-        },
-        "alpha": None
-        if sol.alpha is None
-        else [fraction_to_str(a) for a in sol.alpha],
+        "u": word_table_doc(sol.u, env.k),
+        "alpha": _plain(sol.alpha),
         "alpha_is_zero": sol.alpha_is_zero,
         "degenerate": None
         if sol.degenerate is None
@@ -481,8 +475,8 @@ def _matrix_solution_doc(env: SolutionEnvelope) -> dict:
         "k": env.k,
         "block_length": sol.block_length,
         "dim": dim,
-        "u": {word_to_key(w, env.k): _matrix_to_doc(v) for w, v in sol.u.items()},
-        "alpha": {name: _matrix_to_doc(v) for name, v in sol.alpha.items()},
+        "u": word_table_doc(sol.u, env.k),
+        "alpha": _plain(sol.alpha),
         "alpha_is_zero": zero,
         "alpha_constancy_defect": float(sol.alpha_constancy_defect),
         "max_residual": float(sol.max_residual),
@@ -516,18 +510,25 @@ def parse_solution_document(doc) -> SolutionEnvelope:
     return SolutionEnvelope(kind=kind, k=k, solution=solution, provenance=provenance)
 
 
+def _solution_u(doc, k: int, block_length: int, read) -> dict:
+    """A solution's u: a nonempty table keyed by blocks of block_length."""
+
+    def block(name, at):
+        word = parse_word_key(name, k, at)
+        if len(word) != block_length:
+            _fail(at, f"block must have length {block_length}")
+        return word
+
+    u = _table(_get(doc, "u", ""), "/u", read, block)
+    if not u:
+        _fail("/u", "expected a nonempty object keyed by blocks")
+    return u
+
+
 def _parse_rational_solution(doc, k: int, block_length: int) -> CohomologySolution:
     from .abelian import CohomologySolution, DegenerateReport, VerificationReport
 
-    u_doc = _get(doc, "u", "")
-    if not isinstance(u_doc, dict) or not u_doc:
-        _fail("/u", "expected a nonempty object keyed by blocks")
-    u = {}
-    for key, raw in u_doc.items():
-        word = parse_word_key(key, k, f"/u/{key}")
-        if len(word) != block_length:
-            _fail(f"/u/{key}", f"block must have length {block_length}")
-        u[word] = parse_rational(raw, f"/u/{key}")
+    u = _solution_u(doc, k, block_length, parse_rational)
     alpha_doc = _get(doc, "alpha", "")
     alpha = None
     if alpha_doc is not None:
@@ -552,30 +553,15 @@ def _parse_rational_solution(doc, k: int, block_length: int) -> CohomologySoluti
 
 
 def _parse_matrix_solution(doc, k: int, block_length: int) -> MatrixSolution:
-    import numpy as np
-
     from .matrix import MatrixSolution, MatrixVerificationReport
 
     dim = _as_int(_get(doc, "dim", ""), "/dim", minimum=1)
-    u_doc = _get(doc, "u", "")
-    if not isinstance(u_doc, dict) or not u_doc:
-        _fail("/u", "expected a nonempty object keyed by blocks")
-    u = {}
-    for key, raw in u_doc.items():
-        word = parse_word_key(key, k, f"/u/{key}")
-        mat = np.array(_parse_matrix(raw, f"/u/{key}"), dtype=float)
-        if mat.shape != (dim, dim):
-            _fail(f"/u/{key}", f"expected a {dim}x{dim} matrix")
-        u[word] = mat
-    alpha_doc = _get(doc, "alpha", "")
-    if not isinstance(alpha_doc, dict) or not alpha_doc:
-        _fail("/alpha", "expected a nonempty object keyed by element names")
-    alpha = {}
-    for name, raw in alpha_doc.items():
-        mat = np.array(_parse_matrix(raw, f"/alpha/{name}"), dtype=float)
-        if mat.shape != (dim, dim):
-            _fail(f"/alpha/{name}", f"expected a {dim}x{dim} matrix")
-        alpha[name] = mat
+
+    def read(raw, at):
+        return _parse_matrix(raw, at, dim)
+
+    u = _solution_u(doc, k, block_length, read)
+    alpha = _table(_get(doc, "alpha", ""), "/alpha", read)
     cert_doc = doc.get("certification")
     return MatrixSolution(
         block_length=block_length,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from .errors import (
     BadShape,
@@ -285,9 +285,7 @@ class SpanningTree:
         project_cycle, i.e. a product graph.
         """
         walk = max(self.walks(e), key=score)
-        cycle = find_violating_cycle(walk, self.graph.edge_head, 0, score)
-        if cycle is None or score(cycle) <= 0:
-            cycle = walk
+        cycle = find_violating_cycle(walk, self.graph.edge_head, 0, score) or walk
         core, mult = primitive_root(self.graph.project_cycle(cycle))
         return cycle, canonical_rotation(core), mult
 
@@ -320,27 +318,21 @@ def find_violating_cycle(walk_edges, edge_head, start: int, score):
     The walk is scanned left to right; whenever a vertex repeats, the
     enclosed simple cycle is scored.  A positively scored cycle is returned
     at once; zero or negative cycles are spliced out and the scan continues.
-    Returns the best-scoring cycle seen if none is positive, or None for an
-    empty walk.  ``score`` maps an edge-id list to a number; exact callers
-    use 1 for violating and 0 for clean cycles.
+    Returns None if no cycle scores above 0.  ``score`` maps an edge-id
+    list to a number; exact callers use 1 for violating and 0 for clean
+    cycles.
     """
     pos = {start: 0}
     stack_vertices = [start]
     stack_edges: list[int] = []
-    best = None
-    best_score = None
     for e in walk_edges:
         stack_edges.append(e)
         v = edge_head[e]
         if v in pos:
             i = pos[v]
             seg = stack_edges[i:]
-            s = score(seg)
-            if s > 0:
+            if score(seg) > 0:
                 return seg
-            if best_score is None or s > best_score:
-                best_score = s
-                best = seg
             for u in stack_vertices[i + 1 :]:
                 del pos[u]
             del stack_vertices[i + 1 :]
@@ -348,7 +340,7 @@ def find_violating_cycle(walk_edges, edge_head, start: int, score):
         else:
             pos[v] = len(stack_vertices)
             stack_vertices.append(v)
-    return best
+    return None
 
 
 @record(order=True)
@@ -408,31 +400,29 @@ def primitive_root(word: Word) -> tuple[Word, int]:
     raise AssertionError("unreachable")
 
 
-def _word_count_estimate(spec: SftSpec, max_len: int) -> int:
-    """Number of admissible words of every length up to max_len."""
+def check_work(spec: SftSpec, max_len: int, subject: str, what: str, offset: int = 0) -> None:
+    """RangeTooLarge unless the admissible words of every length up to
+    max_len fit the work budget.
+
+    The words are counted by last symbol, one vector step per length, up
+    to the first length past the budget, so a refusal costs no more than
+    an admission.  The message names the subject and the largest <what>
+    (a word length less offset) whose words fit, or that none does.
+    """
+    columns = tuple(zip(*spec.transitions))
+    ends = [1] * spec.k
     total = 0
-    power = [[1 if i == j else 0 for j in range(spec.k)] for i in range(spec.k)]
     for length in range(1, max_len + 1):
-        if length == 1:
-            total += spec.k
-        else:
-            power = _int_mat_mult(power, [list(r) for r in spec.transitions])
-            total += sum(sum(row) for row in power)
-        if total > 10 * DEFAULT_MAX_WORK:
-            break
-    return total
-
-
-def _within_budget(spec: SftSpec, max_len: int, what: str, offset: int = 0) -> str:
-    """Tail of a work-budget refusal for the words of length up to max_len:
-    the largest <what> (a word length less offset) whose words fit the
-    budget, or that none does."""
-    fits = max_len - 1
-    while fits > offset and _word_count_estimate(spec, fits) > DEFAULT_MAX_WORK:
-        fits -= 1
-    if fits > offset:
-        return f"; the largest {what} within it is {fits - offset}"
-    return f"; no {what} is within it"
+        if length > 1:
+            ends = [sum(map(mul, ends, col)) for col in columns]
+        total += sum(ends)
+        if total > DEFAULT_MAX_WORK:
+            fits = length - 1 - offset
+            largest = f"the largest {what} within it is {fits}"
+            raise RangeTooLarge(
+                f"{subject} exceeds the work budget; "
+                + (largest if fits > 0 else f"no {what} is within it")
+            )
 
 
 def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=None):
@@ -453,11 +443,7 @@ def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=Non
         raise RangeTooLarge(f"period {max_period} exceeds cap {cap}")
     if max_period < 1:
         return [], []
-    if _word_count_estimate(spec, max_period) > DEFAULT_MAX_WORK:
-        raise RangeTooLarge(
-            f"orbit enumeration up to period {max_period} exceeds the work budget"
-            + _within_budget(spec, max_period, "period")
-        )
+    check_work(spec, max_period, f"orbit enumeration up to period {max_period}", "period")
     return _lyndon_walk(spec, max_period, act, identity)
 
 
@@ -575,7 +561,7 @@ class LocallyConstantCocycle:
     block_range: int
     values: dict[Word, Fraction]
 
-    is_matrix_valued = False
+    kind = "rational"
 
     def window_value(self, word: Word) -> Fraction:
         return self.values[tuple(word)]
@@ -630,6 +616,6 @@ def cyclic_fold(cocycle, word: Word):
     width = cocycle.block_range + 1
     ext = word * (1 + (width + n - 2) // n)
     values = (cocycle.window_value(ext[i : i + width]) for i in range(n))
-    if cocycle.is_matrix_valued:
+    if cocycle.kind == "matrix":
         return reduce(lambda prod, value: value @ prod, values)
     return reduce(add, values)

@@ -470,6 +470,58 @@ def test_distortion_payloads(capsys):
     assert payload["algebra_dim"] == 4
 
 
+@pytest.mark.parametrize(
+    "text, pointer",
+    [
+        ('[[["x", "1"], ["0", "1"]]]', "/0/0/0"),
+        ("[[[1e400, 0], [0, 1]]]", "/0/0/0"),
+        ("[[[1, 0]]]", "/0"),
+        ('{"0": [[1, 0], [0, 1]]}', "/"),
+        ("[]", "/"),
+    ],
+)
+def test_distortion_refuses_a_malformed_algebra_file(capsys, tmp_path, text, pointer):
+    # The basis file goes through the document reader, so every fault is
+    # named by a pointer into the file.
+    basis = tmp_path / "basis.json"
+    basis.write_text(text)
+    code, payload, error = _run_json(
+        capsys, "distortion", _example("full2-diag-sl2.json"), "--depth", "2",
+        "--algebra", basis,
+    )
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "DocumentError"
+    assert error["pointer"] == pointer
+
+
+def test_matrix_solution_block_of_the_wrong_length_is_refused(capsys, tmp_path):
+    out = tmp_path / "solution.json"
+    assert _run(capsys, "solve", _example("full2-c2-halfturn.json"), "--out", out)[0] == 0
+    doc = json.loads(out.read_text())
+    doc["u"]["12"] = doc["u"]["1"]
+    out.write_text(json.dumps(doc))
+    code, payload, error = _run_json(
+        capsys, "verify-solution", _example("full2-c2-halfturn.json"), "--solution", out
+    )
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "DocumentError"
+    assert error["pointer"] == "/u/12"
+
+
+def test_generate_refuses_a_u_file_that_is_not_an_object(capsys, tmp_path):
+    u_file = tmp_path / "u.json"
+    u_file.write_text("[1, 2]")
+    code, payload, error = _run_json(
+        capsys, "generate", _example("full2-z.json"), "--u", u_file
+    )
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "DocumentError"
+    assert error["pointer"] == "/"
+
+
 def test_check_distortion_exit_codes(capsys):
     code, payload, _ = _run_json(
         capsys,

@@ -42,7 +42,7 @@ from livsic import (
     verify_matrix_solution,
 )
 from livsic import matrix
-from livsic.sft import SpanningTree, _within_budget
+from livsic.sft import SpanningTree, check_work
 from livsic.skew import build_product_graph
 from corpus import random_irreducible_sft, rng_for, s3_group
 
@@ -574,7 +574,17 @@ def test_distortion_budget_and_bounds():
     with pytest.raises(InvalidCocycle):
         estimate_distortion(cocycle, 0)
     # Depth 1 at block range 9 needs the words up to length 10: none fits.
-    assert _within_budget(SftSpec.full_shift(5), 12, "depth", 9) == "; no depth is within it"
+    with pytest.raises(RangeTooLarge, match="no depth is within it$"):
+        check_work(SftSpec.full_shift(5), 12, "distortion scan to depth 3", "depth", 9)
+
+
+def test_a_distortion_budget_refusal_does_not_scale_with_the_depth():
+    # The words are counted only up to the first length past the budget:
+    # 2 097 150 words up to length 20 on two symbols.
+    cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): IDENTITY_2, (2,): IDENTITY_2})
+    for depth in (10**3, 10**9):
+        with pytest.raises(RangeTooLarge, match="the largest depth within it is 19$"):
+            estimate_distortion(cocycle, depth)
 
 
 def _sl_basis(m: int) -> list[np.ndarray]:

@@ -210,6 +210,10 @@ def test_finite_table_group_roundtrips_and_needs_its_full_name():
     env = parse_system_document(json.loads(text))
     assert env.system.group.order == 2
     assert canonical_json(system_to_doc(env)) == text
+    # A cell that is no name, even one that cannot be hashed, is refused
+    # with its pointer.
+    doc["group"]["payload"]["table"][1][0] = ["g"]
+    assert _pointer_of(doc) == "/group/payload/table/1/0"
     doc["group"]["type"] = "table"
     assert _pointer_of(doc) == "/group/type"
 

@@ -178,6 +178,13 @@ def test_enumeration_cap(monkeypatch):
             call(9)
 
 
+def test_an_orbit_budget_refusal_does_not_scale_with_the_period(monkeypatch):
+    monkeypatch.setenv("LIVSIC_MAX_PERIOD", str(10**9))
+    for max_period in (10**3, 10**9):
+        with pytest.raises(RangeTooLarge, match="the largest period within it is 19$"):
+            walk_primitive_orbits(FULL_2, max_period)
+
+
 def test_walk_returns_two_lists_in_period_order():
     for spec in (GOLDEN_MEAN, FULL_2, SftSpec.full_shift(3)):
         for max_period in (0, 1, 6):

@@ -373,9 +373,8 @@ def test_find_violating_cycle_positive_segment():
     walk = [1, 2, 3]
     cycle = find_violating_cycle(walk, heads, 0, lambda seg: 1 if 3 in seg else 0)
     assert cycle == [3]
-    # With no positive cycle the best-scoring simple cycle is still returned.
-    fallback = find_violating_cycle(walk, heads, 0, lambda seg: 0)
-    assert fallback == [1, 2]
+    # With no positive cycle there is nothing to return.
+    assert find_violating_cycle(walk, heads, 0, lambda seg: 0) is None
     assert find_violating_cycle([], heads, 0, lambda seg: 1) is None
 
 
