@@ -102,6 +102,9 @@ def parse_rational(value, pointer: str) -> Fraction:
 
 
 def parse_word_key(key: str, k: int, pointer: str) -> Word:
+    """The word a key names.  DocumentError at pointer unless the key is
+    the word's one spelling, ``word_to_key(word, k)``, so no two keys of a
+    table can name the same word."""
     try:
         if k <= 9:
             word = tuple(int(c) for c in key)
@@ -113,6 +116,9 @@ def parse_word_key(key: str, k: int, pointer: str) -> Word:
         _fail(pointer, f"bad word key {key!r}")
     if any(s < 1 or s > k for s in word):
         _fail(pointer, f"symbol out of range in word key {key!r}")
+    canonical = word_to_key(word, k)
+    if key != canonical:
+        _fail(pointer, f"word key {key!r} is not canonical; write {canonical!r}")
     return word
 
 

@@ -7,11 +7,11 @@ every operation here is exact.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd
 from operator import add, mul
 
@@ -406,15 +406,29 @@ def check_work(spec: SftSpec, max_len: int, subject: str, what: str, offset: int
 
     The words are counted by last symbol, one vector step per length, up
     to the first length past the budget, so a refusal costs no more than
-    an admission.  The message names the subject and the largest <what>
-    (a word length less offset) whose words fit, or that none does.
+    an admission.  Two cases end the count early.  When no word of some
+    length is admissible, none longer is, so the budget holds.  When the
+    counts at two consecutive lengths are equal, every later length adds
+    the same number of words, so the first length past the budget is
+    computed in one step (every irreducible shift of zero entropy).  The
+    message names the subject and the largest <what> (a word length less
+    offset) whose words fit, or that none does.
     """
     columns = tuple(zip(*spec.transitions))
     ends = [1] * spec.k
     total = 0
     for length in range(1, max_len + 1):
         if length > 1:
-            ends = [sum(map(mul, ends, col)) for col in columns]
+            before, ends = ends, [sum(map(mul, ends, col)) for col in columns]
+            if not any(ends):
+                return
+            if ends == before:
+                # Every length from here on adds sum(ends) words: go to the
+                # first one past the budget.
+                length += (DEFAULT_MAX_WORK - total) // sum(ends)
+                if length > max_len:
+                    return
+                total = DEFAULT_MAX_WORK
         total += sum(ends)
         if total > DEFAULT_MAX_WORK:
             fits = length - 1 - offset
@@ -430,8 +444,9 @@ def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=Non
 
     Returns two lists of equal length, (words, weights): words[i] is an
     orbit's least rotation (a Lyndon word) and weights[i] its weight.  The
-    lists come in (period, word) order, so no caller sorts them.  The period
-    cap and the work budget are checked before the walk starts.
+    walk builds its lists one length at a time, each in lexicographic
+    order, so they come in (period, word) order and no caller sorts them.
+    The period cap and the work budget are checked before the walk starts.
 
     ``act[b-1]`` maps the weight of a word to the weight of that word
     followed by symbol b, i.e. left multiplication by the weight of b;
@@ -447,8 +462,21 @@ def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=Non
     return _lyndon_walk(spec, max_period, act, identity)
 
 
+class _Table(dict):
+    """A dict that fills a missing key with make(key) on its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
-    """Depth-first walk over admissible prenecklaces (Fredricksen-Kessler-Maiorana).
+    """Breadth-first walk over admissible prenecklaces (Fredricksen-Kessler-Maiorana).
 
     A prenecklace is a prefix of some necklace.  Let p be the length of the
     longest Lyndon prefix of a word of length t.  An extension by b is a
@@ -458,47 +486,83 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
     Every admissible Lyndon word has only admissible prenecklaces as
     prefixes, so the walk misses none (Ruskey-Savage-Wang, 1992).
 
-    The walk visits words in lexicographic order and appends each orbit to
-    the lists of its period, so the flattened lists (words, weights) are in
-    (period, word) order.  With ``act`` None the weight step is skipped.
+    The walk goes one length at a time.  A level is three parallel lists:
+    the admissible prenecklaces of length t in lexicographic order, their
+    p and their weights.  ``children[a][c]`` lists each b >= c with a -> b,
+    so extending every node in order by the entry for its last symbol and
+    c = word[t-p] makes the next level, again in order.  The orbits of a
+    level are its nodes with p == t and an allowed wrap, and the levels
+    come in increasing length, so (words, weights) is in (period, word)
+    order.  At max_period only the orbits are built, from
+    ``leaves[a][c][f]``: each b > c with a -> b -> f, f the first symbol.
+
+    A table entry is made when a node first asks for it, from per-symbol
+    entries that every row shares, so the tables grow with the walk and
+    not as k**3.  Each node built costs one ``act`` call; with ``act`` None
+    the weight step is skipped.
     """
     k = spec.k
     allowed = ((0,) * (k + 1),) + tuple((0, *row) for row in spec.transitions)
     successors = [()] + [spec.successors(a) for a in range(1, k + 1)]
-    if act is not None:
-        act = (None, *act)
-    words: list[list[Word]] = [[] for _ in range(max_period + 1)]
-    weights: list[list] = [[] for _ in range(max_period + 1)]
-    word = [0] * max_period
-    period = [0] * max_period
-    weight = [identity] * (max_period + 1)
-    frames = [iter(range(1, k + 1))]
-    while frames:
-        t = len(frames)  # length of the word once b is placed
-        for b in frames[-1]:
-            word[t - 1] = b
-            # b >= word[t-1-p] by this frame's bisection; equality keeps p.
-            if t > 1 and b == word[t - 1 - period[t - 2]]:
-                p = period[t - 2]
-            else:
-                p = t
-            period[t - 1] = p
-            if act is not None:
-                weight[t] = act[b](weight[t - 1])
-            if p == t and allowed[b][word[0]]:
-                words[t].append(tuple(word[:t]))
-                weights[t].append(weight[t])
-            if t < max_period:
-                after = successors[b]
-                frames.append(iter(after[bisect_left(after, word[t - p]) :]))
-                break
-        else:
-            frames.pop()
-    return list(chain.from_iterable(words)), list(chain.from_iterable(weights))
+    step = (None,) * (k + 1) if act is None else (None, *act)
+    # One entry per symbol b, shared by every table row: the suffix (b,),
+    # whether b keeps p (children only) and act[b].
+    keeps = [((b,), True, step[b]) for b in range(k + 1)]
+    grows = [((b,), False, step[b]) for b in range(k + 1)]
+    wraps = [((b,), step[b]) for b in range(k + 1)]
+    into = tuple(zip(*allowed))  # into[f][b] == allowed[b][f]
+
+    def children_of(after):
+        def make(c):
+            i = bisect_left(after, c)
+            if after[i : i + 1] == (c,):
+                return (keeps[c], *map(grows.__getitem__, after[i + 1 :]))
+            return tuple(map(grows.__getitem__, after[i:]))
+
+        return _Table(make)
+
+    def leaves_of(after):
+        def make(c):
+            above = after[bisect_right(after, c) :]
+            return _Table(
+                lambda f: tuple(map(wraps.__getitem__, filter(into[f].__getitem__, above)))
+            )
+
+        return _Table(make)
+
+    children = [children_of(after) for after in successors]
+    leaves = [leaves_of(after) for after in successors]
+    level = [(b,) for b in range(1, k + 1)]
+    periods = [1] * k
+    carried = [identity] * k if act is None else [f(identity) for f in act]
+    words: list[Word] = []
+    weights: list = []
+    t = 1
+    while True:
+        for w, p, g in zip(level, periods, carried):
+            if p == t and allowed[w[-1]][w[0]]:
+                words.append(w)
+                weights.append(g)
+        if t >= max_period - 1 or not level:
+            break
+        grown, grown_periods, grown_carried = [], [], []
+        for w, p, g in zip(level, periods, carried):
+            for bt, same, f in children[w[-1]][w[t - p]]:
+                grown.append(w + bt)
+                grown_periods.append(p if same else t + 1)
+                grown_carried.append(g if f is None else f(g))
+        level, periods, carried = grown, grown_periods, grown_carried
+        t += 1
+    if max_period > 1:
+        for w, p, g in zip(level, periods, carried):
+            for bt, f in leaves[w[-1]][w[t - p]][w[0]]:
+                words.append(w + bt)
+                weights.append(g if f is None else f(g))
+    return words, weights
 
 
-def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> list[PeriodicOrbit]:
-    """All primitive periodic orbits of period <= max_period, sorted by (period, word).
+def _build_orbits(words) -> list[PeriodicOrbit]:
+    """A PeriodicOrbit for each word of the walk, in order.
 
     The orbits are built in bulk, without a call to ``__init__`` each:
     ``object.__new__`` makes every instance and the slot's own descriptor
@@ -506,10 +570,15 @@ def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> list[PeriodicOr
     words are already least rotations of primitive words, which is all
     ``from_word`` would enforce, and PeriodicOrbit has no ``__post_init__``.
     """
-    words, _ = walk_primitive_orbits(spec, max_period)
     orbits = list(map(object.__new__, repeat(PeriodicOrbit, len(words))))
     deque(map(PeriodicOrbit.word.__set__, orbits, words), maxlen=0)
     return orbits
+
+
+def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> list[PeriodicOrbit]:
+    """All primitive periodic orbits of period <= max_period, sorted by (period, word)."""
+    words, _ = walk_primitive_orbits(spec, max_period)
+    return _build_orbits(words)
 
 
 def _int_mat_mult(a, b):

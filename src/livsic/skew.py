@@ -6,7 +6,7 @@ psi(w[n-1]) ... psi(w[1]) psi(w[0]).
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, gcd
 from operator import add, mul
 
@@ -25,6 +25,7 @@ from .sft import (
     SftSpec,
     SpanningTree,
     Word,
+    _build_orbits,
     build_block_graph,
     walk_primitive_orbits,
 )
@@ -122,11 +123,8 @@ def enumerate_trivial_class_orbits(
     """
     identity = system.group.identity
     tag = class_tag(system.group, identity)
-    return [
-        (PeriodicOrbit(word=w), tag)
-        for w, weight in orbit_weights(system, max_period)
-        if weight == identity
-    ]
+    words = [w for w, weight in orbit_weights(system, max_period) if weight == identity]
+    return list(zip(_build_orbits(words), repeat(tag)))
 
 
 @record

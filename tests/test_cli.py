@@ -71,6 +71,20 @@ def test_matrix_cell_too_large_for_a_float_is_refused(capsys, tmp_path):
     assert error["pointer"] == "/cocycle/values/2/1/1"
 
 
+def test_non_canonical_word_key_is_refused_with_its_pointer(capsys, tmp_path):
+    doc = json.loads(Path(_example("gm-c2.json")).read_text())
+    values = doc["cocycle"]["values"]
+    # The word 12, its 1 written as an Arabic-Indic digit.
+    values["\u0661" "2"] = values.pop("12")
+    path = tmp_path / "spelled.json"
+    path.write_text(json.dumps(doc))
+    code, payload, error = _run_json(capsys, "validate", path)
+    assert code == 2
+    assert payload is None
+    assert error["error"] == "DocumentError"
+    assert error["pointer"] == "/cocycle/values/\u0661" "2"
+
+
 def test_check_transitivity_exit_codes(capsys):
     code, payload, _ = _run_json(capsys, "check-transitivity", _example("gm-c2.json"))
     assert code == 0 and payload["status"] == "transitive"

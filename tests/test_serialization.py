@@ -34,6 +34,7 @@ from livsic.serialization import (
     parse_rational,
     parse_word_key,
     transitivity_doc,
+    word_table,
     word_to_key,
 )
 from livsic.skew import NonTransitivityCertificate, check_transitivity
@@ -78,6 +79,22 @@ def test_word_keys_both_regimes():
         parse_word_key("13", 2, "/u/13")
     with pytest.raises(DocumentError):
         parse_word_key("", 2, "/u/")
+
+
+def test_word_keys_are_read_only_in_their_canonical_spelling():
+    # int() would read each of these as a spelling of the word (1, 2).
+    for key, k in (("01,2", 10), (" 1,2", 10), ("+1,2", 10), ("1, 2", 10), ("\u0661" "2", 2)):
+        with pytest.raises(DocumentError, match="not canonical") as err:
+            parse_word_key(key, k, f"/values/{key}")
+        assert err.value.pointer == f"/values/{key}"
+    # So a table cannot hold two spellings of one word.
+    with pytest.raises(DocumentError) as err:
+        word_table({"1,2": "1", "01,2": "5"}, 10, "/values", parse_rational)
+    assert err.value.pointer == "/values/01,2"
+    assert word_table({"1,2": "1", "2,1": "5"}, 10, "/values", parse_rational) == {
+        (1, 2): Fraction(1),
+        (2, 1): Fraction(5),
+    }
 
 
 def test_parse_rational_rejects_floats_and_booleans():

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
+from bisect import bisect_left
+from itertools import chain
 
 import pytest
 
@@ -29,8 +32,9 @@ from livsic import (
     verify_vanishing,
     walk_primitive_orbits,
 )
+from livsic import sft
 from livsic.record import FrozenInstanceError
-from corpus import random_irreducible_sft, rng_for
+from corpus import random_irreducible_sft, rng_for, s3_group
 
 GOLDEN_MEAN = SftSpec.from_rows([[1, 1], [1, 0]])
 FULL_2 = SftSpec.full_shift(2)
@@ -199,6 +203,145 @@ def test_walk_returns_two_lists_in_period_order():
             counted, lengths = walk_primitive_orbits(spec, max_period, act, 0)
             assert counted == words
             assert lengths == list(map(len, words))
+
+
+def _reference_walk(spec: SftSpec, max_period: int, act, identity):
+    """The depth-first prenecklace walk the breadth-first one replaced.
+
+    One frame per prenecklace; each Lyndon word with an allowed wrap goes
+    to the lists of its period, flattened at the end.
+    """
+    k = spec.k
+    allowed = ((0,) * (k + 1),) + tuple((0, *row) for row in spec.transitions)
+    successors = [()] + [spec.successors(a) for a in range(1, k + 1)]
+    if act is not None:
+        act = (None, *act)
+    words = [[] for _ in range(max_period + 1)]
+    weights = [[] for _ in range(max_period + 1)]
+    word = [0] * max_period
+    period = [0] * max_period
+    weight = [identity] * (max_period + 1)
+    frames = [iter(range(1, k + 1))]
+    while frames:
+        t = len(frames)
+        for b in frames[-1]:
+            word[t - 1] = b
+            if t > 1 and b == word[t - 1 - period[t - 2]]:
+                p = period[t - 2]
+            else:
+                p = t
+            period[t - 1] = p
+            if act is not None:
+                weight[t] = act[b](weight[t - 1])
+            if p == t and allowed[b][word[0]]:
+                words[t].append(tuple(word[:t]))
+                weights[t].append(weight[t])
+            if t < max_period:
+                after = successors[b]
+                frames.append(iter(after[bisect_left(after, word[t - p]) :]))
+                break
+        else:
+            frames.pop()
+    return list(chain.from_iterable(words)), list(chain.from_iterable(weights))
+
+
+def _walk_corpus():
+    """Seeded transition rows on 1..5 symbols: full, sparse, mostly
+    reducible (upper triangular plus a few edges back) and nilpotent
+    (strictly upper triangular, so no orbit at all)."""
+    rng = rng_for(409, 0)
+    for k in range(1, 6):
+
+        def rows(entry):
+            return SftSpec.from_rows([[int(entry(a, b)) for b in range(k)] for a in range(k)])
+
+        yield SftSpec.full_shift(k)
+        yield rows(lambda a, b: rng.random() < 0.45)
+        yield rows(lambda a, b: rng.random() < 0.45)
+        yield rows(lambda a, b: a <= b or rng.random() < 0.2)
+        yield rows(lambda a, b: a < b and rng.random() < 0.7)
+
+
+def test_breadth_first_walk_matches_the_depth_first_reference(monkeypatch):
+    c2 = build_group(GroupSpec.cyclic(2))
+    z2 = build_group(GroupSpec.free_abelian(2))
+    rng = rng_for(409, 1)
+    for spec in _walk_corpus():
+        vectors = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(spec.k)]
+        systems = [
+            make_skew_system(spec, c2, [rng.randrange(2) for _ in range(spec.k)]),
+            make_skew_system(spec, s3_group(), [rng.randrange(6) for _ in range(spec.k)]),
+            make_skew_system(spec, z2, vectors),
+        ]
+        for max_period in range(10):
+            # The reference takes a frame per prenecklace: keep its run short.
+            if spec.k ** max_period > 20_000:
+                continue
+            walks = []
+            for walk in (sft._lyndon_walk, _reference_walk):
+                monkeypatch.setattr(sft, "_lyndon_walk", walk)
+                walks.append(
+                    [walk_primitive_orbits(spec, max_period)]
+                    + [list(orbit_weights(system, max_period)) for system in systems]
+                )
+            monkeypatch.undo()
+            assert walks[0] == walks[1], (spec, max_period)
+
+
+def test_the_walk_makes_one_weight_step_per_node_it_builds():
+    # Every prenecklace shorter than 8 is a node; at length 8 only the
+    # orbits are.  On three symbols the prenecklaces of length t number
+    # L(1) + ... + L(t), L(t) the Lyndon words: 3, 3, 8, 18, 48, 116, 312
+    # and 810 for t = 1..8.  So 3+6+14+32+80+196+508 = 839 short nodes and
+    # 810 leaves.
+    calls = []
+
+    def step(weight):
+        calls.append(weight)
+        return weight
+
+    words, _ = walk_primitive_orbits(SftSpec.full_shift(3), 8, [step] * 3, 0)
+    assert sum(len(w) == 8 for w in words) == 810
+    assert len(calls) == 839 + 810
+
+
+def test_the_walk_peaks_near_the_memory_of_its_result():
+    # Only the last full level lives beside the result: no walk that holds
+    # every prenecklace, or every level at once, fits this bound.
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = walk_primitive_orbits(SftSpec.full_shift(4), 10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == 145_338
+    assert peak - start <= 1.25 * (held - start)
+
+
+def test_the_work_gate_answers_at_once_when_counts_stop_growing(monkeypatch):
+    monkeypatch.setenv("LIVSIC_MAX_PERIOD", str(10**12))
+    nilpotent = SftSpec.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+    # No admissible word is longer than 3 symbols: admitted, and no orbit.
+    sft.check_work(nilpotent, 10**12, "scan", "depth")
+    assert walk_primitive_orbits(nilpotent, 10**12) == ([], [])
+    # One cycle on m symbols adds m words per length: the first length past
+    # 2 000 000 words is 2 000 000 // m + 1.
+    for rows, fits in (
+        ([[1]], 2_000_000),
+        ([[0, 1], [1, 0]], 1_000_000),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 666_666),
+    ):
+        cycle = SftSpec.from_rows(rows)
+        with pytest.raises(RangeTooLarge, match=f"the largest depth within it is {fits}$"):
+            sft.check_work(cycle, 10**12, "scan", "depth")
+        with pytest.raises(RangeTooLarge, match=f"the largest depth within it is {fits - 2}$"):
+            sft.check_work(cycle, 10**12, "scan", "depth", 2)
+        with pytest.raises(RangeTooLarge, match=f"the largest period within it is {fits}$"):
+            walk_primitive_orbits(cycle, 10**12)
+        # Just below the first length past the budget, the budget holds.
+        sft.check_work(cycle, fits, "scan", "depth")
 
 
 def test_birkhoff_sum_rotation_invariant():
