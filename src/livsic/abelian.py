@@ -4,15 +4,15 @@ Given a locally constant rational function f on the shift, decide whether
 f(x) = u(shift x) - u(x) + alpha(psi(x0)) for some potential u on blocks
 and homomorphism alpha.
 
-One kernel, _solve_cover, solves for a deck group Z^d x F: it works on
-the product graph over the finite factor F and carries Z^d potentials of
-width d.  solve_finite_gamma names its d = 0 corner (alpha vanishes by
-torsion) and solve_free_abelian its |F| = 1 corner (the product graph is
-the block graph).  The kernel scales f by the lcm of its denominators,
-propagates integer potentials and eliminates in ints; Fraction appears
-only for u, alpha and witness totals, and the certification scales u,
-alpha and f back to ints.  So a returned solution is a certificate and a
-returned obstruction is a counterexample.
+One kernel, _solve_cover, solves for a deck group Z^d or a finite G: it
+works on the block graph and carries Z^d potentials of width d.
+solve_finite_gamma names its finite corner (alpha vanishes by torsion,
+and G enters only through transitivity, decided by the monodromy group)
+and solve_free_abelian its Z^d one.  The kernel scales f by the lcm of
+its denominators, propagates integer potentials and eliminates in ints;
+Fraction appears only for u, alpha and witness totals, and the
+certification scales u, alpha and f back to ints.  So a returned
+solution is a certificate and a returned obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -39,22 +39,18 @@ from .record import record
 from .sft import (
     LocallyConstantCocycle,
     PeriodicOrbit,
-    SpanningTree,
     Word,
     _as_fraction,
     _solution_block_graph,
-    birkhoff_sum,
+    _successor_table,
     build_block_graph,
     canonical_rotation,
+    cyclic_fold,
+    find_violating_cycle,
     make_cocycle,
     primitive_root,
 )
-from .skew import (
-    SkewSystem,
-    build_product_graph,
-    enumerate_trivial_class_orbits,
-    product_scc_witness,
-)
+from .skew import SkewSystem, cover_tree, orbit_weights, transitivity_gap
 
 
 # ViolationWitness, EqualWeightPair and CohomologySolution are dataclasses,
@@ -129,27 +125,37 @@ def verify_vanishing(
     """First identity-class primitive orbit with nonzero sum, if any.
 
     Orbits are scanned in (period, word) order, so the returned witness is
-    deterministic.
+    deterministic.  The walk's words are cyclically admissible least
+    rotations, so they are folded as they come; only the witness becomes
+    a PeriodicOrbit.
     """
-    for orbit, _ in enumerate_trivial_class_orbits(system, max_period):
-        total = birkhoff_sum(cocycle, orbit)
-        if total != 0:
-            return ViolationWitness(orbit=orbit, multiplicity=1, total=total)
+    identity = system.group.identity
+    for word, weight in orbit_weights(system, max_period):
+        if weight == identity:
+            total = cyclic_fold(cocycle, word)
+            if total != 0:
+                return ViolationWitness(
+                    orbit=PeriodicOrbit(word=word), multiplicity=1, total=total
+                )
     return None
 
 
 def solve_finite_gamma(
     system: SkewSystem, cocycle: LocallyConstantCocycle
 ) -> CohomologySolution:
-    """Solve over a finite group by propagating a potential on the product graph.
+    """Solve over a finite group by propagating a potential on the block graph.
 
-    A breadth-first spanning tree fixes the potential; every non-tree edge
-    must then close up exactly.  A nonzero closure defect is converted into
-    a concrete identity-weight closed word with nonzero sum and raised as
-    CocycleObstruction.  On success alpha is forced to vanish because the
-    group is torsion and the reals are torsion-free.  NotTransitiveError,
-    with an unreachable pair, when the product graph is not strongly
-    connected.
+    Real sums kill torsion: a closed walk whose weight has order m has m
+    times its sum on an identity-weight closed walk.  So f is a coboundary
+    on the cover iff it is one on the block graph, and the group enters
+    only through transitivity.  NotTransitiveError, with the first
+    unreachable pair of product states, when the monodromy group is not
+    the whole group.  A breadth-first spanning tree fixes the potential;
+    every non-tree edge must then close up exactly.  A nonzero closure
+    defect is lifted to a concrete identity-weight closed word with
+    nonzero sum and raised as CocycleObstruction.  On success alpha is
+    forced to vanish because the group is torsion and the reals are
+    torsion-free.
     """
     return _solve_cover(system, cocycle)
 
@@ -173,34 +179,38 @@ def solve_free_abelian(
 def _solve_cover(
     system: SkewSystem, cocycle: LocallyConstantCocycle
 ) -> CohomologySolution:
-    """The one solver behind both public names, for a deck group Z^d x F.
+    """The one solver behind both public names, for a deck group Z^d or a
+    finite G.
 
-    Works on the product graph over the finite factor F (F is trivial over
-    Z^d, and d = 0 over a finite group).  The spanning tree carries integer
+    Works on the block graph alone.  Its spanning tree carries integer
     f-potentials, scaled by the lcm of f's denominators, and Z^d
     potentials of width d; each edge's closure defect is scale * f minus
-    the potential's rise.  With d = 0 the first nonzero defect is the
-    obstruction; with d > 0 each non-tree edge gives an integer row
-    (rho_psi, defect), and gauss_jordan's pivot rows give
-    alpha = rhs / (pivot * scale).
+    the potential's rise.  Over a finite G (d = 0) the cover enters only
+    through transitivity, which transitivity_gap decides from the
+    monodromy group: real sums kill torsion, so a closed walk whose weight
+    has order m has m times its sum on an identity-weight walk, and f is a
+    coboundary on the cover iff it is one on the block graph.  The first
+    nonzero defect is then the obstruction.  With d > 0 each non-tree edge
+    gives an integer row (rho_psi, defect), and gauss_jordan's pivot rows
+    give alpha = rhs / (pivot * scale).
     """
     group = system.group
     d = 0 if group.is_finite else group.rank
     r = cocycle.effective_block_length
-    pg = build_product_graph(system, r)
-    tree = SpanningTree(pg)
-    if not tree.strongly_connected:
-        if d:
+    tree = cover_tree(system, r)
+    if d:
+        if not tree.strongly_connected:
             raise NotStronglyConnected("block graph is not strongly connected")
-        raise NotTransitiveError(product_scc_witness(tree))
+    else:
+        gap = transitivity_gap(system, tree)
+        if gap is not None:
+            raise NotTransitiveError(gap)
 
-    order = pg.order
-    base_weights, scale = _scaled_weights(cocycle, pg.base.edges)
-    # Product edge ids run base edge by base edge, order ids each.
-    weights = [x for x in base_weights for _ in range(order)]
+    bg = tree.graph
+    weights, scale = _scaled_weights(cocycle, bg.edges)
     pot = tree.potentials(0, lambda e, p: p + weights[e])
     at = pot.__getitem__
-    tails, heads = pg.edge_tail, pg.edge_head
+    tails, heads = bg.edge_tail, bg.edge_head
     # scale * f minus the potential's rise, edge by edge, read once.
     defects = map(sub, map(add, weights, map(at, tails)), map(at, heads))
 
@@ -211,17 +221,10 @@ def _solve_cover(
     if not d:
         e = next(compress(count(), defects), None)
         if e is not None:
-            # Trimming to a simple cycle keeps its weight the identity only
-            # over a finite group, so the witness is found here.
-            cycle, word, mult = tree.witness(e, lambda w: 1 if walk_sum(w) else 0)
-            total = walk_sum(cycle)
-            check_invariant(total != 0, "closure defect without a violating cycle")
-            witness = ViolationWitness(
-                orbit=PeriodicOrbit(word=word), multiplicity=mult, total=total
-            )
-            raise CocycleObstruction(witness)
+            raise CocycleObstruction(_torsion_witness(system, tree, e, walk_sum))
+        u = {block: Fraction(p, scale) for block, p in zip(bg.vertices, pot)}
     else:
-        steps = [system.psi_of(word[0]) for word in pg.base.edges for _ in range(order)]
+        steps = [system.psi_of(word[0]) for word in bg.edges]
         pot_psi = tree.potentials((0,) * d, lambda e, p: tuple(map(add, p, steps[e])))
         # One row alpha . rho_psi = defect per non-tree edge, rhs as the last entry.
         edges, rows = [], []
@@ -247,21 +250,52 @@ def _solve_cover(
                 lattice_diagonal=diag,
                 pinned_coordinates=free_cols,
             )
-
-    u: dict[Word, Fraction] = {}
-    for bi, block in enumerate(pg.base.vertices):
-        v = bi * order + group.identity_index
-        fiber = pot[bi * order : (bi + 1) * order]
-        # Fiber constancy is forced: deck shifts are constants killed by torsion.
-        check_invariant(fiber.count(pot[v]) == order, "potential varies along a fiber")
-        u[block] = Fraction(pot[v], scale)
-        if d:
-            u[block] -= _alpha_dot(alpha, pot_psi[v])
+        u = {
+            block: Fraction(p, scale) - _alpha_dot(alpha, q)
+            for block, p, q in zip(bg.vertices, pot, pot_psi)
+        }
     alpha_out = tuple(alpha) if d else None
     solution = CohomologySolution(r, u, alpha_out, degenerate)
-    report = _check_edges(system, cocycle, solution, pg.base)
+    report = _check_edges(system, cocycle, solution, bg)
     check_invariant(report.certified, "solution fails its own certification")
     return CohomologySolution(r, u, alpha_out, degenerate, certificate=report)
+
+
+def _torsion_witness(system, tree, e, walk_sum) -> ViolationWitness:
+    """Identity-weight cycle with nonzero sum through the defect at edge e.
+
+    One of tree.walks(e), a closed walk W at block 0, has a nonzero sum.
+    Its weight g has some order m, so W^m lifts to a closed walk of the
+    product graph from (block 0, identity); only the lift's own states
+    are computed.  The lift is trimmed to its first simple cycle with a
+    nonzero sum, which closes in the product graph, so its word has
+    identity weight.
+    """
+    group = system.group
+    table, identity, order = group.table, group.identity_index, group.order
+    bg = tree.graph
+    walk = next(w for w in tree.walks(e) if walk_sum(w))
+    steps = [(x, system.psi[bg.edges[x][0] - 1]) for x in walk]
+    # W repeats until its lift closes, m times.  states[i] is the product
+    # state (block * order + element) the lift's i-th edge leads to.
+    lift, states, g = [], [], identity
+    while not lift or g != identity:
+        for x, s in steps:
+            g = table[s][g]
+            lift.append(x)
+            states.append(bg.edge_head[x] * order + g)
+    cycle = find_violating_cycle(
+        range(len(lift)), states, identity,
+        lambda seg: 1 if walk_sum(lift[i] for i in seg) else 0,
+    )
+    check_invariant(cycle is not None, "closure defect without a violating cycle")
+    cycle = [lift[i] for i in cycle]
+    core, mult = primitive_root(bg.project_cycle(cycle))
+    return ViolationWitness(
+        orbit=PeriodicOrbit(word=canonical_rotation(core)),
+        multiplicity=mult,
+        total=walk_sum(cycle),
+    )
 
 
 def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
@@ -272,9 +306,9 @@ def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
     """
     values = cocycle.values
     scale = lcm(*{x.denominator for x in values.values()})
-    scaled = {w: x.numerator * (scale // x.denominator) for w, x in values.items()}
     width = cocycle.block_range + 1
-    return [scaled[w[:width]] for w in edges], scale
+    windows = map(values.__getitem__, (w[:width] for w in edges))
+    return [x.numerator * (scale // x.denominator) for x in windows], scale
 
 
 def _alpha_dot(alpha, vec) -> Fraction:
@@ -299,7 +333,7 @@ def _inconsistency_certificate(system, tree, edges, combo, steps, walk_sum):
     steps[e] is the lattice step of edge e and walk_sum(walk) the exact sum
     of f along a walk.
     """
-    pg = tree.graph
+    bg = tree.graph
     content = gcd(*combo.values())
 
     plus: list[int] = []
@@ -322,20 +356,20 @@ def _inconsistency_certificate(system, tree, edges, combo, steps, walk_sum):
     sum_minus = walk_sum(minus)
     check_invariant(sum_plus != sum_minus, "certificate walks agree in sum")
 
-    correction = _closing_walk(system, pg.base, tuple(-x for x in v))
+    correction = _closing_walk(system, bg, tuple(-x for x in v))
     if correction is not None:
         plus_closed = plus + correction
         minus_closed = minus + correction
         chosen = plus_closed if walk_sum(plus_closed) != 0 else minus_closed
-        core, mult = primitive_root(pg.project_cycle(chosen))
+        core, mult = primitive_root(bg.project_cycle(chosen))
         return ViolationWitness(
             orbit=PeriodicOrbit(word=canonical_rotation(core)),
             multiplicity=1,
             total=walk_sum(chosen) / mult,
         )
     return EqualWeightPair(
-        word_a=pg.project_cycle(plus),
-        word_b=pg.project_cycle(minus),
+        word_a=bg.project_cycle(plus),
+        word_b=bg.project_cycle(minus),
         weight=v,
         sum_a=sum_plus,
         sum_b=sum_minus,
@@ -383,7 +417,7 @@ def _closing_walk(system, bg, target):
     start = (last - 1) * width + sum(map(mul, off, digits)) + bound * sum(digits)
     prev: dict = {start: None}
     queue = deque([(start, last, off)])
-    successors = [None, *map(spec.successors, range(1, spec.k + 1))]
+    successors = _successor_table(spec)
     while queue:
         state, a, off = queue.popleft()
         code = state - (a - 1) * width
@@ -448,15 +482,16 @@ def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
         return x.numerator * (scale // x.denominator)
 
     pot = [scaled(u[block]) for block in bg.vertices]
-    f = {w: scaled(x) for w, x in values.items()}
     # alpha . psi(w[0]) depends on the first symbol only: k dot products.
     alpha = [scaled(a) for a in alpha]
     symbols = range(1, system.sft.k + 1)
     drift = [sum(map(mul, alpha, system.psi_of(a))) if alpha else 0 for a in symbols]
     width = cocycle.block_range + 1
+    # Each f value is scaled as its edge is read, with no scaled copy of f.
+    f = map(values.__getitem__, (w[:width] for w in bg.edges))
     residuals = (
-        f[w[:width]] - drift[w[0] - 1] - pot[h] + pot[t]
-        for w, t, h in zip(bg.edges, bg.edge_tail, bg.edge_head)
+        x.numerator * (scale // x.denominator) - drift[w[0] - 1] - pot[h] + pot[t]
+        for x, w, t, h in zip(f, bg.edges, bg.edge_tail, bg.edge_head)
     )
     failures = tuple((w, Fraction(x, scale)) for w, x in zip(bg.edges, residuals) if x)
     return VerificationReport(

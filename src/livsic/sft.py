@@ -11,9 +11,9 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
-from operator import add, mul
+from operator import add, eq, mul
 
 from .errors import (
     BadShape,
@@ -136,10 +136,23 @@ class BlockGraph:
     def is_strongly_connected(self) -> bool:
         return bool(self.vertices) and SpanningTree(self).strongly_connected
 
+    def project_cycle(self, edge_ids) -> Word:
+        """The word a walk reads: the first symbol of each edge word."""
+        edges = self.edges
+        return tuple(edges[e][0] for e in edge_ids)
+
+
+def _successor_table(spec: SftSpec) -> list[tuple[int, ...]]:
+    """spec.successors(a) at index a for every symbol, () at index 0."""
+    symbols = tuple(range(1, spec.k + 1))
+    rows = (compress(symbols, map(eq, row, repeat(1))) for row in spec.transitions)
+    return [(), *map(tuple, rows)]
+
 
 def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
     words: list[Word] = []
     stack: list[Word] = [(a,) for a in range(spec.k, 0, -1)]
+    backwards = [after[::-1] for after in _successor_table(spec)]
     while stack:
         w = stack.pop()
         if len(w) == length:
@@ -149,7 +162,7 @@ def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
                     f"more than {cap} admissible words of length {length}"
                 )
             continue
-        for b in reversed(spec.successors(w[-1])):
+        for b in backwards[w[-1]]:
             stack.append(w + (b,))
     words.sort()
     return words
@@ -161,12 +174,13 @@ def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
         raise BadShape("block length must be at least 1")
     vertices = tuple(_admissible_words(spec, r, max_states_cap()))
     index = {w: i for i, w in enumerate(vertices)}
+    successors = _successor_table(spec)
     edges: list[Word] = []
     tails: list[int] = []
     heads: list[int] = []
     out: list[list[int]] = [[] for _ in vertices]
     for i, w in enumerate(vertices):
-        for b in spec.successors(w[-1]):
+        for b in successors[w[-1]]:
             e = w + (b,)
             j = index[e[1:]]
             out[i].append(len(edges))
@@ -282,7 +296,7 @@ class SpanningTree:
         cycle with positive score (keeping the whole walk when there is
         none), and returns (cycle, least rotation of the primitive core of
         its projected word, multiplicity of that core).  Needs a graph with
-        project_cycle, i.e. a product graph.
+        project_cycle (block and product graphs).
         """
         walk = max(self.walks(e), key=score)
         cycle = find_violating_cycle(walk, self.graph.edge_head, 0, score) or walk
@@ -503,7 +517,7 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
     """
     k = spec.k
     allowed = ((0,) * (k + 1),) + tuple((0, *row) for row in spec.transitions)
-    successors = [()] + [spec.successors(a) for a in range(1, k + 1)]
+    successors = _successor_table(spec)
     step = (None,) * (k + 1) if act is None else (None, *act)
     # One entry per symbol b, shared by every table row: the suffix (b,),
     # whether b keeps p (children only) and act[b].

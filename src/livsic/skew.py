@@ -154,11 +154,9 @@ class ProductGraph:
         block = self.base.vertices[vid // self.order]
         return block, self.system.group.name_of(vid % self.order)
 
-    def edge_symbol(self, eid: int) -> int:
-        return self.base.edges[eid // self.order][0]
-
     def project_cycle(self, edge_ids) -> Word:
-        return tuple(self.edge_symbol(e) for e in edge_ids)
+        order = self.order
+        return self.base.project_cycle(e // order for e in edge_ids)
 
 
 def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
@@ -169,9 +167,7 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     psi = system.psi if finite else (0,) * system.sft.k
     base = build_block_graph(system.sft, r)
     order = len(table)
-    n = len(base.vertices) * order
-    if n > max_states_cap():
-        raise RangeTooLarge(f"product graph would have {n} vertices")
+    n = _check_states(base, order)
     if order == 1:  # the block graph's own edges, not a copy
         tails, heads, out = base.edge_tail, base.edge_head, base.out_edges
     else:
@@ -196,9 +192,18 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     )
 
 
+def _check_states(base: BlockGraph, order: int) -> int:
+    """The vertex count of the product graph over base with a fiber of
+    order elements; RangeTooLarge when it passes the state cap."""
+    n = len(base.vertices) * order
+    if n > max_states_cap():
+        raise RangeTooLarge(f"product graph would have {n} vertices")
+    return n
+
+
 # ---------------------------------------------------------------------------
-# Strong connectivity of product graphs, read from sft.SpanningTree, the
-# one graph search of validate_sft, check_transitivity and the solvers.
+# Strong connectivity of covers, read from sft.SpanningTree, the one graph
+# search of validate_sft, check_transitivity and the solvers.
 
 
 def product_scc_witness(tree: SpanningTree):
@@ -206,6 +211,77 @@ def product_scc_witness(tree: SpanningTree):
     ordered pair of product vertices (as labels) with no connecting path."""
     gap = tree.unreachable_pair()
     return None if gap is None else tuple(map(tree.graph.vertex_label, gap))
+
+
+def cover_tree(system: SkewSystem, r: int) -> SpanningTree:
+    """Spanning tree of the r-block graph, which carries every cover computation.
+
+    The product graph is not built, but its size is capped all the same:
+    RangeTooLarge, with build_product_graph's message, when blocks x |G|
+    passes the state cap.
+    """
+    base = build_block_graph(system.sft, r)
+    _check_states(base, system.group.order if system.group.is_finite else 1)
+    return SpanningTree(base)
+
+
+def monodromy_group(system: SkewSystem, tree: SpanningTree) -> set[int]:
+    """Weights of the closed walks at block 0 of a strongly connected block
+    graph, over a finite group, as element indices.
+
+    G-potentials run along the tree: wpot[v] is the weight of the tree path
+    from block 0 to block v.  Every closed walk's weight is a product of the
+    fundamental-cycle weights wpot[h]^-1 psi(e) wpot[t] of its edges
+    e: t -> h (identity on tree edges), and each of those is the weight of a
+    closed walk times the inverse of another.  The closed-walk weights form
+    a submonoid of a finite group, so a subgroup: the closure of the
+    fundamental-cycle weights, at most |G| x (distinct weights) products.
+    """
+    group = system.group
+    table, inverses, identity = group.table, group.inverses, group.identity_index
+    bg = tree.graph
+    steps = [system.psi[word[0] - 1] for word in bg.edges]
+    wpot = tree.potentials(identity, lambda e, p: table[steps[e]][p])
+    gens = {
+        table[inverses[wpot[h]]][table[s][wpot[t]]]
+        for s, t, h in zip(steps, bg.edge_tail, bg.edge_head)
+    }
+    gens.discard(identity)
+    closure = [identity]
+    reached = {identity}
+    for x in closure:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in reached:
+                reached.add(y)
+                closure.append(y)
+    return reached
+
+
+def transitivity_gap(system: SkewSystem, tree: SpanningTree):
+    """None if the finite cover over the tree's block graph is strongly
+    connected, otherwise the pair product_scc_witness names on its product
+    graph.
+
+    Over a strongly connected block graph every vertex of the product graph
+    returns to where it came from (a closed walk's weight has finite order),
+    so the graph is strongly connected iff (block 0, element 0) reaches its
+    whole fiber, i.e. iff the monodromy group H is G.  Otherwise the first
+    vertex it misses is (block 0, least j outside {h . element 0 : h in H}).
+    Only a block graph that is not strongly connected builds the product
+    graph, to name its pair.
+    """
+    group = system.group
+    if not tree.strongly_connected:
+        return product_scc_witness(SpanningTree(build_product_graph(system, tree.graph.r)))
+    reached = monodromy_group(system, tree)
+    if len(reached) == group.order:
+        return None
+    orbit = {group.table[h][0] for h in reached}
+    j = next(j for j in group.elements() if j not in orbit)
+    block = tree.graph.vertices[0]
+    return (block, group.name_of(0)), (block, group.name_of(j))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +371,10 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     three-valued verdict backed by the weights of the orbits of period <= k.
 
     Finite groups: the extension is transitive iff the product graph over
-    1-blocks is strongly connected.  Z^d: psi depends on one symbol, so the
+    1-blocks is strongly connected, i.e. iff the monodromy group (the
+    weights of closed walks at one symbol) is all of G; transitivity_gap
+    decides it on the symbol graph and names the first unreachable pair of
+    product vertices.  Z^d: psi depends on one symbol, so the
     orbits of period <= k (the alphabet size) include every simple cycle of
     the symbol graph, and every closed walk's weight is a sum of their
     weights.  A nonzero functional that is >= 0 on every class (one_sided:
@@ -310,7 +389,7 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     """
     group = system.group
     if group.is_finite:
-        witness = product_scc_witness(SpanningTree(build_product_graph(system, 1)))
+        witness = transitivity_gap(system, cover_tree(system, 1))
         if witness is None:
             return TransitivityVerdict(status="transitive")
         return TransitivityVerdict(status="not_transitive", witness=witness)

@@ -13,10 +13,12 @@ from livsic import (
     GroupSpec,
     SftSpec,
     build_group,
+    build_product_graph,
     check_transitivity,
     make_cocycle,
     make_skew_system,
 )
+from livsic.sft import SpanningTree
 
 SEED_STRIDE = 100_003
 
@@ -45,6 +47,62 @@ def s3_group():
     return build_group(
         GroupSpec.permutation(3, [(2, 1, 3), (2, 3, 1)], names=["s", "r"])
     )
+
+
+def s5_group():
+    return build_group(GroupSpec.permutation(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)]))
+
+
+def relabelled_group(group, order):
+    """The same group as a Cayley table that lists its elements in `order`
+    (old indices), so its identity can sit at any index."""
+    position = {old: new for new, old in enumerate(order)}
+    names = [group.names[old] for old in order]
+    table = [[position[group.table[a][b]] for b in order] for a in order]
+    return build_group(GroupSpec.finite_table(names, table))
+
+
+def cover_groups():
+    """C2, C4, S3, S5 and S3 relabelled so that its identity is element 3."""
+    s3 = s3_group()
+    return {
+        "C2": build_group(GroupSpec.cyclic(2)),
+        "C4": build_group(GroupSpec.cyclic(4)),
+        "S3": s3,
+        "S5": s5_group(),
+        "S3 relabelled": relabelled_group(s3, (4, 2, 5, 0, 1, 3)),
+    }
+
+
+def cover_corpus(base_seed: int, instances: int = 4):
+    """(label, system) pairs over every group of cover_groups and the full
+    2-shift, the full 3-shift and sparse shifts, alternately transitive and
+    not.
+
+    Transitivity is read from the strong connectivity of the product graph
+    over 1-blocks; a sparse shift is redrawn with psi when psi alone cannot
+    give the wanted answer.
+    """
+    index = 0
+    for gname, group in cover_groups().items():
+        for shape in ("full2", "full3", "sparse"):
+            for i in range(instances):
+                rng = rng_for(base_seed, index)
+                index += 1
+                transitive = i % 2 == 0
+                for _ in range(500):
+                    if shape == "sparse":
+                        spec = random_irreducible_sft(rng, rng.randint(3, 4))
+                    else:
+                        spec = SftSpec.full_shift(int(shape[-1]))
+                    psi = [rng.randrange(group.order) for _ in range(spec.k)]
+                    system = make_skew_system(spec, group, psi)
+                    tree = SpanningTree(build_product_graph(system, 1))
+                    if tree.strongly_connected == transitive:
+                        break
+                else:
+                    raise AssertionError(f"no {gname} {shape} system found")
+                yield f"{gname} {shape} #{i}", system
 
 
 def q8_group():

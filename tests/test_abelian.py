@@ -42,6 +42,7 @@ from livsic import (
     verify_vanishing,
 )
 from corpus import (
+    cover_corpus,
     perturb_one_value,
     random_alpha,
     random_irreducible_sft,
@@ -53,7 +54,7 @@ from corpus import (
 )
 from livsic.errors import max_states_cap
 from livsic.sft import SpanningTree
-from livsic.skew import build_product_graph
+from livsic.skew import build_product_graph, product_scc_witness
 
 FULL_2 = SftSpec.full_shift(2)
 Z1 = build_group(GroupSpec.free_abelian(1))
@@ -749,3 +750,61 @@ def test_trivial_group_and_flat_lattice_corners_agree():
             assert witness.total == witness.multiplicity * birkhoff_sum(
                 perturbed, witness.orbit
             )
+
+
+# ---------------------------------------------------------------------------
+# Finite covers are solved on the block graph; the product graph, built
+# here, is the reference.
+
+_COVER_STATES = 4_000  # product states per case, to keep the corpus quick
+_BRUTE_WORDS = 5_000  # cyclic words brute_vanishing may scan per witness
+
+
+def _product_graph_u(pg, tree, cocycle):
+    """u at (block, identity) of a Q-potential on the product graph, or None
+    when some product edge does not close up (f is not a coboundary there)."""
+    width = cocycle.block_range + 1
+    f = [cocycle.values[pg.base.edges[e // pg.order][:width]] for e in range(len(pg.edge_tail))]
+    pot = tree.potentials(Fraction(0), lambda e, p: p + f[e])
+    if any(pot[t] + x != pot[h] for x, t, h in zip(f, pg.edge_tail, pg.edge_head)):
+        return None
+    identity = pg.system.group.identity_index
+    return {block: pot[b * pg.order + identity] for b, block in enumerate(pg.base.vertices)}
+
+
+def test_finite_covers_solve_on_the_block_graph_as_on_the_product_graph():
+    counts = {"solved": 0, "refused": 0, "brute": 0, "torsion": 0}
+    for label, system in cover_corpus(89):
+        order = system.group.order
+        for r in range(1, 5):
+            if len(build_block_graph(system.sft, r).vertices) * order > _COVER_STATES:
+                continue
+            rng = rng_for(97, counts["solved"] + counts["refused"])
+            cocycle = generate_cocycle(system, block_range=r, seed=rng.randrange(2**31))
+            pg = build_product_graph(system, r)
+            tree = SpanningTree(pg)
+            if not tree.strongly_connected:
+                counts["refused"] += 1
+                with pytest.raises(NotTransitiveError) as err:
+                    solve_finite_gamma(system, cocycle)
+                assert err.value.witness == product_scc_witness(tree), (label, r)
+                continue
+            counts["solved"] += 1
+            assert solve_finite_gamma(system, cocycle).u == _product_graph_u(pg, tree, cocycle)
+
+            bad, _, _ = perturb_one_value(cocycle, rng)
+            assert _product_graph_u(pg, tree, bad) is None
+            with pytest.raises(CocycleObstruction) as err:
+                solve_finite_gamma(system, bad)
+            witness = err.value.witness
+            word = witness.word
+            assert isinstance(witness, ViolationWitness)
+            assert system.sft.is_admissible(word, cyclic=True)
+            assert psi_n_cyclic(system, word) == system.group.identity
+            assert witness.total != 0
+            assert witness.total == _cyclic_f_sum(bad, word)
+            counts["torsion"] += witness.multiplicity > 1
+            if system.sft.k ** len(word) <= _BRUTE_WORDS:
+                counts["brute"] += 1
+                assert brute_vanishing(system, bad, len(word)) is not None, (label, r)
+    assert min(counts.values()) >= 40, counts

@@ -1,0 +1,116 @@
+"""The capacity contract at its edges: for each entry point and cap, the
+largest input admitted and the first one refused.
+
+Each row runs one `livsic` command as a child process.  A small launcher
+process starts it, so that the child's peak RSS counts the launcher's
+image, not the test runner's; the child alone runs under RLIMIT_AS and a
+wall limit, and its CPU time and peak RSS come from os.wait4.  An
+admitted case must exit 0 or 1 within its bounds.  A refused case must
+exit 2 with its structured error, within the same bounds.
+
+The bounds are written once, in the table.  A case that misses its bound
+is a failing test to report, never a bound to raise in the same change.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from livsic import GroupSpec, SftSpec, build_group, make_cocycle, make_skew_system
+from livsic.abelian import generate_cocycle
+from livsic.serialization import SystemEnvelope, group_doc, system_to_doc
+
+ROOT = Path(__file__).resolve().parent.parent
+ADDRESS_SPACE = 1 << 30  # RLIMIT_AS of the child, in bytes
+WALL_LIMIT_S = 20.0  # the child is killed past this
+
+# Starts argv[5:], waits with os.wait4 and prints exit code, CPU seconds
+# and peak RSS in KiB as JSON; stdout and stderr go to the two files.
+_LAUNCHER = r"""
+import json, os, resource, signal, subprocess, sys, time
+limit, wall, out, err = int(sys.argv[1]), float(sys.argv[2]), sys.argv[3], sys.argv[4]
+
+def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+with open(out, "w") as fo, open(err, "w") as fe:
+    child = subprocess.Popen(sys.argv[5:], stdout=fo, stderr=fe, preexec_fn=cap)
+deadline = time.monotonic() + wall
+while True:
+    pid, status, usage = os.wait4(child.pid, os.WNOHANG)
+    if pid:
+        break
+    if time.monotonic() > deadline:
+        os.kill(child.pid, signal.SIGKILL)
+        pid, status, usage = os.wait4(child.pid, 0)
+        break
+    time.sleep(0.005)
+print(json.dumps({
+    "code": os.waitstatus_to_exitcode(status),
+    "cpu_s": usage.ru_utime + usage.ru_stime,
+    "rss_kib": usage.ru_maxrss,
+}))
+"""
+
+_S5 = GroupSpec.permutation(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)])
+
+
+def _s5_full2(r: int, perturbed: bool) -> dict:
+    """S5 over the full 2-shift with psi = its two generators, a transitive
+    cover: 2**r blocks and 120 * 2**r product states at block length r."""
+    group = build_group(_S5)
+    system = make_skew_system(
+        SftSpec.full_shift(2), group, (group.element_by_name("a"), group.element_by_name("b"))
+    )
+    cocycle = generate_cocycle(system, block_range=r, seed=r)
+    if perturbed:
+        values = dict(cocycle.values)
+        values[(1,) * (r + 1)] += Fraction(1, 3)
+        cocycle = make_cocycle(system.sft, r, values)
+    return system_to_doc(SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(_S5)))
+
+
+_STATES = "product graph would have 61440 vertices"
+
+# name, document builder and its arguments, command, exit code, CPU seconds,
+# peak RSS in MiB, structured error of a refusal.
+CASES = [
+    # LIVSIC_MAX_STATES (50 000) on `solve` over a finite group.
+    ("solve S5 full2 r8", (_s5_full2, 8, False), "solve", 0, 1.0, 64, None),
+    ("solve S5 full2 r8 perturbed", (_s5_full2, 8, True), "solve", 1, 1.0, 64, None),
+    ("solve S5 full2 r9", (_s5_full2, 9, False), "solve", 2, 1.0, 64,
+     {"error": "RangeTooLarge", "message": _STATES}),
+]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_capacity_edge(case, tmp_path):
+    name, (build, *args), command, code, cpu_s, rss_mib, error = case
+    doc = tmp_path / "system.json"
+    doc.write_text(json.dumps(build(*args)), encoding="utf-8")
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LIVSIC_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    launcher = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(ADDRESS_SPACE), str(WALL_LIMIT_S),
+         str(out), str(err), sys.executable, "-m", "livsic.cli", command, str(doc)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    usage = json.loads(launcher.stdout)
+    assert usage["code"] == code, (name, err.read_text())
+    assert usage["cpu_s"] <= cpu_s, (name, usage)
+    assert usage["rss_kib"] <= rss_mib * 1024, (name, usage)
+    if error is None:
+        payload = json.loads(out.read_text())
+        if code == 0:
+            assert payload["certification"]["certified"] is True
+        else:
+            assert payload["solvable"] is False
+    else:
+        assert json.loads(err.read_text()) == error

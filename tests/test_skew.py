@@ -10,6 +10,7 @@ import pytest
 
 import livsic.skew as skew
 from livsic import (
+    CocycleObstruction,
     GroupSpec,
     InadmissibleWord,
     NotIrreducible,
@@ -25,6 +26,7 @@ from livsic import (
     enumerate_trivial_class_orbits,
     frobenius_class,
     generate_cocycle,
+    make_cocycle,
     make_matrix_cocycle,
     make_skew_system,
     psi_n,
@@ -37,8 +39,16 @@ from livsic import (
 )
 from livsic.oracles import brute_periodic_census, brute_transitivity
 from livsic.sft import SpanningTree, find_violating_cycle
-from livsic.skew import _dual_rays, orbit_weights, product_scc_witness
+from livsic.skew import (
+    _dual_rays,
+    cover_tree,
+    monodromy_group,
+    orbit_weights,
+    product_scc_witness,
+    transitivity_gap,
+)
 from corpus import (
+    cover_corpus,
     random_finite_group,
     random_irreducible_sft,
     random_lattice_system,
@@ -493,3 +503,63 @@ def test_a_refused_finite_cover_builds_one_spanning_tree(monkeypatch):
     built.clear()
     assert check_transitivity(system).status == "not_transitive"
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Finite transitivity from the monodromy group; the product graph, built
+# here, is the reference.
+
+_BRUTE_STATES = 400  # (symbol, element) states brute_transitivity may search
+
+
+def test_finite_transitivity_is_read_from_the_monodromy_group():
+    verdicts = {"transitive": 0, "not_transitive": 0}
+    for label, system in cover_corpus(83):
+        group = system.group
+        expected = product_scc_witness(SpanningTree(build_product_graph(system, 1)))
+        verdict = check_transitivity(system)
+        verdicts[verdict.status] += 1
+        assert verdict.witness == expected, label
+        assert (verdict.status == "transitive") == (expected is None), label
+        monodromy = monodromy_group(system, cover_tree(system, 1))
+        assert monodromy <= set(group.elements())
+        assert all(group.mul(a, b) in monodromy for a in monodromy for b in monodromy)
+        if system.sft.k * group.order <= _BRUTE_STATES:
+            assert (len(monodromy) == group.order) == brute_transitivity(system), label
+        for r in range(2, 5):
+            if len(build_block_graph(system.sft, r).vertices) * group.order > 4_000:
+                break
+            tree = cover_tree(system, r)
+            pg_tree = SpanningTree(build_product_graph(system, r))
+            assert transitivity_gap(system, tree) == product_scc_witness(pg_tree), (label, r)
+            # Monodromy groups at different blocks are conjugate.
+            assert len(monodromy_group(system, tree)) == len(monodromy), (label, r)
+    assert min(verdicts.values()) >= 25, verdicts
+
+
+def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("product graph built")
+
+    systems = list(cover_corpus(83, instances=2))
+    # ProductGraph too, so a caller holding its own binding of the builder
+    # cannot build one unseen.
+    monkeypatch.setattr(skew, "build_product_graph", refuse)
+    monkeypatch.setattr(skew, "ProductGraph", refuse)
+    for label, system in systems:
+        verdict = check_transitivity(system)
+        cocycle = generate_cocycle(system, block_range=2, seed=3)
+        if verdict.status == "transitive":
+            assert solve_finite_gamma(system, cocycle).certificate.certified, label
+            values = dict(cocycle.values)
+            values[min(values)] += 1
+            with pytest.raises(CocycleObstruction):
+                solve_finite_gamma(system, make_cocycle(system.sft, 2, values))
+        else:
+            with pytest.raises(NotTransitiveError):
+                solve_finite_gamma(system, cocycle)
+    # A symbol graph that is not strongly connected still names its pair
+    # from the product graph.
+    reducible = make_skew_system(SftSpec.from_rows([[1, 1], [0, 1]]), C2, (1, 0))
+    with pytest.raises(RuntimeError, match="product graph built"):
+        check_transitivity(reducible)
