@@ -41,6 +41,7 @@ from .sft import (
     PeriodicOrbit,
     Word,
     _as_fraction,
+    _check_cocycle_shift,
     _solution_block_graph,
     _successor_table,
     build_block_graph,
@@ -129,6 +130,7 @@ def verify_vanishing(
     rotations, so they are folded as they come; only the witness becomes
     a PeriodicOrbit.
     """
+    _check_cocycle_shift(system.sft, cocycle)
     identity = system.group.identity
     for word, weight in orbit_weights(system, max_period):
         if weight == identity:
@@ -194,6 +196,7 @@ def _solve_cover(
     gives an integer row (rho_psi, defect), and gauss_jordan's pivot rows
     give alpha = rhs / (pivot * scale).
     """
+    _check_cocycle_shift(system.sft, cocycle)
     group = system.group
     d = 0 if group.is_finite else group.rank
     r = cocycle.effective_block_length
@@ -458,6 +461,7 @@ def verify_solution(
 ) -> VerificationReport:
     """Re-check every edge identity exactly; list residuals that fail.
 
+    InvalidCocycle when the cocycle is over another shift than the system;
     DimensionMismatch when the block length, the blocks u is defined on or
     the length of alpha do not fit the system; TorsionAlpha for a nonzero
     alpha over a finite group.

@@ -34,6 +34,7 @@ from .sft import (
     SftSpec,
     SpanningTree,
     Word,
+    _check_cocycle_shift,
     _check_window_domain,
     _solution_block_graph,
     build_block_graph,
@@ -298,6 +299,7 @@ def solve_matrix_finite(
     the verifier's check rechecks both, with the reconstruction, on the
     solver's own block graph before the solution is returned.
     """
+    _check_cocycle_shift(system.sft, cocycle)
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
@@ -398,6 +400,7 @@ def verify_matrix_solution(
 ) -> MatrixVerificationReport:
     """Recheck reconstruction, alpha multiplicativity and alpha centrality.
 
+    InvalidCocycle when the cocycle is over another shift than the system;
     DimensionMismatch when the block length, the blocks u is defined on,
     the names alpha is keyed by or the size of a u or alpha matrix do not
     fit the system and cocycle.  u_inv, when given, is

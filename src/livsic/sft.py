@@ -8,7 +8,7 @@ every operation here is exact.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
@@ -201,9 +201,11 @@ def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
 def _solution_block_graph(spec: SftSpec, cocycle, solution) -> BlockGraph:
     """The block graph a solution's u lives on, for a verifier.
 
-    DimensionMismatch when the solution's block length is not the one the
-    cocycle needs or u is not keyed by exactly the admissible blocks.
+    InvalidCocycle when the cocycle is over another shift; DimensionMismatch
+    when the solution's block length is not the one the cocycle needs or u
+    is not keyed by exactly the admissible blocks.
     """
+    _check_cocycle_shift(spec, cocycle)
     r = solution.block_length
     if r != cocycle.effective_block_length:
         raise DimensionMismatch(
@@ -575,24 +577,67 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
     return words, weights
 
 
-def _build_orbits(words) -> list[PeriodicOrbit]:
-    """A PeriodicOrbit for each word of the walk, in order.
+def _orbit(word: Word, new=object.__new__, set_word=PeriodicOrbit.word.__set__) -> PeriodicOrbit:
+    """The PeriodicOrbit of one walk word, without a call to ``__init__``.
 
-    The orbits are built in bulk, without a call to ``__init__`` each:
-    ``object.__new__`` makes every instance and the slot's own descriptor
-    sets its word, both driven by ``map``.  That is sound because the walk's
-    words are already least rotations of primitive words, which is all
-    ``from_word`` would enforce, and PeriodicOrbit has no ``__post_init__``.
+    ``object.__new__`` makes the instance and the slot's own descriptor
+    sets its word.  That is sound because the walk's words are already
+    least rotations of primitive words, which is all ``from_word`` would
+    enforce, and PeriodicOrbit has no ``__post_init__``.
     """
-    orbits = list(map(object.__new__, repeat(PeriodicOrbit, len(words))))
-    deque(map(PeriodicOrbit.word.__set__, orbits, words), maxlen=0)
-    return orbits
+    orbit = new(PeriodicOrbit)
+    set_word(orbit, word)
+    return orbit
 
 
-def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> list[PeriodicOrbit]:
-    """All primitive periodic orbits of period <= max_period, sorted by (period, word)."""
+class OrbitList(Sequence):
+    """A read-only sequence of the PeriodicOrbits of a list of walk words.
+
+    Each orbit is built when it is read, so a caller that iterates once
+    holds at most one orbit at a time, and the cyclic garbage collector
+    sees one list of int tuples instead of one tracked object per orbit.
+    A slice is another OrbitList; ``==`` compares orbit by orbit with any
+    sequence.  ``list(...)`` gives a mutable copy.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: list[Word]):
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return OrbitList(self.words[index])
+        return _orbit(self.words[index])
+
+    def __iter__(self):
+        return map(_orbit, self.words)
+
+    def __eq__(self, other):
+        if isinstance(other, OrbitList):
+            return self.words == other.words
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        return (OrbitList, (self.words,))
+
+    def __repr__(self) -> str:
+        return f"OrbitList({self.words!r})"
+
+
+def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> OrbitList:
+    """All primitive periodic orbits of period <= max_period, sorted by (period, word).
+
+    The result is a read-only sequence that builds each PeriodicOrbit when
+    it is read; ``list(...)`` gives a mutable copy.
+    """
     words, _ = walk_primitive_orbits(spec, max_period)
-    return _build_orbits(words)
+    return OrbitList(words)
 
 
 def _int_mat_mult(a, b):
@@ -673,6 +718,21 @@ def _check_window_domain(sft: SftSpec, block_range: int, windows) -> None:
         extra = sorted(got - expected)
         raise InvalidCocycle(
             f"cocycle domain mismatch: missing {missing[:4]}, extra {extra[:4]}"
+        )
+
+
+def _check_cocycle_shift(spec: SftSpec, cocycle) -> None:
+    """InvalidCocycle, naming both alphabets or both transition matrices,
+    unless the cocycle is over the system's shift spec."""
+    own = cocycle.sft
+    if own.k != spec.k:
+        raise InvalidCocycle(
+            f"cocycle is over {own.k} symbols but the system is over {spec.k}"
+        )
+    if own.transitions != spec.transitions:
+        raise InvalidCocycle(
+            f"cocycle transition matrix {own.transitions} differs from "
+            f"the system's {spec.transitions}"
         )
 
 

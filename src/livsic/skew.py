@@ -21,11 +21,11 @@ from .groups import Group, GroupElement, gauss_jordan, subgroup_rank_and_index
 from .record import record
 from .sft import (
     BlockGraph,
+    OrbitList,
     PeriodicOrbit,
     SftSpec,
     SpanningTree,
     Word,
-    _build_orbits,
     build_block_graph,
     walk_primitive_orbits,
 )
@@ -124,7 +124,7 @@ def enumerate_trivial_class_orbits(
     identity = system.group.identity
     tag = class_tag(system.group, identity)
     words = [w for w, weight in orbit_weights(system, max_period) if weight == identity]
-    return list(zip(_build_orbits(words), repeat(tag)))
+    return list(zip(OrbitList(words), repeat(tag)))
 
 
 @record

@@ -301,6 +301,29 @@ def test_verify_solution_shape_checks():
         verify_solution(finite_system, finite_cocycle, bad_alpha)
 
 
+def test_a_cocycle_over_another_shift_is_refused():
+    # Each entry point used to die with a bare KeyError from the window lookup.
+    golden_mean = SftSpec.from_rows([[1, 1], [1, 0]])
+    cocycle = make_cocycle(golden_mean, 1, {(1, 1): 1, (1, 2): -1, (2, 1): 0})
+    on_three = make_cocycle(SftSpec.full_shift(3), 0, {(1,): 0, (2,): 0, (3,): 0})
+    solution = CohomologySolution(1, {(1,): Fraction(0), (2,): Fraction(0)}, None)
+    calls = {
+        "solve_finite_gamma": solve_finite_gamma,
+        "solve_free_abelian": solve_free_abelian,
+        "verify_vanishing": lambda s, c: verify_vanishing(s, c, 6),
+        "verify_solution": lambda s, c: verify_solution(s, c, solution),
+    }
+    for system in (make_skew_system(FULL_2, C2, (0, 1)), _z1_system()):
+        for name, call in calls.items():
+            with pytest.raises(InvalidCocycle, match=(
+                r"cocycle transition matrix \(\(1, 1\), \(1, 0\)\) differs from "
+                r"the system's \(\(1, 1\), \(1, 1\)\)$"
+            )):
+                call(system, cocycle)
+            with pytest.raises(InvalidCocycle, match="over 3 symbols but the system is over 2$"):
+                call(system, on_three)
+
+
 def test_generate_cocycle_validation():
     system = make_skew_system(FULL_2, C2, (1, 0))
     with pytest.raises(InvalidCocycle):

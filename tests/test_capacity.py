@@ -22,7 +22,15 @@ from pathlib import Path
 
 import pytest
 
-from livsic import GroupSpec, SftSpec, build_group, make_cocycle, make_skew_system
+from livsic import (
+    GroupSpec,
+    SftSpec,
+    build_group,
+    count_periodic_points,
+    make_cocycle,
+    make_skew_system,
+    parse_system_document,
+)
 from livsic.abelian import generate_cocycle
 from livsic.serialization import SystemEnvelope, group_doc, system_to_doc
 
@@ -76,30 +84,93 @@ def _s5_full2(r: int, perturbed: bool) -> dict:
     return system_to_doc(SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(_S5)))
 
 
-_STATES = "product graph would have 61440 vertices"
+def _example(name: str) -> dict:
+    return json.loads((ROOT / "docs" / "examples" / name).read_text(encoding="utf-8"))
 
-# name, document builder and its arguments, command, exit code, CPU seconds,
-# peak RSS in MiB, structured error of a refusal.
+
+def _orbit_count(spec: SftSpec, max_period: int) -> int:
+    """Primitive orbits of period <= max_period, from the trace formula."""
+    points = {}  # points of least period n
+    for n in range(1, max_period + 1):
+        points[n] = count_periodic_points(spec, n) - sum(
+            points[d] for d in range(1, n) if n % d == 0
+        )
+    return sum(points[n] // n for n in points)
+
+
+# Prints count, number of orbits listed and max_period of an `orbits` payload.
+_ORBITS_SUMMARY = (
+    "import json, sys; out = json.load(open(sys.argv[1], encoding='utf-8'));"
+    "print(out['count'], len(out['orbits']), out['max_period'])"
+)
+
+
+def _orbits_listed(doc: dict, code: int, out: Path) -> bool:
+    # The payload at the work budget is 12 MB of JSON.  A child parses it:
+    # parsed here, it would raise this process's peak RSS, which every
+    # later child of the test run inherits in its own ru_maxrss.
+    summary = subprocess.run(
+        [sys.executable, "-c", _ORBITS_SUMMARY, str(out)],
+        capture_output=True, text=True, check=True,
+    )
+    count, listed, max_period = map(int, summary.stdout.split())
+    spec = parse_system_document(doc).system.sft
+    return count == listed == _orbit_count(spec, max_period)
+
+
+def _solved(doc: dict, code: int, out: Path) -> bool:
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    if code == 0:
+        return payload["certification"]["certified"] is True
+    return payload["solvable"] is False
+
+
+# What an admitted command must print, given its document, exit code and
+# stdout file.
+ADMITTED = {
+    "solve": _solved,
+    "orbits": _orbits_listed,
+    "verify-vanishing": lambda doc, code, out: json.loads(out.read_text())["holds"] is True,
+}
+
+_STATES = "product graph would have 61440 vertices"
+_WORK = "exceeds the work budget; the largest period within it is 12"
+
+# name, document builder and its arguments, command and its extra arguments,
+# exit code, CPU seconds, peak RSS in MiB, structured error of a refusal.
 CASES = [
     # LIVSIC_MAX_STATES (50 000) on `solve` over a finite group.
-    ("solve S5 full2 r8", (_s5_full2, 8, False), "solve", 0, 1.0, 64, None),
-    ("solve S5 full2 r8 perturbed", (_s5_full2, 8, True), "solve", 1, 1.0, 64, None),
-    ("solve S5 full2 r9", (_s5_full2, 9, False), "solve", 2, 1.0, 64,
+    ("solve S5 full2 r8", (_s5_full2, 8, False), ["solve"], 0, 1.0, 64, None),
+    ("solve S5 full2 r8 perturbed", (_s5_full2, 8, True), ["solve"], 1, 1.0, 64, None),
+    ("solve S5 full2 r9", (_s5_full2, 9, False), ["solve"], 2, 1.0, 64,
      {"error": "RangeTooLarge", "message": _STATES}),
+    # The work budget (2 000 000 words) on `orbits`: 69 706 orbits up to 12.
+    ("orbits full3-z2 p12", (_example, "full3-z2.json"), ["orbits", "--max-period", "12"],
+     0, 4.0, 256, None),
+    ("orbits full3-z2 p13", (_example, "full3-z2.json"), ["orbits", "--max-period", "13"],
+     2, 1.0, 64,
+     {"error": "RangeTooLarge", "message": f"orbit enumeration up to period 13 {_WORK}"}),
+    # LIVSIC_MAX_PERIOD (16) on `verify-vanishing`.
+    ("verify-vanishing full2-z p16", (_example, "full2-z.json"),
+     ["verify-vanishing", "--max-period", "16"], 0, 1.0, 64, None),
+    ("verify-vanishing full2-z p17", (_example, "full2-z.json"),
+     ["verify-vanishing", "--max-period", "17"], 2, 1.0, 64,
+     {"error": "RangeTooLarge", "message": "period 17 exceeds cap 16"}),
 ]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_capacity_edge(case, tmp_path):
-    name, (build, *args), command, code, cpu_s, rss_mib, error = case
+    name, (build, *args), (command, *extra), code, cpu_s, rss_mib, error = case
+    document = build(*args)
     doc = tmp_path / "system.json"
-    doc.write_text(json.dumps(build(*args)), encoding="utf-8")
+    doc.write_text(json.dumps(document), encoding="utf-8")
     out, err = tmp_path / "stdout", tmp_path / "stderr"
     env = {k: v for k, v in os.environ.items() if not k.startswith("LIVSIC_")}
     env["PYTHONPATH"] = str(ROOT / "src")
     launcher = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, str(ADDRESS_SPACE), str(WALL_LIMIT_S),
-         str(out), str(err), sys.executable, "-m", "livsic.cli", command, str(doc)],
+         str(out), str(err), sys.executable, "-m", "livsic.cli", command, str(doc), *extra],
         capture_output=True, text=True, env=env, check=True,
     )
     usage = json.loads(launcher.stdout)
@@ -107,10 +178,6 @@ def test_capacity_edge(case, tmp_path):
     assert usage["cpu_s"] <= cpu_s, (name, usage)
     assert usage["rss_kib"] <= rss_mib * 1024, (name, usage)
     if error is None:
-        payload = json.loads(out.read_text())
-        if code == 0:
-            assert payload["certification"]["certified"] is True
-        else:
-            assert payload["solvable"] is False
+        assert ADMITTED[command](document, code, out), name
     else:
         assert json.loads(err.read_text()) == error

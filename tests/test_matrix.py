@@ -233,6 +233,26 @@ def test_verify_matrix_solution_detects_tampering():
     )
 
 
+def test_a_matrix_cocycle_over_another_shift_is_refused():
+    golden_mean = SftSpec.from_rows([[1, 1], [1, 0]])
+    cocycle = make_matrix_cocycle(
+        golden_mean, 1, {(1, 1): IDENTITY_2, (1, 2): HALF_TURN, (2, 1): IDENTITY_2}
+    )
+    solution = MatrixSolution(
+        block_length=1,
+        u={(1,): np.eye(2), (2,): np.eye(2)},
+        alpha={"e": np.eye(2), "g": np.eye(2)},
+        alpha_constancy_defect=0.0,
+        max_residual=0.0,
+        tol=1e-9,
+    )
+    message = "differs from the system's \\(\\(1, 1\\), \\(1, 1\\)\\)$"
+    with pytest.raises(InvalidCocycle, match=message):
+        solve_matrix_finite(_c2_system(), cocycle)
+    with pytest.raises(InvalidCocycle, match=message):
+        verify_matrix_solution(_c2_system(), cocycle, solution)
+
+
 def _looped_report(system, cocycle, solution, tol):
     """verify_matrix_solution's three defects, one edge, pair and value at a time."""
     group, rf = system.group, cocycle.block_range

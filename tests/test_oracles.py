@@ -69,7 +69,8 @@ def _assert_orbits_match_brute(spec: SftSpec, max_period: int) -> None:
     assert fast == built
     assert all(type(o) is PeriodicOrbit and type(o.word) is tuple for o in fast)
     assert list(map(hash, fast)) == list(map(hash, built))
-    assert pickle.dumps(fast) == pickle.dumps(built)
+    assert pickle.dumps(list(fast)) == pickle.dumps(built)
+    assert pickle.loads(pickle.dumps(fast)) == built
 
 
 def test_orbit_list_agrees_with_enumeration():

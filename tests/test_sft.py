@@ -1,6 +1,7 @@
 """Symbolic dynamics core: validation, block graphs, orbits, censuses."""
 from __future__ import annotations
 
+import gc
 import pickle
 import tracemalloc
 from bisect import bisect_left
@@ -126,6 +127,48 @@ def test_orbit_enumeration_full_shift():
         (1, 1, 2),
         (1, 2, 2),
     ]
+
+
+def test_enumerated_orbits_are_a_read_only_sequence():
+    orbits = enumerate_periodic_orbits(FULL_2, 3)
+    built = [PeriodicOrbit(word=w) for w in ((1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2))]
+    assert len(orbits) == 5 and orbits
+    assert not enumerate_periodic_orbits(SftSpec.from_rows([[0]]), 9)
+    assert orbits[0] == built[0] and orbits[-1] == built[-1] and orbits[-5] == built[0]
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            orbits[index]
+    assert type(orbits[1:3]) is type(orbits) and orbits[1:3] == built[1:3]
+    assert orbits[::-2] == built[::-2] and orbits[9:] == []
+    # Each pass builds the orbits afresh, equal to the first pass's.
+    assert list(orbits) == list(orbits) == built
+    assert orbits == built and built == orbits and orbits == tuple(built)
+    assert orbits != built[:-1] and built[1:] != orbits and orbits != built[::-1]
+    assert orbits != [o.word for o in built] and orbits != 5
+    again = enumerate_periodic_orbits(FULL_2, 3)
+    assert orbits == again and again == orbits and orbits != again[1:]
+    assert orbits.index(built[2]) == 2 and built[3] in orbits
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(orbits, protocol))
+        assert type(copy) is type(orbits) and copy == orbits and copy.words == orbits.words
+    assert repr(orbits[:2]) == "OrbitList([(1,), (2,)])"
+    with pytest.raises(TypeError):
+        hash(orbits)
+    for mutate in (lambda: orbits.append(built[0]), lambda: orbits.__setitem__(0, built[0])):
+        with pytest.raises((AttributeError, TypeError)):
+            mutate()
+
+
+def test_enumerated_orbits_are_not_tracked_objects():
+    # Orbits are built on access, so holding the result adds no tracked
+    # object per orbit for the cyclic garbage collector to rescan.
+    gc.collect()
+    before = len(gc.get_objects())
+    orbits = enumerate_periodic_orbits(SftSpec.full_shift(4), 10)
+    gc.collect()
+    after = len(gc.get_objects())
+    assert len(orbits) == 145_338
+    assert after - before < 100
 
 
 def test_orbit_words_are_canonical_and_primitive():
