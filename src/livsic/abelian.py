@@ -4,15 +4,18 @@ Given a locally constant rational function f on the shift, decide whether
 f(x) = u(shift x) - u(x) + alpha(psi(x0)) for some potential u on blocks
 and homomorphism alpha.
 
-One kernel, _solve_cover, solves for a deck group Z^d or a finite G: it
-works on the block graph and carries Z^d potentials of width d.
-solve_finite_gamma names its finite corner (alpha vanishes by torsion,
-and G enters only through transitivity, decided by the monodromy group)
-and solve_free_abelian its Z^d one.  The kernel scales f by the lcm of
-its denominators, propagates integer potentials and eliminates in ints;
-Fraction appears only for u, alpha and witness totals, and the
-certification scales u, alpha and f back to ints.  So a returned
-solution is a certificate and a returned obstruction is a counterexample.
+One kernel, _solve_cover, solves for a deck group F x Z^d (groups.Group:
+F a finite table, d its rank) on the block graph.  F enters only through
+transitivity, decided by the monodromy group, and Z^d through alpha, by
+elimination of width d; solve_finite_gamma names the corner d = 0 (alpha
+vanishes by torsion) and solve_free_abelian the corner F = 1.  The kernel
+scales f by the lcm of its denominators, propagates integer potentials,
+eliminates in ints and writes u and alpha over one denominator; Fraction
+appears only for u, alpha and witness totals, and the certification
+scales u, alpha and f back to ints.  One lift, _lifted_witness, turns an
+inconsistency into a closed word of identity weight in both corners.  So
+a returned solution is a certificate and a returned obstruction is a
+counterexample.
 """
 from __future__ import annotations
 
@@ -20,9 +23,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import (
     CocycleObstruction,
@@ -145,19 +148,13 @@ def verify_vanishing(
 def solve_finite_gamma(
     system: SkewSystem, cocycle: LocallyConstantCocycle
 ) -> CohomologySolution:
-    """Solve over a finite group by propagating a potential on the block graph.
+    """Solve over a finite group: _solve_cover with d = 0.
 
-    Real sums kill torsion: a closed walk whose weight has order m has m
-    times its sum on an identity-weight closed walk.  So f is a coboundary
-    on the cover iff it is one on the block graph, and the group enters
-    only through transitivity.  NotTransitiveError, with the first
-    unreachable pair of product states, when the monodromy group is not
-    the whole group.  A breadth-first spanning tree fixes the potential;
-    every non-tree edge must then close up exactly.  A nonzero closure
-    defect is lifted to a concrete identity-weight closed word with
-    nonzero sum and raised as CocycleObstruction.  On success alpha is
-    forced to vanish because the group is torsion and the reals are
-    torsion-free.
+    NotTransitiveError, with the first unreachable pair of product states,
+    when the monodromy group is not the whole group.  A nonzero closure
+    defect is lifted to an identity-weight closed word with nonzero sum
+    and raised as CocycleObstruction.  On success alpha is None: torsion
+    forces it to vanish, since the reals are torsion-free.
     """
     return _solve_cover(system, cocycle)
 
@@ -181,70 +178,67 @@ def solve_free_abelian(
 def _solve_cover(
     system: SkewSystem, cocycle: LocallyConstantCocycle
 ) -> CohomologySolution:
-    """The one solver behind both public names, for a deck group Z^d or a
-    finite G.
+    """The one solver behind both public names, for a deck group F x Z^d.
 
-    Works on the block graph alone.  Its spanning tree carries integer
-    f-potentials, scaled by the lcm of f's denominators, and Z^d
-    potentials of width d; each edge's closure defect is scale * f minus
-    the potential's rise.  Over a finite G (d = 0) the cover enters only
-    through transitivity, which transitivity_gap decides from the
-    monodromy group: real sums kill torsion, so a closed walk whose weight
-    has order m has m times its sum on an identity-weight walk, and f is a
-    coboundary on the cover iff it is one on the block graph.  The first
-    nonzero defect is then the obstruction.  With d > 0 each non-tree edge
-    gives an integer row (rho_psi, defect), and gauss_jordan's pivot rows
-    give alpha = rhs / (pivot * scale).
+    Works on the block graph alone.  F enters only through transitivity,
+    which transitivity_gap decides from the monodromy group: real sums
+    kill torsion, so a closed walk whose F weight has order m has m times
+    its sum on a closed walk of the F-cover, and f is a coboundary on
+    that cover iff it is one on the block graph.  Z^d enters through
+    alpha: NotStronglyConnected when d > 0 and the block graph is not
+    strongly connected.  Along one spanning tree, scale * f (scale the lcm
+    of f's denominators) and each coordinate of psi_z have integer
+    potentials, one per-edge column each; every non-tree edge gives the
+    row (rho_psi, defect) of their rises.  gauss_jordan reduces the rows
+    on their d psi columns (with d = 0 the first nonzero defect is the
+    inconsistent row), and an inconsistent row becomes a witness.
+    Otherwise alpha and u share the one Bareiss denominator pivot * scale.
     """
     _check_cocycle_shift(system.sft, cocycle)
-    group = system.group
-    d = 0 if group.is_finite else group.rank
+    d = system.group.rank
     r = cocycle.effective_block_length
     tree = cover_tree(system, r)
-    if d:
-        if not tree.strongly_connected:
-            raise NotStronglyConnected("block graph is not strongly connected")
-    else:
-        gap = transitivity_gap(system, tree)
-        if gap is not None:
-            raise NotTransitiveError(gap)
+    if d and not tree.strongly_connected:
+        raise NotStronglyConnected("block graph is not strongly connected")
+    gap = transitivity_gap(system, tree)
+    if gap is not None:
+        raise NotTransitiveError(gap)
 
     bg = tree.graph
     weights, scale = _scaled_weights(cocycle, bg.edges)
-    pot = tree.potentials(0, lambda e, p: p + weights[e])
-    at = pot.__getitem__
-    tails, heads = bg.edge_tail, bg.edge_head
-    # scale * f minus the potential's rise, edge by edge, read once.
-    defects = map(sub, map(add, weights, map(at, tails)), map(at, heads))
-
-    def walk_sum(walk) -> Fraction:
-        return Fraction(sum(map(weights.__getitem__, walk)), scale)
-
-    alpha, degenerate = [], None
-    if not d:
-        e = next(compress(count(), defects), None)
-        if e is not None:
-            raise CocycleObstruction(_torsion_witness(system, tree, e, walk_sum))
-        u = {block: Fraction(p, scale) for block, p in zip(bg.vertices, pot)}
-    else:
-        steps = [system.psi_of(word[0]) for word in bg.edges]
-        pot_psi = tree.potentials((0,) * d, lambda e, p: tuple(map(add, p, steps[e])))
-        # One row alpha . rho_psi = defect per non-tree edge, rhs as the last entry.
-        edges, rows = [], []
-        for e, (t, h, defect) in enumerate(zip(tails, heads, defects)):
-            if tree.parent[h] != e:
-                edges.append(e)
-                rho_psi = map(sub, map(add, steps[e], pot_psi[t]), pot_psi[h])
-                rows.append((*rho_psi, defect))
-        reduced, provenance, pivots = gauss_jordan(rows, d)
-        for i in range(len(pivots), len(rows)):
-            if reduced[i][d]:
-                raise CocycleObstruction(_inconsistency_certificate(
-                    system, tree, edges, provenance[i], steps, walk_sum
-                ))
-        alpha = [Fraction(0)] * d
-        for row_i, col in enumerate(pivots):
-            alpha[col] = Fraction(reduced[row_i][d], reduced[row_i][col] * scale)
+    psi_z = system.psi_z
+    columns = [[psi_z[word[0] - 1][j] for word in bg.edges] for j in range(d)] + [weights]
+    tails, heads, parent = bg.edge_tail, bg.edge_head, tree.parent
+    nontree = [e for e, h in enumerate(heads) if parent[h] != e]
+    pots, rises = [], []
+    for col in columns:
+        pot = tree.potentials(0, lambda e, p: p + col[e])
+        pots.append(pot)
+        rises.append([col[e] + pot[tails[e]] - pot[heads[e]] for e in nontree])
+    # One row alpha . rho_psi = defect per non-tree edge, rhs as the last entry.
+    rows = list(zip(*rises))
+    reduced, provenance, pivots = gauss_jordan(rows, d) if d else (rows, None, ())
+    bad = next((i for i in range(len(pivots), len(rows)) if reduced[i][d]), None)
+    if bad is not None:
+        combo = provenance[bad] if d else {bad: 1}
+        raise CocycleObstruction(
+            _inconsistency_certificate(system, tree, nontree, combo, columns, scale)
+        )
+    # Every pivot row holds the same pivot, so alpha = rhs / (pivot * scale).
+    pivot = reduced[0][pivots[0]] if pivots else 1
+    den = pivot * scale
+    tops = [0] * d
+    for row, col in zip(reduced, pivots):
+        tops[col] = row[d]
+    # u = pot_f / scale - alpha . pot_psi, over the same denominator.
+    top = [pivot * p for p in pots[d]]
+    for a, pot in zip(tops, pots):
+        if a:
+            top = [x - a * q for x, q in zip(top, pot)]
+    u = {block: Fraction(x, den) for block, x in zip(bg.vertices, top)}
+    alpha, degenerate = None, None
+    if d:
+        alpha = tuple(Fraction(a, den) for a in tops)
         free_cols = tuple(c for c in range(d) if c not in pivots)
         if free_cols:
             diag = smith_diagonal([row[:d] for row in rows], d)
@@ -253,43 +247,44 @@ def _solve_cover(
                 lattice_diagonal=diag,
                 pinned_coordinates=free_cols,
             )
-        u = {
-            block: Fraction(p, scale) - _alpha_dot(alpha, q)
-            for block, p, q in zip(bg.vertices, pot, pot_psi)
-        }
-    alpha_out = tuple(alpha) if d else None
-    solution = CohomologySolution(r, u, alpha_out, degenerate)
+    solution = CohomologySolution(r, u, alpha, degenerate)
     report = _check_edges(system, cocycle, solution, bg)
     check_invariant(report.certified, "solution fails its own certification")
-    return CohomologySolution(r, u, alpha_out, degenerate, certificate=report)
+    return CohomologySolution(r, u, alpha, degenerate, certificate=report)
 
 
-def _torsion_witness(system, tree, e, walk_sum) -> ViolationWitness:
-    """Identity-weight cycle with nonzero sum through the defect at edge e.
+def _lifted_witness(system, tree, walks, weights, scale) -> ViolationWitness:
+    """Identity-weight cycle with nonzero sum from closed walks at block 0.
 
-    One of tree.walks(e), a closed walk W at block 0, has a nonzero sum.
-    Its weight g has some order m, so W^m lifts to a closed walk of the
-    product graph from (block 0, identity); only the lift's own states
-    are computed.  The lift is trimmed to its first simple cycle with a
-    nonzero sum, which closes in the product graph, so its word has
-    identity weight.
+    weights[e] is scale * f on edge e.  The first of walks with a nonzero
+    sum, W, has zero Z^d weight and an F weight g of some order m, so W^m
+    lifts to a closed walk of the cover from (block 0, identity, 0); only
+    the lift's own (block, element, vector) states are computed.  The lift
+    is trimmed to its first simple cycle with a nonzero sum, which closes
+    in the cover, so its word has identity weight.
     """
     group = system.group
-    table, identity, order = group.table, group.identity_index, group.order
+    table, identity = group.table, group.identity_index
     bg = tree.graph
-    walk = next(w for w in tree.walks(e) if walk_sum(w))
-    steps = [(x, system.psi[bg.edges[x][0] - 1]) for x in walk]
-    # W repeats until its lift closes, m times.  states[i] is the product
-    # state (block * order + element) the lift's i-th edge leads to.
-    lift, states, g = [], [], identity
+
+    def walk_sum(walk) -> int:
+        return sum(map(weights.__getitem__, walk))
+
+    walk = next(w for w in walks if walk_sum(w))
+    firsts = [bg.edges[x][0] - 1 for x in walk]
+    steps = [(x, system.psi_f[s], system.psi_z[s]) for x, s in zip(walk, firsts)]
+    start = (0, identity, (0,) * group.rank)
+    # W repeats until its lift closes, m times.  states[i] is the state
+    # the lift's i-th edge leads to.
+    lift, states, (_, g, z) = [], [], start
     while not lift or g != identity:
-        for x, s in steps:
-            g = table[s][g]
+        for x, f, dz in steps:
+            g = table[f][g]
+            z = tuple(map(add, z, dz))
             lift.append(x)
-            states.append(bg.edge_head[x] * order + g)
+            states.append((bg.edge_head[x], g, z))
     cycle = find_violating_cycle(
-        range(len(lift)), states, identity,
-        lambda seg: 1 if walk_sum(lift[i] for i in seg) else 0,
+        range(len(lift)), states, start, lambda seg: abs(walk_sum(lift[i] for i in seg))
     )
     check_invariant(cycle is not None, "closure defect without a violating cycle")
     cycle = [lift[i] for i in cycle]
@@ -297,7 +292,7 @@ def _torsion_witness(system, tree, e, walk_sum) -> ViolationWitness:
     return ViolationWitness(
         orbit=PeriodicOrbit(word=canonical_rotation(core)),
         multiplicity=mult,
-        total=walk_sum(cycle),
+        total=Fraction(walk_sum(cycle), scale),
     )
 
 
@@ -314,27 +309,24 @@ def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in windows], scale
 
 
-def _alpha_dot(alpha, vec) -> Fraction:
-    return sum((a * x for a, x in zip(alpha, vec)), Fraction(0))
+def _drift_table(system: SkewSystem, alpha) -> list[Fraction]:
+    """alpha . psi_z(a) for each symbol a (index a - 1).
 
-
-def _drift_table(system: SkewSystem, alpha) -> list[Fraction] | None:
-    """alpha . psi(a) for each symbol a (index a - 1); None without alpha.
-
-    Edge identities add alpha . psi of the edge's first symbol, so k dot
+    Edge identities add alpha . psi_z of the edge's first symbol, so k dot
     products serve every edge.
     """
-    if alpha is None:
-        return None
-    return [_alpha_dot(alpha, system.psi_of(a)) for a in range(1, system.sft.k + 1)]
+    return [sum(map(mul, alpha, z), Fraction(0)) for z in system.psi_z]
 
 
-def _inconsistency_certificate(system, tree, edges, combo, steps, walk_sum):
-    """Turn a vanishing row combination into closed-word evidence.
+def _inconsistency_certificate(system, tree, edges, combo, columns, scale):
+    """Turn an inconsistent row combination into closed-word evidence.
 
-    combo maps row positions (indices into edges) to integer coefficients;
-    steps[e] is the lattice step of edge e and walk_sum(walk) the exact sum
-    of f along a walk.
+    combo maps row positions (indices into edges) to integer coefficients.
+    columns[j][e] is coordinate j of the Z^d step of edge e, and the last
+    column scale * f on edge e.  The combination's walks close up, with
+    one shared correction walk, to two closed walks of zero Z^d weight and
+    different sums, and _lifted_witness lifts them; without a correction
+    walk they are an EqualWeightPair.
     """
     bg = tree.graph
     content = gcd(*combo.values())
@@ -350,32 +342,24 @@ def _inconsistency_certificate(system, tree, edges, combo, steps, walk_sum):
             plus.extend(walk * nmul)
             minus.extend(shadow * nmul)
 
-    def walk_psi(walk):
-        return tuple(sum(steps[e][j] for e in walk) for j in range(system.group.rank))
+    def column_sums(walk):
+        return [sum(map(col.__getitem__, walk)) for col in columns]
 
-    v = walk_psi(plus)
-    check_invariant(walk_psi(minus) == v, "certificate walks differ in weight")
-    sum_plus = walk_sum(plus)
-    sum_minus = walk_sum(minus)
+    *v, sum_plus = column_sums(plus)
+    *w, sum_minus = column_sums(minus)
+    check_invariant(w == v, "certificate walks differ in weight")
     check_invariant(sum_plus != sum_minus, "certificate walks agree in sum")
 
     correction = _closing_walk(system, bg, tuple(-x for x in v))
     if correction is not None:
-        plus_closed = plus + correction
-        minus_closed = minus + correction
-        chosen = plus_closed if walk_sum(plus_closed) != 0 else minus_closed
-        core, mult = primitive_root(bg.project_cycle(chosen))
-        return ViolationWitness(
-            orbit=PeriodicOrbit(word=canonical_rotation(core)),
-            multiplicity=1,
-            total=walk_sum(chosen) / mult,
-        )
+        walks = (plus + correction, minus + correction)
+        return _lifted_witness(system, tree, walks, columns[-1], scale)
     return EqualWeightPair(
         word_a=bg.project_cycle(plus),
         word_b=bg.project_cycle(minus),
-        weight=v,
-        sum_a=sum_plus,
-        sum_b=sum_minus,
+        weight=tuple(v),
+        sum_a=Fraction(sum_plus, scale),
+        sum_b=Fraction(sum_minus, scale),
     )
 
 
@@ -471,14 +455,14 @@ def verify_solution(
 
 
 def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
-    """Check f(w) = u(w[1:]) - u(w[:-1]) + alpha . psi(w[0]) on every edge w of bg.
+    """Check f(w) = u(w[1:]) - u(w[:-1]) + alpha . psi_z(w[0]) on every edge w of bg.
 
     u, alpha and f are scaled by the lcm D of their denominators, so every
     identity is checked exactly in ints; a failing residual is reported as
     Fraction(residual, D).
     """
     u = solution.u
-    alpha = _alpha_vector(system.group, solution.alpha) or ()
+    alpha = _alpha_vector(system.group, solution.alpha)
     values = cocycle.values
     scale = lcm(*{x.denominator for x in chain(u.values(), alpha, values.values())})
 
@@ -486,10 +470,9 @@ def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
         return x.numerator * (scale // x.denominator)
 
     pot = [scaled(u[block]) for block in bg.vertices]
-    # alpha . psi(w[0]) depends on the first symbol only: k dot products.
+    # alpha . psi_z(w[0]) depends on the first symbol only: k dot products.
     alpha = [scaled(a) for a in alpha]
-    symbols = range(1, system.sft.k + 1)
-    drift = [sum(map(mul, alpha, system.psi_of(a))) if alpha else 0 for a in symbols]
+    drift = [sum(map(mul, alpha, z)) for z in system.psi_z]
     width = cocycle.block_range + 1
     # Each f value is scaled as its edge is read, with no scaled copy of f.
     f = map(values.__getitem__, (w[:width] for w in bg.edges))
@@ -505,17 +488,21 @@ def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
     )
 
 
-def _alpha_vector(group, alpha) -> tuple[Fraction, ...] | None:
-    """alpha as a rank-length vector over Z^d (None reads as zero), and
-    None over a finite group, where torsion forces alpha = 0."""
-    if group.is_finite:
-        if alpha is not None and any(Fraction(a) for a in alpha):
-            raise TorsionAlpha("finite fiber groups admit only alpha = 0")
-        return None
+def _alpha_vector(group, alpha) -> tuple[Fraction, ...]:
+    """alpha as a vector of length d, the group's rank; None reads as zero.
+
+    Over a finite group (d = 0) torsion forces alpha = 0: an alpha of
+    zeros reads as () and any other raises TorsionAlpha.
+    """
+    d = group.rank
     if alpha is None:
-        return (Fraction(0),) * group.rank
+        return (Fraction(0),) * d
+    if not d:
+        if any(map(Fraction, alpha)):
+            raise TorsionAlpha("finite fiber groups admit only alpha = 0")
+        return ()
     vec = tuple(_as_fraction(a) for a in alpha)
-    if len(vec) != group.rank:
+    if len(vec) != d:
         raise DimensionMismatch("alpha length does not match the group rank")
     return vec
 
@@ -551,10 +538,5 @@ def generate_cocycle(
         if set(u) != set(bg.vertices):
             raise InvalidCocycle("u must assign a value to every admissible block")
     drift = _drift_table(system, alpha_vec)
-    values = {}
-    for word in bg.edges:
-        val = u[word[1:]] - u[word[:-1]]
-        if drift is not None:
-            val += drift[word[0] - 1]
-        values[word] = val
+    values = {word: u[word[1:]] - u[word[:-1]] + drift[word[0] - 1] for word in bg.edges}
     return make_cocycle(system.sft, block_range, values)

@@ -227,10 +227,9 @@ def _cmd_solve(args, command_line: str) -> int:
 
             solution = solve_matrix_finite(system, cocycle, tol=args.tol)
         else:
-            from .abelian import solve_finite_gamma, solve_free_abelian
+            from .abelian import _solve_cover
 
-            solve = solve_finite_gamma if system.group.is_finite else solve_free_abelian
-            solution = solve(system, cocycle)
+            solution = _solve_cover(system, cocycle)
     except CocycleObstruction as exc:
         _emit({"solvable": False, "witness": _witness_doc(exc.witness, k, kind)})
         return 1

@@ -3,6 +3,10 @@
 Finite group elements are indices into a name list; free abelian elements
 are integer tuples.  A Group owns all arithmetic, so elements never carry
 their group around.
+
+A Group is the record of a deck group F x Z^d: table and inverses are the
+finite factor F, rank is d.  A finite group has d = 0; Z^d has the
+one-element F, the default table ((0,),).
 """
 from __future__ import annotations
 
@@ -63,10 +67,14 @@ class GroupSpec:
 
 @record
 class Group:
+    """F x Z^d: F by its Cayley table, inverses and identity index, d by
+    rank.  Elements are F indices over a finite group and Z^d vectors
+    over Z^d; the cover code reads the factors, not the encodings."""
+
     variant: str
     names: tuple[str, ...] = ()
-    table: tuple[tuple[int, ...], ...] = ()
-    inverses: tuple[int, ...] = ()
+    table: tuple[tuple[int, ...], ...] = ((0,),)
+    inverses: tuple[int, ...] = (0,)
     identity_index: int = 0
     rank: int = 0
     associativity_verified: bool = True

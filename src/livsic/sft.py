@@ -150,6 +150,7 @@ def _successor_table(spec: SftSpec) -> list[tuple[int, ...]]:
 
 
 def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
+    # Depth first, successors pushed in reverse: words come out sorted.
     words: list[Word] = []
     stack: list[Word] = [(a,) for a in range(spec.k, 0, -1)]
     backwards = [after[::-1] for after in _successor_table(spec)]
@@ -164,7 +165,6 @@ def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
             continue
         for b in backwards[w[-1]]:
             stack.append(w + (b,))
-    words.sort()
     return words
 
 
@@ -396,13 +396,7 @@ def canonical_rotation(word: Word) -> Word:
 
 def is_primitive(word: Word) -> bool:
     """True when the cyclic word is not a repetition of a shorter word."""
-    n = len(word)
-    for d in range(1, n):
-        if n % d:
-            continue
-        if word == word[:d] * (n // d):
-            return False
-    return True
+    return primitive_root(word)[1] == 1
 
 
 def primitive_root(word: Word) -> tuple[Word, int]:

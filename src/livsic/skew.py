@@ -33,9 +33,15 @@ from .sft import (
 
 @record
 class SkewSystem:
+    """psi in the group's element encoding, and split once into its
+    factors: psi_f, the F index of each symbol's weight (all 0 over Z^d),
+    and psi_z, its Z^d vector (() over a finite group)."""
+
     sft: SftSpec
     group: Group
     psi: tuple[GroupElement, ...]
+    psi_f: tuple[int, ...]
+    psi_z: tuple[tuple[int, ...], ...]
 
     def psi_of(self, symbol: int) -> GroupElement:
         return self.psi[symbol - 1]
@@ -43,11 +49,12 @@ class SkewSystem:
 
 def make_skew_system(sft: SftSpec, group: Group, psi) -> SkewSystem:
     psi = tuple(psi)
-    if len(psi) != sft.k:
+    k, finite = sft.k, group.is_finite
+    if len(psi) != k:
         raise DimensionMismatch(f"psi needs one value per symbol, got {len(psi)}")
     checked = []
     for value in psi:
-        if group.is_finite:
+        if finite:
             value = int(value)
             if not 0 <= value < group.order:
                 raise DimensionMismatch(f"element index {value} out of range")
@@ -58,7 +65,9 @@ def make_skew_system(sft: SftSpec, group: Group, psi) -> SkewSystem:
                     f"expected vectors of length {group.rank}, got {value}"
                 )
         checked.append(value)
-    return SkewSystem(sft=sft, group=group, psi=tuple(checked))
+    psi = tuple(checked)
+    psi_f, psi_z = (psi, ((),) * k) if finite else ((0,) * k, psi)
+    return SkewSystem(sft=sft, group=group, psi=psi, psi_f=psi_f, psi_z=psi_z)
 
 
 def psi_n(system: SkewSystem, word) -> GroupElement:
@@ -129,10 +138,10 @@ def enumerate_trivial_class_orbits(
 
 @record
 class ProductGraph:
-    """Block graph crossed with the finite factor of the fiber group.
+    """Block graph crossed with the finite factor F of the fiber group.
 
-    A Z^d group contributes the trivial factor, so its product graph has
-    the block graph's vertex and edge ids.
+    Over Z^d, F is trivial, so the product graph has the block graph's
+    vertex and edge ids.
 
     Vertex ids are block-major: vid = block_index * order + element_index.
     Edge ids follow base edge order, then element order, so every traversal
@@ -160,11 +169,8 @@ class ProductGraph:
 
 
 def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
-    group = system.group
-    # Z^d contributes the trivial factor; its weights live in the potentials.
-    finite = group.is_finite
-    table = group.table if finite else ((0,),)
-    psi = system.psi if finite else (0,) * system.sft.k
+    # The Z^d weights live in the potentials; only F is crossed in.
+    table, psi = system.group.table, system.psi_f
     base = build_block_graph(system.sft, r)
     order = len(table)
     n = _check_states(base, order)
@@ -217,30 +223,31 @@ def cover_tree(system: SkewSystem, r: int) -> SpanningTree:
     """Spanning tree of the r-block graph, which carries every cover computation.
 
     The product graph is not built, but its size is capped all the same:
-    RangeTooLarge, with build_product_graph's message, when blocks x |G|
+    RangeTooLarge, with build_product_graph's message, when blocks x |F|
     passes the state cap.
     """
     base = build_block_graph(system.sft, r)
-    _check_states(base, system.group.order if system.group.is_finite else 1)
+    _check_states(base, len(system.group.table))
     return SpanningTree(base)
 
 
 def monodromy_group(system: SkewSystem, tree: SpanningTree) -> set[int]:
-    """Weights of the closed walks at block 0 of a strongly connected block
-    graph, over a finite group, as element indices.
+    """F weights of the closed walks at block 0 of a strongly connected
+    block graph, as indices of the finite factor F (the whole of a finite
+    group, {0} over Z^d).
 
-    G-potentials run along the tree: wpot[v] is the weight of the tree path
+    F-potentials run along the tree: wpot[v] is the weight of the tree path
     from block 0 to block v.  Every closed walk's weight is a product of the
-    fundamental-cycle weights wpot[h]^-1 psi(e) wpot[t] of its edges
+    fundamental-cycle weights wpot[h]^-1 psi_f(e) wpot[t] of its edges
     e: t -> h (identity on tree edges), and each of those is the weight of a
     closed walk times the inverse of another.  The closed-walk weights form
     a submonoid of a finite group, so a subgroup: the closure of the
-    fundamental-cycle weights, at most |G| x (distinct weights) products.
+    fundamental-cycle weights, at most |F| x (distinct weights) products.
     """
     group = system.group
     table, inverses, identity = group.table, group.inverses, group.identity_index
     bg = tree.graph
-    steps = [system.psi[word[0] - 1] for word in bg.edges]
+    steps = [system.psi_f[word[0] - 1] for word in bg.edges]
     wpot = tree.potentials(identity, lambda e, p: table[steps[e]][p])
     gens = {
         table[inverses[wpot[h]]][table[s][wpot[t]]]
@@ -260,28 +267,28 @@ def monodromy_group(system: SkewSystem, tree: SpanningTree) -> set[int]:
 
 
 def transitivity_gap(system: SkewSystem, tree: SpanningTree):
-    """None if the finite cover over the tree's block graph is strongly
-    connected, otherwise the pair product_scc_witness names on its product
-    graph.
+    """None if the cover of the tree's block graph by the finite factor F
+    is strongly connected, otherwise the pair product_scc_witness names on
+    its product graph.
 
     Over a strongly connected block graph every vertex of the product graph
-    returns to where it came from (a closed walk's weight has finite order),
-    so the graph is strongly connected iff (block 0, element 0) reaches its
-    whole fiber, i.e. iff the monodromy group H is G.  Otherwise the first
-    vertex it misses is (block 0, least j outside {h . element 0 : h in H}).
-    Only a block graph that is not strongly connected builds the product
-    graph, to name its pair.
+    returns to where it came from (a closed walk's F weight has finite
+    order), so the graph is strongly connected iff (block 0, element 0)
+    reaches its whole fiber, i.e. iff the monodromy group H is F.
+    Otherwise the first vertex it misses is (block 0, least j outside
+    {h . element 0 : h in H}).  Only a block graph that is not strongly
+    connected builds the product graph, to name its pair.
     """
-    group = system.group
     if not tree.strongly_connected:
         return product_scc_witness(SpanningTree(build_product_graph(system, tree.graph.r)))
     reached = monodromy_group(system, tree)
-    if len(reached) == group.order:
+    table, name = system.group.table, system.group.name_of
+    if len(reached) == len(table):
         return None
-    orbit = {group.table[h][0] for h in reached}
-    j = next(j for j in group.elements() if j not in orbit)
+    orbit = {table[h][0] for h in reached}
+    j = next(j for j in range(len(table)) if j not in orbit)
     block = tree.graph.vertices[0]
-    return (block, group.name_of(0)), (block, group.name_of(j))
+    return (block, name(0)), (block, name(j))
 
 
 # ---------------------------------------------------------------------------

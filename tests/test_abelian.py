@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import livsic.abelian as abelian
+from launcher import launch
 from livsic import (
     CocycleObstruction,
     CohomologySolution,
@@ -409,7 +410,6 @@ def test_uncertified_solution_raises_under_python_O():
 
 
 _FULL4_Z_R5 = r"""
-import resource
 from fractions import Fraction
 from livsic import GroupSpec, SftSpec, build_group, generate_cocycle, make_skew_system
 from livsic import solve_free_abelian
@@ -420,22 +420,23 @@ system = make_skew_system(
 cocycle = generate_cocycle(system, alpha=(Fraction(2, 7),), block_range=5, seed=5)
 solution = solve_free_abelian(system, cocycle)
 print(len(solution.u), solution.alpha == (Fraction(2, 7),), solution.certificate.certified)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_full4_z_r5_solves_in_little_memory():
+def test_full4_z_r5_solves_in_little_memory(tmp_path):
     # 1 024 blocks and 3 073 non-tree rows: a dense row-provenance matrix
-    # would hold about 9.4 million Fractions (over 500 MB).
+    # would hold about 9.4 million Fractions (over 500 MB).  The launcher
+    # reads the solve's own peak, not this process's.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FULL4_Z_R5], capture_output=True, text=True, env=env
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    usage = launch(
+        [sys.executable, "-c", _FULL4_Z_R5], out, err,
+        address_space=1 << 32, wall_s=60.0, env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    summary, peak_kib = proc.stdout.split("\n")[:2]
-    assert summary == "1024 True True"
-    assert int(peak_kib) < 200 * 1024
+    assert usage["code"] == 0, err.read_text()
+    assert out.read_text() == "1024 True True\n"
+    assert usage["rss_kib"] < 200 * 1024
 
 
 def _reference_closing_walk(system, bg, target):
@@ -645,6 +646,28 @@ def test_integer_edge_check_matches_the_fraction_loop(monkeypatch):
                 checked += 1
                 failing += not report.certified
     assert checked > 300 and failing > 200
+
+
+def test_lattice_witnesses_are_one_lift_of_a_zero_weight_walk(monkeypatch):
+    # The lift of a walk of zero Z^d weight closes at once (F is trivial)
+    # and its trimmed cycle is primitive, so the multiplicity is 1.
+    seen = 0
+    for solver, system, cocycle in _golden_rational_cases(monkeypatch):
+        if system.group.is_finite:
+            continue
+        try:
+            solver(system, cocycle)
+        except CocycleObstruction as err:
+            witness = err.witness
+            if isinstance(witness, EqualWeightPair):
+                continue
+            word = witness.word
+            assert system.sft.is_admissible(word, cyclic=True), word
+            assert psi_n_cyclic(system, word) == (0,) * system.group.rank, word
+            assert witness.multiplicity == 1, word
+            assert witness.total != 0 and witness.total == _cyclic_f_sum(cocycle, word)
+            seen += 1
+    assert seen >= 25, seen
 
 
 class _NoArithmetic(Fraction):

@@ -1,12 +1,12 @@
 """The capacity contract at its edges: for each entry point and cap, the
 largest input admitted and the first one refused.
 
-Each row runs one `livsic` command as a child process.  A small launcher
-process starts it, so that the child's peak RSS counts the launcher's
-image, not the test runner's; the child alone runs under RLIMIT_AS and a
-wall limit, and its CPU time and peak RSS come from os.wait4.  An
-admitted case must exit 0 or 1 within its bounds.  A refused case must
-exit 2 with its structured error, within the same bounds.
+Each row runs one `livsic` command through launcher.launch, so that the
+child's peak RSS counts the launcher's image, not the test runner's; the
+child alone runs under RLIMIT_AS and a wall limit, and its CPU time and
+peak RSS come from os.wait4.  An admitted case must exit 0 or 1 within
+its bounds.  A refused case must exit 2 with its structured error,
+within the same bounds.
 
 The bounds are written once, in the table.  A case that misses its bound
 is a failing test to report, never a bound to raise in the same change.
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from launcher import launch
 from livsic import (
     GroupSpec,
     SftSpec,
@@ -37,34 +38,6 @@ from livsic.serialization import SystemEnvelope, group_doc, system_to_doc
 ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_SPACE = 1 << 30  # RLIMIT_AS of the child, in bytes
 WALL_LIMIT_S = 20.0  # the child is killed past this
-
-# Starts argv[5:], waits with os.wait4 and prints exit code, CPU seconds
-# and peak RSS in KiB as JSON; stdout and stderr go to the two files.
-_LAUNCHER = r"""
-import json, os, resource, signal, subprocess, sys, time
-limit, wall, out, err = int(sys.argv[1]), float(sys.argv[2]), sys.argv[3], sys.argv[4]
-
-def cap():
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-with open(out, "w") as fo, open(err, "w") as fe:
-    child = subprocess.Popen(sys.argv[5:], stdout=fo, stderr=fe, preexec_fn=cap)
-deadline = time.monotonic() + wall
-while True:
-    pid, status, usage = os.wait4(child.pid, os.WNOHANG)
-    if pid:
-        break
-    if time.monotonic() > deadline:
-        os.kill(child.pid, signal.SIGKILL)
-        pid, status, usage = os.wait4(child.pid, 0)
-        break
-    time.sleep(0.005)
-print(json.dumps({
-    "code": os.waitstatus_to_exitcode(status),
-    "cpu_s": usage.ru_utime + usage.ru_stime,
-    "rss_kib": usage.ru_maxrss,
-}))
-"""
 
 _S5 = GroupSpec.permutation(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)])
 
@@ -168,12 +141,10 @@ def test_capacity_edge(case, tmp_path):
     out, err = tmp_path / "stdout", tmp_path / "stderr"
     env = {k: v for k, v in os.environ.items() if not k.startswith("LIVSIC_")}
     env["PYTHONPATH"] = str(ROOT / "src")
-    launcher = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, str(ADDRESS_SPACE), str(WALL_LIMIT_S),
-         str(out), str(err), sys.executable, "-m", "livsic.cli", command, str(doc), *extra],
-        capture_output=True, text=True, env=env, check=True,
+    usage = launch(
+        [sys.executable, "-m", "livsic.cli", command, str(doc), *extra], out, err,
+        address_space=ADDRESS_SPACE, wall_s=WALL_LIMIT_S, env=env,
     )
-    usage = json.loads(launcher.stdout)
     assert usage["code"] == code, (name, err.read_text())
     assert usage["cpu_s"] <= cpu_s, (name, usage)
     assert usage["rss_kib"] <= rss_mib * 1024, (name, usage)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from launcher import launch
 from livsic import (
     AlgebraNotClosed,
     AlphaNotConstant,
@@ -834,7 +835,6 @@ def test_algebra_not_closed_under_python_O():
 
 
 _FULL2_DEPTH18 = r"""
-import resource
 from livsic import SftSpec, estimate_distortion, make_matrix_cocycle
 
 basis = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -843,22 +843,24 @@ report = estimate_distortion(
     make_matrix_cocycle(SftSpec.full_shift(2), 0, values, algebra=basis), 18
 )
 print(len(report.mu_s_by_n), max(abs(x - 4.0) for x in report.mu_s_by_n + report.mu_u_by_n))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_full2_depth18_scan_in_little_memory():
+def test_full2_depth18_scan_in_little_memory(tmp_path):
     # 262 144 words at depth 18, 524 286 in all.  Stacking a whole depth
     # level at once peaks near 180 MB here; chunks stay near the 33 MB of
     # the interpreter and numpy.  Diagonal values: the rate at every depth
-    # is exactly 4 (the all-1 and all-2 words).
+    # is exactly 4 (the all-1 and all-2 words).  The scan runs under the
+    # capacity tests' launcher, so its peak is its own, whatever earlier
+    # tests did to this process's.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FULL2_DEPTH18], capture_output=True, text=True, env=env
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    usage = launch(
+        [sys.executable, "-c", _FULL2_DEPTH18], out, err,
+        address_space=1 << 32, wall_s=60.0, env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    summary, peak_kib = proc.stdout.split("\n")[:2]
-    depths, worst = summary.split()
+    assert usage["code"] == 0, err.read_text()
+    depths, worst = out.read_text().split()
     assert depths == "18" and float(worst) < 1e-12
-    assert int(peak_kib) < 80 * 1024
+    assert usage["rss_kib"] < 80 * 1024

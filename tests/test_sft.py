@@ -193,6 +193,10 @@ def test_census_matches_orbit_counts():
         for n in range(1, 9):
             total = sum(o.period for o in orbits if n % o.period == 0)
             assert total == count_periodic_points(spec, n)
+        # The depth-first word walk emits blocks in lexicographic order.
+        for r in range(1, 6):
+            vertices = build_block_graph(spec, r).vertices
+            assert list(vertices) == sorted(vertices), (seed, r)
 
 
 def _orbit_consumers(spec: SftSpec):

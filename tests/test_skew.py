@@ -65,6 +65,41 @@ def _full2_c2(psi=(1, 0)):
     return make_skew_system(FULL_2, C2, psi)
 
 
+def test_a_skew_system_splits_psi_into_its_finite_and_lattice_factors():
+    # Group is F x Z^d: a finite group has d = 0, Z^d the one-element F.
+    full3 = SftSpec.full_shift(3)
+    s3 = s3_group()
+    z1, z2 = build_group(GroupSpec.free_abelian(1)), build_group(GroupSpec.free_abelian(2))
+    cases = [
+        (C2, (1, 0, 1)),
+        (s3, (s3.element_by_name("s"), s3.element_by_name("r"), s3.identity)),
+        (z1, ((1,), (-2,), (0,))),
+        (z2, ((1, 0), (0, 2), (-1, 1))),
+    ]
+    for group, psi in cases:
+        system = make_skew_system(full3, group, psi)
+        assert system.psi == psi and system.psi_of(2) == psi[1]
+        if group.is_finite:
+            assert group.rank == 0 and len(group.table) == group.order
+            assert system.psi_f == psi and system.psi_z == ((),) * 3
+        else:
+            assert group.order is None and group.identity == (0,) * group.rank
+            assert (group.table, group.inverses, group.identity_index) == (((0,),), (0,), 0)
+            assert system.psi_f == (0, 0, 0) and system.psi_z == psi
+        # The weight of a word is its F product and its Z^d sum.
+        for word in product((1, 2, 3), repeat=3):
+            f, z = group.identity_index, (0,) * group.rank
+            for a in word:
+                f = group.table[system.psi_f[a - 1]][f]
+                z = tuple(x + y for x, y in zip(z, system.psi_z[a - 1]))
+            assert psi_n(system, word) == (f if group.is_finite else z)
+        # The cover code reads only F: over Z^d it is the block graph's.
+        tree = cover_tree(system, 2)
+        assert monodromy_group(system, tree) == set(range(len(group.table)))
+        assert transitivity_gap(system, tree) is None
+        assert build_product_graph(system, 2).order == len(group.table)
+
+
 def test_psi_multiplies_later_symbols_on_the_left():
     g = s3_group()
     system = make_skew_system(SftSpec.full_shift(2), g, (g.element_by_name("s"), g.element_by_name("r")))
@@ -558,6 +593,22 @@ def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
         else:
             with pytest.raises(NotTransitiveError):
                 solve_finite_gamma(system, cocycle)
+    # Z^d covers are gated by transitivity_gap too, over the trivial F.
+    # On a full shift the bump at the fixed point 1^oo is never a coboundary.
+    for i in range(8):
+        rng = rng_for(83, 1_000 + i)
+        d, k = 1 + i % 2, 2 + i // 4
+        z = build_group(GroupSpec.free_abelian(d))
+        psi = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
+        lattice = make_skew_system(SftSpec.full_shift(k), z, psi)
+        cocycle = generate_cocycle(
+            lattice, alpha=(1,) * lattice.group.rank, block_range=2, seed=i
+        )
+        assert solve_free_abelian(lattice, cocycle).certificate.certified
+        values = dict(cocycle.values)
+        values[min(values)] += 1
+        with pytest.raises(CocycleObstruction):
+            solve_free_abelian(lattice, make_cocycle(lattice.sft, 2, values))
     # A symbol graph that is not strongly connected still names its pair
     # from the product graph.
     reducible = make_skew_system(SftSpec.from_rows([[1, 1], [0, 1]]), C2, (1, 0))
