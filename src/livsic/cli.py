@@ -147,7 +147,7 @@ def _cmd_validate(args, command_line: str) -> int:
     group_doc = {
         "type": group.variant,
         "order": group.order,
-        "rank": None if group.is_finite else group.rank,
+        "rank": group.rank or None,
     }
     cocycle_doc = None
     if cocycle is not None:

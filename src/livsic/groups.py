@@ -6,7 +6,9 @@ their group around.
 
 A Group is the record of a deck group F x Z^d: table and inverses are the
 finite factor F, rank is d.  A finite group has d = 0; Z^d has the
-one-element F, the default table ((0,),).
+one-element F, the default table ((0,),).  Only this module knows the
+encodings: other code reads an element's two factors with Group.split
+and builds an element from them with Group.join.
 """
 from __future__ import annotations
 
@@ -98,10 +100,16 @@ class Group:
             return self.table[a][b]
         return tuple(x + y for x, y in zip(a, b))
 
-    def inv(self, a: GroupElement) -> GroupElement:
+    def split(self, a: GroupElement) -> tuple[int, tuple[int, ...]]:
+        """The factors of a: its F index and its Z^d vector."""
+        return (a, ()) if self.is_finite else (0, a)
+
+    def join(self, f: int, z: tuple[int, ...] = ()) -> GroupElement:
+        """The element with F index f and Z^d vector z; over Z^d an empty z
+        is the zero vector."""
         if self.is_finite:
-            return self.inverses[a]
-        return tuple(-x for x in a)
+            return f
+        return tuple(z) or (0,) * self.rank
 
     def elements(self):
         if not self.is_finite:
@@ -167,7 +175,7 @@ def _check_table(names, table) -> tuple[int, tuple[int, ...], bool]:
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p * q)(i) = p(q(i)), images 1-based
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    return tuple([p[x - 1] for x in q])
 
 
 def _permutation_closure(spec: GroupSpec, max_order: int) -> Group:
@@ -187,37 +195,29 @@ def _permutation_closure(spec: GroupSpec, max_order: int) -> Group:
     elems: list[tuple[int, ...]] = [identity]
     names: list[str] = ["e"]
     index = {identity: 0}
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for g, gname in zip(gens, gen_names):
-            p = _compose(elems[i], g)
-            if p not in index:
+    parent: list[tuple[int, int]] = [(0, 0)]  # elems[j] = elems[i] * gens[g]
+    for i, p in enumerate(elems):
+        for gi, (g, gname) in enumerate(zip(gens, gen_names)):
+            q = _compose(p, g)
+            if q not in index:
                 if len(elems) >= max_order:
                     raise ClosureTooLarge(f"closure exceeds {max_order} elements")
-                index[p] = len(elems)
-                elems.append(p)
+                index[q] = len(elems)
+                elems.append(q)
                 names.append(gname if i == 0 else names[i] + gname)
-                queue.append(len(elems) - 1)
-    n = len(elems)
-    table = tuple(
-        tuple(index[_compose(elems[a], elems[b])] for b in range(n)) for a in range(n)
-    )
-    inverses = tuple(index[tuple(_inverse_perm(elems[a]))] for a in range(n))
+                parent.append((i, gi))
+    # Row a = elems[i] * g of the table is row i read through b -> g * b.
+    left = [tuple(index[_compose(g, b)] for b in elems) for g in gens]
+    rows = [tuple(range(len(elems)))]
+    for i, gi in parent[1:]:
+        rows.append(tuple(map(rows[i].__getitem__, left[gi])))
     return Group(
         variant="permutation",
         names=tuple(names),
-        table=table,
-        inverses=inverses,
+        table=tuple(rows),
+        inverses=tuple(row.index(0) for row in rows),
         identity_index=0,
     )
-
-
-def _inverse_perm(p: tuple[int, ...]) -> list[int]:
-    inv = [0] * len(p)
-    for i, image in enumerate(p):
-        inv[image - 1] = i + 1
-    return inv
 
 
 def build_group(spec: GroupSpec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> Group:
@@ -245,7 +245,8 @@ def build_group(spec: GroupSpec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) ->
         if n > max_order:
             raise ClosureTooLarge(f"cyclic order {n} exceeds {max_order}")
         names = tuple("e" if i == 0 else "g" if i == 1 else f"g^{i}" for i in range(n))
-        table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        twice = tuple(range(n)) * 2
+        table = tuple(twice[i : i + n] for i in range(n))
         inverses = tuple((-i) % n for i in range(n))
         return Group(
             variant="cyclic",

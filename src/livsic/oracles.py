@@ -156,7 +156,7 @@ def brute_solution_check(
         for i in range(length):
             total += cocycle.window_value(word[i : i + cocycle.block_range + 1])
         expected = solution.u[word[length : length + r]] - solution.u[word[0:r]]
-        if not group.is_finite and alpha is not None:
+        if group.rank and alpha is not None:
             acc = [0] * group.rank
             for i in range(length):
                 step = system.psi_of(word[i])

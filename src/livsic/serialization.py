@@ -276,22 +276,23 @@ def group_doc(spec: GroupSpec) -> dict:
 
 
 def _parse_psi(doc, group: Group, k: int, pointer: str) -> list:
+    """psi by factor: element names of F, or integer vectors of Z^d."""
     if not isinstance(doc, list) or len(doc) != k:
         _fail(pointer, f"psi must list one entry per symbol ({k})")
-    out = []
-    if group.is_finite:
-        for i, name in enumerate(doc):
-            if not isinstance(name, str):
-                _fail(f"{pointer}/{i}", "expected an element name")
+    out, d = [], group.rank
+    for i, entry in enumerate(doc):
+        p = f"{pointer}/{i}"
+        if d:
+            if not isinstance(entry, list) or len(entry) != d:
+                _fail(p, f"expected an integer vector of length {d}")
+            out.append(group.join(0, tuple(_as_int(x, p) for x in entry)))
+        elif not isinstance(entry, str):
+            _fail(p, "expected an element name")
+        else:
             try:
-                out.append(group.element_by_name(name))
+                out.append(group.join(group.element_by_name(entry)))
             except BadShape:
-                _fail(f"{pointer}/{i}", f"unknown element {name!r}")
-    else:
-        for i, vec in enumerate(doc):
-            if not isinstance(vec, list) or len(vec) != group.rank:
-                _fail(f"{pointer}/{i}", f"expected an integer vector of length {group.rank}")
-            out.append(tuple(_as_int(x, f"{pointer}/{i}") for x in vec))
+                _fail(p, f"unknown element {entry!r}")
     return out
 
 
@@ -399,10 +400,8 @@ def cocycle_to_doc(cocycle) -> dict:
 def system_to_doc(env: SystemEnvelope) -> dict:
     system = env.system
     spec = system.sft
-    if system.group.is_finite:
-        psi_doc = [system.group.name_of(e) for e in system.psi]
-    else:
-        psi_doc = [list(vec) for vec in system.psi]
+    names = system.group.names
+    psi_doc = [list(z) if z else names[f] for f, z in zip(system.psi_f, system.psi_z)]
     doc = {
         "sft": {"k": spec.k, "transition": [list(row) for row in spec.transitions]},
         "group": env.group_doc,

@@ -3,6 +3,10 @@
 The extension acts by (x, g) -> (shift x, psi(x0) g).  Weights of later
 symbols multiply on the left, so the weight of a word w of length n is
 psi(w[n-1]) ... psi(w[1]) psi(w[0]).
+
+make_skew_system splits psi once, through Group.split, into its F indices
+and Z^d vectors; the cover code here reads those factors, and branches on
+the rank d where the two covers differ, never on the element encoding.
 """
 from __future__ import annotations
 
@@ -49,25 +53,20 @@ class SkewSystem:
 
 def make_skew_system(sft: SftSpec, group: Group, psi) -> SkewSystem:
     psi = tuple(psi)
-    k, finite = sft.k, group.is_finite
-    if len(psi) != k:
+    if len(psi) != sft.k:
         raise DimensionMismatch(f"psi needs one value per symbol, got {len(psi)}")
-    checked = []
-    for value in psi:
-        if finite:
-            value = int(value)
-            if not 0 <= value < group.order:
-                raise DimensionMismatch(f"element index {value} out of range")
-        else:
-            value = tuple(int(x) for x in value)
-            if len(value) != group.rank:
-                raise DimensionMismatch(
-                    f"expected vectors of length {group.rank}, got {value}"
-                )
-        checked.append(value)
-    psi = tuple(checked)
-    psi_f, psi_z = (psi, ((),) * k) if finite else ((0,) * k, psi)
-    return SkewSystem(sft=sft, group=group, psi=psi, psi_f=psi_f, psi_z=psi_z)
+    order, d = len(group.table), group.rank
+    psi_f, psi_z = [], []
+    for f, z in map(group.split, psi):
+        f, z = int(f), tuple(int(x) for x in z)
+        if not 0 <= f < order:
+            raise DimensionMismatch(f"element index {f} out of range")
+        if len(z) != d:
+            raise DimensionMismatch(f"expected vectors of length {d}, got {z}")
+        psi_f.append(f)
+        psi_z.append(z)
+    psi = tuple(map(group.join, psi_f, psi_z))
+    return SkewSystem(sft=sft, group=group, psi=psi, psi_f=tuple(psi_f), psi_z=tuple(psi_z))
 
 
 def psi_n(system: SkewSystem, word) -> GroupElement:
@@ -92,14 +91,12 @@ class FrobeniusClassTag:
 
 def class_tag(group: Group, weight: GroupElement) -> FrobeniusClassTag:
     """Conjugacy class (finite groups) or the vector itself (Z^d) of a weight."""
-    if group.is_finite:
-        members = sorted(
-            {group.mul(group.mul(g, weight), group.inv(g)) for g in group.elements()}
-        )
-        return FrobeniusClassTag(
-            trivial=weight == group.identity, members=tuple(members)
-        )
-    return FrobeniusClassTag(trivial=not any(weight), vector=weight)
+    f, z = group.split(weight)
+    if group.rank:
+        return FrobeniusClassTag(trivial=not any(z), vector=z)
+    table, inverses = group.table, group.inverses
+    members = sorted({table[table[g][f]][inverses[g]] for g in range(len(table))})
+    return FrobeniusClassTag(trivial=f == group.identity_index, members=tuple(members))
 
 
 def frobenius_class(system: SkewSystem, orbit: PeriodicOrbit) -> FrobeniusClassTag:
@@ -116,10 +113,10 @@ def orbit_weights(system: SkewSystem, max_period: int):
     the walk made, when this is called.
     """
     group = system.group
-    if group.is_finite:
-        act = [group.table[g].__getitem__ for g in system.psi]
+    if group.rank:
+        act = [lambda w, z=z: tuple(map(add, z, w)) for z in system.psi_z]
     else:
-        act = [lambda w, g=g: tuple(map(add, g, w)) for g in system.psi]
+        act = [group.table[f].__getitem__ for f in system.psi_f]
     return zip(*walk_primitive_orbits(system.sft, max_period, act, group.identity))
 
 
@@ -161,7 +158,8 @@ class ProductGraph:
 
     def vertex_label(self, vid: int) -> tuple[Word, str]:
         block = self.base.vertices[vid // self.order]
-        return block, self.system.group.name_of(vid % self.order)
+        group = self.system.group
+        return block, group.name_of(group.join(vid % self.order))
 
     def project_cycle(self, edge_ids) -> Word:
         order = self.order
@@ -282,13 +280,13 @@ def transitivity_gap(system: SkewSystem, tree: SpanningTree):
     if not tree.strongly_connected:
         return product_scc_witness(SpanningTree(build_product_graph(system, tree.graph.r)))
     reached = monodromy_group(system, tree)
-    table, name = system.group.table, system.group.name_of
+    group, table = system.group, system.group.table
     if len(reached) == len(table):
         return None
     orbit = {table[h][0] for h in reached}
     j = next(j for j in range(len(table)) if j not in orbit)
     block = tree.graph.vertices[0]
-    return (block, name(0)), (block, name(j))
+    return (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +392,13 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     the work budget, or when the dual-cone ray search over (rank - 1)-
     subsets of the simple-cycle classes (times their number) would.
     """
-    group = system.group
-    if group.is_finite:
+    d = system.group.rank
+    if not d:
         witness = transitivity_gap(system, cover_tree(system, 1))
         if witness is None:
             return TransitivityVerdict(status="transitive")
         return TransitivityVerdict(status="not_transitive", witness=witness)
 
-    d = group.rank
     k = system.sft.k
     orbit_count = 0
     classes = set()

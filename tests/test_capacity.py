@@ -33,6 +33,7 @@ from livsic import (
     parse_system_document,
 )
 from livsic.abelian import generate_cocycle
+from livsic.errors import DEFAULT_MAX_GROUP_ORDER
 from livsic.serialization import SystemEnvelope, group_doc, system_to_doc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +41,24 @@ ADDRESS_SPACE = 1 << 30  # RLIMIT_AS of the child, in bytes
 WALL_LIMIT_S = 20.0  # the child is killed past this
 
 _S5 = GroupSpec.permutation(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)])
+
+
+def _c2_power(m: int) -> GroupSpec:
+    """C2^m as the permutation group of the m transpositions (2i-1 2i),
+    named a, b, ...: 2**m elements on 2m points."""
+    gens = []
+    for i in range(m):
+        p = list(range(1, 2 * m + 1))
+        p[2 * i], p[2 * i + 1] = p[2 * i + 1], p[2 * i]
+        gens.append(p)
+    return GroupSpec.permutation(2 * m, gens)
+
+
+def _full2_over(spec: GroupSpec, psi: tuple[str, str]) -> dict:
+    """The full 2-shift over the group of spec, psi by element names.  The
+    group is built only by the command under test."""
+    return {"sft": {"k": 2, "transition": [[1, 1], [1, 1]]}, "group": group_doc(spec),
+            "psi": list(psi)}
 
 
 def _s5_full2(r: int, perturbed: bool) -> dict:
@@ -98,9 +117,16 @@ def _solved(doc: dict, code: int, out: Path) -> bool:
     return payload["solvable"] is False
 
 
+def _validated(doc: dict, code: int, out: Path) -> bool:
+    # Every admitted `validate` row builds a group at the group-order cap.
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    return payload["ok"] is True and payload["group"]["order"] == DEFAULT_MAX_GROUP_ORDER
+
+
 # What an admitted command must print, given its document, exit code and
 # stdout file.
 ADMITTED = {
+    "validate": _validated,
     "solve": _solved,
     "orbits": _orbits_listed,
     "verify-vanishing": lambda doc, code, out: json.loads(out.read_text())["holds"] is True,
@@ -123,12 +149,26 @@ CASES = [
     ("orbits full3-z2 p13", (_example, "full3-z2.json"), ["orbits", "--max-period", "13"],
      2, 1.0, 64,
      {"error": "RangeTooLarge", "message": f"orbit enumeration up to period 13 {_WORK}"}),
-    # LIVSIC_MAX_PERIOD (16) on `verify-vanishing`.
+    # LIVSIC_MAX_PERIOD (16) on `orbits` and `verify-vanishing`.
+    ("orbits full2-z p16", (_example, "full2-z.json"), ["orbits", "--max-period", "16"],
+     0, 1.0, 64, None),
+    ("orbits full2-z p17", (_example, "full2-z.json"), ["orbits", "--max-period", "17"],
+     2, 1.0, 64, {"error": "RangeTooLarge", "message": "period 17 exceeds cap 16"}),
     ("verify-vanishing full2-z p16", (_example, "full2-z.json"),
      ["verify-vanishing", "--max-period", "16"], 0, 1.0, 64, None),
     ("verify-vanishing full2-z p17", (_example, "full2-z.json"),
      ["verify-vanishing", "--max-period", "17"], 2, 1.0, 64,
      {"error": "RangeTooLarge", "message": "period 17 exceeds cap 16"}),
+    # The group-order cap (4 096) on building a group, which `validate` does:
+    # a cyclic table, and a permutation closure of 4 096 elements.
+    ("validate cyclic 4096", (_full2_over, GroupSpec.cyclic(4096), ("e", "g")), ["validate"],
+     0, 2.0, 256, None),
+    ("validate cyclic 4097", (_full2_over, GroupSpec.cyclic(4097), ("e", "g")), ["validate"],
+     2, 1.0, 64, {"error": "ClosureTooLarge", "message": "cyclic order 4097 exceeds 4096"}),
+    ("validate C2^12", (_full2_over, _c2_power(12), ("a", "b")), ["validate"],
+     0, 6.0, 256, None),
+    ("validate C2^13", (_full2_over, _c2_power(13), ("a", "b")), ["validate"],
+     2, 1.0, 64, {"error": "ClosureTooLarge", "message": "closure exceeds 4096 elements"}),
 ]
 
 

@@ -16,7 +16,7 @@ from livsic import (
     smith_diagonal,
     subgroup_rank_and_index,
 )
-from livsic.groups import gauss_jordan
+from livsic.groups import _compose, gauss_jordan
 from livsic.skew import _normal, class_tag
 from corpus import q8_group, s3_group
 
@@ -26,7 +26,7 @@ def test_cyclic_names_and_arithmetic():
     assert g.names == ("e", "g", "g^2", "g^3")
     assert g.identity_index == 0
     assert g.mul(1, 3) == 0
-    assert g.inv(1) == 3
+    assert g.inverses[1] == 3
     assert g.order == 4
 
 
@@ -100,6 +100,65 @@ def test_table_rejects_nonassociative_square():
     assert err.value.witness is not None
 
 
+def _closure_reference(spec):
+    """Names, table and inverses of a permutation closure: breadth-first
+    elements as words in the sorted generators, and one composition per
+    pair of elements."""
+    pairs = sorted(zip(spec.generator_names, spec.generators))
+    identity = tuple(range(1, spec.degree + 1))
+    elems, names, queue = [identity], ["e"], [0]
+    while queue:
+        i = queue.pop(0)
+        for gname, g in pairs:
+            p = _compose(elems[i], g)
+            if p not in elems:
+                elems.append(p)
+                names.append(gname if i == 0 else names[i] + gname)
+                queue.append(len(elems) - 1)
+    index = {p: i for i, p in enumerate(elems)}
+    table = tuple(tuple(index[_compose(a, b)] for b in elems) for a in elems)
+    inverses = tuple(index[tuple(sorted(identity, key=lambda i: p[i - 1]))] for p in elems)
+    return tuple(names), table, inverses
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.permutation(3, [(2, 1, 3), (2, 3, 1)], names=["s", "r"]),
+        GroupSpec.permutation(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)]),
+        # S6 as <(1 4)(2 6), (1 2 3)(4 5)>, its names out of sorted order.
+        GroupSpec.permutation(6, [(4, 6, 3, 1, 5, 2), (2, 3, 1, 5, 4, 6)], names=["x", "b"]),
+    ],
+    ids=["S3", "S5", "degree 6"],
+)
+def test_permutation_closure_matches_a_table_of_compositions(spec):
+    g = build_group(spec)
+    assert (g.names, g.table, g.inverses) == _closure_reference(spec)
+    assert g.identity_index == 0
+
+
+def test_cyclic_tables_match_the_formula():
+    for n in range(1, 13):
+        g = build_group(GroupSpec.cyclic(n))
+        assert g.table == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        assert g.inverses == tuple((-i) % n for i in range(n))
+
+
+def test_split_and_join_are_inverse():
+    for g in (build_group(GroupSpec.cyclic(2)), s3_group()):
+        for a in g.elements():
+            assert g.split(a) == (a, ())
+            assert g.join(*g.split(a)) == a
+    rng = random.Random(7)
+    for d in (1, 2):
+        g = build_group(GroupSpec.free_abelian(d))
+        assert g.join(0) == g.identity == (0,) * d
+        for _ in range(20):
+            z = tuple(rng.randint(-9, 9) for _ in range(d))
+            assert g.split(z) == (0, z)
+            assert g.join(*g.split(z)) == z
+
+
 def test_permutation_rejects_bad_generator():
     spec = GroupSpec.permutation(3, [(1, 1, 2)])
     with pytest.raises(NotAGroup):
@@ -119,7 +178,7 @@ def test_free_abelian_arithmetic():
     assert g.order is None
     assert g.identity == (0, 0)
     assert g.mul((1, 2), (3, -1)) == (4, 1)
-    assert g.inv((1, -2)) == (-1, 2)
+    assert g.mul((1, -2), (-1, 2)) == g.identity
     assert g.name_of((1, -2)) == "(1,-2)"
 
 

@@ -100,6 +100,17 @@ def test_a_skew_system_splits_psi_into_its_finite_and_lattice_factors():
         assert build_product_graph(system, 2).order == len(group.table)
 
 
+def test_a_lattice_cover_names_its_unreachable_pair():
+    # The reducible shift 1 -> 2 with loops at both symbols: no path from
+    # block (2,) back to (1,).  Over Z^d the product vertex's F index is 0,
+    # named through Group.join as the zero vector.
+    spec = SftSpec.from_rows([[1, 1], [0, 1]])
+    system = make_skew_system(spec, build_group(GroupSpec.free_abelian(1)), ((1,), (-1,)))
+    expected = (((2,), "(0)"), ((1,), "(0)"))
+    assert product_scc_witness(SpanningTree(build_product_graph(system, 1))) == expected
+    assert transitivity_gap(system, cover_tree(system, 1)) == expected
+
+
 def test_psi_multiplies_later_symbols_on_the_left():
     g = s3_group()
     system = make_skew_system(SftSpec.full_shift(2), g, (g.element_by_name("s"), g.element_by_name("r")))
