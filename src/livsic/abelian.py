@@ -309,13 +309,14 @@ def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in windows], scale
 
 
-def _drift_table(system: SkewSystem, alpha) -> list[Fraction]:
+def _drift_table(system: SkewSystem, alpha) -> list:
     """alpha . psi_z(a) for each symbol a (index a - 1).
 
     Edge identities add alpha . psi_z of the edge's first symbol, so k dot
-    products serve every edge.
+    products serve every edge.  Each sum starts at the int 0, so an alpha
+    of ints (as scaled by _check_edges) gives ints.
     """
-    return [sum(map(mul, alpha, z), Fraction(0)) for z in system.psi_z]
+    return [sum(map(mul, alpha, z)) for z in system.psi_z]
 
 
 def _inconsistency_certificate(system, tree, edges, combo, columns, scale):
@@ -470,9 +471,7 @@ def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
         return x.numerator * (scale // x.denominator)
 
     pot = [scaled(u[block]) for block in bg.vertices]
-    # alpha . psi_z(w[0]) depends on the first symbol only: k dot products.
-    alpha = [scaled(a) for a in alpha]
-    drift = [sum(map(mul, alpha, z)) for z in system.psi_z]
+    drift = _drift_table(system, [scaled(a) for a in alpha])
     width = cocycle.block_range + 1
     # Each f value is scaled as its edge is read, with no scaled copy of f.
     f = map(values.__getitem__, (w[:width] for w in bg.edges))

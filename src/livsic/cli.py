@@ -320,21 +320,14 @@ def _cmd_generate(args, command_line: str) -> int:
 
 
 def _cmd_distortion(args, command_line: str) -> int:
-    from .matrix import MatrixCocycle, estimate_distortion, make_matrix_cocycle
+    from .matrix import estimate_distortion, make_matrix_cocycle
 
     env = _load_system(args.system)
     cocycle = _require(env, "matrix")
-    if args.ambient:
-        cocycle = MatrixCocycle(
-            sft=cocycle.sft, block_range=cocycle.block_range, dim=cocycle.dim,
-            values=cocycle.values, algebra=None,
-        )
-    elif args.algebra is not None:
+    if args.ambient or args.algebra is not None:
+        algebra = None if args.ambient else parse_matrix_list(_load_json(args.algebra), "")
         cocycle = make_matrix_cocycle(
-            cocycle.sft,
-            cocycle.block_range,
-            cocycle.values,
-            algebra=parse_matrix_list(_load_json(args.algebra), ""),
+            cocycle.sft, cocycle.block_range, cocycle.values, algebra=algebra
         )
     report = estimate_distortion(cocycle, args.depth)
     _emit(fields_doc(report, cocycle.sft.k, {"n_max": "depth"}))

@@ -37,6 +37,7 @@ from .sft import (
     _check_cocycle_shift,
     _check_window_domain,
     _solution_block_graph,
+    _successor_table,
     build_block_graph,
     check_work,
     cyclic_fold,
@@ -142,28 +143,21 @@ def make_matrix_cocycle(
     )
 
 
-def _basis_matrix(basis) -> np.ndarray:
-    return np.stack([b.reshape(-1) for b in basis], axis=1)
-
-
 def _check_algebra_closed(basis) -> None:
-    """Commutators of basis elements must stay in the span."""
+    """Commutators of basis elements must stay in the span.
+
+    One stack of commutators [x_i, x_j] per basis element x_i, so memory
+    stays that of the basis however large it is."""
     if not basis:
         raise AlgebraNotClosed("algebra basis is empty")
-    b_mat = _basis_matrix(basis)
+    frame = _algebra_frame(basis)
+    stack, b_mat, _ = frame
     if np.linalg.matrix_rank(b_mat, tol=1e-9) < len(basis):
         raise AlgebraNotClosed("algebra basis is linearly dependent")
-    pinv = np.linalg.pinv(b_mat)
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            comm = x @ y - y @ x
-            vec = comm.reshape(-1)
-            residual = float(np.linalg.norm(b_mat @ (pinv @ vec) - vec))
-            if residual > _ALGEBRA_TOL * (1.0 + float(np.linalg.norm(vec))):
-                raise AlgebraNotClosed(
-                    f"commutator of basis elements {i} and {j} leaves the span "
-                    f"(residual {residual:.3e})"
-                )
+    for i, x in enumerate(stack):
+        comms = (x @ stack - stack @ x).reshape(len(stack), -1)
+        _project(comms, frame, _ALGEBRA_TOL,
+                 lambda j: f"commutator of basis elements {i} and {j} leaves the span")
 
 
 def adjoint_norm(g: np.ndarray, basis) -> float:
@@ -176,7 +170,7 @@ def _algebra_frame(basis):
     for the ambient algebra: what _adjoint_norms needs, computed once."""
     if basis is None:
         return None
-    b_mat = _basis_matrix(basis)
+    b_mat = np.stack([b.reshape(-1) for b in basis], axis=1)
     return np.stack(basis), b_mat, np.linalg.pinv(b_mat).T
 
 
@@ -199,20 +193,28 @@ def _adjoint_norms(g: np.ndarray, frame, tol: float) -> np.ndarray:
     g_inv = _checked_inverse(g, "adjoint")
     if frame is None:
         return _spectral_norms(g) * _spectral_norms(g_inv)
-    stack, b_mat, pinv_t = frame
+    stack = frame[0]
     n, m = g.shape[0], g.shape[-1]
     vecs = (g[:, None] @ stack @ g_inv[:, None]).reshape(n, len(stack), m * m)
     # Row j of coeffs[i] holds the coefficients of the j-th conjugated element.
+    coeffs = _project(vecs, frame, tol,
+                      lambda _, j: f"conjugation moves basis element {j} out of the declared span")
+    return _spectral_norms(coeffs)
+
+
+def _project(vecs: np.ndarray, frame, tol: float, leaves) -> np.ndarray:
+    """Coefficients in the frame's basis of each flattened matrix of an
+    (..., m*m) stack.  The first matrix, in index order, to leave the span
+    by more than tol relative to its norm raises AlgebraNotClosed, named
+    by leaves(*its index) and followed by its residual."""
+    _, b_mat, pinv_t = frame
     coeffs = vecs @ pinv_t
     residual = np.linalg.norm(coeffs @ b_mat.T - vecs, axis=-1)
-    leaks = residual > tol * (1.0 + np.linalg.norm(vecs, axis=-1))
-    if leaks.any():
-        row, j = np.argwhere(leaks)[0]
-        raise AlgebraNotClosed(
-            f"conjugation moves basis element {j} out of the declared span "
-            f"(residual {residual[row, j]:.3e})"
-        )
-    return _spectral_norms(coeffs)
+    leaks = np.argwhere(residual > tol * (1.0 + np.linalg.norm(vecs, axis=-1)))
+    if leaks.size:
+        at = tuple(leaks[0])
+        raise AlgebraNotClosed(f"{leaves(*at)} (residual {residual[at]:.3e})")
+    return coeffs
 
 
 @record
@@ -421,21 +423,26 @@ def verify_matrix_solution(
     return _check_solution(system, cocycle, solution, bg, tol, u_inv)
 
 
+def _edge_identity(system, edges, alpha: np.ndarray, u, u_inv) -> np.ndarray:
+    """alpha(psi(w[0])) u(w[1:]) u(w[:-1])^-1 for every edge w, as one
+    (E, m, m) stack: the value f(w) of the cocycle that u and the deck
+    factor alpha (a stack in element order) make.  An unvalidated spec
+    whose symbols have no successor has no edges, and an empty stack."""
+    dim = alpha.shape[-1]
+    steps = alpha[[system.psi_of(w[0]) for w in edges]]
+    heads = np.reshape([u[w[1:]] for w in edges], (-1, dim, dim))
+    return steps @ heads @ np.reshape([u_inv[w[:-1]] for w in edges], heads.shape)
+
+
 def _check_solution(system, cocycle, solution, bg, tol, u_inv) -> MatrixVerificationReport:
     """Check the reconstruction on every edge of bg, and alpha's
     multiplicativity and centrality, for a solution of the right shape."""
     group = system.group
     rf = cocycle.block_range
-    edges = bg.edges
     alpha = np.stack([solution.alpha[group.name_of(gi)] for gi in range(group.order)])
-    worst = 0.0
-    if edges:  # an unvalidated spec whose symbols have no successor has none
-        steps = alpha[[system.psi_of(word[0]) for word in edges]]
-        expected = steps @ np.stack([solution.u[w[1:]] for w in edges]) @ np.stack(
-            [u_inv[w[:-1]] for w in edges]
-        )
-        values = np.stack([cocycle.window_value(w[: rf + 1]) for w in edges])
-        worst = float(_frobenius(values - expected).max())
+    expected = _edge_identity(system, bg.edges, alpha, solution.u, u_inv)
+    values = np.reshape([cocycle.window_value(w[: rf + 1]) for w in bg.edges], expected.shape)
+    worst = float(_frobenius(values - expected).max(initial=0.0))
 
     # One group element at a time against a stack of all the others (or of
     # every cocycle value): memory stays linear in the order and windows.
@@ -507,8 +514,9 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     vals = np.stack([cocycle.values[w] for w in windows])
     invs = _checked_inverse(vals, "value", labels=windows)
     successor = np.full((len(windows), spec.k), -1, dtype=np.intp)
+    after = _successor_table(spec)
     for i, w in enumerate(windows):
-        for b in spec.successors(w[-1]):
+        for b in after[w[-1]]:
             successor[i, b - 1] = index[w[1:] + (b,)]
     basis = cocycle.algebra
     frame = _algebra_frame(basis)
@@ -629,7 +637,10 @@ def generate_matrix_cocycle(
     not be solvable in the stated form, so the request is rejected rather
     than producing a misleading instance.  With u omitted, a seeded
     generator draws one matrix per block from the named family
-    ("rotation": SO(2); "unipotent": upper unitriangular 3x3).
+    ("rotation": SO(2); "unipotent": upper unitriangular 3x3).  The
+    values are checked by make_matrix_cocycle, as a parsed cocycle's are:
+    SingularMatrix for a singular alpha value, AlgebraNotClosed for an
+    algebra basis not closed under commutators.
     """
     group = system.group
     if not group.is_finite:
@@ -659,14 +670,14 @@ def generate_matrix_cocycle(
 
     if alpha is None:
         alpha = {group.name_of(i): np.eye(dim) for i in range(group.order)}
-    alpha_mats: list[np.ndarray] = [None] * group.order  # type: ignore[list-item]
-    for name, entry in alpha.items():
-        idx = group.element_by_name(name)
-        alpha_mats[idx] = _as_matrix(entry, dim)
-    if any(m is None for m in alpha_mats):
-        missing = [group.name_of(i) for i, m in enumerate(alpha_mats) if m is None]
+    alpha_mats = {
+        group.element_by_name(name): _as_matrix(entry, dim) for name, entry in alpha.items()
+    }
+    missing = [group.name_of(i) for i in range(group.order) if i not in alpha_mats]
+    if missing:
         raise InvalidCocycle(f"alpha is missing values for {missing[:4]}")
-    for a, (products, gaps) in enumerate(_hom_gaps(np.stack(alpha_mats), group.table)):
+    alpha_stack = np.stack([alpha_mats[i] for i in range(group.order)])
+    for a, (products, gaps) in enumerate(_hom_gaps(alpha_stack, group.table)):
         over = np.flatnonzero(_frobenius(gaps) > _ALGEBRA_TOL * (1.0 + _frobenius(products)))
         if over.size:
             b = int(over[0])
@@ -675,29 +686,20 @@ def generate_matrix_cocycle(
                 f"alpha({group.name_of(group.mul(a, b))})"
             )
 
-    def commute_or_raise(x, y, what):
-        defect = float(np.linalg.norm(x @ y - y @ x))
-        if defect > _ALGEBRA_TOL * (1.0 + float(np.linalg.norm(x) * np.linalg.norm(y))):
+    # alpha(g) against the later alpha values, then against u block by block.
+    u_stack = np.stack([u_mats[block] for block in bg.vertices])
+    for gi, x in enumerate(alpha_stack):
+        others = np.concatenate((alpha_stack[gi + 1 :], u_stack))
+        defects = _frobenius(x @ others - others @ x)
+        over = np.flatnonzero(defects > _ALGEBRA_TOL * (1.0 + _frobenius(x) * _frobenius(others)))
+        if over.size:
+            j = int(over[0]) - (group.order - gi - 1)
+            what = "another of its own values" if j < 0 else f"u at {bg.vertices[j]}"
             raise CentralityImpossible(
-                f"alpha does not commute with {what} (defect {defect:.3e})"
+                f"alpha does not commute with {what} (defect {defects[over[0]]:.3e})"
             )
 
-    for gi in range(group.order):
-        for gj in range(gi + 1, group.order):
-            commute_or_raise(
-                alpha_mats[gi], alpha_mats[gj], "another of its own values"
-            )
-        for block in bg.vertices:
-            commute_or_raise(alpha_mats[gi], u_mats[block], f"u at {block}")
-
-    values = {}
-    for word in bg.edges:
-        step = alpha_mats[system.psi_of(word[0])]
-        values[word] = step @ u_mats[word[1:]] @ u_inv[word[:-1]]
-    return MatrixCocycle(
-        sft=system.sft,
-        block_range=block_range,
-        dim=dim,
-        values=values,
-        algebra=tuple(_as_matrix(x, dim) for x in algebra) if algebra is not None else None,
+    values = _edge_identity(system, bg.edges, alpha_stack, u_mats, u_inv)
+    return make_matrix_cocycle(
+        system.sft, block_range, dict(zip(bg.edges, values)), algebra=algebra
     )

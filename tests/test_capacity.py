@@ -76,6 +76,16 @@ def _s5_full2(r: int, perturbed: bool) -> dict:
     return system_to_doc(SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(_S5)))
 
 
+def _z2_full2(r: int) -> dict:
+    """Z^2 over the full 2-shift with psi = e_1, e_2 and a generated
+    cocycle of block range r: 2**(r + 1) values, 2**r blocks."""
+    group_spec = GroupSpec.free_abelian(2)
+    system = make_skew_system(SftSpec.full_shift(2), build_group(group_spec), ((1, 0), (0, 1)))
+    cocycle = generate_cocycle(system, block_range=r, seed=r)
+    envelope = SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(group_spec))
+    return system_to_doc(envelope)
+
+
 def _example(name: str) -> dict:
     return json.loads((ROOT / "docs" / "examples" / name).read_text(encoding="utf-8"))
 
@@ -143,12 +153,22 @@ CASES = [
     ("solve S5 full2 r8 perturbed", (_s5_full2, 8, True), ["solve"], 1, 1.0, 64, None),
     ("solve S5 full2 r9", (_s5_full2, 9, False), ["solve"], 2, 1.0, 64,
      {"error": "RangeTooLarge", "message": _STATES}),
+    # LIVSIC_MAX_STATES on a cocycle's windows: range 14 has 32 768.  Range
+    # 15's 65 536 are refused only after every value is parsed, past 1 s,
+    # so that refusal has no row yet.
+    ("solve Z2 full2 range 14", (_z2_full2, 14), ["solve"], 0, 3.0, 128, None),
     # The work budget (2 000 000 words) on `orbits`: 69 706 orbits up to 12.
     ("orbits full3-z2 p12", (_example, "full3-z2.json"), ["orbits", "--max-period", "12"],
      0, 4.0, 256, None),
     ("orbits full3-z2 p13", (_example, "full3-z2.json"), ["orbits", "--max-period", "13"],
      2, 1.0, 64,
      {"error": "RangeTooLarge", "message": f"orbit enumeration up to period 13 {_WORK}"}),
+    # The work budget on `distortion`: depth 19 (about 6 s) is the largest
+    # it admits.
+    ("distortion full2-diag-sl2 depth 20", (_example, "full2-diag-sl2.json"),
+     ["distortion", "--depth", "20"], 2, 1.0, 64,
+     {"error": "RangeTooLarge", "message": "distortion scan to depth 20 exceeds the work "
+      "budget; the largest depth within it is 19"}),
     # LIVSIC_MAX_PERIOD (16) on `orbits` and `verify-vanishing`.
     ("orbits full2-z p16", (_example, "full2-z.json"), ["orbits", "--max-period", "16"],
      0, 1.0, 64, None),

@@ -182,6 +182,121 @@ def test_generation_input_validation():
         generate_matrix_cocycle(lattice, None, None, block_range=1, seed=1, family="rotation")
 
 
+def test_generation_refuses_a_singular_deck_factor():
+    # alpha = 0 is multiplicative and commutes with everything, but every
+    # value it makes is 0.
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    u = {(1,): IDENTITY_2, (2,): IDENTITY_2}
+    with pytest.raises(SingularMatrix, match="^value at"):
+        generate_matrix_cocycle(_c2_system(), u, {"e": zero, "g": zero}, block_range=1)
+
+
+def test_generation_refuses_an_algebra_not_closed_under_commutators():
+    u = {(1,): DIAG_2_HALF, (2,): IDENTITY_2}
+    open_basis = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    with pytest.raises(AlgebraNotClosed, match="basis elements 0 and 1"):
+        generate_matrix_cocycle(_c2_system(), u, None, block_range=1, algebra=open_basis)
+
+
+def _looped_generate(system, u, alpha, block_range):
+    """generate_matrix_cocycle's commutation check and values as they were
+    before being stacked: one pair at a time, alpha(g_i) against each later
+    alpha(g_j) and then against u block by block, and one product per
+    edge.  Returns the CentralityImpossible message of the first pair that
+    does not commute, or the values."""
+    group = system.group
+    bg = build_block_graph(system.sft, block_range)
+    alpha_mats = [np.array(alpha[group.name_of(a)], dtype=np.float64) for a in range(group.order)]
+    u_mats = {block: np.array(u[block], dtype=np.float64) for block in bg.vertices}
+    for gi, x in enumerate(alpha_mats):
+        others = [(y, "another of its own values") for y in alpha_mats[gi + 1 :]]
+        others += [(u_mats[block], f"u at {block}") for block in bg.vertices]
+        for y, what in others:
+            defect = float(np.linalg.norm(x @ y - y @ x))
+            if defect > 1e-9 * (1.0 + float(np.linalg.norm(x) * np.linalg.norm(y))):
+                return f"alpha does not commute with {what} (defect {defect:.3e})"
+    u_inv = matrix.invert_blocks(u_mats)
+    return {
+        word: alpha_mats[system.psi_of(word[0])] @ u_mats[word[1:]] @ u_inv[word[:-1]]
+        for word in bg.edges
+    }
+
+
+def _turns(group, step: float, p=np.eye(2)) -> dict:
+    """alpha(g^j) = p R(j * step) p^-1, R a rotation, over a cyclic group."""
+    return {
+        group.name_of(j): p @ [[math.cos(j * step), -math.sin(j * step)],
+                               [math.sin(j * step), math.cos(j * step)]] @ np.linalg.inv(p)
+        for j in range(group.order)
+    }
+
+
+def _generation_inputs():
+    """(system, u, alpha, block range): seeded rotation inputs over C2 and
+    C3 and unipotent inputs over S3, each with a central alpha and with
+    one that fails to commute with some u value, and the regular
+    representation of S3, conjugated by a seeded matrix, whose values do
+    not commute."""
+    s3 = s3_group()
+    s, r = s3.element_by_name("s"), s3.element_by_name("r")
+    odd = (s, s3.mul(s, r), s3.mul(r, s))
+
+    def sign(mat):
+        return {s3.name_of(a): mat if a in odd else np.eye(3) for a in range(s3.order)}
+
+    full3 = SftSpec.full_shift(3)
+    shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+    cases = [
+        (_c2_system(), _turns(C2, math.pi), {"e": IDENTITY_2, "g": np.diag([1.0, -1.0])},
+         matrix._random_rotation),
+        (make_skew_system(full3, C3, (1, 0, 2)), _turns(C3, 2 * math.pi / 3),
+         _turns(C3, 2 * math.pi / 3, shear), matrix._random_rotation),
+        (make_skew_system(FULL_2, s3, (s, r)), sign(-np.eye(3)), sign(np.diag([1.0, 1.0, -1.0])),
+         matrix._random_unipotent),
+        (make_skew_system(full3, s3, (r, s3.identity_index, s)), sign(-np.eye(3)),
+         sign(np.diag([1.0, 1.0, -1.0])), matrix._random_unipotent),
+    ]
+    for i, (system, central, not_central, draw) in enumerate(cases):
+        for block_range in (1, 2):
+            rng = rng_for(111, 2 * i + block_range)
+            u = {block: draw(rng) for block in build_block_graph(system.sft, block_range).vertices}
+            yield system, u, central, block_range
+            # Identity on a seeded number of leading blocks moves the first
+            # value that alpha does not commute with.
+            cut = rng.randrange(len(u))
+            eye = np.eye(len(central["e"]))
+            u = {block: eye if j < cut else mat for j, (block, mat) in enumerate(u.items())}
+            yield system, u, not_central, block_range
+    rng = rng_for(113, 0)
+    p = np.eye(6) + 0.3 * np.array([[rng.uniform(-1.0, 1.0) for _ in range(6)] for _ in range(6)])
+    regular = {}
+    for a in range(s3.order):
+        perm = np.zeros((6, 6))
+        for b in range(s3.order):
+            perm[s3.mul(a, b), b] = 1.0
+        regular[s3.name_of(a)] = p @ perm @ np.linalg.inv(p)
+    u = {block: np.eye(6) for block in ((1,), (2,))}
+    yield make_skew_system(FULL_2, s3, (s, r)), u, regular, 1
+
+
+def test_stacked_generation_matches_the_per_pair_and_per_edge_loops():
+    seen = {"values": 0, "refused": 0}
+    for system, u, alpha, block_range in _generation_inputs():
+        expected = _looped_generate(system, u, alpha, block_range)
+        if isinstance(expected, str):
+            seen["refused"] += 1
+            with pytest.raises(CentralityImpossible) as err:
+                generate_matrix_cocycle(system, u, alpha, block_range=block_range)
+            assert str(err.value) == expected
+            continue
+        seen["values"] += 1
+        cocycle = generate_matrix_cocycle(system, u, alpha, block_range=block_range)
+        assert cocycle.values.keys() == expected.keys()
+        for word, value in expected.items():
+            assert np.array_equal(cocycle.values[word], value), word
+    assert seen == {"values": 8, "refused": 9}
+
+
 def test_rotation_roundtrip():
     system = _c2_system()
     gen_u = {}
@@ -508,6 +623,55 @@ def test_algebra_closure_checks():
         make_matrix_cocycle(FULL_2, 0, values, algebra=dependent)
     closed = make_matrix_cocycle(FULL_2, 0, values, algebra=SL2_BASIS)
     assert closed.algebra is not None and len(closed.algebra) == 3
+
+
+def _looped_closure(basis):
+    """_check_algebra_closed's span test as it was before being stacked: one
+    commutator [x_i, x_j] at a time, in (i, j) order.  Returns the
+    AlgebraNotClosed message of the first one to leave the span, or None."""
+    b_mat = np.stack([b.reshape(-1) for b in basis], axis=1)
+    pinv = np.linalg.pinv(b_mat)
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            vec = (x @ y - y @ x).reshape(-1)
+            residual = float(np.linalg.norm(b_mat @ (pinv @ vec) - vec))
+            if residual > 1e-9 * (1.0 + float(np.linalg.norm(vec))):
+                return (
+                    f"commutator of basis elements {i} and {j} leaves the span "
+                    f"(residual {residual:.3e})"
+                )
+    return None
+
+
+def test_stacked_closure_check_matches_the_per_pair_loop():
+    # Upper triangular matrices, conjugated by a seeded matrix, are closed;
+    # with one seeded matrix inserted they are not.
+    seen = {"closed": 0, "open": 0}
+    for i, dim in enumerate((3, 3, 4, 4, 5)):
+        rng = rng_for(117, i)
+        p = np.eye(dim) + 0.4 * np.array([[rng.uniform(-1.0, 1.0) for _ in range(dim)]
+                                          for _ in range(dim)])
+        p_inv = np.linalg.inv(p)
+        basis = []
+        for a, b in itertools.combinations_with_replacement(range(dim), 2):
+            unit = np.zeros((dim, dim))
+            unit[a, b] = 1.0
+            basis.append(p @ unit @ p_inv)
+        extra = np.array([[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(dim)])
+        open_basis = list(basis)
+        open_basis.insert(rng.randrange(len(basis) + 1), extra)
+        values = {(1,): np.eye(dim), (2,): np.eye(dim)}
+        for candidate in (basis, open_basis):
+            expected = _looped_closure(candidate)
+            if expected is None:
+                seen["closed"] += 1
+                make_matrix_cocycle(FULL_2, 0, values, algebra=candidate)
+                continue
+            seen["open"] += 1
+            with pytest.raises(AlgebraNotClosed) as err:
+                make_matrix_cocycle(FULL_2, 0, values, algebra=candidate)
+            assert str(err.value) == expected
+    assert seen == {"closed": 5, "open": 5}
 
 
 def test_adjoint_norm_values():
