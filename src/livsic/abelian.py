@@ -23,9 +23,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, eq, mul
 
 from .errors import (
     CocycleObstruction,
@@ -54,7 +54,7 @@ from .sft import (
     make_cocycle,
     primitive_root,
 )
-from .skew import SkewSystem, cover_tree, orbit_weights, transitivity_gap
+from .skew import SkewSystem, _weighted_walk, cover_tree, transitivity_gap
 
 
 # ViolationWitness, EqualWeightPair and CohomologySolution are dataclasses,
@@ -130,18 +130,16 @@ def verify_vanishing(
 
     Orbits are scanned in (period, word) order, so the returned witness is
     deterministic.  The walk's words are cyclically admissible least
-    rotations, so they are folded as they come; only the witness becomes
-    a PeriodicOrbit.
+    rotations, so they are folded as they come: the packed words are
+    decoded a period at a time and the identity-weight ones picked by
+    compress, both in C.  Only the witness becomes a PeriodicOrbit.
     """
     _check_cocycle_shift(system.sft, cocycle)
-    identity = system.group.identity
-    for word, weight in orbit_weights(system, max_period):
-        if weight == identity:
-            total = cyclic_fold(cocycle, word)
-            if total != 0:
-                return ViolationWitness(
-                    orbit=PeriodicOrbit(word=word), multiplicity=1, total=total
-                )
+    words, weights = _weighted_walk(system, max_period)
+    for word in compress(words, map(eq, weights, repeat(system.group.identity))):
+        total = cyclic_fold(cocycle, word)
+        if total != 0:
+            return ViolationWitness(orbit=PeriodicOrbit(word=word), multiplicity=1, total=total)
     return None
 
 

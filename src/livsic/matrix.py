@@ -648,6 +648,10 @@ def generate_matrix_cocycle(
     if block_range < 1:
         raise InvalidCocycle("generation needs block range >= 1")
     bg = build_block_graph(system.sft, block_range)
+    if not bg.vertices:
+        raise InvalidCocycle(
+            f"no block of length {block_range} is admissible, so the cocycle has no values"
+        )
     u_mats: dict[Word, np.ndarray] = {}
     dim = None
     if u is None:

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import BadShape, DocumentError, LivsicError
+from .errors import BadShape, DocumentError, LivsicError, max_states_cap
 from .groups import Group, GroupSpec, build_group
 from .record import record
 from .sft import LocallyConstantCocycle, SftSpec, make_cocycle, validate_sft
@@ -301,6 +301,11 @@ def parse_cocycle(doc, sft: SftSpec, pointer: str):
     rng = _as_int(_get(doc, "range", pointer), f"{pointer}/range", minimum=0)
     values_doc = _get(doc, "values", pointer)
     vp = f"{pointer}/values"
+    # A table has one value per admissible window, and those are capped, so
+    # an oversized table is refused before any value is read.
+    cap = max_states_cap()
+    if isinstance(values_doc, dict) and len(values_doc) > cap:
+        _fail(vp, f"{len(values_doc)} windows exceed the state cap {cap}")
     if kind == "rational":
         values = word_table(values_doc, sft.k, vp, parse_rational)
         make, extra = make_cocycle, {}

@@ -7,13 +7,15 @@ every operation here is exact.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from math import gcd
-from operator import add, eq, mul
+from operator import add, eq, floordiv, mul
 
 from .errors import (
     BadShape,
@@ -452,11 +454,13 @@ def check_work(spec: SftSpec, max_len: int, subject: str, what: str, offset: int
 def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=None):
     """Every primitive periodic orbit of period <= max_period, with its weight.
 
-    Returns two lists of equal length, (words, weights): words[i] is an
-    orbit's least rotation (a Lyndon word) and weights[i] its weight.  The
-    walk builds its lists one length at a time, each in lexicographic
-    order, so they come in (period, word) order and no caller sorts them.
-    The period cap and the work budget are checked before the walk starts.
+    Returns (words, weights) of equal length: words[i] is an orbit's least
+    rotation (a Lyndon word) as an int tuple and weights[i] its weight.
+    words is a read-only PackedWords sequence, not a list; weights is a
+    list.  The walk builds them one length at a time, each in
+    lexicographic order, so they come in (period, word) order and no
+    caller sorts them.  The period cap and the work budget are checked
+    before the walk starts.
 
     ``act[b-1]`` maps the weight of a word to the weight of that word
     followed by symbol b, i.e. left multiplication by the weight of b;
@@ -467,7 +471,7 @@ def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=Non
     if max_period > cap:
         raise RangeTooLarge(f"period {max_period} exceeds cap {cap}")
     if max_period < 1:
-        return [], []
+        return PackedWords(), []
     check_work(spec, max_period, f"orbit enumeration up to period {max_period}", "period")
     return _lyndon_walk(spec, max_period, act, identity)
 
@@ -496,79 +500,200 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
     Every admissible Lyndon word has only admissible prenecklaces as
     prefixes, so the walk misses none (Ruskey-Savage-Wang, 1992).
 
-    The walk goes one length at a time.  A level is three parallel lists:
-    the admissible prenecklaces of length t in lexicographic order, their
-    p and their weights.  ``children[a][c]`` lists each b >= c with a -> b,
-    so extending every node in order by the entry for its last symbol and
-    c = word[t-p] makes the next level, again in order.  The orbits of a
-    level are its nodes with p == t and an allowed wrap, and the levels
-    come in increasing length, so (words, weights) is in (period, word)
-    order.  At max_period only the orbits are built, from
-    ``leaves[a][c][f]``: each b > c with a -> b -> f, f the first symbol.
+    A word is a str with one code point chr(b) per symbol b, so a node is
+    an object the cyclic collector does not track, and str order is the
+    symbols' lexicographic order.  Symbols are characters here too:
+    ``after[a]`` and ``before[a]`` spell, in order, the symbols a may be
+    followed and preceded by.  The walk goes one length at a time.  A
+    level is parallel lists: the admissible prenecklaces of length t in
+    lexicographic order, their p and, with ``act``, their weights.
+    ``children[a][c]`` lists each b >= c with a -> b, so extending every
+    node in order by the entry for its last symbol and c = word[t-p] makes
+    the next level, again in order.  The orbits of a level are its nodes
+    with p == t and an allowed wrap; they become one run of the result.
+    At max_period only the orbits are built, from ``leaves[a][c][f]``:
+    each b > c with a -> b -> f, f the first symbol.  Without ``act`` that
+    entry is ("", b, ...), so that ``word.join(entry)`` spells the node's
+    orbits back to back.
 
     A table entry is made when a node first asks for it, from per-symbol
     entries that every row shares, so the tables grow with the walk and
-    not as k**3.  Each node built costs one ``act`` call; with ``act`` None
-    the weight step is skipped.
+    not as k**3.  With ``act`` each node built costs one weight step;
+    without it there is none.
     """
     k = spec.k
-    allowed = ((0,) * (k + 1),) + tuple((0, *row) for row in spec.transitions)
-    successors = _successor_table(spec)
-    step = (None,) * (k + 1) if act is None else (None, *act)
-    # One entry per symbol b, shared by every table row: the suffix (b,),
-    # whether b keeps p (children only) and act[b].
-    keeps = [((b,), True, step[b]) for b in range(k + 1)]
-    grows = [((b,), False, step[b]) for b in range(k + 1)]
-    wraps = [((b,), step[b]) for b in range(k + 1)]
-    into = tuple(zip(*allowed))  # into[f][b] == allowed[b][f]
+    alphabet = "".join(map(chr, range(1, k + 1)))
 
-    def children_of(after):
+    def spell(rows):
+        return dict(zip(alphabet, map("".join, map(compress, repeat(alphabet), rows))))
+
+    after, before = spell(spec.transitions), spell(zip(*spec.transitions))
+    # One entry per symbol b, shared by every table row: b, whether b keeps
+    # p (children only) and, with act, act[b].
+    steps = () if act is None else (act,)
+    keeps = dict(zip(alphabet, zip(alphabet, repeat(True), *steps)))
+    grows = dict(zip(alphabet, zip(alphabet, repeat(False), *steps)))
+    wraps = dict(zip(alphabet, zip(alphabet, *steps)))
+
+    def children_of(row):
         def make(c):
-            i = bisect_left(after, c)
-            if after[i : i + 1] == (c,):
-                return (keeps[c], *map(grows.__getitem__, after[i + 1 :]))
-            return tuple(map(grows.__getitem__, after[i:]))
+            i = bisect_left(row, c)
+            if row[i : i + 1] == c:
+                return (keeps[c], *map(grows.__getitem__, row[i + 1 :]))
+            return tuple(map(grows.__getitem__, row[i:]))
 
         return _Table(make)
 
-    def leaves_of(after):
+    def leaves_of(row):
         def make(c):
-            above = after[bisect_right(after, c) :]
+            above = row[bisect_right(row, c) :]
+            if act is None:
+                return _Table(lambda f: ("", *filter(before[f].__contains__, above)))
             return _Table(
-                lambda f: tuple(map(wraps.__getitem__, filter(into[f].__getitem__, above)))
+                lambda f: tuple(map(wraps.__getitem__, filter(before[f].__contains__, above)))
             )
 
         return _Table(make)
 
-    children = [children_of(after) for after in successors]
-    leaves = [leaves_of(after) for after in successors]
-    level = [(b,) for b in range(1, k + 1)]
+    children = dict(zip(alphabet, map(children_of, after.values())))
+    leaves = dict(zip(alphabet, map(leaves_of, after.values())))
+    level = list(alphabet)
     periods = [1] * k
-    carried = [identity] * k if act is None else [f(identity) for f in act]
-    words: list[Word] = []
-    weights: list = []
+    carried = None if act is None else [f(identity) for f in act]
+    lengths = []
+    blobs = []
+    weights = []
     t = 1
     while True:
-        for w, p, g in zip(level, periods, carried):
-            if p == t and allowed[w[-1]][w[0]]:
-                words.append(w)
-                weights.append(g)
+        found = []
+        if act is None:
+            for w, p in zip(level, periods):
+                if p == t and w[0] in after[w[-1]]:
+                    found.append(w)
+        else:
+            for w, p, g in zip(level, periods, carried):
+                if p == t and w[0] in after[w[-1]]:
+                    found.append(w)
+                    weights.append(g)
+        if found:
+            lengths.append(t)
+            blobs.append("".join(found))
         if t >= max_period - 1 or not level:
             break
         grown, grown_periods, grown_carried = [], [], []
-        for w, p, g in zip(level, periods, carried):
-            for bt, same, f in children[w[-1]][w[t - p]]:
-                grown.append(w + bt)
-                grown_periods.append(p if same else t + 1)
-                grown_carried.append(g if f is None else f(g))
+        t1 = t + 1
+        if act is None:
+            for w, p in zip(level, periods):
+                for b, same in children[w[-1]][w[t - p]]:
+                    grown.append(w + b)
+                    grown_periods.append(p if same else t1)
+        else:
+            for w, p, g in zip(level, periods, carried):
+                for b, same, f in children[w[-1]][w[t - p]]:
+                    grown.append(w + b)
+                    grown_periods.append(p if same else t1)
+                    grown_carried.append(f(g))
         level, periods, carried = grown, grown_periods, grown_carried
         t += 1
     if max_period > 1:
-        for w, p, g in zip(level, periods, carried):
-            for bt, f in leaves[w[-1]][w[t - p]][w[0]]:
-                words.append(w + bt)
-                weights.append(g if f is None else f(g))
+        parts = []
+        if act is None:
+            for w, p in zip(level, periods):
+                parts.append(w.join(leaves[w[-1]][w[t - p]][w[0]]))
+        else:
+            for w, p, g in zip(level, periods, carried):
+                for b, f in leaves[w[-1]][w[t - p]][w[0]]:
+                    parts.append(w + b)
+                    weights.append(f(g))
+        blob = "".join(parts)
+        if blob:
+            lengths.append(t + 1)
+            blobs.append(blob)
+    words = PackedWords(lengths, blobs)
+    if act is None:
+        weights = [identity] * len(words)
     return words, weights
+
+
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+
+def _codes(spelled: str):
+    """The symbols of a str word or run as an array of ints, made in C."""
+    return array("I", spelled.encode(_UTF32, "surrogatepass"))
+
+
+def _decode_run(n: int, blob: str):
+    """The int tuples of a run of words of length n, decoded in C."""
+    return zip(*[iter(_codes(blob))] * n)
+
+
+def _split_run(n: int, blob: str):
+    """The str words of a run of words of length n."""
+    return (blob[i : i + n] for i in range(0, len(blob), n))
+
+
+class PackedWords(Sequence):
+    """A read-only sequence of words, stored as str with one code point per symbol.
+
+    The words sit in runs of equal length, each run one str of its words
+    back to back: ``blobs[i]`` holds words of length ``lengths[i]``.  So
+    the cyclic collector tracks no object per word, and a word over fewer
+    than 256 symbols takes one byte per symbol.  Reading gives int tuples:
+    an index bisects the run starts, and iteration decodes one run at a
+    time in C.  ``strs()`` gives the str words themselves.  A slice is
+    another PackedWords; ``==`` compares word by word with any sequence.
+    Runs are nonempty and no two neighbours share a length (``pack`` and
+    the walk build them so), so equal sequences have equal runs.
+    """
+
+    __slots__ = ("lengths", "blobs", "starts")
+
+    def __init__(self, lengths=(), blobs=()):
+        self.lengths = tuple(lengths)
+        self.blobs = tuple(blobs)
+        self.starts = [0, *accumulate(map(floordiv, map(len, self.blobs), self.lengths))]
+
+    @classmethod
+    def pack(cls, words) -> "PackedWords":
+        """The PackedWords of an iterable of nonempty str words."""
+        runs = [(n, "".join(run)) for n, run in groupby(words, len)]
+        return cls(*zip(*runs))
+
+    def strs(self):
+        """The words as str, in order."""
+        return chain.from_iterable(map(_split_run, self.lengths, self.blobs))
+
+    def _str(self, index: int) -> str:
+        run = bisect_right(self.starts, index) - 1
+        n = self.lengths[run]
+        at = (index - self.starts[run]) * n
+        return self.blobs[run][at : at + n]
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, index):
+        at = range(len(self))[index]
+        if isinstance(at, range):
+            return PackedWords.pack(map(self._str, at))
+        return tuple(_codes(self._str(at)))
+
+    def __iter__(self):
+        return chain.from_iterable(map(_decode_run, self.lengths, self.blobs))
+
+    def __eq__(self, other):
+        if isinstance(other, PackedWords):
+            return self.lengths == other.lengths and self.blobs == other.blobs
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        return (PackedWords, (self.lengths, self.blobs))
+
+    def __repr__(self) -> str:
+        return f"PackedWords({self.lengths!r}, {self.blobs!r})"
 
 
 def _orbit(word: Word, new=object.__new__, set_word=PeriodicOrbit.word.__set__) -> PeriodicOrbit:
@@ -585,18 +710,18 @@ def _orbit(word: Word, new=object.__new__, set_word=PeriodicOrbit.word.__set__) 
 
 
 class OrbitList(Sequence):
-    """A read-only sequence of the PeriodicOrbits of a list of walk words.
+    """A read-only sequence of the PeriodicOrbits of a sequence of walk words.
 
     Each orbit is built when it is read, so a caller that iterates once
-    holds at most one orbit at a time, and the cyclic garbage collector
-    sees one list of int tuples instead of one tracked object per orbit.
-    A slice is another OrbitList; ``==`` compares orbit by orbit with any
-    sequence.  ``list(...)`` gives a mutable copy.
+    holds at most one orbit at a time, and over a PackedWords the cyclic
+    garbage collector sees no tracked object per orbit.  A slice is
+    another OrbitList; ``==`` compares orbit by orbit with any sequence.
+    ``list(...)`` gives a mutable copy.
     """
 
     __slots__ = ("words",)
 
-    def __init__(self, words: list[Word]):
+    def __init__(self, words: Sequence[Word]):
         self.words = words
 
     def __len__(self) -> int:
@@ -621,14 +746,15 @@ class OrbitList(Sequence):
         return (OrbitList, (self.words,))
 
     def __repr__(self) -> str:
-        return f"OrbitList({self.words!r})"
+        return f"OrbitList({list(self.words)!r})"
 
 
 def enumerate_periodic_orbits(spec: SftSpec, max_period: int) -> OrbitList:
     """All primitive periodic orbits of period <= max_period, sorted by (period, word).
 
-    The result is a read-only sequence that builds each PeriodicOrbit when
-    it is read; ``list(...)`` gives a mutable copy.
+    The result is a read-only sequence over the walk's PackedWords that
+    builds each PeriodicOrbit when it is read; ``list(...)`` gives a
+    mutable copy.
     """
     words, _ = walk_primitive_orbits(spec, max_period)
     return OrbitList(words)

@@ -10,9 +10,9 @@ the rank d where the two covers differ, never on the element encoding.
 """
 from __future__ import annotations
 
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from math import comb, gcd
-from operator import add, mul
+from operator import add, eq, mul
 
 from .errors import (
     DEFAULT_MAX_WORK,
@@ -105,19 +105,27 @@ def frobenius_class(system: SkewSystem, orbit: PeriodicOrbit) -> FrobeniusClassT
     return class_tag(system.group, psi_n(system, orbit.word))
 
 
-def orbit_weights(system: SkewSystem, max_period: int):
-    """(word, psi_n(word)) for every primitive orbit of period <= max_period.
-
-    An iterator over the lists of walk_primitive_orbits, so it comes in
-    (period, word) order; the period cap and work budget are checked, and
-    the walk made, when this is called.
-    """
+def _weighted_walk(system: SkewSystem, max_period: int):
+    """walk_primitive_orbits on the system's shift with psi_n as the weight:
+    (PackedWords of the orbit words, list of their weights), in (period,
+    word) order.  The period cap and work budget are checked, and the walk
+    made, when this is called."""
     group = system.group
     if group.rank:
         act = [lambda w, z=z: tuple(map(add, z, w)) for z in system.psi_z]
     else:
         act = [group.table[f].__getitem__ for f in system.psi_f]
-    return zip(*walk_primitive_orbits(system.sft, max_period, act, group.identity))
+    return walk_primitive_orbits(system.sft, max_period, act, group.identity)
+
+
+def orbit_weights(system: SkewSystem, max_period: int):
+    """(word, psi_n(word)) for every primitive orbit of period <= max_period.
+
+    An iterator of pairs, each word an int tuple, in (period, word) order;
+    the period cap and work budget are checked, and the walk made, when
+    this is called.
+    """
+    return zip(*_weighted_walk(system, max_period))
 
 
 def enumerate_trivial_class_orbits(
@@ -128,9 +136,10 @@ def enumerate_trivial_class_orbits(
     Orbits come sorted by (period, word); every one shares the identity's tag.
     """
     identity = system.group.identity
+    words, weights = _weighted_walk(system, max_period)
+    trivial = list(compress(words, map(eq, weights, repeat(identity))))
     tag = class_tag(system.group, identity)
-    words = [w for w, weight in orbit_weights(system, max_period) if weight == identity]
-    return list(zip(OrbitList(words), repeat(tag)))
+    return list(zip(OrbitList(trivial), repeat(tag)))
 
 
 @record
@@ -400,15 +409,10 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
         return TransitivityVerdict(status="not_transitive", witness=witness)
 
     k = system.sft.k
-    orbit_count = 0
-    classes = set()
-    cycle_classes = set()
-    for word, weight in orbit_weights(system, k):
-        orbit_count += 1
-        classes.add(weight)
-        if len(set(word)) == len(word):
-            cycle_classes.add(weight)
-    distinct = tuple(sorted(classes))
+    words, weights = _weighted_walk(system, k)
+    simple = [len(set(word)) == len(word) for word in words.strs()]
+    cycle_classes = set(compress(weights, simple))
+    distinct = tuple(sorted(set(weights)))
     report = subgroup_rank_and_index(list(distinct), d)
     # Classes inside a hyperplane: its normal is >= 0 (indeed 0) on all of
     # them, so zero is not interior to their hull and no ray is needed.
@@ -420,7 +424,7 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     evidence = TransitivityEvidence(
         probe_depth=k,
         probe_covers_simple_cycles=True,
-        orbit_count=orbit_count,
+        orbit_count=len(weights),
         distinct_classes=distinct,
         lattice_rank=report.rank,
         lattice_diagonal=report.diagonal,

@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,16 @@ def _z2_full2(r: int) -> dict:
     cocycle = generate_cocycle(system, block_range=r, seed=r)
     envelope = SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(group_spec))
     return system_to_doc(envelope)
+
+
+def _z2_full2_zero(r: int) -> dict:
+    """_z2_full2 with a zero cocycle of block range r written out
+    directly, since past range 14 the state cap refuses to generate one:
+    2**(r + 1) values."""
+    doc = _z2_full2(1)
+    windows = map("".join, product("12", repeat=r + 1))
+    doc["cocycle"] = {"kind": "rational", "range": r, "values": dict.fromkeys(windows, "0")}
+    return doc
 
 
 def _example(name: str) -> dict:
@@ -154,9 +165,11 @@ CASES = [
     ("solve S5 full2 r9", (_s5_full2, 9, False), ["solve"], 2, 1.0, 64,
      {"error": "RangeTooLarge", "message": _STATES}),
     # LIVSIC_MAX_STATES on a cocycle's windows: range 14 has 32 768.  Range
-    # 15's 65 536 are refused only after every value is parsed, past 1 s,
-    # so that refusal has no row yet.
+    # 15's 65 536 are refused by their count, before any value is parsed.
     ("solve Z2 full2 range 14", (_z2_full2, 14), ["solve"], 0, 3.0, 128, None),
+    ("solve Z2 full2 range 15", (_z2_full2_zero, 15), ["solve"], 2, 1.0, 64,
+     {"error": "DocumentError", "pointer": "/cocycle/values",
+      "message": "/cocycle/values: 65536 windows exceed the state cap 50000"}),
     # The work budget (2 000 000 words) on `orbits`: 69 706 orbits up to 12.
     ("orbits full3-z2 p12", (_example, "full3-z2.json"), ["orbits", "--max-period", "12"],
      0, 4.0, 256, None),

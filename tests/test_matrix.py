@@ -182,6 +182,15 @@ def test_generation_input_validation():
         generate_matrix_cocycle(lattice, None, None, block_range=1, seed=1, family="rotation")
 
 
+def test_generation_refuses_a_shift_without_blocks():
+    # One symbol and no transition: no block of length 2 is admissible,
+    # so there is no u to draw or check, and no value to make.
+    system = make_skew_system(SftSpec.from_rows([[0]]), C2, (1,))
+    for u, seed, family in (({}, None, None), (None, 1, "rotation")):
+        with pytest.raises(InvalidCocycle, match="no block of length 2 is admissible"):
+            generate_matrix_cocycle(system, u, None, block_range=2, seed=seed, family=family)
+
+
 def test_generation_refuses_a_singular_deck_factor():
     # alpha = 0 is multiplicative and commutes with everything, but every
     # value it makes is 0.

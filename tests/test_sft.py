@@ -150,7 +150,8 @@ def test_enumerated_orbits_are_a_read_only_sequence():
     assert orbits.index(built[2]) == 2 and built[3] in orbits
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(orbits, protocol))
-        assert type(copy) is type(orbits) and copy == orbits and copy.words == orbits.words
+        assert type(copy) is type(orbits) and copy == orbits
+        assert [o.word for o in copy] == [o.word for o in orbits]
     assert repr(orbits[:2]) == "OrbitList([(1,), (2,)])"
     with pytest.raises(TypeError):
         hash(orbits)
@@ -240,7 +241,8 @@ def test_walk_returns_two_lists_in_period_order():
     for spec in (GOLDEN_MEAN, FULL_2, SftSpec.full_shift(3)):
         for max_period in (0, 1, 6):
             words, weights = walk_primitive_orbits(spec, max_period)
-            assert type(words) is list and type(weights) is list
+            assert type(words) is sft.PackedWords and type(weights) is list
+            assert words == (_reference_walk(spec, max_period, None, None)[0] if max_period else [])
             assert len(words) == len(weights)
             assert words == sorted(words, key=lambda w: (len(w), w))
             # Without act the weight step is skipped: every weight is identity.
@@ -335,6 +337,58 @@ def test_breadth_first_walk_matches_the_depth_first_reference(monkeypatch):
             assert walks[0] == walks[1], (spec, max_period)
 
 
+def test_the_walk_spells_symbols_above_255(monkeypatch):
+    # A 300-cycle with chords back: cycles of period 6, 11 and 7 that use
+    # symbols above 255, the last one wrapping through symbols 1..5.
+    k = 300
+    rows = [[int(b == a % k + 1) for b in range(1, k + 1)] for a in range(1, k + 1)]
+    for a, b in ((260, 255), (300, 290), (5, 299), (150, 140)):
+        rows[a - 1][b - 1] = 1
+    spec = SftSpec.from_rows(rows)
+    z2 = build_group(GroupSpec.free_abelian(2))
+    system = make_skew_system(spec, z2, [(s % 5 - 2, s % 3 - 1) for s in range(1, k + 1)])
+    walks = []
+    for walk in (sft._lyndon_walk, _reference_walk):
+        monkeypatch.setattr(sft, "_lyndon_walk", walk)
+        walks.append([walk_primitive_orbits(spec, 12), list(orbit_weights(system, 12))])
+    monkeypatch.undo()
+    assert walks[0] == walks[1]
+    words = walks[0][0][0]
+    assert (255, 256, 257, 258, 259, 260) in words and max(map(max, words)) == 300
+    assert tuple(range(1, 6)) + (299, 300) in words
+
+
+def test_packed_words_behave_as_the_list_of_tuples():
+    for spec in _walk_corpus():
+        for max_period in (0, 1, 4, 7):
+            if spec.k ** max_period > 20_000:
+                continue
+            words = walk_primitive_orbits(spec, max_period)[0]
+            expected = _reference_walk(spec, max_period, None, None)[0] if max_period else []
+            n = len(expected)
+            assert len(words) == n and bool(words) == bool(expected)
+            assert [words[i] for i in range(-n, n)] == expected[-n:] + expected
+            for index in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    words[index]
+            for cut in (slice(1, None), slice(None, -2), slice(None, None, -1),
+                        slice(1, n - 1, 3), slice(n, None), slice(-3, None, -2)):
+                part = words[cut]
+                assert type(part) is sft.PackedWords and part == expected[cut]
+                assert list(part) == expected[cut] and len(part) == len(expected[cut])
+            assert list(words) == list(words) == expected
+            assert list(words.strs()) == ["".join(map(chr, w)) for w in expected]
+            assert words == expected and expected == words and words == tuple(expected)
+            assert words == sft.PackedWords.pack(words.strs())
+            if expected:
+                assert words != expected[:-1] and words != expected[1:]
+                assert words != [w + (1,) for w in expected] and words != n
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(words, protocol))
+                assert type(copy) is sft.PackedWords and copy == words
+                assert list(copy) == expected
+
+
 def test_the_walk_makes_one_weight_step_per_node_it_builds():
     # Every prenecklace shorter than 8 is a node; at length 8 only the
     # orbits are.  On three symbols the prenecklaces of length t number
@@ -353,8 +407,10 @@ def test_the_walk_makes_one_weight_step_per_node_it_builds():
 
 
 def test_the_walk_peaks_near_the_memory_of_its_result():
-    # Only the last full level lives beside the result: no walk that holds
-    # every prenecklace, or every level at once, fits this bound.
+    # The result is one byte per symbol plus a weight per orbit (about
+    # 2.6 MB here), and only the last full level and the last run's parts
+    # live beside it.  A walk that held every prenecklace, every level at
+    # once, or one tuple per orbit (19.8 MB) does not fit these bounds.
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -364,7 +420,8 @@ def test_the_walk_peaks_near_the_memory_of_its_result():
     finally:
         tracemalloc.stop()
     assert len(result[0]) == 145_338
-    assert peak - start <= 1.25 * (held - start)
+    assert held - start <= 8 * 10**6
+    assert peak - start <= 16 * 10**6
 
 
 def test_the_work_gate_answers_at_once_when_counts_stop_growing(monkeypatch):
