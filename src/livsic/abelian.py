@@ -12,10 +12,10 @@ vanishes by torsion) and solve_free_abelian the corner F = 1.  The kernel
 scales f by the lcm of its denominators, propagates integer potentials,
 eliminates in ints and writes u and alpha over one denominator; Fraction
 appears only for u, alpha and witness totals, and the certification
-scales u, alpha and f back to ints.  One lift, _lifted_witness, turns an
-inconsistency into a closed word of identity weight in both corners.  So
-a returned solution is a certificate and a returned obstruction is a
-counterexample.
+scales u, alpha and f back to ints.  One lift, skew.lifted_cycle (shared
+with the matrix solver), turns an inconsistency into a closed word of
+identity weight in both corners.  So a returned solution is a
+certificate and a returned obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -31,8 +31,6 @@ from .errors import (
     CocycleObstruction,
     DimensionMismatch,
     InvalidCocycle,
-    NotStronglyConnected,
-    NotTransitiveError,
     TorsionAlpha,
     check_invariant,
     max_states_cap,
@@ -48,13 +46,10 @@ from .sft import (
     _solution_block_graph,
     _successor_table,
     build_block_graph,
-    canonical_rotation,
     cyclic_fold,
-    find_violating_cycle,
     make_cocycle,
-    primitive_root,
 )
-from .skew import SkewSystem, _weighted_walk, cover_tree, transitivity_gap
+from .skew import SkewSystem, _weighted_walk, lifted_cycle, transitive_cover
 
 
 # ViolationWitness, EqualWeightPair and CohomologySolution are dataclasses,
@@ -179,7 +174,7 @@ def _solve_cover(
     """The one solver behind both public names, for a deck group F x Z^d.
 
     Works on the block graph alone.  F enters only through transitivity,
-    which transitivity_gap decides from the monodromy group: real sums
+    which transitive_cover decides from the monodromy group: real sums
     kill torsion, so a closed walk whose F weight has order m has m times
     its sum on a closed walk of the F-cover, and f is a coboundary on
     that cover iff it is one on the block graph.  Z^d enters through
@@ -195,12 +190,7 @@ def _solve_cover(
     _check_cocycle_shift(system.sft, cocycle)
     d = system.group.rank
     r = cocycle.effective_block_length
-    tree = cover_tree(system, r)
-    if d and not tree.strongly_connected:
-        raise NotStronglyConnected("block graph is not strongly connected")
-    gap = transitivity_gap(system, tree)
-    if gap is not None:
-        raise NotTransitiveError(gap)
+    tree, _ = transitive_cover(system, r)
 
     bg = tree.graph
     weights, scale = _scaled_weights(cocycle, bg.edges)
@@ -251,49 +241,6 @@ def _solve_cover(
     return CohomologySolution(r, u, alpha, degenerate, certificate=report)
 
 
-def _lifted_witness(system, tree, walks, weights, scale) -> ViolationWitness:
-    """Identity-weight cycle with nonzero sum from closed walks at block 0.
-
-    weights[e] is scale * f on edge e.  The first of walks with a nonzero
-    sum, W, has zero Z^d weight and an F weight g of some order m, so W^m
-    lifts to a closed walk of the cover from (block 0, identity, 0); only
-    the lift's own (block, element, vector) states are computed.  The lift
-    is trimmed to its first simple cycle with a nonzero sum, which closes
-    in the cover, so its word has identity weight.
-    """
-    group = system.group
-    table, identity = group.table, group.identity_index
-    bg = tree.graph
-
-    def walk_sum(walk) -> int:
-        return sum(map(weights.__getitem__, walk))
-
-    walk = next(w for w in walks if walk_sum(w))
-    firsts = [bg.edges[x][0] - 1 for x in walk]
-    steps = [(x, system.psi_f[s], system.psi_z[s]) for x, s in zip(walk, firsts)]
-    start = (0, identity, (0,) * group.rank)
-    # W repeats until its lift closes, m times.  states[i] is the state
-    # the lift's i-th edge leads to.
-    lift, states, (_, g, z) = [], [], start
-    while not lift or g != identity:
-        for x, f, dz in steps:
-            g = table[f][g]
-            z = tuple(map(add, z, dz))
-            lift.append(x)
-            states.append((bg.edge_head[x], g, z))
-    cycle = find_violating_cycle(
-        range(len(lift)), states, start, lambda seg: abs(walk_sum(lift[i] for i in seg))
-    )
-    check_invariant(cycle is not None, "closure defect without a violating cycle")
-    cycle = [lift[i] for i in cycle]
-    core, mult = primitive_root(bg.project_cycle(cycle))
-    return ViolationWitness(
-        orbit=PeriodicOrbit(word=canonical_rotation(core)),
-        multiplicity=mult,
-        total=Fraction(walk_sum(cycle), scale),
-    )
-
-
 def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
     """(scale * f on the leading window of each edge word, scale).
 
@@ -324,8 +271,9 @@ def _inconsistency_certificate(system, tree, edges, combo, columns, scale):
     columns[j][e] is coordinate j of the Z^d step of edge e, and the last
     column scale * f on edge e.  The combination's walks close up, with
     one shared correction walk, to two closed walks of zero Z^d weight and
-    different sums, and _lifted_witness lifts them; without a correction
-    walk they are an EqualWeightPair.
+    different sums, and skew.lifted_cycle finds an identity-weight cycle
+    with a nonzero sum in their lifts; without a correction walk they are
+    an EqualWeightPair.
     """
     bg = tree.graph
     content = gcd(*combo.values())
@@ -351,8 +299,10 @@ def _inconsistency_certificate(system, tree, edges, combo, columns, scale):
 
     correction = _closing_walk(system, bg, tuple(-x for x in v))
     if correction is not None:
-        walks = (plus + correction, minus + correction)
-        return _lifted_witness(system, tree, walks, columns[-1], scale)
+        walks, weights = (plus + correction, minus + correction), columns[-1].__getitem__
+        cycle, word, mult = lifted_cycle(system, tree, walks, lambda w: abs(sum(map(weights, w))))
+        total = Fraction(sum(map(weights, cycle)), scale)
+        return ViolationWitness(orbit=PeriodicOrbit(word=word), multiplicity=mult, total=total)
     return EqualWeightPair(
         word_a=bg.project_cycle(plus),
         word_b=bg.project_cycle(minus),

@@ -1,9 +1,10 @@
 """Matrix cocycles over finite extensions: solver, verifier, distortion.
 
-Values live in GL(m, R) as float64 arrays.  The solver runs on the same
-spanning-tree kernel as the exact rational ones (sft.SpanningTree):
-propagate a candidate transfer function along the tree of the product
-graph, then measure how badly every edge closes up.
+Values live in GL(m, R) as float64 arrays.  The solver works on the
+block graph, as the exact rational ones do: the same transitivity gate,
+a transfer propagated along one sft.SpanningTree, and the monodromy
+group's closure with a matrix label per group element; then it measures
+how badly every edge of the cover closes up.
 All comparisons are at an explicit tolerance and every reported witness
 carries its measured deviation, so nothing silently rounds to success.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .errors import (
     InfiniteGroup,
     InvalidCocycle,
     NotAHomomorphism,
-    NotTransitiveError,
     SingularMatrix,
     check_invariant,
 )
@@ -32,7 +33,6 @@ from .record import record
 from .sft import (
     PeriodicOrbit,
     SftSpec,
-    SpanningTree,
     Word,
     _check_cocycle_shift,
     _check_window_domain,
@@ -42,7 +42,7 @@ from .sft import (
     check_work,
     cyclic_fold,
 )
-from .skew import SkewSystem, build_product_graph, product_scc_witness
+from .skew import SkewSystem, closure_walks, cycle_weights, lifted_cycle, transitive_cover
 
 # Relative tolerance of the algebra checks: a declared basis closed under
 # commutators, conjugation keeping it in its span, and the homomorphism
@@ -278,105 +278,83 @@ def _hom_gaps(alpha: np.ndarray, table):
         yield products, alpha[list(row)] - products
 
 
-def _deviation(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat - np.eye(mat.shape[0])))
-
-
 def solve_matrix_finite(
     system: SkewSystem, cocycle: MatrixCocycle, *, tol: float = 1e-9
 ) -> MatrixSolution:
     """Solve f = alpha(psi) . u(shift .) . u(.)^-1 over a finite group.
 
-    The transfer candidate is propagated along a breadth-first tree of the
-    product graph, and every product edge's closure defect is measured in
-    one stacked expression.  The first edge over tol is turned into a
-    trivial-weight closed word with measured deviation and raised inside
-    CocycleObstruction.  Otherwise alpha(gamma) is read off by comparing
-    the fibers over every block, one stacked comparison per group element;
-    it must be the same matrix at every product vertex, or no single deck
-    correction exists and AlphaNotConstant reports (block, eta, gamma,
-    deviation) for the comparison of largest deviation, the first in
-    (gamma, block, eta) order among equal ones.  Multiplicativity and
-    centrality of alpha follow from closure and fiber constancy, and
-    the verifier's check rechecks both, with the reconstruction, on the
-    solver's own block graph before the solution is returned.
+    On the block graph, behind skew.transitive_cover.  T(b) runs along
+    the tree, w_b is the F weight of b's tree path, and an edge e: t -> h
+    has cycle weight g_e and holonomy H_e = T(h)^-1 f(e) T(t).  With
+    labels A(y) = A(x) H_e along the monodromy closure, the product graph
+    (whose vertex (b, w_b delta) would carry T(b) A(delta)) closes iff
+    A(g_e delta) = H_e A(delta) for all e and delta.  The largest gap is
+    max_residual; the first over tol becomes a CocycleObstruction.  Then
+    alpha = A and u(b) = T(b) A(w_b^-1).  The deck factor T(b, eta gamma)
+    T(b, eta)^-1 is compared with alpha(gamma) over every block at eta =
+    identity and over the first block at the closure's generators, which
+    bounds the rest; past tol x max(10, blocks x |F|), AlphaNotConstant
+    names the largest (block, eta, gamma, deviation), first in (gamma,
+    block, eta) order.  The verifier's check recertifies the solution.
     """
     _check_cocycle_shift(system.sft, cocycle)
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
-    r = cocycle.effective_block_length
-    pg = build_product_graph(system, r)
-    tree = SpanningTree(pg)
-    if not tree.strongly_connected:
-        raise NotTransitiveError(product_scc_witness(tree))
+    tree, via = transitive_cover(system, cocycle.effective_block_length)
 
-    rf, order, dim = cocycle.block_range, pg.order, cocycle.dim
-    windows = [cocycle.window_value(word[: rf + 1]) for word in pg.base.edges]
-    # Product edge ids are block-major: order consecutive edges per base edge.
-    factors = np.repeat(np.reshape(windows, (-1, dim, dim)), order, axis=0)
-    transfer = np.stack(tree.potentials(np.eye(dim), lambda e, t: factors[e] @ t))
+    bg, table, order, eye = tree.graph, group.table, len(group.table), np.eye(cocycle.dim)
+    factors = _edge_values(cocycle, bg)
+    transfer = np.stack(tree.potentials(eye, lambda e, t: factors[e] @ t))
     transfer_inv = _checked_inverse(transfer, "transfer candidate")
-
-    residuals = _frobenius(
-        factors - transfer[list(pg.edge_head)] @ transfer_inv[list(pg.edge_tail)]
-    )
+    holonomy = transfer_inv[list(bg.edge_head)] @ factors @ transfer[list(bg.edge_tail)]
+    wpot, cyc = cycle_weights(system, tree)
+    labels = np.empty((order, *eye.shape))
+    steps = {y: cyc.index(table[group.inverses[x]][y]) for y, x in via.items() if x is not None}
+    for y, x in via.items():
+        labels[y] = eye if x is None else labels[x] @ holonomy[steps[y]]
+    residuals = _frobenius(labels[[table[g] for g in cyc]] - holonomy[:, None] @ labels)
     over = np.flatnonzero(residuals > tol)
     if over.size:
 
-        def excess(walk) -> float:
-            """Deviation from identity of the walk's product, less tol."""
-            prod = np.eye(dim)
-            for x in walk:
-                prod = factors[x] @ prod
-            return _deviation(prod) - tol
+        def excess(walk) -> float:  # deviation of the walk's product from I, less tol
+            prod = reduce(lambda p, x: factors[x] @ p, walk, eye)
+            return float(np.linalg.norm(prod - eye)) - tol
 
-        _, word, mult = tree.witness(int(over[0]), excess)
-        deviation = _deviation(cyclic_product(cocycle, word * mult))
-        raise CocycleObstruction(
-            MatrixViolationWitness(
-                orbit=PeriodicOrbit(word=word), multiplicity=mult, deviation=deviation
-            )
-        )
+        walks = closure_walks(system, tree, via, cyc, *divmod(int(over[0]), order))
+        _, word, mult = lifted_cycle(system, tree, walks, excess)
+        deviation = float(np.linalg.norm(cyclic_fold(cocycle, word * mult) - eye))
+        raise CocycleObstruction(MatrixViolationWitness(PeriodicOrbit(word=word), mult, deviation))
 
-    # fibers[b, eta] sits over block b at eta; the reference comparison for
-    # gamma is the one over the first block at eta = identity.
-    fibers = transfer.reshape(-1, order, dim, dim)
-    inv_fibers = transfer_inv.reshape(fibers.shape)
-    e_idx = group.identity_index
-    alpha = np.empty((order, dim, dim))
-    defect = 0.0
-    worst = None
-    for gi in range(order):
-        cand = fibers[:, [row[gi] for row in group.table]] @ inv_fibers
-        alpha[gi] = cand[0, e_idx]
-        devs = _frobenius(cand - alpha[gi])
-        bi, eta = np.unravel_index(int(np.argmax(devs)), devs.shape)
-        if devs[bi, eta] > defect:
-            defect = float(devs[bi, eta])
-            worst = (pg.base.vertices[bi], group.name_of(int(eta)), group.name_of(gi), defect)
-    if defect > tol * max(10, pg.n_vertices):
-        raise AlphaNotConstant(worst)
+    labels_inv = _checked_inverse(labels, "transfer candidate")
+    back = [group.inverses[w] for w in wpot]
+    u, u_inv = transfer @ labels[back], labels_inv[back] @ transfer_inv
+    # (first block, identity and generators), then (other blocks, identity).
+    blocks, e_idx = bg.vertices, group.identity_index
+    etas = sorted({e_idx, *(cyc[e] for e in steps.values())})
+    cand = np.concatenate((labels[[table[eta] for eta in etas]] @ labels_inv[etas, None],
+                           u[1:, None] @ labels @ u_inv[1:, None]))
+    devs = _frobenius(cand - labels).T
+    gi, i = divmod(int(np.argmax(devs)), devs.shape[1])
+    defect = float(devs[gi, i])
+    if defect > tol * max(10, len(blocks) * order):
+        bi, eta = (0, etas[i]) if i < len(etas) else (i - len(etas) + 1, e_idx)
+        raise AlphaNotConstant((blocks[bi], group.name_of(eta), group.name_of(gi), defect))
 
-    fields = dict(
-        block_length=r,
-        u=dict(zip(pg.base.vertices, fibers[:, e_idx].copy())),
-        alpha={group.name_of(gi): mat for gi, mat in enumerate(alpha)},
-        alpha_constancy_defect=defect,
-        max_residual=float(residuals.max(initial=0.0)),
-        tol=tol,
-    )
-    check_tol = certification_tolerance(tol, transfer, transfer_inv, defect)
-    u_inv = dict(zip(pg.base.vertices, inv_fibers[:, e_idx]))
-    report = _check_solution(
-        system, cocycle, MatrixSolution(**fields), pg.base, check_tol, u_inv
-    )
-    # The report's hom_defect and centrality_defect recheck multiplicativity
-    # and centrality, which follow exactly from closure and fiber constancy,
-    # so a failure here is an internal inconsistency rather than a property
-    # of the input.
+    check_tol = certification_tolerance(tol, u, u_inv, defect)
+    report = _check_solution(system, cocycle, bg, labels, u, u_inv, check_tol)
+    # Closure and fiber constancy imply multiplicativity and centrality, so
+    # a failure here is an internal inconsistency, not a property of the input.
     check_invariant(report.certified, "solution fails its own certification")
-    return MatrixSolution(**fields, certificate=report)
+    return MatrixSolution(
+        block_length=bg.r,
+        u=dict(zip(blocks, u)),
+        alpha={group.name_of(gi): mat for gi, mat in enumerate(labels)},
+        alpha_constancy_defect=defect,
+        max_residual=float(residuals.max()),
+        tol=tol,
+        certificate=report,
+    )
 
 
 def certification_tolerance(
@@ -420,29 +398,34 @@ def verify_matrix_solution(
             raise DimensionMismatch(f"{name} matrices must be {dim}x{dim}, as the cocycle's are")
     if u_inv is None:
         u_inv = invert_blocks(solution.u)
-    return _check_solution(system, cocycle, solution, bg, tol, u_inv)
-
-
-def _edge_identity(system, edges, alpha: np.ndarray, u, u_inv) -> np.ndarray:
-    """alpha(psi(w[0])) u(w[1:]) u(w[:-1])^-1 for every edge w, as one
-    (E, m, m) stack: the value f(w) of the cocycle that u and the deck
-    factor alpha (a stack in element order) make.  An unvalidated spec
-    whose symbols have no successor has no edges, and an empty stack."""
-    dim = alpha.shape[-1]
-    steps = alpha[[system.psi_of(w[0]) for w in edges]]
-    heads = np.reshape([u[w[1:]] for w in edges], (-1, dim, dim))
-    return steps @ heads @ np.reshape([u_inv[w[:-1]] for w in edges], heads.shape)
-
-
-def _check_solution(system, cocycle, solution, bg, tol, u_inv) -> MatrixVerificationReport:
-    """Check the reconstruction on every edge of bg, and alpha's
-    multiplicativity and centrality, for a solution of the right shape."""
-    group = system.group
-    rf = cocycle.block_range
     alpha = np.stack([solution.alpha[group.name_of(gi)] for gi in range(group.order)])
-    expected = _edge_identity(system, bg.edges, alpha, solution.u, u_inv)
-    values = np.reshape([cocycle.window_value(w[: rf + 1]) for w in bg.edges], expected.shape)
-    worst = float(_frobenius(values - expected).max(initial=0.0))
+    u, inv = (np.stack([mats[b] for b in bg.vertices]) for mats in (solution.u, u_inv))
+    return _check_solution(system, cocycle, bg, alpha, u, inv, tol)
+
+
+def _edge_values(cocycle, bg) -> np.ndarray:
+    """f on the leading window of every edge of bg, as one (E, m, m) stack."""
+    width, dim = cocycle.block_range + 1, cocycle.dim
+    return np.reshape([cocycle.window_value(w[:width]) for w in bg.edges], (-1, dim, dim))
+
+
+def _edge_identity(system, bg, alpha, u, u_inv) -> np.ndarray:
+    """alpha(psi(w[0])) u(w[1:]) u(w[:-1])^-1 for every edge w of bg, as one
+    (E, m, m) stack: the value f(w) of the cocycle that u and the deck
+    factor alpha make.  alpha is a stack in element order, u and u_inv
+    stacks in block order.  An unvalidated spec whose symbols have no
+    successor has no edges, and an empty stack."""
+    steps = alpha[[system.psi_f[w[0] - 1] for w in bg.edges]]
+    return steps @ u[list(bg.edge_head)] @ u_inv[list(bg.edge_tail)]
+
+
+def _check_solution(system, cocycle, bg, alpha, u, u_inv, tol) -> MatrixVerificationReport:
+    """Check the reconstruction on every edge of bg, and alpha's
+    multiplicativity and centrality, for stacks alpha (in element order),
+    u and u_inv (in block order) of the right shape."""
+    group = system.group
+    expected = _edge_identity(system, bg, alpha, u, u_inv)
+    worst = float(_frobenius(_edge_values(cocycle, bg) - expected).max(initial=0.0))
 
     # One group element at a time against a stack of all the others (or of
     # every cocycle value): memory stays linear in the order and windows.
@@ -703,7 +686,8 @@ def generate_matrix_cocycle(
                 f"alpha does not commute with {what} (defect {defects[over[0]]:.3e})"
             )
 
-    values = _edge_identity(system, bg.edges, alpha_stack, u_mats, u_inv)
+    u_inv_stack = np.stack([u_inv[block] for block in bg.vertices])
+    values = _edge_identity(system, bg, alpha_stack, u_stack, u_inv_stack)
     return make_matrix_cocycle(
         system.sft, block_range, dict(zip(bg.edges, values)), algebra=algebra
     )

@@ -293,20 +293,6 @@ class SpanningTree:
         path.reverse()
         return path
 
-    def witness(self, e: int, score) -> tuple[list[int], Word, int]:
-        """Short closed word through a closure defect at edge e.
-
-        Takes the higher-scoring of walks(e), trims it to its first simple
-        cycle with positive score (keeping the whole walk when there is
-        none), and returns (cycle, least rotation of the primitive core of
-        its projected word, multiplicity of that core).  Needs a graph with
-        project_cycle (block and product graphs).
-        """
-        walk = max(self.walks(e), key=score)
-        cycle = find_violating_cycle(walk, self.graph.edge_head, 0, score) or walk
-        core, mult = primitive_root(self.graph.project_cycle(cycle))
-        return cycle, canonical_rotation(core), mult
-
 
 def _bfs_edges(edges_at, far_end, start: int):
     """BFS from vertex start, where edges_at[v] lists the edges to follow

@@ -18,6 +18,8 @@ from .errors import (
     DEFAULT_MAX_WORK,
     DimensionMismatch,
     InadmissibleWord,
+    NotStronglyConnected,
+    NotTransitiveError,
     RangeTooLarge,
     max_states_cap,
 )
@@ -31,6 +33,9 @@ from .sft import (
     SpanningTree,
     Word,
     build_block_graph,
+    canonical_rotation,
+    find_violating_cycle,
+    primitive_root,
     walk_primitive_orbits,
 )
 
@@ -170,10 +175,6 @@ class ProductGraph:
         group = self.system.group
         return block, group.name_of(group.join(vid % self.order))
 
-    def project_cycle(self, edge_ids) -> Word:
-        order = self.order
-        return self.base.project_cycle(e // order for e in edge_ids)
-
 
 def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     # The Z^d weights live in the potentials; only F is crossed in.
@@ -238,39 +239,104 @@ def cover_tree(system: SkewSystem, r: int) -> SpanningTree:
     return SpanningTree(base)
 
 
-def monodromy_group(system: SkewSystem, tree: SpanningTree) -> set[int]:
-    """F weights of the closed walks at block 0 of a strongly connected
-    block graph, as indices of the finite factor F (the whole of a finite
-    group, {0} over Z^d).
-
-    F-potentials run along the tree: wpot[v] is the weight of the tree path
-    from block 0 to block v.  Every closed walk's weight is a product of the
-    fundamental-cycle weights wpot[h]^-1 psi_f(e) wpot[t] of its edges
-    e: t -> h (identity on tree edges), and each of those is the weight of a
-    closed walk times the inverse of another.  The closed-walk weights form
-    a submonoid of a finite group, so a subgroup: the closure of the
-    fundamental-cycle weights, at most |F| x (distinct weights) products.
-    """
-    group = system.group
-    table, inverses, identity = group.table, group.inverses, group.identity_index
-    bg = tree.graph
+def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], list[int]]:
+    """(wpot, cyc) as F indices: wpot[v] is the F weight of the tree path
+    from block 0 to block v, and cyc[e] = wpot[h]^-1 psi_f(e) wpot[t] that
+    of the fundamental cycle of edge e: t -> h (the identity on tree edges)."""
+    table, inverses, bg = system.group.table, system.group.inverses, tree.graph
     steps = [system.psi_f[word[0] - 1] for word in bg.edges]
-    wpot = tree.potentials(identity, lambda e, p: table[steps[e]][p])
-    gens = {
-        table[inverses[wpot[h]]][table[s][wpot[t]]]
-        for s, t, h in zip(steps, bg.edge_tail, bg.edge_head)
-    }
-    gens.discard(identity)
-    closure = [identity]
-    reached = {identity}
+    wpot = tree.potentials(system.group.identity_index, lambda e, p: table[steps[e]][p])
+    ends = zip(steps, bg.edge_tail, bg.edge_head)
+    return wpot, [table[inverses[wpot[h]]][table[s][wpot[t]]] for s, t, h in ends]
+
+
+def monodromy_group(system: SkewSystem, tree: SpanningTree) -> dict:
+    """The monodromy group H of a strongly connected block graph, the F
+    weights of its closed walks at block 0: the breadth-first closure of
+    the cycle weights, which generate it.  Each y in H maps to the x it
+    was first reached from, y = x . g for a cycle weight g (the identity
+    to None), in breadth-first order.  Over Z^d, H = F = {0}."""
+    table, identity = system.group.table, system.group.identity_index
+    cyc = cycle_weights(system, tree)[1]
+    gens = [g for g in dict.fromkeys(cyc) if g != identity]
+    via, closure = {identity: None}, [identity]
     for x in closure:
         row = table[x]
         for g in gens:
             y = row[g]
-            if y not in reached:
-                reached.add(y)
+            if y not in via:
+                via[y] = x
                 closure.append(y)
-    return reached
+    return via
+
+
+def closure_walks(system: SkewSystem, tree: SpanningTree, via, cyc, e: int, delta: int):
+    """Closed walks at block 0, one of which lifts to a violation when the
+    labels A(y) = A(x) H_f along via (x = via[y], f the first edge of cycle
+    weight x^-1 y, H_f = H(D_f)^-1 H(C_f) for (C_f, D_f) = walks(f)) fail
+    A(cyc[e] delta) = H_e A(delta).  C_f D_f^(n-1), n the order of D_f's
+    weight, realises H_f unless D_f^n is a violation.  So with W the labels
+    spelt along via, m the order of gamma = cyc[e] delta, W1 = W(delta)
+    C_e D_e^(n-1) and W2 = W(gamma), returns W1 W2^(m-1), W2, then the D_f."""
+    group = system.group
+    table, identity, inverses = group.table, group.identity_index, group.inverses
+    returns = {}
+
+    def order(g: int) -> int:
+        m, x = 1, g
+        while x != identity:
+            m, x = m + 1, table[g][x]
+        return m
+
+    def label(x: int) -> list[int]:
+        through, back = tree.walks(x)
+        returns[x] = back
+        weight = psi_n(system, tree.graph.project_cycle(back)) if back else identity
+        return through + back * (order(weight) - 1)
+
+    def spell(y: int) -> list[int]:
+        walk = []
+        while via[y] is not None:
+            x = via[y]
+            walk += label(cyc.index(table[inverses[x]][y]))
+            y = x
+        return walk
+
+    gamma = table[cyc[e]][delta]
+    second = spell(gamma)
+    first = spell(delta) + label(e) + second * (order(gamma) - 1)
+    return [w for w in (first, second, *returns.values()) if w]
+
+
+def lifted_cycle(system: SkewSystem, tree: SpanningTree, walks, score):
+    """(edges, least rotation of the primitive core, its multiplicity) of a
+    closed word of identity weight, from closed walks at block 0 of zero Z^d
+    weight.  Each walk repeats until its lift to (block, F element, Z^d
+    vector) states closes, m times for m the order of its F weight
+    (states[i] is where its i-th edge leads).  The first simple cycle
+    scoring positive in the first lift that has one is taken, else the last
+    lift whole."""
+    group = system.group
+    table, identity = group.table, group.identity_index
+    bg = tree.graph
+    start = (0, identity, (0,) * group.rank)
+
+    for walk in walks:
+        edges, states, (_, g, z) = [], [], start
+        while not edges or g != identity:
+            for x in walk:
+                s = bg.edges[x][0] - 1
+                g, z = table[system.psi_f[s]][g], tuple(map(add, z, system.psi_z[s]))
+                edges.append(x)
+                states.append((bg.edge_head[x], g, z))
+        cycle = find_violating_cycle(
+            range(len(edges)), states, start, lambda seg: score([edges[i] for i in seg])
+        )
+        if cycle is not None:
+            break
+    cycle = edges if cycle is None else [edges[i] for i in cycle]
+    core, mult = primitive_root(bg.project_cycle(cycle))
+    return cycle, canonical_rotation(core), mult
 
 
 def transitivity_gap(system: SkewSystem, tree: SpanningTree):
@@ -296,6 +362,19 @@ def transitivity_gap(system: SkewSystem, tree: SpanningTree):
     j = next(j for j in range(len(table)) if j not in orbit)
     block = tree.graph.vertices[0]
     return (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
+
+
+def transitive_cover(system: SkewSystem, r: int):
+    """The cover solvers' one gate: (cover_tree, monodromy_group) over
+    r-blocks, or NotStronglyConnected over Z^d and NotTransitiveError over
+    F, with transitivity_gap's pair."""
+    tree = cover_tree(system, r)
+    if system.group.rank and not tree.strongly_connected:
+        raise NotStronglyConnected("block graph is not strongly connected")
+    via = monodromy_group(system, tree) if tree.strongly_connected else {}
+    if len(via) < len(system.group.table):
+        raise NotTransitiveError(transitivity_gap(system, tree))
+    return tree, via
 
 
 # ---------------------------------------------------------------------------

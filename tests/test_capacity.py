@@ -28,8 +28,11 @@ from livsic import (
     GroupSpec,
     SftSpec,
     build_group,
+    check_transitivity,
     count_periodic_points,
+    generate_matrix_cocycle,
     make_cocycle,
+    make_matrix_cocycle,
     make_skew_system,
     parse_system_document,
 )
@@ -75,6 +78,34 @@ def _s5_full2(r: int, perturbed: bool) -> dict:
         values[(1,) * (r + 1)] += Fraction(1, 3)
         cocycle = make_cocycle(system.sft, r, values)
     return system_to_doc(SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(_S5)))
+
+
+def _s5_full2_rotation(r: int, perturbed: bool) -> dict:
+    """_s5_full2 with a generated rotation cocycle (trivial deck factor):
+    2**(r + 1) matrix values.  Perturbed, one window is sheared, which no
+    deck factor absorbs."""
+    group = build_group(_S5)
+    system = make_skew_system(
+        SftSpec.full_shift(2), group, (group.element_by_name("a"), group.element_by_name("b"))
+    )
+    cocycle = generate_matrix_cocycle(system, None, None, block_range=r, seed=r, family="rotation")
+    if perturbed:
+        values = dict(cocycle.values)
+        values[(1,) * (r + 1)] = values[(1,) * (r + 1)] @ [[1.0, 0.5], [0.0, 1.0]]
+        cocycle = make_matrix_cocycle(system.sft, r, values)
+    return system_to_doc(SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(_S5)))
+
+
+# Z^4 weights whose 63 nonempty subset sums differ: the simple cycles of the
+# full 6-shift have 63 classes, those of the full 5-shift 31.
+_Z4_PSI = ((2, 0, 0, 2), (-2, 1, -1, -2), (-1, -2, 0, 1), (-1, 1, 2, -2), (2, -1, -2, -1),
+           (1, 0, -1, 1))
+
+
+def _z4_full(k: int) -> dict:
+    """Z^4 over the full k-shift, psi the first k weights of _Z4_PSI."""
+    return {"sft": {"k": k, "transition": [[1] * k] * k},
+            "group": group_doc(GroupSpec.free_abelian(4)), "psi": [list(v) for v in _Z4_PSI[:k]]}
 
 
 def _z2_full2(r: int) -> dict:
@@ -138,6 +169,11 @@ def _solved(doc: dict, code: int, out: Path) -> bool:
     return payload["solvable"] is False
 
 
+def _verdict(doc: dict, code: int, out: Path) -> bool:
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    return payload["status"] == check_transitivity(parse_system_document(doc).system).status
+
+
 def _validated(doc: dict, code: int, out: Path) -> bool:
     # Every admitted `validate` row builds a group at the group-order cap.
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -151,6 +187,7 @@ ADMITTED = {
     "solve": _solved,
     "orbits": _orbits_listed,
     "verify-vanishing": lambda doc, code, out: json.loads(out.read_text())["holds"] is True,
+    "check-transitivity": _verdict,
 }
 
 _STATES = "product graph would have 61440 vertices"
@@ -164,6 +201,19 @@ CASES = [
     ("solve S5 full2 r8 perturbed", (_s5_full2, 8, True), ["solve"], 1, 1.0, 64, None),
     ("solve S5 full2 r9", (_s5_full2, 9, False), ["solve"], 2, 1.0, 64,
      {"error": "RangeTooLarge", "message": _STATES}),
+    # The same cap on the matrix solver, over the same cover.
+    ("solve S5 full2 rotation r8", (_s5_full2_rotation, 8, False), ["solve"], 0, 1.0, 64, None),
+    ("solve S5 full2 rotation r8 perturbed", (_s5_full2_rotation, 8, True), ["solve"],
+     1, 1.0, 64, None),
+    ("solve S5 full2 rotation r9", (_s5_full2_rotation, 9, False), ["solve"], 2, 1.0, 64,
+     {"error": "RangeTooLarge", "message": _STATES}),
+    # The work budget on the dual-cone ray search of `check-transitivity`
+    # over Z^4: C(31, 3) subsets of the full 5-shift's classes fit it,
+    # C(63, 3) times 63 dot products on the full 6-shift do not.
+    ("check-transitivity Z4 full5", (_z4_full, 5), ["check-transitivity"], 1, 1.0, 64, None),
+    ("check-transitivity Z4 full6", (_z4_full, 6), ["check-transitivity"], 2, 1.0, 64,
+     {"error": "RangeTooLarge", "message": "dual-cone ray search over 39711 subsets of 3 "
+      "among 63 simple-cycle classes exceeds the work budget"}),
     # LIVSIC_MAX_STATES on a cocycle's windows: range 14 has 32 768.  Range
     # 15's 65 536 are refused by their count, before any value is parsed.
     ("solve Z2 full2 range 14", (_z2_full2, 14), ["solve"], 0, 3.0, 128, None),

@@ -473,12 +473,15 @@ def test_verifier_on_a_spec_without_edges():
 
 
 def _looped_solve(system, cocycle, tol=1e-9):
-    """solve_matrix_finite's closure and fiber checks, one product edge and
-    one (gamma, block, eta) at a time, as they were before being stacked.
+    """The product-graph solver the block-graph one replaced, one product
+    edge and one (gamma, block, eta) at a time: the transfer propagated
+    along a tree of the |F|-fold product graph, its closure on every
+    product edge, and the deck factor compared over every product vertex.
 
-    Returns ("edge", the first edge over tol, (word, multiplicity)),
-    ("alpha", the AlphaNotConstant tuple) or
-    ("ok", max_residual, alpha_constancy_defect, the alpha matrices)."""
+    Returns ("edge", the first product edge over tol),
+    ("alpha", every comparison's deviation keyed by (block, eta, gamma)
+    names, the number of product states) or
+    ("ok", max_residual, alpha_constancy_defect, the alpha matrices, u)."""
     group = system.group
     pg = build_product_graph(system, cocycle.effective_block_length)
     tree = SpanningTree(pg)
@@ -486,12 +489,6 @@ def _looped_solve(system, cocycle, tol=1e-9):
 
     def factor(e):
         return cocycle.window_value(pg.base.edges[e // order][: rf + 1])
-
-    def excess(walk):
-        prod = eye
-        for x in walk:
-            prod = factor(x) @ prod
-        return float(np.linalg.norm(prod - eye)) - tol
 
     transfer = tree.potentials(eye, lambda e, t: factor(e) @ t)
     transfer_inv = list(np.linalg.inv(np.stack(transfer)))
@@ -501,9 +498,9 @@ def _looped_solve(system, cocycle, tol=1e-9):
         residual = float(np.linalg.norm(factor(e) - transfer[h] @ transfer_inv[t]))
         max_residual = max(max_residual, residual)
         if residual > tol:
-            return "edge", e, tree.witness(e, excess)[1:]
+            return "edge", e
     e_idx = group.identity_index
-    alpha, defect, worst = [], 0.0, None
+    alpha, defect, devs = [], 0.0, {}
     for gi in range(order):
         ref = transfer[group.mul(e_idx, gi)] @ transfer_inv[e_idx]
         alpha.append(ref)
@@ -511,12 +508,12 @@ def _looped_solve(system, cocycle, tol=1e-9):
             for eta in range(order):
                 vid = bi * order + group.mul(eta, gi)
                 dev = float(np.linalg.norm(transfer[vid] @ transfer_inv[bi * order + eta] - ref))
-                if dev > defect:
-                    defect = dev
-                    worst = (block, group.name_of(eta), group.name_of(gi), dev)
+                devs[block, group.name_of(eta), group.name_of(gi)] = dev
+                defect = max(defect, dev)
     if defect > tol * max(10, pg.n_vertices):
-        return "alpha", worst
-    return "ok", max_residual, defect, alpha
+        return "alpha", devs, pg.n_vertices
+    u = {block: transfer[bi * order + e_idx] for bi, block in enumerate(pg.base.vertices)}
+    return "ok", max_residual, defect, alpha, u
 
 
 def _solver_instances():
@@ -552,41 +549,70 @@ def _solver_instances():
         yield make_skew_system(FULL_2, group, (1, 0)), make_matrix_cocycle(FULL_2, 1, values)
 
 
-def test_stacked_solver_matches_the_per_edge_and_per_fiber_loops(monkeypatch):
-    edges = []
-    witness = SpanningTree.witness
+def _close(mat, ref) -> bool:
+    """Within 1e-12 of the reference, relative to its Frobenius norm."""
+    return float(np.linalg.norm(mat - ref)) <= 1e-12 * float(np.linalg.norm(ref))
 
-    def recorded(tree, e, score):
-        edges.append(e)
-        return witness(tree, e, score)
 
-    monkeypatch.setattr(SpanningTree, "witness", recorded)
+def test_stacked_solver_matches_the_per_edge_and_per_fiber_loops():
+    # The block-graph solver against the product-graph reference: the same
+    # outcome on every instance, the same alpha and u where both solve, and
+    # on the other outcomes a witness or deviation that checks on its own.
+    tol = 1e-9
     seen = {"edge": 0, "alpha": 0, "ok": 0}
     for system, cocycle in _solver_instances():
-        outcome, *expected = _looped_solve(system, cocycle)
-        edges.clear()
+        outcome, *expected = _looped_solve(system, cocycle, tol)
         seen[outcome] += 1
+        group, eye = system.group, np.eye(cocycle.dim)
         if outcome == "edge":
-            e, (word, mult) = expected
             with pytest.raises(CocycleObstruction) as err:
-                solve_matrix_finite(system, cocycle)
-            assert edges == [e]
+                solve_matrix_finite(system, cocycle, tol=tol)
             found = err.value.witness
-            assert (found.orbit.word, found.multiplicity) == (word, mult)
-            product = cyclic_product(cocycle, word * mult)
-            assert found.deviation == float(np.linalg.norm(product - np.eye(cocycle.dim)))
+            assert psi_n_cyclic(system, found.word) == group.identity_index
+            deviation = float(np.linalg.norm(cyclic_product(cocycle, found.word) - eye))
+            assert found.deviation == deviation > tol
         elif outcome == "alpha":
+            devs, states = expected
             with pytest.raises(AlphaNotConstant) as err:
-                solve_matrix_finite(system, cocycle)
-            assert err.value.witness == expected[0]
+                solve_matrix_finite(system, cocycle, tol=tol)
+            block, eta, gamma, deviation = err.value.witness
+            # One of the reference's comparisons, and past the threshold.
+            assert deviation == pytest.approx(devs[block, eta, gamma], rel=1e-9)
+            assert deviation > tol * max(10, states)
         else:
-            max_residual, defect, alpha = expected
-            solution = solve_matrix_finite(system, cocycle)
-            assert solution.max_residual == pytest.approx(max_residual, rel=0.0, abs=1e-15)
-            assert solution.alpha_constancy_defect == pytest.approx(defect, rel=0.0, abs=1e-15)
+            max_residual, defect, alpha, u = expected
+            solution = solve_matrix_finite(system, cocycle, tol=tol)
             for gi, mat in enumerate(alpha):
-                assert np.array_equal(solution.alpha[system.group.name_of(gi)], mat)
+                assert _close(solution.alpha[group.name_of(gi)], mat)
+            for block, mat in u.items():
+                assert _close(solution.u[block], mat)
+            # Both measure rounding only.
+            assert max(max_residual, solution.max_residual) < 1e-13
+            assert max(defect, solution.alpha_constancy_defect) < 1e-13
     assert seen == {"edge": 8, "alpha": 3, "ok": 8}
+
+
+def test_a_nonabelian_deck_image_is_not_constant():
+    # f = rho(psi) for the regular representation rho of S3: every edge
+    # closes, A = rho is a homomorphism and u = I commutes with it, but
+    # rho(S3) is not abelian, so no deck factor is central.  The comparison
+    # over the first block at the closure's generators finds it, as the
+    # product-graph reference does.
+    s3 = s3_group()
+    psi = (s3.element_by_name("s"), s3.element_by_name("r"))
+    system = make_skew_system(FULL_2, s3, psi)
+    rho = {a: np.zeros((s3.order, s3.order)) for a in psi}
+    for a, mat in rho.items():
+        for b in range(s3.order):
+            mat[s3.mul(a, b), b] = 1.0
+    cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): rho[psi[0]], (2,): rho[psi[1]]})
+    outcome, devs, states = _looped_solve(system, cocycle)
+    assert outcome == "alpha"
+    with pytest.raises(AlphaNotConstant) as err:
+        solve_matrix_finite(system, cocycle)
+    block, eta, gamma, deviation = err.value.witness
+    assert deviation == pytest.approx(devs[block, eta, gamma], rel=1e-12)
+    assert deviation == pytest.approx(max(devs.values()), rel=1e-12)
 
 
 def test_solver_takes_a_few_norm_calls_per_group_element(monkeypatch):
@@ -603,10 +629,10 @@ def test_solver_takes_a_few_norm_calls_per_group_element(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     solution = solve_matrix_finite(system, cocycle)
     assert solution.certificate.certified
-    # 96 product states and 192 product edges, but one call per stack:
-    # closure 1, fiber constancy 6 (one per group element), condition
-    # number 2, then the verifier's edges 1 and its two checks 2 * 6.
-    assert len(calls) <= 2 * s3.order + 10
+    # 16 blocks and 96 product states, but one call per stack: closure 1,
+    # fiber constancy 1, condition number 2, then the verifier's edges 1
+    # and its two checks 2 * 6, one per group element.
+    assert len(calls) == 2 * s3.order + 5
 
 
 def test_make_matrix_cocycle_validation():

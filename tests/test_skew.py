@@ -6,6 +6,7 @@ import time
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 import livsic.skew as skew
@@ -26,6 +27,7 @@ from livsic import (
     enumerate_trivial_class_orbits,
     frobenius_class,
     generate_cocycle,
+    generate_matrix_cocycle,
     make_cocycle,
     make_matrix_cocycle,
     make_skew_system,
@@ -95,7 +97,7 @@ def test_a_skew_system_splits_psi_into_its_finite_and_lattice_factors():
             assert psi_n(system, word) == (f if group.is_finite else z)
         # The cover code reads only F: over Z^d it is the block graph's.
         tree = cover_tree(system, 2)
-        assert monodromy_group(system, tree) == set(range(len(group.table)))
+        assert monodromy_group(system, tree).keys() == set(range(len(group.table)))
         assert transitivity_gap(system, tree) is None
         assert build_product_graph(system, 2).order == len(group.table)
 
@@ -567,7 +569,7 @@ def test_finite_transitivity_is_read_from_the_monodromy_group():
         verdicts[verdict.status] += 1
         assert verdict.witness == expected, label
         assert (verdict.status == "transitive") == (expected is None), label
-        monodromy = monodromy_group(system, cover_tree(system, 1))
+        monodromy = monodromy_group(system, cover_tree(system, 1)).keys()
         assert monodromy <= set(group.elements())
         assert all(group.mul(a, b) in monodromy for a in monodromy for b in monodromy)
         if system.sft.k * group.order <= _BRUTE_STATES:
@@ -588,6 +590,9 @@ def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
         raise RuntimeError("product graph built")
 
     systems = list(cover_corpus(83, instances=2))
+    # The pair a matrix solve must name on a cover that is not transitive,
+    # from the product graph at its block length, before the builder goes.
+    pairs = [product_scc_witness(SpanningTree(build_product_graph(s, 2))) for _, s in systems]
     # ProductGraph too, so a caller holding its own binding of the builder
     # cannot build one unseen.
     monkeypatch.setattr(skew, "build_product_graph", refuse)
@@ -604,7 +609,32 @@ def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
         else:
             with pytest.raises(NotTransitiveError):
                 solve_finite_gamma(system, cocycle)
-    # Z^d covers are gated by transitivity_gap too, over the trivial F.
+    # Matrix covers take the same gate: generated rotation and unipotent
+    # cocycles certify and a sheared window is an obstruction, or the cover
+    # is not transitive and the solver names the product graph's pair.
+    matrix_solves = {"certified": 0, "obstructed": 0, "not transitive": 0}
+    for (label, system), pair in zip(systems, pairs):
+        for seed, family in enumerate(("rotation", "unipotent")):
+            cocycle = generate_matrix_cocycle(
+                system, None, None, block_range=2, seed=seed, family=family
+            )
+            if pair is not None:
+                with pytest.raises(NotTransitiveError) as err:
+                    solve_matrix_finite(system, cocycle)
+                assert err.value.witness == pair, label
+                matrix_solves["not transitive"] += 1
+                continue
+            assert solve_matrix_finite(system, cocycle).certificate.certified, label
+            matrix_solves["certified"] += 1
+            values = dict(cocycle.values)
+            shear = np.eye(cocycle.dim)
+            shear[0, -1] = 0.5
+            values[min(values)] = values[min(values)] @ shear
+            with pytest.raises(CocycleObstruction):
+                solve_matrix_finite(system, make_matrix_cocycle(system.sft, 2, values))
+            matrix_solves["obstructed"] += 1
+    assert min(matrix_solves.values()) >= 10, matrix_solves
+    # Z^d covers pass the same gate, skew.transitive_cover, over the trivial F.
     # On a full shift the bump at the fixed point 1^oo is never a coboundary.
     for i in range(8):
         rng = rng_for(83, 1_000 + i)
