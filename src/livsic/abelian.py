@@ -9,13 +9,14 @@ F a finite table, d its rank) on the block graph.  F enters only through
 transitivity, decided by the monodromy group, and Z^d through alpha, by
 elimination of width d; solve_finite_gamma names the corner d = 0 (alpha
 vanishes by torsion) and solve_free_abelian the corner F = 1.  The kernel
-scales f by the lcm of its denominators, propagates integer potentials,
-eliminates in ints and writes u and alpha over one denominator; Fraction
-appears only for u, alpha and witness totals, and the certification
-scales u, alpha and f back to ints.  One lift, skew.lifted_cycle (shared
-with the matrix solver), turns an inconsistency into a closed word of
-identity weight in both corners.  So a returned solution is a
-certificate and a returned obstruction is a counterexample.
+reads f as the cocycle holds it, int numerators over the lcm of its
+denominators, propagates integer potentials, eliminates in ints and
+writes u and alpha over one denominator; Fraction appears only for u,
+alpha and witness totals, and the certification scales u and alpha back
+to ints.  One lift, skew.lifted_cycle (shared with the matrix solver),
+turns an inconsistency into a closed word of identity weight in both
+corners.  So a returned solution is a certificate and a returned
+obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .errors import (
     check_invariant,
     max_states_cap,
 )
-from .groups import gauss_jordan, smith_diagonal
+from .groups import gauss_jordan, row_combination, smith_diagonal
 from .record import record
 from .sft import (
     LocallyConstantCocycle,
@@ -46,7 +47,7 @@ from .sft import (
     _solution_block_graph,
     _successor_table,
     build_block_graph,
-    cyclic_fold,
+    cyclic_numerator,
     make_cocycle,
 )
 from .skew import SkewSystem, _weighted_walk, lifted_cycle, transitive_cover
@@ -127,14 +128,19 @@ def verify_vanishing(
     deterministic.  The walk's words are cyclically admissible least
     rotations, so they are folded as they come: the packed words are
     decoded a period at a time and the identity-weight ones picked by
-    compress, both in C.  Only the witness becomes a PeriodicOrbit.
+    compress, both in C, and each is summed in ints over the cocycle's
+    denominator.  Only the witness becomes a PeriodicOrbit and a Fraction.
     """
     _check_cocycle_shift(system.sft, cocycle)
     words, weights = _weighted_walk(system, max_period)
     for word in compress(words, map(eq, weights, repeat(system.group.identity))):
-        total = cyclic_fold(cocycle, word)
-        if total != 0:
-            return ViolationWitness(orbit=PeriodicOrbit(word=word), multiplicity=1, total=total)
+        total = cyclic_numerator(cocycle, word)
+        if total:
+            return ViolationWitness(
+                orbit=PeriodicOrbit(word=word),
+                multiplicity=1,
+                total=Fraction(total, cocycle.denominator),
+            )
     return None
 
 
@@ -161,8 +167,8 @@ def solve_free_abelian(
     potentials; each non-tree edge contributes one linear condition on
     alpha.  The reduced system either determines alpha (possibly pinning
     coordinates that no cycle weight sees, reported as degenerate), or is
-    inconsistent, in which case the tracked row combination is reassembled
-    into explicit closed words certifying the obstruction.
+    inconsistent, in which case the inconsistent row's combination is
+    reassembled into explicit closed words certifying the obstruction.
     NotStronglyConnected when the block graph is not strongly connected.
     """
     return _solve_cover(system, cocycle)
@@ -184,13 +190,14 @@ def _solve_cover(
     potentials, one per-edge column each; every non-tree edge gives the
     row (rho_psi, defect) of their rises.  gauss_jordan reduces the rows
     on their d psi columns (with d = 0 the first nonzero defect is the
-    inconsistent row), and an inconsistent row becomes a witness.
-    Otherwise alpha and u share the one Bareiss denominator pivot * scale.
+    inconsistent row), and an inconsistent row, spelt as a combination of
+    input rows by row_combination, becomes a witness.  Otherwise alpha
+    and u share the one Bareiss denominator pivot * scale.
     """
     _check_cocycle_shift(system.sft, cocycle)
     d = system.group.rank
     r = cocycle.effective_block_length
-    tree, _ = transitive_cover(system, r)
+    tree = transitive_cover(system, r)[0]
 
     bg = tree.graph
     weights, scale = _scaled_weights(cocycle, bg.edges)
@@ -205,10 +212,10 @@ def _solve_cover(
         rises.append([col[e] + pot[tails[e]] - pot[heads[e]] for e in nontree])
     # One row alpha . rho_psi = defect per non-tree edge, rhs as the last entry.
     rows = list(zip(*rises))
-    reduced, provenance, pivots = gauss_jordan(rows, d) if d else (rows, None, ())
+    reduced, order, pivots = gauss_jordan(rows, d)
     bad = next((i for i in range(len(pivots), len(rows)) if reduced[i][d]), None)
     if bad is not None:
-        combo = provenance[bad] if d else {bad: 1}
+        combo = row_combination(rows, d, order, len(pivots), bad)
         raise CocycleObstruction(
             _inconsistency_certificate(system, tree, nontree, combo, columns, scale)
         )
@@ -244,14 +251,18 @@ def _solve_cover(
 def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
     """(scale * f on the leading window of each edge word, scale).
 
-    scale is the lcm of the denominators of f, so every weight is an int
-    and integer potentials divided by scale are the rational ones.
+    scale is the cocycle's denominator, the lcm of the denominators of f,
+    so every weight is an int and integer potentials divided by scale are
+    the rational ones.
     """
-    values = cocycle.values
-    scale = lcm(*{x.denominator for x in values.values()})
-    width = cocycle.block_range + 1
-    windows = map(values.__getitem__, (w[:width] for w in edges))
-    return [x.numerator * (scale // x.denominator) for x in windows], scale
+    weights = map(cocycle.numerators.__getitem__, _edge_windows(cocycle, edges))
+    return list(weights), cocycle.denominator
+
+
+def _edge_windows(cocycle, edges):
+    """The leading window of each edge word: the word itself, as edges are
+    one symbol longer than blocks, unless the block range is 0."""
+    return edges if cocycle.block_range else (w[:1] for w in edges)
 
 
 def _drift_table(system: SkewSystem, alpha) -> list:
@@ -408,23 +419,22 @@ def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
 
     u, alpha and f are scaled by the lcm D of their denominators, so every
     identity is checked exactly in ints; a failing residual is reported as
-    Fraction(residual, D).
+    Fraction(residual, D).  f is read from its int numerators over the
+    cocycle's denominator, which divides D.
     """
     u = solution.u
     alpha = _alpha_vector(system.group, solution.alpha)
-    values = cocycle.values
-    scale = lcm(*{x.denominator for x in chain(u.values(), alpha, values.values())})
+    scale = lcm(cocycle.denominator, *{x.denominator for x in chain(u.values(), alpha)})
 
     def scaled(x) -> int:
         return x.numerator * (scale // x.denominator)
 
     pot = [scaled(u[block]) for block in bg.vertices]
     drift = _drift_table(system, [scaled(a) for a in alpha])
-    width = cocycle.block_range + 1
-    # Each f value is scaled as its edge is read, with no scaled copy of f.
-    f = map(values.__getitem__, (w[:width] for w in bg.edges))
+    lift = scale // cocycle.denominator
+    f = map(cocycle.numerators.__getitem__, _edge_windows(cocycle, bg.edges))
     residuals = (
-        x.numerator * (scale // x.denominator) - drift[w[0] - 1] - pot[h] + pot[t]
+        lift * x - drift[w[0] - 1] - pot[h] + pot[t]
         for x, w, t, h in zip(f, bg.edges, bg.edge_tail, bg.edge_head)
     )
     failures = tuple((w, Fraction(x, scale)) for w, x in zip(bg.edges, residuals) if x)

@@ -340,18 +340,19 @@ def gauss_jordan(rows, width: int):
 
     Bareiss's step r <- (p * r - r[col] * q) // prev, on every row r but the
     pivot row q, divides exactly (Math. Comp. 22, 1968); p is the pivot,
-    made positive by negating q and its provenance, and prev the one before
-    (1 at first).  So every pivot row holds the same pivot value, and each
-    reduced row and provenance is that value times its rational row.
-    Entries past the first width (a right-hand side, say) are carried along
-    but never pivoted on.  Returns (reduced, provenance, pivots): the
-    reduced rows, pivot rows first in pivot order and the rest in the order
-    the pivot swaps leave them; for each reduced row a dict {original row
-    index: int coefficient} whose combination of the input rows it equals;
-    and the pivot columns.  A provenance holds at most width + 1 entries.
+    made positive by negating q, and prev the one before (1 at first).  So
+    every pivot row holds the same pivot value, and each reduced row is
+    that value times its rational row.  Entries past the first width (a
+    right-hand side, say) are carried along but never pivoted on.  Returns
+    (reduced, order, pivots): the reduced rows, pivot rows first in pivot
+    order and the rest in the order the pivot swaps leave them; order[i],
+    the input index of reduced row i; and the pivot columns.
+
+    No provenance is tracked; row_combination recovers a reduced row's
+    when it is needed.
     """
     mat = [list(row) for row in rows]
-    prov = [{i: 1} for i in range(len(mat))]
+    order = list(range(len(mat)))
     pivots: list[int] = []
     prev = 1
     for col in range(width):
@@ -360,22 +361,36 @@ def gauss_jordan(rows, width: int):
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prov[rank], prov[pivot] = prov[pivot], prov[rank]
-        sign = 1 if mat[rank][col] > 0 else -1
-        prow = mat[rank] = [sign * x for x in mat[rank]]
-        pprov = prov[rank] = {j: sign * c for j, c in prov[rank].items()}
+        order[rank], order[pivot] = order[pivot], order[rank]
+        prow = mat[rank]
+        if prow[col] < 0:
+            prow = mat[rank] = [-x for x in prow]
         p = prow[col]
-        for i, (row, combo) in enumerate(zip(mat, prov)):
+        for i, row in enumerate(mat):
             if i != rank:
                 f = row[col]
                 mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-                prov[i] = {
-                    j: (p * combo.get(j, 0) - f * pprov.get(j, 0)) // prev
-                    for j in combo | pprov
-                }
         prev = p
         pivots.append(col)
-    return mat, prov, tuple(pivots)
+    return mat, order, tuple(pivots)
+
+
+def row_combination(rows, width: int, order, rank: int, i: int) -> dict[int, int]:
+    """Reduced row i of gauss_jordan(rows, width), which returned order and
+    rank pivots, as {input row index: int coefficient}, zeros left out.
+
+    A row's reduction reads only its own input and the pivot rows', so the
+    pivot rows in the order they were chosen, plus row i when it is not one
+    of them, reduced again choose the same pivots and repeat its
+    arithmetic.  Identity columns appended to those rows therefore end as
+    its combination, of at most rank + 1 input rows.
+    """
+    chosen = [*order[:rank], *([order[i]] if i >= rank else ())]
+    n = len(chosen)
+    augmented = [[*rows[j], *(int(s == t) for t in range(n))] for s, j in enumerate(chosen)]
+    reduced, _, _ = gauss_jordan(augmented, width)
+    tail = reduced[min(i, rank)][-n:]
+    return {j: c for j, c in zip(chosen, tail) if c}
 
 
 def subgroup_rank_and_index(vectors, ambient_rank: int) -> SubgroupReport:

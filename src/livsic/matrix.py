@@ -42,7 +42,7 @@ from .sft import (
     check_work,
     cyclic_fold,
 )
-from .skew import SkewSystem, closure_walks, cycle_weights, lifted_cycle, transitive_cover
+from .skew import SkewSystem, closure_walks, lifted_cycle, transitive_cover
 
 # Relative tolerance of the algebra checks: a declared basis closed under
 # commutators, conjugation keeping it in its span, and the homomorphism
@@ -301,14 +301,13 @@ def solve_matrix_finite(
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
-    tree, via = transitive_cover(system, cocycle.effective_block_length)
+    tree, via, wpot, cyc = transitive_cover(system, cocycle.effective_block_length)
 
     bg, table, order, eye = tree.graph, group.table, len(group.table), np.eye(cocycle.dim)
     factors = _edge_values(cocycle, bg)
     transfer = np.stack(tree.potentials(eye, lambda e, t: factors[e] @ t))
     transfer_inv = _checked_inverse(transfer, "transfer candidate")
     holonomy = transfer_inv[list(bg.edge_head)] @ factors @ transfer[list(bg.edge_tail)]
-    wpot, cyc = cycle_weights(system, tree)
     labels = np.empty((order, *eye.shape))
     steps = {y: cyc.index(table[group.inverses[x]][y]) for y, x in via.items() if x is not None}
     for y, x in via.items():
@@ -321,7 +320,7 @@ def solve_matrix_finite(
             prod = reduce(lambda p, x: factors[x] @ p, walk, eye)
             return float(np.linalg.norm(prod - eye)) - tol
 
-        walks = closure_walks(system, tree, via, cyc, *divmod(int(over[0]), order))
+        walks = closure_walks(system, tree, via, steps, cyc, *divmod(int(over[0]), order))
         _, word, mult = lifted_cycle(system, tree, walks, excess)
         deviation = float(np.linalg.norm(cyclic_fold(cocycle, word * mult) - eye))
         raise CocycleObstruction(MatrixViolationWitness(PeriodicOrbit(word=word), mult, deviation))

@@ -14,8 +14,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, groupby, repeat
-from math import gcd
-from operator import add, eq, floordiv, mul
+from math import gcd, lcm
+from operator import eq, floordiv, mul
 
 from .errors import (
     BadShape,
@@ -106,7 +106,7 @@ def validate_sft(spec: SftSpec) -> ValidationReport:
         if not any(spec.transitions[b - 1][a - 1] for b in range(1, spec.k + 1)):
             raise DeadSymbol(a, "predecessor")
 
-    tree = SpanningTree(build_block_graph(spec, 1))
+    tree = block_tree(spec, 1)
     gap = tree.unreachable_pair()
     if gap is not None:
         raise NotIrreducible((gap[0] + 1, gap[1] + 1))
@@ -136,7 +136,7 @@ class BlockGraph:
     out_edges: tuple[tuple[int, ...], ...]
 
     def is_strongly_connected(self) -> bool:
-        return bool(self.vertices) and SpanningTree(self).strongly_connected
+        return SpanningTree(self).strongly_connected
 
     def project_cycle(self, edge_ids) -> Word:
         """The word a walk reads: the first symbol of each edge word."""
@@ -171,10 +171,29 @@ def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
 
 
 def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
-    """Build the r-block presentation.  Raises RangeTooLarge beyond the cap."""
+    """The r-block presentation, from the memo of block_tree.
+
+    RangeTooLarge beyond the state cap, cached or not.
+    """
+    return block_tree(spec, r).graph
+
+
+def block_tree(spec: SftSpec, r: int) -> "SpanningTree":
+    """The SpanningTree of the r-block graph, built once per (spec, r).
+
+    The memo holds at most LIVSIC_MAX_STATES blocks in all and evicts the
+    least recently used tree first.  The cap is read on every call, so a
+    cached graph that passes a lowered cap is refused with the message of
+    a fresh build.  A tree and its graph hold only tuples, so every caller
+    may share them.
+    """
     if r < 1:
         raise BadShape("block length must be at least 1")
-    vertices = tuple(_admissible_words(spec, r, max_states_cap()))
+    return _TREES.get(spec, r, max_states_cap())
+
+
+def _block_graph(spec: SftSpec, r: int, cap: int) -> BlockGraph:
+    vertices = tuple(_admissible_words(spec, r, cap))
     index = {w: i for i, w in enumerate(vertices)}
     successors = _successor_table(spec)
     edges: list[Word] = []
@@ -198,6 +217,45 @@ def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
         edge_head=tuple(heads),
         out_edges=tuple(tuple(x) for x in out),
     )
+
+
+class _TreeMemo:
+    """(spec, r) -> block-graph SpanningTree, least recently used first,
+    holding ``blocks`` blocks in all."""
+
+    __slots__ = ("trees", "blocks")
+
+    def __init__(self):
+        self.trees: dict = {}
+        self.blocks = 0
+
+    def get(self, spec: SftSpec, r: int, cap: int) -> "SpanningTree":
+        key = (spec, r)
+        tree = self.trees.pop(key, None)
+        if tree is not None:
+            self.blocks -= len(tree.graph.vertices)
+        self._evict(cap)
+        if tree is None:
+            tree = SpanningTree(_block_graph(spec, r, cap))
+        elif len(tree.graph.vertices) > cap:
+            raise RangeTooLarge(f"more than {cap} admissible words of length {r}")
+        n = len(tree.graph.vertices)
+        self._evict(cap - n)
+        self.trees[key] = tree
+        self.blocks += n
+        return tree
+
+    def _evict(self, room: int) -> None:
+        """Drop the least recently used trees until at most room blocks are held."""
+        while self.blocks > room:
+            self.blocks -= len(self.trees.pop(next(iter(self.trees))).graph.vertices)
+
+    def clear(self) -> None:
+        self.trees.clear()
+        self.blocks = 0
+
+
+_TREES = _TreeMemo()
 
 
 def _solution_block_graph(spec: SftSpec, cocycle, solution) -> BlockGraph:
@@ -228,19 +286,21 @@ class SpanningTree:
     product graphs).  parent[v] is the tree edge into v, visit the BFS
     order, and next_edge[v] the first edge of a shortest path from v back
     to vertex 0.  Edge and vertex orders fix every choice, so potentials
-    and walks are deterministic.  strongly_connected is True when both
-    searches reach every vertex; potentials and walks need it.
+    and walks are deterministic.  strongly_connected is True when the graph
+    has a vertex and both searches reach every vertex; potentials and
+    walks need it.  The three arrays are tuples, so a tree can be shared.
     """
 
     def __init__(self, graph):
         self.graph = graph
         n = len(graph.out_edges)
-        self.parent, self.visit = _bfs_edges(graph.out_edges, graph.edge_head, 0)
+        parent, visit = _bfs_edges(graph.out_edges, graph.edge_head, 0)
         in_edges: list[list[int]] = [[] for _ in range(n)]
         for e, h in enumerate(graph.edge_head):
             in_edges[h].append(e)
-        self.next_edge, back = _bfs_edges(in_edges, graph.edge_tail, 0)
-        self.strongly_connected = len(self.visit) == n == len(back)
+        next_edge, back = _bfs_edges(in_edges, graph.edge_tail, 0)
+        self.parent, self.visit, self.next_edge = tuple(parent), tuple(visit), tuple(next_edge)
+        self.strongly_connected = 0 < len(visit) == n == len(back)
 
     def unreachable_pair(self) -> tuple[int, int] | None:
         """None when the graph is strongly connected, otherwise the first
@@ -302,6 +362,8 @@ def _bfs_edges(edges_at, far_end, start: int):
     at every vertex not reached; the visit order).
     """
     n = len(edges_at)
+    if not n:
+        return [], []
     via: list[int | None] = [None] * n
     seen = [False] * n
     seen[start] = True
@@ -789,11 +851,19 @@ def _as_fraction(x) -> Fraction:
 
 @record
 class LocallyConstantCocycle:
-    """Rational function of block_range + 1 consecutive symbols."""
+    """Rational function of block_range + 1 consecutive symbols.
+
+    values maps each window to its Fraction.  Two fields are derived from
+    it by make_cocycle: denominator, the lcm of its denominators, and
+    numerators, each window's value times denominator as an int, so exact
+    sums and solves run in ints over that one denominator.
+    """
 
     sft: SftSpec
     block_range: int
     values: dict[Word, Fraction]
+    denominator: int
+    numerators: dict[Word, int]
 
     kind = "rational"
 
@@ -811,7 +881,14 @@ def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocyc
         raise InvalidCocycle("block range must be >= 0")
     table = {tuple(int(s) for s in k): _as_fraction(v) for k, v in values.items()}
     _check_window_domain(sft, block_range, table)
-    return LocallyConstantCocycle(sft=sft, block_range=block_range, values=table)
+    den = lcm(*{x.denominator for x in table.values()})
+    return LocallyConstantCocycle(
+        sft=sft,
+        block_range=block_range,
+        values=table,
+        denominator=den,
+        numerators={w: x.numerator * (den // x.denominator) for w, x in table.items()},
+    )
 
 
 def _check_window_domain(sft: SftSpec, block_range: int, windows) -> None:
@@ -857,14 +934,26 @@ def birkhoff_sum(cocycle, orbit: PeriodicOrbit):
 def cyclic_fold(cocycle, word: Word):
     """Combine a cocycle's window values around a cyclic word, position 0 first.
 
-    Rational values are added; matrix values are multiplied with each later
+    Rational values are added, as ints over the cocycle's denominator, and
+    the sum is one Fraction; matrix values are multiplied with each later
     step on the left.  The caller checks that the word is cyclically
     admissible.
     """
+    if cocycle.kind == "matrix":
+        values = map(cocycle.window_value, _windows(cocycle, word))
+        return reduce(lambda prod, value: value @ prod, values)
+    return Fraction(cyclic_numerator(cocycle, word), cocycle.denominator)
+
+
+def cyclic_numerator(cocycle: LocallyConstantCocycle, word: Word) -> int:
+    """The sum of a rational cocycle around a cyclic word, times its
+    denominator: an int, with no Fraction made."""
+    return sum(map(cocycle.numerators.__getitem__, _windows(cocycle, word)))
+
+
+def _windows(cocycle, word: Word):
+    """The cocycle's windows of a cyclic word, position 0 first."""
     n = len(word)
     width = cocycle.block_range + 1
     ext = word * (1 + (width + n - 2) // n)
-    values = (cocycle.window_value(ext[i : i + width]) for i in range(n))
-    if cocycle.kind == "matrix":
-        return reduce(lambda prod, value: value @ prod, values)
-    return reduce(add, values)
+    return map(ext.__getitem__, map(slice, range(n), range(width, width + n)))

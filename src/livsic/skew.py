@@ -32,6 +32,7 @@ from .sft import (
     SftSpec,
     SpanningTree,
     Word,
+    block_tree,
     build_block_graph,
     canonical_rotation,
     find_violating_cycle,
@@ -230,22 +231,28 @@ def product_scc_witness(tree: SpanningTree):
 def cover_tree(system: SkewSystem, r: int) -> SpanningTree:
     """Spanning tree of the r-block graph, which carries every cover computation.
 
+    The tree is sft.block_tree's, built once per (shift, r) and shared.
     The product graph is not built, but its size is capped all the same:
     RangeTooLarge, with build_product_graph's message, when blocks x |F|
     passes the state cap.
     """
-    base = build_block_graph(system.sft, r)
-    _check_states(base, len(system.group.table))
-    return SpanningTree(base)
+    tree = block_tree(system.sft, r)
+    _check_states(tree.graph, len(system.group.table))
+    return tree
 
 
 def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], list[int]]:
     """(wpot, cyc) as F indices: wpot[v] is the F weight of the tree path
     from block 0 to block v, and cyc[e] = wpot[h]^-1 psi_f(e) wpot[t] that
-    of the fundamental cycle of edge e: t -> h (the identity on tree edges)."""
+    of the fundamental cycle of edge e: t -> h (the identity on tree edges).
+    Over a trivial F (Z^d among them) every weight is the identity, and no
+    table is read."""
     table, inverses, bg = system.group.table, system.group.inverses, tree.graph
+    identity = system.group.identity_index
+    if len(table) == 1:
+        return [identity] * len(bg.vertices), [identity] * len(bg.edges)
     steps = [system.psi_f[word[0] - 1] for word in bg.edges]
-    wpot = tree.potentials(system.group.identity_index, lambda e, p: table[steps[e]][p])
+    wpot = tree.potentials(identity, lambda e, p: table[steps[e]][p])
     ends = zip(steps, bg.edge_tail, bg.edge_head)
     return wpot, [table[inverses[wpot[h]]][table[s][wpot[t]]] for s, t, h in ends]
 
@@ -255,9 +262,14 @@ def monodromy_group(system: SkewSystem, tree: SpanningTree) -> dict:
     weights of its closed walks at block 0: the breadth-first closure of
     the cycle weights, which generate it.  Each y in H maps to the x it
     was first reached from, y = x . g for a cycle weight g (the identity
-    to None), in breadth-first order.  Over Z^d, H = F = {0}."""
-    table, identity = system.group.table, system.group.identity_index
-    cyc = cycle_weights(system, tree)[1]
+    to None), in breadth-first order.  Over a trivial F (Z^d among them),
+    H = {identity}, and cycle_weights reads no table."""
+    return _closure(system.group, cycle_weights(system, tree)[1])
+
+
+def _closure(group: Group, cyc) -> dict:
+    """monodromy_group from the cycle weights cyc."""
+    table, identity = group.table, group.identity_index
     gens = [g for g in dict.fromkeys(cyc) if g != identity]
     via, closure = {identity: None}, [identity]
     for x in closure:
@@ -270,16 +282,17 @@ def monodromy_group(system: SkewSystem, tree: SpanningTree) -> dict:
     return via
 
 
-def closure_walks(system: SkewSystem, tree: SpanningTree, via, cyc, e: int, delta: int):
+def closure_walks(system: SkewSystem, tree: SpanningTree, via, steps, cyc, e: int, delta: int):
     """Closed walks at block 0, one of which lifts to a violation when the
-    labels A(y) = A(x) H_f along via (x = via[y], f the first edge of cycle
-    weight x^-1 y, H_f = H(D_f)^-1 H(C_f) for (C_f, D_f) = walks(f)) fail
-    A(cyc[e] delta) = H_e A(delta).  C_f D_f^(n-1), n the order of D_f's
-    weight, realises H_f unless D_f^n is a violation.  So with W the labels
-    spelt along via, m the order of gamma = cyc[e] delta, W1 = W(delta)
-    C_e D_e^(n-1) and W2 = W(gamma), returns W1 W2^(m-1), W2, then the D_f."""
+    labels A(y) = A(x) H_f along via (x = via[y], f = steps[y] the first
+    edge of cycle weight x^-1 y, H_f = H(D_f)^-1 H(C_f) for (C_f, D_f) =
+    walks(f)) fail A(cyc[e] delta) = H_e A(delta).  C_f D_f^(n-1), n the
+    order of D_f's weight, realises H_f unless D_f^n is a violation.  So
+    with W the labels spelt along via, m the order of gamma = cyc[e] delta,
+    W1 = W(delta) C_e D_e^(n-1) and W2 = W(gamma), returns W1 W2^(m-1),
+    W2, then the D_f."""
     group = system.group
-    table, identity, inverses = group.table, group.identity_index, group.inverses
+    table, identity = group.table, group.identity_index
     returns = {}
 
     def order(g: int) -> int:
@@ -297,9 +310,8 @@ def closure_walks(system: SkewSystem, tree: SpanningTree, via, cyc, e: int, delt
     def spell(y: int) -> list[int]:
         walk = []
         while via[y] is not None:
-            x = via[y]
-            walk += label(cyc.index(table[inverses[x]][y]))
-            y = x
+            walk += label(steps[y])
+            y = via[y]
         return walk
 
     gamma = table[cyc[e]][delta]
@@ -365,16 +377,20 @@ def transitivity_gap(system: SkewSystem, tree: SpanningTree):
 
 
 def transitive_cover(system: SkewSystem, r: int):
-    """The cover solvers' one gate: (cover_tree, monodromy_group) over
-    r-blocks, or NotStronglyConnected over Z^d and NotTransitiveError over
-    F, with transitivity_gap's pair."""
+    """The cover solvers' one gate over r-blocks: (tree, via, wpot, cyc),
+    the cover_tree, the monodromy_group closure and the cycle_weights it
+    was closed from.  NotStronglyConnected over Z^d, and
+    NotTransitiveError over F with transitivity_gap's pair."""
     tree = cover_tree(system, r)
-    if system.group.rank and not tree.strongly_connected:
-        raise NotStronglyConnected("block graph is not strongly connected")
-    via = monodromy_group(system, tree) if tree.strongly_connected else {}
+    if not tree.strongly_connected:
+        if system.group.rank:
+            raise NotStronglyConnected("block graph is not strongly connected")
+        raise NotTransitiveError(transitivity_gap(system, tree))
+    wpot, cyc = cycle_weights(system, tree)
+    via = _closure(system.group, cyc)
     if len(via) < len(system.group.table):
         raise NotTransitiveError(transitivity_gap(system, tree))
-    return tree, via
+    return tree, via, wpot, cyc
 
 
 # ---------------------------------------------------------------------------

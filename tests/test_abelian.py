@@ -32,10 +32,12 @@ from livsic import (
     brute_vanishing,
     build_block_graph,
     build_group,
+    enumerate_periodic_orbits,
     enumerate_trivial_class_orbits,
     generate_cocycle,
     make_cocycle,
     make_skew_system,
+    orbit_weights,
     psi_n_cyclic,
     solve_finite_gamma,
     solve_free_abelian,
@@ -747,6 +749,66 @@ def test_exact_under_a_denominator_lcm_above_2_64():
         )
         assert psi_n_cyclic(system, witness.word) == system.group.identity
         assert pickle.loads(pickle.dumps(witness)) == witness
+
+        # The integer folds over a denominator above 2**64 agree with
+        # Fraction folds, and the cocycles pickle whole.
+        for orbit in enumerate_periodic_orbits(full3, 5):
+            assert birkhoff_sum(perturbed, orbit) == _cyclic_f_sum(perturbed, orbit.word)
+        for f in (cocycle, perturbed):
+            found = verify_vanishing(system, f, 6)
+            assert _as_pair(found) == _first_fraction_violation(system, f, 6)
+            assert pickle.loads(pickle.dumps(f)) == f
+        assert verify_vanishing(system, cocycle, 6) is None
+
+
+def _first_fraction_violation(system, cocycle, max_period):
+    """(word, sum) of the first identity-weight orbit, in (period, word)
+    order, whose sum as a Fraction fold is nonzero, or None."""
+    identity = system.group.identity
+    for word, weight in orbit_weights(system, max_period):
+        if weight == identity:
+            total = _cyclic_f_sum(cocycle, word)
+            if total:
+                return word, total
+    return None
+
+
+def _as_pair(witness):
+    return None if witness is None else (witness.orbit.word, witness.total)
+
+
+def test_integer_folds_agree_with_fraction_folds():
+    outcomes = {"vanishing": 0, "violated": 0}
+    for i in range(24):
+        rng = rng_for(28, 100 + i)
+        if i % 2:
+            system = random_transitive_system(rng, (2, 3))
+        else:
+            system = random_lattice_system(rng, 1 + i % 4 // 2, (2, 3))
+        spec, rf = system.sft, rng.randint(0, 3)
+        windows = build_block_graph(spec, rf + 1).vertices
+        dens = (1, 2, 3, 7, 12, 97)
+        values = {w: Fraction(rng.randint(-30, 30), rng.choice(dens)) for w in windows}
+        drawn = make_cocycle(spec, rf, values)
+        assert drawn.denominator == lcm(*(x.denominator for x in values.values()))
+        assert drawn.numerators == {w: x * drawn.denominator for w, x in values.items()}
+        assert all(type(x) is int for x in drawn.numerators.values())
+        coboundary = generate_cocycle(system, block_range=max(rf, 1), seed=i)
+        perturbed = perturb_one_value(coboundary, rng)[0]
+        for f in (drawn, coboundary, perturbed):
+            for orbit in enumerate_periodic_orbits(spec, 6):
+                total = birkhoff_sum(f, orbit)
+                assert type(total) is Fraction
+                assert total == _cyclic_f_sum(f, orbit.word)
+            found = verify_vanishing(system, f, 6)
+            assert _as_pair(found) == _first_fraction_violation(system, f, 6)
+            outcomes["vanishing" if found is None else "violated"] += 1
+            # pickle and == see the derived fields through values alone.
+            assert pickle.loads(pickle.dumps(f)) == f
+            assert make_cocycle(spec, f.block_range, {w: str(x) for w, x in f.values.items()}) == f
+        assert verify_vanishing(system, coboundary, 6) is None
+        assert perturbed != coboundary
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def _corner_shifts():

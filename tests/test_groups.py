@@ -16,7 +16,7 @@ from livsic import (
     smith_diagonal,
     subgroup_rank_and_index,
 )
-from livsic.groups import _compose, gauss_jordan
+from livsic.groups import _compose, gauss_jordan, row_combination
 from livsic.skew import _normal, class_tag
 from corpus import q8_group, s3_group
 
@@ -251,32 +251,35 @@ def test_gauss_jordan_certifies_both_outcomes():
     for _ in range(600):
         d = rng.randint(1, 3)
         rows = _random_system(rng, d)
-        reduced, prov, pivots = gauss_jordan(rows, d)
-        # Every entry and coefficient is an int, every reduced row is the
-        # combination its provenance names, and a provenance never holds
-        # more than d + 1 rows.
-        for red, combo in zip(reduced, prov):
+        reduced, order, pivots = gauss_jordan(rows, d)
+        assert sorted(order) == list(range(len(rows)))
+        # Every reduced row, pivot rows included, is recovered as an integer
+        # combination of at most d + 1 input rows from the pivot rows plus
+        # itself, and it is the combination its row_combination names.
+        combos = [row_combination(rows, d, order, len(pivots), i) for i in range(len(rows))]
+        for red, combo in zip(reduced, combos):
             assert all(type(x) is int for x in red)
             assert all(type(c) is int for c in combo.values())
             assert len(combo) <= d + 1
             for j in range(d + 1):
                 assert red[j] == sum(c * rows[i][j] for i, c in combo.items())
         # Every pivot row holds one positive pivot value, and each row and
-        # provenance is that value times the rational reference.
+        # its combination is that value times the rational reference, the
+        # dense provenance of the row at the same position.
         pivot = reduced[0][pivots[0]] if pivots else 1
         assert pivot > 0
         assert all(reduced[i][col] == pivot for i, col in enumerate(pivots))
         dense_mat, dense_prov, dense_pivots = _dense_solve(rows, d)
         assert pivots == dense_pivots
         assert [[Fraction(x, pivot) for x in red] for red in reduced] == dense_mat
-        for combo, dense in zip(prov, dense_prov):
-            assert {i: Fraction(c, pivot) for i, c in combo.items() if c} == {
+        for combo, dense in zip(combos, dense_prov):
+            assert {i: Fraction(c, pivot) for i, c in combo.items()} == {
                 i: c for i, c in enumerate(dense) if c
             }
         bad = [i for i in range(len(pivots), len(rows)) if reduced[i][d]]
         if bad:
             seen["inconsistent"] += 1
-            combo = prov[bad[0]]
+            combo = combos[bad[0]]
             for j in range(d):
                 assert sum(c * rows[i][j] for i, c in combo.items()) == 0
             assert sum(c * rows[i][d] for i, c in combo.items()) != 0

@@ -9,6 +9,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import livsic.sft as sft
 import livsic.skew as skew
 from livsic import (
     CocycleObstruction,
@@ -526,7 +527,9 @@ def test_strong_connectivity_matches_brute_closure():
 
 
 def test_a_refused_finite_cover_builds_one_spanning_tree(monkeypatch):
-    # The unreachable pair is read from the tree the caller already holds.
+    # The unreachable pair is read from the tree the caller already holds,
+    # and that tree is built once per (shift, r) in a process: after the
+    # memo is cleared, every refusal over the 1-block graph shares one.
     system = make_skew_system(FULL_2, C2, (0, 0))
     identity = [[1.0, 0.0], [0.0, 1.0]]
     cocycles = {
@@ -543,14 +546,14 @@ def test_a_refused_finite_cover_builds_one_spanning_tree(monkeypatch):
         init(self, graph)
 
     monkeypatch.setattr(SpanningTree, "__init__", counting)
-    for solve, cocycle in cocycles.items():
-        built.clear()
-        with pytest.raises(NotTransitiveError):
-            solve(system, cocycle)
-        assert len(built) == 1, solve.__name__
-    built.clear()
-    assert check_transitivity(system).status == "not_transitive"
+    sft._TREES.clear()
+    for _ in range(2):
+        for solve, cocycle in cocycles.items():
+            with pytest.raises(NotTransitiveError):
+                solve(system, cocycle)
+        assert check_transitivity(system).status == "not_transitive"
     assert len(built) == 1
+    assert built[0] is build_block_graph(FULL_2, 1)
 
 
 # ---------------------------------------------------------------------------
