@@ -13,34 +13,45 @@ at each of three fixed seeds, then one --trace 1 run per workload for the
 per-layer metrics, and copies into the record the checkout's git revision
 (with a dirty flag, and a hash of the uncommitted diff when dirty), the
 machine record, every metric of every run, and a per-name summary of the
-traced run's spans.  It uses the standard library only, and, like the
-harness, refuses to run when any LIVSIC_MAX_* variable is set.
+traced run's spans.  It then runs the README's command tour three times
+over, each command a fresh `python -m livsic.cli` process started by
+tests/launcher.py, and records each process's own exit code, CPU time
+and peak RSS, read with os.wait4.  It uses the standard library only,
+and, like the harness, refuses to run when any LIVSIC_MAX_* variable is
+set.
 
 --compare A B prints, per workload, the median of each metric over A's
 runs and over B's, their ratio B/A, and for the end-to-end metrics whether
 B is worse than A by more than the metric's BENCHMARK.json bound; it exits
-1 when one is.  Per-layer figures come from one traced run and have no
-bound, so their ratios are printed for reading only.
+1 when one is.  Per-layer figures come from one traced run, and tour
+figures are per process; neither has a bound, so their ratios are
+printed for reading only.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
 
 SEEDS = (41, 42, 43)
 SECONDS = 8
-SCHEMA = 1
+SCHEMA = 2  # 2 adds the tour rows
 WORK_DIR = ".perfbench_work"
+TOUR_RUNS = 3
+TOUR_ADDRESS_SPACE = 1 << 30  # RLIMIT_AS of a tour process, in bytes
+TOUR_WALL_S = 60.0  # a tour process is killed past this
 
 
 class RecordError(Exception):
@@ -107,6 +118,51 @@ def span_summary(doc: dict) -> dict:
     }
 
 
+def tour_commands(root: Path) -> list[tuple[list[str], int]]:
+    """The README's command tour, in order: each `livsic` line's arguments
+    and the exit code its comment documents (0 when it names none)."""
+    text = (root / "README.md").read_text()
+    section = text.split("\n## Command tour\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for line in section.splitlines():
+        if line.startswith("livsic "):
+            command, _, comment = line.partition("#")
+            code = re.match(r"\s*exit (\d+)", comment)
+            commands.append((shlex.split(command)[1:], int(code.group(1)) if code else 0))
+    return commands
+
+
+def run_tour(root: Path) -> list[dict]:
+    """Each tour command, TOUR_RUNS times over in README order, as a fresh
+    `python -m livsic.cli` process of this checkout started by
+    tests/launcher.py: its exit codes, CPU seconds and peak RSS in KiB.
+    The processes run in a temporary directory that links the checkout's
+    docs/, so the README's relative paths resolve and `--out` files land
+    there."""
+    spec = importlib.util.spec_from_file_location("tour_launcher", root / "tests" / "launcher.py")
+    launcher = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launcher)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    rows = [{"argv": argv, "expected": code, "code": [], "cpu_s": [], "rss_kib": []}
+            for argv, code in tour_commands(root)]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "docs").symlink_to(root / "docs")
+        for _ in range(TOUR_RUNS):
+            for row in rows:
+                usage = launcher.launch(
+                    [sys.executable, "-m", "livsic.cli", *row["argv"]], work / "stdout",
+                    work / "stderr", address_space=TOUR_ADDRESS_SPACE, wall_s=TOUR_WALL_S,
+                    env=env, cwd=work,
+                )
+                if usage["code"] != row["expected"]:
+                    raise RecordError(f"livsic {shlex.join(row['argv'])} exited {usage['code']},"
+                                      f" not {row['expected']}: {(work / 'stderr').read_text()}")
+                for name in ("code", "cpu_s", "rss_kib"):
+                    row[name].append(usage[name])
+    return rows
+
+
 def record(root: Path, out: Path) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -126,6 +182,8 @@ def record(root: Path, out: Path) -> dict:
         run, machine = run_once(root, spec["command"], workload, seed, trace)
         doc["machine"] = doc["machine"] or machine
         doc["runs"].append(run)
+    print("record: README tour", file=sys.stderr, flush=True)
+    doc["tour"] = run_tour(root)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return doc
 
@@ -157,7 +215,7 @@ def compare(a: dict, b: dict, spec: dict) -> tuple[list[dict], bool]:
     for key in sorted(ma.keys() & mb.keys()):
         for name in sorted(ma[key].keys() & mb[key].keys()):
             x, y = ma[key][name], mb[key][name]
-            ratio = y / x if x else (1.0 if y == x else math.inf)
+            ratio = _ratio(x, y)
             row = {"workload": key[0], "trace": key[1], "metric": name, "a": x, "b": y,
                    "ratio": ratio, "better": declared.get(name, {}).get("better")}
             if name in end_to_end:
@@ -166,13 +224,27 @@ def compare(a: dict, b: dict, spec: dict) -> tuple[list[dict], bool]:
                 row.update(bound=bound, worse=worse)
                 beyond |= worse
             rows.append(row)
+    tour_b = {shlex.join(row["argv"]): row for row in b.get("tour", ())}
+    for row_a in a.get("tour", ()):
+        command = shlex.join(row_a["argv"])
+        if command not in tour_b:
+            continue
+        for name in ("cpu_s", "rss_kib"):
+            x, y = statistics.median(row_a[name]), statistics.median(tour_b[command][name])
+            rows.append({"workload": "tour", "trace": None, "metric": f"{name} livsic {command}",
+                         "a": x, "b": y, "ratio": _ratio(x, y), "better": "lower"})
     return rows, beyond
+
+
+def _ratio(x, y):
+    return y / x if x else (1.0 if y == x else math.inf)
 
 
 def print_comparison(rows: list[dict], a_name: str, b_name: str) -> None:
     print(f"medians over runs; ratio = {b_name} / {a_name}")
     for trace, title in ((0, "end to end (bound: how much worse B may be)"),
-                         (1, "per layer, one traced run each (no bound)")):
+                         (1, "per layer, one traced run each (no bound)"),
+                         (None, "README tour, one process per command (no bound)")):
         print(f"\n{title}")
         for row in (r for r in rows if r["trace"] == trace):
             mark = ""

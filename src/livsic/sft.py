@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import gcd, lcm
-from operator import eq, floordiv, mul
+from operator import eq, floordiv, itemgetter, mul
 
 from .errors import (
     BadShape,
@@ -558,16 +558,31 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
     ``children[a][c]`` lists each b >= c with a -> b, so extending every
     node in order by the entry for its last symbol and c = word[t-p] makes
     the next level, again in order.  The orbits of a level are its nodes
-    with p == t and an allowed wrap; they become one run of the result.
-    At max_period only the orbits are built, from ``leaves[a][c][f]``:
-    each b > c with a -> b -> f, f the first symbol.  Without ``act`` that
-    entry is ("", b, ...), so that ``word.join(entry)`` spells the node's
-    orbits back to back.
+    with p == t and an allowed wrap, found as the level is built (a child
+    b > c is Lyndon, so an orbit if b -> word[0]); they become one run of
+    the result.
 
-    A table entry is made when a node first asks for it, from per-symbol
-    entries that every row shares, so the tables grow with the walk and
-    not as k**3.  With ``act`` each node built costs one weight step;
-    without it there is none.
+    The levels stop at length M-2 (M = max_period; at length 1 if M <= 2)
+    and the orbits of lengths M-1 and M are spelt from there, one table
+    entry per node.  A node w of length t has a = w[-1], c = w[t-p],
+    c2 = w[t-p+1] (c when p == 1) and f = w[0]; its children are w + b1
+    for b1 in ``children[a][c]``.  A child with b1 > c is Lyndon: an orbit
+    if b1 -> f, and its orbit children are w + b1 + b2 for the b2 > f with
+    b1 -> b2 -> f that ``closing[b1 + f]`` lists.  The child b1 == c keeps
+    p, so it is no orbit, and its orbit children have b2 > c2.  So a
+    node's orbits of both lengths depend on (a, c, c2, f) only, and
+    ``finish`` is keyed by the one str a + w[t-p:t-p+2] + f (three symbols
+    when p == 1).  An entry spells each length as ("", suffix, ...), so
+    that ``w.join(entry)`` spells the node's orbits of that length back to
+    back.  With ``act`` it also lists each child b1 that is an orbit or
+    has orbit children: act[b1], whether w + b1 is an orbit, and the
+    act[b2] of its orbit children.  So a child's weight is computed once,
+    and each orbit's weight is one step from it.
+
+    A table entry is made when a node first asks for it, so the tables
+    grow with the walk and not as k**4.  With ``act`` each node built costs
+    one weight step, and so does each child of a last-level node that is
+    an orbit or has orbit children; without ``act`` there is none.
     """
     k = spec.k
     alphabet = "".join(map(chr, range(1, k + 1)))
@@ -577,11 +592,10 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
 
     after, before = spell(spec.transitions), spell(zip(*spec.transitions))
     # One entry per symbol b, shared by every table row: b, whether b keeps
-    # p (children only) and, with act, act[b].
+    # p and, with act, act[b].
     steps = () if act is None else (act,)
     keeps = dict(zip(alphabet, zip(alphabet, repeat(True), *steps)))
     grows = dict(zip(alphabet, zip(alphabet, repeat(False), *steps)))
-    wraps = dict(zip(alphabet, zip(alphabet, *steps)))
 
     def children_of(row):
         def make(c):
@@ -592,71 +606,116 @@ def _lyndon_walk(spec: SftSpec, max_period: int, act, identity):
 
         return _Table(make)
 
-    def leaves_of(row):
-        def make(c):
-            above = row[bisect_right(row, c) :]
-            if act is None:
-                return _Table(lambda f: ("", *filter(before[f].__contains__, above)))
-            return _Table(
-                lambda f: tuple(map(wraps.__getitem__, filter(before[f].__contains__, above)))
-            )
-
-        return _Table(make)
-
     children = dict(zip(alphabet, map(children_of, after.values())))
-    leaves = dict(zip(alphabet, map(leaves_of, after.values())))
+    acts = None if act is None else dict(zip(alphabet, act))
     level = list(alphabet)
     periods = [1] * k
     carried = None if act is None else [f(identity) for f in act]
+    # The orbits of length 1 are the symbols that may follow themselves.
+    found = [w for w in level if w in after[w]]
+    weights = [] if act is None else [g for w, g in zip(level, carried) if w in after[w]]
     lengths = []
     blobs = []
-    weights = []
     t = 1
     while True:
-        found = []
-        if act is None:
-            for w, p in zip(level, periods):
-                if p == t and w[0] in after[w[-1]]:
-                    found.append(w)
-        else:
-            for w, p, g in zip(level, periods, carried):
-                if p == t and w[0] in after[w[-1]]:
-                    found.append(w)
-                    weights.append(g)
         if found:
             lengths.append(t)
             blobs.append("".join(found))
-        if t >= max_period - 1 or not level:
+        if t >= max_period - 2 or not level:
             break
-        grown, grown_periods, grown_carried = [], [], []
+        found, grown, grown_periods, grown_carried = [], [], [], []
         t1 = t + 1
         if act is None:
             for w, p in zip(level, periods):
+                first = w[0]
                 for b, same in children[w[-1]][w[t - p]]:
-                    grown.append(w + b)
-                    grown_periods.append(p if same else t1)
+                    u = w + b
+                    grown.append(u)
+                    if same:
+                        grown_periods.append(p)
+                    else:
+                        grown_periods.append(t1)
+                        if first in after[b]:
+                            found.append(u)
         else:
             for w, p, g in zip(level, periods, carried):
+                first = w[0]
                 for b, same, f in children[w[-1]][w[t - p]]:
-                    grown.append(w + b)
-                    grown_periods.append(p if same else t1)
-                    grown_carried.append(f(g))
+                    u = w + b
+                    h = f(g)
+                    grown.append(u)
+                    grown_carried.append(h)
+                    if same:
+                        grown_periods.append(p)
+                    else:
+                        grown_periods.append(t1)
+                        if first in after[b]:
+                            found.append(u)
+                            weights.append(h)
         level, periods, carried = grown, grown_periods, grown_carried
         t += 1
-    if max_period > 1:
-        parts = []
+    # At M == 2 the last level has length 1 and only length 2 is spelt.
+    deep = max_period > t + 1
+
+    def endings(b1, x, wraps):
+        # b1 + b2 for each b2 > x with b1 -> b2 and wraps(b2), and, with
+        # act, their act[b2].
+        row = after[b1]
+        ends = "".join(filter(wraps, row[bisect_right(row, x) :]))
+        return tuple(map(b1.__add__, ends)), tuple(map(acts.__getitem__, ends)) if act else ()
+
+    def closing_of(key):
+        b1, f = key
+        return endings(b1, f, before[f].__contains__)
+
+    closing = _Table(closing_of)
+
+    def finish_entry(key):
+        # A key of three symbols is a node with p == 1, so c2 == c.
+        a, c, c2, f = key[0], key[1], key[-2], key[-1]
+        wraps = before[f].__contains__
+        one, two, weigh = [""], [""], []
+        for child in children[a][c]:
+            b1, same = child[0], child[1]
+            pairs = steps2 = ()
+            if same:
+                # w + c keeps p: no orbit, and its orbit children exceed c2.
+                orbit = False
+                if deep:
+                    pairs, steps2 = endings(b1, c2, wraps)
+            else:
+                # w + b1 is Lyndon: an orbit if it wraps, and its orbit
+                # children exceed f.
+                orbit = wraps(b1)
+                if orbit:
+                    one.append(b1)
+                if deep:
+                    pairs, steps2 = closing[b1 + f]
+            two += pairs
+            if act is not None and (orbit or pairs):
+                weigh.append((child[2], orbit, steps2))
         if act is None:
-            for w, p in zip(level, periods):
-                parts.append(w.join(leaves[w[-1]][w[t - p]][w[0]]))
-        else:
-            for w, p, g in zip(level, periods, carried):
-                for b, f in leaves[w[-1]][w[t - p]][w[0]]:
-                    parts.append(w + b)
-                    weights.append(f(g))
-        blob = "".join(parts)
-        if blob:
-            lengths.append(t + 1)
-            blobs.append(blob)
+            return tuple(one), tuple(two)
+        return tuple(one), tuple(two), tuple(weigh)
+
+    if max_period > t:
+        finish = _Table(finish_entry)
+        entries = [finish[w[-1] + w[t - p : t - p + 2] + w[0]] for w, p in zip(level, periods)]
+        if act is not None:
+            last = []
+            for g, entry in zip(carried, entries):
+                for f1, orbit, f2s in entry[2]:
+                    g1 = f1(g)
+                    if orbit:
+                        weights.append(g1)
+                    for f2 in f2s:
+                        last.append(f2(g1))
+            weights += last
+        for n in (1, 2):
+            blob = "".join(map(str.join, level, map(itemgetter(n - 1), entries)))
+            if blob:
+                lengths.append(t + n)
+                blobs.append(blob)
     words = PackedWords(lengths, blobs)
     if act is None:
         weights = [identity] * len(words)

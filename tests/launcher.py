@@ -42,13 +42,14 @@ print(json.dumps({
 """
 
 
-def launch(argv, out, err, *, address_space: int, wall_s: float, env) -> dict:
-    """Run argv with its stdout and stderr in the files out and err, under
-    an address-space limit in bytes and a wall limit in seconds past which
-    it is killed.  Returns {"code", "cpu_s", "rss_kib"} of argv alone."""
+def launch(argv, out, err, *, address_space: int, wall_s: float, env, cwd=None) -> dict:
+    """Run argv in the directory cwd (default: this one) with its stdout
+    and stderr in the files out and err, under an address-space limit in
+    bytes and a wall limit in seconds past which it is killed.  Returns
+    {"code", "cpu_s", "rss_kib"} of argv alone."""
     launcher = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, str(address_space), str(wall_s),
          str(out), str(err), *argv],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=env, cwd=cwd, check=True,
     )
     return json.loads(launcher.stdout)

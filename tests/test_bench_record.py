@@ -1,9 +1,11 @@
 """The committed BENCH_<n>.json records and bench/record.py's comparison.
 
-Every record holds each declared metric of every planned run, finite, and
-`--compare` of a record with itself gives ratio 1 throughout.  The
-recorder itself runs the benchmark for minutes, so only its refusal of cap
-overrides is run here.
+Every record holds each declared metric of every planned run, finite,
+and from schema 2 on one row per README tour command with its exit codes,
+CPU times and peak RSS; `--compare` of a record with itself gives ratio
+1 throughout.  The recorder itself runs the benchmark for minutes, so
+only its refusal of cap overrides and its reading of the tour are run
+here.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(re.findall(r"\d+",
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
 PER_LAYER = [m["name"] for m in SPEC["per_layer"]]
+TOUR_COMMANDS = {
+    "validate", "check-transitivity", "orbits", "verify-vanishing", "solve", "verify-solution",
+    "generate", "distortion", "check-distortion",
+}
 
 
 def _recorder():
@@ -46,7 +52,7 @@ def test_the_records_are_numbered_from_1():
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_a_record_holds_every_metric_finite(path):
     doc = json.loads(path.read_text())
-    assert doc["schema"] == record.SCHEMA
+    assert doc["schema"] in range(1, record.SCHEMA + 1)
     assert re.fullmatch(r"[0-9a-f]{40}", doc["revision"])
     assert type(doc["dirty"]) is bool
     assert doc["dirty"] == ("diff_sha256" in doc)
@@ -66,6 +72,18 @@ def test_a_record_holds_every_metric_finite(path):
             for name, span in run["spans"].items():
                 assert span["calls"] > 0, (label, name)
                 assert all(math.isfinite(span[k]) for k in ("total_s", "self_s")), (label, name)
+    # Schema 2 adds the tour: each README command, run as its own process.
+    assert ("tour" in doc) == (doc["schema"] >= 2)
+    for row in doc.get("tour", ()):
+        label = " ".join(row["argv"])
+        assert row["argv"][0] in TOUR_COMMANDS and row["expected"] in (0, 1, 2), label
+        assert len(row["code"]) == len(row["cpu_s"]) == len(row["rss_kib"]) > 0, label
+        assert all(code == row["expected"] for code in row["code"]), label
+        assert all(0 < s < record.TOUR_WALL_S for s in row["cpu_s"]), label
+        assert all(type(kib) is int and 0 < kib < record.TOUR_ADDRESS_SPACE >> 10
+                   for kib in row["rss_kib"]), label
+    if "tour" in doc:
+        assert len(doc["tour"]) == 25
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
@@ -81,6 +99,7 @@ def test_a_record_compared_with_itself_gives_ratio_1(path):
         (w, m) for w in WORKLOADS for m in PER_LAYER
     }
     assert all(not row["worse"] for row in rows if "bound" in row)
+    assert len([r for r in rows if r["trace"] is None]) == 2 * len(doc.get("tour", ()))
 
 
 def test_compare_flags_only_a_change_beyond_its_bound():
@@ -102,6 +121,21 @@ def test_compare_flags_only_a_change_beyond_its_bound():
                   == ("cocycle-solve", metric, 0)]
         assert math.isclose(row["ratio"], factor)
         assert row["worse"] is worse and beyond is worse, (metric, factor)
+
+
+def test_the_tour_is_the_readme_command_tour():
+    commands = record.tour_commands(ROOT)
+    assert len(commands) == 25
+    assert {argv[0] for argv, _ in commands} == TOUR_COMMANDS
+    assert commands[0] == (["validate", "docs/examples/gm-c2.json"], 0)
+    assert commands[1] == (["validate", "docs/examples/bad-reducible.json"], 2)
+    assert commands[-1] == (["check-distortion", "docs/examples/full2-diag-sl2.json",
+                             "--theta", "2"], 1)
+    # Exit 1 is documented for three transitivity verdicts, two witnesses
+    # of solve, one of verify-vanishing and one violated distortion bound.
+    assert [code for _, code in commands].count(1) == 7
+    assert all((ROOT / arg).is_file() for argv, _ in commands for arg in argv
+               if arg.startswith("docs/"))
 
 
 def test_the_recorder_refuses_cap_overrides(tmp_path):

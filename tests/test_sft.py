@@ -200,6 +200,39 @@ def test_census_matches_orbit_counts():
             assert list(vertices) == sorted(vertices), (seed, r)
 
 
+def test_the_walk_counts_every_periodic_point_at_the_benchmark_sizes():
+    # The walk spells its last two lengths from the level two below
+    # max_period; the reference comparison only reaches small walks, so
+    # check the trace formula sum_{d | n} d * #(orbits of period d) on the
+    # benchmark's full shifts, two seeded sparse ones, short walks whose
+    # last level is single symbols (p == 1, so the child that keeps p
+    # reads c2 == c), and a shift with no cycle, whose levels run out.
+    cases = [
+        (SftSpec.full_shift(4), 10),
+        (SftSpec.full_shift(3), 12),
+        (FULL_2, 16),
+        (random_irreducible_sft(rng_for(411, 35), 5), 16),
+        (random_irreducible_sft(rng_for(411, 27), 7), 16),
+        (SftSpec.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 3),
+        (GOLDEN_MEAN, 2),
+        (SftSpec.full_shift(5), 1),
+        (SftSpec.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, 0]]), 6),
+    ]
+    for spec, max_period in cases:
+        words, _ = walk_primitive_orbits(spec, max_period)
+        periods = [0] * (max_period + 1)
+        for word in words.strs():
+            periods[len(word)] += 1
+        for n in range(1, max_period + 1):
+            points = sum(d * periods[d] for d in range(1, n + 1) if n % d == 0)
+            assert points == count_periodic_points(spec, n), (spec, max_period, n)
+        if max_period <= 12:
+            # The weighted finish spells the same words, each weight one
+            # step per symbol.
+            counted, lengths = walk_primitive_orbits(spec, max_period, [lambda m: m + 1] * spec.k, 0)
+            assert counted == words and lengths == list(map(len, words.strs()))
+
+
 def _orbit_consumers(spec: SftSpec):
     """Each orbit consumer on spec, as a function of the period bound."""
     z1 = build_group(GroupSpec.free_abelian(1))
@@ -390,11 +423,17 @@ def test_packed_words_behave_as_the_list_of_tuples():
 
 
 def test_the_walk_makes_one_weight_step_per_node_it_builds():
-    # Every prenecklace shorter than 8 is a node; at length 8 only the
-    # orbits are.  On three symbols the prenecklaces of length t number
-    # L(1) + ... + L(t), L(t) the Lyndon words: 3, 3, 8, 18, 48, 116, 312
-    # and 810 for t = 1..8.  So 3+6+14+32+80+196+508 = 839 short nodes and
-    # 810 leaves.
+    # Every prenecklace shorter than 7 is a node; at length 7 only the
+    # ones that are orbits or have an orbit child are, and at length 8
+    # only the orbits.  On three symbols the prenecklaces of length t
+    # number L(1) + ... + L(t), L(t) the Lyndon words: 3, 3, 8, 18, 48,
+    # 116, 312 and 810 for t = 1..8.  So 3+6+14+32+80+196 = 331 short
+    # nodes and 810 leaves.  Of the 508 prenecklaces of length 7, a
+    # Lyndon one is an orbit (the shift is full); one with p < 7 has an
+    # orbit child unless word[7-p] is 3, when it extends only by 3 and
+    # keeps p.  Such a word is l^q followed by a prefix of l, l Lyndon of
+    # length p, with l[7 mod p] == 3: for p = 1..6 there are 1, 2, 3, 11,
+    # 18 and 23 of them, 58 in all.  So 508 - 58 = 450 middle nodes.
     calls = []
 
     def step(weight):
@@ -403,7 +442,7 @@ def test_the_walk_makes_one_weight_step_per_node_it_builds():
 
     words, _ = walk_primitive_orbits(SftSpec.full_shift(3), 8, [step] * 3, 0)
     assert sum(len(w) == 8 for w in words) == 810
-    assert len(calls) == 839 + 810
+    assert len(calls) == 331 + 450 + 810
 
 
 def test_the_walk_peaks_near_the_memory_of_its_result():
