@@ -14,17 +14,20 @@ per-layer metrics, and copies into the record the checkout's git revision
 (with a dirty flag, and a hash of the uncommitted diff when dirty), the
 machine record, every metric of every run, and a per-name summary of the
 traced run's spans.  It then runs the README's command tour three times
-over, each command a fresh `python -m livsic.cli` process started by
-tests/launcher.py, and records each process's own exit code, CPU time
-and peak RSS, read with os.wait4.  It uses the standard library only,
-and, like the harness, refuses to run when any LIVSIC_MAX_* variable is
-set.
+over, and the distortion ladder three times over: `livsic distortion` on
+a seeded hyperbolic sl(2) cocycle over the full 2-shift at depths 12, 16
+and 19, and on docs/examples/full2-diag-sl2.json, whose words all tie, at
+depth 19, the largest the work budget admits.  Each command is a fresh
+`python -m livsic.cli` process started by tests/launcher.py, and the
+record keeps each process's own exit code, CPU time and peak RSS, read
+with os.wait4.  It uses the standard library only, and, like the
+harness, refuses to run when any LIVSIC_MAX_* variable is set.
 
 --compare A B prints, per workload, the median of each metric over A's
 runs and over B's, their ratio B/A, and for the end-to-end metrics whether
 B is worse than A by more than the metric's BENCHMARK.json bound; it exits
-1 when one is.  Per-layer figures come from one traced run, and tour
-figures are per process; neither has a bound, so their ratios are
+1 when one is.  Per-layer figures come from one traced run, and tour and
+ladder figures are per process; neither has a bound, so their ratios are
 printed for reading only.
 """
 from __future__ import annotations
@@ -35,6 +38,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import shlex
 import statistics
@@ -47,11 +51,16 @@ from pathlib import Path
 
 SEEDS = (41, 42, 43)
 SECONDS = 8
-SCHEMA = 2  # 2 adds the tour rows
+SCHEMA = 3  # 2 adds the tour rows, 3 the distortion ladder
 WORK_DIR = ".perfbench_work"
-TOUR_RUNS = 3
-TOUR_ADDRESS_SPACE = 1 << 30  # RLIMIT_AS of a tour process, in bytes
-TOUR_WALL_S = 60.0  # a tour process is killed past this
+TOUR_RUNS = 3  # passes over the tour, and over the ladder
+TOUR_ADDRESS_SPACE = 1 << 30  # RLIMIT_AS of a tour or ladder process, in bytes
+TOUR_WALL_S = 60.0  # a tour or ladder process is killed past this
+LADDER_SEED = 41
+LADDER_DOCUMENT = "ladder-hyperbolic-sl2.json"  # written by ladder_document
+LADDER = [(LADDER_DOCUMENT, 12), (LADDER_DOCUMENT, 16), (LADDER_DOCUMENT, 19),
+          ("docs/examples/full2-diag-sl2.json", 19)]
+SL2_BASIS = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 class RecordError(Exception):
@@ -132,22 +141,51 @@ def tour_commands(root: Path) -> list[tuple[list[str], int]]:
     return commands
 
 
-def run_tour(root: Path) -> list[dict]:
-    """Each tour command, TOUR_RUNS times over in README order, as a fresh
+def ladder_commands() -> list[tuple[list[str], int]]:
+    """The distortion ladder's `livsic` arguments, each expected to exit 0."""
+    return [(["distortion", doc, "--depth", str(depth)], 0) for doc, depth in LADDER]
+
+
+def ladder_document() -> dict:
+    """A system document over the full 2-shift, the sl(2) basis declared,
+    whose two window values are seeded hyperbolic matrices R diag(l, 1/l)
+    R^-1: R a rotation, 1.5 <= l <= 2.  Their axes differ, so adjoint
+    norms spread apart as words grow, and no product's norm reaches 2^19,
+    so a depth-19 scan stays within working precision."""
+    rng = random.Random(f"{LADDER_SEED}/ladder")
+
+    def hyperbolic():
+        stretch, angle = rng.uniform(1.5, 2.0), rng.uniform(0.0, math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        return [[stretch * c * c + s * s / stretch, (stretch - 1 / stretch) * c * s],
+                [(stretch - 1 / stretch) * c * s, stretch * s * s + c * c / stretch]]
+
+    return {
+        "sft": {"k": 2, "transition": [[1, 1], [1, 1]]},
+        "group": {"type": "cyclic", "payload": {"order": 2}},
+        "psi": ["g", "e"],
+        "cocycle": {"kind": "matrix", "range": 0, "dim": 2, "algebra": SL2_BASIS,
+                    "values": {"1": hyperbolic(), "2": hyperbolic()}},
+    }
+
+
+def run_commands(root: Path, commands: list[tuple[list[str], int]]) -> list[dict]:
+    """Each command, TOUR_RUNS times over in the given order, as a fresh
     `python -m livsic.cli` process of this checkout started by
     tests/launcher.py: its exit codes, CPU seconds and peak RSS in KiB.
     The processes run in a temporary directory that links the checkout's
-    docs/, so the README's relative paths resolve and `--out` files land
-    there."""
+    docs/ and holds ladder_document() as LADDER_DOCUMENT, so relative
+    paths resolve and `--out` files land there."""
     spec = importlib.util.spec_from_file_location("tour_launcher", root / "tests" / "launcher.py")
     launcher = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(launcher)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     rows = [{"argv": argv, "expected": code, "code": [], "cpu_s": [], "rss_kib": []}
-            for argv, code in tour_commands(root)]
+            for argv, code in commands]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "docs").symlink_to(root / "docs")
+        (work / LADDER_DOCUMENT).write_text(json.dumps(ladder_document()))
         for _ in range(TOUR_RUNS):
             for row in rows:
                 usage = launcher.launch(
@@ -183,7 +221,9 @@ def record(root: Path, out: Path) -> dict:
         doc["machine"] = doc["machine"] or machine
         doc["runs"].append(run)
     print("record: README tour", file=sys.stderr, flush=True)
-    doc["tour"] = run_tour(root)
+    doc["tour"] = run_commands(root, tour_commands(root))
+    print("record: distortion ladder", file=sys.stderr, flush=True)
+    doc["ladder"] = run_commands(root, ladder_commands())
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return doc
 
@@ -224,15 +264,17 @@ def compare(a: dict, b: dict, spec: dict) -> tuple[list[dict], bool]:
                 row.update(bound=bound, worse=worse)
                 beyond |= worse
             rows.append(row)
-    tour_b = {shlex.join(row["argv"]): row for row in b.get("tour", ())}
-    for row_a in a.get("tour", ()):
-        command = shlex.join(row_a["argv"])
-        if command not in tour_b:
-            continue
-        for name in ("cpu_s", "rss_kib"):
-            x, y = statistics.median(row_a[name]), statistics.median(tour_b[command][name])
-            rows.append({"workload": "tour", "trace": None, "metric": f"{name} livsic {command}",
-                         "a": x, "b": y, "ratio": _ratio(x, y), "better": "lower"})
+    for part in ("tour", "ladder"):
+        rows_b = {shlex.join(row["argv"]): row for row in b.get(part, ())}
+        for row_a in a.get(part, ()):
+            command = shlex.join(row_a["argv"])
+            if command not in rows_b:
+                continue
+            for name in ("cpu_s", "rss_kib"):
+                x, y = statistics.median(row_a[name]), statistics.median(rows_b[command][name])
+                rows.append({"workload": part, "trace": None,
+                             "metric": f"{name} livsic {command}", "a": x, "b": y,
+                             "ratio": _ratio(x, y), "better": "lower"})
     return rows, beyond
 
 
@@ -244,7 +286,8 @@ def print_comparison(rows: list[dict], a_name: str, b_name: str) -> None:
     print(f"medians over runs; ratio = {b_name} / {a_name}")
     for trace, title in ((0, "end to end (bound: how much worse B may be)"),
                          (1, "per layer, one traced run each (no bound)"),
-                         (None, "README tour, one process per command (no bound)")):
+                         (None, "README tour and distortion ladder, one process per"
+                                " command (no bound)")):
         print(f"\n{title}")
         for row in (r for r in rows if r["trace"] == trace):
             mark = ""

@@ -167,7 +167,7 @@ def adjoint_norm(g: np.ndarray, basis) -> float:
 
 def _algebra_frame(basis):
     """(basis stack, basis matrix, its pseudo-inverse transposed), or None
-    for the ambient algebra: what _adjoint_norms needs, computed once."""
+    for the ambient algebra: what _adjoint_factors needs, computed once."""
     if basis is None:
         return None
     b_mat = np.stack([b.reshape(-1) for b in basis], axis=1)
@@ -175,13 +175,16 @@ def _algebra_frame(basis):
 
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of an (N, p, q) stack."""
+    """Largest singular value of each matrix of an (N, p, q) stack: one
+    eigvalsh per matrix, so a row's value does not depend on the others."""
     gram = np.swapaxes(mats, 1, 2) @ mats
     return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
 
-def _adjoint_norms(g: np.ndarray, frame, tol: float) -> np.ndarray:
-    """2-norm of Ad(g) for each matrix of an (N, m, m) stack.
+def _adjoint_factors(g: np.ndarray, frame, tol: float) -> tuple[np.ndarray, ...]:
+    """Stacks whose rows' 2-norms multiply to ||Ad(g)|| for each matrix of
+    an (N, m, m) stack: (g, g^-1) on the ambient algebra, (coefficient
+    matrices,) on a declared one.
 
     Every matrix must pass _checked_inverse (SingularMatrix otherwise).
     On the ambient algebra (frame None) the norm is ||g|| ||g^-1||.  On a
@@ -192,14 +195,52 @@ def _adjoint_norms(g: np.ndarray, frame, tol: float) -> np.ndarray:
     """
     g_inv = _checked_inverse(g, "adjoint")
     if frame is None:
-        return _spectral_norms(g) * _spectral_norms(g_inv)
+        return g, g_inv
     stack = frame[0]
     n, m = g.shape[0], g.shape[-1]
     vecs = (g[:, None] @ stack @ g_inv[:, None]).reshape(n, len(stack), m * m)
     # Row j of coeffs[i] holds the coefficients of the j-th conjugated element.
     coeffs = _project(vecs, frame, tol,
                       lambda _, j: f"conjugation moves basis element {j} out of the declared span")
-    return _spectral_norms(coeffs)
+    return (coeffs,)
+
+
+def _adjoint_norms(g: np.ndarray, frame, tol: float) -> np.ndarray:
+    """2-norm of Ad(g) for each matrix of an (N, m, m) stack, after the
+    checks of _adjoint_factors."""
+    return reduce(np.multiply, map(_spectral_norms, _adjoint_factors(g, frame, tol)))
+
+
+def _max_norms(factors, split: int, floors) -> tuple[float, float]:
+    """(max(floors[0], M[:split].max()), max(floors[1], M[split:].max())),
+    where M holds, row by row, the product of the 2-norms of the (N, p, q)
+    stacks in factors: the values that scoring every row with
+    _spectral_norms gives, bit for bit.  Both halves must be nonempty.
+
+    An exact norm costs an eigvalsh, so each row is first bracketed by
+    its Frobenius norm F: F / sqrt(min(p, q)) <= 2-norm <= F.  In each
+    half, a row whose upper bound falls short of max(floor, the half's
+    largest lower bound), less a 1e-9 margin for rounding, cannot hold
+    the maximum; only the other rows get an exact norm.  When no row
+    falls short (every row ties, as under a constant or a rotation
+    cocycle), the stacks are scored as they stand, without a copy.
+    """
+    # Squared bounds, multiplied over the factors.
+    upper = reduce(np.multiply, [np.einsum("nij,nij->n", f, f) for f in factors])
+    rank = math.prod(min(f.shape[1:]) for f in factors)
+    cuts = [max(floor * floor, float(upper[h].max()) / rank) * (1.0 - 1e-9)
+            for h, floor in zip(_halves(split), floors)]
+    keep = upper >= np.repeat(cuts, (split, len(upper) - split))
+    if not keep.all():
+        factors = [f[keep] for f in factors]
+        split = int(np.count_nonzero(keep[:split]))
+    norms = reduce(np.multiply, map(_spectral_norms, factors))
+    return tuple(max(floor, float(norms[h].max(initial=0.0)))
+                 for h, floor in zip(_halves(split), floors))
+
+
+def _halves(split: int) -> tuple[slice, slice]:
+    return slice(None, split), slice(split, None)
 
 
 def _project(vecs: np.ndarray, frame, tol: float, leaves) -> np.ndarray:
@@ -479,9 +520,17 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
 
     The admissible words of length n + block_range are walked depth first
     in chunks of at most _CHUNK words, each carrying its (chunk, m, m)
-    stacks of forward and backward products.  A popped chunk is scored
-    with one batched adjoint-norm call over both stacks, and its children,
-    found through a table of window successors, get their products as
+    stacks of forward and backward products.  A popped chunk is checked
+    with one batched _adjoint_factors call over both stacks: every product
+    is inverted (SingularMatrix) and, on a declared algebra, every
+    conjugated basis element must stay in the span (AlgebraNotClosed).
+    Only each depth's maximum is kept, so the chunk is then scored by
+    _max_norms: each row's adjoint norm is bracketed by the Frobenius
+    norms of its factors, and only the rows whose upper bound reaches
+    max(the depth's best so far, the largest lower bound) get an exact
+    norm.  Exact norms are per matrix, so the maxima are those that
+    scoring every row gives, bit for bit.  The chunk's children, found
+    through a table of window successors, get their products as
     value @ product and inverse-product @ inverse, the order of a
     word-by-word scan, before being split into chunks and pushed.  The
     largest norm at each n, over rows and chunks, gives the rate.
@@ -516,15 +565,16 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     while stack:
         n, words, prods, inv_prods = stack.pop()
         try:
-            norms = _adjoint_norms(np.concatenate((prods, inv_prods)), frame, _DISTORTION_TOL)
+            best_s[n], best_u[n] = _max_norms(
+                _adjoint_factors(np.concatenate((prods, inv_prods)), frame, _DISTORTION_TOL),
+                len(words), (best_s[n], best_u[n]),
+            )
         except (SingularMatrix, AlgebraNotClosed):
             # Name the failure a word-by-word scan meets first: every check
             # of the forward stack comes before any of the backward one.
             _adjoint_norms(prods, frame, _DISTORTION_TOL)
             _adjoint_norms(inv_prods, frame, _DISTORTION_TOL)
             raise
-        best_s[n] = max(best_s[n], float(norms[: len(words)].max()))
-        best_u[n] = max(best_u[n], float(norms[len(words) :].max()))
         if n < n_max:
             succ = successor[words]
             parent, symbol = np.nonzero(succ >= 0)

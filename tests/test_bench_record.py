@@ -1,8 +1,9 @@
 """The committed BENCH_<n>.json records and bench/record.py's comparison.
 
 Every record holds each declared metric of every planned run, finite,
-and from schema 2 on one row per README tour command with its exit codes,
-CPU times and peak RSS; `--compare` of a record with itself gives ratio
+from schema 2 on one row per README tour command with its exit codes,
+CPU times and peak RSS, and from schema 3 on the same for each rung of
+the distortion ladder; `--compare` of a record with itself gives ratio
 1 throughout.  The recorder itself runs the benchmark for minutes, so
 only its refusal of cap overrides and its reading of the tour are run
 here.
@@ -73,17 +74,22 @@ def test_a_record_holds_every_metric_finite(path):
                 assert span["calls"] > 0, (label, name)
                 assert all(math.isfinite(span[k]) for k in ("total_s", "self_s")), (label, name)
     # Schema 2 adds the tour: each README command, run as its own process.
+    # Schema 3 adds the distortion ladder, whose every command exits 0.
     assert ("tour" in doc) == (doc["schema"] >= 2)
-    for row in doc.get("tour", ()):
-        label = " ".join(row["argv"])
-        assert row["argv"][0] in TOUR_COMMANDS and row["expected"] in (0, 1, 2), label
-        assert len(row["code"]) == len(row["cpu_s"]) == len(row["rss_kib"]) > 0, label
-        assert all(code == row["expected"] for code in row["code"]), label
-        assert all(0 < s < record.TOUR_WALL_S for s in row["cpu_s"]), label
-        assert all(type(kib) is int and 0 < kib < record.TOUR_ADDRESS_SPACE >> 10
-                   for kib in row["rss_kib"]), label
+    assert ("ladder" in doc) == (doc["schema"] >= 3)
+    for part, commands in (("tour", TOUR_COMMANDS), ("ladder", {"distortion"})):
+        for row in doc.get(part, ()):
+            label = " ".join(row["argv"])
+            assert row["argv"][0] in commands and row["expected"] in (0, 1, 2), label
+            assert len(row["code"]) == len(row["cpu_s"]) == len(row["rss_kib"]) > 0, label
+            assert all(code == row["expected"] for code in row["code"]), label
+            assert all(0 < s < record.TOUR_WALL_S for s in row["cpu_s"]), label
+            assert all(type(kib) is int and 0 < kib < record.TOUR_ADDRESS_SPACE >> 10
+                       for kib in row["rss_kib"]), label
     if "tour" in doc:
         assert len(doc["tour"]) == 25
+    if "ladder" in doc:
+        assert all(row["expected"] == 0 and "--depth" in row["argv"] for row in doc["ladder"])
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
@@ -99,7 +105,8 @@ def test_a_record_compared_with_itself_gives_ratio_1(path):
         (w, m) for w in WORKLOADS for m in PER_LAYER
     }
     assert all(not row["worse"] for row in rows if "bound" in row)
-    assert len([r for r in rows if r["trace"] is None]) == 2 * len(doc.get("tour", ()))
+    processes = len(doc.get("tour", ())) + len(doc.get("ladder", ()))
+    assert len([r for r in rows if r["trace"] is None]) == 2 * processes
 
 
 def test_compare_flags_only_a_change_beyond_its_bound():
@@ -136,6 +143,28 @@ def test_the_tour_is_the_readme_command_tour():
     assert [code for _, code in commands].count(1) == 7
     assert all((ROOT / arg).is_file() for argv, _ in commands for arg in argv
                if arg.startswith("docs/"))
+
+
+def test_the_ladder_scans_a_seeded_hyperbolic_document_and_the_tie_case():
+    assert record.ladder_commands() == [
+        (["distortion", record.LADDER_DOCUMENT, "--depth", "12"], 0),
+        (["distortion", record.LADDER_DOCUMENT, "--depth", "16"], 0),
+        (["distortion", record.LADDER_DOCUMENT, "--depth", "19"], 0),
+        (["distortion", "docs/examples/full2-diag-sl2.json", "--depth", "19"], 0),
+    ]
+    doc = record.ladder_document()
+    assert doc == record.ladder_document()
+    from livsic.serialization import parse_system_document
+
+    cocycle = parse_system_document(doc).cocycle
+    assert len(cocycle.algebra) == 3 and sorted(cocycle.values) == [(1,), (2,)]
+    for value in cocycle.values.values():
+        # Determinant 1, |trace| > 2 and entries at most 2.
+        assert math.isclose(value[0, 0] * value[1, 1] - value[0, 1] * value[1, 0], 1.0)
+        assert abs(value[0, 0] + value[1, 1]) > 2.0
+        assert max(abs(x) for x in value.ravel()) <= 2.0
+    first, second = cocycle.values.values()
+    assert max(abs(x) for x in (first @ second - second @ first).ravel()) > 0.1
 
 
 def test_the_recorder_refuses_cap_overrides(tmp_path):

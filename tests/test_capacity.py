@@ -226,7 +226,7 @@ CASES = [
     ("orbits full3-z2 p13", (_example, "full3-z2.json"), ["orbits", "--max-period", "13"],
      2, 1.0, 64,
      {"error": "RangeTooLarge", "message": f"orbit enumeration up to period 13 {_WORK}"}),
-    # The work budget on `distortion`: depth 19 (about 6 s) is the largest
+    # The work budget on `distortion`: depth 19 (about 5 s) is the largest
     # it admits.
     ("distortion full2-diag-sl2 depth 20", (_example, "full2-diag-sl2.json"),
      ["distortion", "--depth", "20"], 2, 1.0, 64,

@@ -936,22 +936,79 @@ def test_scan_matches_the_per_word_kron_and_projection_norms():
 def test_scan_takes_one_pinv_and_one_norm_call_per_chunk(monkeypatch):
     cocycle = _sl2_cocycle(rng_for(73, 0), 2, 0, SL2_BASIS)
     calls = {"pinv": 0, "norms": 0}
-    pinv, norms = np.linalg.pinv, matrix._adjoint_norms
+    pinv, max_norms = np.linalg.pinv, matrix._max_norms
 
     def counted_pinv(*args, **kwargs):
         calls["pinv"] += 1
         return pinv(*args, **kwargs)
 
-    def counted_norms(*args, **kwargs):
+    def counted_norms(factors, split, floors):
         calls["norms"] += 1
-        return norms(*args, **kwargs)
+        assert all(len(f) == 2 * split for f in factors)
+        return max_norms(factors, split, floors)
 
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
-    monkeypatch.setattr(matrix, "_adjoint_norms", counted_norms)
+    monkeypatch.setattr(matrix, "_max_norms", counted_norms)
     estimate_distortion(cocycle, 8)
     # 2, 4, ..., 256 words: one chunk per depth, forward and backward together.
     assert calls["norms"] == 8
     assert calls["pinv"] <= 1
+
+
+def _spread_stack(rng, m: int, count: int, spread: float) -> np.ndarray:
+    """count products U diag(exp(spread z)) V of m x m matrices, U and V
+    orthogonal and z standard normal: 2-norms spread over orders of
+    magnitude for spread 1, all equal to 1 for spread 0."""
+    def gaussian():
+        return np.array([[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(m)])
+
+    mats = []
+    for _ in range(count):
+        scales = np.exp([spread * rng.gauss(0.0, 1.0) for _ in range(m)])
+        mats.append(np.linalg.qr(gaussian())[0] @ np.diag(scales) @ np.linalg.qr(gaussian())[0])
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_max_norms_are_the_largest_exact_norms(m, monkeypatch):
+    # _max_norms scores exactly only the rows its bounds cannot rule out;
+    # each half's result must equal the maximum over every row, bit for bit.
+    rng = rng_for(79, m)
+    stacks = {
+        "spread": _spread_stack(rng, m, 40, 1.0),
+        "orthogonal": _spread_stack(rng, m, 40, 0.0),
+        "ties": np.repeat(_spread_stack(rng, m, 1, 1.0), 40, axis=0),
+    }
+    frame = matrix._algebra_frame(_sl_basis(m))
+    scored = []
+    spectral = matrix._spectral_norms
+
+    def counted(mats):
+        scored.append(len(mats))
+        return spectral(mats)
+
+    monkeypatch.setattr(matrix, "_spectral_norms", counted)
+    for name, g in stacks.items():
+        # The declared sl(m) coefficients, the ambient pair (g, g^-1), and g alone.
+        for factors in (matrix._adjoint_factors(g, frame, 1e-6),
+                        matrix._adjoint_factors(g, None, 1e-6), (g,)):
+            exact = spectral(factors[0])
+            for f in factors[1:]:
+                exact = exact * spectral(f)
+            for split in (1, 17, 39):
+                halves = (exact[:split], exact[split:])
+                lows = [0.5 * float(h.min()) for h in halves]
+                highs = [2.0 * float(h.max()) for h in halves]
+                for floors in ((0.0, 0.0), tuple(lows), tuple(highs), (1e6 * highs[0], lows[1]),
+                               (float(halves[0].max()), float(halves[1].min()))):
+                    scored.clear()
+                    got = matrix._max_norms(factors, split, floors)
+                    want = tuple(max(floor, float(h.max())) for floor, h in zip(floors, halves))
+                    assert got == want, (name, split, floors)
+                    if floors == (0.0, 0.0):
+                        # Orthogonal and repeated rows leave nothing to prune; spread ones do.
+                        pruned = scored != [40] * len(factors)
+                        assert pruned is (name == "spread"), (name, split, scored)
 
 
 def test_scan_rejects_a_singular_product_at_depth_three():
@@ -1006,6 +1063,35 @@ def test_scan_names_a_depth_without_words():
     assert estimate_distortion(cocycle, 2).mu_s == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(InvalidCocycle, match="length 3"):
         estimate_distortion(cocycle, 3)
+
+
+def test_pruning_never_hides_a_refusal():
+    # Every row passes the span and singularity checks before any row is
+    # pruned, so a refusal holds even where the refused word's norm is the
+    # smallest of its depth and its exact norm would never be taken.
+    full3 = SftSpec.full_shift(3)
+    big = [[4.0, 1.0], [0.0, 0.25]]
+    big_t = [[0.25, 3.0], [0.0, 4.0]]
+    # The upper triangular traceless matrices: conjugating by big or big_t
+    # keeps them there, conjugating by the lower shear leaks.  Word (2)
+    # has ||Ad|| about 1.0, words (1) and (3) about 17.9 and 1.8, so only
+    # word (1) would get an exact norm.
+    borel = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
+    shear = [[1.0, 0.0], [1e-3, 1.0]]
+    leaky = make_matrix_cocycle(full3, 0, {(1,): big, (2,): shear, (3,): big_t}, algebra=borel)
+    with pytest.raises(AlgebraNotClosed) as err:
+        estimate_distortion(leaky, 1)
+    assert str(err.value) == (
+        "conjugation moves basis element 0 out of the declared span (residual 2.000e-03)"
+    )
+    # On the ambient algebra, word (2, 2) is 1e-8 I: ||Ad|| = 1, the
+    # smallest at depth 2, and determinant 1e-16, below working precision.
+    tiny = [[1e-4, 0.0], [0.0, 1e-4]]
+    near_singular = make_matrix_cocycle(full3, 0, {(1,): big, (2,): tiny, (3,): big_t})
+    assert estimate_distortion(near_singular, 1).mu_s == pytest.approx(25.0225, rel=1e-5)
+    with pytest.raises(SingularMatrix) as err:
+        estimate_distortion(near_singular, 2)
+    assert str(err.value) == "adjoint: determinant 9.999999999999965e-17 too close to zero"
 
 
 _SCAN_UNDER_O = r"""
