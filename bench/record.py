@@ -14,10 +14,12 @@ per-layer metrics, and copies into the record the checkout's git revision
 (with a dirty flag, and a hash of the uncommitted diff when dirty), the
 machine record, every metric of every run, and a per-name summary of the
 traced run's spans.  It then runs the README's command tour three times
-over, and the distortion ladder three times over: `livsic distortion` on
-a seeded hyperbolic sl(2) cocycle over the full 2-shift at depths 12, 16
+over, and the size ladder three times over: `livsic distortion` on a
+seeded hyperbolic sl(2) cocycle over the full 2-shift at depths 12, 16
 and 19, and on docs/examples/full2-diag-sl2.json, whose words all tie, at
-depth 19, the largest the work budget admits.  Each command is a fresh
+depth 19, the largest the work budget admits; then `livsic
+check-transitivity` on a seeded full 20-shift over Z^3, which exits 1
+(a lattice verdict is never `transitive`).  Each command is a fresh
 `python -m livsic.cli` process started by tests/launcher.py, and the
 record keeps each process's own exit code, CPU time and peak RSS, read
 with os.wait4.  It uses the standard library only, and, like the
@@ -51,15 +53,17 @@ from pathlib import Path
 
 SEEDS = (41, 42, 43)
 SECONDS = 8
-SCHEMA = 3  # 2 adds the tour rows, 3 the distortion ladder
+SCHEMA = 4  # 2 adds the tour rows, 3 the distortion ladder, 4 its transitivity rung
 WORK_DIR = ".perfbench_work"
 TOUR_RUNS = 3  # passes over the tour, and over the ladder
 TOUR_ADDRESS_SPACE = 1 << 30  # RLIMIT_AS of a tour or ladder process, in bytes
 TOUR_WALL_S = 60.0  # a tour or ladder process is killed past this
 LADDER_SEED = 41
 LADDER_DOCUMENT = "ladder-hyperbolic-sl2.json"  # written by ladder_document
-LADDER = [(LADDER_DOCUMENT, 12), (LADDER_DOCUMENT, 16), (LADDER_DOCUMENT, 19),
-          ("docs/examples/full2-diag-sl2.json", 19)]
+LATTICE_DOCUMENT = "ladder-full20-z3.json"  # written by lattice_document
+LADDER = [(["distortion", doc, "--depth", str(depth)], 0) for doc, depth in (
+    (LADDER_DOCUMENT, 12), (LADDER_DOCUMENT, 16), (LADDER_DOCUMENT, 19),
+    ("docs/examples/full2-diag-sl2.json", 19))] + [(["check-transitivity", LATTICE_DOCUMENT], 1)]
 SL2_BASIS = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
@@ -142,8 +146,8 @@ def tour_commands(root: Path) -> list[tuple[list[str], int]]:
 
 
 def ladder_commands() -> list[tuple[list[str], int]]:
-    """The distortion ladder's `livsic` arguments, each expected to exit 0."""
-    return [(["distortion", doc, "--depth", str(depth)], 0) for doc, depth in LADDER]
+    """The size ladder's `livsic` arguments and expected exit codes."""
+    return [(list(argv), code) for argv, code in LADDER]
 
 
 def ladder_document() -> dict:
@@ -169,13 +173,25 @@ def ladder_document() -> dict:
     }
 
 
+def lattice_document() -> dict:
+    """A system document over the full 20-shift with Z^3 fibers, psi
+    seeded with entries in [-2, 2]."""
+    rng = random.Random(f"{LADDER_SEED}/lattice")
+    return {
+        "sft": {"k": 20, "transition": [[1] * 20] * 20},
+        "group": {"type": "free_abelian", "payload": {"rank": 3}},
+        "psi": [[rng.randint(-2, 2) for _ in range(3)] for _ in range(20)],
+    }
+
+
 def run_commands(root: Path, commands: list[tuple[list[str], int]]) -> list[dict]:
     """Each command, TOUR_RUNS times over in the given order, as a fresh
     `python -m livsic.cli` process of this checkout started by
     tests/launcher.py: its exit codes, CPU seconds and peak RSS in KiB.
     The processes run in a temporary directory that links the checkout's
-    docs/ and holds ladder_document() as LADDER_DOCUMENT, so relative
-    paths resolve and `--out` files land there."""
+    docs/ and holds ladder_document() as LADDER_DOCUMENT and
+    lattice_document() as LATTICE_DOCUMENT, so relative paths resolve and
+    `--out` files land there."""
     spec = importlib.util.spec_from_file_location("tour_launcher", root / "tests" / "launcher.py")
     launcher = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(launcher)
@@ -186,6 +202,7 @@ def run_commands(root: Path, commands: list[tuple[list[str], int]]) -> list[dict
         work = Path(tmp)
         (work / "docs").symlink_to(root / "docs")
         (work / LADDER_DOCUMENT).write_text(json.dumps(ladder_document()))
+        (work / LATTICE_DOCUMENT).write_text(json.dumps(lattice_document()))
         for _ in range(TOUR_RUNS):
             for row in rows:
                 usage = launcher.launch(
@@ -222,7 +239,7 @@ def record(root: Path, out: Path) -> dict:
         doc["runs"].append(run)
     print("record: README tour", file=sys.stderr, flush=True)
     doc["tour"] = run_commands(root, tour_commands(root))
-    print("record: distortion ladder", file=sys.stderr, flush=True)
+    print("record: size ladder", file=sys.stderr, flush=True)
     doc["ladder"] = run_commands(root, ladder_commands())
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return doc

@@ -63,7 +63,6 @@ from .sft import (
     PeriodicOrbit,
     SftSpec,
     ValidationReport,
-    birkhoff_sum,
     build_block_graph,
     canonical_rotation,
     count_periodic_points,
@@ -88,7 +87,6 @@ from .skew import (
     make_skew_system,
     orbit_weights,
     psi_n,
-    psi_n_cyclic,
 )
 
 __version__ = TOOL_VERSION

@@ -335,12 +335,27 @@ def smith_diagonal(rows, width: int) -> tuple[int, ...]:
     return tuple(divisors)
 
 
+def bareiss_pivot(mat, r: int, col: int, prev: int) -> int:
+    """Pivot the integer rows mat in place on mat[r][col] > 0, and return it.
+
+    Bareiss's step row <- (p * row - row[col] * q) // prev, on every row
+    but the pivot row q, divides exactly (Math. Comp. 22, 1968); p is the
+    pivot and prev the one before (1 at first).  So every row is p times
+    its rational Gauss-Jordan row, and the pivot row is left as it is.
+    """
+    q = mat[r]
+    p = q[col]
+    for i, row in enumerate(mat):
+        if i != r:
+            f = row[col]
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, q)]
+    return p
+
+
 def gauss_jordan(rows, width: int):
     """Fraction-free Gauss-Jordan reduction of integer rows on their first width columns.
 
-    Bareiss's step r <- (p * r - r[col] * q) // prev, on every row r but the
-    pivot row q, divides exactly (Math. Comp. 22, 1968); p is the pivot,
-    made positive by negating q, and prev the one before (1 at first).  So
+    Each pivot, made positive by negating its row, is a bareiss_pivot, so
     every pivot row holds the same pivot value, and each reduced row is
     that value times its rational row.  Entries past the first width (a
     right-hand side, say) are carried along but never pivoted on.  Returns
@@ -362,15 +377,9 @@ def gauss_jordan(rows, width: int):
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         order[rank], order[pivot] = order[pivot], order[rank]
-        prow = mat[rank]
-        if prow[col] < 0:
-            prow = mat[rank] = [-x for x in prow]
-        p = prow[col]
-        for i, row in enumerate(mat):
-            if i != rank:
-                f = row[col]
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = p
+        if mat[rank][col] < 0:
+            mat[rank] = [-x for x in mat[rank]]
+        prev = bareiss_pivot(mat, rank, col, prev)
         pivots.append(col)
     return mat, order, tuple(pivots)
 

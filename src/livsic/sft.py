@@ -21,7 +21,6 @@ from .errors import (
     BadShape,
     DeadSymbol,
     DimensionMismatch,
-    InadmissibleWord,
     InvalidCocycle,
     NotIrreducible,
     RangeTooLarge,
@@ -976,18 +975,6 @@ def _check_cocycle_shift(spec: SftSpec, cocycle) -> None:
             f"cocycle transition matrix {own.transitions} differs from "
             f"the system's {spec.transitions}"
         )
-
-
-def birkhoff_sum(cocycle, orbit: PeriodicOrbit):
-    """Sum (or ordered product) of a cocycle around one period of an orbit.
-
-    For rational cocycles this is the exact sum of window values.  For
-    matrix cocycles it is the ordered product with the step at index n-1
-    applied last, i.e. leftmost.
-    """
-    if not cocycle.sft.is_admissible(orbit.word, cyclic=True):
-        raise InadmissibleWord(orbit.word)
-    return cyclic_fold(cocycle, orbit.word)
 
 
 def cyclic_fold(cocycle, word: Word):

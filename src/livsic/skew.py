@@ -10,8 +10,9 @@ the rank d where the two covers differ, never on the element encoding.
 """
 from __future__ import annotations
 
-from itertools import combinations, compress, repeat
-from math import comb, gcd
+from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd
 from operator import add, eq, mul
 
 from .errors import (
@@ -21,9 +22,10 @@ from .errors import (
     NotStronglyConnected,
     NotTransitiveError,
     RangeTooLarge,
+    check_invariant,
     max_states_cap,
 )
-from .groups import Group, GroupElement, gauss_jordan, subgroup_rank_and_index
+from .groups import Group, GroupElement, bareiss_pivot, subgroup_rank_and_index
 from .record import record
 from .sft import (
     BlockGraph,
@@ -407,10 +409,6 @@ class NonTransitivityCertificate:
 
 @record
 class TransitivityEvidence:
-    probe_depth: int
-    probe_covers_simple_cycles: bool
-    orbit_count: int
-    distinct_classes: tuple[tuple[int, ...], ...]
     lattice_rank: int
     lattice_diagonal: tuple[int, ...]
     lattice_full: bool
@@ -426,130 +424,120 @@ class TransitivityVerdict:
     evidence: TransitivityEvidence | None = None
 
 
-def _normal(rows, d) -> tuple[int, ...]:
-    """Primitive integer vector orthogonal to d-1 integer rows, of either
-    sign, or zero if the rows are dependent.  The free column of their
-    reduction takes the pivot value (1 with no pivot), and each pivot
-    column minus its row's entry in the free column."""
-    reduced, _, pivots = gauss_jordan(rows, d)
-    if len(pivots) < d - 1:
-        return (0,) * d
-    free = next(c for c in range(d) if c not in pivots)
-    lam = [reduced[0][pivots[0]] if pivots else 1] * d
-    for row, col in zip(reduced, pivots):
-        lam[col] = -row[free]
+def _one_sided(bg: BlockGraph, psi) -> tuple[int, ...] | None:
+    """None when some circulation x >= 1 on every edge of the strongly
+    connected graph bg has zero psi weight, otherwise a primitive
+    lam that is >= 0 on every closed walk's weight.
+
+    One phase-1 simplex decides {y >= 0 : A y = -A 1}, x = y + 1, where A
+    stacks the incidence rows (+1 at an edge's tail, -1 at its head) over
+    the d rows of psi: in ints, each pivot a bareiss_pivot (the tableau is
+    the last pivot times the rational one), by Bland's rule, so it ends.
+    At an optimum above zero, the artificial columns' reduced costs give
+    the Farkas vector (phi, lam) with lam . psi(e) + phi(t) - phi(h) >= 0
+    on every edge t -> h, strictly on one; around a closed walk the phi
+    terms cancel, and strong connectivity makes lam nonzero.  The tableau
+    has V + d + 1 rows and E + V + d + 1 columns.
+    """
+    tails, heads = bg.edge_tail, bg.edge_head
+    n_edges, d = len(psi), len(psi[0])
+    m = len(bg.vertices) + d
+    rows = [[0] * n_edges for _ in bg.vertices]
+    for e, (t, h) in enumerate(zip(tails, heads)):
+        rows[t][e] += 1
+        rows[h][e] -= 1
+    rows += map(list, zip(*psi))
+    signs = [-1 if sum(row) > 0 else 1 for row in rows]  # rhs -sum(row) >= 0
+    mat = [
+        [s * a for a in row] + [int(i == j) for j in range(m)] + [-s * sum(row)]
+        for i, (s, row) in enumerate(zip(signs, rows))
+    ]
+    # Minimise the artificials' sum: reduced costs 0 on them, -(column sum) elsewhere.
+    mat.append([-sum(col) for col in zip(*mat)])
+    mat[m][n_edges:-1] = [0] * m
+    basis, objective, prev = list(range(n_edges, n_edges + m)), mat[m], 1
+    while True:
+        col = next((j for j, x in enumerate(objective[:-1]) if x < 0), None)
+        if col is None:
+            break
+        r = min(
+            (i for i in range(m) if mat[i][col] > 0),
+            key=lambda i: (Fraction(mat[i][-1], mat[i][col]), basis[i]),
+        )
+        prev = bareiss_pivot(mat, r, col, prev)
+        objective = mat[m]
+        basis[r] = col
+    if not objective[-1]:
+        return None
+    farkas = [s * (x - prev) for s, x in zip(signs, objective[n_edges:-1])]
+    phi, lam = farkas[: m - d], farkas[m - d :]
+    slack = [sum(map(mul, lam, w)) + phi[t] - phi[h] for w, t, h in zip(psi, tails, heads)]
+    check_invariant(any(lam) and min(slack) >= 0, "one-sided functional fails on an edge")
     g = gcd(*lam)
     return tuple(x // g for x in lam)
 
 
-def _dot(a, b) -> int:
-    return sum(map(mul, a, b))
-
-
-def _dual_rays(vectors, d) -> set[tuple[int, ...]]:
-    """Primitive extreme rays of the dual cone {lam : lam.v >= 0 for all v}
-    of a family of integer vectors spanning Q^d.
-
-    Each ray vanishes on d-1 independent vectors, so it is the normal of a
-    (d-1)-subset, with one of its two signs.  The set is empty exactly when
-    0 is interior to the convex hull of the vectors; when some functional
-    is > 0 on every vector, so is the sum of the set, a positive
-    combination of every extreme ray.
-
-    The search costs one dot product per subset and vector; RangeTooLarge
-    is raised before it starts when that exceeds the work budget.
-    """
-    n = len(vectors)
-    subsets = comb(n, d - 1)
-    if subsets * n > DEFAULT_MAX_WORK:
-        raise RangeTooLarge(
-            f"dual-cone ray search over {subsets} subsets of {d - 1} among "
-            f"{n} simple-cycle classes exceeds the work budget"
-        )
-    rays = set()
-    for rows in combinations(vectors, d - 1):
-        lam = _normal(rows, d)
-        for ray in (lam, tuple(-x for x in lam)) if any(lam) else ():
-            if all(_dot(ray, v) >= 0 for v in vectors):
-                rays.add(ray)
-    return rays
-
-
 def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     """Decide transitivity exactly for finite groups; for Z^d return a
-    three-valued verdict backed by the weights of the orbits of period <= k.
+    three-valued verdict read from the symbol graph.
 
     Finite groups: the extension is transitive iff the product graph over
     1-blocks is strongly connected, i.e. iff the monodromy group (the
     weights of closed walks at one symbol) is all of G; transitivity_gap
     decides it on the symbol graph and names the first unreachable pair of
-    product vertices.  Z^d: psi depends on one symbol, so the
-    orbits of period <= k (the alphabet size) include every simple cycle of
-    the symbol graph, and every closed walk's weight is a sum of their
-    weights.  A nonzero functional that is >= 0 on every class (one_sided:
-    the sum of the dual-cone rays, nonzero because the classes span) or a
-    proper weight lattice (proper_subgroup) therefore refutes transitivity:
-    no closed walk reaches a weight where the functional is negative, or
-    one outside the lattice.  Transitivity itself is never certified; the
-    best positive answer is "unknown" with evidence.  RangeTooLarge is
-    raised when k exceeds LIVSIC_MAX_PERIOD, when the orbit walk exceeds
-    the work budget, or when the dual-cone ray search over (rank - 1)-
-    subsets of the simple-cycle classes (times their number) would.
+    product vertices.  Z^d: NotStronglyConnected when the symbol graph is
+    not strongly connected.  Otherwise the closed-walk weights generate
+    the lattice of the fundamental-cycle weights psi(e) + pot(t) - pot(h)
+    along the spanning tree, which Smith's form measures; when they span
+    R^d, their cone is R^d unless _one_sided finds a functional.  A
+    nonzero lam >= 0 on every closed walk (one_sided) or a proper lattice
+    (proper_subgroup) refutes transitivity: no closed walk reaches a
+    weight where lam is negative, or one outside the lattice.
+    Transitivity itself is never certified; the best positive answer is
+    "unknown" with evidence.  RangeTooLarge, before any graph is built,
+    when _one_sided's pivots would pass the work budget.
     """
     d = system.group.rank
+    # The work of _one_sided: as many pivots as its tableau has rows, each
+    # rewriting the whole tableau.  Sparse shifts took about that many.
+    rows = system.sft.k + d + 1
+    width = rows + sum(map(sum, system.sft.transitions))
+    if d and rows * rows * width > DEFAULT_MAX_WORK:
+        raise RangeTooLarge(
+            f"the cone test's simplex, {rows} pivots on a {rows} x {width} tableau, "
+            "exceeds the work budget"
+        )
+    tree = cover_tree(system, 1)
     if not d:
-        witness = transitivity_gap(system, cover_tree(system, 1))
+        witness = transitivity_gap(system, tree)
         if witness is None:
             return TransitivityVerdict(status="transitive")
         return TransitivityVerdict(status="not_transitive", witness=witness)
+    if not tree.strongly_connected:
+        raise NotStronglyConnected("block graph is not strongly connected")
 
-    k = system.sft.k
-    words, weights = _weighted_walk(system, k)
-    simple = [len(set(word)) == len(word) for word in words.strs()]
-    cycle_classes = set(compress(weights, simple))
-    distinct = tuple(sorted(set(weights)))
-    report = subgroup_rank_and_index(list(distinct), d)
-    # Classes inside a hyperplane: its normal is >= 0 (indeed 0) on all of
-    # them, so zero is not interior to their hull and no ray is needed.
-    # Otherwise the simple cycles (words with no repeated symbol) generate
-    # the same cone as every class, with far fewer (d-1)-subsets.
-    spans = report.rank == d
-    rays = _dual_rays(tuple(sorted(cycle_classes)), d) if spans else set()
-    interior = spans and not rays
+    bg = tree.graph
+    psi = [system.psi_z[word[0] - 1] for word in bg.edges]
+    pot = tree.potentials((0,) * d, lambda e, p: tuple(map(add, p, psi[e])))
+    ends = zip(psi, bg.edge_tail, bg.edge_head)
+    report = subgroup_rank_and_index(
+        [tuple(w + a - b for w, a, b in zip(z, pot[t], pot[h])) for z, t, h in ends], d
+    )
+    lam = _one_sided(bg, psi) if report.rank == d else None
+    interior = report.rank == d and lam is None
     evidence = TransitivityEvidence(
-        probe_depth=k,
-        probe_covers_simple_cycles=True,
-        orbit_count=len(weights),
-        distinct_classes=distinct,
         lattice_rank=report.rank,
         lattice_diagonal=report.diagonal,
         lattice_full=report.full,
         zero_in_interior=interior,
         heuristic_transitive=report.full and interior,
     )
-    if rays:
-        lam = tuple(map(sum, zip(*rays)))
-        return TransitivityVerdict(
-            status="not_transitive",
-            certificate=NonTransitivityCertificate(kind="one_sided", functional=lam),
-            evidence=evidence,
+    certificate = None
+    if lam is not None:
+        certificate = NonTransitivityCertificate(kind="one_sided", functional=lam)
+    elif not report.full:
+        certificate = NonTransitivityCertificate(
+            kind="proper_subgroup", lattice_rank=report.rank, lattice_diagonal=report.diagonal
         )
-    if distinct and not report.full:
-        return TransitivityVerdict(
-            status="not_transitive",
-            certificate=NonTransitivityCertificate(
-                kind="proper_subgroup",
-                lattice_rank=report.rank,
-                lattice_diagonal=report.diagonal,
-            ),
-            evidence=evidence,
-        )
-    return TransitivityVerdict(status="unknown", evidence=evidence)
-
-
-def psi_n_cyclic(system: SkewSystem, word) -> GroupElement:
-    """Weight of a cyclic word, checking the wrap edge too."""
-    if not system.sft.is_admissible(word, cyclic=True):
-        raise InadmissibleWord(word)
-    return psi_n(system, word)
-
+    status = "unknown" if certificate is None else "not_transitive"
+    return TransitivityVerdict(status=status, certificate=certificate, evidence=evidence)

@@ -17,8 +17,9 @@ from livsic import (
     check_transitivity,
     make_cocycle,
     make_skew_system,
+    psi_n,
 )
-from livsic.sft import SpanningTree
+from livsic.sft import SpanningTree, cyclic_fold
 
 SEED_STRIDE = 100_003
 
@@ -168,6 +169,38 @@ def random_lattice_system(rng: random.Random, d: int, k_range=(2, 5)):
     group = build_group(GroupSpec.free_abelian(d))
     psi = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
     return make_skew_system(spec, group, psi)
+
+
+def cyclic_weight(system, word):
+    """psi_n of a word, which must be cyclically admissible."""
+    assert system.sft.is_admissible(word, cyclic=True), word
+    return psi_n(system, word)
+
+
+def orbit_sum(cocycle, word):
+    """cyclic_fold of a cocycle around a word, which must be cyclically
+    admissible: the sum (or ordered product) over one period."""
+    assert cocycle.sft.is_admissible(word, cyclic=True), word
+    return cyclic_fold(cocycle, word)
+
+
+def closed_walks_nonnegative(system, lam) -> bool:
+    """Whether lam . psi is >= 0 around every closed walk of the symbol
+    graph: Bellman-Ford from every symbol at once, edge a -> b weighted
+    lam . psi(a), settles within k rounds iff no cycle is negative."""
+    spec = system.sft
+    cost = [sum(l * x for l, x in zip(lam, z)) for z in system.psi_z]
+    dist = [0] * spec.k
+    for _ in range(spec.k):
+        changed = False
+        for a in range(1, spec.k + 1):
+            for b in spec.successors(a):
+                if dist[a - 1] + cost[a - 1] < dist[b - 1]:
+                    dist[b - 1] = dist[a - 1] + cost[a - 1]
+                    changed = True
+        if not changed:
+            return True
+    return False
 
 
 def random_rational(rng: random.Random) -> Fraction:

@@ -27,7 +27,6 @@ from livsic import (
     SftSpec,
     TorsionAlpha,
     ViolationWitness,
-    birkhoff_sum,
     brute_solution_check,
     brute_vanishing,
     build_block_graph,
@@ -38,7 +37,6 @@ from livsic import (
     make_cocycle,
     make_skew_system,
     orbit_weights,
-    psi_n_cyclic,
     solve_finite_gamma,
     solve_free_abelian,
     verify_solution,
@@ -46,6 +44,8 @@ from livsic import (
 )
 from corpus import (
     cover_corpus,
+    cyclic_weight,
+    orbit_sum,
     perturb_one_value,
     random_alpha,
     random_irreducible_sft,
@@ -135,7 +135,7 @@ def test_verify_vanishing_matches_solver_verdicts():
     found = verify_vanishing(system, bad, 8)
     assert found is not None
     assert _cyclic_f_sum(bad, found.word) == found.total != 0
-    assert psi_n_cyclic(system, found.word) == (0,)
+    assert cyclic_weight(system, found.word) == (0,)
 
 
 def test_constant_cocycle_over_trivial_group():
@@ -233,8 +233,8 @@ def test_equal_weight_pair_certificate():
         solve_free_abelian(system, cocycle)
     pair = err.value.witness
     assert isinstance(pair, EqualWeightPair)
-    assert psi_n_cyclic(system, pair.word_a) == pair.weight
-    assert psi_n_cyclic(system, pair.word_b) == pair.weight
+    assert cyclic_weight(system, pair.word_a) == pair.weight
+    assert cyclic_weight(system, pair.word_b) == pair.weight
     assert _cyclic_f_sum(cocycle, pair.word_a) == pair.sum_a
     assert _cyclic_f_sum(cocycle, pair.word_b) == pair.sum_b
     assert pair.sum_a != pair.sum_b
@@ -665,7 +665,7 @@ def test_lattice_witnesses_are_one_lift_of_a_zero_weight_walk(monkeypatch):
                 continue
             word = witness.word
             assert system.sft.is_admissible(word, cyclic=True), word
-            assert psi_n_cyclic(system, word) == (0,) * system.group.rank, word
+            assert cyclic_weight(system, word) == (0,) * system.group.rank, word
             assert witness.multiplicity == 1, word
             assert witness.total != 0 and witness.total == _cyclic_f_sum(cocycle, word)
             seen += 1
@@ -744,16 +744,14 @@ def test_exact_under_a_denominator_lcm_above_2_64():
         witness = err.value.witness
         assert isinstance(witness, ViolationWitness)
         assert witness.total != 0
-        assert witness.total == witness.multiplicity * birkhoff_sum(
-            perturbed, witness.orbit
-        )
-        assert psi_n_cyclic(system, witness.word) == system.group.identity
+        assert witness.total == witness.multiplicity * orbit_sum(perturbed, witness.orbit.word)
+        assert cyclic_weight(system, witness.word) == system.group.identity
         assert pickle.loads(pickle.dumps(witness)) == witness
 
         # The integer folds over a denominator above 2**64 agree with
         # Fraction folds, and the cocycles pickle whole.
         for orbit in enumerate_periodic_orbits(full3, 5):
-            assert birkhoff_sum(perturbed, orbit) == _cyclic_f_sum(perturbed, orbit.word)
+            assert orbit_sum(perturbed, orbit.word) == _cyclic_f_sum(perturbed, orbit.word)
         for f in (cocycle, perturbed):
             found = verify_vanishing(system, f, 6)
             assert _as_pair(found) == _first_fraction_violation(system, f, 6)
@@ -797,7 +795,7 @@ def test_integer_folds_agree_with_fraction_folds():
         perturbed = perturb_one_value(coboundary, rng)[0]
         for f in (drawn, coboundary, perturbed):
             for orbit in enumerate_periodic_orbits(spec, 6):
-                total = birkhoff_sum(f, orbit)
+                total = orbit_sum(f, orbit.word)
                 assert type(total) is Fraction
                 assert total == _cyclic_f_sum(f, orbit.word)
             found = verify_vanishing(system, f, 6)
@@ -855,9 +853,7 @@ def test_trivial_group_and_flat_lattice_corners_agree():
             witness = err.value.witness
             assert isinstance(witness, ViolationWitness)
             assert witness.total != 0
-            assert witness.total == witness.multiplicity * birkhoff_sum(
-                perturbed, witness.orbit
-            )
+            assert witness.total == witness.multiplicity * orbit_sum(perturbed, witness.orbit.word)
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +904,7 @@ def test_finite_covers_solve_on_the_block_graph_as_on_the_product_graph():
             word = witness.word
             assert isinstance(witness, ViolationWitness)
             assert system.sft.is_admissible(word, cyclic=True)
-            assert psi_n_cyclic(system, word) == system.group.identity
+            assert cyclic_weight(system, word) == system.group.identity
             assert witness.total != 0
             assert witness.total == _cyclic_f_sum(bad, word)
             counts["torsion"] += witness.multiplicity > 1

@@ -2,8 +2,9 @@
 
 Every record holds each declared metric of every planned run, finite,
 from schema 2 on one row per README tour command with its exit codes,
-CPU times and peak RSS, and from schema 3 on the same for each rung of
-the distortion ladder; `--compare` of a record with itself gives ratio
+CPU times and peak RSS, from schema 3 on the same for each rung of the
+distortion ladder, and from schema 4 for its check-transitivity rung;
+`--compare` of a record with itself gives ratio
 1 throughout.  The recorder itself runs the benchmark for minutes, so
 only its refusal of cap overrides and its reading of the tour are run
 here.
@@ -74,10 +75,12 @@ def test_a_record_holds_every_metric_finite(path):
                 assert span["calls"] > 0, (label, name)
                 assert all(math.isfinite(span[k]) for k in ("total_s", "self_s")), (label, name)
     # Schema 2 adds the tour: each README command, run as its own process.
-    # Schema 3 adds the distortion ladder, whose every command exits 0.
+    # Schema 3 adds the distortion ladder, whose every command exits 0, and
+    # schema 4 its check-transitivity rung, which exits 1.
     assert ("tour" in doc) == (doc["schema"] >= 2)
     assert ("ladder" in doc) == (doc["schema"] >= 3)
-    for part, commands in (("tour", TOUR_COMMANDS), ("ladder", {"distortion"})):
+    ladder = {"distortion", "check-transitivity"}
+    for part, commands in (("tour", TOUR_COMMANDS), ("ladder", ladder)):
         for row in doc.get(part, ()):
             label = " ".join(row["argv"])
             assert row["argv"][0] in commands and row["expected"] in (0, 1, 2), label
@@ -89,7 +92,9 @@ def test_a_record_holds_every_metric_finite(path):
     if "tour" in doc:
         assert len(doc["tour"]) == 25
     if "ladder" in doc:
-        assert all(row["expected"] == 0 and "--depth" in row["argv"] for row in doc["ladder"])
+        rungs = [(row["argv"][0], row["expected"]) for row in doc["ladder"]]
+        transitivity = [("check-transitivity", 1)] * (doc["schema"] >= 4)
+        assert rungs == [("distortion", 0)] * 4 + transitivity
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
@@ -146,7 +151,7 @@ def test_the_tour_is_the_readme_command_tour():
 
 
 def test_the_ladder_scans_a_seeded_hyperbolic_document_and_the_tie_case():
-    assert record.ladder_commands() == [
+    assert record.ladder_commands()[:4] == [
         (["distortion", record.LADDER_DOCUMENT, "--depth", "12"], 0),
         (["distortion", record.LADDER_DOCUMENT, "--depth", "16"], 0),
         (["distortion", record.LADDER_DOCUMENT, "--depth", "19"], 0),
@@ -177,3 +182,17 @@ def test_the_recorder_refuses_cap_overrides(tmp_path):
     assert done.returncode == 2
     assert "LIVSIC_MAX_STATES" in done.stderr
     assert not out.exists()
+
+
+def test_the_ladder_ends_with_a_seeded_full_20_shift_over_z3():
+    assert record.ladder_commands()[4:] == [(["check-transitivity", record.LATTICE_DOCUMENT], 1)]
+    doc = record.lattice_document()
+    assert doc == record.lattice_document()
+    from livsic import check_transitivity
+    from livsic.serialization import parse_system_document
+
+    system = parse_system_document(doc).system
+    assert system.sft.k == 20 and system.group.rank == 3
+    assert all(max(map(abs, z)) <= 2 for z in system.psi_z)
+    # A lattice verdict is never "transitive": the command exits 1.
+    assert check_transitivity(system).status != "transitive"

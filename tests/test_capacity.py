@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -96,16 +97,12 @@ def _s5_full2_rotation(r: int, perturbed: bool) -> dict:
     return system_to_doc(SystemEnvelope(system=system, cocycle=cocycle, group_doc=group_doc(_S5)))
 
 
-# Z^4 weights whose 63 nonempty subset sums differ: the simple cycles of the
-# full 6-shift have 63 classes, those of the full 5-shift 31.
-_Z4_PSI = ((2, 0, 0, 2), (-2, 1, -1, -2), (-1, -2, 0, 1), (-1, 1, 2, -2), (2, -1, -2, -1),
-           (1, 0, -1, 1))
-
-
-def _z4_full(k: int) -> dict:
-    """Z^4 over the full k-shift, psi the first k weights of _Z4_PSI."""
+def _z3_full(k: int) -> dict:
+    """Z^3 over the full k-shift, psi seeded with entries in [-2, 2]."""
+    rng = random.Random(f"z3 full{k}")
+    psi = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(k)]
     return {"sft": {"k": k, "transition": [[1] * k] * k},
-            "group": group_doc(GroupSpec.free_abelian(4)), "psi": [list(v) for v in _Z4_PSI[:k]]}
+            "group": group_doc(GroupSpec.free_abelian(3)), "psi": psi}
 
 
 def _z2_full2(r: int) -> dict:
@@ -207,13 +204,14 @@ CASES = [
      1, 1.0, 64, None),
     ("solve S5 full2 rotation r9", (_s5_full2_rotation, 9, False), ["solve"], 2, 1.0, 64,
      {"error": "RangeTooLarge", "message": _STATES}),
-    # The work budget on the dual-cone ray search of `check-transitivity`
-    # over Z^4: C(31, 3) subsets of the full 5-shift's classes fit it,
-    # C(63, 3) times 63 dot products on the full 6-shift do not.
-    ("check-transitivity Z4 full5", (_z4_full, 5), ["check-transitivity"], 1, 1.0, 64, None),
-    ("check-transitivity Z4 full6", (_z4_full, 6), ["check-transitivity"], 2, 1.0, 64,
-     {"error": "RangeTooLarge", "message": "dual-cone ray search over 39711 subsets of 3 "
-      "among 63 simple-cycle classes exceeds the work budget"}),
+    # The work budget on the simplex of `check-transitivity` over Z^3: k + 4
+    # pivots on a (k + 4) x (k^2 + k + 4) tableau on the full k-shift,
+    # 1 922 544 at k = 35 and 2 137 600 at k = 36.
+    ("check-transitivity Z3 full20", (_z3_full, 20), ["check-transitivity"], 1, 1.0, 64, None),
+    ("check-transitivity Z3 full35", (_z3_full, 35), ["check-transitivity"], 1, 1.0, 64, None),
+    ("check-transitivity Z3 full36", (_z3_full, 36), ["check-transitivity"], 2, 1.0, 64,
+     {"error": "RangeTooLarge", "message": "the cone test's simplex, 40 pivots on a 40 x 1336 "
+      "tableau, exceeds the work budget"}),
     # LIVSIC_MAX_STATES on a cocycle's windows: range 14 has 32 768.  Range
     # 15's 65 536 are refused by their count, before any value is parsed.
     ("solve Z2 full2 range 14", (_z2_full2, 14), ["solve"], 0, 3.0, 128, None),

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -17,7 +16,7 @@ from livsic import (
     subgroup_rank_and_index,
 )
 from livsic.groups import _compose, gauss_jordan, row_combination
-from livsic.skew import _normal, class_tag
+from livsic.skew import class_tag
 from corpus import q8_group, s3_group
 
 
@@ -292,40 +291,4 @@ def test_gauss_jordan_certifies_both_outcomes():
                 assert sum(a * x for a, x in zip(alpha, row)) == row[d]
         seen["empty"] += not rows
         seen["deficient"] += len(pivots) < d
-    assert min(seen.values()) > 0, seen
-
-
-def _laplace_det(rows):
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * x * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j, x in enumerate(rows[0])
-    )
-
-
-def test_normal_orthogonal_primitive_and_zero_when_dependent():
-    rng = random.Random(20252)
-    seen = {"dependent": 0, "independent": 0}
-    for _ in range(600):
-        d = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(d - 1)]
-        vec = _normal(rows, d)
-        assert all(type(x) is int for x in vec)
-        # The generalised cross product, by Laplace expansion.
-        cross = [
-            (-1) ** i * _laplace_det([r[:i] + r[i + 1 :] for r in rows])
-            for i in range(d)
-        ]
-        if len(smith_diagonal(rows, d)) < d - 1:
-            assert not any(vec) and not any(cross)
-            seen["dependent"] += 1
-        else:
-            g = gcd(*cross)
-            primitive = tuple(x // g for x in cross)
-            assert vec in (primitive, tuple(-x for x in primitive))
-            assert gcd(*vec) == 1
-            for row in rows:
-                assert sum(a * b for a, b in zip(vec, row)) == 0
-            seen["independent"] += 1
     assert min(seen.values()) > 0, seen

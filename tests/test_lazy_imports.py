@@ -41,7 +41,8 @@ finally:
 """
 
 # Every public name livsic/__init__.py bound before the matrix and oracle
-# names became lazy.
+# names became lazy, less psi_n_cyclic and birkhoff_sum, which had no
+# caller in the package and were dropped.
 PUBLIC = """
 AlgebraNotClosed AlphaNotConstant BadShape BlockGraph CentralityImpossible
 ClosureTooLarge CocycleObstruction CohomologySolution DeadSymbol
@@ -55,7 +56,7 @@ PeriodicOrbit ProductGraph RangeTooLarge SftSpec SingularMatrix SkewSystem
 SolutionEnvelope StateSpaceTooLarge SubgroupReport SystemEnvelope
 TOOL_VERSION TorsionAlpha TransitivityEvidence TransitivityVerdict
 ValidationReport VerificationReport ViolationWitness adjoint_norm
-birkhoff_sum brute_matrix_solution_check brute_orbit_list
+brute_matrix_solution_check brute_orbit_list
 brute_periodic_census brute_solution_check brute_transitivity
 brute_vanishing build_block_graph build_group build_product_graph
 canonical_json canonical_rotation check_distortion_assumption
@@ -64,7 +65,7 @@ enumerate_periodic_orbits enumerate_trivial_class_orbits
 estimate_distortion frobenius_class generate_cocycle
 generate_matrix_cocycle is_primitive make_cocycle make_matrix_cocycle
 make_skew_system orbit_weights parse_solution_document
-parse_system_document primitive_root psi_n psi_n_cyclic smith_diagonal
+parse_system_document primitive_root psi_n smith_diagonal
 solution_to_doc solve_finite_gamma solve_free_abelian solve_matrix_finite
 subgroup_rank_and_index system_to_doc validate_sft verify_matrix_solution
 verify_solution verify_vanishing walk_primitive_orbits __version__

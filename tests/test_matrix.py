@@ -28,7 +28,6 @@ from livsic import (
     SftSpec,
     SingularMatrix,
     adjoint_norm,
-    birkhoff_sum,
     brute_matrix_solution_check,
     build_block_graph,
     build_group,
@@ -38,14 +37,13 @@ from livsic import (
     generate_matrix_cocycle,
     make_matrix_cocycle,
     make_skew_system,
-    psi_n_cyclic,
     solve_matrix_finite,
     verify_matrix_solution,
 )
 from livsic import matrix
 from livsic.sft import SpanningTree, check_work
 from livsic.skew import build_product_graph
-from corpus import random_irreducible_sft, rng_for, s3_group
+from corpus import cyclic_weight, orbit_sum, random_irreducible_sft, rng_for, s3_group
 
 FULL_2 = SftSpec.full_shift(2)
 C2 = build_group(GroupSpec.cyclic(2))
@@ -89,7 +87,7 @@ def test_quarter_turn_is_obstructed():
     assert witness.multiplicity == 2
     assert witness.word == (1, 1)
     # The doubled fixed point has trivial weight but product R(pi) != I.
-    assert psi_n_cyclic(_c2_system(), witness.word) == C2.identity_index
+    assert cyclic_weight(_c2_system(), witness.word) == C2.identity_index
     assert witness.deviation == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     recomputed = cyclic_product(cocycle, witness.word)
     assert np.linalg.norm(recomputed - np.eye(2)) == pytest.approx(
@@ -568,7 +566,7 @@ def test_stacked_solver_matches_the_per_edge_and_per_fiber_loops():
             with pytest.raises(CocycleObstruction) as err:
                 solve_matrix_finite(system, cocycle, tol=tol)
             found = err.value.witness
-            assert psi_n_cyclic(system, found.word) == group.identity_index
+            assert cyclic_weight(system, found.word) == group.identity_index
             deviation = float(np.linalg.norm(cyclic_product(cocycle, found.word) - eye))
             assert found.deviation == deviation > tol
         elif outcome == "alpha":
@@ -740,7 +738,7 @@ def test_cyclic_product_matches_birkhoff_product():
                 window = tuple(word[(i + j) % n] for j in range(rf + 1))
                 expected = cocycle.window_value(window) @ expected
             direct = cyclic_product(cocycle, word)
-            via_orbit = birkhoff_sum(cocycle, PeriodicOrbit(word=word))
+            via_orbit = orbit_sum(cocycle, word)
             assert np.allclose(direct, expected, atol=1e-12)
             assert np.allclose(via_orbit, expected, atol=1e-12)
         with pytest.raises(InvalidCocycle):

@@ -25,10 +25,9 @@ from livsic import (
     make_cocycle,
     make_skew_system,
     orbit_weights,
-    psi_n_cyclic,
     verify_vanishing,
 )
-from corpus import random_irreducible_sft, rng_for, s3_group
+from corpus import cyclic_weight, random_irreducible_sft, rng_for, s3_group
 
 FULL_2 = SftSpec.full_shift(2)
 
@@ -110,7 +109,7 @@ def test_walk_weights_match_cyclic_products():
         assert words == sorted(words, key=lambda w: (len(w), w))
         assert words == [o.word for o in enumerate_periodic_orbits(system.sft, 7)]
         for word, weight in pairs:
-            assert weight == psi_n_cyclic(system, word)
+            assert weight == cyclic_weight(system, word)
 
 
 def test_vanishing_witness_matches_brute_scan():

@@ -363,7 +363,10 @@ def test_transitivity_doc_shapes():
     doc = transitivity_doc(verdict, env.system.sft.k)
     assert doc["status"] == "not_transitive"
     assert doc["certificate"]["kind"] == "one_sided"
-    assert doc["evidence"]["probe_covers_simple_cycles"] is True
+    assert sorted(doc["evidence"]) == [
+        "heuristic_transitive", "lattice_diagonal", "lattice_full", "lattice_rank",
+        "zero_in_interior",
+    ]
 
     env2 = parse_system_document(_load("gm-c2.json"))
     doc2 = transitivity_doc(check_transitivity(env2.system), 2)

@@ -1,10 +1,10 @@
 """Skew products: weights, orbit classes, product graphs, transitivity."""
 from __future__ import annotations
 
-import random
-import time
+import importlib.util
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from livsic import (
     make_matrix_cocycle,
     make_skew_system,
     psi_n,
-    psi_n_cyclic,
     solve_finite_gamma,
     solve_free_abelian,
     solve_matrix_finite,
@@ -43,7 +42,6 @@ from livsic import (
 from livsic.oracles import brute_periodic_census, brute_transitivity
 from livsic.sft import SpanningTree, find_violating_cycle
 from livsic.skew import (
-    _dual_rays,
     cover_tree,
     monodromy_group,
     orbit_weights,
@@ -51,6 +49,7 @@ from livsic.skew import (
     transitivity_gap,
 )
 from corpus import (
+    closed_walks_nonnegative,
     cover_corpus,
     random_finite_group,
     random_irreducible_sft,
@@ -140,7 +139,7 @@ def test_psi_rejects_inadmissible_words():
     with pytest.raises(InadmissibleWord):
         psi_n(system, (2, 2))
     with pytest.raises(InadmissibleWord):
-        psi_n_cyclic(system, (2,))
+        frobenius_class(system, PeriodicOrbit(word=(2,)))
 
 
 def test_frobenius_class_is_rotation_invariant():
@@ -224,16 +223,20 @@ def test_transitivity_matches_oracle():
         assert (verdict.status == "transitive") == brute_transitivity(system)
 
 
+def _orbit_classes(system):
+    """The reference classes: the weights of every orbit of period <= k,
+    among them every simple cycle of the symbol graph."""
+    return sorted({w for _, w in orbit_weights(system, system.sft.k)})
+
+
 def test_lattice_one_sided_refutation():
     z1 = build_group(GroupSpec.free_abelian(1))
     system = make_skew_system(FULL_2, z1, ((1,), (1,)))
     verdict = check_transitivity(system)
     assert verdict.status == "not_transitive"
     assert verdict.certificate.kind == "one_sided"
-    lam = verdict.certificate.functional
-    # The functional must be strictly positive on every observed class.
-    for vec in verdict.evidence.distinct_classes:
-        assert sum(l * x for l, x in zip(lam, vec)) > 0
+    assert verdict.certificate.functional == (1,)
+    assert closed_walks_nonnegative(system, (1,))
 
 
 def test_lattice_proper_subgroup_refutation():
@@ -254,8 +257,15 @@ def test_lattice_unknown_with_evidence():
     assert ev.lattice_full
     assert ev.zero_in_interior
     assert ev.heuristic_transitive
-    assert ev.probe_covers_simple_cycles
-    assert ev.probe_depth == FULL_2.k
+
+
+def test_a_lattice_cover_of_a_reducible_shift_is_refused():
+    # No cover of a base that is not transitive is transitive; the solvers
+    # refuse the same base with the same error.
+    z1 = build_group(GroupSpec.free_abelian(1))
+    system = make_skew_system(SftSpec.from_rows([[1, 1], [0, 1]]), z1, ((1,), (-1,)))
+    with pytest.raises(NotStronglyConnected):
+        check_transitivity(system)
 
 
 def test_lattice_two_dimensional_one_sided():
@@ -265,12 +275,12 @@ def test_lattice_two_dimensional_one_sided():
     assert verdict.status == "not_transitive"
     assert verdict.certificate.kind == "one_sided"
     lam = verdict.certificate.functional
-    for vec in verdict.evidence.distinct_classes:
-        assert sum(l * x for l, x in zip(lam, vec)) > 0
+    assert any(lam) and gcd(*lam) == 1
+    assert closed_walks_nonnegative(system, lam)
 
 
 def test_lattice_refutations_agree_with_weights():
-    """Every refutation must hold against all probed orbit weights."""
+    """Every refutation must hold against all orbit weights up to period k."""
     for seed in range(40):
         rng = rng_for(29, seed)
         system = random_lattice_system(rng, rng.randint(1, 3))
@@ -278,13 +288,13 @@ def test_lattice_refutations_agree_with_weights():
         if verdict.status != "not_transitive":
             continue
         cert = verdict.certificate
-        vecs = verdict.evidence.distinct_classes
+        vecs = _orbit_classes(system)
         if cert.kind == "one_sided":
             # A weak functional suffices: no closed walk reaches lam < 0.
             assert any(cert.functional)
             assert all(_dot(cert.functional, v) >= 0 for v in vecs)
         else:
-            assert not verdict.evidence.lattice_full
+            assert not subgroup_rank_and_index(vecs, system.group.rank).full
 
 
 def test_one_sided_exactly_when_a_weak_functional_exists():
@@ -294,10 +304,9 @@ def test_one_sided_exactly_when_a_weak_functional_exists():
         system = random_lattice_system(rng, rng.randint(1, 3))
         d = system.group.rank
         verdict = check_transitivity(system)
-        evidence = verdict.evidence
-        if evidence.lattice_rank < d:
+        if verdict.evidence.lattice_rank < d:
             continue
-        weak, strict = _box_functionals(evidence.distinct_classes, d)
+        weak, strict = _box_functionals(_orbit_classes(system), d)
         one_sided = verdict.certificate is not None and verdict.certificate.kind == "one_sided"
         assert one_sided == weak
         seen["strict" if strict else "weak" if weak else "none"] += 1
@@ -305,21 +314,26 @@ def test_one_sided_exactly_when_a_weak_functional_exists():
 
 
 def test_weak_one_sided_refutations():
-    # Each class vector has lam . v >= 0 and some have lam . v = 0: no
-    # functional is strictly positive on all of them, yet none is reached
-    # with lam . v < 0.
+    # Some functional is >= 0 on every class vector and none is > 0 on all
+    # of them, yet no closed walk reaches a weight where it is negative.
     cases = [
-        (2, [(1,), (0,)], (1,)),
-        (3, [(1, 0), (0, 1), (0, 0)], (1, 1)),
-        (3, [(1, 0), (-1, 0), (0, 1)], (0, 1)),
+        (2, [(1,), (0,)]),
+        (3, [(1, 0), (0, 1), (0, 0)]),
+        (3, [(1, 0), (-1, 0), (0, 1)]),
     ]
-    for k, psi, lam in cases:
-        group = build_group(GroupSpec.free_abelian(len(psi[0])))
-        verdict = check_transitivity(make_skew_system(SftSpec.full_shift(k), group, psi))
+    for k, psi in cases:
+        d = len(psi[0])
+        group = build_group(GroupSpec.free_abelian(d))
+        system = make_skew_system(SftSpec.full_shift(k), group, psi)
+        verdict = check_transitivity(system)
         assert verdict.status == "not_transitive"
         assert verdict.certificate.kind == "one_sided"
-        assert verdict.certificate.functional == lam
-        assert min(_dot(lam, v) for v in verdict.evidence.distinct_classes) == 0
+        lam = verdict.certificate.functional
+        assert any(lam) and gcd(*lam) == 1
+        assert closed_walks_nonnegative(system, lam)
+        assert _box_functionals(_orbit_classes(system), d) == (True, False)
+        if d == 1:  # the sign of the classes
+            assert lam == (1,)
 
 
 def _dot(a, b):
@@ -329,55 +343,61 @@ def _dot(a, b):
 def _box_functionals(vectors, d):
     """(some nonzero lam is >= 0 on every vector, some lam is > 0 on every
     vector), searched over integer lam with entries in [-6, 6]."""
-    weak = strict = False
-    for lam in product(range(-6, 7), repeat=d):
-        low = min(_dot(lam, v) for v in vectors)
-        weak |= any(lam) and low >= 0
-        strict |= low > 0
-    return weak, strict
+    lams = np.array(list(product(range(-6, 7), repeat=d)))
+    low = (lams @ np.array(vectors).T).min(axis=1)
+    return bool((lams.any(axis=1) & (low >= 0)).any()), bool((low > 0).any())
 
 
-def test_dual_rays_match_box_search():
-    # Entries in {-1, 0, 1} keep every minor of order <= 2 within 2, so each
-    # primitive ray has entries within 2 and d independent rays sum to a
-    # strict functional (when one exists) with entries within 6.
-    seen = {"interior": 0, "weak": 0, "strict": 0, "flat": 0}
-    for seed in range(400):
-        rng = rng_for(31, seed)
-        d = rng.randint(1, 3)
-        vectors = sorted(
-            {tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rng.randint(1, 6))}
-        )
-        weak, strict = _box_functionals(vectors, d)
-        if subgroup_rank_and_index(vectors, d).rank < d:
-            # check_transitivity skips the rays here: a normal is >= 0.
-            assert weak
-            seen["flat"] += 1
-            continue
-        rays = _dual_rays(vectors, d)
-        assert all(_dot(ray, v) >= 0 for ray in rays for v in vectors)
-        assert bool(rays) == weak
-        total = tuple(map(sum, zip(*rays)))
-        assert strict == (bool(rays) and all(_dot(total, v) > 0 for v in vectors))
-        seen["strict" if strict else "weak" if weak else "interior"] += 1
-    assert min(seen.values()) > 0, seen
+def _perfbench_checks():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_simple_cycles_give_the_rays_of_every_class():
-    # check_transitivity enumerates rays over the simple-cycle classes only.
-    for seed in range(60):
-        rng = rng_for(37, seed)
-        d = rng.randint(1, 3)
+def test_symbol_graph_verdicts_match_the_orbit_class_reference():
+    # The reference reads the classes of every orbit of period <= k: Smith's
+    # form on them for the lattice, a box search for a weak functional for
+    # the cone.  300 systems: random irreducible shifts and full shifts,
+    # over Z, Z^2 and Z^3.
+    checks = _perfbench_checks()
+    seen = {}  # certificate kind: systems
+    for seed in range(300):
+        rng = rng_for(41, seed)
+        d = 1 + seed % 3
         system = random_lattice_system(rng, d)
-        weights = list(orbit_weights(system, system.sft.k))
-        every = sorted({w for _, w in weights})
-        cycles = sorted({w for word, w in weights if len(set(word)) == len(word)})
-        assert _dual_rays(cycles, d) == _dual_rays(every, d)
+        if seed % 2:
+            psi = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(system.sft.k)]
+            system = make_skew_system(SftSpec.full_shift(system.sft.k), system.group, psi)
+        classes = _orbit_classes(system)
+        report = subgroup_rank_and_index(classes, d)
+        weak = _box_functionals(classes, d)[0]
+        interior = report.rank == d and not weak
+        kind = "one_sided" if report.rank == d and weak else None
+        kind = kind or (None if report.full else "proper_subgroup")
+
+        verdict = check_transitivity(system)
+        ev = verdict.evidence
+        assert (ev.lattice_rank, ev.lattice_diagonal, ev.lattice_full) == (
+            report.rank, report.diagonal, report.full
+        ), seed
+        assert ev.zero_in_interior == interior, seed
+        assert ev.heuristic_transitive == (report.full and interior), seed
+        assert verdict.status == ("unknown" if kind is None else "not_transitive"), seed
+        assert (verdict.certificate and verdict.certificate.kind) == kind, seed
+        if kind == "one_sided":
+            lam = verdict.certificate.functional
+            assert any(lam) and gcd(*lam) == 1, seed
+            assert closed_walks_nonnegative(system, lam), seed
+            if d == 1:  # the sign of the classes, as the sum of the dual rays was
+                assert lam == ((1,) if min(classes) >= (0,) else (-1,)), seed
+        assert checks.check_lattice_verdict(system, verdict) is None, seed
+        seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) == 3 and min(seen.values()) >= 20, seen
 
 
 def test_lattice_full5_shift_gets_a_verdict():
-    # Orbits up to period 12 over five symbols are past the work budget;
-    # the probe now stops at period k = 5.
     full5 = SftSpec.full_shift(5)
     cases = [
         (1, [(1,), (-1,), (2,), (0,), (-2,)], "unknown"),
@@ -388,31 +408,28 @@ def test_lattice_full5_shift_gets_a_verdict():
         system = make_skew_system(full5, build_group(GroupSpec.free_abelian(d)), psi)
         verdict = check_transitivity(system)
         assert verdict.status == status
-        assert verdict.evidence.probe_depth == 5
         if verdict.certificate is not None:
             lam = verdict.certificate.functional
-            assert all(_dot(lam, v) > 0 for v in verdict.evidence.distinct_classes)
+            assert any(lam) and closed_walks_nonnegative(system, lam)
 
 
+def test_the_cone_test_past_the_work_budget_is_refused_before_any_graph(monkeypatch):
+    # On the full 36-shift over Z^3, 40 pivots on a 40 x 1 336 tableau pass
+    # the work budget of 2 000 000; the 35-shift's 39 on 39 x 1 264 do not.
+    def refuse(*args):
+        raise AssertionError("a graph was built")
 
-def test_lattice_ray_search_past_the_work_budget_is_refused(monkeypatch):
-    # 63 simple-cycle classes over Z^5 need C(63, 4) = 595 665 subsets,
-    # each tried on every class: refused before the first normal.
-    def enumerated(*args):
-        raise AssertionError("the ray search started")
-
-    monkeypatch.setattr(skew, "_normal", enumerated)
-    rng = random.Random(5)
-    psi = [tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(6)]
-    system = make_skew_system(
-        SftSpec.full_shift(6), build_group(GroupSpec.free_abelian(5)), psi
-    )
-    start = time.perf_counter()
+    monkeypatch.setattr(skew, "cover_tree", refuse)
+    z3 = build_group(GroupSpec.free_abelian(3))
+    system = make_skew_system(SftSpec.full_shift(36), z3, [(1, 0, -1)] * 36)
     with pytest.raises(RangeTooLarge) as err:
         check_transitivity(system)
-    assert time.perf_counter() - start < 2.0
-    assert "595665 subsets" in str(err.value)
-    assert "work budget" in str(err.value)
+    assert str(err.value) == (
+        "the cone test's simplex, 40 pivots on a 40 x 1336 tableau, exceeds the work budget"
+    )
+    system = make_skew_system(SftSpec.full_shift(35), z3, [(1, 0, -1)] * 35)
+    with pytest.raises(AssertionError, match="a graph was built"):
+        check_transitivity(system)
 
 
 def test_trivial_class_orbits_golden_mean():
