@@ -7,15 +7,15 @@ and homomorphism alpha.
 One kernel, _solve_cover, solves for a deck group F x Z^d (groups.Group:
 F a finite table, d its rank) on the block graph.  F enters only through
 transitivity, decided by the monodromy group, and Z^d through alpha, by
-elimination of width d; solve_finite_gamma names the corner d = 0 (alpha
-vanishes by torsion) and solve_free_abelian the corner F = 1.  The kernel
-reads f as the cocycle holds it, int numerators over the lcm of its
-denominators, propagates integer potentials, eliminates in ints and
-writes u and alpha over one denominator; Fraction appears only for u,
-alpha and witness totals, and the certification scales u and alpha back
-to ints.  One lift, skew.lifted_cycle (shared with the matrix solver),
-turns an inconsistency into a closed word of identity weight in both
-corners.  So a returned solution is a certificate and a returned
+an elimination that reduces only its <= d pivot rows; solve_finite_gamma
+names the corner d = 0 (alpha vanishes by torsion) and solve_free_abelian
+the corner F = 1.  The kernel reads f as the cocycle holds it, int
+numerators over the lcm of its denominators, propagates integer
+potentials, eliminates in ints, certifies in the same ints and writes u
+and alpha over one denominator; Fraction appears only for u, alpha and
+witness totals.  One lift, skew.lifted_cycle (shared with the matrix
+solver), turns an inconsistency into a closed word of identity weight in
+both corners.  So a returned solution is a certificate and a returned
 obstruction is a counterexample.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, eq, mul
+from operator import add, eq, mul, sub
 
 from .errors import (
     CocycleObstruction,
@@ -188,11 +188,12 @@ def _solve_cover(
     strongly connected.  Along one spanning tree, scale * f (scale the lcm
     of f's denominators) and each coordinate of psi_z have integer
     potentials, one per-edge column each; every non-tree edge gives the
-    row (rho_psi, defect) of their rises.  gauss_jordan reduces the rows
-    on their d psi columns (with d = 0 the first nonzero defect is the
+    row (rho_psi, defect) of their rises.  _pivot_rows reduces them on
+    their d psi columns (with d = 0 the first nonzero defect is the
     inconsistent row), and an inconsistent row, spelt as a combination of
     input rows by row_combination, becomes a witness.  Otherwise alpha
-    and u share the one Bareiss denominator pivot * scale.
+    and u share the one Bareiss denominator pivot * scale, and are
+    certified in its ints.
     """
     _check_cocycle_shift(system.sft, cocycle)
     d = system.group.rank
@@ -200,7 +201,7 @@ def _solve_cover(
     tree = transitive_cover(system, r)[0]
 
     bg = tree.graph
-    weights, scale = _scaled_weights(cocycle, bg.edges)
+    weights, scale = _edge_numerators(cocycle, bg.edges), cocycle.denominator
     psi_z = system.psi_z
     columns = [[psi_z[word[0] - 1][j] for word in bg.edges] for j in range(d)] + [weights]
     tails, heads, parent = bg.edge_tail, bg.edge_head, tree.parent
@@ -212,8 +213,7 @@ def _solve_cover(
         rises.append([col[e] + pot[tails[e]] - pot[heads[e]] for e in nontree])
     # One row alpha . rho_psi = defect per non-tree edge, rhs as the last entry.
     rows = list(zip(*rises))
-    reduced, order, pivots = gauss_jordan(rows, d)
-    bad = next((i for i in range(len(pivots), len(rows)) if reduced[i][d]), None)
+    reduced, order, pivots, bad = _pivot_rows(rows, d)
     if bad is not None:
         combo = row_combination(rows, d, order, len(pivots), bad)
         raise CocycleObstruction(
@@ -243,26 +243,41 @@ def _solve_cover(
                 pinned_coordinates=free_cols,
             )
     solution = CohomologySolution(r, u, alpha, degenerate)
-    report = _check_edges(system, cocycle, solution, bg)
+    report = _check_edges(system, cocycle, solution, bg, (top, tops, den))
     check_invariant(report.certified, "solution fails its own certification")
     return CohomologySolution(r, u, alpha, degenerate, certificate=report)
 
 
-def _scaled_weights(cocycle, edges) -> tuple[list[int], int]:
-    """(scale * f on the leading window of each edge word, scale).
+def _pivot_rows(rows, d):
+    """gauss_jordan(rows, d)'s pivot rows, order and pivots, and the first
+    position after them with a nonzero defect (or None), reducing only the
+    pivot rows: gauss_jordan leaves any other row as pivot * row - sum of
+    row[c] * (pivot row of c) over pivot columns c, taken column by column."""
+    columns = list(zip(*rows))
+    order = list(range(len(rows)))
+    reduced, pivots, pivot = [], (), 1
 
-    scale is the cocycle's denominator, the lcm of the denominators of f,
-    so every weight is an int and integer potentials divided by scale are
-    the rational ones.
-    """
-    weights = map(cocycle.numerators.__getitem__, _edge_windows(cocycle, edges))
-    return list(weights), cocycle.denominator
+    def first_live(col):  # the first position from len(pivots) on to pivot on col
+        live = [pivot * x for x in columns[col]]
+        for c, q in zip(pivots, reduced):
+            live = list(map(sub, live, map(mul, columns[c], repeat(q[col]))))
+        return next((i for i in range(len(pivots), len(rows)) if live[order[i]]), None)
+
+    for col in range(d):
+        if (i := first_live(col)) is not None:
+            rank = len(pivots)
+            order[rank], order[i] = order[i], order[rank]
+            reduced, _, pivots = gauss_jordan([rows[j] for j in order[: rank + 1]], d)
+            pivot = reduced[0][pivots[0]]
+    return reduced, order, pivots, first_live(d)
 
 
-def _edge_windows(cocycle, edges):
-    """The leading window of each edge word: the word itself, as edges are
-    one symbol longer than blocks, unless the block range is 0."""
-    return edges if cocycle.block_range else (w[:1] for w in edges)
+def _edge_numerators(cocycle, edges) -> list[int]:
+    """scale * f on the leading window of each edge word, for scale the
+    cocycle's denominator (the lcm of f's): the window is the word itself,
+    as edges are one symbol longer than blocks, unless the block range is 0."""
+    windows = edges if cocycle.block_range else (w[:1] for w in edges)
+    return list(map(cocycle.numerators.__getitem__, windows))
 
 
 def _drift_table(system: SkewSystem, alpha) -> list:
@@ -347,8 +362,8 @@ def _closing_walk(system, bg, target):
     side = 2 * bound + 1
     digits = [side**i for i in range(d)]
     width = side**d
-    psi = [None, *map(system.psi_of, range(1, spec.k + 1))]
-    lifts = [0, *(sum(map(mul, step, digits)) for step in psi[1:])]
+    symbols = range(1, spec.k + 1)
+    psi = [None, *map(system.psi_of, symbols)]
     b0 = bg.vertices[0]
     r = len(b0)
     off = (0,) * d
@@ -362,30 +377,37 @@ def _closing_walk(system, bg, target):
     if off == target and spec.allows(last, first):
         return _edge_walk(bg, b0)
     start = (last - 1) * width + sum(map(mul, off, digits)) + bound * sum(digits)
+    goal = sum(map(mul, target, digits)) + bound * sum(digits)
+    # From offset code c, psi(b) steps to state c + jumps[b], inside the box if each digit
+    # it moves by s, c // side**i % side, is in [-s, side - s); ends[b] closes the walk.
+    jumps = [None, *((b - 1) * width + sum(map(mul, psi[b], digits)) for b in symbols)]
+    moves = [None, *([(p, -s, side - s) for p, s in zip(digits, psi[b]) if s] for b in symbols)]
+    ends = [None, *((b - 1) * width + goal if spec.allows(b, first) else None for b in symbols)]
     prev: dict = {start: None}
-    queue = deque([(start, last, off)])
+    queue = deque([start])
     successors = _successor_table(spec)
     while queue:
-        state, a, off = queue.popleft()
-        code = state - (a - 1) * width
-        for b in successors[a]:
-            noff = tuple(map(add, off, psi[b]))
-            if max(noff) > bound or min(noff) < -bound:
-                continue
-            nstate = (b - 1) * width + code + lifts[b]
-            if nstate in prev:
-                continue
-            prev[nstate] = state
-            if noff == target and spec.allows(b, first):
-                z = []
-                while nstate != start:
-                    z.append(nstate // width + 1)
-                    nstate = prev[nstate]
-                z.reverse()
-                return _edge_walk(bg, z + list(b0))
-            if len(prev) > cap:
-                return None
-            queue.append((nstate, b, noff))
+        state = queue.popleft()
+        a, code = divmod(state, width)
+        for b in successors[a + 1]:
+            for p, lo, hi in moves[b]:
+                if not lo <= code // p % side < hi:
+                    break
+            else:
+                nstate = code + jumps[b]
+                if nstate in prev:
+                    continue
+                prev[nstate] = state
+                if nstate == ends[b]:
+                    z = []
+                    while nstate != start:
+                        z.append(nstate // width + 1)
+                        nstate = prev[nstate]
+                    z.reverse()
+                    return _edge_walk(bg, z + list(b0))
+                if len(prev) > cap:
+                    return None
+                queue.append(nstate)
     return None
 
 
@@ -414,25 +436,29 @@ def verify_solution(
     return _check_edges(system, cocycle, solution, bg)
 
 
-def _check_edges(system, cocycle, solution, bg) -> VerificationReport:
+def _check_edges(system, cocycle, solution, bg, ints=None) -> VerificationReport:
     """Check f(w) = u(w[1:]) - u(w[:-1]) + alpha . psi_z(w[0]) on every edge w of bg.
 
     u, alpha and f are scaled by the lcm D of their denominators, so every
     identity is checked exactly in ints; a failing residual is reported as
     Fraction(residual, D).  f is read from its int numerators over the
-    cocycle's denominator, which divides D.
+    cocycle's denominator, which divides D.  The solver passes its own
+    ints = (D * u at each vertex of bg, D * alpha, D), with D its common
+    denominator, and nothing is rescaled.
     """
-    u = solution.u
-    alpha = _alpha_vector(system.group, solution.alpha)
-    scale = lcm(cocycle.denominator, *{x.denominator for x in chain(u.values(), alpha)})
+    if ints is None:
+        u = solution.u
+        alpha = _alpha_vector(system.group, solution.alpha)
+        scale = lcm(cocycle.denominator, *{x.denominator for x in chain(u.values(), alpha)})
 
-    def scaled(x) -> int:
-        return x.numerator * (scale // x.denominator)
+        def scaled(x) -> int:
+            return x.numerator * (scale // x.denominator)
 
-    pot = [scaled(u[block]) for block in bg.vertices]
-    drift = _drift_table(system, [scaled(a) for a in alpha])
+        ints = [scaled(u[block]) for block in bg.vertices], list(map(scaled, alpha)), scale
+    pot, alpha, scale = ints
+    drift = _drift_table(system, alpha)
     lift = scale // cocycle.denominator
-    f = map(cocycle.numerators.__getitem__, _edge_windows(cocycle, bg.edges))
+    f = _edge_numerators(cocycle, bg.edges)
     residuals = (
         lift * x - drift[w[0] - 1] - pot[h] + pot[t]
         for x, w, t, h in zip(f, bg.edges, bg.edge_tail, bg.edge_head)

@@ -363,8 +363,8 @@ def gauss_jordan(rows, width: int):
     order and the rest in the order the pivot swaps leave them; order[i],
     the input index of reduced row i; and the pivot columns.
 
-    No provenance is tracked; row_combination recovers a reduced row's
-    when it is needed.
+    No provenance is tracked.  The Z^d solver hands it only its <= width
+    pivot rows, and row_combination adds one row: <= width + 1 rows.
     """
     mat = [list(row) for row in rows]
     order = list(range(len(mat)))
@@ -385,14 +385,15 @@ def gauss_jordan(rows, width: int):
 
 
 def row_combination(rows, width: int, order, rank: int, i: int) -> dict[int, int]:
-    """Reduced row i of gauss_jordan(rows, width), which returned order and
-    rank pivots, as {input row index: int coefficient}, zeros left out.
+    """Reduced row i of gauss_jordan(rows, width), with rank pivots and an
+    order that agrees with its on order[:rank] and order[i], as {input row
+    index: int coefficient}, zeros left out.
 
     A row's reduction reads only its own input and the pivot rows', so the
     pivot rows in the order they were chosen, plus row i when it is not one
     of them, reduced again choose the same pivots and repeat its
-    arithmetic.  Identity columns appended to those rows therefore end as
-    its combination, of at most rank + 1 input rows.
+    arithmetic.  Identity columns appended to those rows end as its
+    combination, of <= rank + 1 input rows, without reducing the rest.
     """
     chosen = [*order[:rank], *([order[i]] if i >= rank else ())]
     n = len(chosen)

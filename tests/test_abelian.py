@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import livsic.abelian as abelian
+import livsic.groups as groups
 from launcher import launch
 from livsic import (
     CocycleObstruction,
@@ -56,6 +57,7 @@ from corpus import (
     s3_group,
 )
 from livsic.errors import max_states_cap
+from livsic.groups import gauss_jordan, row_combination
 from livsic.sft import SpanningTree
 from livsic.skew import build_product_graph, product_scc_witness
 
@@ -648,6 +650,107 @@ def test_integer_edge_check_matches_the_fraction_loop(monkeypatch):
                 checked += 1
                 failing += not report.certified
     assert checked > 300 and failing > 200
+
+
+def test_the_solver_certificate_is_verify_solution(monkeypatch):
+    # The solver certifies its own ints and verify_solution rescales the
+    # Fractions it returns: both must give the one report.
+    seen = 0
+    for solver, system, cocycle in _golden_rational_cases(monkeypatch):
+        try:
+            solution = solver(system, cocycle)
+        except CocycleObstruction:
+            continue
+        assert solution.certificate == verify_solution(system, cocycle, solution)
+        seen += 1
+    assert seen >= 40, seen
+
+
+def _pivot_row_sets():
+    """Seeded integer rows (psi part, defect) for d = 0 to 3.
+
+    Half are consistent (defect = a . psi part) and half have one defect
+    moved by 1, which dependent rows may still absorb; a third have a psi
+    column that is a combination of the others, and half lead with rows of
+    zero psi part.
+    """
+    sets = []
+    for seed in range(240):
+        rng = rng_for(59, seed)
+        d, n = seed % 4, rng.randint(1, 12)
+        psi = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+        if d and seed % 3 == 1:
+            j, coef = rng.randrange(d), [rng.randint(-1, 1) for _ in range(d)]
+            for row in psi:
+                row[j] = sum(c * x for i, (c, x) in enumerate(zip(coef, row)) if i != j)
+        if seed // 4 % 2:
+            for row in psi[: rng.randint(1, n)]:
+                row[:] = [0] * d
+        a = [rng.randint(-3, 3) for _ in range(d)]
+        defect = [sum(c * x for c, x in zip(a, row)) for row in psi]
+        if seed // 8 % 2:
+            defect[rng.randrange(n)] += rng.choice((-1, 1))
+        sets.append(([(*row, b) for row, b in zip(psi, defect)], d))
+    return sets
+
+
+def test_pivot_rows_match_the_full_reduction():
+    kinds = set()
+    for rows, d in _pivot_row_sets():
+        full, order, pivots = gauss_jordan(rows, d)
+        rank = len(pivots)
+        bad = next((i for i in range(rank, len(rows)) if full[i][d]), None)
+        reduced, order2, pivots2, bad2 = abelian._pivot_rows(rows, d)
+        assert (pivots2, order2, bad2) == (pivots, order, bad), rows
+        assert reduced == full[:rank], rows
+        pivot = reduced[0][pivots2[0]] if pivots2 else 1
+        assert pivot == (full[0][pivots[0]] if pivots else 1)
+        assert [row[d] for row in reduced] == [row[d] for row in full[:rank]]
+        if bad is not None:
+            expected = row_combination(rows, d, order, rank, bad)
+            assert row_combination(rows, d, order2, rank, bad2) == expected
+        leading_zero = not any(rows[0][:d])
+        kinds.add((d, bad is None, rank < d, order != sorted(order), leading_zero))
+    # Consistent and not, with and without swaps; rank-deficient at every
+    # d >= 1; and sets led by a row of zero psi part.
+    assert {(c, s) for _, c, _, s, _ in kinds} == {(a, b) for a in (0, 1) for b in (0, 1)}
+    assert {(d, r) for d, _, r, _, _ in kinds} >= {(1, True), (2, True), (3, True), (3, False)}
+    assert any(z and d for d, _, _, _, z in kinds)
+
+
+def test_the_solver_hands_gauss_jordan_at_most_d_plus_one_rows(monkeypatch):
+    # Full 4-shift over Z at r = 3 has 193 non-tree rows, the full 3-shift
+    # over Z^2 at r = 4 has 163; the solver reduces only its pivot rows.
+    real = groups.gauss_jordan
+    sizes = []
+
+    def spy(rows, width):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real(rows, width)
+
+    monkeypatch.setattr(abelian, "gauss_jordan", spy)
+    monkeypatch.setattr(groups, "gauss_jordan", spy)
+    z2 = build_group(GroupSpec.free_abelian(2))
+    cases = (
+        (make_skew_system(SftSpec.full_shift(4), Z1, ((1,), (-2,), (3,), (0,))), 3, 193),
+        (make_skew_system(SftSpec.full_shift(3), z2, ((1, 0), (0, 1), (-1, -1))), 4, 163),
+    )
+    for seed, (system, r, nontree) in enumerate(cases):
+        rng = rng_for(61, seed)
+        d = system.group.rank
+        bg = build_block_graph(system.sft, r)
+        assert len(bg.edges) - len(bg.vertices) + 1 == nontree
+        cocycle = generate_cocycle(
+            system, alpha=random_alpha(rng, d), block_range=r, seed=seed
+        )
+        sizes.clear()
+        assert solve_free_abelian(system, cocycle).certificate.certified
+        assert sizes and max(sizes) <= d, sizes
+        sizes.clear()
+        with pytest.raises(CocycleObstruction):
+            solve_free_abelian(system, perturb_one_value(cocycle, rng)[0])
+        assert sizes and max(sizes) == d + 1, sizes
 
 
 def test_lattice_witnesses_are_one_lift_of_a_zero_weight_walk(monkeypatch):
