@@ -7,16 +7,16 @@ and homomorphism alpha.
 One kernel, _solve_cover, solves for a deck group F x Z^d (groups.Group:
 F a finite table, d its rank) on the block graph.  F enters only through
 transitivity, decided by the monodromy group, and Z^d through alpha, by
-an elimination that reduces only its <= d pivot rows; solve_finite_gamma
-names the corner d = 0 (alpha vanishes by torsion) and solve_free_abelian
-the corner F = 1.  The kernel reads f as the cocycle holds it, int
-numerators over the lcm of its denominators, propagates integer
-potentials, eliminates in ints, certifies in the same ints and writes u
-and alpha over one denominator; Fraction appears only for u, alpha and
-witness totals.  One lift, skew.lifted_cycle (shared with the matrix
-solver), turns an inconsistency into a closed word of identity weight in
-both corners.  So a returned solution is a certificate and a returned
-obstruction is a counterexample.
+groups.eliminate on the fundamental cycles' rises (SpanningTree.rises);
+solve_finite_gamma names the corner d = 0 (alpha vanishes by torsion) and
+solve_free_abelian the corner F = 1.  The kernel reads f as the cocycle
+holds it, int numerators over the lcm of its denominators, propagates
+integer potentials, eliminates in ints, certifies in the same ints and
+writes u and alpha over one denominator; Fraction appears only for u,
+alpha and witness totals.  One lift, skew.lifted_cycle (shared with the
+matrix solver), turns an inconsistency into a closed word of identity
+weight in both corners.  So a returned solution is a certificate and a
+returned obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, eq, mul, sub
+from operator import add, eq, mul
 
 from .errors import (
     CocycleObstruction,
@@ -36,7 +36,7 @@ from .errors import (
     check_invariant,
     max_states_cap,
 )
-from .groups import gauss_jordan, row_combination, smith_diagonal
+from .groups import eliminate, smith_diagonal
 from .record import record
 from .sft import (
     LocallyConstantCocycle,
@@ -185,14 +185,14 @@ def _solve_cover(
     its sum on a closed walk of the F-cover, and f is a coboundary on
     that cover iff it is one on the block graph.  Z^d enters through
     alpha: NotStronglyConnected when d > 0 and the block graph is not
-    strongly connected.  Along one spanning tree, scale * f (scale the lcm
-    of f's denominators) and each coordinate of psi_z have integer
-    potentials, one per-edge column each; every non-tree edge gives the
-    row (rho_psi, defect) of their rises.  _pivot_rows reduces them on
-    their d psi columns (with d = 0 the first nonzero defect is the
-    inconsistent row), and an inconsistent row, spelt as a combination of
-    input rows by row_combination, becomes a witness.  Otherwise alpha
-    and u share the one Bareiss denominator pivot * scale, and are
+    strongly connected.  scale * f (scale the lcm of f's denominators)
+    and each coordinate of psi_z are per-edge int columns; tree.rises
+    gives their potentials, and each chord (non-tree edge) the row
+    (rho_psi, defect) of their rises.  groups.eliminate reduces these on
+    their d psi columns, pivoting only on its <= d pivot rows (with d = 0
+    the first nonzero defect is the inconsistent row), and the input rows
+    it combines into an inconsistent row become a witness.  Otherwise
+    alpha and u share the one Bareiss denominator pivot * scale, and are
     certified in its ints.
     """
     _check_cocycle_shift(system.sft, cocycle)
@@ -204,21 +204,13 @@ def _solve_cover(
     weights, scale = _edge_numerators(cocycle, bg.edges), cocycle.denominator
     psi_z = system.psi_z
     columns = [[psi_z[word[0] - 1][j] for word in bg.edges] for j in range(d)] + [weights]
-    tails, heads, parent = bg.edge_tail, bg.edge_head, tree.parent
-    nontree = [e for e, h in enumerate(heads) if parent[h] != e]
-    pots, rises = [], []
-    for col in columns:
-        pot = tree.potentials(0, lambda e, p: p + col[e])
-        pots.append(pot)
-        rises.append([col[e] + pot[tails[e]] - pot[heads[e]] for e in nontree])
-    # One row alpha . rho_psi = defect per non-tree edge, rhs as the last entry.
+    pots, rises = zip(*map(tree.rises, columns))
+    # One row alpha . rho_psi = defect per chord, rhs as the last entry.
     rows = list(zip(*rises))
-    reduced, order, pivots, bad = _pivot_rows(rows, d)
-    if bad is not None:
-        combo = row_combination(rows, d, order, len(pivots), bad)
-        raise CocycleObstruction(
-            _inconsistency_certificate(system, tree, nontree, combo, columns, scale)
-        )
+    reduced, pivots, combo = eliminate(rows, d)
+    if combo is not None:
+        witness = _inconsistency_certificate(system, tree, combo, columns, scale)
+        raise CocycleObstruction(witness)
     # Every pivot row holds the same pivot, so alpha = rhs / (pivot * scale).
     pivot = reduced[0][pivots[0]] if pivots else 1
     den = pivot * scale
@@ -248,30 +240,6 @@ def _solve_cover(
     return CohomologySolution(r, u, alpha, degenerate, certificate=report)
 
 
-def _pivot_rows(rows, d):
-    """gauss_jordan(rows, d)'s pivot rows, order and pivots, and the first
-    position after them with a nonzero defect (or None), reducing only the
-    pivot rows: gauss_jordan leaves any other row as pivot * row - sum of
-    row[c] * (pivot row of c) over pivot columns c, taken column by column."""
-    columns = list(zip(*rows))
-    order = list(range(len(rows)))
-    reduced, pivots, pivot = [], (), 1
-
-    def first_live(col):  # the first position from len(pivots) on to pivot on col
-        live = [pivot * x for x in columns[col]]
-        for c, q in zip(pivots, reduced):
-            live = list(map(sub, live, map(mul, columns[c], repeat(q[col]))))
-        return next((i for i in range(len(pivots), len(rows)) if live[order[i]]), None)
-
-    for col in range(d):
-        if (i := first_live(col)) is not None:
-            rank = len(pivots)
-            order[rank], order[i] = order[i], order[rank]
-            reduced, _, pivots = gauss_jordan([rows[j] for j in order[: rank + 1]], d)
-            pivot = reduced[0][pivots[0]]
-    return reduced, order, pivots, first_live(d)
-
-
 def _edge_numerators(cocycle, edges) -> list[int]:
     """scale * f on the leading window of each edge word, for scale the
     cocycle's denominator (the lcm of f's): the window is the word itself,
@@ -290,10 +258,10 @@ def _drift_table(system: SkewSystem, alpha) -> list:
     return [sum(map(mul, alpha, z)) for z in system.psi_z]
 
 
-def _inconsistency_certificate(system, tree, edges, combo, columns, scale):
+def _inconsistency_certificate(system, tree, combo, columns, scale):
     """Turn an inconsistent row combination into closed-word evidence.
 
-    combo maps row positions (indices into edges) to integer coefficients.
+    combo maps row positions (indices into tree.chords) to integer coefficients.
     columns[j][e] is coordinate j of the Z^d step of edge e, and the last
     column scale * f on edge e.  The combination's walks close up, with
     one shared correction walk, to two closed walks of zero Z^d weight and
@@ -306,14 +274,13 @@ def _inconsistency_certificate(system, tree, edges, combo, columns, scale):
 
     plus: list[int] = []
     minus: list[int] = []
-    for i, c in sorted(combo.items()):
+    for i, c in sorted(combo.items()):  # eliminate leaves zeros out
+        walk, shadow = tree.walks(tree.chords[i][0])
         nmul = c // content
-        if nmul:
-            walk, shadow = tree.walks(edges[i])
-            if nmul < 0:
-                walk, shadow, nmul = shadow, walk, -nmul
-            plus.extend(walk * nmul)
-            minus.extend(shadow * nmul)
+        if nmul < 0:
+            walk, shadow, nmul = shadow, walk, -nmul
+        plus.extend(walk * nmul)
+        minus.extend(shadow * nmul)
 
     def column_sums(walk):
         return [sum(map(col.__getitem__, walk)) for col in columns]
@@ -481,7 +448,7 @@ def _alpha_vector(group, alpha) -> tuple[Fraction, ...]:
     if alpha is None:
         return (Fraction(0),) * d
     if not d:
-        if any(map(Fraction, alpha)):
+        if any(map(_as_fraction, alpha)):
             raise TorsionAlpha("finite fiber groups admit only alpha = 0")
         return ()
     vec = tuple(_as_fraction(a) for a in alpha)

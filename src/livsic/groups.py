@@ -12,6 +12,9 @@ and builds an element from them with Group.join.
 """
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul, sub
+
 from .errors import (
     BadShape,
     ClosureTooLarge,
@@ -352,55 +355,43 @@ def bareiss_pivot(mat, r: int, col: int, prev: int) -> int:
     return p
 
 
-def gauss_jordan(rows, width: int):
-    """Fraction-free Gauss-Jordan reduction of integer rows on their first width columns.
+def eliminate(rows, d: int):
+    """Fraction-free Gauss-Jordan on integer rows of d columns and a
+    right-hand side, reducing only the pivot rows: (pivot rows, pivot
+    columns, None or the combination of the first inconsistent row).
 
-    Each pivot, made positive by negating its row, is a bareiss_pivot, so
-    every pivot row holds the same pivot value, and each reduced row is
-    that value times its rational row.  Entries past the first width (a
-    right-hand side, say) are carried along but never pivoted on.  Returns
-    (reduced, order, pivots): the reduced rows, pivot rows first in pivot
-    order and the rest in the order the pivot swaps leave them; order[i],
-    the input index of reduced row i; and the pivot columns.
-
-    No provenance is tracked.  The Z^d solver hands it only its <= width
-    pivot rows, and row_combination adds one row: <= width + 1 rows.
+    For each column 0..d it takes the first row, at or after position rank
+    in the swapped order, whose live entry p * row[col] - sum of row[c] *
+    P_c[col] is nonzero (P_c the pivot row of column c, p the common pivot):
+    below d, reduced so and made positive, it joins the <= d pivot rows in
+    one bareiss_pivot, and each is p times its rational row.  Rows carry,
+    after their d + 1 entries, a coefficient per row taken, so a live
+    right-hand side returns as {input row: int coefficient}, zeros left out.
     """
-    mat = [list(row) for row in rows]
-    order = list(range(len(mat)))
-    pivots: list[int] = []
-    prev = 1
-    for col in range(width):
+    columns = list(zip(*rows)) or [()] * (d + 1)
+    order = list(range(len(rows)))
+    mat, pivots, p = [], [], 1
+    for col in range(d + 1):
         rank = len(pivots)
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
+        live = [p * x for x in columns[col]]
+        for c, q in zip(pivots, mat):
+            live = list(map(sub, live, map(mul, columns[c], repeat(q[col]))))
+        i = next((i for i in range(rank, len(order)) if live[order[i]]), None)
+        if i is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        order[rank], order[pivot] = order[pivot], order[rank]
-        if mat[rank][col] < 0:
-            mat[rank] = [-x for x in mat[rank]]
-        prev = bareiss_pivot(mat, rank, col, prev)
+        order[rank], order[i] = order[i], order[rank]
+        for q in mat:
+            q.append(0)
+        row = [*rows[order[rank]], *[0] * rank, 1]
+        new = [p * x for x in row]
+        for c, q in zip(pivots, mat):
+            new = [a - row[c] * b for a, b in zip(new, q)]
+        if col == d:
+            return mat, tuple(pivots), {j: x for j, x in zip(order, new[d + 1 :]) if x}
+        mat.append(new if new[col] > 0 else [-x for x in new])
+        p = bareiss_pivot(mat, rank, col, p)
         pivots.append(col)
-    return mat, order, tuple(pivots)
-
-
-def row_combination(rows, width: int, order, rank: int, i: int) -> dict[int, int]:
-    """Reduced row i of gauss_jordan(rows, width), with rank pivots and an
-    order that agrees with its on order[:rank] and order[i], as {input row
-    index: int coefficient}, zeros left out.
-
-    A row's reduction reads only its own input and the pivot rows', so the
-    pivot rows in the order they were chosen, plus row i when it is not one
-    of them, reduced again choose the same pivots and repeat its
-    arithmetic.  Identity columns appended to those rows end as its
-    combination, of <= rank + 1 input rows, without reducing the rest.
-    """
-    chosen = [*order[:rank], *([order[i]] if i >= rank else ())]
-    n = len(chosen)
-    augmented = [[*rows[j], *(int(s == t) for t in range(n))] for s, j in enumerate(chosen)]
-    reduced, _, _ = gauss_jordan(augmented, width)
-    tail = reduced[min(i, rank)][-n:]
-    return {j: c for j, c in zip(chosen, tail) if c}
+    return mat, tuple(pivots), None
 
 
 def subgroup_rank_and_index(vectors, ambient_rank: int) -> SubgroupReport:

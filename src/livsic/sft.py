@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, chain, compress, count, groupby, repeat
 from math import gcd, lcm
 from operator import eq, floordiv, itemgetter, mul
 
@@ -109,11 +109,8 @@ def validate_sft(spec: SftSpec) -> ValidationReport:
     gap = tree.unreachable_pair()
     if gap is not None:
         raise NotIrreducible((gap[0] + 1, gap[1] + 1))
-    # Cyclic period: gcd of (depth[t] + 1 - depth[h]) over edges t -> h.
-    # Every cycle has positive length, so some term is nonzero.
-    depth = tree.potentials(0, lambda e, p: p + 1)
-    edges = zip(tree.graph.edge_tail, tree.graph.edge_head)
-    period = gcd(*(depth[t] + 1 - depth[h] for t, h in edges))
+    # Cyclic period: gcd of the cycle lengths, the rises of all-ones (one is > 0).
+    period = gcd(*tree.rises([1] * len(tree.graph.edges))[1])
     return ValidationReport(irreducible=True, aperiodic=period == 1, period=period)
 
 
@@ -284,10 +281,10 @@ class SpanningTree:
     Works on any graph with out_edges, edge_tail and edge_head (block and
     product graphs).  parent[v] is the tree edge into v, visit the BFS
     order, and next_edge[v] the first edge of a shortest path from v back
-    to vertex 0.  Edge and vertex orders fix every choice, so potentials
-    and walks are deterministic.  strongly_connected is True when the graph
-    has a vertex and both searches reach every vertex; potentials and
-    walks need it.  The three arrays are tuples, so a tree can be shared.
+    to vertex 0; chords, the (edge, tail, head) of each non-tree edge in
+    edge order.  Edge and vertex orders fix every choice.  potentials,
+    rises and walks need strongly_connected: a vertex, and both searches
+    reach every one.  The arrays are tuples, so a tree can be shared.
     """
 
     def __init__(self, graph):
@@ -300,6 +297,8 @@ class SpanningTree:
         next_edge, back = _bfs_edges(in_edges, graph.edge_tail, 0)
         self.parent, self.visit, self.next_edge = tuple(parent), tuple(visit), tuple(next_edge)
         self.strongly_connected = 0 < len(visit) == n == len(back)
+        ends = zip(count(), graph.edge_tail, graph.edge_head)
+        self.chords = tuple((e, t, h) for e, t, h in ends if parent[h] != e)
 
     def unreachable_pair(self) -> tuple[int, int] | None:
         """None when the graph is strongly connected, otherwise the first
@@ -330,6 +329,12 @@ class SpanningTree:
             e = self.parent[v]
             pot[v] = step(e, pot[tail[e]])
         return pot
+
+    def rises(self, column) -> tuple[list, list]:
+        """(pot, rises): a per-edge column's potentials from 0, and its sum
+        column[e] + pot[t] - pot[h] around each chord's fundamental cycle."""
+        pot = self.potentials(0, lambda e, p: p + column[e])
+        return pot, [column[e] + pot[t] - pot[h] for e, t, h in self.chords]
 
     def walks(self, e: int) -> tuple[list[int], list[int]]:
         """The closed walks root->tail.e.head->root and root->head->root.
@@ -898,12 +903,16 @@ def count_periodic_points(spec: SftSpec, n: int) -> int:
 
 
 def _as_fraction(x) -> Fraction:
+    """x, a Fraction, int (not bool) or rational string; else InvalidCocycle."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidCocycle(f"not a rational: {x!r}") from None
     raise InvalidCocycle(f"expected a rational value, got {x!r}")
 
 

@@ -368,7 +368,12 @@ def transitivity_gap(system: SkewSystem, tree: SpanningTree):
     """
     if not tree.strongly_connected:
         return product_scc_witness(SpanningTree(build_product_graph(system, tree.graph.r)))
-    reached = monodromy_group(system, tree)
+    return _missed_pair(system, tree, monodromy_group(system, tree))
+
+
+def _missed_pair(system: SkewSystem, tree: SpanningTree, reached):
+    """transitivity_gap's answer when the tree's block graph is strongly
+    connected and reached is its monodromy group."""
     group, table = system.group, system.group.table
     if len(reached) == len(table):
         return None
@@ -391,7 +396,7 @@ def transitive_cover(system: SkewSystem, r: int):
     wpot, cyc = cycle_weights(system, tree)
     via = _closure(system.group, cyc)
     if len(via) < len(system.group.table):
-        raise NotTransitiveError(transitivity_gap(system, tree))
+        raise NotTransitiveError(_missed_pair(system, tree, via))
     return tree, via, wpot, cyc
 
 
@@ -487,14 +492,15 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     decides it on the symbol graph and names the first unreachable pair of
     product vertices.  Z^d: NotStronglyConnected when the symbol graph is
     not strongly connected.  Otherwise the closed-walk weights generate
-    the lattice of the fundamental-cycle weights psi(e) + pot(t) - pot(h)
-    along the spanning tree, which Smith's form measures; when they span
-    R^d, their cone is R^d unless _one_sided finds a functional.  A
-    nonzero lam >= 0 on every closed walk (one_sided) or a proper lattice
-    (proper_subgroup) refutes transitivity: no closed walk reaches a
-    weight where lam is negative, or one outside the lattice.
-    Transitivity itself is never certified; the best positive answer is
-    "unknown" with evidence.  RangeTooLarge, before any graph is built,
+    the lattice of the fundamental-cycle weights, the rises of psi's d
+    columns on the spanning tree's chords (tree edges rise by 0, and zero
+    rows leave the elementary divisors as they are), which Smith's form
+    measures; when they span R^d, their cone is R^d unless _one_sided
+    finds a functional.  A nonzero lam >= 0 on every closed walk
+    (one_sided) or a proper lattice (proper_subgroup) refutes
+    transitivity: no closed walk reaches a weight where lam is negative,
+    or one outside the lattice.  Transitivity itself is never certified;
+    the best positive answer is "unknown" with evidence.  RangeTooLarge, before any graph is built,
     when _one_sided's pivots would pass the work budget.
     """
     d = system.group.rank
@@ -518,11 +524,8 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
 
     bg = tree.graph
     psi = [system.psi_z[word[0] - 1] for word in bg.edges]
-    pot = tree.potentials((0,) * d, lambda e, p: tuple(map(add, p, psi[e])))
-    ends = zip(psi, bg.edge_tail, bg.edge_head)
-    report = subgroup_rank_and_index(
-        [tuple(w + a - b for w, a, b in zip(z, pot[t], pot[h])) for z, t, h in ends], d
-    )
+    rises = [tree.rises(column)[1] for column in zip(*psi)]
+    report = subgroup_rank_and_index(zip(*rises), d)
     lam = _one_sided(bg, psi) if report.rank == d else None
     interior = report.rank == d and lam is None
     evidence = TransitivityEvidence(

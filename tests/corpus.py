@@ -19,6 +19,7 @@ from livsic import (
     make_skew_system,
     psi_n,
 )
+from livsic.groups import eliminate
 from livsic.sft import SpanningTree, cyclic_fold
 
 SEED_STRIDE = 100_003
@@ -224,3 +225,77 @@ def perturb_one_value(cocycle, rng: random.Random):
     values = dict(cocycle.values)
     values[word] += delta
     return make_cocycle(cocycle.sft, cocycle.block_range, values), word, delta
+
+
+def dense_solve(rows, d):
+    """Rational Gauss-Jordan on d columns with a dense identity provenance,
+    the reference for groups.eliminate: (rows, provenances, pivot columns,
+    order), rows and provenances in the swapped order, order[i] the input
+    index of row i."""
+    m = len(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    prov = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    order = list(range(m))
+    pivots = []
+    for col in range(d):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prov[rank], prov[pivot] = prov[pivot], prov[rank]
+        order[rank], order[pivot] = order[pivot], order[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        prov[rank] = [x * inv for x in prov[rank]]
+        for i in range(m):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+                prov[i] = [a - f * b for a, b in zip(prov[i], prov[rank])]
+        pivots.append(col)
+    return mat, prov, tuple(pivots), order
+
+
+def check_elimination(rows, d):
+    """Assert that groups.eliminate(rows, d) is the fraction-free form of
+    dense_solve's reduction, and return (rank, consistent, swapped).
+
+    Its outputs are ints; every pivot row holds the same positive pivot p
+    and is p times the dense row at its position, and its coefficients p
+    times that row's dense provenance.  The first position
+    after the pivot rows with a nonzero dense defect is the inconsistent
+    row: its combination is p times the dense provenance, of <= d + 1
+    input rows, zero on the d columns and not on the defect.  With none,
+    the alpha the pivot rows give solves every row.
+    """
+    reduced, pivots, combo = eliminate(rows, d)
+    dense_mat, dense_prov, dense_pivots, order = dense_solve(rows, d)
+    rank = len(pivots)
+    assert pivots == dense_pivots, rows
+    assert all(type(x) is int for row in reduced for x in row), rows
+    pivot = reduced[0][pivots[0]] if pivots else 1
+    assert pivot > 0 and all(reduced[i][col] == pivot for i, col in enumerate(pivots)), rows
+    assert [[Fraction(x, pivot) for x in row[: d + 1]] for row in reduced] == dense_mat[:rank]
+    for row, dense in zip(reduced, dense_prov):
+        assert {order[s]: Fraction(c, pivot) for s, c in enumerate(row[d + 1 :]) if c} == {
+            i: c for i, c in enumerate(dense) if c
+        }, rows
+    bad = next((i for i in range(rank, len(rows)) if dense_mat[i][d]), None)
+    if bad is None:
+        assert combo is None, rows
+        alpha = [Fraction(0)] * d
+        for row, col in zip(reduced, pivots):
+            alpha[col] = Fraction(row[d], pivot)
+        for row in rows:
+            assert sum(a * x for a, x in zip(alpha, row)) == row[d], rows
+    else:
+        assert all(type(c) is int for c in combo.values()), rows
+        assert {i: Fraction(c, pivot) for i, c in combo.items()} == {
+            i: c for i, c in enumerate(dense_prov[bad]) if c
+        }, rows
+        assert len(combo) <= d + 1, rows
+        for j in range(d):
+            assert sum(c * rows[i][j] for i, c in combo.items()) == 0, rows
+        assert sum(c * rows[i][d] for i, c in combo.items()) != 0, rows
+    return rank, bad is None, order != sorted(order)

@@ -8,6 +8,8 @@ whose arrays are tuples.
 """
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
 import livsic.skew as skew
@@ -19,9 +21,11 @@ from livsic import (
     SftSpec,
     build_block_graph,
     build_group,
+    check_transitivity,
     generate_cocycle,
     make_cocycle,
     make_skew_system,
+    smith_diagonal,
     solve_finite_gamma,
     solve_free_abelian,
     validate_sft,
@@ -125,7 +129,7 @@ def test_the_memo_holds_at_most_the_cap_and_evicts_the_oldest_first(monkeypatch)
 
 def test_a_cached_tree_cannot_be_changed():
     tree = block_tree(FULL_2, 2)
-    for name in ("parent", "visit", "next_edge"):
+    for name in ("parent", "visit", "next_edge", "chords"):
         assert type(getattr(tree, name)) is tuple, name
     with pytest.raises(TypeError):
         tree.parent[1] = None
@@ -180,3 +184,45 @@ def test_solves_on_cached_trees_build_neither_a_tree_nor_the_product_graph(monke
                 solve(system, cocycle)
     assert refusals >= 10
     assert built == []
+
+
+def test_chords_and_rises_read_the_fundamental_cycles():
+    # Full, sparse and periodic shifts at r = 1 to 3.  Tree edges rise by 0,
+    # so the period and the lattice of the cycle weights read over every
+    # edge equal the chord-only values that validate_sft and
+    # check_transitivity compute.
+    specs = [FULL_2, SftSpec.full_shift(3), SftSpec.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])]
+    specs += [random_irreducible_sft(rng_for(89, i), 3 + i % 4) for i in range(6)]
+    periods = set()
+    for i, spec in enumerate(specs):
+        for r in (1, 2, 3):
+            tree = block_tree(spec, r)
+            bg = tree.graph
+            ends = list(zip(bg.edge_tail, bg.edge_head))
+            in_tree = {e for e in tree.parent if e is not None}
+            assert len(in_tree) == len(bg.vertices) - 1
+            assert [e for e, _, _ in tree.chords] == [e for e in range(len(ends)) if e not in in_tree]
+            assert all((t, h) == ends[e] for e, t, h in tree.chords)
+            rng = rng_for(97, 3 * i + r)
+            d = rng.randint(1, 3)
+            psi = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(spec.k)]
+            columns = [[psi[w[0] - 1][j] for w in bg.edges] for j in range(d)]
+            columns.append([1] * len(ends))
+            every, chords = [], []
+            for column in columns:
+                pot, rises = tree.rises(column)
+                assert pot == tree.potentials(0, lambda e, p: p + column[e])
+                rise = [column[e] + pot[t] - pot[h] for e, (t, h) in enumerate(ends)]
+                assert rises == [rise[e] for e, _, _ in tree.chords]
+                assert not any(rise[e] for e in in_tree)
+                every.append(rise)
+                chords.append(rises)
+            period = gcd(*every[-1])
+            assert period == gcd(*chords[-1]) == validate_sft(spec).period
+            periods.add(period)
+            diagonal = smith_diagonal(list(zip(*every[:-1])), d)
+            assert diagonal == smith_diagonal(list(zip(*chords[:-1])), d)
+            if r == 1:
+                system = make_skew_system(spec, build_group(GroupSpec.free_abelian(d)), psi)
+                assert check_transitivity(system).evidence.lattice_diagonal == diagonal
+    assert {1, 2} <= periods

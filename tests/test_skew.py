@@ -102,6 +102,26 @@ def test_a_skew_system_splits_psi_into_its_finite_and_lattice_factors():
         assert build_product_graph(system, 2).order == len(group.table)
 
 
+def test_a_refused_finite_solve_closes_the_monodromy_group_once(monkeypatch):
+    # psi = (e, e) over C2: the monodromy group is {e}, so (block, g) is
+    # out of reach.  The refusal names that pair from the one closure made.
+    system = make_skew_system(SftSpec.full_shift(2), build_group(GroupSpec.cyclic(2)), (0, 0))
+    cocycle = make_cocycle(system.sft, 1, {w: 0 for w in product((1, 2), repeat=2)})
+    counts = {"_closure": 0, "cycle_weights": 0}
+    for name in counts:
+        def spy(*args, real=getattr(skew, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(skew, name, spy)
+    with pytest.raises(NotTransitiveError) as refused:
+        solve_finite_gamma(system, cocycle)
+    assert counts == {"_closure": 1, "cycle_weights": 1}
+    monkeypatch.undo()
+    assert refused.value.witness == (((1,), "e"), ((1,), "g"))
+    assert refused.value.witness == transitivity_gap(system, cover_tree(system, 1))
+
+
 def test_a_lattice_cover_names_its_unreachable_pair():
     # The reducible shift 1 -> 2 with loops at both symbols: no path from
     # block (2,) back to (1,).  Over Z^d the product vertex's F index is 0,
