@@ -9,14 +9,17 @@ F a finite table, d its rank) on the block graph.  F enters only through
 transitivity, decided by the monodromy group, and Z^d through alpha, by
 groups.eliminate on the fundamental cycles' rises (SpanningTree.rises);
 solve_finite_gamma names the corner d = 0 (alpha vanishes by torsion) and
-solve_free_abelian the corner F = 1.  The kernel reads f as the cocycle
-holds it, int numerators over the lcm of its denominators, propagates
-integer potentials, eliminates in ints, certifies in the same ints and
-writes u and alpha over one denominator; Fraction appears only for u,
-alpha and witness totals.  One lift, skew.lifted_cycle (shared with the
-matrix solver), turns an inconsistency into a closed word of identity
-weight in both corners.  So a returned solution is a certificate and a
-returned obstruction is a counterexample.
+solve_free_abelian the corner F = 1.  What depends only on the cover,
+the transitivity gate and psi's columns with their rises, comes from
+skew.transitive_cover's per-(system, r) memo, so a solve pays only for
+f: the kernel reads f as the cocycle holds it, int numerators over the
+lcm of its denominators, propagates their integer potentials once,
+eliminates in ints, certifies in the same ints and writes u and alpha
+over one denominator; Fraction appears only for u, alpha and witness
+totals.  One lift, skew.lifted_cycle (shared with the matrix solver),
+turns an inconsistency into a closed word of identity weight in both
+corners.  So a returned solution is a certificate and a returned
+obstruction is a counterexample.
 """
 from __future__ import annotations
 
@@ -188,27 +191,29 @@ def _solve_cover(
     strongly connected.  scale * f (scale the lcm of f's denominators)
     and each coordinate of psi_z are per-edge int columns; tree.rises
     gives their potentials, and each chord (non-tree edge) the row
-    (rho_psi, defect) of their rises.  groups.eliminate reduces these on
+    (rho_psi, defect) of their rises.  psi's columns and rises are the
+    cover's (Cover.psi, built on the first solve over the system), so
+    only f's column is propagated here.  groups.eliminate reduces these on
     their d psi columns, pivoting only on its <= d pivot rows (with d = 0
     the first nonzero defect is the inconsistent row), and the input rows
     it combines into an inconsistent row become a witness.  Otherwise
     alpha and u share the one Bareiss denominator pivot * scale, and are
-    certified in its ints.
+    certified in its ints, with f's numerators handed to _check_edges.
     """
     _check_cocycle_shift(system.sft, cocycle)
     d = system.group.rank
     r = cocycle.effective_block_length
-    tree = transitive_cover(system, r)[0]
+    cover = transitive_cover(system, r)
+    tree = cover.tree
 
     bg = tree.graph
     weights, scale = _edge_numerators(cocycle, bg.edges), cocycle.denominator
-    psi_z = system.psi_z
-    columns = [[psi_z[word[0] - 1][j] for word in bg.edges] for j in range(d)] + [weights]
-    pots, rises = zip(*map(tree.rises, columns))
-    # One row alpha . rho_psi = defect per chord, rhs as the last entry.
-    rows = list(zip(*rises))
-    reduced, pivots, combo = eliminate(rows, d)
+    psi_columns, psi_pots, psi_rises = cover.psi
+    pot_f, rise_f = tree.rises(weights)
+    # One row alpha . rho_psi = defect per chord, rhs as the last column.
+    reduced, pivots, combo = eliminate((*psi_rises, rise_f), d)
     if combo is not None:
+        columns = [*psi_columns, weights]
         witness = _inconsistency_certificate(system, tree, combo, columns, scale)
         raise CocycleObstruction(witness)
     # Every pivot row holds the same pivot, so alpha = rhs / (pivot * scale).
@@ -218,8 +223,8 @@ def _solve_cover(
     for row, col in zip(reduced, pivots):
         tops[col] = row[d]
     # u = pot_f / scale - alpha . pot_psi, over the same denominator.
-    top = [pivot * p for p in pots[d]]
-    for a, pot in zip(tops, pots):
+    top = [pivot * p for p in pot_f]
+    for a, pot in zip(tops, psi_pots):
         if a:
             top = [x - a * q for x, q in zip(top, pot)]
     u = {block: Fraction(x, den) for block, x in zip(bg.vertices, top)}
@@ -228,14 +233,14 @@ def _solve_cover(
         alpha = tuple(Fraction(a, den) for a in tops)
         free_cols = tuple(c for c in range(d) if c not in pivots)
         if free_cols:
-            diag = smith_diagonal([row[:d] for row in rows], d)
+            diag = smith_diagonal(list(zip(*psi_rises)), d)
             degenerate = DegenerateReport(
                 lattice_rank=len(diag),
                 lattice_diagonal=diag,
                 pinned_coordinates=free_cols,
             )
     solution = CohomologySolution(r, u, alpha, degenerate)
-    report = _check_edges(system, cocycle, solution, bg, (top, tops, den))
+    report = _check_edges(system, cocycle, solution, bg, (top, tops, den, weights))
     check_invariant(report.certified, "solution fails its own certification")
     return CohomologySolution(r, u, alpha, degenerate, certificate=report)
 
@@ -410,8 +415,9 @@ def _check_edges(system, cocycle, solution, bg, ints=None) -> VerificationReport
     identity is checked exactly in ints; a failing residual is reported as
     Fraction(residual, D).  f is read from its int numerators over the
     cocycle's denominator, which divides D.  The solver passes its own
-    ints = (D * u at each vertex of bg, D * alpha, D), with D its common
-    denominator, and nothing is rescaled.
+    ints = (D * u at each vertex of bg, D * alpha, D, the numerators of
+    f on bg's edges), with D its common denominator, and nothing is
+    rescaled or read again.
     """
     if ints is None:
         u = solution.u
@@ -421,16 +427,17 @@ def _check_edges(system, cocycle, solution, bg, ints=None) -> VerificationReport
         def scaled(x) -> int:
             return x.numerator * (scale // x.denominator)
 
-        ints = [scaled(u[block]) for block in bg.vertices], list(map(scaled, alpha)), scale
-    pot, alpha, scale = ints
+        pot = [scaled(u[block]) for block in bg.vertices]
+        ints = pot, list(map(scaled, alpha)), scale, _edge_numerators(cocycle, bg.edges)
+    pot, alpha, scale, f = ints
     drift = _drift_table(system, alpha)
     lift = scale // cocycle.denominator
-    f = _edge_numerators(cocycle, bg.edges)
-    residuals = (
+    residuals = [
         lift * x - drift[w[0] - 1] - pot[h] + pot[t]
         for x, w, t, h in zip(f, bg.edges, bg.edge_tail, bg.edge_head)
-    )
-    failures = tuple((w, Fraction(x, scale)) for w, x in zip(bg.edges, residuals) if x)
+    ]
+    bad = compress(zip(bg.edges, residuals), residuals)
+    failures = tuple((w, Fraction(x, scale)) for w, x in bad)
     return VerificationReport(
         certified=not failures,
         edges_checked=len(bg.edges),

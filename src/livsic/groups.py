@@ -70,7 +70,7 @@ class GroupSpec:
         return cls(variant="free_abelian", rank=rank)
 
 
-@record
+@record(weak=True)
 class Group:
     """F x Z^d: F by its Cayley table, inverses and identity index, d by
     rank.  Elements are F indices over a finite group and Z^d vectors
@@ -355,10 +355,11 @@ def bareiss_pivot(mat, r: int, col: int, prev: int) -> int:
     return p
 
 
-def eliminate(rows, d: int):
+def eliminate(columns, d: int):
     """Fraction-free Gauss-Jordan on integer rows of d columns and a
-    right-hand side, reducing only the pivot rows: (pivot rows, pivot
-    columns, None or the combination of the first inconsistent row).
+    right-hand side, given as those d + 1 columns, reducing only the pivot
+    rows: (pivot rows, pivot columns, None or the combination of the first
+    inconsistent row).
 
     For each column 0..d it takes the first row, at or after position rank
     in the swapped order, whose live entry p * row[col] - sum of row[c] *
@@ -368,8 +369,7 @@ def eliminate(rows, d: int):
     after their d + 1 entries, a coefficient per row taken, so a live
     right-hand side returns as {input row: int coefficient}, zeros left out.
     """
-    columns = list(zip(*rows)) or [()] * (d + 1)
-    order = list(range(len(rows)))
+    order = list(range(len(columns[d])))
     mat, pivots, p = [], [], 1
     for col in range(d + 1):
         rank = len(pivots)
@@ -382,7 +382,7 @@ def eliminate(rows, d: int):
         order[rank], order[i] = order[i], order[rank]
         for q in mat:
             q.append(0)
-        row = [*rows[order[rank]], *[0] * rank, 1]
+        row = [*(column[order[rank]] for column in columns), *[0] * rank, 1]
         new = [p * x for x in row]
         for c, q in zip(pivots, mat):
             new = [a - row[c] * b for a, b in zip(new, q)]

@@ -336,13 +336,17 @@ def solve_matrix_finite(
     identity and over the first block at the closure's generators, which
     bounds the rest; past tol x max(10, blocks x |F|), AlphaNotConstant
     names the largest (block, eta, gamma, deviation), first in (gamma,
-    block, eta) order.  The verifier's check recertifies the solution.
+    block, eta) order.  The verifier's check recertifies the solution,
+    on the stack of f's edge values made here.  The gate, wpot, the cycle
+    weights and the closure's steps are the Cover's, made once per
+    (system, r); a solve builds only f's stacks.
     """
     _check_cocycle_shift(system.sft, cocycle)
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
-    tree, via, wpot, cyc = transitive_cover(system, cocycle.effective_block_length)
+    cover = transitive_cover(system, cocycle.effective_block_length)
+    tree, via, wpot, cyc, steps = cover.tree, cover.via, cover.wpot, cover.cyc, cover.steps(group)
 
     bg, table, order, eye = tree.graph, group.table, len(group.table), np.eye(cocycle.dim)
     factors = _edge_values(cocycle, bg)
@@ -350,7 +354,6 @@ def solve_matrix_finite(
     transfer_inv = _checked_inverse(transfer, "transfer candidate")
     holonomy = transfer_inv[list(bg.edge_head)] @ factors @ transfer[list(bg.edge_tail)]
     labels = np.empty((order, *eye.shape))
-    steps = {y: cyc.index(table[group.inverses[x]][y]) for y, x in via.items() if x is not None}
     for y, x in via.items():
         labels[y] = eye if x is None else labels[x] @ holonomy[steps[y]]
     residuals = _frobenius(labels[[table[g] for g in cyc]] - holonomy[:, None] @ labels)
@@ -382,7 +385,7 @@ def solve_matrix_finite(
         raise AlphaNotConstant((blocks[bi], group.name_of(eta), group.name_of(gi), defect))
 
     check_tol = certification_tolerance(tol, u, u_inv, defect)
-    report = _check_solution(system, cocycle, bg, labels, u, u_inv, check_tol)
+    report = _check_solution(system, cocycle, bg, factors, labels, u, u_inv, check_tol)
     # Closure and fiber constancy imply multiplicativity and centrality, so
     # a failure here is an internal inconsistency, not a property of the input.
     check_invariant(report.certified, "solution fails its own certification")
@@ -440,7 +443,7 @@ def verify_matrix_solution(
         u_inv = invert_blocks(solution.u)
     alpha = np.stack([solution.alpha[group.name_of(gi)] for gi in range(group.order)])
     u, inv = (np.stack([mats[b] for b in bg.vertices]) for mats in (solution.u, u_inv))
-    return _check_solution(system, cocycle, bg, alpha, u, inv, tol)
+    return _check_solution(system, cocycle, bg, _edge_values(cocycle, bg), alpha, u, inv, tol)
 
 
 def _edge_values(cocycle, bg) -> np.ndarray:
@@ -459,13 +462,14 @@ def _edge_identity(system, bg, alpha, u, u_inv) -> np.ndarray:
     return steps @ u[list(bg.edge_head)] @ u_inv[list(bg.edge_tail)]
 
 
-def _check_solution(system, cocycle, bg, alpha, u, u_inv, tol) -> MatrixVerificationReport:
+def _check_solution(system, cocycle, bg, values, alpha, u, u_inv, tol) -> MatrixVerificationReport:
     """Check the reconstruction on every edge of bg, and alpha's
     multiplicativity and centrality, for stacks alpha (in element order),
-    u and u_inv (in block order) of the right shape."""
+    u and u_inv (in block order) of the right shape; values is the
+    cocycle's _edge_values on bg."""
     group = system.group
     expected = _edge_identity(system, bg, alpha, u, u_inv)
-    worst = float(_frobenius(_edge_values(cocycle, bg) - expected).max(initial=0.0))
+    worst = float(_frobenius(values - expected).max(initial=0.0))
 
     # One group element at a time against a stack of all the others (or of
     # every cocycle value): memory stays linear in the order and windows.

@@ -18,14 +18,15 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a record."""
 
 
-def record(cls=None, /, *, order: bool = False):
+def record(cls=None, /, *, order: bool = False, weak: bool = False):
     """Rebuild ``cls`` as a frozen slots class whose fields are its annotations.
 
     A class attribute named like a field is that field's default.  The
-    field names, in order, are in ``_fields``.
+    field names, in order, are in ``_fields``.  With weak=True the
+    instances can be weakly referenced.
     """
     if cls is None:
-        return lambda cls: record(cls, order=order)
+        return lambda cls: record(cls, order=order, weak=weak)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     defaults = {name: ns.pop(name) for name in names if name in ns}
@@ -95,7 +96,8 @@ def record(cls=None, /, *, order: bool = False):
     if order:
         methods += [_compare(op, key) for op in (lt, le, gt, ge)]
     ns.update({method.__name__: method for method in methods})
-    ns.update(__slots__=names, _fields=names, __qualname__=cls.__qualname__)
+    slots = names + ("__weakref__",) * weak
+    ns.update(__slots__=slots, _fields=names, __qualname__=cls.__qualname__)
     built = type(cls)(cls.__name__, cls.__bases__, ns)
     setters = [getattr(built, name).__set__ for name in names]
     named_setters = list(zip(setters, names))

@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from math import gcd, lcm
 from operator import eq, floordiv, itemgetter, mul
@@ -185,7 +185,14 @@ def block_tree(spec: SftSpec, r: int) -> "SpanningTree":
     """
     if r < 1:
         raise BadShape("block length must be at least 1")
-    return _TREES.get(spec, r, max_states_cap())
+    cap = max_states_cap()
+    tree = _TREES.take((spec, r), cap)
+    if tree is None:
+        tree = SpanningTree(_block_graph(spec, r, cap))
+    elif len(tree.parent) > cap:
+        raise RangeTooLarge(f"more than {cap} admissible words of length {r}")
+    _TREES.put((spec, r), tree, cap)
+    return tree
 
 
 def _block_graph(spec: SftSpec, r: int, cap: int) -> BlockGraph:
@@ -215,43 +222,49 @@ def _block_graph(spec: SftSpec, r: int, cap: int) -> BlockGraph:
     )
 
 
-class _TreeMemo:
-    """(spec, r) -> block-graph SpanningTree, least recently used first,
-    holding ``blocks`` blocks in all."""
+class StateMemo:
+    """key -> a value over one block graph, least recently used first,
+    holding ``states`` states in all, where a value counts cost(value)
+    against the state cap (a block tree its blocks).
 
-    __slots__ = ("trees", "blocks")
+    A lookup is take, then put once the value passes its checks: take
+    trims the memo to the cap, and a value refused in between is dropped.
+    """
 
-    def __init__(self):
-        self.trees: dict = {}
-        self.blocks = 0
+    __slots__ = ("held", "states", "cost")
 
-    def get(self, spec: SftSpec, r: int, cap: int) -> "SpanningTree":
-        key = (spec, r)
-        tree = self.trees.pop(key, None)
-        if tree is not None:
-            self.blocks -= len(tree.graph.vertices)
+    def __init__(self, cost):
+        self.held: dict = {}
+        self.states = 0
+        self.cost = cost
+
+    def take(self, key, cap: int):
+        """The value held at key, now out of the memo, or None; the rest
+        trimmed to cap states."""
+        value = self.held.pop(key, None)
+        if value is not None:
+            self.states -= self.cost(value)
         self._evict(cap)
-        if tree is None:
-            tree = SpanningTree(_block_graph(spec, r, cap))
-        elif len(tree.graph.vertices) > cap:
-            raise RangeTooLarge(f"more than {cap} admissible words of length {r}")
-        n = len(tree.graph.vertices)
+        return value
+
+    def put(self, key, value, cap: int) -> None:
+        """Hold value at key as the newest, dropping the oldest for room."""
+        n = self.cost(value)
         self._evict(cap - n)
-        self.trees[key] = tree
-        self.blocks += n
-        return tree
+        self.held[key] = value
+        self.states += n
 
     def _evict(self, room: int) -> None:
-        """Drop the least recently used trees until at most room blocks are held."""
-        while self.blocks > room:
-            self.blocks -= len(self.trees.pop(next(iter(self.trees))).graph.vertices)
+        """Drop the least recently used values until at most room states are held."""
+        while self.states > room:
+            self.states -= self.cost(self.held.pop(next(iter(self.held))))
 
     def clear(self) -> None:
-        self.trees.clear()
-        self.blocks = 0
+        self.held.clear()
+        self.states = 0
 
 
-_TREES = _TreeMemo()
+_TREES = StateMemo(lambda tree: len(tree.parent))
 
 
 def _solution_block_graph(spec: SftSpec, cocycle, solution) -> BlockGraph:
@@ -281,10 +294,13 @@ class SpanningTree:
     Works on any graph with out_edges, edge_tail and edge_head (block and
     product graphs).  parent[v] is the tree edge into v, visit the BFS
     order, and next_edge[v] the first edge of a shortest path from v back
-    to vertex 0; chords, the (edge, tail, head) of each non-tree edge in
-    edge order.  Edge and vertex orders fix every choice.  potentials,
-    rises and walks need strongly_connected: a vertex, and both searches
-    reach every one.  The arrays are tuples, so a tree can be shared.
+    to vertex 0.  Two more tuples are built on first read, as many trees
+    never read them: chords, the (edge, tail, head) of each non-tree edge in
+    edge order, and order, the (vertex, parent edge, its tail) of each
+    vertex after the root in visit order, over which potentials and rises
+    loop.  Edge and vertex orders fix every choice.  potentials, rises
+    and walks need strongly_connected: a vertex, and both searches reach
+    every one.  The arrays are tuples, so a tree can be shared.
     """
 
     def __init__(self, graph):
@@ -297,8 +313,17 @@ class SpanningTree:
         next_edge, back = _bfs_edges(in_edges, graph.edge_tail, 0)
         self.parent, self.visit, self.next_edge = tuple(parent), tuple(visit), tuple(next_edge)
         self.strongly_connected = 0 < len(visit) == n == len(back)
-        ends = zip(count(), graph.edge_tail, graph.edge_head)
-        self.chords = tuple((e, t, h) for e, t, h in ends if parent[h] != e)
+
+    @cached_property
+    def chords(self) -> tuple[tuple[int, int, int], ...]:
+        parent = self.parent
+        ends = zip(count(), self.graph.edge_tail, self.graph.edge_head)
+        return tuple((e, t, h) for e, t, h in ends if parent[h] != e)
+
+    @cached_property
+    def order(self) -> tuple[tuple[int, int, int], ...]:
+        parent, tail = self.parent, self.graph.edge_tail
+        return tuple((v, parent[v], tail[parent[v]]) for v in self.visit[1:])
 
     def unreachable_pair(self) -> tuple[int, int] | None:
         """None when the graph is strongly connected, otherwise the first
@@ -324,16 +349,17 @@ class SpanningTree:
         """
         pot = [None] * len(self.parent)
         pot[0] = start
-        tail = self.graph.edge_tail
-        for v in self.visit[1:]:
-            e = self.parent[v]
-            pot[v] = step(e, pot[tail[e]])
+        for v, e, t in self.order:
+            pot[v] = step(e, pot[t])
         return pot
 
     def rises(self, column) -> tuple[list, list]:
         """(pot, rises): a per-edge column's potentials from 0, and its sum
-        column[e] + pot[t] - pot[h] around each chord's fundamental cycle."""
-        pot = self.potentials(0, lambda e, p: p + column[e])
+        column[e] + pot[t] - pot[h] around each chord's fundamental cycle.
+        potentials(0, +), with no call per vertex."""
+        pot = [0] * len(self.parent)
+        for v, e, t in self.order:
+            pot[v] = pot[t] + column[e]
         return pot, [column[e] + pot[t] - pot[h] for e, t, h in self.chords]
 
     def walks(self, e: int) -> tuple[list[int], list[int]]:

@@ -10,7 +10,9 @@ the rank d where the two covers differ, never on the element encoding.
 """
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
 from operator import add, eq, mul
@@ -33,6 +35,7 @@ from .sft import (
     PeriodicOrbit,
     SftSpec,
     SpanningTree,
+    StateMemo,
     Word,
     block_tree,
     build_block_graph,
@@ -383,21 +386,86 @@ def _missed_pair(system: SkewSystem, tree: SpanningTree, reached):
     return (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
 
 
-def transitive_cover(system: SkewSystem, r: int):
-    """The cover solvers' one gate over r-blocks: (tree, via, wpot, cyc),
-    the cover_tree, the monodromy_group closure and the cycle_weights it
-    was closed from.  NotStronglyConnected over Z^d, and
-    NotTransitiveError over F with transitivity_gap's pair."""
+class Cover:
+    """A transitive cover over r-blocks, as transitive_cover hands it to
+    every cover solver: its cover_tree, the monodromy_group closure via
+    and the cycle_weights (wpot, cyc) it was closed from.  Two more
+    values are built on first use: psi, for each coordinate j < d of
+    psi_z its per-edge column and that column's tree.rises, as tuples,
+    and the matrix solver's closure steps.
+
+    A cover holds its group only weakly, through group, so a memo of
+    covers keeps no Cayley table alive.  It is shared by every solve over
+    its system, so nothing in it may be changed.
+    """
+
+    def __init__(self, system: SkewSystem, tree: SpanningTree, via, wpot, cyc):
+        group = system.group
+        self.group, self.psi_z, self.rank = weakref.ref(group), system.psi_z, group.rank
+        self.tree, self.via, self.wpot, self.cyc = tree, via, tuple(wpot), tuple(cyc)
+        self._steps = None
+
+    def steps(self, group: Group) -> dict:
+        """For each y in via other than the identity, the first edge whose
+        cycle weight is x^-1 y, for x = via[y]; group is the cover's, or
+        equal to it."""
+        if self._steps is None:
+            table, inverses, first = group.table, group.inverses, {}
+            for e, g in enumerate(self.cyc):
+                first.setdefault(g, e)
+            pairs = self.via.items()
+            self._steps = {y: first[table[inverses[x]][y]] for y, x in pairs if x is not None}
+        return self._steps
+
+    @cached_property
+    def psi(self):
+        tree, psi_z = self.tree, self.psi_z
+        edges = tree.graph.edges
+        columns = tuple(tuple([psi_z[w[0] - 1][j] for w in edges]) for j in range(self.rank))
+        risen = [tree.rises(column) for column in columns]
+        return columns, tuple(tuple(p) for p, _ in risen), tuple(tuple(x) for _, x in risen)
+
+
+def transitive_cover(system: SkewSystem, r: int) -> Cover:
+    """The cover solvers' one gate over r-blocks, as a Cover, built once
+    per (system, r).
+
+    NotStronglyConnected over Z^d, and NotTransitiveError over F with
+    transitivity_gap's pair; a refusal is made afresh on every call.  A
+    transitive cover is kept in a memo keyed by (shift, r, psi_f, psi_z)
+    that holds at most LIVSIC_MAX_STATES product states (blocks x |F|)
+    in all, least recently used out first.  The key leaves the group
+    out, as hashing it hashes its Cayley table; a hit compares the group
+    instead, by identity and then by value, and a cover whose group is
+    gone is decided afresh.  Every call runs cover_tree, so the cap
+    checks of a fresh build run on a hit too, and a hit leaves its tree
+    the newest in block_tree's memo; a cover whose tree that memo has
+    since dropped is decided afresh on the tree it holds now.  The two
+    memos hold trees of at most 2 x LIVSIC_MAX_STATES blocks in all.
+    """
+    key = (system.sft, r, system.psi_f, system.psi_z)
+    cap, group = max_states_cap(), system.group
+    cover = _COVERS.take(key, cap)
     tree = cover_tree(system, r)
-    if not tree.strongly_connected:
-        if system.group.rank:
-            raise NotStronglyConnected("block graph is not strongly connected")
-        raise NotTransitiveError(transitivity_gap(system, tree))
-    wpot, cyc = cycle_weights(system, tree)
-    via = _closure(system.group, cyc)
-    if len(via) < len(system.group.table):
-        raise NotTransitiveError(_missed_pair(system, tree, via))
-    return tree, via, wpot, cyc
+    # The cover's group; None, which is never group, when there is no
+    # cover on this tree or its group has been collected.
+    held = None if cover is None or cover.tree is not tree else cover.group()
+    if held is not group and held != group:
+        if not tree.strongly_connected:
+            if group.rank:
+                raise NotStronglyConnected("block graph is not strongly connected")
+            raise NotTransitiveError(transitivity_gap(system, tree))
+        wpot, cyc = cycle_weights(system, tree)
+        via = _closure(group, cyc)
+        if len(via) < len(group.table):
+            raise NotTransitiveError(_missed_pair(system, tree, via))
+        cover = Cover(system, tree, via, wpot, cyc)
+    _COVERS.put(key, cover, cap)
+    return cover
+
+
+# A transitive cover's via lists all of F.
+_COVERS = StateMemo(lambda cover: len(cover.tree.parent) * len(cover.via))
 
 
 # ---------------------------------------------------------------------------

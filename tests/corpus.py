@@ -258,8 +258,9 @@ def dense_solve(rows, d):
 
 
 def check_elimination(rows, d):
-    """Assert that groups.eliminate(rows, d) is the fraction-free form of
-    dense_solve's reduction, and return (rank, consistent, swapped).
+    """Assert that groups.eliminate, on the columns of rows, is the
+    fraction-free form of dense_solve's reduction, and return (rank,
+    consistent, swapped).
 
     Its outputs are ints; every pivot row holds the same positive pivot p
     and is p times the dense row at its position, and its coefficients p
@@ -269,7 +270,7 @@ def check_elimination(rows, d):
     input rows, zero on the d columns and not on the defect.  With none,
     the alpha the pivot rows give solves every row.
     """
-    reduced, pivots, combo = eliminate(rows, d)
+    reduced, pivots, combo = eliminate(list(zip(*rows)) or [()] * (d + 1), d)
     dense_mat, dense_prov, dense_pivots, order = dense_solve(rows, d)
     rank = len(pivots)
     assert pivots == dense_pivots, rows

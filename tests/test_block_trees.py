@@ -1,15 +1,21 @@
-"""The block-tree memo: one SpanningTree per (shift, r) in a process.
+"""The block-tree and cover memos: one SpanningTree per (shift, r) and
+one transitive Cover per (system, r) in a process.
 
 `sft.block_tree` builds the r-block graph and its tree once, and
 `build_block_graph`, `validate_sft` and `skew.cover_tree` all read it.
 The memo holds at most LIVSIC_MAX_STATES blocks in all, evicts the least
 recently used tree first, re-reads the cap on a hit, and hands out trees
-whose arrays are tuples.
+whose arrays are tuples.  `skew.transitive_cover` keeps the transitivity
+gate and psi's rises the same way, so a second solve on one cover pays
+only for its cocycle.
 """
 from __future__ import annotations
 
+import gc
+import weakref
 from math import gcd
 
+import numpy as np
 import pytest
 
 import livsic.skew as skew
@@ -30,10 +36,17 @@ from livsic import (
     solve_free_abelian,
     validate_sft,
 )
-from livsic import sft
+from livsic import generate_matrix_cocycle, solve_matrix_finite, sft
+from livsic.groups import Group
 from livsic.sft import SpanningTree, block_tree
-from livsic.skew import cover_tree
-from corpus import cover_corpus, random_irreducible_sft, rng_for
+from livsic.skew import cover_tree, transitive_cover
+from corpus import (
+    cover_corpus,
+    random_irreducible_sft,
+    relabelled_group,
+    rng_for,
+    s3_group,
+)
 
 FULL_2 = SftSpec.full_shift(2)
 
@@ -41,15 +54,17 @@ FULL_2 = SftSpec.full_shift(2)
 @pytest.fixture(autouse=True)
 def empty_memo():
     sft._TREES.clear()
+    skew._COVERS.clear()
     yield
     sft._TREES.clear()
+    skew._COVERS.clear()
 
 
 def _held():
     """(the memo's (spec, r) keys, least recently used first; the blocks
     its trees hold, as counted and as its own tally)."""
-    trees = sft._TREES.trees
-    return list(trees), sum(len(t.graph.vertices) for t in trees.values()), sft._TREES.blocks
+    trees = sft._TREES.held
+    return list(trees), sum(len(t.graph.vertices) for t in trees.values()), sft._TREES.states
 
 
 def test_every_reader_shares_one_tree():
@@ -226,3 +241,243 @@ def test_chords_and_rises_read_the_fundamental_cycles():
                 system = make_skew_system(spec, build_group(GroupSpec.free_abelian(d)), psi)
                 assert check_transitivity(system).evidence.lattice_diagonal == diagonal
     assert {1, 2} <= periods
+
+
+def test_potentials_and_rises_loop_over_the_flat_order():
+    # Full and sparse shifts at r = 1 to 3, against a loop over the visit
+    # order that reads parent and edge_tail itself: int columns through
+    # rises, and GL(2) steps (unimodular int matrices, so products are
+    # exact) through potentials.
+    specs = [FULL_2, SftSpec.full_shift(3), SftSpec.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])]
+    specs += [random_irreducible_sft(rng_for(101, i), 3 + i % 4) for i in range(6)]
+    shears = [np.array(m) for m in ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, -1], [1, 0]])]
+    for i, spec in enumerate(specs):
+        for r in (1, 2, 3):
+            tree = block_tree(spec, r)
+            tail = tree.graph.edge_tail
+            n_edges = len(tail)
+            assert tree.order == tuple(
+                (v, tree.parent[v], tail[tree.parent[v]]) for v in tree.visit[1:]
+            )
+            rng = rng_for(103, 3 * i + r)
+
+            def reference(start, step):
+                pot = [None] * len(tree.parent)
+                pot[0] = start
+                for v in tree.visit[1:]:
+                    e = tree.parent[v]
+                    pot[v] = step(e, pot[tail[e]])
+                return pot
+
+            column = [rng.randint(-5, 5) for _ in range(n_edges)]
+            assert tree.rises(column)[0] == reference(0, lambda e, p: p + column[e])
+            mats = [shears[rng.randrange(3)] for _ in range(n_edges)]
+            eye = np.eye(2, dtype=int)
+            got = tree.potentials(eye, lambda e, t: mats[e] @ t)
+            want = reference(eye, lambda e, t: mats[e] @ t)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_strong_connectivity_check_builds_neither_chords_nor_the_order(monkeypatch):
+    trees = []
+    init = SpanningTree.__init__
+
+    def keeping(self, graph):
+        init(self, graph)
+        trees.append(self)
+
+    monkeypatch.setattr(SpanningTree, "__init__", keeping)
+    for spec in (FULL_2, SftSpec.from_rows([[1, 1], [0, 1]])):
+        block_tree(spec, 2).graph.is_strongly_connected()
+    assert len(trees) == 4
+    assert all(vars(tree).keys().isdisjoint({"chords", "order"}) for tree in trees)
+    # Read once, each is built and then kept.
+    tree = trees[0]
+    assert tree.chords is tree.chords and tree.order is tree.order
+
+
+def _count_gate(monkeypatch):
+    """Count calls of the gate's two steps and of SpanningTree.rises."""
+    counts = {"cycle_weights": 0, "_closure": 0, "rises": 0}
+    for name in ("cycle_weights", "_closure"):
+        def spy(*args, real=getattr(skew, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(skew, name, spy)
+    rises = SpanningTree.rises
+
+    def counting(self, column):
+        counts["rises"] += 1
+        return rises(self, column)
+
+    monkeypatch.setattr(SpanningTree, "rises", counting)
+    return counts
+
+
+def _no_group_hash(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Group was hashed")
+
+    monkeypatch.setattr(Group, "__hash__", refuse)
+
+
+def test_a_second_solve_on_one_cover_pays_only_for_the_cocycle(monkeypatch):
+    z2 = make_skew_system(SftSpec.full_shift(3), build_group(GroupSpec.free_abelian(2)),
+                          ((1, 0), (0, 1), (-1, -1)))
+    s3 = make_skew_system(FULL_2, s3_group(), (1, 2))
+    cases = []
+    for system, solve in ((z2, solve_free_abelian), (s3, solve_finite_gamma)):
+        good = [generate_cocycle(system, block_range=2, seed=seed) for seed in (1, 2)]
+        values = dict(good[1].values)
+        values[min(values)] += 1
+        cases.append((system, solve, [*good, make_cocycle(system.sft, 2, values)]))
+
+    def answer(solve, system, cocycle):
+        try:
+            return solve(system, cocycle)
+        except CocycleObstruction as exc:
+            return exc.witness
+
+    def fresh_answer(solve, system, cocycle):
+        skew._COVERS.clear()
+        return answer(solve, system, cocycle)
+
+    fresh = [[fresh_answer(solve, system, c) for c in cocycles] for system, solve, cocycles in cases]
+    skew._COVERS.clear()
+    counts = _count_gate(monkeypatch)
+    _no_group_hash(monkeypatch)
+    for (system, solve, cocycles), expected in zip(cases, fresh):
+        d = system.group.rank
+        for i, (cocycle, want) in enumerate(zip(cocycles, expected)):
+            counts.update(dict.fromkeys(counts, 0))
+            assert answer(solve, system, cocycle) == want
+            gate = 0 if i else 1
+            # The first solve decides the cover and rises psi's d columns.
+            assert counts == {"cycle_weights": gate, "_closure": gate, "rises": 1 + d * gate}
+    # The matrix solver reads the same cover, and its closure steps, once built.
+    cocycle = generate_matrix_cocycle(s3, None, None, block_range=2, seed=3, family="rotation")
+    cover = transitive_cover(s3, 2)
+    steps = cover.steps(s3.group)
+    counts.update(dict.fromkeys(counts, 0))
+    for _ in range(2):
+        assert solve_matrix_finite(s3, cocycle).certificate.certified
+    assert counts == {"cycle_weights": 0, "_closure": 0, "rises": 0}
+    assert transitive_cover(s3, 2) is cover and cover.steps(s3.group) is steps
+
+
+def test_an_equal_system_hits_the_memo_and_another_group_does_not(monkeypatch):
+    spec = SftSpec.full_shift(2)
+    first = make_skew_system(spec, s3_group(), (1, 2))
+    cover = transitive_cover(first, 2)
+    counts = _count_gate(monkeypatch)
+    _no_group_hash(monkeypatch)
+    # Rebuilt from equal parts, the group a new but equal object.
+    again = make_skew_system(SftSpec.full_shift(2), s3_group(), (1, 2))
+    assert again.group is not first.group
+    assert transitive_cover(again, 2) is cover
+    assert counts["cycle_weights"] == 0
+    # The same psi_f over another group of order 6 is decided afresh.
+    other = make_skew_system(spec, relabelled_group(s3_group(), (4, 2, 5, 0, 1, 3)), (1, 2))
+    assert other.psi_f == first.psi_f and other.psi_z == first.psi_z
+    relabelled = transitive_cover(other, 2)
+    assert relabelled is not cover and relabelled.group() is other.group
+    assert counts["cycle_weights"] == 1
+    assert list(skew._COVERS.held) == [(spec, 2, (1, 2), ((), ()))]
+    # A refusal is made afresh each time, and kept out of the memo.
+    stuck = make_skew_system(spec, s3_group(), (0, 0))
+    for _ in range(2):
+        with pytest.raises(NotTransitiveError):
+            transitive_cover(stuck, 2)
+    assert counts["cycle_weights"] == 3
+    assert len(skew._COVERS.held) == 1
+
+
+def test_a_lowered_cap_refuses_a_cached_cover_as_a_fresh_build(monkeypatch):
+    system = make_skew_system(SftSpec.full_shift(3), s3_group(), (1, 2, 0))
+    refusals = []
+    for cap in ("20", "100"):  # 27 blocks, and 27 x 6 product states
+        transitive_cover(system, 3)
+        monkeypatch.setenv("LIVSIC_MAX_STATES", cap)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(RangeTooLarge) as refused:
+                transitive_cover(system, 3)
+            messages.append(str(refused.value))
+            sft._TREES.clear()
+            skew._COVERS.clear()
+        assert messages[0] == messages[1]
+        refusals.append(messages[0])
+        monkeypatch.delenv("LIVSIC_MAX_STATES")
+    assert refusals == ["more than 20 admissible words of length 3",
+                        "product graph would have 162 vertices"]
+
+
+def test_the_cover_memo_holds_at_most_the_cap(monkeypatch):
+    # A seeded walk over systems, block lengths and caps.  After every
+    # call, refused or not, the memo holds at most the cap it was called
+    # under, its tally is the product states (blocks x |F|) of its covers,
+    # and a call that returned left its cover the newest.
+    rng = rng_for(107, 9_000)
+    z = build_group(GroupSpec.free_abelian(1))
+    systems = [make_skew_system(FULL_2, s3_group(), (1, 2)),
+               make_skew_system(FULL_2, s3_group(), (0, 0)),
+               make_skew_system(SftSpec.full_shift(3), build_group(GroupSpec.cyclic(2)), (1, 0, 0)),
+               make_skew_system(SftSpec.full_shift(3), z, ((1,), (-1,), (0,))),
+               make_skew_system(SftSpec.from_rows([[1, 1], [1, 0]]), z, ((1,), (-2,)))]
+    returned = 0
+    for _ in range(300):
+        cap = rng.randint(1, 150)
+        monkeypatch.setenv("LIVSIC_MAX_STATES", str(cap))
+        system, r = rng.choice(systems), rng.randint(1, 5)
+        try:
+            cover = transitive_cover(system, r)
+        except (RangeTooLarge, NotTransitiveError):
+            pass
+        else:
+            returned += 1
+            assert list(skew._COVERS.held.values())[-1] is cover
+        held = skew._COVERS.held.values()
+        states = sum(len(c.tree.graph.vertices) * (c.group().order or 1) for c in held)
+        assert skew._COVERS.states == states <= cap
+    assert 50 <= returned <= 250, returned
+
+
+def test_the_cover_memo_keeps_no_group_alive(monkeypatch):
+    # Covers over large cyclic groups hold their groups weakly: once the
+    # systems are dropped the tables go, though the covers stay charged
+    # their product states, and an equal group built afterwards is
+    # decided afresh.
+    monkeypatch.setenv("LIVSIC_MAX_STATES", "5000")
+    orders = (500, 600, 700)
+    systems = [make_skew_system(FULL_2, build_group(GroupSpec.cyclic(n)), (1, i))
+               for i, n in enumerate(orders)]
+    groups = [weakref.ref(system.group) for system in systems]
+    for system in systems:
+        transitive_cover(system, 1)
+    assert skew._COVERS.states == 2 * (500 + 600 + 700) <= 5000
+    del system, systems
+    gc.collect()
+    assert [group() for group in groups] == [None] * 3
+    assert skew._COVERS.states == 2 * (500 + 600 + 700)
+    counts = _count_gate(monkeypatch)
+    again = make_skew_system(FULL_2, build_group(GroupSpec.cyclic(700)), (1, 2))
+    assert transitive_cover(again, 1).group() is again.group
+    assert counts["cycle_weights"] == 1
+
+
+def test_a_cover_hit_keeps_its_tree_in_the_tree_memo(monkeypatch):
+    system = make_skew_system(FULL_2, s3_group(), (1, 2))
+    cover = transitive_cover(system, 3)
+    block_tree(SftSpec.full_shift(3), 2)
+    assert transitive_cover(system, 3) is cover
+    assert list(sft._TREES.held)[-1] == (FULL_2, 3)
+    # Once the tree memo has dropped the cover's tree, the cover is
+    # decided afresh on the tree block_tree holds now, so one tree per
+    # (shift, r) is in use.
+    sft._TREES.clear()
+    counts = _count_gate(monkeypatch)
+    rebuilt = transitive_cover(system, 3)
+    assert rebuilt is not cover and rebuilt.tree is block_tree(FULL_2, 3) is not cover.tree
+    assert counts["cycle_weights"] == 1
+    assert transitive_cover(system, 3) is rebuilt
