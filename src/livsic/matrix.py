@@ -346,7 +346,7 @@ def solve_matrix_finite(
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
     cover = transitive_cover(system, cocycle.effective_block_length)
-    tree, via, wpot, cyc, steps = cover.tree, cover.via, cover.wpot, cover.cyc, cover.steps(group)
+    tree, via, wpot, cyc, steps = cover.tree, cover.via, cover.wpot, cover.cyc, cover.steps
 
     bg, table, order, eye = tree.graph, group.table, len(group.table), np.eye(cocycle.dim)
     factors = _edge_values(cocycle, bg)

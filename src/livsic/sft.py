@@ -131,9 +131,6 @@ class BlockGraph:
     edge_head: tuple[int, ...]
     out_edges: tuple[tuple[int, ...], ...]
 
-    def is_strongly_connected(self) -> bool:
-        return SpanningTree(self).strongly_connected
-
     def project_cycle(self, edge_ids) -> Word:
         """The word a walk reads: the first symbol of each edge word."""
         edges = self.edges

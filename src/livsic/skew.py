@@ -7,6 +7,9 @@ psi(w[n-1]) ... psi(w[1]) psi(w[0]).
 make_skew_system splits psi once, through Group.split, into its F indices
 and Z^d vectors; the cover code here reads those factors, and branches on
 the rank d where the two covers differ, never on the element encoding.
+Every cover question, check_transitivity's and the solvers', passes one
+gate, transitive_cover, which decides strong connectivity and the
+monodromy closure once per (system, r).
 """
 from __future__ import annotations
 
@@ -187,7 +190,9 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     table, psi = system.group.table, system.psi_f
     base = build_block_graph(system.sft, r)
     order = len(table)
-    n = _check_states(base, order)
+    n = len(base.vertices) * order
+    if n > max_states_cap():
+        raise RangeTooLarge(f"product graph would have {n} vertices")
     if order == 1:  # the block graph's own edges, not a copy
         tails, heads, out = base.edge_tail, base.edge_head, base.out_edges
     else:
@@ -212,15 +217,6 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     )
 
 
-def _check_states(base: BlockGraph, order: int) -> int:
-    """The vertex count of the product graph over base with a fiber of
-    order elements; RangeTooLarge when it passes the state cap."""
-    n = len(base.vertices) * order
-    if n > max_states_cap():
-        raise RangeTooLarge(f"product graph would have {n} vertices")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Strong connectivity of covers, read from sft.SpanningTree, the one graph
 # search of validate_sft, check_transitivity and the solvers.
@@ -231,19 +227,6 @@ def product_scc_witness(tree: SpanningTree):
     ordered pair of product vertices (as labels) with no connecting path."""
     gap = tree.unreachable_pair()
     return None if gap is None else tuple(map(tree.graph.vertex_label, gap))
-
-
-def cover_tree(system: SkewSystem, r: int) -> SpanningTree:
-    """Spanning tree of the r-block graph, which carries every cover computation.
-
-    The tree is sft.block_tree's, built once per (shift, r) and shared.
-    The product graph is not built, but its size is capped all the same:
-    RangeTooLarge, with build_product_graph's message, when blocks x |F|
-    passes the state cap.
-    """
-    tree = block_tree(system.sft, r)
-    _check_states(tree.graph, len(system.group.table))
-    return tree
 
 
 def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], list[int]]:
@@ -262,18 +245,12 @@ def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], li
     return wpot, [table[inverses[wpot[h]]][table[s][wpot[t]]] for s, t, h in ends]
 
 
-def monodromy_group(system: SkewSystem, tree: SpanningTree) -> dict:
+def _closure(group: Group, cyc) -> dict:
     """The monodromy group H of a strongly connected block graph, the F
     weights of its closed walks at block 0: the breadth-first closure of
-    the cycle weights, which generate it.  Each y in H maps to the x it
-    was first reached from, y = x . g for a cycle weight g (the identity
-    to None), in breadth-first order.  Over a trivial F (Z^d among them),
-    H = {identity}, and cycle_weights reads no table."""
-    return _closure(system.group, cycle_weights(system, tree)[1])
-
-
-def _closure(group: Group, cyc) -> dict:
-    """monodromy_group from the cycle weights cyc."""
+    the cycle weights cyc, which generate it.  Each y in H maps to the x
+    it was first reached from, y = x . g for a cycle weight g (the
+    identity to None), in breadth-first order."""
     table, identity = group.table, group.identity_index
     gens = [g for g in dict.fromkeys(cyc) if g != identity]
     via, closure = {identity: None}, [identity]
@@ -356,66 +333,34 @@ def lifted_cycle(system: SkewSystem, tree: SpanningTree, walks, score):
     return cycle, canonical_rotation(core), mult
 
 
-def transitivity_gap(system: SkewSystem, tree: SpanningTree):
-    """None if the cover of the tree's block graph by the finite factor F
-    is strongly connected, otherwise the pair product_scc_witness names on
-    its product graph.
-
-    Over a strongly connected block graph every vertex of the product graph
-    returns to where it came from (a closed walk's F weight has finite
-    order), so the graph is strongly connected iff (block 0, element 0)
-    reaches its whole fiber, i.e. iff the monodromy group H is F.
-    Otherwise the first vertex it misses is (block 0, least j outside
-    {h . element 0 : h in H}).  Only a block graph that is not strongly
-    connected builds the product graph, to name its pair.
-    """
-    if not tree.strongly_connected:
-        return product_scc_witness(SpanningTree(build_product_graph(system, tree.graph.r)))
-    return _missed_pair(system, tree, monodromy_group(system, tree))
-
-
-def _missed_pair(system: SkewSystem, tree: SpanningTree, reached):
-    """transitivity_gap's answer when the tree's block graph is strongly
-    connected and reached is its monodromy group."""
-    group, table = system.group, system.group.table
-    if len(reached) == len(table):
-        return None
-    orbit = {table[h][0] for h in reached}
-    j = next(j for j in range(len(table)) if j not in orbit)
-    block = tree.graph.vertices[0]
-    return (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
-
-
 class Cover:
     """A transitive cover over r-blocks, as transitive_cover hands it to
-    every cover solver: its cover_tree, the monodromy_group closure via
-    and the cycle_weights (wpot, cyc) it was closed from.  Two more
-    values are built on first use: psi, for each coordinate j < d of
-    psi_z its per-edge column and that column's tree.rises, as tuples,
-    and the matrix solver's closure steps.
+    check_transitivity and every cover solver: block_tree's spanning tree,
+    the _closure via of the monodromy group and the cycle_weights (wpot,
+    cyc) it was closed from.  Two more values are built on first use:
+    psi, for each coordinate j < d of psi_z its per-edge column and that
+    column's tree.rises, as tuples, and the matrix solver's closure steps.
 
     A cover holds its group only weakly, through group, so a memo of
-    covers keeps no Cayley table alive.  It is shared by every solve over
-    its system, so nothing in it may be changed.
+    covers keeps no Cayley table alive; steps reads the group through it,
+    so it is read while a caller holds the system.  A cover is shared by
+    every call over its system, so nothing in it may be changed.
     """
 
     def __init__(self, system: SkewSystem, tree: SpanningTree, via, wpot, cyc):
         group = system.group
         self.group, self.psi_z, self.rank = weakref.ref(group), system.psi_z, group.rank
         self.tree, self.via, self.wpot, self.cyc = tree, via, tuple(wpot), tuple(cyc)
-        self._steps = None
 
-    def steps(self, group: Group) -> dict:
+    @cached_property
+    def steps(self) -> dict:
         """For each y in via other than the identity, the first edge whose
-        cycle weight is x^-1 y, for x = via[y]; group is the cover's, or
-        equal to it."""
-        if self._steps is None:
-            table, inverses, first = group.table, group.inverses, {}
-            for e, g in enumerate(self.cyc):
-                first.setdefault(g, e)
-            pairs = self.via.items()
-            self._steps = {y: first[table[inverses[x]][y]] for y, x in pairs if x is not None}
-        return self._steps
+        cycle weight is x^-1 y, for x = via[y]."""
+        group = self.group()
+        table, inverses, first = group.table, group.inverses, {}
+        for e, g in enumerate(self.cyc):
+            first.setdefault(g, e)
+        return {y: first[table[inverses[x]][y]] for y, x in self.via.items() if x is not None}
 
     @cached_property
     def psi(self):
@@ -427,26 +372,40 @@ class Cover:
 
 
 def transitive_cover(system: SkewSystem, r: int) -> Cover:
-    """The cover solvers' one gate over r-blocks, as a Cover, built once
-    per (system, r).
+    """The one gate over r-blocks of check_transitivity and the cover
+    solvers, as a Cover, built once per (system, r).
 
-    NotStronglyConnected over Z^d, and NotTransitiveError over F with
-    transitivity_gap's pair; a refusal is made afresh on every call.  A
-    transitive cover is kept in a memo keyed by (shift, r, psi_f, psi_z)
-    that holds at most LIVSIC_MAX_STATES product states (blocks x |F|)
-    in all, least recently used out first.  The key leaves the group
-    out, as hashing it hashes its Cayley table; a hit compares the group
-    instead, by identity and then by value, and a cover whose group is
-    gone is decided afresh.  Every call runs cover_tree, so the cap
-    checks of a fresh build run on a hit too, and a hit leaves its tree
-    the newest in block_tree's memo; a cover whose tree that memo has
-    since dropped is decided afresh on the tree it holds now.  The two
-    memos hold trees of at most 2 x LIVSIC_MAX_STATES blocks in all.
+    Over a strongly connected block graph every vertex of the product
+    graph returns to where it came from (a closed walk's F weight has
+    finite order), so the cover is transitive iff (block 0, element 0)
+    reaches its whole fiber, i.e. iff the monodromy group H is F.
+    Otherwise NotTransitiveError names (block 0, element 0) and (block 0,
+    the least j outside {h . element 0 : h in H}).  A block graph that is
+    not strongly connected raises NotStronglyConnected over Z^d; over F
+    it builds the product graph, to name product_scc_witness's pair.
+    RangeTooLarge, with build_product_graph's message, when blocks x |F|
+    passes the state cap, though the product graph is not built.
+
+    A refusal is made afresh on every call.  A transitive cover is kept
+    in a memo keyed by (shift, r, psi_f, psi_z) that holds at most
+    LIVSIC_MAX_STATES product states (blocks x |F|) in all, least
+    recently used out first.  The key leaves the group out, as hashing
+    it hashes its Cayley table; a hit compares the group instead, by
+    identity and then by value, and a cover whose group is gone is
+    decided afresh.  Every call runs block_tree and the cap check, so a
+    hit refuses what a fresh build would, and leaves its tree the newest
+    in block_tree's memo; a cover whose tree that memo has since dropped
+    is decided afresh on the tree it holds now.  The two memos hold
+    trees of at most 2 x LIVSIC_MAX_STATES blocks in all.
     """
     key = (system.sft, r, system.psi_f, system.psi_z)
     cap, group = max_states_cap(), system.group
     cover = _COVERS.take(key, cap)
-    tree = cover_tree(system, r)
+    tree = block_tree(system.sft, r)
+    table = group.table
+    n = len(tree.parent) * len(table)
+    if n > cap:
+        raise RangeTooLarge(f"product graph would have {n} vertices")
     # The cover's group; None, which is never group, when there is no
     # cover on this tree or its group has been collected.
     held = None if cover is None or cover.tree is not tree else cover.group()
@@ -454,11 +413,16 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
         if not tree.strongly_connected:
             if group.rank:
                 raise NotStronglyConnected("block graph is not strongly connected")
-            raise NotTransitiveError(transitivity_gap(system, tree))
+            pg_tree = SpanningTree(build_product_graph(system, r))
+            raise NotTransitiveError(product_scc_witness(pg_tree))
         wpot, cyc = cycle_weights(system, tree)
         via = _closure(group, cyc)
-        if len(via) < len(group.table):
-            raise NotTransitiveError(_missed_pair(system, tree, via))
+        if len(via) < len(table):
+            orbit = {table[h][0] for h in via}
+            j = next(j for j in range(len(table)) if j not in orbit)
+            block = tree.graph.vertices[0]
+            labels = (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
+            raise NotTransitiveError(labels)
         cover = Cover(system, tree, via, wpot, cyc)
     _COVERS.put(key, cover, cap)
     return cover
@@ -500,7 +464,8 @@ class TransitivityVerdict:
 def _one_sided(bg: BlockGraph, psi) -> tuple[int, ...] | None:
     """None when some circulation x >= 1 on every edge of the strongly
     connected graph bg has zero psi weight, otherwise a primitive
-    lam that is >= 0 on every closed walk's weight.
+    lam that is >= 0 on every closed walk's weight; psi is d per-edge
+    columns, Cover.psi's.
 
     One phase-1 simplex decides {y >= 0 : A y = -A 1}, x = y + 1, where A
     stacks the incidence rows (+1 at an edge's tail, -1 at its head) over
@@ -513,13 +478,13 @@ def _one_sided(bg: BlockGraph, psi) -> tuple[int, ...] | None:
     has V + d + 1 rows and E + V + d + 1 columns.
     """
     tails, heads = bg.edge_tail, bg.edge_head
-    n_edges, d = len(psi), len(psi[0])
+    n_edges, d = len(tails), len(psi)
     m = len(bg.vertices) + d
     rows = [[0] * n_edges for _ in bg.vertices]
     for e, (t, h) in enumerate(zip(tails, heads)):
         rows[t][e] += 1
         rows[h][e] -= 1
-    rows += map(list, zip(*psi))
+    rows += map(list, psi)
     signs = [-1 if sum(row) > 0 else 1 for row in rows]  # rhs -sum(row) >= 0
     mat = [
         [s * a for a in row] + [int(i == j) for j in range(m)] + [-s * sum(row)]
@@ -544,7 +509,7 @@ def _one_sided(bg: BlockGraph, psi) -> tuple[int, ...] | None:
         return None
     farkas = [s * (x - prev) for s, x in zip(signs, objective[n_edges:-1])]
     phi, lam = farkas[: m - d], farkas[m - d :]
-    slack = [sum(map(mul, lam, w)) + phi[t] - phi[h] for w, t, h in zip(psi, tails, heads)]
+    slack = [sum(map(mul, lam, w)) + phi[t] - phi[h] for w, t, h in zip(zip(*psi), tails, heads)]
     check_invariant(any(lam) and min(slack) >= 0, "one-sided functional fails on an edge")
     g = gcd(*lam)
     return tuple(x // g for x in lam)
@@ -554,22 +519,25 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     """Decide transitivity exactly for finite groups; for Z^d return a
     three-valued verdict read from the symbol graph.
 
-    Finite groups: the extension is transitive iff the product graph over
-    1-blocks is strongly connected, i.e. iff the monodromy group (the
-    weights of closed walks at one symbol) is all of G; transitivity_gap
-    decides it on the symbol graph and names the first unreachable pair of
-    product vertices.  Z^d: NotStronglyConnected when the symbol graph is
-    not strongly connected.  Otherwise the closed-walk weights generate
-    the lattice of the fundamental-cycle weights, the rises of psi's d
-    columns on the spanning tree's chords (tree edges rise by 0, and zero
-    rows leave the elementary divisors as they are), which Smith's form
-    measures; when they span R^d, their cone is R^d unless _one_sided
-    finds a functional.  A nonzero lam >= 0 on every closed walk
-    (one_sided) or a proper lattice (proper_subgroup) refutes
+    Either way the verdict is read from transitive_cover(system, 1), the
+    cover solvers' gate, so a check and a solve over one system decide
+    its cover once.  Finite groups: the extension is transitive iff the
+    product graph over 1-blocks is strongly connected, i.e. iff the
+    monodromy group (the weights of closed walks at one symbol) is all
+    of G; the gate's NotTransitiveError names the first unreachable pair
+    of product vertices.  Z^d: NotStronglyConnected when the symbol graph
+    is not strongly connected.  Otherwise the closed-walk weights
+    generate the lattice of the fundamental-cycle weights, the rises of
+    psi's d columns on the spanning tree's chords (Cover.psi; tree edges
+    rise by 0, and zero rows leave the elementary divisors as they are),
+    which Smith's form measures; when they span R^d, their cone is R^d
+    unless _one_sided finds a functional.  A nonzero lam >= 0 on every
+    closed walk (one_sided) or a proper lattice (proper_subgroup) refutes
     transitivity: no closed walk reaches a weight where lam is negative,
     or one outside the lattice.  Transitivity itself is never certified;
-    the best positive answer is "unknown" with evidence.  RangeTooLarge, before any graph is built,
-    when _one_sided's pivots would pass the work budget.
+    the best positive answer is "unknown" with evidence.  RangeTooLarge,
+    before any graph is built, when _one_sided's pivots would pass the
+    work budget.
     """
     d = system.group.rank
     # The work of _one_sided: as many pivots as its tableau has rows, each
@@ -581,20 +549,16 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
             f"the cone test's simplex, {rows} pivots on a {rows} x {width} tableau, "
             "exceeds the work budget"
         )
-    tree = cover_tree(system, 1)
+    try:
+        cover = transitive_cover(system, 1)
+    except NotTransitiveError as refused:
+        return TransitivityVerdict(status="not_transitive", witness=refused.witness)
     if not d:
-        witness = transitivity_gap(system, tree)
-        if witness is None:
-            return TransitivityVerdict(status="transitive")
-        return TransitivityVerdict(status="not_transitive", witness=witness)
-    if not tree.strongly_connected:
-        raise NotStronglyConnected("block graph is not strongly connected")
+        return TransitivityVerdict(status="transitive")
 
-    bg = tree.graph
-    psi = [system.psi_z[word[0] - 1] for word in bg.edges]
-    rises = [tree.rises(column)[1] for column in zip(*psi)]
+    columns, _, rises = cover.psi
     report = subgroup_rank_and_index(zip(*rises), d)
-    lam = _one_sided(bg, psi) if report.rank == d else None
+    lam = _one_sided(cover.tree.graph, columns) if report.rank == d else None
     interior = report.rank == d and lam is None
     evidence = TransitivityEvidence(
         lattice_rank=report.rank,

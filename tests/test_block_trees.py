@@ -2,12 +2,12 @@
 one transitive Cover per (system, r) in a process.
 
 `sft.block_tree` builds the r-block graph and its tree once, and
-`build_block_graph`, `validate_sft` and `skew.cover_tree` all read it.
+`build_block_graph`, `validate_sft` and `skew.transitive_cover` all read it.
 The memo holds at most LIVSIC_MAX_STATES blocks in all, evicts the least
 recently used tree first, re-reads the cap on a hit, and hands out trees
 whose arrays are tuples.  `skew.transitive_cover` keeps the transitivity
 gate and psi's rises the same way, so a second solve on one cover pays
-only for its cocycle.
+only for its cocycle, and check_transitivity reads the same gate.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from livsic import (
 from livsic import generate_matrix_cocycle, solve_matrix_finite, sft
 from livsic.groups import Group
 from livsic.sft import SpanningTree, block_tree
-from livsic.skew import cover_tree, transitive_cover
+from livsic.skew import transitive_cover
 from corpus import (
     cover_corpus,
     random_irreducible_sft,
@@ -72,7 +72,7 @@ def test_every_reader_shares_one_tree():
     assert block_tree(FULL_2, 3) is tree
     assert build_block_graph(FULL_2, 3) is tree.graph
     system = make_skew_system(FULL_2, build_group(GroupSpec.cyclic(2)), (1, 0))
-    assert cover_tree(system, 3) is tree
+    assert transitive_cover(system, 3).tree is tree
     assert validate_sft(FULL_2).period == 1
     assert _held()[0] == [(FULL_2, 3), (FULL_2, 1)]
     # An equal spec is the same key.
@@ -92,7 +92,7 @@ def test_a_lowered_cap_refuses_a_cached_graph_as_a_fresh_build(monkeypatch):
     system = make_skew_system(spec, build_group(GroupSpec.cyclic(2)), (1, 0, 0))
     block_tree(spec, 2)
     with pytest.raises(RangeTooLarge, match="more than 20 admissible words of length 3"):
-        cover_tree(system, 3)
+        transitive_cover(system, 3)
     # The refused tree is dropped, and the cap read back admits it again.
     assert _held()[0] == [(spec, 2)]
     monkeypatch.delenv("LIVSIC_MAX_STATES")
@@ -288,7 +288,7 @@ def test_a_strong_connectivity_check_builds_neither_chords_nor_the_order(monkeyp
 
     monkeypatch.setattr(SpanningTree, "__init__", keeping)
     for spec in (FULL_2, SftSpec.from_rows([[1, 1], [0, 1]])):
-        block_tree(spec, 2).graph.is_strongly_connected()
+        SpanningTree(block_tree(spec, 2).graph).strongly_connected
     assert len(trees) == 4
     assert all(vars(tree).keys().isdisjoint({"chords", "order"}) for tree in trees)
     # Read once, each is built and then kept.
@@ -358,12 +358,36 @@ def test_a_second_solve_on_one_cover_pays_only_for_the_cocycle(monkeypatch):
     # The matrix solver reads the same cover, and its closure steps, once built.
     cocycle = generate_matrix_cocycle(s3, None, None, block_range=2, seed=3, family="rotation")
     cover = transitive_cover(s3, 2)
-    steps = cover.steps(s3.group)
+    steps = cover.steps
     counts.update(dict.fromkeys(counts, 0))
     for _ in range(2):
         assert solve_matrix_finite(s3, cocycle).certificate.certified
     assert counts == {"cycle_weights": 0, "_closure": 0, "rises": 0}
-    assert transitive_cover(s3, 2) is cover and cover.steps(s3.group) is steps
+    assert transitive_cover(s3, 2) is cover and cover.steps is steps
+
+
+def test_a_transitivity_check_and_a_solve_share_one_gate(monkeypatch):
+    # check_transitivity decides the 1-block cover through transitive_cover,
+    # so a solve with block range <= 1 afterwards finds it decided, and a
+    # second check over Z^d rises none of psi's columns again.
+    c2 = make_skew_system(FULL_2, build_group(GroupSpec.cyclic(2)), (1, 0))
+    s3 = make_skew_system(SftSpec.full_shift(3), s3_group(), (1, 2, 0))
+    z2 = make_skew_system(SftSpec.full_shift(3), build_group(GroupSpec.free_abelian(2)),
+                          ((1, 0), (0, 1), (-1, -1)))
+    counts = _count_gate(monkeypatch)
+    for system in (c2, s3):
+        assert check_transitivity(system).status == "transitive"
+        cover = list(skew._COVERS.held.values())[-1]
+        zero = make_cocycle(system.sft, 0, {(a,): 0 for a in range(1, system.sft.k + 1)})
+        for cocycle in (zero, generate_cocycle(system, block_range=1, seed=5)):
+            counts.update(dict.fromkeys(counts, 0))
+            assert solve_finite_gamma(system, cocycle).certificate.certified
+            assert (counts["cycle_weights"], counts["_closure"]) == (0, 0)
+        assert transitive_cover(system, 1) is cover
+    first = check_transitivity(z2)
+    counts.update(dict.fromkeys(counts, 0))
+    assert check_transitivity(z2) == first
+    assert counts == {"cycle_weights": 0, "_closure": 0, "rises": 0}
 
 
 def test_an_equal_system_hits_the_memo_and_another_group_does_not(monkeypatch):

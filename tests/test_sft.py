@@ -92,7 +92,7 @@ def test_block_graph_golden_mean_two_blocks():
     bg = build_block_graph(GOLDEN_MEAN, 2)
     assert bg.vertices == ((1, 1), (1, 2), (2, 1))
     assert bg.edges == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2))
-    assert bg.is_strongly_connected()
+    assert sft.SpanningTree(bg).strongly_connected
 
 
 def test_block_graph_edges_connect_overlapping_blocks():

@@ -41,13 +41,7 @@ from livsic import (
 )
 from livsic.oracles import brute_periodic_census, brute_transitivity
 from livsic.sft import SpanningTree, find_violating_cycle
-from livsic.skew import (
-    cover_tree,
-    monodromy_group,
-    orbit_weights,
-    product_scc_witness,
-    transitivity_gap,
-)
+from livsic.skew import orbit_weights, product_scc_witness, transitive_cover
 from corpus import (
     closed_walks_nonnegative,
     cover_corpus,
@@ -96,15 +90,16 @@ def test_a_skew_system_splits_psi_into_its_finite_and_lattice_factors():
                 z = tuple(x + y for x, y in zip(z, system.psi_z[a - 1]))
             assert psi_n(system, word) == (f if group.is_finite else z)
         # The cover code reads only F: over Z^d it is the block graph's.
-        tree = cover_tree(system, 2)
-        assert monodromy_group(system, tree).keys() == set(range(len(group.table)))
-        assert transitivity_gap(system, tree) is None
+        cover = transitive_cover(system, 2)
+        assert cover.via.keys() == set(range(len(group.table)))
+        assert cover.tree is sft.block_tree(system.sft, 2)
         assert build_product_graph(system, 2).order == len(group.table)
 
 
 def test_a_refused_finite_solve_closes_the_monodromy_group_once(monkeypatch):
     # psi = (e, e) over C2: the monodromy group is {e}, so (block, g) is
-    # out of reach.  The refusal names that pair from the one closure made.
+    # out of reach.  The refusal names that pair from the one closure made,
+    # and check_transitivity, on the same gate, names it the same way.
     system = make_skew_system(SftSpec.full_shift(2), build_group(GroupSpec.cyclic(2)), (0, 0))
     cocycle = make_cocycle(system.sft, 1, {w: 0 for w in product((1, 2), repeat=2)})
     counts = {"_closure": 0, "cycle_weights": 0}
@@ -114,12 +109,20 @@ def test_a_refused_finite_solve_closes_the_monodromy_group_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(skew, name, spy)
+    skew._COVERS.clear()
     with pytest.raises(NotTransitiveError) as refused:
         solve_finite_gamma(system, cocycle)
     assert counts == {"_closure": 1, "cycle_weights": 1}
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        verdict = check_transitivity(system)
+        assert counts == {"_closure": 1, "cycle_weights": 1}
+        assert verdict.status == "not_transitive" and verdict.witness == refused.value.witness
+        assert not skew._COVERS.held and skew._COVERS.states == 0
     monkeypatch.undo()
     assert refused.value.witness == (((1,), "e"), ((1,), "g"))
-    assert refused.value.witness == transitivity_gap(system, cover_tree(system, 1))
+    reference = product_scc_witness(SpanningTree(build_product_graph(system, 1)))
+    assert refused.value.witness == reference
 
 
 def test_a_lattice_cover_names_its_unreachable_pair():
@@ -130,7 +133,9 @@ def test_a_lattice_cover_names_its_unreachable_pair():
     system = make_skew_system(spec, build_group(GroupSpec.free_abelian(1)), ((1,), (-1,)))
     expected = (((2,), "(0)"), ((1,), "(0)"))
     assert product_scc_witness(SpanningTree(build_product_graph(system, 1))) == expected
-    assert transitivity_gap(system, cover_tree(system, 1)) == expected
+    # No caller names it over Z^d: the gate refuses the base graph itself.
+    with pytest.raises(NotStronglyConnected):
+        check_transitivity(system)
 
 
 def test_psi_multiplies_later_symbols_on_the_left():
@@ -439,7 +444,7 @@ def test_the_cone_test_past_the_work_budget_is_refused_before_any_graph(monkeypa
     def refuse(*args):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(skew, "cover_tree", refuse)
+    monkeypatch.setattr(skew, "block_tree", refuse)
     z3 = build_group(GroupSpec.free_abelian(3))
     system = make_skew_system(SftSpec.full_shift(36), z3, [(1, 0, -1)] * 36)
     with pytest.raises(RangeTooLarge) as err:
@@ -531,7 +536,7 @@ def test_strong_connectivity_matches_brute_closure():
             bg = build_block_graph(spec, r)
             succ = [[bg.edge_head[e] for e in out] for out in bg.out_edges]
             bg_gap = _first_gap(succ)
-            assert bg.is_strongly_connected() == (bg_gap is None)
+            assert SpanningTree(bg).strongly_connected == (bg_gap is None)
             assert SpanningTree(bg).unreachable_pair() == bg_gap
 
         group = random_finite_group(rng)
@@ -600,6 +605,21 @@ def test_a_refused_finite_cover_builds_one_spanning_tree(monkeypatch):
 _BRUTE_STATES = 400  # (symbol, element) states brute_transitivity may search
 
 
+def _monodromy(system, r):
+    """The closure of the r-block graph's cycle weights, as the gate makes it."""
+    tree = sft.block_tree(system.sft, r)
+    return skew._closure(system.group, skew.cycle_weights(system, tree)[1])
+
+
+def _gate_witness(system, r):
+    """None if transitive_cover(system, r) passes, else its refusal's pair."""
+    try:
+        transitive_cover(system, r)
+    except NotTransitiveError as refused:
+        return refused.witness
+    return None
+
+
 def test_finite_transitivity_is_read_from_the_monodromy_group():
     verdicts = {"transitive": 0, "not_transitive": 0}
     for label, system in cover_corpus(83):
@@ -609,7 +629,7 @@ def test_finite_transitivity_is_read_from_the_monodromy_group():
         verdicts[verdict.status] += 1
         assert verdict.witness == expected, label
         assert (verdict.status == "transitive") == (expected is None), label
-        monodromy = monodromy_group(system, cover_tree(system, 1)).keys()
+        monodromy = _monodromy(system, 1).keys()
         assert monodromy <= set(group.elements())
         assert all(group.mul(a, b) in monodromy for a in monodromy for b in monodromy)
         if system.sft.k * group.order <= _BRUTE_STATES:
@@ -617,11 +637,10 @@ def test_finite_transitivity_is_read_from_the_monodromy_group():
         for r in range(2, 5):
             if len(build_block_graph(system.sft, r).vertices) * group.order > 4_000:
                 break
-            tree = cover_tree(system, r)
             pg_tree = SpanningTree(build_product_graph(system, r))
-            assert transitivity_gap(system, tree) == product_scc_witness(pg_tree), (label, r)
+            assert _gate_witness(system, r) == product_scc_witness(pg_tree), (label, r)
             # Monodromy groups at different blocks are conjugate.
-            assert len(monodromy_group(system, tree)) == len(monodromy), (label, r)
+            assert len(_monodromy(system, r)) == len(monodromy), (label, r)
     assert min(verdicts.values()) >= 25, verdicts
 
 
