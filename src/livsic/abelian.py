@@ -7,19 +7,24 @@ and homomorphism alpha.
 One kernel, _solve_cover, solves for a deck group F x Z^d (groups.Group:
 F a finite table, d its rank) on the block graph.  F enters only through
 transitivity, decided by the monodromy group, and Z^d through alpha, by
-groups.eliminate on the fundamental cycles' rises (SpanningTree.rises);
-solve_finite_gamma names the corner d = 0 (alpha vanishes by torsion) and
-solve_free_abelian the corner F = 1.  What depends only on the cover,
-the transitivity gate and psi's columns with their rises, comes from
-skew.transitive_cover's per-(system, r) memo, so a solve pays only for
-f: the kernel reads f as the cocycle holds it, int numerators over the
-lcm of its denominators, propagates their integer potentials once,
-eliminates in ints, certifies in the same ints and writes u and alpha
-over one denominator; Fraction appears only for u, alpha and witness
-totals.  One lift, skew.lifted_cycle (shared with the matrix solver),
-turns an inconsistency into a closed word of identity weight in both
-corners.  So a returned solution is a certificate and a returned
-obstruction is a counterexample.
+a fraction-free elimination of the fundamental cycles' rises
+(SpanningTree.rises); solve_finite_gamma names the corner d = 0 (alpha
+vanishes by torsion) and solve_free_abelian the corner F = 1.  What
+depends only on the cover comes from skew.transitive_cover's
+per-(system, r) memo: the transitivity gate, psi's columns with their
+rises, and psi's half of the elimination (groups.pivot_rows), so a solve
+pays only for f.  The kernel reads f as the cocycle holds it, int
+numerators over the lcm of its denominators in the block graph's edge
+order, propagates their integer potentials once, takes each pivot row's
+right-hand side and the defect scan from f's rises
+(groups.eliminate_rhs), certifies in the same ints and writes u and
+alpha over one denominator; Fraction appears only for u, alpha and
+witness totals.  One lift, skew.lifted_cycle (shared with the matrix
+solver), turns an inconsistency into a closed word of identity weight in
+both corners; over Z^d its correction walk comes from a box search that
+_BOXES keeps and resumes for the next target.  So a returned
+solution is a certificate and a returned obstruction is a
+counterexample.
 """
 from __future__ import annotations
 
@@ -39,11 +44,12 @@ from .errors import (
     check_invariant,
     max_states_cap,
 )
-from .groups import eliminate, smith_diagonal
+from .groups import eliminate_rhs
 from .record import record
 from .sft import (
     LocallyConstantCocycle,
     PeriodicOrbit,
+    StateMemo,
     Word,
     _as_fraction,
     _check_cocycle_shift,
@@ -191,14 +197,18 @@ def _solve_cover(
     strongly connected.  scale * f (scale the lcm of f's denominators)
     and each coordinate of psi_z are per-edge int columns; tree.rises
     gives their potentials, and each chord (non-tree edge) the row
-    (rho_psi, defect) of their rises.  psi's columns and rises are the
-    cover's (Cover.psi, built on the first solve over the system), so
-    only f's column is propagated here.  groups.eliminate reduces these on
-    their d psi columns, pivoting only on its <= d pivot rows (with d = 0
-    the first nonzero defect is the inconsistent row), and the input rows
-    it combines into an inconsistent row become a witness.  Otherwise
-    alpha and u share the one Bareiss denominator pivot * scale, and are
-    certified in its ints, with f's numerators handed to _check_edges.
+    (rho_psi, defect) of their rises.  psi's columns and rises, and the
+    <= d pivot rows groups.pivot_rows reduces them to, are the cover's
+    (Cover.psi and Cover.pivot_rows, built on the first solve over the
+    system), so only f's column is propagated here and no row is pivoted
+    on.  groups.eliminate_rhs gives each pivot row its right-hand side,
+    the combination of f's rises its coefficients name, and scans the
+    defects (with d = 0 the first nonzero defect is the inconsistent
+    row); the input rows it combines into an inconsistent row become a
+    witness.  Otherwise alpha and u share the one Bareiss denominator
+    pivot * scale, and are certified in its ints, with f's numerators
+    handed to _check_edges.  A degenerate alpha reads the cover's Smith
+    report (Cover.lattice).
     """
     _check_cocycle_shift(system.sft, cocycle)
     d = system.group.rank
@@ -207,11 +217,11 @@ def _solve_cover(
     tree = cover.tree
 
     bg = tree.graph
-    weights, scale = _edge_numerators(cocycle, bg.edges), cocycle.denominator
+    weights, scale = _edge_numerators(cocycle, bg), cocycle.denominator
     psi_columns, psi_pots, psi_rises = cover.psi
     pot_f, rise_f = tree.rises(weights)
-    # One row alpha . rho_psi = defect per chord, rhs as the last column.
-    reduced, pivots, combo = eliminate((*psi_rises, rise_f), d)
+    # One row alpha . rho_psi = defect per chord: the cover's pivot rows, f's rises as rhs.
+    reduced, pivots, combo = eliminate_rhs(cover.pivot_rows, psi_rises, rise_f)
     if combo is not None:
         columns = [*psi_columns, weights]
         witness = _inconsistency_certificate(system, tree, combo, columns, scale)
@@ -233,7 +243,7 @@ def _solve_cover(
         alpha = tuple(Fraction(a, den) for a in tops)
         free_cols = tuple(c for c in range(d) if c not in pivots)
         if free_cols:
-            diag = smith_diagonal(list(zip(*psi_rises)), d)
+            diag = cover.lattice.diagonal
             degenerate = DegenerateReport(
                 lattice_rank=len(diag),
                 lattice_diagonal=diag,
@@ -245,12 +255,17 @@ def _solve_cover(
     return CohomologySolution(r, u, alpha, degenerate, certificate=report)
 
 
-def _edge_numerators(cocycle, edges) -> list[int]:
-    """scale * f on the leading window of each edge word, for scale the
-    cocycle's denominator (the lcm of f's): the window is the word itself,
-    as edges are one symbol longer than blocks, unless the block range is 0."""
-    windows = edges if cocycle.block_range else (w[:1] for w in edges)
-    return list(map(cocycle.numerators.__getitem__, windows))
+def _edge_numerators(cocycle, bg) -> list[int]:
+    """scale * f on the leading window of each edge of bg, the cocycle's
+    block graph over the system's shift, for scale the cocycle's
+    denominator (the lcm of f's), in edge order.  make_cocycle lists the
+    numerators in window order: at block range >= 1 the windows are the
+    edge words themselves, in the same order, and at 0 the 1-blocks, so an
+    edge reads the window of its tail."""
+    numerators = list(cocycle.numerators.values())
+    if cocycle.block_range:
+        return numerators
+    return list(map(numerators.__getitem__, bg.edge_tail))
 
 
 def _drift_table(system: SkewSystem, alpha) -> list:
@@ -321,66 +336,110 @@ def _closing_walk(system, bg, target):
     the lexicographically least shortest walk in the box, the one a
     search over (block, offset) states finds.  A walk with L < r exists
     only when b0 is L-periodic, and is tried first.  Offsets stay in the
-    box [-bound, bound]^d, so a state is coded as the int
-    (symbol - 1) * side**d + the offset's base-side digits.
+    box [-bound, bound]^d.  The target only picks which discovered state
+    ends the walk, so the search is a _Box kept per (shift, r, psi_z,
+    bound) in _BOXES and resumed where it stopped; the answer is the one
+    a fresh search finds, None when more than LIVSIC_MAX_STATES states
+    are discovered before the goal, as the cap is counted in (symbol,
+    offset) states, or when the box holds no goal.
     """
     target = tuple(target)
     if not any(target):
         return []
     spec = bg.spec
-    d = system.group.rank
     cap = max_states_cap()
     bound = max(8, 2 * max(map(abs, target)))
-    side = 2 * bound + 1
-    digits = [side**i for i in range(d)]
-    width = side**d
-    symbols = range(1, spec.k + 1)
-    psi = [None, *map(system.psi_of, symbols)]
     b0 = bg.vertices[0]
     r = len(b0)
-    off = (0,) * d
+    off = (0,) * len(target)
     for n, a in enumerate(b0, 1):
-        off = tuple(map(add, off, psi[a]))
+        off = tuple(map(add, off, system.psi_of(a)))
         if max(off) > bound or min(off) < -bound:
             return None
         if n < r and off == target and b0[n:] == b0[:-n]:
             return _edge_walk(bg, b0[r - n :])
-    first, last = b0[0], b0[-1]
-    if off == target and spec.allows(last, first):
+    if off == target and spec.allows(b0[-1], b0[0]):
         return _edge_walk(bg, b0)
-    start = (last - 1) * width + sum(map(mul, off, digits)) + bound * sum(digits)
-    goal = sum(map(mul, target, digits)) + bound * sum(digits)
-    # From offset code c, psi(b) steps to state c + jumps[b], inside the box if each digit
-    # it moves by s, c // side**i % side, is in [-s, side - s); ends[b] closes the walk.
-    jumps = [None, *((b - 1) * width + sum(map(mul, psi[b], digits)) for b in symbols)]
-    moves = [None, *([(p, -s, side - s) for p, s in zip(digits, psi[b]) if s] for b in symbols)]
-    ends = [None, *((b - 1) * width + goal if spec.allows(b, first) else None for b in symbols)]
-    prev: dict = {start: None}
-    queue = deque([start])
-    successors = _successor_table(spec)
-    while queue:
-        state = queue.popleft()
-        a, code = divmod(state, width)
-        for b in successors[a + 1]:
-            for p, lo, hi in moves[b]:
-                if not lo <= code // p % side < hi:
-                    break
-            else:
-                nstate = code + jumps[b]
-                if nstate in prev:
-                    continue
-                prev[nstate] = state
-                if nstate == ends[b]:
-                    z = []
-                    while nstate != start:
-                        z.append(nstate // width + 1)
-                        nstate = prev[nstate]
-                    z.reverse()
-                    return _edge_walk(bg, z + list(b0))
-                if len(prev) > cap:
-                    return None
-                queue.append(nstate)
-    return None
+    key = (spec, r, system.psi_z, bound)
+    box = _BOXES.take(key, cap) or _Box(system, b0, off, bound)
+    goal = box.search(target, cap)
+    if len(box.prev) <= cap:
+        _BOXES.put(key, box, cap)
+    if goal is None:
+        return None
+    z, prev, width = [], box.prev, box.width
+    while goal != box.start:
+        z.append(goal // width + 1)
+        goal = prev[goal]
+    z.reverse()
+    return _edge_walk(bg, z + list(b0))
+
+
+class _Box:
+    """_closing_walk's breadth-first search in one box, kept to be resumed.
+
+    A state is coded as the int (symbol - 1) * side**d + the offset's
+    base-side digits, offsets shifted by bound.  prev maps each discovered
+    state to the one it was reached from, in discovery order, and queue
+    holds the states not yet expanded; found maps an offset code to the
+    first discovered state there whose symbol may precede b0[0].
+    """
+
+    __slots__ = ("side", "digits", "width", "bound", "start", "successors",
+                 "jumps", "moves", "closes", "prev", "queue", "found")
+
+    def __init__(self, system, b0, off, bound):
+        spec, d = system.sft, system.group.rank
+        side = 2 * bound + 1
+        digits = [side**i for i in range(d)]
+        width = side**d
+        symbols = range(1, spec.k + 1)
+        psi = [None, *map(system.psi_of, symbols)]
+        self.side, self.digits, self.width, self.bound = side, digits, width, bound
+        self.successors = _successor_table(spec)
+        self.start = (b0[-1] - 1) * width + sum(map(mul, off, digits)) + bound * sum(digits)
+        # From offset code c, psi(b) steps to state c + jumps[b], inside the box if each digit
+        # it moves by s, c // side**i % side, is in [-s, side - s); closes[b] when b may end it.
+        self.jumps = [None, *((b - 1) * width + sum(map(mul, psi[b], digits)) for b in symbols)]
+        self.moves = [None, *([(p, -s, side - s) for p, s in zip(digits, psi[b]) if s] for b in symbols)]
+        self.closes = [False, *(spec.allows(b, b0[0]) for b in symbols)]
+        self.prev: dict = {self.start: None}
+        self.queue = deque([self.start])
+        self.found: dict = {}
+
+    def search(self, target, cap: int):
+        """The first discovered state at offset target whose symbol may
+        precede b0[0], or None: expands whole states until it is found,
+        the queue is empty or more than cap states are discovered."""
+        goal = sum(map(mul, target, self.digits)) + self.bound * sum(self.digits)
+        prev, queue, found, width, side = self.prev, self.queue, self.found, self.width, self.side
+        successors, jumps, moves, closes = self.successors, self.jumps, self.moves, self.closes
+        while goal not in found and queue and len(prev) <= cap:
+            state = queue.popleft()
+            a, code = divmod(state, width)
+            for b in successors[a + 1]:
+                for p, lo, hi in moves[b]:
+                    if not lo <= code // p % side < hi:
+                        break
+                else:
+                    nstate = code + jumps[b]
+                    if nstate in prev:
+                        continue
+                    prev[nstate] = state
+                    queue.append(nstate)
+                    if closes[b]:
+                        found.setdefault(nstate % width, nstate)
+        hit = found.get(goal)
+        if hit is None or len(prev) <= cap + 1:
+            return hit
+        # A fresh search stops at the first other state past the cap, so
+        # the hit counts only if at most cap states came before it.
+        before = next(i for i, state in enumerate(prev) if state == hit)
+        return hit if before <= cap else None
+
+
+# Closing-walk searches by (shift, r, psi_z, bound), charged their discovered states.
+_BOXES = StateMemo(lambda box: len(box.prev))
 
 
 def _edge_walk(bg, symbols) -> list[int]:
@@ -428,7 +487,7 @@ def _check_edges(system, cocycle, solution, bg, ints=None) -> VerificationReport
             return x.numerator * (scale // x.denominator)
 
         pot = [scaled(u[block]) for block in bg.vertices]
-        ints = pot, list(map(scaled, alpha)), scale, _edge_numerators(cocycle, bg.edges)
+        ints = pot, list(map(scaled, alpha)), scale, _edge_numerators(cocycle, bg)
     pot, alpha, scale, f = ints
     drift = _drift_table(system, alpha)
     lift = scale // cocycle.denominator

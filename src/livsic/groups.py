@@ -368,15 +368,31 @@ def eliminate(columns, d: int):
     one bareiss_pivot, and each is p times its rational row.  Rows carry,
     after their d + 1 entries, a coefficient per row taken, so a live
     right-hand side returns as {input row: int coefficient}, zeros left out.
+    It is the composition of its two halves: pivot_rows on the d columns,
+    which depend only on the cover, and eliminate_rhs for the right-hand
+    side.
     """
-    order = list(range(len(columns[d])))
+    return eliminate_rhs(pivot_rows(columns[:d], len(columns[d])), columns[:d], columns[d])
+
+
+def pivot_rows(columns, n: int):
+    """eliminate's half on its d columns alone, n rows each: (pivot rows,
+    pivot columns, the swapped order of the rows, the common pivot p).
+
+    Each pivot row holds its d reduced entries and then its coefficient
+    per row taken, as a tuple.  Every Bareiss step is linear in the rows,
+    so a pivot row is its coefficients' combination of the rows taken,
+    order[:rank], in every column: on a right-hand side too, which
+    eliminate_rhs adds without another pivot.
+    """
+    order = list(range(n))
     mat, pivots, p = [], [], 1
-    for col in range(d + 1):
+    for col in range(len(columns)):
         rank = len(pivots)
         live = [p * x for x in columns[col]]
         for c, q in zip(pivots, mat):
             live = list(map(sub, live, map(mul, columns[c], repeat(q[col]))))
-        i = next((i for i in range(rank, len(order)) if live[order[i]]), None)
+        i = next((i for i in range(rank, n) if live[order[i]]), None)
         if i is None:
             continue
         order[rank], order[i] = order[i], order[rank]
@@ -386,12 +402,45 @@ def eliminate(columns, d: int):
         new = [p * x for x in row]
         for c, q in zip(pivots, mat):
             new = [a - row[c] * b for a, b in zip(new, q)]
-        if col == d:
-            return mat, tuple(pivots), {j: x for j, x in zip(order, new[d + 1 :]) if x}
         mat.append(new if new[col] > 0 else [-x for x in new])
         p = bareiss_pivot(mat, rank, col, p)
         pivots.append(col)
-    return mat, tuple(pivots), None
+    return tuple(map(tuple, mat)), tuple(pivots), tuple(order), p
+
+
+def eliminate_rhs(half, columns, rhs):
+    """eliminate's result from pivot_rows' half on columns and the
+    right-hand side rhs, with no pivot.
+
+    Each pivot row's right-hand side is its coefficients' combination of
+    rhs over the rows taken.  A row in their span reduces to zero, so the
+    live right-hand side p * rhs - sum of column c times P_c's is zero on
+    the rows taken, and the first row after them, in the swapped order,
+    where it is not is the inconsistent row, combined as eliminate would.
+    """
+    mat, pivots, order, p = half
+    d, rank = len(columns), len(pivots)
+    taken = order[:rank]
+    tops = [sum(map(mul, row[d:], map(rhs.__getitem__, taken))) for row in mat]
+    rows = [[*row[:d], top, *row[d:]] for row, top in zip(mat, tops)]
+
+    def live():
+        entries = map(mul, rhs, repeat(p))
+        for c, top in zip(pivots, tops):
+            entries = map(sub, entries, map(mul, columns[c], repeat(top)))
+        return entries
+
+    if not any(live()):
+        return rows, pivots, None
+    entries = list(live())
+    j = next(j for j in order[rank:] if entries[j])
+    for q in rows:
+        q.append(0)
+    row = [*(column[j] for column in columns), rhs[j], *[0] * rank, 1]
+    new = [p * x for x in row]
+    for c, q in zip(pivots, rows):
+        new = [a - row[c] * b for a, b in zip(new, q)]
+    return rows, pivots, {i: x for i, x in zip((*taken, j), new[d + 1 :]) if x}
 
 
 def subgroup_rank_and_index(vectors, ambient_rank: int) -> SubgroupReport:

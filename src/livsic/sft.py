@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from math import gcd, lcm
 from operator import eq, floordiv, itemgetter, mul
@@ -180,9 +180,14 @@ def block_tree(spec: SftSpec, r: int) -> "SpanningTree":
     a fresh build.  A tree and its graph hold only tuples, so every caller
     may share them.
     """
+    return _block_tree(spec, r, max_states_cap())
+
+
+def _block_tree(spec: SftSpec, r: int, cap: int) -> "SpanningTree":
+    """block_tree under the state cap its caller has read, so that a
+    gate over the tree reads the environment once."""
     if r < 1:
         raise BadShape("block length must be at least 1")
-    cap = max_states_cap()
     tree = _TREES.take((spec, r), cap)
     if tree is None:
         tree = SpanningTree(_block_graph(spec, r, cap))
@@ -285,6 +290,23 @@ def _solution_block_graph(spec: SftSpec, cocycle, solution) -> BlockGraph:
     return bg
 
 
+class cached:
+    """functools.cached_property without the lock that Python 3.11 takes
+    on every first read (about 0.7 us more per value, and a one-shot
+    check reads five): the first read computes the value and keeps it in
+    the instance's __dict__, where later reads find it.  Values are pure
+    functions of the instance, so a race computes one twice at worst."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class SpanningTree:
     """Breadth-first arborescence from vertex 0 and shortest returns to it.
 
@@ -311,13 +333,13 @@ class SpanningTree:
         self.parent, self.visit, self.next_edge = tuple(parent), tuple(visit), tuple(next_edge)
         self.strongly_connected = 0 < len(visit) == n == len(back)
 
-    @cached_property
+    @cached
     def chords(self) -> tuple[tuple[int, int, int], ...]:
         parent = self.parent
         ends = zip(count(), self.graph.edge_tail, self.graph.edge_head)
         return tuple((e, t, h) for e, t, h in ends if parent[h] != e)
 
-    @cached_property
+    @cached
     def order(self) -> tuple[tuple[int, int, int], ...]:
         parent, tail = self.parent, self.graph.edge_tail
         return tuple((v, parent[v], tail[parent[v]]) for v in self.visit[1:])
@@ -966,18 +988,26 @@ class LocallyConstantCocycle:
 
 
 def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocycle:
-    """Validate that values cover exactly the admissible windows."""
+    """Validate that values cover exactly the admissible windows.
+
+    values keeps the order it came in, but numerators lists the windows in
+    lexicographic order, whatever that order: at block range >= 1 that is
+    the edge order of the block graph over block_range-blocks, and at 0
+    the order of the symbols, so a solver reads f on every edge with no
+    word hashed.
+    """
     if block_range < 0:
         raise InvalidCocycle("block range must be >= 0")
     table = {tuple(int(s) for s in k): _as_fraction(v) for k, v in values.items()}
     _check_window_domain(sft, block_range, table)
     den = lcm(*{x.denominator for x in table.values()})
+    # Sorted, the table's own windows are the admissible words in order.
     return LocallyConstantCocycle(
         sft=sft,
         block_range=block_range,
         values=table,
         denominator=den,
-        numerators={w: x.numerator * (den // x.denominator) for w, x in table.items()},
+        numerators={w: x.numerator * (den // x.denominator) for w, x in sorted(table.items())},
     )
 
 

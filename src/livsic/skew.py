@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
 from operator import add, eq, mul
@@ -30,7 +29,14 @@ from .errors import (
     check_invariant,
     max_states_cap,
 )
-from .groups import Group, GroupElement, bareiss_pivot, subgroup_rank_and_index
+from .groups import (
+    Group,
+    GroupElement,
+    SubgroupReport,
+    bareiss_pivot,
+    pivot_rows,
+    subgroup_rank_and_index,
+)
 from .record import record
 from .sft import (
     BlockGraph,
@@ -40,7 +46,8 @@ from .sft import (
     SpanningTree,
     StateMemo,
     Word,
-    block_tree,
+    _block_tree,
+    cached,
     build_block_graph,
     canonical_rotation,
     find_violating_cycle,
@@ -232,13 +239,9 @@ def product_scc_witness(tree: SpanningTree):
 def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], list[int]]:
     """(wpot, cyc) as F indices: wpot[v] is the F weight of the tree path
     from block 0 to block v, and cyc[e] = wpot[h]^-1 psi_f(e) wpot[t] that
-    of the fundamental cycle of edge e: t -> h (the identity on tree edges).
-    Over a trivial F (Z^d among them) every weight is the identity, and no
-    table is read."""
+    of the fundamental cycle of edge e: t -> h (the identity on tree edges)."""
     table, inverses, bg = system.group.table, system.group.inverses, tree.graph
     identity = system.group.identity_index
-    if len(table) == 1:
-        return [identity] * len(bg.vertices), [identity] * len(bg.edges)
     steps = [system.psi_f[word[0] - 1] for word in bg.edges]
     wpot = tree.potentials(identity, lambda e, p: table[steps[e]][p])
     ends = zip(steps, bg.edge_tail, bg.edge_head)
@@ -337,9 +340,18 @@ class Cover:
     """A transitive cover over r-blocks, as transitive_cover hands it to
     check_transitivity and every cover solver: block_tree's spanning tree,
     the _closure via of the monodromy group and the cycle_weights (wpot,
-    cyc) it was closed from.  Two more values are built on first use:
-    psi, for each coordinate j < d of psi_z its per-edge column and that
-    column's tree.rises, as tuples, and the matrix solver's closure steps.
+    cyc) it was closed from.  The rest is built on first use:
+
+    - psi: for each coordinate j < d of psi_z its per-edge column, that
+      column's potentials and its chord rises, as tree.rises makes them
+      (check_transitivity reads only the columns and the rises, so the
+      potentials are left as rises' lists and never copied);
+    - pivot_rows: groups.pivot_rows on psi's rises, the cover's half of
+      the cover solver's elimination, so a solve pivots on no row;
+    - lattice and one_sided: check_transitivity's Smith report of the
+      rises and _one_sided's functional on the columns (the solver reads
+      the report's diagonal for a degenerate alpha);
+    - steps: the matrix solver's closure steps.
 
     A cover holds its group only weakly, through group, so a memo of
     covers keeps no Cayley table alive; steps reads the group through it,
@@ -352,7 +364,7 @@ class Cover:
         self.group, self.psi_z, self.rank = weakref.ref(group), system.psi_z, group.rank
         self.tree, self.via, self.wpot, self.cyc = tree, via, tuple(wpot), tuple(cyc)
 
-    @cached_property
+    @cached
     def steps(self) -> dict:
         """For each y in via other than the identity, the first edge whose
         cycle weight is x^-1 y, for x = via[y]."""
@@ -362,13 +374,26 @@ class Cover:
             first.setdefault(g, e)
         return {y: first[table[inverses[x]][y]] for y, x in self.via.items() if x is not None}
 
-    @cached_property
+    @cached
     def psi(self):
+        if not self.rank:
+            return (), (), ()
         tree, psi_z = self.tree, self.psi_z
-        edges = tree.graph.edges
-        columns = tuple(tuple([psi_z[w[0] - 1][j] for w in edges]) for j in range(self.rank))
-        risen = [tree.rises(column) for column in columns]
-        return columns, tuple(tuple(p) for p, _ in risen), tuple(tuple(x) for _, x in risen)
+        columns = tuple(zip(*[psi_z[w[0] - 1] for w in tree.graph.edges]))
+        pots, rises = zip(*map(tree.rises, columns))
+        return columns, pots, tuple(map(tuple, rises))
+
+    @cached
+    def pivot_rows(self):
+        return pivot_rows(self.psi[2], len(self.tree.chords))
+
+    @cached
+    def lattice(self) -> SubgroupReport:
+        return subgroup_rank_and_index(zip(*self.psi[2]), self.rank)
+
+    @cached
+    def one_sided(self) -> tuple[int, ...] | None:
+        return _one_sided(self.tree.graph, self.psi[0])
 
 
 def transitive_cover(system: SkewSystem, r: int) -> Cover:
@@ -380,11 +405,13 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
     finite order), so the cover is transitive iff (block 0, element 0)
     reaches its whole fiber, i.e. iff the monodromy group H is F.
     Otherwise NotTransitiveError names (block 0, element 0) and (block 0,
-    the least j outside {h . element 0 : h in H}).  A block graph that is
-    not strongly connected raises NotStronglyConnected over Z^d; over F
-    it builds the product graph, to name product_scc_witness's pair.
-    RangeTooLarge, with build_product_graph's message, when blocks x |F|
-    passes the state cap, though the product graph is not built.
+    the least j outside {h . element 0 : h in H}).  Over a trivial F (Z^d
+    among them) every weight is the identity, so neither cycle_weights
+    nor _closure runs.  A block graph that is not strongly connected
+    raises NotStronglyConnected over Z^d; over F it builds the product
+    graph, to name product_scc_witness's pair.  RangeTooLarge, with
+    build_product_graph's message, when blocks x |F| passes the state cap,
+    though the product graph is not built.
 
     A refusal is made afresh on every call.  A transitive cover is kept
     in a memo keyed by (shift, r, psi_f, psi_z) that holds at most
@@ -392,16 +419,18 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
     recently used out first.  The key leaves the group out, as hashing
     it hashes its Cayley table; a hit compares the group instead, by
     identity and then by value, and a cover whose group is gone is
-    decided afresh.  Every call runs block_tree and the cap check, so a
-    hit refuses what a fresh build would, and leaves its tree the newest
-    in block_tree's memo; a cover whose tree that memo has since dropped
-    is decided afresh on the tree it holds now.  The two memos hold
-    trees of at most 2 x LIVSIC_MAX_STATES blocks in all.
+    decided afresh.  The cap is read once per call, and every call runs
+    block_tree's memo under it and the cap check, so a hit refuses what a
+    fresh build would, and leaves its tree the newest in block_tree's
+    memo; a cover whose tree that memo has since dropped is decided
+    afresh on the tree it holds now.  With the Z^d solver's memo of
+    closing-walk searches (abelian._BOXES), the three memos hold at most
+    3 x LIVSIC_MAX_STATES states in all.
     """
     key = (system.sft, r, system.psi_f, system.psi_z)
     cap, group = max_states_cap(), system.group
     cover = _COVERS.take(key, cap)
-    tree = block_tree(system.sft, r)
+    tree = _block_tree(system.sft, r, cap)
     table = group.table
     n = len(tree.parent) * len(table)
     if n > cap:
@@ -415,8 +444,12 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
                 raise NotStronglyConnected("block graph is not strongly connected")
             pg_tree = SpanningTree(build_product_graph(system, r))
             raise NotTransitiveError(product_scc_witness(pg_tree))
-        wpot, cyc = cycle_weights(system, tree)
-        via = _closure(group, cyc)
+        if len(table) == 1:
+            one, graph = group.identity_index, tree.graph
+            wpot, cyc, via = (one,) * len(graph.vertices), (one,) * len(graph.edges), {one: None}
+        else:
+            wpot, cyc = cycle_weights(system, tree)
+            via = _closure(group, cyc)
         if len(via) < len(table):
             orbit = {table[h][0] for h in via}
             j = next(j for j in range(len(table)) if j not in orbit)
@@ -535,9 +568,11 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     closed walk (one_sided) or a proper lattice (proper_subgroup) refutes
     transitivity: no closed walk reaches a weight where lam is negative,
     or one outside the lattice.  Transitivity itself is never certified;
-    the best positive answer is "unknown" with evidence.  RangeTooLarge,
-    before any graph is built, when _one_sided's pivots would pass the
-    work budget.
+    the best positive answer is "unknown" with evidence.  The Smith report
+    and the functional are the cover's (Cover.lattice and
+    Cover.one_sided), so a second check over one system recomputes
+    neither.  RangeTooLarge, on every call and before any graph is built
+    or cover read, when _one_sided's pivots would pass the work budget.
     """
     d = system.group.rank
     # The work of _one_sided: as many pivots as its tableau has rows, each
@@ -556,9 +591,8 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     if not d:
         return TransitivityVerdict(status="transitive")
 
-    columns, _, rises = cover.psi
-    report = subgroup_rank_and_index(zip(*rises), d)
-    lam = _one_sided(cover.tree.graph, columns) if report.rank == d else None
+    report = cover.lattice
+    lam = cover.one_sided if report.rank == d else None
     interior = report.rank == d and lam is None
     evidence = TransitivityEvidence(
         lattice_rank=report.rank,

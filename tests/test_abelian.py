@@ -15,6 +15,7 @@ import pytest
 
 import livsic.abelian as abelian
 import livsic.groups as groups
+import livsic.skew as skew
 from launcher import launch
 from livsic import (
     CocycleObstruction,
@@ -576,6 +577,131 @@ def test_closing_walk_matches_per_edge_bfs_under_a_small_state_cap(monkeypatch):
     assert newly_found
 
 
+def _one_shot_closing_walk(system, bg, target):
+    """The one-shot (symbol, offset) search that _closing_walk's kept boxes
+    must reproduce: a fresh breadth-first search per call that returns at
+    the first goal discovered and gives up once a state that is not the
+    goal takes it past the cap."""
+    target = tuple(target)
+    if not any(target):
+        return []
+    spec, cap = bg.spec, max_states_cap()
+    bound = max(8, 2 * max(map(abs, target)))
+    b0 = bg.vertices[0]
+    r = len(b0)
+    off = (0,) * len(target)
+    for n, a in enumerate(b0, 1):
+        off = tuple(x + y for x, y in zip(off, system.psi_of(a)))
+        if max(off) > bound or min(off) < -bound:
+            return None
+        if n < r and off == target and b0[n:] == b0[:-n]:
+            return abelian._edge_walk(bg, b0[r - n :])
+    if off == target and spec.allows(b0[-1], b0[0]):
+        return abelian._edge_walk(bg, b0)
+    start = (b0[-1], off)
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        a, off = state
+        for b in spec.successors(a):
+            step = tuple(x + y for x, y in zip(off, system.psi_of(b)))
+            nstate = (b, step)
+            if max(step) > bound or min(step) < -bound or nstate in prev:
+                continue
+            prev[nstate] = state
+            if step == target and spec.allows(b, b0[0]):
+                z = []
+                while nstate != start:
+                    z.append(nstate[0])
+                    nstate = prev[nstate]
+                return abelian._edge_walk(bg, z[::-1] + list(b0))
+            if len(prev) > cap:
+                return None
+            queue.append(nstate)
+    return None
+
+
+def test_the_box_memo_answers_as_a_fresh_search(monkeypatch):
+    # Every case, twice over in a seeded shuffled order, through one shared
+    # memo of boxes, the cap switching between 40 and the default: each
+    # answer is the one the same call makes on an emptied memo.  After
+    # every call the memo holds at most the cap in states, as read by the
+    # last call that searched (a call that closes its walk within b0 reads
+    # no box); a searched box within the cap is kept as the newest and one
+    # past it is not kept.
+    cases = _closing_walk_cases()
+    caps = ("40", None)
+
+    def with_cap(cap):
+        if cap is None:
+            monkeypatch.delenv("LIVSIC_MAX_STATES", raising=False)
+        else:
+            monkeypatch.setenv("LIVSIC_MAX_STATES", cap)
+
+    fresh = {}
+    for cap in caps:
+        with_cap(cap)
+        for i, case in enumerate(cases):
+            abelian._BOXES.clear()
+            fresh[i, cap] = abelian._closing_walk(*case)
+            assert fresh[i, cap] == _one_shot_closing_walk(*case), (i, cap)
+    searched = []
+    search = abelian._Box.search
+
+    def spy(box, target, cap):
+        searched.append(box)
+        return search(box, target, cap)
+
+    monkeypatch.setattr(abelian._Box, "search", spy)
+    rng = rng_for(67, 0)
+    calls = [(i, rng.choice(caps)) for i in range(len(cases))] * 2
+    rng.shuffle(calls)
+    abelian._BOXES.clear()
+    memo, seen = abelian._BOXES, []
+    kept = dropped = resumed = last_cap = 0
+    for i, cap in calls:
+        with_cap(cap)
+        searched.clear()
+        assert abelian._closing_walk(*cases[i]) == fresh[i, cap], (i, cap)
+        held = list(memo.held.values())
+        if searched:
+            last_cap = max_states_cap()
+        assert memo.states == sum(len(box.prev) for box in held) <= last_cap
+        if searched:
+            (box,) = searched
+            resumed += any(box is old for old in seen)
+            seen.append(box)
+            if len(box.prev) > max_states_cap():
+                assert box not in held
+                dropped += 1
+            else:
+                assert held[-1] is box
+                kept += 1
+    assert kept and dropped and resumed
+    assert {walk is None for walk in fresh.values()} == {True, False}
+
+
+def test_a_kept_box_keeps_the_cap_of_a_one_shot_search(monkeypatch):
+    # For every cap from 48 down to 1, with one shared memo warmed under
+    # the default cap, every case gets the one-shot search's answer: a
+    # goal counts only when at most cap states were discovered before it,
+    # whether the box was kept from a larger cap or crosses this one
+    # while it expands a state.
+    cases = _closing_walk_cases()
+    abelian._BOXES.clear()
+    for case in cases:
+        abelian._closing_walk(*case)
+    outcomes = set()
+    for cap in range(48, 0, -1):
+        monkeypatch.setenv("LIVSIC_MAX_STATES", str(cap))
+        for i, case in enumerate(cases):
+            walk = abelian._closing_walk(*case)
+            assert walk == _one_shot_closing_walk(*case), (i, cap)
+            outcomes.add(walk is None)
+    assert outcomes == {True, False}
+
+
 def _closed_walk_weight(system, bg, walk) -> tuple[int, ...]:
     """Weight of a walk of bg that must start and end at block 0."""
     assert all(bg.edge_head[a] == bg.edge_tail[b] for a, b in zip(walk, walk[1:]))
@@ -729,8 +855,12 @@ def test_pivot_rows_match_the_full_reduction():
 
 def test_the_solver_pivots_at_most_d_times_on_at_most_d_rows(monkeypatch):
     # Full 4-shift over Z at r = 3 has 193 non-tree rows, the full 3-shift
-    # over Z^2 at r = 4 has 163; the solver reduces only its pivot rows,
-    # each once, and explains an inconsistent row without another pivot.
+    # over Z^2 at r = 4 has 163; the solver reduces only its pivot rows, at
+    # most d pivots per cover, each on at most d rows, and explains an
+    # inconsistent row without another pivot.  A second solve on the same
+    # cover, certified or refuted, pivots on no row; once the cover memo is
+    # emptied the cover's pivots are made again, and every answer is the
+    # one the first cover gave.
     real = groups.bareiss_pivot
     sizes = []
 
@@ -738,9 +868,16 @@ def test_the_solver_pivots_at_most_d_times_on_at_most_d_rows(monkeypatch):
         sizes.append(len(mat))
         return real(mat, r, col, prev)
 
+    def answer(system, cocycle):
+        try:
+            return repr(solve_free_abelian(system, cocycle))
+        except CocycleObstruction as err:
+            return repr(err.witness)
+
     monkeypatch.setattr(groups, "bareiss_pivot", spy)
     z2 = build_group(GroupSpec.free_abelian(2))
     cases = (
+        (make_skew_system(SftSpec.full_shift(2), s3_group(), (1, 2)), 3, 9),
         (make_skew_system(SftSpec.full_shift(4), Z1, ((1,), (-2,), (3,), (0,))), 3, 193),
         (make_skew_system(SftSpec.full_shift(3), z2, ((1, 0), (0, 1), (-1, -1))), 4, 163),
     )
@@ -752,13 +889,20 @@ def test_the_solver_pivots_at_most_d_times_on_at_most_d_rows(monkeypatch):
         cocycle = generate_cocycle(
             system, alpha=random_alpha(rng, d), block_range=r, seed=seed
         )
-        sizes.clear()
-        assert solve_free_abelian(system, cocycle).certificate.certified
-        assert 0 < len(sizes) <= d and max(sizes) <= d, sizes
-        sizes.clear()
-        with pytest.raises(CocycleObstruction):
-            solve_free_abelian(system, perturb_one_value(cocycle, rng)[0])
-        assert 0 < len(sizes) <= d and max(sizes) <= d, sizes
+        bad = perturb_one_value(cocycle, rng)[0]
+        answers = []
+        for order in ((cocycle, bad, cocycle), (bad, cocycle, bad)):
+            skew._COVERS.clear()
+            for i, c in enumerate(order):
+                sizes.clear()
+                answers.append((c is bad, answer(system, c)))
+                if i or not d:
+                    assert sizes == [], (i, sizes)
+                else:
+                    assert 0 < len(sizes) <= d and max(sizes) <= d, sizes
+        solved = [a.startswith("CohomologySolution(") for _, a in answers[:2]]
+        assert solved == [True, False] and "certified=True" in answers[0][1]
+        assert len(set(answers)) == 2, answers
 
 
 def test_lattice_witnesses_are_one_lift_of_a_zero_weight_walk(monkeypatch):

@@ -353,8 +353,10 @@ def test_a_second_solve_on_one_cover_pays_only_for_the_cocycle(monkeypatch):
             counts.update(dict.fromkeys(counts, 0))
             assert answer(solve, system, cocycle) == want
             gate = 0 if i else 1
-            # The first solve decides the cover and rises psi's d columns.
-            assert counts == {"cycle_weights": gate, "_closure": gate, "rises": 1 + d * gate}
+            # The first solve decides the cover and rises psi's d columns;
+            # over a trivial F it runs neither cycle_weights nor _closure.
+            closed = gate if len(system.group.table) > 1 else 0
+            assert counts == {"cycle_weights": closed, "_closure": closed, "rises": 1 + d * gate}
     # The matrix solver reads the same cover, and its closure steps, once built.
     cocycle = generate_matrix_cocycle(s3, None, None, block_range=2, seed=3, family="rotation")
     cover = transitive_cover(s3, 2)
@@ -388,6 +390,38 @@ def test_a_transitivity_check_and_a_solve_share_one_gate(monkeypatch):
     counts.update(dict.fromkeys(counts, 0))
     assert check_transitivity(z2) == first
     assert counts == {"cycle_weights": 0, "_closure": 0, "rises": 0}
+
+
+def test_a_lattice_check_reads_its_report_and_functional_from_the_cover(monkeypatch):
+    # Over Z^d, Smith's report of the rises and _one_sided's functional are
+    # the cover's, made on first use: a second check recomputes neither,
+    # a check on a fresh cover makes both again, and a degenerate solve on
+    # the check's cover reads the check's report.
+    counts = {"subgroup_rank_and_index": 0, "_one_sided": 0}
+    for name in counts:
+        def spy(*args, real=getattr(skew, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(skew, name, spy)
+    z2 = build_group(GroupSpec.free_abelian(2))
+    spread = make_skew_system(SftSpec.full_shift(3), z2, ((1, 0), (0, 1), (-1, -1)))
+    first = check_transitivity(spread)
+    assert counts == {"subgroup_rank_and_index": 1, "_one_sided": 1}
+    assert check_transitivity(spread) == first
+    assert counts == {"subgroup_rank_and_index": 1, "_one_sided": 1}
+    skew._COVERS.clear()
+    assert check_transitivity(spread) == first
+    assert counts == {"subgroup_rank_and_index": 2, "_one_sided": 2}
+    # psi's second coordinate is 0: a proper lattice, and a pinned alpha.
+    flat = make_skew_system(FULL_2, z2, ((1, 0), (-1, 0)))
+    verdict = check_transitivity(flat)
+    assert verdict.certificate.kind == "proper_subgroup"
+    assert counts == {"subgroup_rank_and_index": 3, "_one_sided": 2}
+    solution = solve_free_abelian(flat, generate_cocycle(flat, alpha=(1, 0), block_range=1, seed=4))
+    assert solution.degenerate.pinned_coordinates == (1,)
+    assert solution.degenerate.lattice_diagonal == verdict.evidence.lattice_diagonal == (1,)
+    assert counts == {"subgroup_rank_and_index": 3, "_one_sided": 2}
 
 
 def test_an_equal_system_hits_the_memo_and_another_group_does_not(monkeypatch):

@@ -5,7 +5,7 @@ import gc
 import pickle
 import tracemalloc
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -32,6 +32,7 @@ from livsic import (
     walk_primitive_orbits,
 )
 from livsic import sft
+from livsic.serialization import parse_cocycle
 from livsic.record import FrozenInstanceError
 from corpus import orbit_sum, random_irreducible_sft, rng_for, s3_group
 
@@ -514,3 +515,29 @@ def test_periodic_orbit_pickles_compares_and_orders():
         PeriodicOrbit.from_word(())
     with pytest.raises(BadShape):
         PeriodicOrbit.from_word((1, 2, 1, 2))
+
+
+def test_numerators_come_in_window_order():
+    # make_cocycle lists the numerators in the lexicographic order of the
+    # admissible windows, whatever order the values come in, and keeps the
+    # values' own order; for block range >= 1 that is the block graph's
+    # edge order, which the solvers read f in.
+    rng = rng_for(71, 0)
+    specs = [FULL_2, SftSpec.full_shift(3), GOLDEN_MEAN, random_irreducible_sft(rng, 4)]
+    for spec, rf in product(specs, range(4)):
+        words = product(range(1, spec.k + 1), repeat=rf + 1)
+        windows = [w for w in words if spec.is_admissible(w)]
+        shuffled = windows[::-1] if rf % 2 else rng.sample(windows, len(windows))
+        values = {w: rng.randint(-9, 9) for w in shuffled}
+        cocycle = make_cocycle(spec, rf, values)
+        assert list(cocycle.numerators) == windows, (spec, rf)
+        assert list(cocycle.values) == shuffled
+        if rf:
+            assert list(build_block_graph(spec, rf).edges) == windows
+    # A document whose keys come in no canonical order.
+    doc = {"kind": "rational", "range": 1,
+           "values": {"22": "-1/2", "12": "3/2", "21": "-3/2", "11": "1/2"}}
+    parsed = parse_cocycle(doc, FULL_2, "/cocycle")
+    assert list(parsed.numerators) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert list(parsed.numerators.values()) == [1, 3, -3, -1]
+    assert list(parsed.values) == [(2, 2), (1, 2), (2, 1), (1, 1)]

@@ -444,7 +444,7 @@ def test_the_cone_test_past_the_work_budget_is_refused_before_any_graph(monkeypa
     def refuse(*args):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(skew, "block_tree", refuse)
+    monkeypatch.setattr(skew, "_block_tree", refuse)
     z3 = build_group(GroupSpec.free_abelian(3))
     system = make_skew_system(SftSpec.full_shift(36), z3, [(1, 0, -1)] * 36)
     with pytest.raises(RangeTooLarge) as err:
