@@ -50,6 +50,7 @@ from .sft import (
     LocallyConstantCocycle,
     PeriodicOrbit,
     StateMemo,
+    WindowNumerators,
     Word,
     _as_fraction,
     _check_cocycle_shift,
@@ -258,14 +259,22 @@ def _solve_cover(
 def _edge_numerators(cocycle, bg) -> list[int]:
     """scale * f on the leading window of each edge of bg, the cocycle's
     block graph over the system's shift, for scale the cocycle's
-    denominator (the lcm of f's), in edge order.  make_cocycle lists the
-    numerators in window order: at block range >= 1 the windows are the
-    edge words themselves, in the same order, and at 0 the 1-blocks, so an
-    edge reads the window of its tail."""
-    numerators = list(cocycle.numerators.values())
+    denominator (the lcm of f's), in edge order.  At block range >= 1 the
+    windows are the edge words themselves, and at 0 the 1-blocks, so an
+    edge reads the window of its tail.  make_cocycle's numerators are a
+    WindowNumerators, in window order, which is the graph's order, so
+    they are read by position with no word hashed; any other table (a
+    record built directly, or unpickled from an older build) is read by
+    window."""
+    numerators = cocycle.numerators
+    if type(numerators) is WindowNumerators:
+        values = list(numerators.values())
+    else:
+        windows = bg.edges if cocycle.block_range else bg.vertices
+        values = list(map(numerators.__getitem__, windows))
     if cocycle.block_range:
-        return numerators
-    return list(map(numerators.__getitem__, bg.edge_tail))
+        return values
+    return list(map(values.__getitem__, bg.edge_tail))
 
 
 def _drift_table(system: SkewSystem, alpha) -> list:
@@ -382,7 +391,8 @@ class _Box:
     base-side digits, offsets shifted by bound.  prev maps each discovered
     state to the one it was reached from, in discovery order, and queue
     holds the states not yet expanded; found maps an offset code to the
-    first discovered state there whose symbol may precede b0[0].
+    first discovered state there whose symbol may precede b0[0], with the
+    number of states discovered before it.
     """
 
     __slots__ = ("side", "digits", "width", "bound", "start", "successors",
@@ -428,13 +438,10 @@ class _Box:
                     prev[nstate] = state
                     queue.append(nstate)
                     if closes[b]:
-                        found.setdefault(nstate % width, nstate)
-        hit = found.get(goal)
-        if hit is None or len(prev) <= cap + 1:
-            return hit
+                        found.setdefault(nstate % width, (nstate, len(prev) - 1))
         # A fresh search stops at the first other state past the cap, so
-        # the hit counts only if at most cap states came before it.
-        before = next(i for i, state in enumerate(prev) if state == hit)
+        # the goal counts only if at most cap states came before it.
+        hit, before = found.get(goal, (None, 0))
         return hit if before <= cap else None
 
 

@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from math import gcd, lcm
 from operator import eq, floordiv, itemgetter, mul
@@ -290,23 +290,6 @@ def _solution_block_graph(spec: SftSpec, cocycle, solution) -> BlockGraph:
     return bg
 
 
-class cached:
-    """functools.cached_property without the lock that Python 3.11 takes
-    on every first read (about 0.7 us more per value, and a one-shot
-    check reads five): the first read computes the value and keeps it in
-    the instance's __dict__, where later reads find it.  Values are pure
-    functions of the instance, so a race computes one twice at worst."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class SpanningTree:
     """Breadth-first arborescence from vertex 0 and shortest returns to it.
 
@@ -333,13 +316,13 @@ class SpanningTree:
         self.parent, self.visit, self.next_edge = tuple(parent), tuple(visit), tuple(next_edge)
         self.strongly_connected = 0 < len(visit) == n == len(back)
 
-    @cached
+    @cached_property
     def chords(self) -> tuple[tuple[int, int, int], ...]:
         parent = self.parent
         ends = zip(count(), self.graph.edge_tail, self.graph.edge_head)
         return tuple((e, t, h) for e, t, h in ends if parent[h] != e)
 
-    @cached
+    @cached_property
     def order(self) -> tuple[tuple[int, int, int], ...]:
         parent, tail = self.parent, self.graph.edge_tail
         return tuple((v, parent[v], tail[parent[v]]) for v in self.visit[1:])
@@ -961,6 +944,15 @@ def _as_fraction(x) -> Fraction:
     raise InvalidCocycle(f"expected a rational value, got {x!r}")
 
 
+class WindowNumerators(dict):
+    """A cocycle's numerators as make_cocycle lists them: keyed by exactly
+    the admissible windows, in lexicographic order.  The type is the
+    promise, so a solver reads such a table by position; any other dict
+    is read by window."""
+
+    __slots__ = ()
+
+
 @record
 class LocallyConstantCocycle:
     """Rational function of block_range + 1 consecutive symbols.
@@ -968,7 +960,13 @@ class LocallyConstantCocycle:
     values maps each window to its Fraction.  Two fields are derived from
     it by make_cocycle: denominator, the lcm of its denominators, and
     numerators, each window's value times denominator as an int, so exact
-    sums and solves run in ints over that one denominator.
+    sums and solves run in ints over that one denominator.  make_cocycle
+    lists numerators in lexicographic window order, the edge order of
+    the block graph over block_range-blocks (at block range 0, the order
+    of the symbols), as a WindowNumerators, which a solver reads on every
+    edge by position.  A record built directly with a plain dict, or
+    unpickled from an older build, may hold them in any order, and is
+    read by window.
     """
 
     sft: SftSpec
@@ -991,23 +989,22 @@ def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocyc
     """Validate that values cover exactly the admissible windows.
 
     values keeps the order it came in, but numerators lists the windows in
-    lexicographic order, whatever that order: at block range >= 1 that is
-    the edge order of the block graph over block_range-blocks, and at 0
-    the order of the symbols, so a solver reads f on every edge with no
-    word hashed.
+    lexicographic order, whatever that order: the edge order of the block
+    graph the solvers read f on.
     """
     if block_range < 0:
         raise InvalidCocycle("block range must be >= 0")
     table = {tuple(int(s) for s in k): _as_fraction(v) for k, v in values.items()}
     _check_window_domain(sft, block_range, table)
     den = lcm(*{x.denominator for x in table.values()})
-    # Sorted, the table's own windows are the admissible words in order.
     return LocallyConstantCocycle(
         sft=sft,
         block_range=block_range,
         values=table,
         denominator=den,
-        numerators={w: x.numerator * (den // x.denominator) for w, x in sorted(table.items())},
+        numerators=WindowNumerators(
+            (w, x.numerator * (den // x.denominator)) for w, x in sorted(table.items())
+        ),
     )
 
 

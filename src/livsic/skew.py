@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
 from operator import add, eq, mul
@@ -47,7 +48,6 @@ from .sft import (
     StateMemo,
     Word,
     _block_tree,
-    cached,
     build_block_graph,
     canonical_rotation,
     find_violating_cycle,
@@ -364,7 +364,7 @@ class Cover:
         self.group, self.psi_z, self.rank = weakref.ref(group), system.psi_z, group.rank
         self.tree, self.via, self.wpot, self.cyc = tree, via, tuple(wpot), tuple(cyc)
 
-    @cached
+    @cached_property
     def steps(self) -> dict:
         """For each y in via other than the identity, the first edge whose
         cycle weight is x^-1 y, for x = via[y]."""
@@ -374,7 +374,7 @@ class Cover:
             first.setdefault(g, e)
         return {y: first[table[inverses[x]][y]] for y, x in self.via.items() if x is not None}
 
-    @cached
+    @cached_property
     def psi(self):
         if not self.rank:
             return (), (), ()
@@ -383,15 +383,15 @@ class Cover:
         pots, rises = zip(*map(tree.rises, columns))
         return columns, pots, tuple(map(tuple, rises))
 
-    @cached
+    @cached_property
     def pivot_rows(self):
         return pivot_rows(self.psi[2], len(self.tree.chords))
 
-    @cached
+    @cached_property
     def lattice(self) -> SubgroupReport:
         return subgroup_rank_and_index(zip(*self.psi[2]), self.rank)
 
-    @cached
+    @cached_property
     def one_sided(self) -> tuple[int, ...] | None:
         return _one_sided(self.tree.graph, self.psi[0])
 

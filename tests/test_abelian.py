@@ -905,6 +905,55 @@ def test_the_solver_pivots_at_most_d_times_on_at_most_d_rows(monkeypatch):
         assert len(set(answers)) == 2, answers
 
 
+def test_a_cocycle_built_or_unpickled_out_of_window_order_gives_the_same_answer():
+    # The solvers read f's numerators by position in make_cocycle's
+    # WindowNumerators, which lists them in window order.  A cocycle record
+    # built directly with a plain dict, in window order or another, or
+    # unpickled from one that held its numerators reversed, is read by
+    # window, so its solve and its verification are make_cocycle's.
+    cls = abelian.LocallyConstantCocycle
+    z2 = build_group(GroupSpec.free_abelian(2))
+    cases = (
+        (make_skew_system(SftSpec.full_shift(2), s3_group(), (1, 2)), 3),
+        (make_skew_system(SftSpec.full_shift(3), Z1, ((1,), (-2,), (0,))), 0),
+        (make_skew_system(SftSpec.full_shift(3), Z1, ((1,), (-2,), (0,))), 2),
+        (make_skew_system(SftSpec.full_shift(3), z2, ((1, 0), (0, 1), (-1, -1))), 1),
+    )
+
+    def answer(system, cocycle):
+        try:
+            solution = solve_free_abelian(system, cocycle)
+        except CocycleObstruction as err:
+            return repr(err.witness)
+        return repr((solution, verify_solution(system, cocycle, solution)))
+
+    for seed, (system, rf) in enumerate(cases):
+        rng = rng_for(67, seed)
+        d = system.group.rank
+        alpha = random_alpha(rng, d)
+        if rf:
+            cocycle = generate_cocycle(system, alpha=alpha, block_range=rf, seed=seed)
+        else:  # f = alpha(psi) on 1-blocks
+            psi = [system.psi_of(a) for a in range(1, system.sft.k + 1)]
+            values = {(a,): sum(map(Fraction.__mul__, alpha, p)) for a, p in enumerate(psi, 1)}
+            cocycle = make_cocycle(system.sft, 0, values)
+        for c in (cocycle, perturb_one_value(cocycle, rng)[0]):
+            fields = [getattr(c, name) for name in cls._fields]
+            fields[cls._fields.index("numerators")] = dict(reversed(c.numerators.items()))
+            built = cls(*fields)
+            # A record as an older build pickled it: numerators out of order.
+            old = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(old, name, value)
+            unpickled = pickle.loads(pickle.dumps(old))
+            fields[cls._fields.index("numerators")] = dict(c.numerators)
+            plain = cls(*fields)
+            for other in (built, unpickled, plain):
+                assert other == c and type(other.numerators) is dict
+                assert answer(system, other) == answer(system, c)
+            assert list(built.numerators) == list(reversed(c.numerators))
+
+
 def test_lattice_witnesses_are_one_lift_of_a_zero_weight_walk(monkeypatch):
     # The lift of a walk of zero Z^d weight closes at once (F is trivial)
     # and its trimmed cycle is primitive, so the multiplicity is 1.

@@ -519,9 +519,10 @@ def test_periodic_orbit_pickles_compares_and_orders():
 
 def test_numerators_come_in_window_order():
     # make_cocycle lists the numerators in the lexicographic order of the
-    # admissible windows, whatever order the values come in, and keeps the
-    # values' own order; for block range >= 1 that is the block graph's
-    # edge order, which the solvers read f in.
+    # admissible windows, as a WindowNumerators that pickles as one,
+    # whatever order the values come in, and keeps the values' own order;
+    # for block range >= 1 that is the block graph's edge order, which the
+    # solvers read f in.
     rng = rng_for(71, 0)
     specs = [FULL_2, SftSpec.full_shift(3), GOLDEN_MEAN, random_irreducible_sft(rng, 4)]
     for spec, rf in product(specs, range(4)):
@@ -532,6 +533,8 @@ def test_numerators_come_in_window_order():
         cocycle = make_cocycle(spec, rf, values)
         assert list(cocycle.numerators) == windows, (spec, rf)
         assert list(cocycle.values) == shuffled
+        copy = pickle.loads(pickle.dumps(cocycle))
+        assert type(copy.numerators) is sft.WindowNumerators and copy == cocycle
         if rf:
             assert list(build_block_graph(spec, rf).edges) == windows
     # A document whose keys come in no canonical order.
