@@ -30,7 +30,9 @@ runs and over B's, their ratio B/A, and for the end-to-end metrics whether
 B is worse than A by more than the metric's BENCHMARK.json bound; it exits
 1 when one is.  Per-layer figures come from one traced run, and tour and
 ladder figures are per process; neither has a bound, so their ratios are
-printed for reading only.
+printed for reading only.  When the two records were made at different
+times, a line before the tables says so: medians from two sittings
+measure the host as well as the code.
 """
 from __future__ import annotations
 
@@ -299,6 +301,16 @@ def _ratio(x, y):
     return y / x if x else (1.0 if y == x else math.inf)
 
 
+def sittings_note(a: dict, b: dict) -> str | None:
+    """None when both records were made at one time, otherwise the line
+    that names both revisions and times."""
+    if a["recorded_utc"] == b["recorded_utc"]:
+        return None
+    return (f"two sittings: A is {a['revision'][:12]} at {a['recorded_utc']}, B is"
+            f" {b['revision'][:12]} at {b['recorded_utc']}; medians from two sittings"
+            " measure the host as well as the code (ROADMAP item 21)")
+
+
 def print_comparison(rows: list[dict], a_name: str, b_name: str) -> None:
     print(f"medians over runs; ratio = {b_name} / {a_name}")
     for trace, title in ((0, "end to end (bound: how much worse B may be)"),
@@ -328,6 +340,9 @@ def main() -> int:
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         rows, beyond = compare(a, b, spec)
+        note = sittings_note(a, b)
+        if note:
+            print(note)
         print_comparison(rows, args.compare[0].name, args.compare[1].name)
         return 1 if beyond else 0
     overrides = sorted(v for v in os.environ if v.startswith("LIVSIC_MAX"))

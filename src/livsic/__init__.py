@@ -82,7 +82,6 @@ from .skew import (
     TransitivityVerdict,
     build_product_graph,
     check_transitivity,
-    enumerate_trivial_class_orbits,
     frobenius_class,
     make_skew_system,
     orbit_weights,
@@ -111,7 +110,6 @@ _LAZY = {
         "MatrixSolution",
         "MatrixVerificationReport",
         "MatrixViolationWitness",
-        "adjoint_norm",
         "check_distortion_assumption",
         "cyclic_product",
         "estimate_distortion",

@@ -303,7 +303,7 @@ def _inconsistency_certificate(system, tree, combo, columns, scale):
 
     plus: list[int] = []
     minus: list[int] = []
-    for i, c in sorted(combo.items()):  # eliminate leaves zeros out
+    for i, c in sorted(combo.items()):  # eliminate_rhs leaves zeros out
         walk, shadow = tree.walks(tree.chords[i][0])
         nmul = c // content
         if nmul < 0:
@@ -372,8 +372,7 @@ def _closing_walk(system, bg, target):
     key = (spec, r, system.psi_z, bound)
     box = _BOXES.take(key, cap) or _Box(system, b0, off, bound)
     goal = box.search(target, cap)
-    if len(box.prev) <= cap:
-        _BOXES.put(key, box, cap)
+    _BOXES.put(key, box, cap)
     if goal is None:
         return None
     z, prev, width = [], box.prev, box.width

@@ -355,35 +355,21 @@ def bareiss_pivot(mat, r: int, col: int, prev: int) -> int:
     return p
 
 
-def eliminate(columns, d: int):
-    """Fraction-free Gauss-Jordan on integer rows of d columns and a
-    right-hand side, given as those d + 1 columns, reducing only the pivot
-    rows: (pivot rows, pivot columns, None or the combination of the first
-    inconsistent row).
-
-    For each column 0..d it takes the first row, at or after position rank
-    in the swapped order, whose live entry p * row[col] - sum of row[c] *
-    P_c[col] is nonzero (P_c the pivot row of column c, p the common pivot):
-    below d, reduced so and made positive, it joins the <= d pivot rows in
-    one bareiss_pivot, and each is p times its rational row.  Rows carry,
-    after their d + 1 entries, a coefficient per row taken, so a live
-    right-hand side returns as {input row: int coefficient}, zeros left out.
-    It is the composition of its two halves: pivot_rows on the d columns,
-    which depend only on the cover, and eliminate_rhs for the right-hand
-    side.
-    """
-    return eliminate_rhs(pivot_rows(columns[:d], len(columns[d])), columns[:d], columns[d])
-
-
 def pivot_rows(columns, n: int):
-    """eliminate's half on its d columns alone, n rows each: (pivot rows,
-    pivot columns, the swapped order of the rows, the common pivot p).
+    """Fraction-free Gauss-Jordan on d integer columns of n rows each,
+    reducing only the pivot rows: (pivot rows, pivot columns, the swapped
+    order of the rows, the common pivot p).
 
-    Each pivot row holds its d reduced entries and then its coefficient
-    per row taken, as a tuple.  Every Bareiss step is linear in the rows,
-    so a pivot row is its coefficients' combination of the rows taken,
-    order[:rank], in every column: on a right-hand side too, which
-    eliminate_rhs adds without another pivot.
+    For each column it takes the first row, at or after position rank in
+    the swapped order, whose live entry p * row[col] - sum of row[c] *
+    P_c[col] is nonzero (P_c the pivot row of column c): reduced so and
+    made positive, it joins the <= d pivot rows in one bareiss_pivot, and
+    each is p times its rational row.  Each pivot row holds its d reduced
+    entries and then its coefficient per row taken, as a tuple.  Every
+    Bareiss step is linear in the rows, so a pivot row is its
+    coefficients' combination of the rows taken, order[:rank], in every
+    column: on a right-hand side too, which eliminate_rhs adds without
+    another pivot.
     """
     order = list(range(n))
     mat, pivots, p = [], [], 1
@@ -409,14 +395,17 @@ def pivot_rows(columns, n: int):
 
 
 def eliminate_rhs(half, columns, rhs):
-    """eliminate's result from pivot_rows' half on columns and the
-    right-hand side rhs, with no pivot.
+    """The elimination of the rows (columns, rhs) from pivot_rows' half
+    on columns, with no pivot: (pivot rows, pivot columns, None or the
+    combination of the first inconsistent row).
 
-    Each pivot row's right-hand side is its coefficients' combination of
-    rhs over the rows taken.  A row in their span reduces to zero, so the
-    live right-hand side p * rhs - sum of column c times P_c's is zero on
-    the rows taken, and the first row after them, in the swapped order,
-    where it is not is the inconsistent row, combined as eliminate would.
+    Each pivot row's right-hand side, put after its d entries, is its
+    coefficients' combination of rhs over the rows taken.  A row in their
+    span reduces to zero, so the live right-hand side p * rhs - sum of
+    column c times P_c's is zero on the rows taken, and the first row
+    after them, in the swapped order, where it is not is the inconsistent
+    row.  Reduced by the pivot rows, it returns as {input row: int
+    coefficient}, zeros left out.
     """
     mat, pivots, order, p = half
     d, rank = len(columns), len(pivots)

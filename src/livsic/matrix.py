@@ -160,11 +160,6 @@ def _check_algebra_closed(basis) -> None:
                  lambda j: f"commutator of basis elements {i} and {j} leaves the span")
 
 
-def adjoint_norm(g: np.ndarray, basis) -> float:
-    """Operator 2-norm of conjugation by g, on the declared or ambient algebra."""
-    return float(_adjoint_norms(g[None], _algebra_frame(basis), _ALGEBRA_TOL)[0])
-
-
 def _algebra_frame(basis):
     """(basis stack, basis matrix, its pseudo-inverse transposed), or None
     for the ambient algebra: what _adjoint_factors needs, computed once."""
@@ -203,12 +198,6 @@ def _adjoint_factors(g: np.ndarray, frame, tol: float) -> tuple[np.ndarray, ...]
     coeffs = _project(vecs, frame, tol,
                       lambda _, j: f"conjugation moves basis element {j} out of the declared span")
     return (coeffs,)
-
-
-def _adjoint_norms(g: np.ndarray, frame, tol: float) -> np.ndarray:
-    """2-norm of Ad(g) for each matrix of an (N, m, m) stack, after the
-    checks of _adjoint_factors."""
-    return reduce(np.multiply, map(_spectral_norms, _adjoint_factors(g, frame, tol)))
 
 
 def _max_norms(factors, split: int, floors) -> tuple[float, float]:
@@ -327,26 +316,27 @@ def solve_matrix_finite(
     On the block graph, behind skew.transitive_cover.  T(b) runs along
     the tree, w_b is the F weight of b's tree path, and an edge e: t -> h
     has cycle weight g_e and holonomy H_e = T(h)^-1 f(e) T(t).  With
-    labels A(y) = A(x) H_e along the monodromy closure, the product graph
-    (whose vertex (b, w_b delta) would carry T(b) A(delta)) closes iff
+    labels A(y) = A(x) H_e along the monodromy closure ((x, e) = via[y],
+    e the first edge with y = x g_e), the product graph (whose vertex
+    (b, w_b delta) would carry T(b) A(delta)) closes iff
     A(g_e delta) = H_e A(delta) for all e and delta.  The largest gap is
     max_residual; the first over tol becomes a CocycleObstruction.  Then
     alpha = A and u(b) = T(b) A(w_b^-1).  The deck factor T(b, eta gamma)
     T(b, eta)^-1 is compared with alpha(gamma) over every block at eta =
-    identity and over the first block at the closure's generators, which
-    bounds the rest; past tol x max(10, blocks x |F|), AlphaNotConstant
-    names the largest (block, eta, gamma, deviation), first in (gamma,
-    block, eta) order.  The verifier's check recertifies the solution,
-    on the stack of f's edge values made here.  The gate, wpot, the cycle
-    weights and the closure's steps are the Cover's, made once per
-    (system, r); a solve builds only f's stacks.
+    identity and over the first block at the cycle weights of via's
+    edges, which bound the rest; past tol x max(10, blocks x |F|),
+    AlphaNotConstant names the largest (block, eta, gamma, deviation),
+    first in (gamma, block, eta) order.  The verifier's check recertifies
+    the solution, on the stack of f's edge values made here.  The gate,
+    wpot, the cycle weights and the closure's via are the Cover's, made
+    once per (system, r); a solve builds only f's stacks.
     """
     _check_cocycle_shift(system.sft, cocycle)
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
     cover = transitive_cover(system, cocycle.effective_block_length)
-    tree, via, wpot, cyc, steps = cover.tree, cover.via, cover.wpot, cover.cyc, cover.steps
+    tree, via, wpot, cyc = cover.tree, cover.via, cover.wpot, cover.cyc
 
     bg, table, order, eye = tree.graph, group.table, len(group.table), np.eye(cocycle.dim)
     factors = _edge_values(cocycle, bg)
@@ -354,8 +344,8 @@ def solve_matrix_finite(
     transfer_inv = _checked_inverse(transfer, "transfer candidate")
     holonomy = transfer_inv[list(bg.edge_head)] @ factors @ transfer[list(bg.edge_tail)]
     labels = np.empty((order, *eye.shape))
-    for y, x in via.items():
-        labels[y] = eye if x is None else labels[x] @ holonomy[steps[y]]
+    for y, step in via.items():
+        labels[y] = eye if step is None else labels[step[0]] @ holonomy[step[1]]
     residuals = _frobenius(labels[[table[g] for g in cyc]] - holonomy[:, None] @ labels)
     over = np.flatnonzero(residuals > tol)
     if over.size:
@@ -364,7 +354,7 @@ def solve_matrix_finite(
             prod = reduce(lambda p, x: factors[x] @ p, walk, eye)
             return float(np.linalg.norm(prod - eye)) - tol
 
-        walks = closure_walks(system, tree, via, steps, cyc, *divmod(int(over[0]), order))
+        walks = closure_walks(system, cover, *divmod(int(over[0]), order))
         _, word, mult = lifted_cycle(system, tree, walks, excess)
         deviation = float(np.linalg.norm(cyclic_fold(cocycle, word * mult) - eye))
         raise CocycleObstruction(MatrixViolationWitness(PeriodicOrbit(word=word), mult, deviation))
@@ -374,7 +364,7 @@ def solve_matrix_finite(
     u, u_inv = transfer @ labels[back], labels_inv[back] @ transfer_inv
     # (first block, identity and generators), then (other blocks, identity).
     blocks, e_idx = bg.vertices, group.identity_index
-    etas = sorted({e_idx, *(cyc[e] for e in steps.values())})
+    etas = sorted({e_idx, *(cyc[step[1]] for step in via.values() if step)})
     cand = np.concatenate((labels[[table[eta] for eta in etas]] @ labels_inv[etas, None],
                            u[1:, None] @ labels @ u_inv[1:, None]))
     devs = _frobenius(cand - labels).T
@@ -576,8 +566,8 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
         except (SingularMatrix, AlgebraNotClosed):
             # Name the failure a word-by-word scan meets first: every check
             # of the forward stack comes before any of the backward one.
-            _adjoint_norms(prods, frame, _DISTORTION_TOL)
-            _adjoint_norms(inv_prods, frame, _DISTORTION_TOL)
+            _adjoint_factors(prods, frame, _DISTORTION_TOL)
+            _adjoint_factors(inv_prods, frame, _DISTORTION_TOL)
             raise
         if n < n_max:
             succ = successor[words]

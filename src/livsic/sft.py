@@ -250,8 +250,12 @@ class StateMemo:
         return value
 
     def put(self, key, value, cap: int) -> None:
-        """Hold value at key as the newest, dropping the oldest for room."""
+        """Hold value at key as the newest, dropping the oldest for room;
+        a value that alone costs more than cap is not held, and drops
+        nothing."""
         n = self.cost(value)
+        if n > cap:
+            return
         self._evict(cap - n)
         self.held[key] = value
         self.states += n

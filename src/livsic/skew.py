@@ -16,9 +16,8 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
 from math import gcd
-from operator import add, eq, mul
+from operator import add, mul
 
 from .errors import (
     DEFAULT_MAX_WORK,
@@ -41,7 +40,6 @@ from .groups import (
 from .record import record
 from .sft import (
     BlockGraph,
-    OrbitList,
     PeriodicOrbit,
     SftSpec,
     SpanningTree,
@@ -149,20 +147,6 @@ def orbit_weights(system: SkewSystem, max_period: int):
     return zip(*_weighted_walk(system, max_period))
 
 
-def enumerate_trivial_class_orbits(
-    system: SkewSystem, max_period: int
-) -> list[tuple[PeriodicOrbit, FrobeniusClassTag]]:
-    """Primitive orbits of period <= max_period whose weight is the identity.
-
-    Orbits come sorted by (period, word); every one shares the identity's tag.
-    """
-    identity = system.group.identity
-    words, weights = _weighted_walk(system, max_period)
-    trivial = list(compress(words, map(eq, weights, repeat(identity))))
-    tag = class_tag(system.group, identity)
-    return list(zip(OrbitList(trivial), repeat(tag)))
-
-
 @record
 class ProductGraph:
     """Block graph crossed with the finite factor F of the fiber group.
@@ -251,32 +235,33 @@ def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], li
 def _closure(group: Group, cyc) -> dict:
     """The monodromy group H of a strongly connected block graph, the F
     weights of its closed walks at block 0: the breadth-first closure of
-    the cycle weights cyc, which generate it.  Each y in H maps to the x
-    it was first reached from, y = x . g for a cycle weight g (the
-    identity to None), in breadth-first order."""
+    the cycle weights cyc, which generate it, taken in their first
+    occurrence order.  Each y in H maps to (x, e): x the element it was
+    first reached from and e the first edge whose cycle weight g gives
+    y = x . g (the identity to None), in breadth-first order."""
     table, identity = group.table, group.identity_index
-    gens = [g for g in dict.fromkeys(cyc) if g != identity]
+    gens = {g: cyc.index(g) for g in dict.fromkeys(cyc) if g != identity}
     via, closure = {identity: None}, [identity]
     for x in closure:
         row = table[x]
-        for g in gens:
+        for g, e in gens.items():
             y = row[g]
             if y not in via:
-                via[y] = x
+                via[y] = x, e
                 closure.append(y)
     return via
 
 
-def closure_walks(system: SkewSystem, tree: SpanningTree, via, steps, cyc, e: int, delta: int):
-    """Closed walks at block 0, one of which lifts to a violation when the
-    labels A(y) = A(x) H_f along via (x = via[y], f = steps[y] the first
-    edge of cycle weight x^-1 y, H_f = H(D_f)^-1 H(C_f) for (C_f, D_f) =
-    walks(f)) fail A(cyc[e] delta) = H_e A(delta).  C_f D_f^(n-1), n the
-    order of D_f's weight, realises H_f unless D_f^n is a violation.  So
-    with W the labels spelt along via, m the order of gamma = cyc[e] delta,
+def closure_walks(system: SkewSystem, cover, e: int, delta: int):
+    """Closed walks at block 0 of the cover, one of which lifts to a
+    violation when the labels A(y) = A(x) H_f along its via ((x, f) =
+    via[y], H_f = H(D_f)^-1 H(C_f) for (C_f, D_f) = walks(f)) fail
+    A(cyc[e] delta) = H_e A(delta).  C_f D_f^(n-1), n the order of D_f's
+    weight, realises H_f unless D_f^n is a violation.  So with W the
+    labels spelt along via, m the order of gamma = cyc[e] delta,
     W1 = W(delta) C_e D_e^(n-1) and W2 = W(gamma), returns W1 W2^(m-1),
     W2, then the D_f."""
-    group = system.group
+    group, tree, via = system.group, cover.tree, cover.via
     table, identity = group.table, group.identity_index
     returns = {}
 
@@ -295,11 +280,11 @@ def closure_walks(system: SkewSystem, tree: SpanningTree, via, steps, cyc, e: in
     def spell(y: int) -> list[int]:
         walk = []
         while via[y] is not None:
-            walk += label(steps[y])
-            y = via[y]
+            y, f = via[y]
+            walk += label(f)
         return walk
 
-    gamma = table[cyc[e]][delta]
+    gamma = table[cover.cyc[e]][delta]
     second = spell(gamma)
     first = spell(delta) + label(e) + second * (order(gamma) - 1)
     return [w for w in (first, second, *returns.values()) if w]
@@ -339,8 +324,9 @@ def lifted_cycle(system: SkewSystem, tree: SpanningTree, walks, score):
 class Cover:
     """A transitive cover over r-blocks, as transitive_cover hands it to
     check_transitivity and every cover solver: block_tree's spanning tree,
-    the _closure via of the monodromy group and the cycle_weights (wpot,
-    cyc) it was closed from.  The rest is built on first use:
+    the _closure via of the monodromy group, with each element's step
+    edge, and the cycle_weights (wpot, cyc) it was closed from.  The rest
+    is built on first use:
 
     - psi: for each coordinate j < d of psi_z its per-edge column, that
       column's potentials and its chord rises, as tree.rises makes them
@@ -350,29 +336,18 @@ class Cover:
       the cover solver's elimination, so a solve pivots on no row;
     - lattice and one_sided: check_transitivity's Smith report of the
       rises and _one_sided's functional on the columns (the solver reads
-      the report's diagonal for a degenerate alpha);
-    - steps: the matrix solver's closure steps.
+      the report's diagonal for a degenerate alpha).
 
     A cover holds its group only weakly, through group, so a memo of
-    covers keeps no Cayley table alive; steps reads the group through it,
-    so it is read while a caller holds the system.  A cover is shared by
-    every call over its system, so nothing in it may be changed.
+    covers keeps no Cayley table alive; only transitive_cover's hit check
+    reads it.  A cover is shared by every call over its system, so
+    nothing in it may be changed.
     """
 
     def __init__(self, system: SkewSystem, tree: SpanningTree, via, wpot, cyc):
         group = system.group
         self.group, self.psi_z, self.rank = weakref.ref(group), system.psi_z, group.rank
         self.tree, self.via, self.wpot, self.cyc = tree, via, tuple(wpot), tuple(cyc)
-
-    @cached_property
-    def steps(self) -> dict:
-        """For each y in via other than the identity, the first edge whose
-        cycle weight is x^-1 y, for x = via[y]."""
-        group = self.group()
-        table, inverses, first = group.table, group.inverses, {}
-        for e, g in enumerate(self.cyc):
-            first.setdefault(g, e)
-        return {y: first[table[inverses[x]][y]] for y, x in self.via.items() if x is not None}
 
     @cached_property
     def psi(self):

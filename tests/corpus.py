@@ -17,9 +17,10 @@ from livsic import (
     check_transitivity,
     make_cocycle,
     make_skew_system,
+    orbit_weights,
     psi_n,
 )
-from livsic.groups import eliminate
+from livsic.groups import eliminate_rhs, pivot_rows
 from livsic.sft import SpanningTree, cyclic_fold
 
 SEED_STRIDE = 100_003
@@ -185,6 +186,13 @@ def orbit_sum(cocycle, word):
     return cyclic_fold(cocycle, word)
 
 
+def trivial_orbit_words(system, max_period: int) -> list:
+    """The words of the primitive orbits of period <= max_period whose
+    weight is the identity, in (period, word) order."""
+    identity = system.group.identity
+    return [word for word, weight in orbit_weights(system, max_period) if weight == identity]
+
+
 def closed_walks_nonnegative(system, lam) -> bool:
     """Whether lam . psi is >= 0 around every closed walk of the symbol
     graph: Bellman-Ford from every symbol at once, edge a -> b weighted
@@ -229,7 +237,7 @@ def perturb_one_value(cocycle, rng: random.Random):
 
 def dense_solve(rows, d):
     """Rational Gauss-Jordan on d columns with a dense identity provenance,
-    the reference for groups.eliminate: (rows, provenances, pivot columns,
+    the reference for check_elimination: (rows, provenances, pivot columns,
     order), rows and provenances in the swapped order, order[i] the input
     index of row i."""
     m = len(rows)
@@ -258,9 +266,9 @@ def dense_solve(rows, d):
 
 
 def check_elimination(rows, d):
-    """Assert that groups.eliminate, on the columns of rows, is the
-    fraction-free form of dense_solve's reduction, and return (rank,
-    consistent, swapped).
+    """Assert that groups.pivot_rows and then groups.eliminate_rhs, on the
+    columns of rows, are the fraction-free form of dense_solve's
+    reduction, and return (rank, consistent, swapped).
 
     Its outputs are ints; every pivot row holds the same positive pivot p
     and is p times the dense row at its position, and its coefficients p
@@ -270,7 +278,9 @@ def check_elimination(rows, d):
     input rows, zero on the d columns and not on the defect.  With none,
     the alpha the pivot rows give solves every row.
     """
-    reduced, pivots, combo = eliminate(list(zip(*rows)) or [()] * (d + 1), d)
+    columns = list(zip(*rows)) or [()] * (d + 1)
+    half = pivot_rows(columns[:d], len(columns[d]))
+    reduced, pivots, combo = eliminate_rhs(half, columns[:d], columns[d])
     dense_mat, dense_prov, dense_pivots, order = dense_solve(rows, d)
     rank = len(pivots)
     assert pivots == dense_pivots, rows

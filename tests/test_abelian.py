@@ -34,7 +34,6 @@ from livsic import (
     build_block_graph,
     build_group,
     enumerate_periodic_orbits,
-    enumerate_trivial_class_orbits,
     generate_cocycle,
     make_cocycle,
     make_skew_system,
@@ -57,6 +56,7 @@ from corpus import (
     random_transitive_system,
     rng_for,
     s3_group,
+    trivial_orbit_words,
 )
 from livsic.errors import max_states_cap
 from livsic.sft import SpanningTree
@@ -231,7 +231,7 @@ def test_equal_weight_pair_certificate():
     cocycle = make_cocycle(FULL_2, 1, values)
     # Drift kills every closed word of trivial weight, so no single-word
     # witness can exist even though the cohomological equation fails.
-    assert enumerate_trivial_class_orbits(system, 8) == []
+    assert trivial_orbit_words(system, 8) == []
     with pytest.raises(CocycleObstruction) as err:
         solve_free_abelian(system, cocycle)
     pair = err.value.witness

@@ -135,6 +135,30 @@ def test_compare_flags_only_a_change_beyond_its_bound():
         assert row["worse"] is worse and beyond is worse, (metric, factor)
 
 
+def _compare_output(monkeypatch, capsys, a: str, b: str) -> tuple[int, list[str]]:
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "argv", ["record.py", "--compare", a, b])
+    code = record.main()
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_compare_says_when_two_records_come_from_two_sittings(monkeypatch, capsys):
+    code, lines = _compare_output(monkeypatch, capsys, "BENCH_8.json", "BENCH_9.json")
+    assert lines[0] == (
+        "two sittings: A is b349f410b035 at 2026-10-20T03:06:52Z, B is 57c6527bff5f at"
+        " 2026-10-20T04:42:51Z; medians from two sittings measure the host as well as"
+        " the code (ROADMAP item 21)"
+    )
+    assert lines[1].startswith("medians over runs")
+    # The note changes neither the verdict nor the tables.
+    _, beyond = record.compare(*(json.loads((ROOT / p).read_text())
+                                    for p in ("BENCH_8.json", "BENCH_9.json")), SPEC)
+    assert code == int(beyond)
+    code, lines = _compare_output(monkeypatch, capsys, "BENCH_9.json", "BENCH_9.json")
+    assert code == 0 and lines[0].startswith("medians over runs")
+    assert not any("sittings" in line for line in lines)
+
+
 def test_the_tour_is_the_readme_command_tour():
     commands = record.tour_commands(ROOT)
     assert len(commands) == 25

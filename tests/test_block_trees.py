@@ -142,6 +142,18 @@ def test_the_memo_holds_at_most_the_cap_and_evicts_the_oldest_first(monkeypatch)
     assert 20 <= refused <= 300, refused
 
 
+def test_a_value_past_the_cap_is_not_held_and_drops_nothing():
+    memo = sft.StateMemo(len)
+    memo.put("k", [1] * 5, 3)
+    assert (memo.held, memo.states) == ({}, 0)
+    memo.put("a", [1, 2], 3)
+    memo.put("k", [1] * 5, 3)
+    assert (memo.held, memo.states) == ({"a": [1, 2]}, 2)
+    # A value that alone fills the cap is held, and drops the oldest.
+    memo.put("b", [1, 2, 3], 3)
+    assert (memo.held, memo.states) == ({"b": [1, 2, 3]}, 3)
+
+
 def test_a_cached_tree_cannot_be_changed():
     tree = block_tree(FULL_2, 2)
     for name in ("parent", "visit", "next_edge", "chords"):
@@ -357,15 +369,15 @@ def test_a_second_solve_on_one_cover_pays_only_for_the_cocycle(monkeypatch):
             # over a trivial F it runs neither cycle_weights nor _closure.
             closed = gate if len(system.group.table) > 1 else 0
             assert counts == {"cycle_weights": closed, "_closure": closed, "rises": 1 + d * gate}
-    # The matrix solver reads the same cover, and its closure steps, once built.
+    # The matrix solver reads the same cover, and its closure's step edges.
     cocycle = generate_matrix_cocycle(s3, None, None, block_range=2, seed=3, family="rotation")
     cover = transitive_cover(s3, 2)
-    steps = cover.steps
+    via = cover.via
     counts.update(dict.fromkeys(counts, 0))
     for _ in range(2):
         assert solve_matrix_finite(s3, cocycle).certificate.certified
     assert counts == {"cycle_weights": 0, "_closure": 0, "rises": 0}
-    assert transitive_cover(s3, 2) is cover and cover.steps is steps
+    assert transitive_cover(s3, 2) is cover and cover.via is via
 
 
 def test_a_transitivity_check_and_a_solve_share_one_gate(monkeypatch):

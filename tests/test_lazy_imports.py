@@ -41,8 +41,9 @@ finally:
 """
 
 # Every public name livsic/__init__.py bound before the matrix and oracle
-# names became lazy, less psi_n_cyclic and birkhoff_sum, which had no
-# caller in the package and were dropped.
+# names became lazy, less psi_n_cyclic, birkhoff_sum, adjoint_norm and
+# enumerate_trivial_class_orbits, which had no caller in the package and
+# were dropped.
 PUBLIC = """
 AlgebraNotClosed AlphaNotConstant BadShape BlockGraph CentralityImpossible
 ClosureTooLarge CocycleObstruction CohomologySolution DeadSymbol
@@ -55,13 +56,13 @@ NotIrreducible NotStronglyConnected NotTransitiveError OracleConfig
 PeriodicOrbit ProductGraph RangeTooLarge SftSpec SingularMatrix SkewSystem
 SolutionEnvelope StateSpaceTooLarge SubgroupReport SystemEnvelope
 TOOL_VERSION TorsionAlpha TransitivityEvidence TransitivityVerdict
-ValidationReport VerificationReport ViolationWitness adjoint_norm
+ValidationReport VerificationReport ViolationWitness
 brute_matrix_solution_check brute_orbit_list
 brute_periodic_census brute_solution_check brute_transitivity
 brute_vanishing build_block_graph build_group build_product_graph
 canonical_json canonical_rotation check_distortion_assumption
 check_transitivity count_periodic_points cyclic_product
-enumerate_periodic_orbits enumerate_trivial_class_orbits
+enumerate_periodic_orbits
 estimate_distortion frobenius_class generate_cocycle
 generate_matrix_cocycle is_primitive make_cocycle make_matrix_cocycle
 make_skew_system orbit_weights parse_solution_document

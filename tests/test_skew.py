@@ -25,7 +25,6 @@ from livsic import (
     build_group,
     build_product_graph,
     check_transitivity,
-    enumerate_trivial_class_orbits,
     frobenius_class,
     generate_cocycle,
     generate_matrix_cocycle,
@@ -50,6 +49,7 @@ from corpus import (
     random_lattice_system,
     rng_for,
     s3_group,
+    trivial_orbit_words,
 )
 
 GOLDEN_MEAN = SftSpec.from_rows([[1, 1], [1, 0]])
@@ -459,13 +459,11 @@ def test_the_cone_test_past_the_work_budget_is_refused_before_any_graph(monkeypa
 
 def test_trivial_class_orbits_golden_mean():
     system = make_skew_system(GOLDEN_MEAN, C2, (1, 0))
-    pairs = enumerate_trivial_class_orbits(system, 3)
-    assert [o.word for o, _ in pairs] == [(1, 1, 2)]
+    assert trivial_orbit_words(system, 3) == [(1, 1, 2)]
 
 
 def test_trivial_class_orbits_full_shift():
-    pairs = enumerate_trivial_class_orbits(_full2_c2(), 4)
-    assert [o.word for o, _ in pairs] == [(2,), (1, 1, 2), (1, 1, 2, 2)]
+    assert trivial_orbit_words(_full2_c2(), 4) == [(2,), (1, 1, 2), (1, 1, 2, 2)]
 
 
 def test_find_violating_cycle_positive_segment():
@@ -642,6 +640,37 @@ def test_finite_transitivity_is_read_from_the_monodromy_group():
             # Monodromy groups at different blocks are conjugate.
             assert len(_monodromy(system, r)) == len(monodromy), (label, r)
     assert min(verdicts.values()) >= 25, verdicts
+
+
+def _breadth_first_closure(table, identity, cyc) -> list:
+    """The elements of the closure of cyc in breadth-first order, each
+    element's products taken by the distinct cycle weights in their first
+    occurrence order."""
+    gens = [g for g in dict.fromkeys(cyc) if g != identity]
+    closure = [identity]
+    for x in closure:
+        closure += [y for y in dict.fromkeys(table[x][g] for g in gens) if y not in closure]
+    return closure
+
+
+def test_the_closure_records_each_element_and_its_first_step_edge():
+    checked = 0
+    for label, system in cover_corpus(83):
+        group = system.group
+        table, identity = group.table, group.identity_index
+        for r in (1, 2, 3) if group.order in (6, 120) else (1,):
+            cyc = skew.cycle_weights(system, sft.block_tree(system.sft, r))[1]
+            via = skew._closure(group, cyc)
+            assert list(via) == _breadth_first_closure(table, identity, cyc), (label, r)
+            assert via[identity] is None
+            for y, (x, e) in ((y, step) for y, step in via.items() if step is not None):
+                assert table[x][cyc[e]] == y and cyc.index(cyc[e]) == e, (label, r, y)
+                assert list(via).index(x) < list(via).index(y), (label, r, y)
+            if len(via) == group.order:
+                cover = transitive_cover(system, r)
+                assert list(cover.via.items()) == list(via.items()), (label, r)
+                checked += 1
+    assert checked >= 40, checked
 
 
 def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
