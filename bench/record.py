@@ -28,7 +28,9 @@ harness, refuses to run when any LIVSIC_MAX_* variable is set.
 --compare A B prints, per workload, the median of each metric over A's
 runs and over B's, their ratio B/A, and for the end-to-end metrics whether
 B is worse than A by more than the metric's BENCHMARK.json bound; it exits
-1 when one is.  Per-layer figures come from one traced run, and tour and
+1 when one is.  Beside each workload's peak_rss_mb it prints the median
+number of ops run in A and in B, with no bound: a run that gets through
+more ops in its fixed time reads a higher peak.  Per-layer figures come from one traced run, and tour and
 ladder figures are per process; neither has a bound, so their ratios are
 printed for reading only.  When the two records were made at different
 times, a line before the tables says so: medians from two sittings
@@ -263,13 +265,25 @@ def medians(doc: dict) -> dict:
             for key, metrics in values.items()}
 
 
+def attempted(doc: dict) -> dict:
+    """{workload: median over the record's untraced runs of the ops run}."""
+    counts = defaultdict(list)
+    for run in doc["runs"]:
+        if not run["trace"]:
+            counts[run["workload"]].append(run["attempted"])
+    return {workload: statistics.median(c) for workload, c in counts.items()}
+
+
 def compare(a: dict, b: dict, spec: dict) -> tuple[list[dict], bool]:
     """One row per (workload, metric) present in both records: medians,
     ratio b/a, and for end-to-end metrics the bound and whether b is worse
-    than a beyond it.  Also whether any row is."""
+    than a beyond it.  Also whether any row is.  A peak_rss_mb row also
+    holds the workload's median ops run in A and in B, since a run that
+    gets through more ops reads a higher peak."""
     declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     end_to_end = {m["name"] for m in spec["end_to_end"]}
     ma, mb = medians(a), medians(b)
+    ops_a, ops_b = attempted(a), attempted(b)
     rows, beyond = [], False
     for key in sorted(ma.keys() & mb.keys()):
         for name in sorted(ma[key].keys() & mb[key].keys()):
@@ -282,6 +296,8 @@ def compare(a: dict, b: dict, spec: dict) -> tuple[list[dict], bool]:
                 worse = ratio > 1 + bound if row["better"] == "lower" else ratio < 1 - bound
                 row.update(bound=bound, worse=worse)
                 beyond |= worse
+            if (key[1], name) == (0, "peak_rss_mb"):
+                row["attempted"] = (ops_a[key[0]], ops_b[key[0]])
             rows.append(row)
     for part in ("tour", "ladder"):
         rows_b = {shlex.join(row["argv"]): row for row in b.get(part, ())}
@@ -322,6 +338,8 @@ def print_comparison(rows: list[dict], a_name: str, b_name: str) -> None:
             mark = ""
             if "bound" in row:
                 mark = f"  bound {row['bound']:.2f}  {'WORSE' if row['worse'] else 'ok'}"
+            if "attempted" in row:
+                mark += "  ops run {:g} and {:g} (no bound)".format(*row["attempted"])
             print(f"  {row['workload']:14s} {row['metric']:44s} {row['a']:12.6g} {row['b']:12.6g}"
                   f"  x{row['ratio']:.3f} ({row['better'] or '-'} is better){mark}")
 

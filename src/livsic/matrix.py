@@ -10,6 +10,7 @@ carries its measured deviation, so nothing silently rounds to success.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -51,6 +52,11 @@ _ALGEBRA_TOL = 1e-9
 # A distortion scan compounds up to n_max values per product, so its span
 # check is looser; it is also the margin check_distortion_assumption asks.
 _DISTORTION_TOL = 1e-6
+# The distortion scan's words per chunk, and the fewest it checks per
+# batch: its walk holds at most depth * k chunks, and a batch fewer than
+# 2 * _CHUNK words, so memory stays bounded however wide a depth level
+# grows.  The group checks stack about _CHUNK pairs per batch.
+_CHUNK = 512
 
 
 def _as_matrix(entry, dim: int | None) -> np.ndarray:
@@ -200,36 +206,37 @@ def _adjoint_factors(g: np.ndarray, frame, tol: float) -> tuple[np.ndarray, ...]
     return (coeffs,)
 
 
-def _max_norms(factors, split: int, floors) -> tuple[float, float]:
-    """(max(floors[0], M[:split].max()), max(floors[1], M[split:].max())),
-    where M holds, row by row, the product of the 2-norms of the (N, p, q)
-    stacks in factors: the values that scoring every row with
-    _spectral_norms gives, bit for bit.  Both halves must be nonempty.
+def _max_norms(factors, sizes, floors) -> list[float]:
+    """max(floors[i], the largest M over group i) for each group i of
+    sizes[i] consecutive rows, where M holds, row by row, the product of
+    the 2-norms of the (N, p, q) stacks in factors: the values that
+    scoring every row with _spectral_norms gives, bit for bit.  Every
+    group must be nonempty.
 
     An exact norm costs an eigvalsh, so each row is first bracketed by
     its Frobenius norm F: F / sqrt(min(p, q)) <= 2-norm <= F.  In each
-    half, a row whose upper bound falls short of max(floor, the half's
+    group, a row whose upper bound falls short of max(floor, the group's
     largest lower bound), less a 1e-9 margin for rounding, cannot hold
-    the maximum; only the other rows get an exact norm.  When no row
-    falls short (every row ties, as under a constant or a rotation
-    cocycle), the stacks are scored as they stand, without a copy.
+    the maximum; only the other rows get an exact norm, and a group left
+    with none keeps its floor.  When no row falls short (every row ties,
+    as under a constant or a rotation cocycle), the stacks are scored as
+    they stand, without a copy.
     """
     # Squared bounds, multiplied over the factors.
     upper = reduce(np.multiply, [np.einsum("nij,nij->n", f, f) for f in factors])
     rank = math.prod(min(f.shape[1:]) for f in factors)
-    cuts = [max(floor * floor, float(upper[h].max()) / rank) * (1.0 - 1e-9)
-            for h, floor in zip(_halves(split), floors)]
-    keep = upper >= np.repeat(cuts, (split, len(upper) - split))
+    floors = np.array(floors, dtype=np.float64)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    starts = [0, *itertools.accumulate(sizes)][:-1]
+    # fmax, like max(floor, x), takes the floor over a NaN.
+    cuts = np.fmax(floors * floors, np.maximum.reduceat(upper, starts) / rank) * (1.0 - 1e-9)
+    keep = upper >= cuts[group]
     if not keep.all():
         factors = [f[keep] for f in factors]
-        split = int(np.count_nonzero(keep[:split]))
-    norms = reduce(np.multiply, map(_spectral_norms, factors))
-    return tuple(max(floor, float(norms[h].max(initial=0.0)))
-                 for h, floor in zip(_halves(split), floors))
-
-
-def _halves(split: int) -> tuple[slice, slice]:
-    return slice(None, split), slice(split, None)
+        group = group[keep]
+    top = np.zeros(len(sizes))
+    np.maximum.at(top, group, reduce(np.multiply, map(_spectral_norms, factors)))
+    return np.where(top > floors, top, floors).tolist()
 
 
 def _project(vecs: np.ndarray, frame, tol: float, leaves) -> np.ndarray:
@@ -300,12 +307,13 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, axis=(-2, -1))
 
 
-def _hom_gaps(alpha: np.ndarray, table):
-    """For each row a of the group table, the stacks alpha(a) alpha(b) and
-    alpha(ab) - alpha(a) alpha(b) over every b, one row at a time."""
-    for a, row in enumerate(table):
-        products = alpha[a] @ alpha
-        yield products, alpha[list(row)] - products
+def _hom_gaps(alpha: np.ndarray, table, size: int):
+    """(lo, products, gaps) for each batch of size consecutive rows of the
+    group table, from row lo: the (size, |F|, m, m) stacks alpha(a) alpha(b)
+    and alpha(ab) - alpha(a) alpha(b) over the batch's rows a and every b."""
+    for lo in range(0, len(table), size):
+        products = alpha[lo : lo + size, None] @ alpha
+        yield lo, products, alpha[np.array(table[lo : lo + size])] - products
 
 
 def solve_matrix_finite(
@@ -461,14 +469,17 @@ def _check_solution(system, cocycle, bg, values, alpha, u, u_inv, tol) -> Matrix
     expected = _edge_identity(system, bg, alpha, u, u_inv)
     worst = float(_frobenius(values - expected).max(initial=0.0))
 
-    # One group element at a time against a stack of all the others (or of
-    # every cocycle value): memory stays linear in the order and windows.
+    # A batch of group elements at a time against a stack of every element
+    # (or of every cocycle value), at most _CHUNK pairs unless one element
+    # alone makes more: memory stays linear in the order and windows.
     hom_defect = 0.0
     centrality_defect = 0.0
     cocycle_values = np.stack(list(cocycle.values.values()))
-    for mat, (_, gaps) in zip(alpha, _hom_gaps(alpha, group.table)):
+    size = max(1, _CHUNK // max(len(alpha), len(cocycle_values)))
+    for lo, _, gaps in _hom_gaps(alpha, group.table, size):
+        mats = alpha[lo : lo + size, None]
         hom_defect = max(hom_defect, float(_frobenius(gaps).max()))
-        central = _frobenius(mat @ cocycle_values - cocycle_values @ mat)
+        central = _frobenius(mats @ cocycle_values - cocycle_values @ mats)
         centrality_defect = max(centrality_defect, float(central.max()))
 
     return MatrixVerificationReport(
@@ -500,11 +511,6 @@ class DistortionReport:
     algebra_dim: int
 
 
-# Words scored per batch.  The walk holds at most depth * k chunks, so
-# memory stays bounded however wide a depth level grows.
-_CHUNK = 512
-
-
 def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     """Exhaustive scan of words: mu_hat(n) = max ||Ad(product)||^(1/n).
 
@@ -514,20 +520,29 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
 
     The admissible words of length n + block_range are walked depth first
     in chunks of at most _CHUNK words, each carrying its (chunk, m, m)
-    stacks of forward and backward products.  A popped chunk is checked
-    with one batched _adjoint_factors call over both stacks: every product
-    is inverted (SingularMatrix) and, on a declared algebra, every
-    conjugated basis element must stay in the span (AlgebraNotClosed).
-    Only each depth's maximum is kept, so the chunk is then scored by
-    _max_norms: each row's adjoint norm is bracketed by the Frobenius
-    norms of its factors, and only the rows whose upper bound reaches
-    max(the depth's best so far, the largest lower bound) get an exact
-    norm.  Exact norms are per matrix, so the maxima are those that
-    scoring every row gives, bit for bit.  The chunk's children, found
-    through a table of window successors, get their products as
+    stacks of forward and backward products.  A popped chunk's children,
+    found through a table of window successors, get their products as
     value @ product and inverse-product @ inverse, the order of a
-    word-by-word scan, before being split into chunks and pushed.  The
-    largest norm at each n, over rows and chunks, gives the rate.
+    word-by-word scan, and are split into chunks and pushed.  Popped
+    chunks are checked together once they hold at least _CHUNK words or
+    the walk is done: one batched _adjoint_factors call over their
+    forward stacks and then their backward stacks inverts every product
+    (SingularMatrix) and, on a declared algebra, keeps every conjugated
+    basis element in the span (AlgebraNotClosed).  On a refusal the
+    batch's chunks are checked again one at a time, in pop order and
+    forward stack first, so the refusal names the failure a word-by-word
+    scan meets first.  Products formed past a refused one may overflow;
+    the walk runs with numpy's floating-point warnings off, and the
+    checks refuse what does not invert.
+
+    Only each depth's maximum is kept, so the batch is then scored by
+    one _max_norms call, one group per chunk and direction: each row's
+    adjoint norm is bracketed by the Frobenius norms of its factors, and
+    only the rows whose upper bound reaches max(the depth's best so far,
+    the group's largest lower bound) get an exact norm.  Exact norms are
+    per matrix, so the maxima are those that scoring every row gives,
+    bit for bit, however the chunks are batched.  The largest norm at
+    each n, over rows and chunks, gives the rate.
     """
     if n_max < 1:
         raise InvalidCocycle("distortion estimation needs n_max >= 1")
@@ -554,26 +569,38 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
             hi = lo + _CHUNK
             stack.append((n, words[lo:hi], prods[lo:hi], inv_prods[lo:hi]))
 
+    def score(batch):
+        depths, words, prods, inv_prods = zip(*batch)
+        try:
+            factors = _adjoint_factors(np.concatenate(prods + inv_prods), frame, _DISTORTION_TOL)
+        except (SingularMatrix, AlgebraNotClosed):
+            # Name the failure a word-by-word scan meets first.
+            for forward, backward in zip(prods, inv_prods):
+                _adjoint_factors(forward, frame, _DISTORTION_TOL)
+                _adjoint_factors(backward, frame, _DISTORTION_TOL)
+            raise
+        maxima = _max_norms(factors, [len(w) for w in words] * 2,
+                            [best_s[n] for n in depths] + [best_u[n] for n in depths])
+        for n, s, u in zip(depths, maxima, maxima[len(batch):]):
+            best_s[n], best_u[n] = max(best_s[n], s), max(best_u[n], u)
+
     # The depth-1 words are the windows themselves, in lexicographic order.
     push(1, np.arange(len(windows)), vals, invs)
-    while stack:
-        n, words, prods, inv_prods = stack.pop()
-        try:
-            best_s[n], best_u[n] = _max_norms(
-                _adjoint_factors(np.concatenate((prods, inv_prods)), frame, _DISTORTION_TOL),
-                len(words), (best_s[n], best_u[n]),
-            )
-        except (SingularMatrix, AlgebraNotClosed):
-            # Name the failure a word-by-word scan meets first: every check
-            # of the forward stack comes before any of the backward one.
-            _adjoint_factors(prods, frame, _DISTORTION_TOL)
-            _adjoint_factors(inv_prods, frame, _DISTORTION_TOL)
-            raise
-        if n < n_max:
-            succ = successor[words]
-            parent, symbol = np.nonzero(succ >= 0)
-            child = succ[parent, symbol]
-            push(n + 1, child, vals[child] @ prods[parent], inv_prods[parent] @ invs[child])
+    batch, held = [], 0
+    with np.errstate(all="ignore"):
+        while stack:
+            chunk = stack.pop()
+            n, words, prods, inv_prods = chunk
+            if n < n_max:
+                succ = successor[words]
+                parent, symbol = np.nonzero(succ >= 0)
+                child = succ[parent, symbol]
+                push(n + 1, child, vals[child] @ prods[parent], inv_prods[parent] @ invs[child])
+            batch.append(chunk)
+            held += len(words)
+            if held >= _CHUNK or not stack:
+                score(batch)
+                batch, held = [], 0
 
     for n in range(1, n_max + 1):
         if best_s[n] == 0.0:
@@ -707,10 +734,11 @@ def generate_matrix_cocycle(
     if missing:
         raise InvalidCocycle(f"alpha is missing values for {missing[:4]}")
     alpha_stack = np.stack([alpha_mats[i] for i in range(group.order)])
-    for a, (products, gaps) in enumerate(_hom_gaps(alpha_stack, group.table)):
-        over = np.flatnonzero(_frobenius(gaps) > _ALGEBRA_TOL * (1.0 + _frobenius(products)))
+    size = max(1, _CHUNK // group.order)
+    for lo, products, gaps in _hom_gaps(alpha_stack, group.table, size):
+        over = np.argwhere(_frobenius(gaps) > _ALGEBRA_TOL * (1.0 + _frobenius(products)))
         if over.size:
-            b = int(over[0])
+            a, b = lo + int(over[0, 0]), int(over[0, 1])
             raise NotAHomomorphism(
                 f"alpha({group.name_of(a)}) alpha({group.name_of(b)}) != "
                 f"alpha({group.name_of(group.mul(a, b))})"

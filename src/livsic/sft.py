@@ -243,22 +243,28 @@ class StateMemo:
     def take(self, key, cap: int):
         """The value held at key, now out of the memo, or None; the rest
         trimmed to cap states."""
-        value = self.held.pop(key, None)
-        if value is not None:
-            self.states -= self.cost(value)
+        value = self._pop(key)
         self._evict(cap)
         return value
 
     def put(self, key, value, cap: int) -> None:
-        """Hold value at key as the newest, dropping the oldest for room;
-        a value that alone costs more than cap is not held, and drops
-        nothing."""
+        """Hold value at key as the newest, in place of any value held
+        there, dropping the oldest for room; a value that alone costs more
+        than cap is not held, and drops nothing else."""
+        self._pop(key)
         n = self.cost(value)
         if n > cap:
             return
         self._evict(cap - n)
         self.held[key] = value
         self.states += n
+
+    def _pop(self, key):
+        """The value held at key, now out of the memo, or None."""
+        value = self.held.pop(key, None)
+        if value is not None:
+            self.states -= self.cost(value)
+        return value
 
     def _evict(self, room: int) -> None:
         """Drop the least recently used values until at most room states are held."""

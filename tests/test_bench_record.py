@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,21 @@ def test_compare_says_when_two_records_come_from_two_sittings(monkeypatch, capsy
     code, lines = _compare_output(monkeypatch, capsys, "BENCH_9.json", "BENCH_9.json")
     assert code == 0 and lines[0].startswith("medians over runs")
     assert not any("sittings" in line for line in lines)
+
+
+def test_compare_prints_the_ops_run_beside_each_peak(monkeypatch, capsys):
+    _, lines = _compare_output(monkeypatch, capsys, "BENCH_9.json", "BENCH_10.json")
+    docs = [json.loads((ROOT / p).read_text()) for p in ("BENCH_9.json", "BENCH_10.json")]
+    for workload in WORKLOADS:
+        ops = [statistics.median(run["attempted"] for run in doc["runs"]
+                                 if (run["workload"], run["trace"]) == (workload, 0))
+               for doc in docs]
+        (line,) = [line for line in lines if line.split()[:2] == [workload, "peak_rss_mb"]]
+        assert line.endswith(f"ops run {ops[0]:g} and {ops[1]:g} (no bound)"), line
+    # matrix-scan got through 20 % more ops and read a 0.8 % higher peak.
+    (line,) = [line for line in lines if line.split()[:2] == ["matrix-scan", "peak_rss_mb"]]
+    assert "x1.008" in line and line.endswith("ops run 780 and 936 (no bound)")
+    assert len([line for line in lines if "ops run" in line]) == len(WORKLOADS)
 
 
 def test_the_tour_is_the_readme_command_tour():

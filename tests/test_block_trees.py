@@ -154,6 +154,19 @@ def test_a_value_past_the_cap_is_not_held_and_drops_nothing():
     assert (memo.held, memo.states) == ({"b": [1, 2, 3]}, 3)
 
 
+def test_a_put_on_a_held_key_replaces_its_value_as_the_newest():
+    memo = sft.StateMemo(len)
+    memo.put("a", [1, 2], 10)
+    memo.put("a", [1, 2], 10)
+    assert (memo.held, memo.states) == ({"a": [1, 2]}, 2)
+    memo.put("b", [1, 2, 3], 10)
+    memo.put("a", [1, 2, 3, 4], 10)
+    assert (list(memo.held), memo.states) == (["b", "a"], 7)
+    # Room for 5 more states: the oldest, now b, goes first.
+    memo.put("c", [1] * 5, 10)
+    assert (memo.held, memo.states) == ({"a": [1, 2, 3, 4], "c": [1] * 5}, 9)
+
+
 def test_a_cached_tree_cannot_be_changed():
     tree = block_tree(FULL_2, 2)
     for name in ("parent", "visit", "next_edge", "chords"):

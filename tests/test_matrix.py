@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,9 @@ from livsic import (
 from livsic import matrix
 from livsic.sft import SpanningTree, check_work
 from livsic.skew import build_product_graph
-from corpus import cyclic_weight, orbit_sum, random_irreducible_sft, rng_for, s3_group
+from corpus import (
+    cyclic_weight, orbit_sum, random_irreducible_sft, rng_for, s3_group, s5_group,
+)
 
 FULL_2 = SftSpec.full_shift(2)
 C2 = build_group(GroupSpec.cyclic(2))
@@ -456,6 +459,69 @@ def test_stacked_verifier_matches_the_per_edge_loop():
         ]
 
 
+def _per_element_check(system, cocycle, bg, values, alpha, u, u_inv, tol):
+    """matrix._check_solution before batching: multiplicativity and
+    centrality one group element at a time."""
+    expected = matrix._edge_identity(system, bg, alpha, u, u_inv)
+    worst = float(matrix._frobenius(values - expected).max(initial=0.0))
+    hom_defect = centrality_defect = 0.0
+    cocycle_values = np.stack(list(cocycle.values.values()))
+    for a, row in enumerate(system.group.table):
+        gaps = alpha[list(row)] - alpha[a] @ alpha
+        hom_defect = max(hom_defect, float(matrix._frobenius(gaps).max()))
+        central = matrix._frobenius(alpha[a] @ cocycle_values - cocycle_values @ alpha[a])
+        centrality_defect = max(centrality_defect, float(central.max()))
+    return matrix.MatrixVerificationReport(
+        certified=worst <= tol and hom_defect <= tol and centrality_defect <= tol,
+        edges_checked=len(bg.edges),
+        max_residual=worst,
+        hom_defect=hom_defect,
+        centrality_defect=centrality_defect,
+        tol=tol,
+    )
+
+
+def test_batched_group_checks_equal_the_per_element_checks(monkeypatch):
+    # C2 and S3 take one batch of group elements; S5, with 120 elements
+    # and 8 or 128 window values, takes 30 batches of 4.
+    s5 = s5_group()
+    s5_system = make_skew_system(FULL_2, s5, (s5.element_by_name("a"), s5.element_by_name("b")))
+    instances = [(system, alpha, family, 2) for system, alpha, family in _generated_instances()]
+    instances += [(s5_system, None, "rotation", 2), (s5_system, None, "rotation", 6)]
+    cases = []
+    for i, (system, alpha, family, block_range) in enumerate(instances):
+        cocycle = generate_matrix_cocycle(
+            system, None, alpha, block_range=block_range, seed=80 + i, family=family
+        )
+        solution = solve_matrix_finite(system, cocycle)
+        # Knock off a random u and alpha value, then the last group element's.
+        last = system.group.name_of(system.group.order - 1)
+        kick = np.eye(cocycle.dim) + 0.25 * np.triu(np.ones((cocycle.dim, cocycle.dim)), 1)
+        late = MatrixSolution(
+            block_length=solution.block_length, u=solution.u,
+            alpha={**solution.alpha, last: kick @ solution.alpha[last]},
+            alpha_constancy_defect=0.0, max_residual=0.0, tol=solution.tol,
+        )
+        copies = [solution, *_tampered_copies(solution, rng_for(83, i)), late]
+        cases.append((system, cocycle, copies))
+    batched = [
+        (solve_matrix_finite(system, cocycle).certificate,
+         [verify_matrix_solution(system, cocycle, c, tol=1e-9) for c in copies])
+        for system, cocycle, copies in cases
+    ]
+    monkeypatch.setattr(matrix, "_check_solution", _per_element_check)
+    looped = [
+        (solve_matrix_finite(system, cocycle).certificate,
+         [verify_matrix_solution(system, cocycle, c, tol=1e-9) for c in copies])
+        for system, cocycle, copies in cases
+    ]
+    assert batched == looped
+    assert [[r.certified for r in reports] for _, reports in batched] == [
+        [True, False, False, False]
+    ] * len(cases)
+    assert all(reports[-1].hom_defect > 0.1 for _, reports in batched)
+
+
 def test_verifier_on_a_spec_without_edges():
     # Documents refuse a dead symbol; the library takes the spec as given.
     spec = SftSpec.from_rows([[0]])
@@ -614,8 +680,12 @@ def test_a_nonabelian_deck_image_is_not_constant():
 
 def test_solver_takes_a_few_norm_calls_per_group_element(monkeypatch):
     s3 = s3_group()
-    system = make_skew_system(FULL_2, s3, (s3.element_by_name("s"), s3.element_by_name("r")))
-    cocycle = generate_matrix_cocycle(system, None, None, block_range=4, seed=7, family="unipotent")
+    cocycles = []
+    for group, psi in ((s3, (s3.element_by_name("s"), s3.element_by_name("r"))), (C2, (1, 0))):
+        system = make_skew_system(FULL_2, group, psi)
+        cocycles.append((system, generate_matrix_cocycle(
+            system, None, None, block_range=4, seed=7, family="unipotent"
+        )))
     calls = []
     norm = np.linalg.norm
 
@@ -624,12 +694,15 @@ def test_solver_takes_a_few_norm_calls_per_group_element(monkeypatch):
         return norm(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted)
-    solution = solve_matrix_finite(system, cocycle)
-    assert solution.certificate.certified
-    # 16 blocks and 96 product states, but one call per stack: closure 1,
-    # fiber constancy 1, condition number 2, then the verifier's edges 1
-    # and its two checks 2 * 6, one per group element.
-    assert len(calls) == 2 * s3.order + 5
+    for system, cocycle in cocycles:
+        calls.clear()
+        solution = solve_matrix_finite(system, cocycle)
+        assert solution.certificate.certified
+        # 16 blocks, 32 window values and up to 96 product states, but one
+        # call per stack: closure 1, fiber constancy 1, condition number 2,
+        # then the verifier's edges 1 and its two checks 2, over one batch
+        # of group elements: the count does not grow with the order.
+        assert len(calls) == 7, system.group.order
 
 
 def test_make_matrix_cocycle_validation():
@@ -878,7 +951,9 @@ def _near_identity(rng, m: int) -> np.ndarray:
     return np.eye(m) + 0.3 * np.array([[rng.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(m)])
 
 
-def test_batched_scan_matches_word_by_word_reference():
+def _seeded_scan_cases():
+    """(cocycle, depth): 48 seeded shifts, block ranges and algebras, then
+    the full 2- and 3-shifts deep enough for several chunks per level."""
     cases = []
     for i in range(48):
         rng = rng_for(61, i)
@@ -899,13 +974,151 @@ def test_batched_scan_matches_word_by_word_reference():
     for k, depth, algebra in ((2, 10, SL2_BASIS), (3, 7, None)):
         values = {(a,): _near_identity(rng, 2) for a in range(1, k + 1)}
         cases.append((make_matrix_cocycle(SftSpec.full_shift(k), 0, values, algebra=algebra), depth))
-    for cocycle, depth in cases:
+    return cases
+
+
+def test_batched_scan_matches_word_by_word_reference():
+    for cocycle, depth in _seeded_scan_cases():
         report = estimate_distortion(cocycle, depth)
         ref_s, ref_u = _reference_rates(cocycle, depth)
         assert report.mu_s_by_n == pytest.approx(ref_s, rel=1e-12, abs=0.0)
         assert report.mu_u_by_n == pytest.approx(ref_u, rel=1e-12, abs=0.0)
         algebra = cocycle.algebra
         assert report.algebra_dim == (len(algebra) if algebra else cocycle.dim**2)
+
+
+def _per_chunk_scan(cocycle, n_max):
+    """The scan before batching: the same depth-first walk in chunks of at
+    most _CHUNK words, each chunk checked by itself before its children
+    are formed, and every row of it given an exact norm."""
+    spec, rf = cocycle.sft, cocycle.block_range
+    windows = sorted(cocycle.values)
+    index = {w: i for i, w in enumerate(windows)}
+    vals = np.stack([cocycle.values[w] for w in windows])
+    invs = matrix._checked_inverse(vals, "value", labels=windows)
+    successor = np.full((len(windows), spec.k), -1, dtype=np.intp)
+    for i, w in enumerate(windows):
+        for b in spec.successors(w[-1]):
+            successor[i, b - 1] = index[w[1:] + (b,)]
+    frame = matrix._algebra_frame(cocycle.algebra)
+    best_s = [0.0] * (n_max + 1)
+    best_u = [0.0] * (n_max + 1)
+    stack = []
+
+    def push(n, words, prods, inv_prods):
+        for lo in reversed(range(0, len(words), matrix._CHUNK)):
+            hi = lo + matrix._CHUNK
+            stack.append((n, words[lo:hi], prods[lo:hi], inv_prods[lo:hi]))
+
+    push(1, np.arange(len(windows)), vals, invs)
+    while stack:
+        n, words, prods, inv_prods = stack.pop()
+        try:
+            factors = matrix._adjoint_factors(
+                np.concatenate((prods, inv_prods)), frame, matrix._DISTORTION_TOL
+            )
+        except (SingularMatrix, AlgebraNotClosed):
+            matrix._adjoint_factors(prods, frame, matrix._DISTORTION_TOL)
+            matrix._adjoint_factors(inv_prods, frame, matrix._DISTORTION_TOL)
+            raise
+        norms = math.prod(matrix._spectral_norms(f) for f in factors)
+        best_s[n] = max(best_s[n], float(norms[: len(words)].max()))
+        best_u[n] = max(best_u[n], float(norms[len(words) :].max()))
+        if n < n_max:
+            succ = successor[words]
+            parent, symbol = np.nonzero(succ >= 0)
+            child = succ[parent, symbol]
+            push(n + 1, child, vals[child] @ prods[parent], inv_prods[parent] @ invs[child])
+    for n in range(1, n_max + 1):
+        if best_s[n] == 0.0:
+            raise InvalidCocycle(
+                f"no admissible word of length {n + rf}, so no product at depth {n}"
+            )
+    mu_s_by_n = tuple(best_s[n] ** (1.0 / n) for n in range(1, n_max + 1))
+    mu_u_by_n = tuple(best_u[n] ** (1.0 / n) for n in range(1, n_max + 1))
+    threshold = max(abs(math.log(mu_s_by_n[-1])), abs(math.log(mu_u_by_n[-1]))) / math.log(2)
+    return matrix.DistortionReport(
+        n_max=n_max,
+        mu_s_by_n=mu_s_by_n,
+        mu_u_by_n=mu_u_by_n,
+        mu_s=mu_s_by_n[-1],
+        mu_u=mu_u_by_n[-1],
+        theta_threshold=threshold,
+        algebra_dim=len(cocycle.algebra) if cocycle.algebra is not None else cocycle.dim**2,
+    )
+
+
+def _scan_outcome(scan, cocycle, depth):
+    """The report, or the refused exception's type and message, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return scan(cocycle, depth)
+        except (SingularMatrix, AlgebraNotClosed, InvalidCocycle) as err:
+            return type(err), str(err)
+
+
+def _matrix_scan_shapes():
+    """(cocycle, depth) in the benchmark's distortion shapes, seeded."""
+    rng = rng_for(89, 0)
+    shapes = [  # k, block range, depth, declared sl(2)
+        (2, 0, 8, True), (2, 0, 12, True), (2, 1, 10, True), (3, 0, 7, True), (2, 0, 11, False),
+    ]
+    return [(_sl2_cocycle(rng, k, rf, SL2_BASIS if sl2 else None), depth)
+            for k, rf, depth, sl2 in shapes]
+
+
+def test_batched_scan_equals_the_per_chunk_scan():
+    # Checking popped chunks together changes neither a report nor a
+    # refusal: whole reports compare equal with ==.
+    cases = _seeded_scan_cases() + _matrix_scan_shapes()
+    for cocycle, depth in cases:
+        want = _scan_outcome(_per_chunk_scan, cocycle, depth)
+        assert isinstance(want, matrix.DistortionReport)
+        assert _scan_outcome(estimate_distortion, cocycle, depth) == want
+
+
+def _refusing_scans():
+    """(cocycle, depth) for each refusal of the scan tests, and for constant
+    values 1e60 I and 1e100 I, whose inverses are refused at depth 1 while
+    the products past them overflow."""
+    full3 = SftSpec.full_shift(3)
+    steep = [[1e-3, 0.0], [0.0, 1e3]]
+    big = [[2e8, 0.0], [0.0, 5e7]]
+    so2 = [[[0.0, -1.0], [1.0, 0.0]]]
+    big_up, big_t = [[4.0, 1.0], [0.0, 0.25]], [[0.25, 3.0], [0.0, 4.0]]
+    borel = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
+    shear, tiny = [[1.0, 0.0], [1e-3, 1.0]], [[1e-4, 0.0], [0.0, 1e-4]]
+    cases = [
+        (make_matrix_cocycle(FULL_2, 0, {(1,): steep, (2,): steep}), 3),
+        (make_matrix_cocycle(FULL_2, 0, {(1,): steep, (2,): steep}), 8),
+        (make_matrix_cocycle(FULL_2, 0, {(1,): big, (2,): big}, algebra=so2), 1),
+        (make_matrix_cocycle(FULL_2, 0, {(1,): big, (2,): big}, algebra=so2), 6),
+        (make_matrix_cocycle(full3, 0, {(1,): big_up, (2,): shear, (3,): big_t},
+                             algebra=borel), 1),
+        (make_matrix_cocycle(full3, 0, {(1,): big_up, (2,): tiny, (3,): big_t}), 2),
+        (make_matrix_cocycle(full3, 0, {(1,): big_up, (2,): tiny, (3,): big_t}), 5),
+        (make_matrix_cocycle(SftSpec.from_rows([[0, 1], [0, 0]]), 0,
+                             {(1,): IDENTITY_2, (2,): DIAG_2_HALF}), 3),
+    ]
+    for scale in (1e60, 1e100):
+        for algebra in (None, SL2_BASIS):
+            values = {(1,): scale * np.eye(2), (2,): scale * np.eye(2)}
+            cocycle = make_matrix_cocycle(FULL_2, 0, values, algebra=algebra)
+            cases += [(cocycle, depth) for depth in (3, 4, 6, 8)]
+    return cases
+
+
+def test_batched_scan_refuses_as_the_per_chunk_scan_and_warns_of_nothing():
+    messages = set()
+    for cocycle, depth in _refusing_scans():
+        want = _scan_outcome(_per_chunk_scan, cocycle, depth)
+        assert isinstance(want, tuple), depth
+        assert _scan_outcome(estimate_distortion, cocycle, depth) == want
+        messages.add(want)
+    assert (SingularMatrix, "adjoint: determinant 1.0000000000000094e-120 too close to zero") in messages
+    assert (SingularMatrix, "adjoint: determinant 9.99999999999978e-201 too close to zero") in messages
 
 
 def _sl2_value(rng) -> np.ndarray:
@@ -947,16 +1160,20 @@ def test_scan_takes_one_pinv_and_one_norm_call_per_chunk(monkeypatch):
         calls["pinv"] += 1
         return pinv(*args, **kwargs)
 
-    def counted_norms(factors, split, floors):
+    def counted_norms(factors, sizes, floors):
         calls["norms"] += 1
-        assert all(len(f) == 2 * split for f in factors)
-        return max_norms(factors, split, floors)
+        # One group per chunk and direction: 2, 4, ..., 256 words forward,
+        # then the same backward.
+        assert list(sizes) == [2**n for n in range(1, 9)] * 2
+        assert len(floors) == len(sizes)
+        assert all(len(f) == 2 * 510 for f in factors)
+        return max_norms(factors, sizes, floors)
 
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     monkeypatch.setattr(matrix, "_max_norms", counted_norms)
     estimate_distortion(cocycle, 8)
-    # 2, 4, ..., 256 words: one chunk per depth, forward and backward together.
-    assert calls["norms"] == 8
+    # The eight chunks, 510 words in all, are checked and scored together.
+    assert calls["norms"] == 1
     assert calls["pinv"] <= 1
 
 
@@ -977,7 +1194,7 @@ def _spread_stack(rng, m: int, count: int, spread: float) -> np.ndarray:
 @pytest.mark.parametrize("m", (2, 3, 4))
 def test_max_norms_are_the_largest_exact_norms(m, monkeypatch):
     # _max_norms scores exactly only the rows its bounds cannot rule out;
-    # each half's result must equal the maximum over every row, bit for bit.
+    # each group's result must equal the maximum over every row, bit for bit.
     rng = rng_for(79, m)
     stacks = {
         "spread": _spread_stack(rng, m, 40, 1.0),
@@ -992,6 +1209,13 @@ def test_max_norms_are_the_largest_exact_norms(m, monkeypatch):
         scored.append(len(mats))
         return spectral(mats)
 
+    def check(factors, exact, sizes, floors):
+        groups = np.split(exact, np.cumsum(sizes)[:-1])
+        scored.clear()
+        got = matrix._max_norms(factors, sizes, floors)
+        assert got == [max(floor, float(g.max())) for floor, g in zip(floors, groups)]
+        assert all(type(x) is float for x in got)
+
     monkeypatch.setattr(matrix, "_spectral_norms", counted)
     for name, g in stacks.items():
         # The declared sl(m) coefficients, the ambient pair (g, g^-1), and g alone.
@@ -1001,19 +1225,24 @@ def test_max_norms_are_the_largest_exact_norms(m, monkeypatch):
             for f in factors[1:]:
                 exact = exact * spectral(f)
             for split in (1, 17, 39):
+                sizes = (split, 40 - split)
                 halves = (exact[:split], exact[split:])
                 lows = [0.5 * float(h.min()) for h in halves]
                 highs = [2.0 * float(h.max()) for h in halves]
                 for floors in ((0.0, 0.0), tuple(lows), tuple(highs), (1e6 * highs[0], lows[1]),
                                (float(halves[0].max()), float(halves[1].min()))):
-                    scored.clear()
-                    got = matrix._max_norms(factors, split, floors)
-                    want = tuple(max(floor, float(h.max())) for floor, h in zip(floors, halves))
-                    assert got == want, (name, split, floors)
+                    check(factors, exact, sizes, floors)
                     if floors == (0.0, 0.0):
                         # Orthogonal and repeated rows leave nothing to prune; spread ones do.
                         pruned = scored != [40] * len(factors)
                         assert pruned is (name == "spread"), (name, split, scored)
+            # Four groups, the second with a floor past every row's upper
+            # bound: pruning empties it, and it keeps its floor.
+            sizes = (9, 12, 1, 18)
+            top = 1e6 * float(exact.max())
+            for floors in ((0.0, top, 0.0, 0.0), (top, top, 0.0, top)):
+                check(factors, exact, sizes, floors)
+                assert sum(scored) <= (40 - 12) * len(factors), (name, floors, scored)
 
 
 def test_scan_rejects_a_singular_product_at_depth_three():
