@@ -32,7 +32,11 @@ B is worse than A by more than the metric's BENCHMARK.json bound; it exits
 number of ops run in A and in B, with no bound: a run that gets through
 more ops in its fixed time reads a higher peak.  Per-layer figures come from one traced run, and tour and
 ladder figures are per process; neither has a bound, so their ratios are
-printed for reading only.  When the two records were made at different
+printed for reading only.  Beside each tour and ladder median it prints
+A's and B's range (min-max over their processes), and marks the row
+`unresolved` when the two ranges overlap: the processes of one side then
+spread over those of the other, and the ratio of medians cannot tell the
+two apart.  When the two records were made at different
 times, a line before the tables says so: medians from two sittings
 measure the host as well as the code.
 """
@@ -279,7 +283,9 @@ def compare(a: dict, b: dict, spec: dict) -> tuple[list[dict], bool]:
     ratio b/a, and for end-to-end metrics the bound and whether b is worse
     than a beyond it.  Also whether any row is.  A peak_rss_mb row also
     holds the workload's median ops run in A and in B, since a run that
-    gets through more ops reads a higher peak."""
+    gets through more ops reads a higher peak.  A tour or ladder row also
+    holds each side's (min, max) over its processes, and whether the two
+    ranges overlap (unresolved)."""
     declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     end_to_end = {m["name"] for m in spec["end_to_end"]}
     ma, mb = medians(a), medians(b)
@@ -306,10 +312,13 @@ def compare(a: dict, b: dict, spec: dict) -> tuple[list[dict], bool]:
             if command not in rows_b:
                 continue
             for name in ("cpu_s", "rss_kib"):
-                x, y = statistics.median(row_a[name]), statistics.median(rows_b[command][name])
+                xs, ys = row_a[name], rows_b[command][name]
+                x, y = statistics.median(xs), statistics.median(ys)
+                spread = (min(xs), max(xs)), (min(ys), max(ys))
                 rows.append({"workload": part, "trace": None,
                              "metric": f"{name} livsic {command}", "a": x, "b": y,
-                             "ratio": _ratio(x, y), "better": "lower"})
+                             "ratio": _ratio(x, y), "better": "lower", "spread": spread,
+                             "unresolved": max(min(xs), min(ys)) <= min(max(xs), max(ys))})
     return rows, beyond
 
 
@@ -340,6 +349,10 @@ def print_comparison(rows: list[dict], a_name: str, b_name: str) -> None:
                 mark = f"  bound {row['bound']:.2f}  {'WORSE' if row['worse'] else 'ok'}"
             if "attempted" in row:
                 mark += "  ops run {:g} and {:g} (no bound)".format(*row["attempted"])
+            if "spread" in row:
+                (lo_a, hi_a), (lo_b, hi_b) = row["spread"]
+                mark += f"  A {lo_a:.6g}-{hi_a:.6g} B {lo_b:.6g}-{hi_b:.6g}"
+                mark += "  unresolved" * row["unresolved"]
             print(f"  {row['workload']:14s} {row['metric']:44s} {row['a']:12.6g} {row['b']:12.6g}"
                   f"  x{row['ratio']:.3f} ({row['better'] or '-'} is better){mark}")
 

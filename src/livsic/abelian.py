@@ -159,8 +159,8 @@ def solve_finite_gamma(
 ) -> CohomologySolution:
     """Solve over a finite group: _solve_cover with d = 0.
 
-    NotTransitiveError, with the first unreachable pair of product states,
-    when the monodromy group is not the whole group.  A nonzero closure
+    NotTransitiveError, with transitive_cover's unreachable pair of
+    product states, when the cover is not transitive.  A nonzero closure
     defect is lifted to an identity-weight closed word with nonzero sum
     and raised as CocycleObstruction.  On success alpha is None: torsion
     forces it to vanish, since the reals are torsion-free.

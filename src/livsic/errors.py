@@ -117,7 +117,8 @@ class DocumentError(LivsicError):
 
 
 class NotTransitiveError(LivsicError):
-    """The product graph is not strongly connected; carries an unreachable pair."""
+    """The cover is not transitive; carries a pair of (block, F element)
+    states, the second unreachable from the first."""
 
     def __init__(self, witness):
         self.witness = witness

@@ -181,7 +181,7 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([p[x - 1] for x in q])
 
 
-def _permutation_closure(spec: GroupSpec, max_order: int) -> Group:
+def _permutation_closure(spec: GroupSpec) -> Group:
     degree = spec.degree
     if degree is None or degree < 1:
         raise BadShape("permutation group needs a positive degree")
@@ -203,8 +203,8 @@ def _permutation_closure(spec: GroupSpec, max_order: int) -> Group:
         for gi, (g, gname) in enumerate(zip(gens, gen_names)):
             q = _compose(p, g)
             if q not in index:
-                if len(elems) >= max_order:
-                    raise ClosureTooLarge(f"closure exceeds {max_order} elements")
+                if len(elems) >= DEFAULT_MAX_GROUP_ORDER:
+                    raise ClosureTooLarge(f"closure exceeds {DEFAULT_MAX_GROUP_ORDER} elements")
                 index[q] = len(elems)
                 elems.append(q)
                 names.append(gname if i == 0 else names[i] + gname)
@@ -223,11 +223,12 @@ def _permutation_closure(spec: GroupSpec, max_order: int) -> Group:
     )
 
 
-def build_group(spec: GroupSpec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> Group:
+def build_group(spec: GroupSpec) -> Group:
     """Materialize a Group from its spec.
 
     Raises NotAGroup with a witness when table axioms fail, ClosureTooLarge
-    when a permutation closure overruns the cap.
+    when a permutation closure or a cyclic order passes
+    DEFAULT_MAX_GROUP_ORDER.
     """
     if spec.variant == "finite_table":
         identity, inverses, verified = _check_table(spec.names, spec.table)
@@ -240,13 +241,13 @@ def build_group(spec: GroupSpec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) ->
             associativity_verified=verified,
         )
     if spec.variant == "permutation":
-        return _permutation_closure(spec, max_order)
+        return _permutation_closure(spec)
     if spec.variant == "cyclic":
         n = spec.order or 0
         if n < 1:
             raise BadShape("cyclic group needs order >= 1")
-        if n > max_order:
-            raise ClosureTooLarge(f"cyclic order {n} exceeds {max_order}")
+        if n > DEFAULT_MAX_GROUP_ORDER:
+            raise ClosureTooLarge(f"cyclic order {n} exceeds {DEFAULT_MAX_GROUP_ORDER}")
         names = tuple("e" if i == 0 else "g" if i == 1 else f"g^{i}" for i in range(n))
         twice = tuple(range(n)) * 2
         table = tuple(twice[i : i + n] for i in range(n))

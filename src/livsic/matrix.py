@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import reduce
 
@@ -39,9 +38,9 @@ from .sft import (
     _check_window_domain,
     _solution_block_graph,
     _successor_table,
+    _windows,
     build_block_graph,
     check_work,
-    cyclic_fold,
 )
 from .skew import SkewSystem, closure_walks, lifted_cycle, transitive_cover
 
@@ -299,7 +298,8 @@ def cyclic_product(cocycle: MatrixCocycle, word) -> np.ndarray:
     word = tuple(word)
     if not cocycle.sft.is_admissible(word, cyclic=True):
         raise InvalidCocycle(f"word {word} is not cyclically admissible")
-    return cyclic_fold(cocycle, word)
+    values = map(cocycle.window_value, _windows(cocycle, word))
+    return reduce(lambda prod, value: value @ prod, values)
 
 
 def _frobenius(mats: np.ndarray) -> np.ndarray:
@@ -364,7 +364,7 @@ def solve_matrix_finite(
 
         walks = closure_walks(system, cover, *divmod(int(over[0]), order))
         _, word, mult = lifted_cycle(system, tree, walks, excess)
-        deviation = float(np.linalg.norm(cyclic_fold(cocycle, word * mult) - eye))
+        deviation = float(np.linalg.norm(cyclic_product(cocycle, word * mult) - eye))
         raise CocycleObstruction(MatrixViolationWitness(PeriodicOrbit(word=word), mult, deviation))
 
     labels_inv = _checked_inverse(labels, "transfer candidate")
@@ -657,43 +657,21 @@ def check_distortion_assumption(report: DistortionReport, theta: float) -> Disto
     )
 
 
-def _random_rotation(rng) -> np.ndarray:
-    angle = 2.0 * math.pi * rng.random()
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def _random_unipotent(rng) -> np.ndarray:
-    mat = np.eye(3)
-    mat[0, 1] = rng.randint(-3, 3)
-    mat[0, 2] = rng.randint(-3, 3)
-    mat[1, 2] = rng.randint(-3, 3)
-    return mat
-
-
 def generate_matrix_cocycle(
-    system: SkewSystem,
-    u,
-    alpha,
-    *,
-    block_range: int,
-    algebra=None,
-    seed: int | None = None,
-    family: str | None = None,
+    system: SkewSystem, u, alpha, *, block_range: int
 ) -> MatrixCocycle:
     """Build f = alpha(psi) . u(shift .) . u(.)^-1 from explicit data.
 
+    u maps every admissible block of length block_range to a matrix, and
     alpha maps group element names to matrices; None means the trivial
     deck factor.  It must be a genuine homomorphism for the group table,
     and its values must commute with
     every u value and with each other; otherwise the construction would
     not be solvable in the stated form, so the request is rejected rather
-    than producing a misleading instance.  With u omitted, a seeded
-    generator draws one matrix per block from the named family
-    ("rotation": SO(2); "unipotent": upper unitriangular 3x3).  The
-    values are checked by make_matrix_cocycle, as a parsed cocycle's are:
-    SingularMatrix for a singular alpha value, AlgebraNotClosed for an
-    algebra basis not closed under commutators.
+    than producing a misleading instance.  The values are checked by
+    make_matrix_cocycle, as a parsed cocycle's are: SingularMatrix for a
+    singular alpha value.  A cocycle with a declared algebra basis is
+    make_matrix_cocycle's, given these values and the basis.
     """
     group = system.group
     if not group.is_finite:
@@ -707,19 +685,10 @@ def generate_matrix_cocycle(
         )
     u_mats: dict[Word, np.ndarray] = {}
     dim = None
-    if u is None:
-        if seed is None or family is None:
-            raise InvalidCocycle("random generation requires a seed and a family")
-        draw = {"rotation": _random_rotation, "unipotent": _random_unipotent}.get(family)
-        if draw is None:
-            raise InvalidCocycle(f"unknown matrix family {family!r}")
-        rng = random.Random(seed)
-        u_mats = {block: draw(rng) for block in bg.vertices}
-    else:
-        for key, entry in u.items():
-            mat = _as_matrix(entry, dim)
-            dim = mat.shape[0]
-            u_mats[tuple(int(s) for s in key)] = mat
+    for key, entry in u.items():
+        mat = _as_matrix(entry, dim)
+        dim = mat.shape[0]
+        u_mats[tuple(int(s) for s in key)] = mat
     u_inv = invert_blocks(u_mats) if u_mats else {}
     if set(u_mats) != set(bg.vertices):
         raise InvalidCocycle("u must assign a matrix to every admissible block")
@@ -759,6 +728,4 @@ def generate_matrix_cocycle(
 
     u_inv_stack = np.stack([u_inv[block] for block in bg.vertices])
     values = _edge_identity(system, bg, alpha_stack, u_stack, u_inv_stack)
-    return make_matrix_cocycle(
-        system.sft, block_range, dict(zip(bg.edges, values)), algebra=algebra
-    )
+    return make_matrix_cocycle(system.sft, block_range, dict(zip(bg.edges, values)))

@@ -3,22 +3,22 @@
 ``@record`` turns a class whose annotations name its fields into a frozen
 ``__slots__`` class that behaves like ``@dataclass(frozen=True)``:
 positional or keyword construction with defaults, ``==``, ``hash``, the
-dataclass ``repr``, optional ordering, and pickling.  Its methods are
-closures over the field names, so building a type compiles no source; a
-command line process builds a score of these at import, where the
-generated-source route of ``dataclasses`` (with ``inspect`` behind it)
-cost about a quarter of the process.
+dataclass ``repr`` and pickling.  Its methods are closures over the
+field names, so building a type compiles no source; a command line
+process builds a score of these at import, where the generated-source
+route of ``dataclasses`` (with ``inspect`` behind it) cost about a
+quarter of the process.
 """
 from __future__ import annotations
 
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a record."""
 
 
-def record(cls=None, /, *, order: bool = False, weak: bool = False):
+def record(cls=None, /, *, weak: bool = False):
     """Rebuild ``cls`` as a frozen slots class whose fields are its annotations.
 
     A class attribute named like a field is that field's default.  The
@@ -26,13 +26,13 @@ def record(cls=None, /, *, order: bool = False, weak: bool = False):
     instances can be weakly referenced.
     """
     if cls is None:
-        return lambda cls: record(cls, order=order, weak=weak)
+        return lambda cls: record(cls, weak=weak)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     defaults = {name: ns.pop(name) for name in names if name in ns}
     title = cls.__name__
-    # `key` reads the fields for == and ordering; `fields` is always the
-    # tuple that dataclasses hashes and this pickles.
+    # `key` reads the fields for ==; `fields` is always the tuple that
+    # dataclasses hashes and this pickles.
     key = attrgetter(*names)
     fields = (lambda self: (key(self),)) if len(names) == 1 else key
 
@@ -93,8 +93,6 @@ def record(cls=None, /, *, order: bool = False, weak: bool = False):
 
     methods = [__init__, __repr__, __eq__, __hash__, __getstate__, __setstate__,
                __setattr__, __delattr__]
-    if order:
-        methods += [_compare(op, key) for op in (lt, le, gt, ge)]
     ns.update({method.__name__: method for method in methods})
     slots = names + ("__weakref__",) * weak
     ns.update(__slots__=slots, _fields=names, __qualname__=cls.__qualname__)
@@ -102,13 +100,3 @@ def record(cls=None, /, *, order: bool = False, weak: bool = False):
     setters = [getattr(built, name).__set__ for name in names]
     named_setters = list(zip(setters, names))
     return built
-
-
-def _compare(op, key):
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return op(key(self), key(other))
-        return NotImplemented
-
-    method.__name__ = f"__{op.__name__}__"
-    return method

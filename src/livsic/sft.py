@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from math import gcd, lcm
 from operator import eq, floordiv, itemgetter, mul
@@ -451,7 +451,7 @@ def find_violating_cycle(walk_edges, edge_head, start: int, score):
     return None
 
 
-@record(order=True)
+@record
 class PeriodicOrbit:
     """A primitive periodic orbit, stored as the least rotation of its word."""
 
@@ -777,11 +777,6 @@ def _decode_run(n: int, blob: str):
     return zip(*[iter(_codes(blob))] * n)
 
 
-def _split_run(n: int, blob: str):
-    """The str words of a run of words of length n."""
-    return (blob[i : i + n] for i in range(0, len(blob), n))
-
-
 class PackedWords(Sequence):
     """A read-only sequence of words, stored as str with one code point per symbol.
 
@@ -790,9 +785,8 @@ class PackedWords(Sequence):
     the cyclic collector tracks no object per word, and a word over fewer
     than 256 symbols takes one byte per symbol.  Reading gives int tuples:
     an index bisects the run starts, and iteration decodes one run at a
-    time in C.  ``strs()`` gives the str words themselves.  A slice is
-    another PackedWords; ``==`` compares word by word with any sequence.
-    Runs are nonempty and no two neighbours share a length (``pack`` and
+    time in C.  A slice is another PackedWords; ``==`` compares word by
+    word with any sequence.  Runs are nonempty and no two neighbours share a length (``pack`` and
     the walk build them so), so equal sequences have equal runs.
     """
 
@@ -808,10 +802,6 @@ class PackedWords(Sequence):
         """The PackedWords of an iterable of nonempty str words."""
         runs = [(n, "".join(run)) for n, run in groupby(words, len)]
         return cls(*zip(*runs))
-
-    def strs(self):
-        """The words as str, in order."""
-        return chain.from_iterable(map(_split_run, self.lengths, self.blobs))
 
     def _str(self, index: int) -> str:
         run = bisect_right(self.starts, index) - 1
@@ -1044,20 +1034,6 @@ def _check_cocycle_shift(spec: SftSpec, cocycle) -> None:
             f"cocycle transition matrix {own.transitions} differs from "
             f"the system's {spec.transitions}"
         )
-
-
-def cyclic_fold(cocycle, word: Word):
-    """Combine a cocycle's window values around a cyclic word, position 0 first.
-
-    Rational values are added, as ints over the cocycle's denominator, and
-    the sum is one Fraction; matrix values are multiplied with each later
-    step on the left.  The caller checks that the word is cyclically
-    admissible.
-    """
-    if cocycle.kind == "matrix":
-        values = map(cocycle.window_value, _windows(cocycle, word))
-        return reduce(lambda prod, value: value @ prod, values)
-    return Fraction(cyclic_numerator(cocycle, word), cocycle.denominator)
 
 
 def cyclic_numerator(cocycle: LocallyConstantCocycle, word: Word) -> int:

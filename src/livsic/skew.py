@@ -17,7 +17,7 @@ import weakref
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add, mul
+from operator import add, index, mul
 
 from .errors import (
     DEFAULT_MAX_WORK,
@@ -71,21 +71,34 @@ class SkewSystem:
 
 
 def make_skew_system(sft: SftSpec, group: Group, psi) -> SkewSystem:
+    """DimensionMismatch, naming the symbol, unless psi gives each symbol
+    an element: an F index, or over Z^d a sequence of d integers.  An
+    integer is what operator.index admits (numpy ints too), bar bool."""
     psi = tuple(psi)
     if len(psi) != sft.k:
         raise DimensionMismatch(f"psi needs one value per symbol, got {len(psi)}")
     order, d = len(group.table), group.rank
     psi_f, psi_z = [], []
-    for f, z in map(group.split, psi):
-        f, z = int(f), tuple(int(x) for x in z)
-        if not 0 <= f < order:
-            raise DimensionMismatch(f"element index {f} out of range")
-        if len(z) != d:
-            raise DimensionMismatch(f"expected vectors of length {d}, got {z}")
+    for symbol, value in enumerate(psi, 1):
+        f, z = group.split(value)
+        try:
+            f, z = _integer(f), tuple(map(_integer, z))
+            valid = 0 <= f < order and len(z) == d
+        except TypeError:
+            valid = False
+        if not valid:
+            want = f"a vector of {d} integers" if d else f"an element index below {order}"
+            raise DimensionMismatch(f"psi of symbol {symbol} is {value!r}, not {want}")
         psi_f.append(f)
         psi_z.append(z)
     psi = tuple(map(group.join, psi_f, psi_z))
     return SkewSystem(sft=sft, group=group, psi=psi, psi_f=tuple(psi_f), psi_z=tuple(psi_z))
+
+
+def _integer(x) -> int:
+    if isinstance(x, bool):
+        raise TypeError("a bool is not an integer here")
+    return index(x)
 
 
 def psi_n(system: SkewSystem, word) -> GroupElement:
@@ -149,7 +162,9 @@ def orbit_weights(system: SkewSystem, max_period: int):
 
 @record
 class ProductGraph:
-    """Block graph crossed with the finite factor F of the fiber group.
+    """Block graph crossed with the finite factor F of the fiber group:
+    the tests' reference for the block-graph gate, transitive_cover, which
+    never builds it.
 
     Over Z^d, F is trivial, so the product graph has the block graph's
     vertex and edge ids.
@@ -177,6 +192,8 @@ class ProductGraph:
 
 
 def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
+    """The ProductGraph over r-blocks; RangeTooLarge past the state cap.
+    The tests search it for the paths the gate's answers claim or deny."""
     # The Z^d weights live in the potentials; only F is crossed in.
     table, psi = system.group.table, system.psi_f
     base = build_block_graph(system.sft, r)
@@ -211,13 +228,6 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
 # ---------------------------------------------------------------------------
 # Strong connectivity of covers, read from sft.SpanningTree, the one graph
 # search of validate_sft, check_transitivity and the solvers.
-
-
-def product_scc_witness(tree: SpanningTree):
-    """None if the tree's graph is strongly connected, otherwise the first
-    ordered pair of product vertices (as labels) with no connecting path."""
-    gap = tree.unreachable_pair()
-    return None if gap is None else tuple(map(tree.graph.vertex_label, gap))
 
 
 def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], list[int]]:
@@ -383,10 +393,12 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
     the least j outside {h . element 0 : h in H}).  Over a trivial F (Z^d
     among them) every weight is the identity, so neither cycle_weights
     nor _closure runs.  A block graph that is not strongly connected
-    raises NotStronglyConnected over Z^d; over F it builds the product
-    graph, to name product_scc_witness's pair.  RangeTooLarge, with
-    build_product_graph's message, when blocks x |F| passes the state cap,
-    though the product graph is not built.
+    raises NotStronglyConnected over Z^d, or when it has no block; over F
+    NotTransitiveError names the tree's unreachable_pair (i, j) at the
+    identity, (block i, e) and (block j, e), since no (block i, g) reaches
+    any (block j, h) when block i has no path to block j.  RangeTooLarge
+    when blocks x |F| passes the state cap, though no product graph is
+    built.
 
     A refusal is made afresh on every call.  A transitive cover is kept
     in a memo keyed by (shift, r, psi_f, psi_z) that holds at most
@@ -415,10 +427,10 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
     held = None if cover is None or cover.tree is not tree else cover.group()
     if held is not group and held != group:
         if not tree.strongly_connected:
-            if group.rank:
+            if group.rank or not tree.parent:
                 raise NotStronglyConnected("block graph is not strongly connected")
-            pg_tree = SpanningTree(build_product_graph(system, r))
-            raise NotTransitiveError(product_scc_witness(pg_tree))
+            one, blocks = group.name_of(group.identity), tree.graph.vertices
+            raise NotTransitiveError(tuple((blocks[v], one) for v in tree.unreachable_pair()))
         if len(table) == 1:
             one, graph = group.identity_index, tree.graph
             wpot, cyc, via = (one,) * len(graph.vertices), (one,) * len(graph.edges), {one: None}
@@ -532,8 +544,8 @@ def check_transitivity(system: SkewSystem) -> TransitivityVerdict:
     its cover once.  Finite groups: the extension is transitive iff the
     product graph over 1-blocks is strongly connected, i.e. iff the
     monodromy group (the weights of closed walks at one symbol) is all
-    of G; the gate's NotTransitiveError names the first unreachable pair
-    of product vertices.  Z^d: NotStronglyConnected when the symbol graph
+    of G; the gate's NotTransitiveError names an unreachable pair of
+    product states.  Z^d: NotStronglyConnected when the symbol graph
     is not strongly connected.  Otherwise the closed-walk weights
     generate the lattice of the fundamental-cycle weights, the rises of
     psi's d columns on the spanning tree's chords (Cover.psi; tree edges

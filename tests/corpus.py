@@ -6,8 +6,11 @@ them independent across indices.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from livsic import (
     GroupSpec,
@@ -21,7 +24,8 @@ from livsic import (
     psi_n,
 )
 from livsic.groups import eliminate_rhs, pivot_rows
-from livsic.sft import SpanningTree, cyclic_fold
+from livsic.matrix import cyclic_product
+from livsic.sft import SpanningTree, build_block_graph, cyclic_numerator
 
 SEED_STRIDE = 100_003
 
@@ -180,10 +184,44 @@ def cyclic_weight(system, word):
 
 
 def orbit_sum(cocycle, word):
-    """cyclic_fold of a cocycle around a word, which must be cyclically
-    admissible: the sum (or ordered product) over one period."""
+    """A cocycle around a word, which must be cyclically admissible: the
+    sum (or ordered product) over one period."""
     assert cocycle.sft.is_admissible(word, cyclic=True), word
-    return cyclic_fold(cocycle, word)
+    if cocycle.kind == "matrix":
+        return cyclic_product(cocycle, word)
+    return Fraction(cyclic_numerator(cocycle, word), cocycle.denominator)
+
+
+def product_scc_witness(tree: SpanningTree):
+    """None if the tree's graph, a product graph, is strongly connected,
+    otherwise the first ordered pair of product vertices (as labels) with
+    no connecting path."""
+    gap = tree.unreachable_pair()
+    return None if gap is None else tuple(map(tree.graph.vertex_label, gap))
+
+
+def random_rotation(rng) -> np.ndarray:
+    angle = 2.0 * math.pi * rng.random()
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def random_unipotent(rng) -> np.ndarray:
+    mat = np.eye(3)
+    mat[0, 1] = rng.randint(-3, 3)
+    mat[0, 2] = rng.randint(-3, 3)
+    mat[1, 2] = rng.randint(-3, 3)
+    return mat
+
+
+def random_u(system, block_range: int, seed: int, family: str) -> dict:
+    """One matrix per block of length block_range, in block order, drawn
+    from random.Random(seed) in the named family ("rotation": SO(2);
+    "unipotent": upper unitriangular 3x3): the u of
+    generate_matrix_cocycle for a seeded matrix cocycle."""
+    draw = {"rotation": random_rotation, "unipotent": random_unipotent}[family]
+    rng = random.Random(seed)
+    return {block: draw(rng) for block in build_block_graph(system.sft, block_range).vertices}
 
 
 def trivial_orbit_words(system, max_period: int) -> list:

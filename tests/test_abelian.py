@@ -49,6 +49,7 @@ from corpus import (
     cyclic_weight,
     orbit_sum,
     perturb_one_value,
+    product_scc_witness,
     random_alpha,
     random_irreducible_sft,
     random_lattice_system,
@@ -60,7 +61,7 @@ from corpus import (
 )
 from livsic.errors import max_states_cap
 from livsic.sft import SpanningTree
-from livsic.skew import build_product_graph, product_scc_witness
+from livsic.skew import build_product_graph
 
 FULL_2 = SftSpec.full_shift(2)
 Z1 = build_group(GroupSpec.free_abelian(1))

@@ -113,6 +113,8 @@ def test_a_record_compared_with_itself_gives_ratio_1(path):
     assert all(not row["worse"] for row in rows if "bound" in row)
     processes = len(doc.get("tour", ())) + len(doc.get("ladder", ()))
     assert len([r for r in rows if r["trace"] is None]) == 2 * processes
+    # Each side's processes span the other's exactly.
+    assert all(row["unresolved"] for row in rows if row["trace"] is None)
 
 
 def test_compare_flags_only_a_change_beyond_its_bound():
@@ -173,6 +175,34 @@ def test_compare_prints_the_ops_run_beside_each_peak(monkeypatch, capsys):
     (line,) = [line for line in lines if line.split()[:2] == ["matrix-scan", "peak_rss_mb"]]
     assert "x1.008" in line and line.endswith("ops run 780 and 936 (no bound)")
     assert len([line for line in lines if "ops run" in line]) == len(WORKLOADS)
+
+
+def test_compare_prints_each_side_s_range_beside_the_tour_and_ladder_medians(monkeypatch, capsys):
+    code, lines = _compare_output(monkeypatch, capsys, "BENCH_10.json", "BENCH_11.json")
+    a, b = (json.loads((ROOT / p).read_text()) for p in ("BENCH_10.json", "BENCH_11.json"))
+    rows, beyond = record.compare(a, b, SPEC)
+    assert code == int(beyond)  # the ranges move neither the bounds nor the exit code
+    per_process = [row for row in rows if row["trace"] is None]
+    assert len(per_process) == 2 * (len(a["tour"]) + len(a["ladder"]))
+    runs_b = {tuple(row["argv"]): row for part in ("tour", "ladder") for row in b[part]}
+    for row_a in a["tour"] + a["ladder"]:
+        for name in ("cpu_s", "rss_kib"):
+            xs, ys = row_a[name], runs_b[tuple(row_a["argv"])][name]
+            label = f"{name} livsic {' '.join(row_a['argv'])}"
+            (row,) = [row for row in per_process if row["metric"] == label]
+            assert row["spread"] == ((min(xs), max(xs)), (min(ys), max(ys))), label
+            overlap = not (max(xs) < min(ys) or max(ys) < min(xs))
+            assert row["unresolved"] is overlap, label
+            (line,) = [line for line in lines if f" {label} " in line]
+            assert line.endswith("unresolved") is overlap, line
+    # The ladder's depth-12 scan read x1.389 on identical work: unresolved.
+    depth12 = "cpu_s livsic distortion ladder-hyperbolic-sl2.json --depth 12"
+    (line,) = [line for line in lines if f" {depth12} " in line]
+    assert line.endswith("A 0.263237-0.364414 B 0.252581-0.365612  unresolved"), line
+    # One side's processes all above the other's: resolved.
+    orbits = "cpu_s livsic orbits docs/examples/gm-c2.json --max-period 6"
+    (line,) = [line for line in lines if f" {orbits} " in line]
+    assert line.endswith("A 0.083473-0.086549 B 0.086977-0.109007"), line
 
 
 def test_the_tour_is_the_readme_command_tour():

@@ -43,6 +43,7 @@ from livsic.skew import transitive_cover
 from corpus import (
     cover_corpus,
     random_irreducible_sft,
+    random_u,
     relabelled_group,
     rng_for,
     s3_group,
@@ -383,7 +384,8 @@ def test_a_second_solve_on_one_cover_pays_only_for_the_cocycle(monkeypatch):
             closed = gate if len(system.group.table) > 1 else 0
             assert counts == {"cycle_weights": closed, "_closure": closed, "rises": 1 + d * gate}
     # The matrix solver reads the same cover, and its closure's step edges.
-    cocycle = generate_matrix_cocycle(s3, None, None, block_range=2, seed=3, family="rotation")
+    u = random_u(s3, 2, 3, "rotation")
+    cocycle = generate_matrix_cocycle(s3, u, None, block_range=2)
     cover = transitive_cover(s3, 2)
     via = cover.via
     counts.update(dict.fromkeys(counts, 0))

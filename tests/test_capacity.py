@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import random_u
 from launcher import launch
 from livsic import (
     GroupSpec,
@@ -89,7 +90,8 @@ def _s5_full2_rotation(r: int, perturbed: bool) -> dict:
     system = make_skew_system(
         SftSpec.full_shift(2), group, (group.element_by_name("a"), group.element_by_name("b"))
     )
-    cocycle = generate_matrix_cocycle(system, None, None, block_range=r, seed=r, family="rotation")
+    u = random_u(system, r, r, "rotation")
+    cocycle = generate_matrix_cocycle(system, u, None, block_range=r)
     if perturbed:
         values = dict(cocycle.values)
         values[(1,) * (r + 1)] = values[(1,) * (r + 1)] @ [[1.0, 0.5], [0.0, 1.0]]

@@ -14,6 +14,7 @@ from livsic import (
     smith_diagonal,
     subgroup_rank_and_index,
 )
+from livsic.errors import DEFAULT_MAX_GROUP_ORDER
 from livsic.groups import _compose
 from livsic.skew import class_tag
 from corpus import check_elimination, q8_group, s3_group
@@ -164,10 +165,14 @@ def test_permutation_rejects_bad_generator():
 
 
 def test_closure_cap():
-    # The symmetric group on 5 points has order 120.
-    spec = GroupSpec.permutation(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)])
-    with pytest.raises(ClosureTooLarge):
-        build_group(spec, max_order=100)
+    # The symmetric group on 7 points has order 5 040, past the cap of
+    # 4 096; on 5 points, 120 is within it.
+    s7 = GroupSpec.permutation(7, [(2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1)])
+    with pytest.raises(ClosureTooLarge, match=f"closure exceeds {DEFAULT_MAX_GROUP_ORDER} "):
+        build_group(s7)
+    assert build_group(GroupSpec.permutation(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)])).order == 120
+    with pytest.raises(ClosureTooLarge, match=f"cyclic order {DEFAULT_MAX_GROUP_ORDER + 1} "):
+        build_group(GroupSpec.cyclic(DEFAULT_MAX_GROUP_ORDER + 1))
 
 
 def test_free_abelian_arithmetic():

@@ -44,7 +44,15 @@ from livsic import matrix
 from livsic.sft import SpanningTree, check_work
 from livsic.skew import build_product_graph
 from corpus import (
-    cyclic_weight, orbit_sum, random_irreducible_sft, rng_for, s3_group, s5_group,
+    cyclic_weight,
+    orbit_sum,
+    random_irreducible_sft,
+    random_rotation,
+    random_u,
+    random_unipotent,
+    rng_for,
+    s3_group,
+    s5_group,
 )
 
 FULL_2 = SftSpec.full_shift(2)
@@ -164,31 +172,23 @@ def test_generation_rejects_noncentral_u():
 
 def test_generation_input_validation():
     system = _c2_system()
-    with pytest.raises(InvalidCocycle):
-        generate_matrix_cocycle(system, None, None, block_range=1)
-    with pytest.raises(InvalidCocycle):
-        generate_matrix_cocycle(
-            system, None, None, block_range=1, seed=1, family="orthogonal"
-        )
+    u = {(1,): IDENTITY_2, (2,): IDENTITY_2}
     with pytest.raises(InvalidCocycle):
         generate_matrix_cocycle(system, {(1,): IDENTITY_2}, None, block_range=1)
     with pytest.raises(InvalidCocycle):
-        generate_matrix_cocycle(
-            system, None, {"e": IDENTITY_2}, block_range=1, seed=1, family="rotation"
-        )
+        generate_matrix_cocycle(system, u, {"e": IDENTITY_2}, block_range=1)
     z1 = build_group(GroupSpec.free_abelian(1))
     lattice = make_skew_system(FULL_2, z1, ((1,), (-1,)))
     with pytest.raises(InfiniteGroup):
-        generate_matrix_cocycle(lattice, None, None, block_range=1, seed=1, family="rotation")
+        generate_matrix_cocycle(lattice, u, None, block_range=1)
 
 
 def test_generation_refuses_a_shift_without_blocks():
     # One symbol and no transition: no block of length 2 is admissible,
-    # so there is no u to draw or check, and no value to make.
+    # so there is no u to check, and no value to make.
     system = make_skew_system(SftSpec.from_rows([[0]]), C2, (1,))
-    for u, seed, family in (({}, None, None), (None, 1, "rotation")):
-        with pytest.raises(InvalidCocycle, match="no block of length 2 is admissible"):
-            generate_matrix_cocycle(system, u, None, block_range=2, seed=seed, family=family)
+    with pytest.raises(InvalidCocycle, match="no block of length 2 is admissible"):
+        generate_matrix_cocycle(system, {}, None, block_range=2)
 
 
 def test_generation_refuses_a_singular_deck_factor():
@@ -201,10 +201,12 @@ def test_generation_refuses_a_singular_deck_factor():
 
 
 def test_generation_refuses_an_algebra_not_closed_under_commutators():
+    # A generated cocycle takes its algebra basis as a parsed one does.
     u = {(1,): DIAG_2_HALF, (2,): IDENTITY_2}
+    values = generate_matrix_cocycle(_c2_system(), u, None, block_range=1).values
     open_basis = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     with pytest.raises(AlgebraNotClosed, match="basis elements 0 and 1"):
-        generate_matrix_cocycle(_c2_system(), u, None, block_range=1, algebra=open_basis)
+        make_matrix_cocycle(FULL_2, 1, values, algebra=open_basis)
 
 
 def _looped_generate(system, u, alpha, block_range):
@@ -257,13 +259,13 @@ def _generation_inputs():
     shear = np.array([[1.0, 0.5], [0.0, 1.0]])
     cases = [
         (_c2_system(), _turns(C2, math.pi), {"e": IDENTITY_2, "g": np.diag([1.0, -1.0])},
-         matrix._random_rotation),
+         random_rotation),
         (make_skew_system(full3, C3, (1, 0, 2)), _turns(C3, 2 * math.pi / 3),
-         _turns(C3, 2 * math.pi / 3, shear), matrix._random_rotation),
+         _turns(C3, 2 * math.pi / 3, shear), random_rotation),
         (make_skew_system(FULL_2, s3, (s, r)), sign(-np.eye(3)), sign(np.diag([1.0, 1.0, -1.0])),
-         matrix._random_unipotent),
+         random_unipotent),
         (make_skew_system(full3, s3, (r, s3.identity_index, s)), sign(-np.eye(3)),
-         sign(np.diag([1.0, 1.0, -1.0])), matrix._random_unipotent),
+         sign(np.diag([1.0, 1.0, -1.0])), random_unipotent),
     ]
     for i, (system, central, not_central, draw) in enumerate(cases):
         for block_range in (1, 2):
@@ -439,9 +441,8 @@ def _generated_instances():
 
 def test_stacked_verifier_matches_the_per_edge_loop():
     for i, (system, alpha, family) in enumerate(_generated_instances()):
-        cocycle = generate_matrix_cocycle(
-            system, None, alpha, block_range=2, seed=80 + i, family=family
-        )
+        u = random_u(system, 2, 80 + i, family)
+        cocycle = generate_matrix_cocycle(system, u, alpha, block_range=2)
         solution = solve_matrix_finite(system, cocycle)
         tol = solution.certificate.tol
         copies = [solution, *_tampered_copies(solution, rng_for(83, i))]
@@ -490,9 +491,8 @@ def test_batched_group_checks_equal_the_per_element_checks(monkeypatch):
     instances += [(s5_system, None, "rotation", 2), (s5_system, None, "rotation", 6)]
     cases = []
     for i, (system, alpha, family, block_range) in enumerate(instances):
-        cocycle = generate_matrix_cocycle(
-            system, None, alpha, block_range=block_range, seed=80 + i, family=family
-        )
+        u = random_u(system, block_range, 80 + i, family)
+        cocycle = generate_matrix_cocycle(system, u, alpha, block_range=block_range)
         solution = solve_matrix_finite(system, cocycle)
         # Knock off a random u and alpha value, then the last group element's.
         last = system.group.name_of(system.group.order - 1)
@@ -585,9 +585,8 @@ def _solver_instances():
     edges close but whose deck factor differs between fibers."""
     for i, (system, alpha, family) in enumerate(_generated_instances()):
         for block_range in (1, 2):
-            cocycle = generate_matrix_cocycle(
-                system, None, alpha, block_range=block_range, seed=90 + i, family=family
-            )
+            u = random_u(system, block_range, 90 + i, family)
+            cocycle = generate_matrix_cocycle(system, u, alpha, block_range=block_range)
             yield system, cocycle
             rng = rng_for(97, 2 * i + block_range)
             values = dict(cocycle.values)
@@ -683,9 +682,8 @@ def test_solver_takes_a_few_norm_calls_per_group_element(monkeypatch):
     cocycles = []
     for group, psi in ((s3, (s3.element_by_name("s"), s3.element_by_name("r"))), (C2, (1, 0))):
         system = make_skew_system(FULL_2, group, psi)
-        cocycles.append((system, generate_matrix_cocycle(
-            system, None, None, block_range=4, seed=7, family="unipotent"
-        )))
+        u = random_u(system, 4, 7, "unipotent")
+        cocycles.append((system, generate_matrix_cocycle(system, u, None, block_range=4)))
     calls = []
     norm = np.linalg.norm
 
@@ -807,9 +805,8 @@ def test_adjoint_norm_values():
 def test_cyclic_product_matches_birkhoff_product():
     system = _c2_system()
     for rf in (1, 2):
-        cocycle = generate_matrix_cocycle(
-            system, None, None, block_range=rf, seed=9, family="rotation"
-        )
+        u = random_u(system, rf, 9, "rotation")
+        cocycle = generate_matrix_cocycle(system, u, None, block_range=rf)
         for word in [(1,), (1, 2), (1, 1, 2), (2, 1, 2, 2)]:
             # Windows of rf + 1 symbols around the cyclic word, later ones on the left.
             n = len(word)
@@ -848,9 +845,8 @@ def test_distortion_diagonal_cocycle():
 def test_distortion_rotation_cocycle_is_undistorted():
     j = [[0.0, -1.0], [1.0, 0.0]]
     system = _c2_system()
-    cocycle = generate_matrix_cocycle(
-        system, None, None, block_range=1, seed=5, family="rotation"
-    )
+    u = random_u(system, 1, 5, "rotation")
+    cocycle = generate_matrix_cocycle(system, u, None, block_range=1)
     with_algebra = make_matrix_cocycle(
         FULL_2,
         1,

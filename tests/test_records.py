@@ -37,40 +37,37 @@ MODULES = (
 
 
 def _record_bodies(module):
-    """(name, order, [(field, default, has_default)]) per @record class."""
+    """(name, [(field, default, has_default)]) per @record class."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
         for deco in node.decorator_list:
-            call = deco if isinstance(deco, ast.Call) else None
-            target = call.func if call else deco
+            target = deco.func if isinstance(deco, ast.Call) else deco
             if not (isinstance(target, ast.Name) and target.id == "record"):
                 continue
-            keywords = call.keywords if call else ()
-            order = any(kw.arg == "order" and ast.literal_eval(kw.value) for kw in keywords)
             fields = [
                 (stmt.target.id, ast.literal_eval(stmt.value), True)
                 if stmt.value else (stmt.target.id, None, False)
                 for stmt in node.body
                 if isinstance(stmt, ast.AnnAssign)
             ]
-            yield node.name, order, fields
+            yield node.name, fields
 
 
 CASES = [
-    pytest.param(getattr(module, name), order, fields, id=f"{module.__name__}.{name}")
+    pytest.param(getattr(module, name), fields, id=f"{module.__name__}.{name}")
     for module in MODULES
-    for name, order, fields in _record_bodies(module)
+    for name, fields in _record_bodies(module)
 ]
 
 
-def _reference(cls, order, fields):
+def _reference(cls, fields):
     spec = [
         (name, object, field(default=default)) if has_default else (name, object)
         for name, default, has_default in fields
     ]
-    return make_dataclass(cls.__name__, spec, frozen=True, order=order)
+    return make_dataclass(cls.__name__, spec, frozen=True)
 
 
 def _values(fields, tag):
@@ -97,12 +94,11 @@ def test_every_converted_type_is_found():
         "FrobeniusClassTag", "NonTransitivityCertificate", "ProductGraph", "SkewSystem",
         "TransitivityEvidence", "TransitivityVerdict",
     }
-    assert [case.values[1] for case in CASES].count(True) == 1  # PeriodicOrbit
 
 
-@pytest.mark.parametrize("cls, order, fields", CASES)
-def test_record_matches_frozen_dataclass(cls, order, fields):
-    ref = _reference(cls, order, fields)
+@pytest.mark.parametrize("cls, fields", CASES)
+def test_record_matches_frozen_dataclass(cls, fields):
+    ref = _reference(cls, fields)
     assert cls._fields == tuple(name for name, _, _ in fields)
     tags = ("a", "b", "c")
     recs = [cls(**_values(fields, tag)) for tag in tags]
@@ -119,13 +115,8 @@ def test_record_matches_frozen_dataclass(cls, order, fields):
 
     for (x, rx), (y, ry) in itertools.product(zip(recs, refs), repeat=2):
         assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
-        if order:
-            assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry, rx >= ry)
-    if order:
-        assert sorted(reversed(recs)) == recs
-    else:
-        with pytest.raises(TypeError):
-            recs[0] < recs[1]  # noqa: B015
+    with pytest.raises(TypeError):
+        recs[0] < recs[1]  # noqa: B015
 
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(recs[0], protocol))

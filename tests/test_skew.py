@@ -13,6 +13,7 @@ import livsic.sft as sft
 import livsic.skew as skew
 from livsic import (
     CocycleObstruction,
+    DimensionMismatch,
     GroupSpec,
     InadmissibleWord,
     NotIrreducible,
@@ -40,15 +41,18 @@ from livsic import (
 )
 from livsic.oracles import brute_periodic_census, brute_transitivity
 from livsic.sft import SpanningTree, find_violating_cycle
-from livsic.skew import orbit_weights, product_scc_witness, transitive_cover
+from livsic.skew import orbit_weights, transitive_cover
 from corpus import (
     closed_walks_nonnegative,
     cover_corpus,
+    product_scc_witness,
     random_finite_group,
     random_irreducible_sft,
     random_lattice_system,
+    random_u,
     rng_for,
     s3_group,
+    s5_group,
     trivial_orbit_words,
 )
 
@@ -94,6 +98,51 @@ def test_a_skew_system_splits_psi_into_its_finite_and_lattice_factors():
         assert cover.via.keys() == set(range(len(group.table)))
         assert cover.tree is sft.block_tree(system.sft, 2)
         assert build_product_graph(system, 2).order == len(group.table)
+
+
+def test_a_skew_system_refuses_what_is_not_a_group_element():
+    z1, z2 = build_group(GroupSpec.free_abelian(1)), build_group(GroupSpec.free_abelian(2))
+    cases = [
+        (z1, (1, -1), 1, "a vector of 1 integers"),
+        (z1, ((1,), (0.5,)), 2, "a vector of 1 integers"),
+        (z1, ((1,), (True,)), 2, "a vector of 1 integers"),
+        (z1, ((1,), "1"), 2, "a vector of 1 integers"),
+        (z2, ((1, 0), (1,)), 2, "a vector of 2 integers"),
+        (C2, ("g", 0), 1, "an element index below 2"),
+        (C2, ((1,), 0), 1, "an element index below 2"),
+        (C2, (1.5, 0), 1, "an element index below 2"),
+        (C2, (True, 0), 1, "an element index below 2"),
+        (C2, (0, 2), 2, "an element index below 2"),
+        (C2, (0, -1), 2, "an element index below 2"),
+    ]
+    for group, psi, symbol, want in cases:
+        with pytest.raises(DimensionMismatch) as err:
+            make_skew_system(FULL_2, group, psi)
+        assert str(err.value) == f"psi of symbol {symbol} is {psi[symbol - 1]!r}, not {want}"
+    # numpy integers are integers, and come back as ints.
+    assert make_skew_system(FULL_2, C2, np.array([1, 0])).psi == (1, 0)
+    lattice = make_skew_system(FULL_2, z2, np.array([[1, -2], [0, 3]]))
+    assert lattice.psi == lattice.psi_z == ((1, -2), (0, 3))
+    assert all(type(x) is int for z in lattice.psi for x in z)
+
+
+def _split_as_before(group, psi):
+    """(psi_f, psi_z) as make_skew_system read a valid psi before it
+    checked its entries: int() of each factor."""
+    split = [group.split(x) for x in psi]
+    return tuple(int(f) for f, _ in split), tuple(tuple(int(x) for x in z) for _, z in split)
+
+
+def test_every_valid_psi_of_the_corpus_is_read_as_before():
+    systems = [system for _, system in cover_corpus(83, instances=2)]
+    systems += [random_lattice_system(rng_for(67, i), 1 + i % 3) for i in range(12)]
+    for system in systems:
+        group, raw = system.group, system.psi
+        numpy_ints = [np.array(x) if group.rank else np.int64(x) for x in raw]
+        for psi in (raw, list(raw), numpy_ints):
+            again = make_skew_system(system.sft, group, psi)
+            assert again == system
+            assert (again.psi_f, again.psi_z) == _split_as_before(group, psi)
 
 
 def test_a_refused_finite_solve_closes_the_monodromy_group_once(monkeypatch):
@@ -542,9 +591,17 @@ def test_strong_connectivity_matches_brute_closure():
             spec, group, [rng.randrange(group.order) for _ in range(k)]
         )
         pg = build_product_graph(system, 1)
+        pg_reach = _reach_closure([[pg.edge_head[e] for e in out] for out in pg.out_edges])
         pg_gap = _first_gap([[pg.edge_head[e] for e in out] for out in pg.out_edges])
         expected = None if pg_gap is None else tuple(map(pg.vertex_label, pg_gap))
         assert product_scc_witness(SpanningTree(pg)) == expected
+        if gap is not None:
+            # A reducible base is named by its own pair at the identity,
+            # which the product graph confirms out of reach.
+            one = group.identity_index
+            i, j = (v * group.order + one for v in gap)
+            assert not pg_reach[i][j]
+            expected = pg.vertex_label(i), pg.vertex_label(j)
         assert check_transitivity(system).witness == expected
         cocycle = generate_cocycle(system, block_range=1, seed=seed)
         if expected is None:
@@ -673,6 +730,74 @@ def test_the_closure_records_each_element_and_its_first_step_edge():
     assert checked >= 40, checked
 
 
+def _reducible_shifts():
+    """The reducible shifts these tests build: 1 -> 2 with loops at both
+    symbols, and the seeded shifts of
+    test_strong_connectivity_matches_brute_closure whose symbol graph is
+    not strongly connected."""
+    shifts = [SftSpec.from_rows([[1, 1], [0, 1]])]
+    for seed in range(40):
+        rng = rng_for(59, seed)
+        spec = _random_sft_without_dead_symbols(rng, rng.randint(2, 5))
+        if not SpanningTree(build_block_graph(spec, 1)).strongly_connected:
+            shifts.append(spec)
+    return shifts
+
+
+def _reducible_systems():
+    """(label, system) over every reducible shift and C2, S3 and S5, with
+    seeded psi."""
+    groups = {"C2": C2, "S3": s3_group(), "S5": s5_group()}
+    for i, spec in enumerate(_reducible_shifts()):
+        rng = rng_for(61, i)
+        for gname, group in groups.items():
+            psi = [rng.randrange(group.order) for _ in range(spec.k)]
+            yield f"{gname} reducible #{i}", make_skew_system(spec, group, psi)
+
+
+def _block_pair(system, r):
+    """The r-block tree's unreachable_pair, each block at the identity."""
+    tree = sft.block_tree(system.sft, r)
+    one = system.group.name_of(system.group.identity)
+    return tuple((tree.graph.vertices[v], one) for v in tree.unreachable_pair())
+
+
+def test_a_reducible_base_is_named_by_its_blocks_at_the_identity():
+    checked = 0
+    for label, system in _reducible_systems():
+        identity = system.group.identity_index
+        for r in (1, 2, 3):
+            pair = _block_pair(system, r)
+            with pytest.raises(NotTransitiveError) as err:
+                transitive_cover(system, r)
+            assert err.value.witness == pair, (label, r)
+            if r == 1:
+                assert check_transitivity(system).witness == pair, label
+            # The product graph, the reference, has no path between the two.
+            pg = build_product_graph(system, r)
+            source, target = (pg.base.vertices.index(b) * pg.order + identity for b, _ in pair)
+            assert (pg.vertex_label(source), pg.vertex_label(target)) == pair
+            _, reached = sft._bfs_edges(pg.out_edges, pg.edge_head, source)
+            assert target not in reached, (label, r)
+            checked += 1
+    assert checked >= 90, checked
+
+
+def test_a_block_graph_with_no_blocks_is_not_strongly_connected():
+    # The one symbol of [[0]] has no successor, so no 2-block is admissible.
+    spec = SftSpec.from_rows([[0]])
+    z1 = build_group(GroupSpec.free_abelian(1))
+    cocycle = make_cocycle(spec, 2, {})
+    for system, solve in (
+        (make_skew_system(spec, C2, (1,)), solve_finite_gamma),
+        (make_skew_system(spec, z1, ((1,),)), solve_free_abelian),
+    ):
+        with pytest.raises(NotStronglyConnected):
+            transitive_cover(system, 2)
+        with pytest.raises(NotStronglyConnected):
+            solve(system, cocycle)
+
+
 def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("product graph built")
@@ -703,9 +828,8 @@ def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
     matrix_solves = {"certified": 0, "obstructed": 0, "not transitive": 0}
     for (label, system), pair in zip(systems, pairs):
         for seed, family in enumerate(("rotation", "unipotent")):
-            cocycle = generate_matrix_cocycle(
-                system, None, None, block_range=2, seed=seed, family=family
-            )
+            u = random_u(system, 2, seed, family)
+            cocycle = generate_matrix_cocycle(system, u, None, block_range=2)
             if pair is not None:
                 with pytest.raises(NotTransitiveError) as err:
                     solve_matrix_finite(system, cocycle)
@@ -738,8 +862,20 @@ def test_irreducible_finite_covers_never_build_the_product_graph(monkeypatch):
         values[min(values)] += 1
         with pytest.raises(CocycleObstruction):
             solve_free_abelian(lattice, make_cocycle(lattice.sft, 2, values))
-    # A symbol graph that is not strongly connected still names its pair
-    # from the product graph.
-    reducible = make_skew_system(SftSpec.from_rows([[1, 1], [0, 1]]), C2, (1, 0))
-    with pytest.raises(RuntimeError, match="product graph built"):
-        check_transitivity(reducible)
+    # Nor do covers of a reducible base: the gate, both finite solvers and
+    # the check name the block graph's own pair at the identity.
+    for label, system in _reducible_systems():
+        assert check_transitivity(system).witness == _block_pair(system, 1), label
+        for r in (1, 2, 3):
+            pair = _block_pair(system, r)
+            cocycle = generate_cocycle(system, block_range=r, seed=r)
+            u = random_u(system, r, r, "rotation")
+            matrix = generate_matrix_cocycle(system, u, None, block_range=r)
+            for attempt in (
+                lambda: transitive_cover(system, r),
+                lambda: solve_finite_gamma(system, cocycle),
+                lambda: solve_matrix_finite(system, matrix),
+            ):
+                with pytest.raises(NotTransitiveError) as err:
+                    attempt()
+                assert err.value.witness == pair, (label, r)
