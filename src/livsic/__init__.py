@@ -67,7 +67,6 @@ from .sft import (
     canonical_rotation,
     count_periodic_points,
     enumerate_periodic_orbits,
-    is_primitive,
     make_cocycle,
     primitive_root,
     validate_sft,

@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except LivsicError as exc:
         sys.stderr.write(canonical_json(error_doc(exc)))
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        sys.stderr.write(canonical_json(error_doc(exc)))
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ their group around.
 A Group is the record of a deck group F x Z^d: table and inverses are the
 finite factor F, rank is d.  A finite group has d = 0; Z^d has the
 one-element F, the default table ((0,),).  Only this module knows the
-encodings: other code reads an element's two factors with Group.split
-and builds an element from them with Group.join.
+encodings and how F is stored: other code reads an element's two factors
+with Group.split, builds an element from them with Group.join, and reads
+F only through Group.row, inverses and identity_index.
 """
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ class GroupSpec:
 class Group:
     """F x Z^d: F by its Cayley table, inverses and identity index, d by
     rank.  Elements are F indices over a finite group and Z^d vectors
-    over Z^d; the cover code reads the factors, not the encodings."""
+    over Z^d; the cover code reads the factors, not the encodings, and
+    F's products only as rows."""
 
     variant: str
     names: tuple[str, ...] = ()
@@ -102,6 +104,10 @@ class Group:
         if self.is_finite:
             return self.table[a][b]
         return tuple(x + y for x, y in zip(a, b))
+
+    def row(self, f: int) -> tuple[int, ...]:
+        """Left multiplication by the F index f: its entry at x is f . x."""
+        return self.table[f]
 
     def split(self, a: GroupElement) -> tuple[int, tuple[int, ...]]:
         """The factors of a: its F index and its Z^d vector."""
@@ -356,6 +362,14 @@ def bareiss_pivot(mat, r: int, col: int, prev: int) -> int:
     return p
 
 
+def _reduce(row, p: int, pivots, mat) -> list[int]:
+    """p times row, less its entry c times each pivot row P_c of mat."""
+    new = [p * x for x in row]
+    for c, q in zip(pivots, mat):
+        new = [a - row[c] * b for a, b in zip(new, q)]
+    return new
+
+
 def pivot_rows(columns, n: int):
     """Fraction-free Gauss-Jordan on d integer columns of n rows each,
     reducing only the pivot rows: (pivot rows, pivot columns, the swapped
@@ -386,9 +400,7 @@ def pivot_rows(columns, n: int):
         for q in mat:
             q.append(0)
         row = [*(column[order[rank]] for column in columns), *[0] * rank, 1]
-        new = [p * x for x in row]
-        for c, q in zip(pivots, mat):
-            new = [a - row[c] * b for a, b in zip(new, q)]
+        new = _reduce(row, p, pivots, mat)
         mat.append(new if new[col] > 0 else [-x for x in new])
         p = bareiss_pivot(mat, rank, col, p)
         pivots.append(col)
@@ -427,9 +439,7 @@ def eliminate_rhs(half, columns, rhs):
     for q in rows:
         q.append(0)
     row = [*(column[j] for column in columns), rhs[j], *[0] * rank, 1]
-    new = [p * x for x in row]
-    for c, q in zip(pivots, rows):
-        new = [a - row[c] * b for a, b in zip(new, q)]
+    new = _reduce(row, p, pivots, rows)
     return rows, pivots, {i: x for i, x in zip((*taken, j), new[d + 1 :]) if x}
 
 

@@ -307,13 +307,16 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, axis=(-2, -1))
 
 
-def _hom_gaps(alpha: np.ndarray, table, size: int):
-    """(lo, products, gaps) for each batch of size consecutive rows of the
-    group table, from row lo: the (size, |F|, m, m) stacks alpha(a) alpha(b)
-    and alpha(ab) - alpha(a) alpha(b) over the batch's rows a and every b."""
-    for lo in range(0, len(table), size):
+def _hom_gaps(alpha: np.ndarray, group, size: int):
+    """(lo, products, gaps) for each batch of size consecutive elements of
+    the finite group, from element lo: the (size, |F|, m, m) stacks
+    alpha(a) alpha(b) and alpha(ab) - alpha(a) alpha(b) over the batch's
+    elements a and every b."""
+    elements = range(len(group.inverses))
+    for lo in elements[::size]:
         products = alpha[lo : lo + size, None] @ alpha
-        yield lo, products, alpha[np.array(table[lo : lo + size])] - products
+        rows = np.array([*map(group.row, elements[lo : lo + size])])
+        yield lo, products, alpha[rows] - products
 
 
 def solve_matrix_finite(
@@ -346,7 +349,7 @@ def solve_matrix_finite(
     cover = transitive_cover(system, cocycle.effective_block_length)
     tree, via, wpot, cyc = cover.tree, cover.via, cover.wpot, cover.cyc
 
-    bg, table, order, eye = tree.graph, group.table, len(group.table), np.eye(cocycle.dim)
+    bg, row, order, eye = tree.graph, group.row, len(group.inverses), np.eye(cocycle.dim)
     factors = _edge_values(cocycle, bg)
     transfer = np.stack(tree.potentials(eye, lambda e, t: factors[e] @ t))
     transfer_inv = _checked_inverse(transfer, "transfer candidate")
@@ -354,7 +357,7 @@ def solve_matrix_finite(
     labels = np.empty((order, *eye.shape))
     for y, step in via.items():
         labels[y] = eye if step is None else labels[step[0]] @ holonomy[step[1]]
-    residuals = _frobenius(labels[[table[g] for g in cyc]] - holonomy[:, None] @ labels)
+    residuals = _frobenius(labels[[row(g) for g in cyc]] - holonomy[:, None] @ labels)
     over = np.flatnonzero(residuals > tol)
     if over.size:
 
@@ -373,7 +376,7 @@ def solve_matrix_finite(
     # (first block, identity and generators), then (other blocks, identity).
     blocks, e_idx = bg.vertices, group.identity_index
     etas = sorted({e_idx, *(cyc[step[1]] for step in via.values() if step)})
-    cand = np.concatenate((labels[[table[eta] for eta in etas]] @ labels_inv[etas, None],
+    cand = np.concatenate((labels[[row(eta) for eta in etas]] @ labels_inv[etas, None],
                            u[1:, None] @ labels @ u_inv[1:, None]))
     devs = _frobenius(cand - labels).T
     gi, i = divmod(int(np.argmax(devs)), devs.shape[1])
@@ -476,7 +479,7 @@ def _check_solution(system, cocycle, bg, values, alpha, u, u_inv, tol) -> Matrix
     centrality_defect = 0.0
     cocycle_values = np.stack(list(cocycle.values.values()))
     size = max(1, _CHUNK // max(len(alpha), len(cocycle_values)))
-    for lo, _, gaps in _hom_gaps(alpha, group.table, size):
+    for lo, _, gaps in _hom_gaps(alpha, group, size):
         mats = alpha[lo : lo + size, None]
         hom_defect = max(hom_defect, float(_frobenius(gaps).max()))
         central = _frobenius(mats @ cocycle_values - cocycle_values @ mats)
@@ -704,7 +707,7 @@ def generate_matrix_cocycle(
         raise InvalidCocycle(f"alpha is missing values for {missing[:4]}")
     alpha_stack = np.stack([alpha_mats[i] for i in range(group.order)])
     size = max(1, _CHUNK // group.order)
-    for lo, products, gaps in _hom_gaps(alpha_stack, group.table, size):
+    for lo, products, gaps in _hom_gaps(alpha_stack, group, size):
         over = np.argwhere(_frobenius(gaps) > _ALGEBRA_TOL * (1.0 + _frobenius(products)))
         if over.size:
             a, b = lo + int(over[0, 0]), int(over[0, 1])

@@ -461,15 +461,6 @@ class PeriodicOrbit:
     def period(self) -> int:
         return len(self.word)
 
-    @classmethod
-    def from_word(cls, word) -> "PeriodicOrbit":
-        word = tuple(int(s) for s in word)
-        if not word:
-            raise BadShape("orbit word must be nonempty")
-        if not is_primitive(word):
-            raise BadShape(f"word {word} is a power of a shorter word")
-        return cls(word=canonical_rotation(word))
-
 
 def canonical_rotation(word: Word) -> Word:
     """Lexicographically least rotation of a cyclic word."""
@@ -484,11 +475,6 @@ def canonical_rotation(word: Word) -> Word:
         if cand < best:
             best = cand
     return best
-
-
-def is_primitive(word: Word) -> bool:
-    """True when the cyclic word is not a repetition of a shorter word."""
-    return primitive_root(word)[1] == 1
 
 
 def primitive_root(word: Word) -> tuple[Word, int]:
@@ -840,8 +826,8 @@ def _orbit(word: Word, new=object.__new__, set_word=PeriodicOrbit.word.__set__) 
 
     ``object.__new__`` makes the instance and the slot's own descriptor
     sets its word.  That is sound because the walk's words are already
-    least rotations of primitive words, which is all ``from_word`` would
-    enforce, and PeriodicOrbit has no ``__post_init__``.
+    least rotations of primitive words, as every PeriodicOrbit's is, and
+    PeriodicOrbit has no ``__post_init__``.
     """
     orbit = new(PeriodicOrbit)
     set_word(orbit, word)

@@ -77,7 +77,7 @@ def make_skew_system(sft: SftSpec, group: Group, psi) -> SkewSystem:
     psi = tuple(psi)
     if len(psi) != sft.k:
         raise DimensionMismatch(f"psi needs one value per symbol, got {len(psi)}")
-    order, d = len(group.table), group.rank
+    order, d = len(group.inverses), group.rank
     psi_f, psi_z = [], []
     for symbol, value in enumerate(psi, 1):
         f, z = group.split(value)
@@ -126,8 +126,8 @@ def class_tag(group: Group, weight: GroupElement) -> FrobeniusClassTag:
     f, z = group.split(weight)
     if group.rank:
         return FrobeniusClassTag(trivial=not any(z), vector=z)
-    table, inverses = group.table, group.inverses
-    members = sorted({table[table[g][f]][inverses[g]] for g in range(len(table))})
+    row, inverses = group.row, group.inverses
+    members = sorted({row(row(g)[f])[inverses[g]] for g in range(len(inverses))})
     return FrobeniusClassTag(trivial=f == group.identity_index, members=tuple(members))
 
 
@@ -146,7 +146,7 @@ def _weighted_walk(system: SkewSystem, max_period: int):
     if group.rank:
         act = [lambda w, z=z: tuple(map(add, z, w)) for z in system.psi_z]
     else:
-        act = [group.table[f].__getitem__ for f in system.psi_f]
+        act = [group.row(f).__getitem__ for f in system.psi_f]
     return walk_primitive_orbits(system.sft, max_period, act, group.identity)
 
 
@@ -185,19 +185,14 @@ class ProductGraph:
     def n_vertices(self) -> int:
         return len(self.base.vertices) * self.order
 
-    def vertex_label(self, vid: int) -> tuple[Word, str]:
-        block = self.base.vertices[vid // self.order]
-        group = self.system.group
-        return block, group.name_of(group.join(vid % self.order))
-
 
 def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
     """The ProductGraph over r-blocks; RangeTooLarge past the state cap.
     The tests search it for the paths the gate's answers claim or deny."""
     # The Z^d weights live in the potentials; only F is crossed in.
-    table, psi = system.group.table, system.psi_f
+    group, psi = system.group, system.psi_f
     base = build_block_graph(system.sft, r)
-    order = len(table)
+    order = len(group.inverses)
     n = len(base.vertices) * order
     if n > max_states_cap():
         raise RangeTooLarge(f"product graph would have {n} vertices")
@@ -207,7 +202,7 @@ def build_product_graph(system: SkewSystem, r: int) -> ProductGraph:
         tails, heads, out = [], [], [[] for _ in range(n)]
         for be, word in enumerate(base.edges):
             # Left multiplication by psi of the edge's first symbol.
-            row = table[psi[word[0] - 1]]
+            row = group.row(psi[word[0] - 1])
             tb = base.edge_tail[be] * order
             hb = base.edge_head[be] * order
             for g, x in enumerate(row):
@@ -234,12 +229,13 @@ def cycle_weights(system: SkewSystem, tree: SpanningTree) -> tuple[list[int], li
     """(wpot, cyc) as F indices: wpot[v] is the F weight of the tree path
     from block 0 to block v, and cyc[e] = wpot[h]^-1 psi_f(e) wpot[t] that
     of the fundamental cycle of edge e: t -> h (the identity on tree edges)."""
-    table, inverses, bg = system.group.table, system.group.inverses, tree.graph
-    identity = system.group.identity_index
-    steps = [system.psi_f[word[0] - 1] for word in bg.edges]
-    wpot = tree.potentials(identity, lambda e, p: table[steps[e]][p])
+    group, bg = system.group, tree.graph
+    rows = [group.row(f) for f in system.psi_f]
+    steps = [rows[word[0] - 1] for word in bg.edges]
+    wpot = tree.potentials(group.identity_index, lambda e, p: steps[e][p])
+    back = [group.row(group.inverses[w]) for w in wpot]
     ends = zip(steps, bg.edge_tail, bg.edge_head)
-    return wpot, [table[inverses[wpot[h]]][table[s][wpot[t]]] for s, t, h in ends]
+    return wpot, [back[h][s[wpot[t]]] for s, t, h in ends]
 
 
 def _closure(group: Group, cyc) -> dict:
@@ -249,13 +245,13 @@ def _closure(group: Group, cyc) -> dict:
     occurrence order.  Each y in H maps to (x, e): x the element it was
     first reached from and e the first edge whose cycle weight g gives
     y = x . g (the identity to None), in breadth-first order."""
-    table, identity = group.table, group.identity_index
+    row, identity = group.row, group.identity_index
     gens = {g: cyc.index(g) for g in dict.fromkeys(cyc) if g != identity}
     via, closure = {identity: None}, [identity]
     for x in closure:
-        row = table[x]
+        xs = row(x)
         for g, e in gens.items():
-            y = row[g]
+            y = xs[g]
             if y not in via:
                 via[y] = x, e
                 closure.append(y)
@@ -272,13 +268,12 @@ def closure_walks(system: SkewSystem, cover, e: int, delta: int):
     W1 = W(delta) C_e D_e^(n-1) and W2 = W(gamma), returns W1 W2^(m-1),
     W2, then the D_f."""
     group, tree, via = system.group, cover.tree, cover.via
-    table, identity = group.table, group.identity_index
-    returns = {}
+    identity, returns = group.identity_index, {}
 
     def order(g: int) -> int:
-        m, x = 1, g
+        m, x, gs = 1, g, group.row(g)
         while x != identity:
-            m, x = m + 1, table[g][x]
+            m, x = m + 1, gs[x]
         return m
 
     def label(x: int) -> list[int]:
@@ -294,7 +289,7 @@ def closure_walks(system: SkewSystem, cover, e: int, delta: int):
             walk += label(f)
         return walk
 
-    gamma = table[cover.cyc[e]][delta]
+    gamma = group.row(cover.cyc[e])[delta]
     second = spell(gamma)
     first = spell(delta) + label(e) + second * (order(gamma) - 1)
     return [w for w in (first, second, *returns.values()) if w]
@@ -308,9 +303,8 @@ def lifted_cycle(system: SkewSystem, tree: SpanningTree, walks, score):
     (states[i] is where its i-th edge leads).  The first simple cycle
     scoring positive in the first lift that has one is taken, else the last
     lift whole."""
-    group = system.group
-    table, identity = group.table, group.identity_index
-    bg = tree.graph
+    group, bg = system.group, tree.graph
+    identity, rows = group.identity_index, [group.row(f) for f in system.psi_f]
     start = (0, identity, (0,) * group.rank)
 
     for walk in walks:
@@ -318,7 +312,7 @@ def lifted_cycle(system: SkewSystem, tree: SpanningTree, walks, score):
         while not edges or g != identity:
             for x in walk:
                 s = bg.edges[x][0] - 1
-                g, z = table[system.psi_f[s]][g], tuple(map(add, z, system.psi_z[s]))
+                g, z = rows[s][g], tuple(map(add, z, system.psi_z[s]))
                 edges.append(x)
                 states.append((bg.edge_head[x], g, z))
         cycle = find_violating_cycle(
@@ -418,8 +412,8 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
     cap, group = max_states_cap(), system.group
     cover = _COVERS.take(key, cap)
     tree = _block_tree(system.sft, r, cap)
-    table = group.table
-    n = len(tree.parent) * len(table)
+    order = len(group.inverses)
+    n = len(tree.parent) * order
     if n > cap:
         raise RangeTooLarge(f"product graph would have {n} vertices")
     # The cover's group; None, which is never group, when there is no
@@ -431,15 +425,15 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
                 raise NotStronglyConnected("block graph is not strongly connected")
             one, blocks = group.name_of(group.identity), tree.graph.vertices
             raise NotTransitiveError(tuple((blocks[v], one) for v in tree.unreachable_pair()))
-        if len(table) == 1:
+        if order == 1:
             one, graph = group.identity_index, tree.graph
             wpot, cyc, via = (one,) * len(graph.vertices), (one,) * len(graph.edges), {one: None}
         else:
             wpot, cyc = cycle_weights(system, tree)
             via = _closure(group, cyc)
-        if len(via) < len(table):
-            orbit = {table[h][0] for h in via}
-            j = next(j for j in range(len(table)) if j not in orbit)
+        if len(via) < order:
+            orbit = {group.row(h)[0] for h in via}
+            j = next(j for j in range(order) if j not in orbit)
             block = tree.graph.vertices[0]
             labels = (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
             raise NotTransitiveError(labels)

@@ -25,7 +25,7 @@ from livsic import (
 )
 from livsic.groups import eliminate_rhs, pivot_rows
 from livsic.matrix import cyclic_product
-from livsic.sft import SpanningTree, build_block_graph, cyclic_numerator
+from livsic.sft import SpanningTree, build_block_graph, cyclic_numerator, primitive_root
 
 SEED_STRIDE = 100_003
 
@@ -197,7 +197,19 @@ def product_scc_witness(tree: SpanningTree):
     otherwise the first ordered pair of product vertices (as labels) with
     no connecting path."""
     gap = tree.unreachable_pair()
-    return None if gap is None else tuple(map(tree.graph.vertex_label, gap))
+    return None if gap is None else tuple(vertex_label(tree.graph, v) for v in gap)
+
+
+def vertex_label(pg, vid: int):
+    """(block, element name) of a product graph's vertex id, which is
+    block-major: vid = block_index * order + element_index."""
+    group = pg.system.group
+    return pg.base.vertices[vid // pg.order], group.name_of(group.join(vid % pg.order))
+
+
+def is_primitive(word) -> bool:
+    """True when the cyclic word is not a repetition of a shorter word."""
+    return primitive_root(word)[1] == 1
 
 
 def random_rotation(rng) -> np.ndarray:

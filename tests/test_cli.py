@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from livsic.cli import main
+from livsic.errors import InvariantViolation
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -69,6 +70,39 @@ def test_matrix_cell_too_large_for_a_float_is_refused(capsys, tmp_path):
     assert payload is None
     assert error["error"] == "DocumentError"
     assert error["pointer"] == "/cocycle/values/2/1/1"
+
+
+def test_a_crash_exits_3_with_a_structured_error(capsys, tmp_path):
+    # A psi entry of 10**30 overflows the Z^d witness's repeated walks.  No
+    # bound refuses it yet, and exit 1 would read as "not solvable".
+    doc = json.loads(Path(_example("full3-z2.json")).read_text())
+    doc["psi"][0][0] = 10**30
+    path = tmp_path / "huge-psi.json"
+    path.write_text(json.dumps(doc))
+    code, payload, error = _run_json(capsys, "solve", path)
+    assert (code, payload, error["error"]) == (3, None, "OverflowError")
+
+
+def test_an_internal_invariant_failure_exits_3(capsys, monkeypatch):
+    from livsic import abelian
+
+    def fail(*args, **kwargs):
+        raise InvariantViolation("solution fails its own certification")
+
+    monkeypatch.setattr(abelian, "_solve_cover", fail)
+    code, payload, error = _run_json(capsys, "solve", _example("full2-z.json"))
+    assert (code, payload) == (3, None)
+    assert error == {
+        "error": "InvariantViolation",
+        "message": "solution fails its own certification",
+    }
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(abelian, "_solve_cover", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", _example("full2-z.json")])
 
 
 def test_non_canonical_word_key_is_refused_with_its_pointer(capsys, tmp_path):

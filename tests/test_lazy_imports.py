@@ -41,9 +41,9 @@ finally:
 """
 
 # Every public name livsic/__init__.py bound before the matrix and oracle
-# names became lazy, less psi_n_cyclic, birkhoff_sum, adjoint_norm and
-# enumerate_trivial_class_orbits, which had no caller in the package and
-# were dropped.
+# names became lazy, less psi_n_cyclic, birkhoff_sum, adjoint_norm,
+# enumerate_trivial_class_orbits and is_primitive, which had no caller in
+# the package and were dropped.
 PUBLIC = """
 AlgebraNotClosed AlphaNotConstant BadShape BlockGraph CentralityImpossible
 ClosureTooLarge CocycleObstruction CohomologySolution DeadSymbol
@@ -64,7 +64,7 @@ canonical_json canonical_rotation check_distortion_assumption
 check_transitivity count_periodic_points cyclic_product
 enumerate_periodic_orbits
 estimate_distortion frobenius_class generate_cocycle
-generate_matrix_cocycle is_primitive make_cocycle make_matrix_cocycle
+generate_matrix_cocycle make_cocycle make_matrix_cocycle
 make_skew_system orbit_weights parse_solution_document
 parse_system_document primitive_root psi_n smith_diagonal
 solution_to_doc solve_finite_gamma solve_free_abelian solve_matrix_finite

@@ -21,13 +21,12 @@ from livsic import (
     count_periodic_points,
     enumerate_periodic_orbits,
     generate_cocycle,
-    is_primitive,
     make_cocycle,
     make_skew_system,
     orbit_weights,
     verify_vanishing,
 )
-from corpus import cyclic_weight, random_irreducible_sft, rng_for, s3_group
+from corpus import cyclic_weight, is_primitive, random_irreducible_sft, rng_for, s3_group
 
 FULL_2 = SftSpec.full_shift(2)
 

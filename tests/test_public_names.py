@@ -8,7 +8,12 @@ string), or it is one of the REFERENCES the tests compare the solvers
 against.  The package ``__init__`` re-exports and lists lazy names by
 design, so its imports and strings count for nothing.
 
-One level down, every keyword-only parameter of a public function, or of
+One level down, every public method or property of a public class must
+be read as an attribute in the package outside its own definition, or
+appear as a word under ``perfbench/`` or ``bench/``.  A read is matched to
+a method by name alone, so a read of any attribute of that name counts.
+
+Every keyword-only parameter of a public function, or of
 a public method of a public class, must be passed by that keyword from
 some call in the package (outside the function's own body), under
 ``perfbench/`` or under ``bench/``; the REFERENCES are exempt.  A call is
@@ -62,6 +67,33 @@ def _unread(sources: dict[str, str], outside: str) -> list[str]:
         if not readers.get(name, set()) - {(module, name)}
         and not re.search(rf"\b{name}\b", outside)
         and name not in REFERENCES
+    )
+
+
+def _unread_methods(sources: dict[str, str], outside: str) -> list[str]:
+    """module.class.method for every public method or property of a public
+    top-level class of sources that no attribute read outside its own
+    definition, and no word of outside, names."""
+    reads, methods = {}, {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+                continue
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    own = sum(
+                        isinstance(n, ast.Attribute) and n.attr == node.name
+                        for n in ast.walk(node)
+                    )
+                    methods[f"{module}.{top.name}.{node.name}"] = node.name, own
+    return sorted(
+        label
+        for label, (name, own) in methods.items()
+        if reads.get(name, 0) == own and not re.search(rf"\b{name}\b", outside)
     )
 
 
@@ -141,6 +173,28 @@ def test_the_check_sees_a_function_only_its_tests_call():
 def test_every_public_name_has_a_caller_outside_the_tests():
     sources, outside = _package_and_outside()
     assert _unread(sources, "\n".join(outside)) == []
+
+
+def test_the_check_sees_a_method_only_its_tests_read():
+    sources = {
+        "a": "class Orbit:\n"
+             "    @property\n    def period(self):\n        return len(self.word)\n"
+             "\n    @classmethod\n    def from_word(cls, w):\n        return cls.from_word(w)\n"
+             "\n    def label(self):\n        return self.period\n"
+             "\n    def _peek(self):\n        return 0\n"
+             "\n\nclass _Hidden:\n    def lonely(self):\n        return 1\n",
+        "b": "def run(orbit):\n    return orbit.label()\n",
+    }
+    # A method's read of itself counts for nothing; private methods and
+    # private classes are not checked.
+    assert _unread_methods(sources, "") == ["a.Orbit.from_word"]
+    assert _unread_methods(sources, "WRAPPED = ('a', 'from_word')") == []
+    assert _unread_methods({"a": sources["a"]}, "") == ["a.Orbit.from_word", "a.Orbit.label"]
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    sources, outside = _package_and_outside()
+    assert _unread_methods(sources, "\n".join(outside)) == []
 
 
 def test_the_check_sees_a_keyword_only_its_tests_pass():

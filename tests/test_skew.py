@@ -54,6 +54,7 @@ from corpus import (
     s3_group,
     s5_group,
     trivial_orbit_words,
+    vertex_label,
 )
 
 GOLDEN_MEAN = SftSpec.from_rows([[1, 1], [1, 0]])
@@ -593,7 +594,7 @@ def test_strong_connectivity_matches_brute_closure():
         pg = build_product_graph(system, 1)
         pg_reach = _reach_closure([[pg.edge_head[e] for e in out] for out in pg.out_edges])
         pg_gap = _first_gap([[pg.edge_head[e] for e in out] for out in pg.out_edges])
-        expected = None if pg_gap is None else tuple(map(pg.vertex_label, pg_gap))
+        expected = None if pg_gap is None else tuple(vertex_label(pg, v) for v in pg_gap)
         assert product_scc_witness(SpanningTree(pg)) == expected
         if gap is not None:
             # A reducible base is named by its own pair at the identity,
@@ -601,7 +602,7 @@ def test_strong_connectivity_matches_brute_closure():
             one = group.identity_index
             i, j = (v * group.order + one for v in gap)
             assert not pg_reach[i][j]
-            expected = pg.vertex_label(i), pg.vertex_label(j)
+            expected = vertex_label(pg, i), vertex_label(pg, j)
         assert check_transitivity(system).witness == expected
         cocycle = generate_cocycle(system, block_range=1, seed=seed)
         if expected is None:
@@ -776,7 +777,7 @@ def test_a_reducible_base_is_named_by_its_blocks_at_the_identity():
             # The product graph, the reference, has no path between the two.
             pg = build_product_graph(system, r)
             source, target = (pg.base.vertices.index(b) * pg.order + identity for b, _ in pair)
-            assert (pg.vertex_label(source), pg.vertex_label(target)) == pair
+            assert (vertex_label(pg, source), vertex_label(pg, target)) == pair
             _, reached = sft._bfs_edges(pg.out_edges, pg.edge_head, source)
             assert target not in reached, (label, r)
             checked += 1
