@@ -118,7 +118,6 @@ _LAZY = {
         "verify_matrix_solution",
     ),
     "oracles": (
-        "OracleConfig",
         "brute_matrix_solution_check",
         "brute_orbit_list",
         "brute_periodic_census",

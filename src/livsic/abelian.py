@@ -37,9 +37,11 @@ from math import gcd, lcm
 from operator import add, eq, mul
 
 from .errors import (
+    DEFAULT_MAX_WORK,
     CocycleObstruction,
     DimensionMismatch,
     InvalidCocycle,
+    RangeTooLarge,
     TorsionAlpha,
     check_invariant,
     max_states_cap,
@@ -56,6 +58,7 @@ from .sft import (
     _check_cocycle_shift,
     _solution_block_graph,
     _successor_table,
+    _window_words,
     build_block_graph,
     cyclic_numerator,
     make_cocycle,
@@ -259,19 +262,18 @@ def _solve_cover(
 def _edge_numerators(cocycle, bg) -> list[int]:
     """scale * f on the leading window of each edge of bg, the cocycle's
     block graph over the system's shift, for scale the cocycle's
-    denominator (the lcm of f's), in edge order.  At block range >= 1 the
-    windows are the edge words themselves, and at 0 the 1-blocks, so an
-    edge reads the window of its tail.  make_cocycle's numerators are a
-    WindowNumerators, in window order, which is the graph's order, so
-    they are read by position with no word hashed; any other table (a
-    record built directly, or unpickled from an older build) is read by
-    window."""
+    denominator (the lcm of f's), in edge order.  The windows
+    (sft._window_words) are the edge words themselves at block range >= 1,
+    and the 1-blocks at 0, so an edge reads the window of its tail.
+    make_cocycle's numerators are a WindowNumerators, listed by walking
+    those windows, so they are read by position with no word hashed; any
+    other table (a record built directly, or unpickled from an older
+    build) is read by window."""
     numerators = cocycle.numerators
     if type(numerators) is WindowNumerators:
         values = list(numerators.values())
     else:
-        windows = bg.edges if cocycle.block_range else bg.vertices
-        values = list(map(numerators.__getitem__, windows))
+        values = list(map(numerators.__getitem__, _window_words(bg.spec, cocycle.block_range)))
     if cocycle.block_range:
         return values
     return list(map(values.__getitem__, bg.edge_tail))
@@ -300,16 +302,17 @@ def _inconsistency_certificate(system, tree, combo, columns, scale):
     """
     bg = tree.graph
     content = gcd(*combo.values())
-
-    plus: list[int] = []
-    minus: list[int] = []
+    terms = []
     for i, c in sorted(combo.items()):  # eliminate_rhs leaves zeros out
         walk, shadow = tree.walks(tree.chords[i][0])
-        nmul = c // content
-        if nmul < 0:
-            walk, shadow, nmul = shadow, walk, -nmul
-        plus.extend(walk * nmul)
-        minus.extend(shadow * nmul)
+        terms.append((walk, shadow, c // content) if c > 0 else (shadow, walk, -c // content))
+    # The walks are repeated by elimination coefficients, which grow with psi.
+    edges = sum(n * (len(walk) + len(shadow)) for walk, shadow, n in terms)
+    if edges > DEFAULT_MAX_WORK:
+        raise RangeTooLarge(f"the inconsistency's witness walks, {edges} edges, "
+                            f"exceed the work budget of {DEFAULT_MAX_WORK}")
+    plus = list(chain.from_iterable(walk * n for walk, _, n in terms))
+    minus = list(chain.from_iterable(shadow * n for _, shadow, n in terms))
 
     def column_sums(walk):
         return [sum(map(col.__getitem__, walk)) for col in columns]

@@ -287,9 +287,7 @@ def _cmd_verify_solution(args, command_line: str) -> int:
     check_tol = certification_tolerance(
         args.tol, np.stack(list(solution.u.values())), np.stack(list(u_inv.values()))
     )
-    report = verify_matrix_solution(
-        system, cocycle, solution, tol=check_tol, u_inv=u_inv
-    )
+    report = verify_matrix_solution(system, cocycle, solution, tol=check_tol)
     _emit(fields_doc(report, k, {"tol": "tolerance"}))
     return 0 if report.certified else 1
 

@@ -420,16 +420,13 @@ def verify_matrix_solution(
     solution: MatrixSolution,
     *,
     tol: float = 1e-9,
-    u_inv: dict[Word, np.ndarray] | None = None,
 ) -> MatrixVerificationReport:
     """Recheck reconstruction, alpha multiplicativity and alpha centrality.
 
     InvalidCocycle when the cocycle is over another shift than the system;
     DimensionMismatch when the block length, the blocks u is defined on,
     the names alpha is keyed by or the size of a u or alpha matrix do not
-    fit the system and cocycle.  u_inv, when given, is
-    invert_blocks(solution.u) already computed by the caller (for instance
-    to scale tol), so u is inverted only once."""
+    fit the system and cocycle."""
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the matrix solver supports finite fiber groups")
@@ -440,8 +437,7 @@ def verify_matrix_solution(
     for name, mats in (("u", solution.u), ("alpha", solution.alpha)):
         if any(m.shape != (dim, dim) for m in mats.values()):
             raise DimensionMismatch(f"{name} matrices must be {dim}x{dim}, as the cocycle's are")
-    if u_inv is None:
-        u_inv = invert_blocks(solution.u)
+    u_inv = invert_blocks(solution.u)
     alpha = np.stack([solution.alpha[group.name_of(gi)] for gi in range(group.order)])
     u, inv = (np.stack([mats[b] for b in bg.vertices]) for mats in (solution.u, u_inv))
     return _check_solution(system, cocycle, bg, _edge_values(cocycle, bg), alpha, u, inv, tol)

@@ -12,13 +12,11 @@ import random
 from fractions import Fraction
 
 from .errors import InfiniteGroup, StateSpaceTooLarge
-from .record import record
 
-
-@record
-class OracleConfig:
-    max_period: int = 16
-    max_state_count: int = 50_000
+# The largest period brute_vanishing scans and the most (symbol, element)
+# states brute_transitivity visits.
+MAX_PERIOD = 16
+MAX_STATE_COUNT = 50_000
 
 
 def _cyclic_ok(spec, word) -> bool:
@@ -42,13 +40,13 @@ def _cyclic_sum(cocycle, word) -> Fraction:
     return total
 
 
-def brute_transitivity(system, config: OracleConfig = OracleConfig()) -> bool:
+def brute_transitivity(system) -> bool:
     """Pairwise reachability on (symbol, element) states, from first principles."""
     group = system.group
     if not group.is_finite:
         raise InfiniteGroup("the transitivity oracle needs a finite group")
     spec = system.sft
-    if spec.k * group.order > config.max_state_count:
+    if spec.k * group.order > MAX_STATE_COUNT:
         raise StateSpaceTooLarge(
             f"{spec.k * group.order} product states exceed the oracle cap"
         )
@@ -74,19 +72,15 @@ def brute_transitivity(system, config: OracleConfig = OracleConfig()) -> bool:
     return True
 
 
-def brute_vanishing(
-    system, cocycle, max_period: int, config: OracleConfig = OracleConfig()
-):
+def brute_vanishing(system, cocycle, max_period: int):
     """First identity-weight cyclic word with nonzero sum, scanning all words.
 
     Unlike the orbit-based check this sees imprimitive words too, so a
     torsion weight whose power closes up cannot hide.  Returns (word, sum)
     or None.
     """
-    if max_period > config.max_period:
-        raise StateSpaceTooLarge(
-            f"period {max_period} exceeds the oracle cap {config.max_period}"
-        )
+    if max_period > MAX_PERIOD:
+        raise StateSpaceTooLarge(f"period {max_period} exceeds the oracle cap {MAX_PERIOD}")
     spec = system.sft
     for n in range(1, max_period + 1):
         for word in itertools.product(range(1, spec.k + 1), repeat=n):

@@ -144,30 +144,8 @@ def _successor_table(spec: SftSpec) -> list[tuple[int, ...]]:
     return [(), *map(tuple, rows)]
 
 
-def _admissible_words(spec: SftSpec, length: int, cap: int) -> list[Word]:
-    # Depth first, successors pushed in reverse: words come out sorted.
-    words: list[Word] = []
-    stack: list[Word] = [(a,) for a in range(spec.k, 0, -1)]
-    backwards = [after[::-1] for after in _successor_table(spec)]
-    while stack:
-        w = stack.pop()
-        if len(w) == length:
-            words.append(w)
-            if len(words) > cap:
-                raise RangeTooLarge(
-                    f"more than {cap} admissible words of length {length}"
-                )
-            continue
-        for b in backwards[w[-1]]:
-            stack.append(w + (b,))
-    return words
-
-
 def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
-    """The r-block presentation, from the memo of block_tree.
-
-    RangeTooLarge beyond the state cap, cached or not.
-    """
+    """The r-block presentation, block_tree(spec, r).graph, refused as it is."""
     return block_tree(spec, r).graph
 
 
@@ -198,30 +176,39 @@ def _block_tree(spec: SftSpec, r: int, cap: int) -> "SpanningTree":
 
 
 def _block_graph(spec: SftSpec, r: int, cap: int) -> BlockGraph:
-    vertices = tuple(_admissible_words(spec, r, cap))
-    index = {w: i for i, w in enumerate(vertices)}
+    """The r-block graph, its words spelt a length at a time once
+    _check_walk admits them: each level extends the last, word by word in
+    order, by successors in order, so the levels are sorted.  Level r is
+    the vertices, and level r + 1 the edges."""
+    _check_walk(spec, r, cap, r)
     successors = _successor_table(spec)
-    edges: list[Word] = []
-    tails: list[int] = []
-    heads: list[int] = []
-    out: list[list[int]] = [[] for _ in vertices]
-    for i, w in enumerate(vertices):
-        for b in successors[w[-1]]:
-            e = w + (b,)
-            j = index[e[1:]]
-            out[i].append(len(edges))
-            edges.append(e)
-            tails.append(i)
-            heads.append(j)
+    words = [(a,) for a in range(1, spec.k + 1)]
+    for _ in range(r):
+        vertices, words = words, [w + (b,) for w in words for b in successors[w[-1]]]
+    index = {w: i for i, w in enumerate(vertices)}
+    ends = [0, *accumulate(len(successors[w[-1]]) for w in vertices)]
     return BlockGraph(
         spec=spec,
         r=r,
-        vertices=vertices,
-        edges=tuple(edges),
-        edge_tail=tuple(tails),
-        edge_head=tuple(heads),
-        out_edges=tuple(tuple(x) for x in out),
+        vertices=tuple(vertices),
+        edges=tuple(words),
+        edge_tail=tuple(i for i, w in enumerate(vertices) for _ in successors[w[-1]]),
+        edge_head=tuple(map(index.__getitem__, map(itemgetter(slice(1, None)), words))),
+        out_edges=tuple([tuple(range(a, b)) for a, b in zip(ends, ends[1:])]),
     )
+
+
+def _check_walk(spec: SftSpec, r: int, cap: int, capped: int) -> None:
+    """RangeTooLarge, before a word is spelt, past cap words of length
+    capped or past the work budget in the symbols of the words of length
+    1 to r + 1 that _block_graph spells."""
+    spelt = 0
+    for length, ends in _word_counts(spec, r + 1):
+        if length == capped and sum(ends) > cap:
+            raise RangeTooLarge(f"more than {cap} admissible words of length {capped}")
+        spelt += length * sum(ends)
+        if spelt > DEFAULT_MAX_WORK:
+            raise _over_budget(f"the {r}-block graph", "block length", length - 2)
 
 
 class StateMemo:
@@ -488,43 +475,48 @@ def primitive_root(word: Word) -> tuple[Word, int]:
     raise AssertionError("unreachable")
 
 
+def _word_counts(spec: SftSpec, max_len: int):
+    """(length, ends) for lengths 1 to max_len, where ends[b - 1] counts
+    the admissible words of that length ending in b, one vector step per
+    length; it stops at the first length with none, as none longer has any."""
+    columns = tuple(zip(*spec.transitions))
+    ends = [1] * spec.k
+    for length in range(1, max_len + 1):
+        if length > 1:
+            ends = [sum(map(mul, ends, col)) for col in columns]
+        if not any(ends):
+            return
+        yield length, ends
+
+
+def _over_budget(subject: str, what: str, fits: int) -> RangeTooLarge:
+    largest = f"the largest {what} within it is {fits}"
+    return RangeTooLarge(f"{subject} exceeds the work budget; "
+                         + (largest if fits > 0 else f"no {what} is within it"))
+
+
 def check_work(spec: SftSpec, max_len: int, subject: str, what: str, offset: int = 0) -> None:
     """RangeTooLarge unless the admissible words of every length up to
     max_len fit the work budget.
 
-    The words are counted by last symbol, one vector step per length, up
-    to the first length past the budget, so a refusal costs no more than
-    an admission.  Two cases end the count early.  When no word of some
-    length is admissible, none longer is, so the budget holds.  When the
-    counts at two consecutive lengths are equal, every later length adds
-    the same number of words, so the first length past the budget is
-    computed in one step (every irreducible shift of zero entropy).  The
-    message names the subject and the largest <what> (a word length less
-    offset) whose words fit, or that none does.
+    The words are counted by _word_counts up to the first length past the
+    budget.  When the counts at two consecutive lengths are equal, every
+    later length adds as many words, so the first length past the budget
+    is computed in one step (every irreducible shift of zero entropy).
+    The message names the subject and the largest <what> (a word length
+    less offset) whose words fit, or that none does.
     """
-    columns = tuple(zip(*spec.transitions))
-    ends = [1] * spec.k
-    total = 0
-    for length in range(1, max_len + 1):
-        if length > 1:
-            before, ends = ends, [sum(map(mul, ends, col)) for col in columns]
-            if not any(ends):
+    total, before = 0, None
+    for length, ends in _word_counts(spec, max_len):
+        if ends == before:
+            length += (DEFAULT_MAX_WORK - total) // sum(ends)
+            if length > max_len:
                 return
-            if ends == before:
-                # Every length from here on adds sum(ends) words: go to the
-                # first one past the budget.
-                length += (DEFAULT_MAX_WORK - total) // sum(ends)
-                if length > max_len:
-                    return
-                total = DEFAULT_MAX_WORK
+            total = DEFAULT_MAX_WORK
         total += sum(ends)
         if total > DEFAULT_MAX_WORK:
-            fits = length - 1 - offset
-            largest = f"the largest {what} within it is {fits}"
-            raise RangeTooLarge(
-                f"{subject} exceeds the work budget; "
-                + (largest if fits > 0 else f"no {what} is within it")
-            )
+            raise _over_budget(subject, what, length - 1 - offset)
+        before = ends
 
 
 def walk_primitive_orbits(spec: SftSpec, max_period: int, act=None, identity=None):
@@ -932,9 +924,8 @@ def _as_fraction(x) -> Fraction:
 
 class WindowNumerators(dict):
     """A cocycle's numerators as make_cocycle lists them: keyed by exactly
-    the admissible windows, in lexicographic order.  The type is the
-    promise, so a solver reads such a table by position; any other dict
-    is read by window."""
+    its _window_words, in their order.  The type is the promise, so a
+    solver reads such a table by position; any other dict by window."""
 
     __slots__ = ()
 
@@ -947,12 +938,10 @@ class LocallyConstantCocycle:
     it by make_cocycle: denominator, the lcm of its denominators, and
     numerators, each window's value times denominator as an int, so exact
     sums and solves run in ints over that one denominator.  make_cocycle
-    lists numerators in lexicographic window order, the edge order of
-    the block graph over block_range-blocks (at block range 0, the order
-    of the symbols), as a WindowNumerators, which a solver reads on every
-    edge by position.  A record built directly with a plain dict, or
-    unpickled from an older build, may hold them in any order, and is
-    read by window.
+    lists numerators by walking _window_words, in the block graph's edge
+    order, as a WindowNumerators, which a solver reads by position.  A
+    record built directly with a plain dict, or unpickled from an older
+    build, may hold them in any order, and is read by window.
     """
 
     sft: SftSpec
@@ -975,13 +964,13 @@ def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocyc
     """Validate that values cover exactly the admissible windows.
 
     values keeps the order it came in, but numerators lists the windows in
-    lexicographic order, whatever that order: the edge order of the block
-    graph the solvers read f on.
+    the edge order of the block graph the solvers read f on, whatever
+    that order.
     """
     if block_range < 0:
         raise InvalidCocycle("block range must be >= 0")
     table = {tuple(int(s) for s in k): _as_fraction(v) for k, v in values.items()}
-    _check_window_domain(sft, block_range, table)
+    windows = _check_window_domain(sft, block_range, table)
     den = lcm(*{x.denominator for x in table.values()})
     return LocallyConstantCocycle(
         sft=sft,
@@ -989,22 +978,31 @@ def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocyc
         values=table,
         denominator=den,
         numerators=WindowNumerators(
-            (w, x.numerator * (den // x.denominator)) for w, x in sorted(table.items())
+            (w, table[w].numerator * (den // table[w].denominator)) for w in windows
         ),
     )
 
 
-def _check_window_domain(sft: SftSpec, block_range: int, windows) -> None:
-    """InvalidCocycle unless the windows are exactly the admissible words
-    of length block_range + 1, as every cocycle table must be."""
-    expected = set(_admissible_words(sft, block_range + 1, max_states_cap()))
-    got = set(windows)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        raise InvalidCocycle(
-            f"cocycle domain mismatch: missing {missing[:4]}, extra {extra[:4]}"
-        )
+def _window_words(spec: SftSpec, block_range: int) -> tuple[Word, ...]:
+    """A cocycle's windows from the memoized graph the solvers read it on:
+    the edges over block_range-blocks, or at block range 0 the 1-blocks.
+    More than LIVSIC_MAX_STATES are refused by their count."""
+    cap = max_states_cap()
+    r = max(block_range, 1)
+    _check_walk(spec, r, cap, block_range + 1)
+    graph = _block_tree(spec, r, cap).graph
+    return graph.edges if block_range else graph.vertices
+
+
+def _check_window_domain(sft: SftSpec, block_range: int, table: dict) -> tuple[Word, ...]:
+    """The cocycle's _window_words; InvalidCocycle unless the table is
+    keyed by exactly them."""
+    windows = _window_words(sft, block_range)
+    if table.keys() != set(windows):
+        missing = [w for w in windows if w not in table]
+        extra = sorted(table.keys() - set(windows))
+        raise InvalidCocycle(f"cocycle domain mismatch: missing {missing[:4]}, extra {extra[:4]}")
+    return windows
 
 
 def _check_cocycle_shift(spec: SftSpec, cocycle) -> None:

@@ -26,6 +26,7 @@ from livsic import (
     InvalidCocycle,
     NotStronglyConnected,
     NotTransitiveError,
+    RangeTooLarge,
     SftSpec,
     TorsionAlpha,
     ViolationWitness,
@@ -38,6 +39,7 @@ from livsic import (
     make_cocycle,
     make_skew_system,
     orbit_weights,
+    parse_system_document,
     solve_finite_gamma,
     solve_free_abelian,
     verify_solution,
@@ -60,6 +62,7 @@ from corpus import (
     trivial_orbit_words,
 )
 from livsic.errors import max_states_cap
+from mutation_gate import edited, example
 from livsic.sft import SpanningTree
 from livsic.skew import build_product_graph
 
@@ -129,6 +132,24 @@ def test_solve_lattice_obstruction_witness():
     assert witness.total == Fraction(1, 2)
     # The independent word scan agrees on the first counterexample.
     assert brute_vanishing(system, cocycle, 6) == ((1, 1, 2, 2), Fraction(1, 2))
+
+
+def test_the_witness_walks_are_bounded_before_they_are_built():
+    # Over Z^2 the witness repeats tree walks by elimination coefficients,
+    # which grow with psi: past the work budget in edges it is refused
+    # before a walk is repeated.  A psi entry of 10^5 still answers.
+    def solve(psi):
+        doc = edited(example("full3-z2.json"), [(("psi", 0, 0), psi)])
+        envelope = parse_system_document(doc)
+        solve_free_abelian(envelope.system, envelope.cocycle)
+
+    for psi, edges in ((10**7, 59_999_999), (10**30, 6 * 10**30 - 1)):
+        message = f"^the inconsistency's witness walks, {edges} edges, exceed the work budget"
+        with pytest.raises(RangeTooLarge, match=message):
+            solve(psi)
+    with pytest.raises(CocycleObstruction) as err:
+        solve(10**5)
+    assert isinstance(err.value.witness, EqualWeightPair)
 
 
 def test_verify_vanishing_matches_solver_verdicts():

@@ -227,6 +227,32 @@ def test_solves_on_cached_trees_build_neither_a_tree_nor_the_product_graph(monke
     assert built == []
 
 
+def test_a_cocycle_builds_the_tree_its_solver_reads(monkeypatch):
+    # The domain check reads a cocycle's windows off the memoized block
+    # graph, the edges over r-blocks (at range 0 the 1-blocks), so a
+    # parsed cocycle builds the one tree the solver's gate then hits.
+    system = make_skew_system(FULL_2, build_group(GroupSpec.free_abelian(1)), ((1,), (-1,)))
+    built = []
+    init = SpanningTree.__init__
+
+    def counting(self, graph):
+        built.append(graph.r)
+        init(self, graph)
+
+    monkeypatch.setattr(SpanningTree, "__init__", counting)
+    for rf in (0, 1, 3):
+        tree = block_tree(FULL_2, max(rf, 1))
+        windows = tree.graph.edges if rf else tree.graph.vertices
+        sft._TREES.clear()
+        skew._COVERS.clear()
+        cocycle = make_cocycle(FULL_2, rf, dict.fromkeys(reversed(windows), 0))
+        assert list(cocycle.numerators) == list(windows)
+        assert _held()[0] == [(FULL_2, max(rf, 1))]
+        built.clear()
+        assert solve_free_abelian(system, cocycle).certificate.certified
+        assert built == []
+
+
 def test_chords_and_rises_read_the_fundamental_cycles():
     # Full, sparse and periodic shifts at r = 1 to 3.  Tree edges rise by 0,
     # so the period and the lattice of the cycle weights read over every

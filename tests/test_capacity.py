@@ -26,6 +26,7 @@ import pytest
 
 from corpus import random_u
 from launcher import launch
+from mutation_gate import escape
 from livsic import (
     GroupSpec,
     SftSpec,
@@ -190,6 +191,20 @@ ADMITTED = {
 }
 
 _STATES = "product graph would have 61440 vertices"
+
+
+def _windows_refused(r: int, fits: int) -> dict:
+    """The refusal of a document whose cocycle's windows are past the work
+    budget: the r-block graph they are the edges of."""
+    message = (f"/cocycle/values: the {r}-block graph exceeds the work budget; "
+               f"the largest block length within it is {fits}")
+    return {"error": "DocumentError", "pointer": "/cocycle/values", "message": message}
+
+
+def _witness_refused(edges: int) -> dict:
+    return {"error": "RangeTooLarge", "message": f"the inconsistency's witness walks, "
+            f"{edges} edges, exceed the work budget of 2000000"}
+
 _WORK = "exceeds the work budget; the largest period within it is 12"
 
 # name, document builder and its arguments, command and its extra arguments,
@@ -220,6 +235,25 @@ CASES = [
     ("solve Z2 full2 range 15", (_z2_full2_zero, 15), ["solve"], 2, 1.0, 64,
      {"error": "DocumentError", "pointer": "/cocycle/values",
       "message": "/cocycle/values: 65536 windows exceed the state cap 50000"}),
+    # The work budget (2 000 000 symbols) on spelling a cocycle's windows,
+    # counted before any is spelt: range 10^30 on the golden mean and full
+    # 2-shifts, and range 200 000 on the two-symbol cycle shift, which has
+    # 2 words of every length.
+    ("validate gm-c2 range 10^30", (escape, "gm-c2 range 10^30"), ["validate"], 2, 1.0, 64,
+     _windows_refused(10**30, 20)),
+    ("solve gm-c2 range 10^30", (escape, "gm-c2 range 10^30"), ["solve"], 2, 1.0, 64,
+     _windows_refused(10**30, 20)),
+    ("distortion full2-c2-quarterturn range 10^30",
+     (escape, "full2-c2-quarterturn range 10^30"), ["distortion", "--depth", "3"], 2, 1.0, 64,
+     _windows_refused(10**30, 15)),
+    ("validate cycle2 range 200000", (escape, "cycle2 range 200000"), ["validate"], 2, 1.0, 64,
+     _windows_refused(200_000, 1412)),
+    # The work budget (2 000 000 edges) on the Z^2 witness walks, whose
+    # repeats grow with psi: one psi entry of 10^7, and of 10^30.
+    ("solve full3-z2 psi 10^7", (escape, "full3-z2 psi 10^7"), ["solve"], 2, 1.0, 64,
+     _witness_refused(59_999_999)),
+    ("solve full3-z2 psi 10^30", (escape, "full3-z2 psi 10^30"), ["solve"], 2, 1.0, 64,
+     _witness_refused(6 * 10**30 - 1)),
     # The work budget (2 000 000 words) on `orbits`: 69 706 orbits up to 12.
     ("orbits full3-z2 p12", (_example, "full3-z2.json"), ["orbits", "--max-period", "12"],
      0, 4.0, 256, None),

@@ -52,7 +52,7 @@ DocumentError EqualWeightPair FrobeniusClassTag Group GroupSpec
 InadmissibleWord InfiniteGroup InvalidCocycle InvariantViolation LivsicError
 LocallyConstantCocycle MatrixCocycle MatrixSolution MatrixVerificationReport
 MatrixViolationWitness NonTransitivityCertificate NotAGroup NotAHomomorphism
-NotIrreducible NotStronglyConnected NotTransitiveError OracleConfig
+NotIrreducible NotStronglyConnected NotTransitiveError
 PeriodicOrbit ProductGraph RangeTooLarge SftSpec SingularMatrix SkewSystem
 SolutionEnvelope StateSpaceTooLarge SubgroupReport SystemEnvelope
 TOOL_VERSION TorsionAlpha TransitivityEvidence TransitivityVerdict

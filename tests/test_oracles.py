@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import livsic.oracles as oracles
 from livsic import (
     GroupSpec,
     InfiniteGroup,
-    OracleConfig,
     PeriodicOrbit,
     SftSpec,
     StateSpaceTooLarge,
@@ -31,14 +31,16 @@ from corpus import cyclic_weight, is_primitive, random_irreducible_sft, rng_for,
 FULL_2 = SftSpec.full_shift(2)
 
 
-def test_oracle_caps():
+def test_oracle_caps(monkeypatch):
     c8 = build_group(GroupSpec.cyclic(8))
     system = make_skew_system(FULL_2, c8, (1, 0))
+    monkeypatch.setattr(oracles, "MAX_STATE_COUNT", 10)
+    monkeypatch.setattr(oracles, "MAX_PERIOD", 8)
     with pytest.raises(StateSpaceTooLarge):
-        brute_transitivity(system, OracleConfig(max_state_count=10))
+        brute_transitivity(system)
     cocycle = make_cocycle(FULL_2, 0, {(1,): 0, (2,): 0})
-    with pytest.raises(StateSpaceTooLarge):
-        brute_vanishing(system, cocycle, 20, OracleConfig(max_period=8))
+    with pytest.raises(StateSpaceTooLarge, match="period 20 exceeds the oracle cap 8"):
+        brute_vanishing(system, cocycle, 20)
 
 
 def test_oracle_rejects_infinite_groups():

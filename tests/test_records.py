@@ -84,8 +84,6 @@ def test_every_converted_type_is_found():
         # matrix
         "DistortionReport", "DistortionVerdict", "MatrixCocycle",
         "MatrixVerificationReport", "MatrixViolationWitness",
-        # oracles
-        "OracleConfig",
         # serialization
         "SolutionEnvelope", "SystemEnvelope",
         # sft

@@ -482,6 +482,28 @@ def test_the_work_gate_answers_at_once_when_counts_stop_growing(monkeypatch):
         sft.check_work(cycle, fits, "scan", "depth")
 
 
+def test_a_block_walk_is_counted_before_a_word_is_spelt(monkeypatch):
+    # The words are counted a length at a time first, and the walk to the
+    # r-block graph spells every word of lengths 1 to r + 1: past the work
+    # budget in symbols it is refused at once, however large r is, naming
+    # the largest r within it.  A cocycle's windows are read off that graph.
+    cycle = SftSpec.from_rows([[0, 1], [1, 0]])
+    for spec, r, fits in ((GOLDEN_MEAN, 10**30, 20), (FULL_2, 10**30, 15), (cycle, 200_000, 1412)):
+        message = f"^the {r}-block graph exceeds the work budget; the largest block length within it is {fits}$"
+        with pytest.raises(RangeTooLarge, match=message):
+            build_block_graph(spec, r)
+        with pytest.raises(RangeTooLarge, match=message):
+            make_cocycle(spec, r, {})
+        sft._check_walk(spec, fits, 10**6, fits)
+        with pytest.raises(RangeTooLarge, match=f"the largest block length within it is {fits}$"):
+            sft._check_walk(spec, fits + 1, 10**6, fits + 1)
+    # A cocycle's windows, of length r + 1, are capped by their own count.
+    monkeypatch.setenv("LIVSIC_MAX_STATES", "8")
+    with pytest.raises(RangeTooLarge, match="^more than 8 admissible words of length 4$"):
+        make_cocycle(FULL_2, 3, {})
+    assert len(build_block_graph(FULL_2, 3).vertices) == 8
+
+
 def test_birkhoff_sum_rotation_invariant():
     cocycle = make_cocycle(
         GOLDEN_MEAN,
