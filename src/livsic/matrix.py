@@ -48,8 +48,8 @@ from .skew import SkewSystem, closure_walks, lifted_cycle, transitive_cover
 # commutators, conjugation keeping it in its span, and the homomorphism
 # and commutation checks of generate_matrix_cocycle.
 _ALGEBRA_TOL = 1e-9
-# A distortion scan compounds up to n_max values per product, so its span
-# check is looser; it is also the margin check_distortion_assumption asks.
+# The distortion scan's span check of its window values and their
+# inverses, and the margin check_distortion_assumption asks.
 _DISTORTION_TOL = 1e-6
 # The distortion scan's words per chunk, and the fewest it checks per
 # batch: its walk holds at most depth * k chunks, and a batch fewer than
@@ -152,26 +152,29 @@ def _check_algebra_closed(basis) -> None:
     """Commutators of basis elements must stay in the span.
 
     One stack of commutators [x_i, x_j] per basis element x_i, so memory
-    stays that of the basis however large it is."""
+    stays that of the basis however large it is.  With s the basis's
+    largest entry, the rank counts singular values past 1e-9 s and the
+    span test's floor is s^2: a rescaled basis gets the same decisions."""
     if not basis:
         raise AlgebraNotClosed("algebra basis is empty")
-    frame = _algebra_frame(basis)
-    stack, b_mat, _ = frame
-    if np.linalg.matrix_rank(b_mat, tol=1e-9) < len(basis):
+    stack, _, b_mat, _, scale = frame = _algebra_frame(basis)
+    if np.linalg.matrix_rank(b_mat, tol=1e-9 * scale) < len(basis):
         raise AlgebraNotClosed("algebra basis is linearly dependent")
     for i, x in enumerate(stack):
         comms = (x @ stack - stack @ x).reshape(len(stack), -1)
-        _project(comms, frame, _ALGEBRA_TOL,
-                 lambda j: f"commutator of basis elements {i} and {j} leaves the span")
+        _check_span(comms, frame, _ALGEBRA_TOL, scale * scale,
+                    lambda j: f"commutator of basis elements {i} and {j} leaves the span")
 
 
 def _algebra_frame(basis):
-    """(basis stack, basis matrix, its pseudo-inverse transposed), or None
-    for the ambient algebra: what _adjoint_factors needs, computed once."""
+    """(basis stack, basis side by side [X_1 ... X_d], basis matrix, its
+    pseudo-inverse transposed, largest absolute entry), or None for the
+    ambient algebra: what the span checks and _adjoint_factors need."""
     if basis is None:
         return None
     b_mat = np.stack([b.reshape(-1) for b in basis], axis=1)
-    return np.stack(basis), b_mat, np.linalg.pinv(b_mat).T
+    side, scale = np.concatenate(basis, axis=1), float(np.abs(b_mat).max())
+    return np.stack(basis), side, b_mat, np.linalg.pinv(b_mat).T, scale
 
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -181,28 +184,31 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
 
-def _adjoint_factors(g: np.ndarray, frame, tol: float) -> tuple[np.ndarray, ...]:
+def _adjoint_factors(g: np.ndarray, frame) -> tuple[np.ndarray, ...]:
     """Stacks whose rows' 2-norms multiply to ||Ad(g)|| for each matrix of
     an (N, m, m) stack: (g, g^-1) on the ambient algebra, (coefficient
     matrices,) on a declared one.
 
     Every matrix must pass _checked_inverse (SingularMatrix otherwise).
     On the ambient algebra (frame None) the norm is ||g|| ||g^-1||.  On a
-    declared algebra (frame from _algebra_frame) each conjugated basis
-    element must stay in the span, to tol relative to its norm, or
-    AlgebraNotClosed names the element; the norm is then that of the
-    coefficient matrix, one column per basis element.
+    declared algebra (frame from _algebra_frame) it is that of the
+    coefficient matrix, one row per conjugated basis element, that the
+    basis pseudo-inverse projects out; the caller checks the span.
     """
     g_inv = _checked_inverse(g, "adjoint")
     if frame is None:
         return g, g_inv
-    stack = frame[0]
-    n, m = g.shape[0], g.shape[-1]
-    vecs = (g[:, None] @ stack @ g_inv[:, None]).reshape(n, len(stack), m * m)
     # Row j of coeffs[i] holds the coefficients of the j-th conjugated element.
-    coeffs = _project(vecs, frame, tol,
-                      lambda _, j: f"conjugation moves basis element {j} out of the declared span")
-    return (coeffs,)
+    return (_conjugates(g, g_inv, frame[1]) @ frame[3],)
+
+
+def _conjugates(g: np.ndarray, g_inv: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The (N, d, m*m) stack of g X_j g^-1, flattened, for g in an (N, m, m)
+    stack and side = [X_1 ... X_d]: g side, regrouped to d*m rows, @ g^-1."""
+    n, m = g.shape[0], g.shape[-1]
+    d = side.shape[1] // m
+    left = (g @ side).reshape(n, m, d, m).swapaxes(1, 2).reshape(n, d * m, m)
+    return (left @ g_inv).reshape(n, d, m * m)
 
 
 def _max_norms(factors, sizes, floors) -> list[float]:
@@ -238,19 +244,17 @@ def _max_norms(factors, sizes, floors) -> list[float]:
     return np.where(top > floors, top, floors).tolist()
 
 
-def _project(vecs: np.ndarray, frame, tol: float, leaves) -> np.ndarray:
-    """Coefficients in the frame's basis of each flattened matrix of an
-    (..., m*m) stack.  The first matrix, in index order, to leave the span
-    by more than tol relative to its norm raises AlgebraNotClosed, named
-    by leaves(*its index) and followed by its residual."""
-    _, b_mat, pinv_t = frame
-    coeffs = vecs @ pinv_t
-    residual = np.linalg.norm(coeffs @ b_mat.T - vecs, axis=-1)
-    leaks = np.argwhere(residual > tol * (1.0 + np.linalg.norm(vecs, axis=-1)))
+def _check_span(vecs: np.ndarray, frame, tol: float, floor: float, leaves) -> None:
+    """Refuse the first flattened matrix of an (..., m*m) stack, in index
+    order, that leaves the frame's span by more than tol * (floor + its
+    norm): AlgebraNotClosed, named by leaves(*its index) and followed by
+    its residual."""
+    _, _, b_mat, pinv_t, _ = frame
+    residual = np.linalg.norm((vecs @ pinv_t) @ b_mat.T - vecs, axis=-1)
+    leaks = np.argwhere(residual > tol * (floor + np.linalg.norm(vecs, axis=-1)))
     if leaks.size:
         at = tuple(leaks[0])
         raise AlgebraNotClosed(f"{leaves(*at)} (residual {residual[at]:.3e})")
-    return coeffs
 
 
 @record
@@ -519,20 +523,19 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
 
     The admissible words of length n + block_range are walked depth first
     in chunks of at most _CHUNK words, each carrying its (chunk, m, m)
-    stacks of forward and backward products.  A popped chunk's children,
-    found through a table of window successors, get their products as
-    value @ product and inverse-product @ inverse, the order of a
-    word-by-word scan, and are split into chunks and pushed.  Popped
-    chunks are checked together once they hold at least _CHUNK words or
-    the walk is done: one batched _adjoint_factors call over their
-    forward stacks and then their backward stacks inverts every product
-    (SingularMatrix) and, on a declared algebra, keeps every conjugated
-    basis element in the span (AlgebraNotClosed).  On a refusal the
-    batch's chunks are checked again one at a time, in pop order and
-    forward stack first, so the refusal names the failure a word-by-word
-    scan meets first.  Products formed past a refused one may overflow;
-    the walk runs with numpy's floating-point warnings off, and the
-    checks refuse what does not invert.
+    stacks of forward and backward products; a popped chunk's children,
+    found through a table of window successors, get value @ product and
+    inverse-product @ inverse, the order of a word-by-word scan.  Ad is a
+    homomorphism, so a declared algebra is checked once, before any
+    product: each window value, then each inverse, must keep every
+    conjugated basis element in the span (AlgebraNotClosed names the
+    element), and a leak that compounds only along products is scanned.
+    Popped chunks are checked together once they hold at least _CHUNK
+    words or the walk is done: one batched _adjoint_factors call over
+    their forward stacks and then their backward stacks inverts every
+    product (SingularMatrix), and a refusal names the singular product a
+    word-by-word scan meets first.  Products formed past a refused one
+    may overflow; the walk runs with numpy's floating-point warnings off.
 
     Only each depth's maximum is kept, so the batch is then scored by
     one _max_norms call, one group per chunk and direction: each row's
@@ -545,8 +548,7 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     """
     if n_max < 1:
         raise InvalidCocycle("distortion estimation needs n_max >= 1")
-    spec = cocycle.sft
-    rf = cocycle.block_range
+    spec, rf = cocycle.sft, cocycle.block_range
     check_work(spec, n_max + rf, f"distortion scan to depth {n_max}", "depth", rf)
     windows = sorted(cocycle.values)
     index = {w: i for i, w in enumerate(windows)}
@@ -557,10 +559,12 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     for i, w in enumerate(windows):
         for b in after[w[-1]]:
             successor[i, b - 1] = index[w[1:] + (b,)]
-    basis = cocycle.algebra
-    frame = _algebra_frame(basis)
-    best_s = [0.0] * (n_max + 1)
-    best_u = [0.0] * (n_max + 1)
+    frame = _algebra_frame(cocycle.algebra)
+    for g in () if frame is None else (vals, invs):  # the one span check of the scan
+        vecs = _conjugates(g, _checked_inverse(g, "adjoint"), frame[1])
+        _check_span(vecs, frame, _DISTORTION_TOL, frame[4],
+                    lambda _, j: f"conjugation moves basis element {j} out of the declared span")
+    best_s, best_u = [0.0] * (n_max + 1), [0.0] * (n_max + 1)
     stack = []
 
     def push(n, words, prods, inv_prods):
@@ -571,12 +575,10 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
     def score(batch):
         depths, words, prods, inv_prods = zip(*batch)
         try:
-            factors = _adjoint_factors(np.concatenate(prods + inv_prods), frame, _DISTORTION_TOL)
-        except (SingularMatrix, AlgebraNotClosed):
-            # Name the failure a word-by-word scan meets first.
-            for forward, backward in zip(prods, inv_prods):
-                _adjoint_factors(forward, frame, _DISTORTION_TOL)
-                _adjoint_factors(backward, frame, _DISTORTION_TOL)
+            factors = _adjoint_factors(np.concatenate(prods + inv_prods), frame)
+        except SingularMatrix:
+            # Name the singular product a word-by-word scan meets first.
+            _checked_inverse(np.concatenate([*itertools.chain(*zip(prods, inv_prods))]), "adjoint")
             raise
         maxima = _max_norms(factors, [len(w) for w in words] * 2,
                             [best_s[n] for n in depths] + [best_u[n] for n in depths])
@@ -608,8 +610,7 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
             )
     mu_s_by_n = tuple(best_s[n] ** (1.0 / n) for n in range(1, n_max + 1))
     mu_u_by_n = tuple(best_u[n] ** (1.0 / n) for n in range(1, n_max + 1))
-    mu_s = mu_s_by_n[-1]
-    mu_u = mu_u_by_n[-1]
+    mu_s, mu_u = mu_s_by_n[-1], mu_u_by_n[-1]
     threshold = max(abs(math.log(mu_s)), abs(math.log(mu_u))) / math.log(2)
     return DistortionReport(
         n_max=n_max,
@@ -618,7 +619,7 @@ def estimate_distortion(cocycle: MatrixCocycle, n_max: int) -> DistortionReport:
         mu_s=mu_s,
         mu_u=mu_u,
         theta_threshold=threshold,
-        algebra_dim=len(basis) if basis is not None else cocycle.dim**2,
+        algebra_dim=cocycle.dim**2 if frame is None else len(frame[0]),
     )
 
 
@@ -691,7 +692,6 @@ def generate_matrix_cocycle(
     u_inv = invert_blocks(u_mats) if u_mats else {}
     if set(u_mats) != set(bg.vertices):
         raise InvalidCocycle("u must assign a matrix to every admissible block")
-    dim = u_mats[bg.vertices[0]].shape[0]
 
     if alpha is None:
         alpha = {group.name_of(i): np.eye(dim) for i in range(group.order)}

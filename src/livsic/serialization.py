@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import BadShape, DocumentError, LivsicError, max_states_cap
@@ -46,8 +47,16 @@ def fraction_to_str(x) -> str:
 
 
 def word_to_key(word, k: int) -> str:
+    """The key of a word over the symbols 1 to k."""
     sep = "" if k <= 9 else ","
-    return sep.join(str(s) for s in word)
+    return sep.join(map(_symbol_names(k).__getitem__, word))
+
+
+@lru_cache(maxsize=8)
+def _symbol_names(k: int) -> dict[int, str]:
+    """str(s) for each symbol s from 1 to k: a word is written with one
+    lookup per symbol, not a str call."""
+    return {s: str(s) for s in range(1, k + 1)}
 
 
 def _fail(pointer: str, reason: str):

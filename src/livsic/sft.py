@@ -450,18 +450,23 @@ class PeriodicOrbit:
 
 
 def canonical_rotation(word: Word) -> Word:
-    """Lexicographically least rotation of a cyclic word."""
-    n = len(word)
-    doubled = word + word
-    best = word
-    lo = min(word)
-    for i in range(1, n):
-        if word[i] != lo:
+    """Lexicographically least rotation of a cyclic word, in time linear in
+    its length.  i is the least start so far, j > i the next candidate and
+    k the length of their common prefix; on a mismatch the larger start
+    and the k starts after it lose, so the next candidate skips them."""
+    n, doubled = len(word), word + word
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
             continue
-        cand = doubled[i : i + n]
-        if cand < best:
-            best = cand
-    return best
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
+        else:
+            j += k + 1
+        k = 0
+    return doubled[i : i + n]
 
 
 def primitive_root(word: Word) -> tuple[Word, int]:

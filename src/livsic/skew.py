@@ -16,6 +16,7 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from operator import add, index, mul
 
@@ -303,21 +304,26 @@ def lifted_cycle(system: SkewSystem, tree: SpanningTree, walks, score):
     (states[i] is where its i-th edge leads).  The first simple cycle
     scoring positive in the first lift that has one is taken, else the last
     lift whole."""
-    group, bg = system.group, tree.graph
+    group, bg, psi_z = system.group, tree.graph, system.psi_z
     identity, rows = group.identity_index, [group.row(f) for f in system.psi_f]
-    start = (0, identity, (0,) * group.rank)
+    # A state is flat, (block, F element, *Z^d vector), so it hashes fast.
+    start = (0, identity, *(0,) * group.rank)
 
     for walk in walks:
-        edges, states, (_, g, z) = [], [], start
+        edges, states, g, z = [], [], identity, start[2:]
         while not edges or g != identity:
-            for x in walk:
-                s = bg.edges[x][0] - 1
-                g, z = rows[s][g], tuple(map(add, z, system.psi_z[s]))
-                edges.append(x)
-                states.append((bg.edge_head[x], g, z))
-        cycle = find_violating_cycle(
-            range(len(edges)), states, start, lambda seg: score([edges[i] for i in seg])
-        )
+            symbols = [bg.edges[x][0] - 1 for x in walk]
+            gs = [*accumulate(map(rows.__getitem__, symbols), lambda f, row: row[f], initial=g)]
+            zs = [[*accumulate([psi_z[s][j] for s in symbols], initial=zj)] for j, zj in enumerate(z)]
+            states += zip(map(bg.edge_head.__getitem__, walk), gs[1:], *(col[1:] for col in zs))
+            edges += walk
+            g, z = gs[-1], tuple(col[-1] for col in zs)
+        if len(set(states)) == len(states):  # a simple closed lift: its one cycle is itself
+            cycle = range(len(edges)) if score(edges) > 0 else None
+        else:
+            cycle = find_violating_cycle(
+                range(len(edges)), states, start, lambda seg: score([edges[i] for i in seg])
+            )
         if cycle is not None:
             break
     cycle = edges if cycle is None else [edges[i] for i in cycle]

@@ -5,15 +5,21 @@ Usage: python tests/mutation_gate.py DIR, with src on the import path.
 Each case writes its document to DIR and runs one command on it.  A case
 passes when main returns 0, 1 or 2 within CASE_CPU_S of CPU, and a 2
 comes with error_doc's structured object on stderr.  The program prints
-a JSON summary: the cases run, the count of each exit code, and the
-first failures.  test_mutation_gate.py runs it under launcher.launch's
+a JSON summary: the cases run, the count of each exit code (codes for
+the escapes and the CASES mutations, scaled_codes for the scaled ones),
+and the first failures.  test_mutation_gate.py runs it under launcher.launch's
 address-space limit, so an input that exhausts memory fails that test
 rather than the test runner.
 
 The cases are the ESCAPES, inputs that once crashed or ran without
-bound, on their commands, and then CASES seeded mutations.  A mutation
-replaces one or two leaves of an example system with one of VALUES, or
-deletes one key of an object.
+bound, on their commands; then CASES seeded mutations, each replacing one
+or two leaves of an example system with one of VALUES, or deleting one
+key of an object; then SCALED_CASES seeded mutations that keep the
+document's shape, each multiplying one numeric leaf by one of FACTORS, so
+that more of them reach the solvers and the distortion scan.  A scaled
+case is an example system on one of SCALED_COMMANDS, or one of BASES, an
+so(2) or sl(2) basis file, given to `distortion --depth 3 --algebra`
+over one of MATRIX_SYSTEMS.
 """
 from __future__ import annotations
 
@@ -42,6 +48,13 @@ VALUES = (True, False, 1.5, math.nan, "", "e", "1/0", 0, -1, 10**30,
           [], [[1, 0], []], {}, {"a": {"b": []}})
 CASES = 2_000
 SEED = 24
+FACTORS = (-1, 0.5, 2, 1e-6, 1e6)
+SCALED_CASES = 250
+SCALED_SEED = 25
+SCALED_COMMANDS = COMMANDS + (("check-distortion", "--theta", "2"),)
+BASES = ("so2-basis.json", "sl2 basis")
+MATRIX_SYSTEMS = ("full2-c2-halfturn.json", "full2-c2-quarterturn.json", "full2-diag-sl2.json")
+DOC = object()  # a command's argument that names the case's document
 CASE_CPU_S = 2.0
 DELETE = object()  # an edit's value that deletes the entry
 
@@ -123,6 +136,42 @@ def mutations(rng: random.Random, count: int):
         yield label, edited(json.loads(json.dumps(docs[name])), edits), command
 
 
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def scaled_mutations(rng: random.Random, count: int):
+    """count seeded (label, document, command) cases, each with one numeric
+    leaf multiplied by a factor; an int stays an int when the product is
+    whole.  About a quarter are one of the BASES, given to `distortion
+    --algebra` over a matrix example; the rest are example systems."""
+    docs = {name: example(name) for name in SYSTEMS}
+    docs["so2-basis.json"] = example("so2-basis.json")
+    docs["sl2 basis"] = example("full2-diag-sl2.json")["cocycle"]["algebra"]
+    leaves = {name: [path for path in _paths(doc)[0] if _numeric(_leaf(doc, path))]
+              for name, doc in docs.items()}
+    for _ in range(count):
+        if rng.random() < 0.25:
+            name, system = rng.choice(BASES), rng.choice(MATRIX_SYSTEMS)
+            command = ("distortion", str(EXAMPLES / system), "--depth", "3", "--algebra", DOC)
+            shown = f"distortion {system} --depth 3 --algebra"
+        else:
+            name, command = rng.choice(SYSTEMS), rng.choice(SCALED_COMMANDS)
+            shown = " ".join(command)
+        path, factor = rng.choice(leaves[name]), rng.choice(FACTORS)
+        value = _leaf(docs[name], path) * factor
+        if isinstance(_leaf(docs[name], path), int) and float(value).is_integer():
+            value = int(value)
+        label = f"{name} {shown} {'/'.join(map(str, path))}*{factor!r}"
+        yield label, edited(json.loads(json.dumps(docs[name])), [(path, value)]), command
+
+
 class _OutOfTime(BaseException):
     """Raised in a case past CASE_CPU_S; not an Exception, so that main does
     not report it as a crash of its own."""
@@ -135,11 +184,12 @@ def _out_of_time(signum, frame):
 def run_case(path: Path, doc, command) -> int | str:
     """The exit code of a case that passes, otherwise what went wrong."""
     path.write_text(json.dumps(doc), encoding="utf-8")
+    args = command[1:] if DOC in command else (DOC, *command[1:])
     out, err = io.StringIO(), io.StringIO()
     signal.setitimer(signal.ITIMER_PROF, CASE_CPU_S)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command[0], str(path), *command[1:]])
+            code = main([command[0], *(str(path) if arg is DOC else arg for arg in args)])
     except _OutOfTime:
         return f"more than {CASE_CPU_S} s of CPU"
     finally:
@@ -164,16 +214,20 @@ def run(directory: Path) -> dict:
              for name, (_, _, commands) in ESCAPES.items() for command in commands]
     pinned = len(cases)
     cases += mutations(random.Random(SEED), CASES)
-    codes, failures = {}, []
+    scaled_from = len(cases)
+    cases += scaled_mutations(random.Random(SCALED_SEED), SCALED_CASES)
+    codes, scaled_codes, failures = {}, {}, []
     for i, (label, doc, command) in enumerate(cases):
         result = run_case(path, doc, command)
         if i < pinned and result != 2:
             result = f"expected exit 2, got {result}"
         if isinstance(result, int):
-            codes[result] = codes.get(result, 0) + 1
+            tally = scaled_codes if i >= scaled_from else codes
+            tally[result] = tally.get(result, 0) + 1
         else:
             failures.append(f"{label}: {result}")
-    return {"cases": len(cases), "codes": codes, "failures": failures[:20]}
+    return {"cases": len(cases), "codes": codes, "scaled_codes": scaled_codes,
+            "failures": failures[:20]}
 
 
 if __name__ == "__main__":

@@ -547,6 +547,21 @@ def test_distortion_refuses_a_malformed_algebra_file(capsys, tmp_path, text, poi
     assert error["pointer"] == pointer
 
 
+@pytest.mark.parametrize("scale", (1e-10, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10))
+def test_distortion_algebra_decisions_do_not_depend_on_the_basis_scale(capsys, tmp_path, scale):
+    # {E12, E21} is not closed, since [E12, E21] = diag(1, -1), and
+    # {diag(1, -1)} is a basis, at every scale.
+    basis = tmp_path / "basis.json"
+    argv = ("distortion", _example("full2-diag-sl2.json"), "--depth", "3", "--algebra", basis)
+    basis.write_text(json.dumps([[[0.0, scale], [0.0, 0.0]], [[0.0, 0.0], [scale, 0.0]]]))
+    code, payload, error = _run_json(capsys, *argv)
+    assert (code, payload, error["error"]) == (2, None, "AlgebraNotClosed")
+    assert "commutator of basis elements 0 and 1" in error["message"]
+    basis.write_text(json.dumps([[[scale, 0.0], [0.0, -scale]]]))
+    code, payload, _ = _run_json(capsys, *argv)
+    assert code == 0 and payload["algebra_dim"] == 1
+
+
 def test_matrix_solution_block_of_the_wrong_length_is_refused(capsys, tmp_path):
     out = tmp_path / "solution.json"
     assert _run(capsys, "solve", _example("full2-c2-halfturn.json"), "--out", out)[0] == 0

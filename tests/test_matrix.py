@@ -730,15 +730,17 @@ def test_algebra_closure_checks():
 
 def _looped_closure(basis):
     """_check_algebra_closed's span test as it was before being stacked: one
-    commutator [x_i, x_j] at a time, in (i, j) order.  Returns the
+    commutator [x_i, x_j] at a time, in (i, j) order, its residual against
+    1e-9 (s^2 + its norm) for s the basis's largest entry.  Returns the
     AlgebraNotClosed message of the first one to leave the span, or None."""
     b_mat = np.stack([b.reshape(-1) for b in basis], axis=1)
     pinv = np.linalg.pinv(b_mat)
+    floor = float(np.abs(b_mat).max()) ** 2
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             vec = (x @ y - y @ x).reshape(-1)
             residual = float(np.linalg.norm(b_mat @ (pinv @ vec) - vec))
-            if residual > 1e-9 * (1.0 + float(np.linalg.norm(vec))):
+            if residual > 1e-9 * (floor + float(np.linalg.norm(vec))):
                 return (
                     f"commutator of basis elements {i} and {j} leaves the span "
                     f"(residual {residual:.3e})"
@@ -781,7 +783,7 @@ def _adjoint_norm(g, basis):
     """Operator 2-norm of conjugation by g on the declared or ambient
     algebra: the product of its factors' spectral norms."""
     frame = matrix._algebra_frame(basis)
-    factors = matrix._adjoint_factors(g[None], frame, matrix._ALGEBRA_TOL)
+    factors = matrix._adjoint_factors(g[None], frame)
     return math.prod(float(matrix._spectral_norms(f)[0]) for f in factors)
 
 
@@ -796,10 +798,13 @@ def test_adjoint_norm_values():
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
     assert _adjoint_norm(rot, (j,)) == pytest.approx(1.0, abs=1e-12)
-    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
-    e21 = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(AlgebraNotClosed):
-        _adjoint_norm(shear, (e21,))
+    # A conjugate that leaves the span is refused by the scan's check of
+    # the window values, before any norm is taken.
+    shear = [[1.0, 1.0], [0.0, 1.0]]
+    e21 = [[0.0, 0.0], [1.0, 0.0]]
+    cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): shear, (2,): shear}, algebra=[e21])
+    with pytest.raises(AlgebraNotClosed, match="basis element 0"):
+        estimate_distortion(cocycle, 1)
 
 
 def test_cyclic_product_matches_birkhoff_product():
@@ -983,10 +988,32 @@ def test_batched_scan_matches_word_by_word_reference():
         assert report.algebra_dim == (len(algebra) if algebra else cocycle.dim**2)
 
 
+def _checked_adjoint_factors(g, frame, tol):
+    """_adjoint_factors as it was while every product was checked: each
+    conjugated basis element by broadcast matmuls, and the first to leave
+    the span by more than tol (1 + its norm) refused."""
+    if frame is None:
+        return matrix._adjoint_factors(g, None)
+    g_inv = matrix._checked_inverse(g, "adjoint")
+    stack, _, b_mat, pinv_t, _ = frame
+    n, m = g.shape[0], g.shape[-1]
+    vecs = (g[:, None] @ stack @ g_inv[:, None]).reshape(n, len(stack), m * m)
+    coeffs = vecs @ pinv_t
+    residual = np.linalg.norm(coeffs @ b_mat.T - vecs, axis=-1)
+    leaks = np.argwhere(residual > tol * (1.0 + np.linalg.norm(vecs, axis=-1)))
+    if leaks.size:
+        at = tuple(leaks[0])
+        raise AlgebraNotClosed(f"conjugation moves basis element {at[1]} out of the declared "
+                               f"span (residual {residual[at]:.3e})")
+    return (coeffs,)
+
+
 def _per_chunk_scan(cocycle, n_max):
-    """The scan before batching: the same depth-first walk in chunks of at
-    most _CHUNK words, each chunk checked by itself before its children
-    are formed, and every row of it given an exact norm."""
+    """The scan before batching, and before the span check moved to the
+    windows: the same depth-first walk in chunks of at most _CHUNK words,
+    each chunk checked by itself, every product's conjugates against the
+    span, before its children are formed, and every row of it given an
+    exact norm."""
     spec, rf = cocycle.sft, cocycle.block_range
     windows = sorted(cocycle.values)
     index = {w: i for i, w in enumerate(windows)}
@@ -1010,12 +1037,12 @@ def _per_chunk_scan(cocycle, n_max):
     while stack:
         n, words, prods, inv_prods = stack.pop()
         try:
-            factors = matrix._adjoint_factors(
+            factors = _checked_adjoint_factors(
                 np.concatenate((prods, inv_prods)), frame, matrix._DISTORTION_TOL
             )
         except (SingularMatrix, AlgebraNotClosed):
-            matrix._adjoint_factors(prods, frame, matrix._DISTORTION_TOL)
-            matrix._adjoint_factors(inv_prods, frame, matrix._DISTORTION_TOL)
+            _checked_adjoint_factors(prods, frame, matrix._DISTORTION_TOL)
+            _checked_adjoint_factors(inv_prods, frame, matrix._DISTORTION_TOL)
             raise
         norms = math.prod(matrix._spectral_norms(f) for f in factors)
         best_s[n] = max(best_s[n], float(norms[: len(words)].max()))
@@ -1215,8 +1242,8 @@ def test_max_norms_are_the_largest_exact_norms(m, monkeypatch):
     monkeypatch.setattr(matrix, "_spectral_norms", counted)
     for name, g in stacks.items():
         # The declared sl(m) coefficients, the ambient pair (g, g^-1), and g alone.
-        for factors in (matrix._adjoint_factors(g, frame, 1e-6),
-                        matrix._adjoint_factors(g, None, 1e-6), (g,)):
+        for factors in (matrix._adjoint_factors(g, frame),
+                        matrix._adjoint_factors(g, None), (g,)):
             exact = spectral(factors[0])
             for f in factors[1:]:
                 exact = exact * spectral(f)
@@ -1322,6 +1349,133 @@ def test_pruning_never_hides_a_refusal():
     with pytest.raises(SingularMatrix) as err:
         estimate_distortion(near_singular, 2)
     assert str(err.value) == "adjoint: determinant 9.999999999999965e-17 too close to zero"
+
+
+def _conjugation_stack(rng, m: int, count: int, spread: float):
+    """count seeded products Q1 diag(10^(spread u)) Q2, Q orthogonal and u
+    uniform in [-1, 1], with their inverses: condition numbers up to
+    10^(2 spread)."""
+    q1 = np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+    g = q1 @ (10.0 ** (spread * rng.uniform(-1.0, 1.0, (count, m, 1))) * q2)
+    return g, np.linalg.inv(g)
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_regrouped_conjugation_is_bit_for_bit_the_broadcast(m):
+    # g [X_1 ... X_d], regrouped, @ g^-1 must round exactly as the
+    # broadcast g X_j g^-1 of the scan it replaced, so that no report moves.
+    rng = np.random.default_rng(131 + m)
+    for count in (1, 7, 1_020):
+        for spread in (0.0, 0.5, 6.0):
+            g, g_inv = _conjugation_stack(rng, m, count, spread)
+            for d in range(1, m * m + 1):
+                basis = rng.standard_normal((d, m, m))
+                broadcast = (g[:, None] @ basis @ g_inv[:, None]).reshape(count, d, m * m)
+                regrouped = matrix._conjugates(g, g_inv, np.concatenate(basis, axis=1))
+                assert np.array_equal(regrouped, broadcast), (count, spread, d)
+
+
+SO2_BASIS = [[[0.0, -1.0], [1.0, 0.0]]]
+BOREL_BASIS = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
+
+
+def _embedded(mat, dim):
+    """mat in the top left corner of a dim x dim matrix, 1 on the rest of
+    the diagonal."""
+    out = np.eye(dim)
+    out[:2, :2] = mat
+    return out
+
+
+def _declared_algebra_corpus():
+    """(label, cocycle, depth) over the full 2- and 3-shifts: so(2),
+    Borel and sl(2) bases, with values that keep them and with one window
+    that leaks by 1e-4 to 1e-1.  sl(2) is kept by every 2 x 2 value, so
+    its leaky cases embed it in 3 x 3 matrices."""
+    cases = []
+    for i in range(36):
+        rng = rng_for(137, i)
+        k, rf = rng.choice((2, 3)), rng.choice((0, 1))
+        name = ("so2", "borel", "sl2")[i % 3]
+        leaky = i % 2 == 1
+        dim = 3 if name == "sl2" and leaky else 2
+        windows = list(itertools.product(range(1, k + 1), repeat=rf + 1))
+
+        def value():
+            scale = rng.uniform(0.5, 2.0)
+            if name == "so2":
+                t = rng.uniform(-math.pi, math.pi)
+                return scale * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            upper = np.array([[scale, rng.uniform(-1.0, 1.0)], [0.0, rng.uniform(0.5, 2.0)]])
+            return upper if name == "borel" else _embedded(_sl2_value(rng), dim)
+
+        values = {w: value() for w in windows}
+        if leaky:
+            leak = np.eye(dim)
+            leak[1, 0] = leak[dim - 1, 0] = 10.0 ** rng.uniform(-4.0, -1.0)
+            w = rng.choice(windows)
+            values[w] = values[w] @ leak
+        basis = {"so2": SO2_BASIS, "borel": BOREL_BASIS,
+                 "sl2": [np.pad(x, (0, dim - 2)) for x in SL2_BASIS]}[name]
+        depth = rng.randint(1, 5 if k == 2 else 3)
+        cocycle = make_matrix_cocycle(SftSpec.full_shift(k), rf, values, algebra=basis)
+        cases.append((f"{name} k={k} r={rf}{' leaky' if leaky else ''}", cocycle, depth))
+    return cases
+
+
+def test_window_span_check_answers_as_the_per_product_check():
+    # Checking the declared algebra on the window values and their inverses
+    # once gives the report, or the refusal, that checking every product
+    # gave: whole reports compare equal, and refusals by type and message.
+    refused = 0
+    for label, cocycle, depth in _declared_algebra_corpus():
+        want = _scan_outcome(_per_chunk_scan, cocycle, depth)
+        assert _scan_outcome(estimate_distortion, cocycle, depth) == want, label
+        refused += isinstance(want, tuple)
+        assert isinstance(want, tuple) is label.endswith("leaky"), (label, want)
+    assert refused == 18
+
+
+def test_a_leak_that_compounds_only_along_products_is_scanned():
+    # The one deliberate change of checking the windows alone: each value
+    # R(0.3)(I + 5e-7 diag(1, -1)) keeps so(2) within the tolerance, but a
+    # product of two leaks past it.  The per-product check refused the
+    # scan at depth 2; the scan now reports it.
+    t = 0.3
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    value = rot @ (np.eye(2) + 5e-7 * np.diag([1.0, -1.0]))
+    cocycle = make_matrix_cocycle(FULL_2, 0, {(1,): value, (2,): value}, algebra=SO2_BASIS)
+    assert isinstance(_scan_outcome(_per_chunk_scan, cocycle, 1), matrix.DistortionReport)
+    kind, message = _scan_outcome(_per_chunk_scan, cocycle, 2)
+    assert kind is AlgebraNotClosed and "basis element 0" in message
+    report = estimate_distortion(cocycle, 2)
+    assert report.mu_s == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("scale", (1e-10, 1e-6, 1e-3, 1e3, 1e6, 1e10))
+def test_the_algebra_checks_do_not_depend_on_the_basis_scale(scale):
+    # Each decision is the one at scale 1: a basis scaled by one nonzero
+    # factor is closed, open, independent or dependent as it was.
+    e12, e21 = [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+    h = [[1.0, 0.0], [0.0, -1.0]]
+    values = {(1,): DIAG_2_HALF, (2,): IDENTITY_2}
+
+    def cocycle(basis, values=values):
+        return make_matrix_cocycle(FULL_2, 0, values, algebra=scale * np.array(basis))
+
+    with pytest.raises(AlgebraNotClosed, match="commutator of basis elements 0 and 1"):
+        cocycle([e12, e21])
+    with pytest.raises(AlgebraNotClosed, match="linearly dependent"):
+        cocycle([e12, h, [[1.0, 2.0], [0.0, -1.0]]])
+    assert estimate_distortion(cocycle([h]), 3).mu_s == pytest.approx(1.0, rel=1e-12)
+    assert estimate_distortion(cocycle(SL2_BASIS), 3).mu_s == pytest.approx(4.0, rel=1e-12)
+    # The window check: so(2) is kept by rotations and left by the diagonal value.
+    rot = [[0.6, -0.8], [0.8, 0.6]]
+    rotations = cocycle(SO2_BASIS, {(1,): rot, (2,): rot})
+    assert estimate_distortion(rotations, 3).mu_s == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(AlgebraNotClosed, match="basis element 0 out of the declared span"):
+        estimate_distortion(cocycle(SO2_BASIS), 3)
 
 
 _SCAN_UNDER_O = r"""

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import gc
 import pickle
+import random
+import time
 import tracemalloc
 from bisect import bisect_left
 from itertools import chain, product
@@ -100,6 +102,23 @@ def test_block_graph_edges_connect_overlapping_blocks():
     for e, word in enumerate(bg.edges):
         assert bg.vertices[bg.edge_tail[e]] == word[:-1]
         assert bg.vertices[bg.edge_head[e]] == word[1:]
+
+
+def test_canonical_rotation_is_the_least_rotation_in_linear_time():
+    # Every word of length up to 8 over two symbols and seeded words over
+    # three, against the least of all rotations.
+    words = [w for n in range(1, 9) for w in product((1, 2), repeat=n)]
+    rng = random.Random(143)
+    words += [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 30))) for _ in range(2_000)]
+    for word in words:
+        assert canonical_rotation(word) == min(word[i:] + word[:i] for i in range(len(word)))
+    # A witness orbit of the 2-shift over Z with psi = (1, -10^6) has this
+    # shape; comparing every rotation that starts at a 1 took time
+    # quadratic in its length.
+    ones = (1,) * 999_999
+    start = time.process_time()
+    assert canonical_rotation((2, *ones, 2)) == (*ones, 2, 2)
+    assert time.process_time() - start < 1.0
 
 
 def test_canonical_rotation_and_primitivity():
