@@ -1,5 +1,5 @@
-"""Seeded mutations of the example systems never crash `livsic` nor run
-without bound.
+"""Seeded mutations of the example systems and algebra basis files never
+crash `livsic` nor run without bound.
 
 mutation_gate.py runs every case through cli.main in one child, under
 launcher.launch's address-space limit, so a case that exhausts memory
