@@ -10,20 +10,19 @@ transitivity, decided by the monodromy group, and Z^d through alpha, by
 a fraction-free elimination of the fundamental cycles' rises
 (SpanningTree.rises); solve_finite_gamma names the corner d = 0 (alpha
 vanishes by torsion) and solve_free_abelian the corner F = 1.  What
-depends only on the cover comes from skew.transitive_cover's
-per-(system, r) memo: the transitivity gate, psi's columns with their
-rises, and psi's half of the elimination (groups.pivot_rows), so a solve
-pays only for f.  The kernel reads f as the cocycle holds it, int
-numerators over the lcm of its denominators in the block graph's edge
-order, propagates their integer potentials once, takes each pivot row's
-right-hand side and the defect scan from f's rises
-(groups.eliminate_rhs), certifies in the same ints and writes u and
-alpha over one denominator; Fraction appears only for u, alpha and
-witness totals.  One lift, skew.lifted_cycle (shared with the matrix
-solver), turns an inconsistency into a closed word of identity weight in
-both corners; over Z^d its correction walk comes from a box search that
-_BOXES keeps and resumes for the next target.  So a returned
-solution is a certificate and a returned obstruction is a
+depends only on the cover is the skew.Cover that the system holds for r:
+the transitivity gate, psi's columns with their rises, and psi's half of
+the elimination (groups.pivot_rows), so a solve pays only for f.  The
+kernel reads f as the cocycle holds it, int numerators over the lcm of
+its denominators in the block graph's edge order, propagates their
+integer potentials once, takes each pivot row's right-hand side and the
+defect scan from f's rises (groups.eliminate_rhs), certifies in the same
+ints and writes u and alpha over one denominator; Fraction appears only
+for u, alpha and witness totals.  One lift, skew.lifted_cycle (shared
+with the matrix solver), turns an inconsistency into a closed word of
+identity weight in both corners; over Z^d its correction walk comes from
+a box search that the cover keeps and resumes for the next target.  So a
+returned solution is a certificate and a returned obstruction is a
 counterexample.
 """
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .record import record
 from .sft import (
     LocallyConstantCocycle,
     PeriodicOrbit,
-    StateMemo,
     WindowNumerators,
     Word,
     _as_fraction,
@@ -228,7 +226,7 @@ def _solve_cover(
     reduced, pivots, combo = eliminate_rhs(cover.pivot_rows, psi_rises, rise_f)
     if combo is not None:
         columns = [*psi_columns, weights]
-        witness = _inconsistency_certificate(system, tree, combo, columns, scale)
+        witness = _inconsistency_certificate(system, cover, combo, columns, scale)
         raise CocycleObstruction(witness)
     # Every pivot row holds the same pivot, so alpha = rhs / (pivot * scale).
     pivot = reduced[0][pivots[0]] if pivots else 1
@@ -273,7 +271,7 @@ def _edge_numerators(cocycle, bg) -> list[int]:
     if type(numerators) is WindowNumerators:
         values = list(numerators.values())
     else:
-        values = list(map(numerators.__getitem__, _window_words(bg.spec, cocycle.block_range)))
+        values = list(map(numerators.__getitem__, _window_words(cocycle.sft, cocycle.block_range)))
     if cocycle.block_range:
         return values
     return list(map(values.__getitem__, bg.edge_tail))
@@ -289,7 +287,7 @@ def _drift_table(system: SkewSystem, alpha) -> list:
     return [sum(map(mul, alpha, z)) for z in system.psi_z]
 
 
-def _inconsistency_certificate(system, tree, combo, columns, scale):
+def _inconsistency_certificate(system, cover, combo, columns, scale):
     """Turn an inconsistent row combination into closed-word evidence.
 
     combo maps row positions (indices into tree.chords) to integer coefficients.
@@ -300,6 +298,7 @@ def _inconsistency_certificate(system, tree, combo, columns, scale):
     with a nonzero sum in their lifts; without a correction walk they are
     an EqualWeightPair.
     """
+    tree = cover.tree
     bg = tree.graph
     content = gcd(*combo.values())
     terms = []
@@ -322,7 +321,7 @@ def _inconsistency_certificate(system, tree, combo, columns, scale):
     check_invariant(w == v, "certificate walks differ in weight")
     check_invariant(sum_plus != sum_minus, "certificate walks agree in sum")
 
-    correction = _closing_walk(system, bg, tuple(-x for x in v))
+    correction = _closing_walk(system, cover, tuple(-x for x in v))
     if correction is not None:
         walks, weights = (plus + correction, minus + correction), columns[-1].__getitem__
         cycle, word, mult = lifted_cycle(system, tree, walks, lambda w: abs(sum(map(weights, w))))
@@ -337,8 +336,9 @@ def _inconsistency_certificate(system, tree, combo, columns, scale):
     )
 
 
-def _closing_walk(system, bg, target):
-    """Closed walk at block 0 whose weight is target, by bounded lattice BFS.
+def _closing_walk(system, cover, target):
+    """Closed walk at block 0 of the cover's block graph bg whose weight
+    is target, by bounded lattice BFS.
 
     A closed walk at b0 = bg.vertices[0] of length L >= r reads the word
     b0 + z + b0, and its offsets are the prefix sums of psi over b0 + z.
@@ -349,16 +349,17 @@ def _closing_walk(system, bg, target):
     search over (block, offset) states finds.  A walk with L < r exists
     only when b0 is L-periodic, and is tried first.  Offsets stay in the
     box [-bound, bound]^d.  The target only picks which discovered state
-    ends the walk, so the search is a _Box kept per (shift, r, psi_z,
-    bound) in _BOXES and resumed where it stopped; the answer is the one
-    a fresh search finds, None when more than LIVSIC_MAX_STATES states
-    are discovered before the goal, as the cap is counted in (symbol,
-    offset) states, or when the box holds no goal.
+    ends the walk, so the search is a _Box that the cover keeps per bound
+    (Cover.boxes) and resumes where it stopped; a box whose search has
+    passed the cap is not kept.  The answer is the one a fresh search
+    finds, None when more than LIVSIC_MAX_STATES states are discovered
+    before the goal, as the cap is counted in (symbol, offset) states, or
+    when the box holds no goal.
     """
     target = tuple(target)
     if not any(target):
         return []
-    spec = bg.spec
+    spec, bg = system.sft, cover.tree.graph
     cap = max_states_cap()
     bound = max(8, 2 * max(map(abs, target)))
     b0 = bg.vertices[0]
@@ -372,10 +373,12 @@ def _closing_walk(system, bg, target):
             return _edge_walk(bg, b0[r - n :])
     if off == target and spec.allows(b0[-1], b0[0]):
         return _edge_walk(bg, b0)
-    key = (spec, r, system.psi_z, bound)
-    box = _BOXES.take(key, cap) or _Box(system, b0, off, bound)
+    box = cover.boxes.get(bound)
+    if box is None:
+        box = cover.boxes[bound] = _Box(system, b0, off, bound)
     goal = box.search(target, cap)
-    _BOXES.put(key, box, cap)
+    if len(box.prev) > cap:
+        del cover.boxes[bound]
     if goal is None:
         return None
     z, prev, width = [], box.prev, box.width
@@ -445,10 +448,6 @@ class _Box:
         # the goal counts only if at most cap states came before it.
         hit, before = found.get(goal, (None, 0))
         return hit if before <= cap else None
-
-
-# Closing-walk searches by (shift, r, psi_z, bound), charged their discovered states.
-_BOXES = StateMemo(lambda box: len(box.prev))
 
 
 def _edge_walk(bg, symbols) -> list[int]:

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from .errors import (
     AlphaNotConstant,
@@ -51,7 +52,11 @@ from .sft import validate_sft
 from .skew import check_transitivity, class_tag, orbit_weights
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    as it was, and building it costs about a millisecond, which a caller
+    that runs main many times in one process would pay on every call."""
     parser = argparse.ArgumentParser(
         prog="livsic",
         description="Cohomology and transitivity toolkit for group "

@@ -71,7 +71,7 @@ class GroupSpec:
         return cls(variant="free_abelian", rank=rank)
 
 
-@record(weak=True)
+@record
 class Group:
     """F x Z^d: F by its Cayley table, inverses and identity index, d by
     rank.  Elements are F indices over a finite group and Z^d vectors

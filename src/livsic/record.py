@@ -3,14 +3,17 @@
 ``@record`` turns a class whose annotations name its fields into a frozen
 ``__slots__`` class that behaves like ``@dataclass(frozen=True)``:
 positional or keyword construction with defaults, ``==``, ``hash``, the
-dataclass ``repr`` and pickling.  Its methods are closures over the
-field names, so building a type compiles no source; a command line
-process builds a score of these at import, where the generated-source
-route of ``dataclasses`` (with ``inspect`` behind it) cost about a
-quarter of the process.
+dataclass ``repr`` and pickling.  A record that defines a
+``cached_property`` also gets a ``__dict__`` for the values it caches,
+which ``==``, ``hash``, ``repr`` and pickling leave out.  Its methods
+are closures over the field names, so building a type compiles no
+source; a command line process builds a score of these at import, where
+the generated-source route of ``dataclasses`` (with ``inspect`` behind
+it) cost about a quarter of the process.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
 
@@ -18,15 +21,12 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a record."""
 
 
-def record(cls=None, /, *, weak: bool = False):
+def record(cls):
     """Rebuild ``cls`` as a frozen slots class whose fields are its annotations.
 
     A class attribute named like a field is that field's default.  The
-    field names, in order, are in ``_fields``.  With weak=True the
-    instances can be weakly referenced.
+    field names, in order, are in ``_fields``.
     """
-    if cls is None:
-        return lambda cls: record(cls, weak=weak)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     defaults = {name: ns.pop(name) for name in names if name in ns}
@@ -94,7 +94,8 @@ def record(cls=None, /, *, weak: bool = False):
     methods = [__init__, __repr__, __eq__, __hash__, __getstate__, __setstate__,
                __setattr__, __delattr__]
     ns.update({method.__name__: method for method in methods})
-    slots = names + ("__weakref__",) * weak
+    caches = any(isinstance(value, cached_property) for value in ns.values())
+    slots = names + ("__dict__",) * caches
     ns.update(__slots__=slots, _fields=names, __qualname__=cls.__qualname__)
     built = type(cls)(cls.__name__, cls.__bases__, ns)
     setters = [getattr(built, name).__set__ for name in names]

@@ -73,6 +73,11 @@ class SftSpec:
             return False
         return True
 
+    @cached_property
+    def _trees(self) -> dict:
+        """block_tree's trees on this shift, by block length."""
+        return {}
+
 
 @record
 class ValidationReport:
@@ -123,7 +128,6 @@ class BlockGraph:
     its suffix block.
     """
 
-    spec: SftSpec
     r: int
     vertices: tuple[Word, ...]
     edges: tuple[Word, ...]
@@ -150,28 +154,28 @@ def build_block_graph(spec: SftSpec, r: int) -> BlockGraph:
 
 
 def block_tree(spec: SftSpec, r: int) -> "SpanningTree":
-    """The SpanningTree of the r-block graph, built once per (spec, r).
+    """The SpanningTree of the r-block graph, built once per r and held
+    by spec, so that it lives as long as the spec does.
 
-    The memo holds at most LIVSIC_MAX_STATES blocks in all and evicts the
-    least recently used tree first.  The cap is read on every call, so a
-    cached graph that passes a lowered cap is refused with the message of
-    a fresh build.  A tree and its graph hold only tuples, so every caller
-    may share them.
+    The state cap is read on every call, so a held graph that passes a
+    lowered cap is refused with the message of a fresh build.  A tree and
+    its graph hold only tuples, and no reference back to the spec, so
+    every caller may share them.
     """
     return _block_tree(spec, r, max_states_cap())
 
 
 def _block_tree(spec: SftSpec, r: int, cap: int) -> "SpanningTree":
     """block_tree under the state cap its caller has read, so that a
-    gate over the tree reads the environment once."""
+    gate over the tree reads the environment once.  A tree is held once
+    built, as it passed the cap then; a refusal is not."""
     if r < 1:
         raise BadShape("block length must be at least 1")
-    tree = _TREES.take((spec, r), cap)
+    tree = spec._trees.get(r)
     if tree is None:
-        tree = SpanningTree(_block_graph(spec, r, cap))
+        tree = spec._trees[r] = SpanningTree(_block_graph(spec, r, cap))
     elif len(tree.parent) > cap:
         raise RangeTooLarge(f"more than {cap} admissible words of length {r}")
-    _TREES.put((spec, r), tree, cap)
     return tree
 
 
@@ -188,7 +192,6 @@ def _block_graph(spec: SftSpec, r: int, cap: int) -> BlockGraph:
     index = {w: i for i, w in enumerate(vertices)}
     ends = [0, *accumulate(len(successors[w[-1]]) for w in vertices)]
     return BlockGraph(
-        spec=spec,
         r=r,
         vertices=tuple(vertices),
         edges=tuple(words),
@@ -209,61 +212,6 @@ def _check_walk(spec: SftSpec, r: int, cap: int, capped: int) -> None:
         spelt += length * sum(ends)
         if spelt > DEFAULT_MAX_WORK:
             raise _over_budget(f"the {r}-block graph", "block length", length - 2)
-
-
-class StateMemo:
-    """key -> a value over one block graph, least recently used first,
-    holding ``states`` states in all, where a value counts cost(value)
-    against the state cap (a block tree its blocks).
-
-    A lookup is take, then put once the value passes its checks: take
-    trims the memo to the cap, and a value refused in between is dropped.
-    """
-
-    __slots__ = ("held", "states", "cost")
-
-    def __init__(self, cost):
-        self.held: dict = {}
-        self.states = 0
-        self.cost = cost
-
-    def take(self, key, cap: int):
-        """The value held at key, now out of the memo, or None; the rest
-        trimmed to cap states."""
-        value = self._pop(key)
-        self._evict(cap)
-        return value
-
-    def put(self, key, value, cap: int) -> None:
-        """Hold value at key as the newest, in place of any value held
-        there, dropping the oldest for room; a value that alone costs more
-        than cap is not held, and drops nothing else."""
-        self._pop(key)
-        n = self.cost(value)
-        if n > cap:
-            return
-        self._evict(cap - n)
-        self.held[key] = value
-        self.states += n
-
-    def _pop(self, key):
-        """The value held at key, now out of the memo, or None."""
-        value = self.held.pop(key, None)
-        if value is not None:
-            self.states -= self.cost(value)
-        return value
-
-    def _evict(self, room: int) -> None:
-        """Drop the least recently used values until at most room states are held."""
-        while self.states > room:
-            self.states -= self.cost(self.held.pop(next(iter(self.held))))
-
-    def clear(self) -> None:
-        self.held.clear()
-        self.states = 0
-
-
-_TREES = StateMemo(lambda tree: len(tree.parent))
 
 
 def _solution_block_graph(spec: SftSpec, cocycle, solution) -> BlockGraph:
@@ -989,7 +937,7 @@ def make_cocycle(sft: SftSpec, block_range: int, values) -> LocallyConstantCocyc
 
 
 def _window_words(spec: SftSpec, block_range: int) -> tuple[Word, ...]:
-    """A cocycle's windows from the memoized graph the solvers read it on:
+    """A cocycle's windows from the spec's block graph the solvers read it on:
     the edges over block_range-blocks, or at block range 0 the 1-blocks.
     More than LIVSIC_MAX_STATES are refused by their count."""
     cap = max_states_cap()

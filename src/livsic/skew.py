@@ -13,7 +13,6 @@ monodromy closure once per (system, r).
 """
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -44,7 +43,6 @@ from .sft import (
     PeriodicOrbit,
     SftSpec,
     SpanningTree,
-    StateMemo,
     Word,
     _block_tree,
     build_block_graph,
@@ -69,6 +67,11 @@ class SkewSystem:
 
     def psi_of(self, symbol: int) -> GroupElement:
         return self.psi[symbol - 1]
+
+    @cached_property
+    def _covers(self) -> dict:
+        """transitive_cover's covers of this system, by block length."""
+        return {}
 
 
 def make_skew_system(sft: SftSpec, group: Group, psi) -> SkewSystem:
@@ -348,16 +351,16 @@ class Cover:
       rises and _one_sided's functional on the columns (the solver reads
       the report's diagonal for a degenerate alpha).
 
-    A cover holds its group only weakly, through group, so a memo of
-    covers keeps no Cayley table alive; only transitive_cover's hit check
-    reads it.  A cover is shared by every call over its system, so
-    nothing in it may be changed.
+    boxes holds the Z^d solver's closing-walk searches (abelian._Box) by
+    their bound, each kept to be resumed.  A cover holds no reference
+    to its system, which holds it, and is shared by every call over that
+    system, so nothing in it but boxes may be changed.
     """
 
     def __init__(self, system: SkewSystem, tree: SpanningTree, via, wpot, cyc):
-        group = system.group
-        self.group, self.psi_z, self.rank = weakref.ref(group), system.psi_z, group.rank
+        self.psi_z, self.rank = system.psi_z, system.group.rank
         self.tree, self.via, self.wpot, self.cyc = tree, via, tuple(wpot), tuple(cyc)
+        self.boxes: dict = {}
 
     @cached_property
     def psi(self):
@@ -383,7 +386,7 @@ class Cover:
 
 def transitive_cover(system: SkewSystem, r: int) -> Cover:
     """The one gate over r-blocks of check_transitivity and the cover
-    solvers, as a Cover, built once per (system, r).
+    solvers, as a Cover, built once per r and held by the system.
 
     Over a strongly connected block graph every vertex of the product
     graph returns to where it came from (a closed walk's F weight has
@@ -400,56 +403,39 @@ def transitive_cover(system: SkewSystem, r: int) -> Cover:
     when blocks x |F| passes the state cap, though no product graph is
     built.
 
-    A refusal is made afresh on every call.  A transitive cover is kept
-    in a memo keyed by (shift, r, psi_f, psi_z) that holds at most
-    LIVSIC_MAX_STATES product states (blocks x |F|) in all, least
-    recently used out first.  The key leaves the group out, as hashing
-    it hashes its Cayley table; a hit compares the group instead, by
-    identity and then by value, and a cover whose group is gone is
-    decided afresh.  The cap is read once per call, and every call runs
-    block_tree's memo under it and the cap check, so a hit refuses what a
-    fresh build would, and leaves its tree the newest in block_tree's
-    memo; a cover whose tree that memo has since dropped is decided
-    afresh on the tree it holds now.  With the Z^d solver's memo of
-    closing-walk searches (abelian._BOXES), the three memos hold at most
-    3 x LIVSIC_MAX_STATES states in all.
+    The cap is read once per call, and every call runs block_tree and the
+    cap check under it, so a held cover is refused as a fresh build
+    would be.  A refusal is made afresh on every call and never held.
+    The cover's tree is the one its system's shift holds for r.
     """
-    key = (system.sft, r, system.psi_f, system.psi_z)
     cap, group = max_states_cap(), system.group
-    cover = _COVERS.take(key, cap)
     tree = _block_tree(system.sft, r, cap)
     order = len(group.inverses)
     n = len(tree.parent) * order
     if n > cap:
         raise RangeTooLarge(f"product graph would have {n} vertices")
-    # The cover's group; None, which is never group, when there is no
-    # cover on this tree or its group has been collected.
-    held = None if cover is None or cover.tree is not tree else cover.group()
-    if held is not group and held != group:
-        if not tree.strongly_connected:
-            if group.rank or not tree.parent:
-                raise NotStronglyConnected("block graph is not strongly connected")
-            one, blocks = group.name_of(group.identity), tree.graph.vertices
-            raise NotTransitiveError(tuple((blocks[v], one) for v in tree.unreachable_pair()))
-        if order == 1:
-            one, graph = group.identity_index, tree.graph
-            wpot, cyc, via = (one,) * len(graph.vertices), (one,) * len(graph.edges), {one: None}
-        else:
-            wpot, cyc = cycle_weights(system, tree)
-            via = _closure(group, cyc)
-        if len(via) < order:
-            orbit = {group.row(h)[0] for h in via}
-            j = next(j for j in range(order) if j not in orbit)
-            block = tree.graph.vertices[0]
-            labels = (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
-            raise NotTransitiveError(labels)
-        cover = Cover(system, tree, via, wpot, cyc)
-    _COVERS.put(key, cover, cap)
+    cover = system._covers.get(r)
+    if cover is not None:
+        return cover
+    if not tree.strongly_connected:
+        if group.rank or not tree.parent:
+            raise NotStronglyConnected("block graph is not strongly connected")
+        one, blocks = group.name_of(group.identity), tree.graph.vertices
+        raise NotTransitiveError(tuple((blocks[v], one) for v in tree.unreachable_pair()))
+    if order == 1:
+        one, graph = group.identity_index, tree.graph
+        wpot, cyc, via = (one,) * len(graph.vertices), (one,) * len(graph.edges), {one: None}
+    else:
+        wpot, cyc = cycle_weights(system, tree)
+        via = _closure(group, cyc)
+    if len(via) < order:
+        orbit = {group.row(h)[0] for h in via}
+        j = next(j for j in range(order) if j not in orbit)
+        block = tree.graph.vertices[0]
+        labels = (block, group.name_of(group.join(0))), (block, group.name_of(group.join(j)))
+        raise NotTransitiveError(labels)
+    cover = system._covers[r] = Cover(system, tree, via, wpot, cyc)
     return cover
-
-
-# A transitive cover's via lists all of F.
-_COVERS = StateMemo(lambda cover: len(cover.tree.parent) * len(cover.via))
 
 
 # ---------------------------------------------------------------------------

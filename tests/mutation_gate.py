@@ -1,4 +1,4 @@
-"""Seeded mutations of the example systems, run through livsic.cli.main in
+"""Seeded mutations of the example documents, run through livsic.cli.main in
 one process.
 
 Usage: python tests/mutation_gate.py DIR, with src on the import path.
@@ -6,10 +6,11 @@ Each case writes its document to DIR and runs one command on it.  A case
 passes when main returns 0, 1 or 2 within CASE_CPU_S of CPU, and a 2
 comes with error_doc's structured object on stderr.  The program prints
 a JSON summary: the cases run, the count of each exit code (codes for
-the escapes and the CASES mutations, scaled_codes for the scaled ones),
-and the first failures.  test_mutation_gate.py runs it under launcher.launch's
-address-space limit, so an input that exhausts memory fails that test
-rather than the test runner.
+the escapes and the CASES mutations, scaled_codes for the scaled ones,
+document_codes for the mutated DOCUMENTS), and the first failures.
+test_mutation_gate.py runs it under launcher.launch's address-space
+limit, so an input that exhausts memory fails that test rather than the
+test runner.
 
 The cases are the ESCAPES, inputs that once crashed or ran without
 bound, on their commands; then CASES seeded mutations, each replacing one
@@ -19,7 +20,11 @@ document's shape, each multiplying one numeric leaf by one of FACTORS, so
 that more of them reach the solvers and the distortion scan.  A scaled
 case is an example system on one of SCALED_COMMANDS, or one of BASES, an
 so(2) or sl(2) basis file, given to `distortion --depth 3 --algebra`
-over one of MATRIX_SYSTEMS.
+over one of MATRIX_SYSTEMS.  Last come the DOCUMENTS cases: the two
+example solutions given to `verify-solution` over their systems
+(SOLUTION_CASES), and the example u table given to `generate --u`
+(U_CASES), each deleting one key, replacing one or two leaves with
+VALUES, or multiplying one numeric leaf by one of FACTORS.
 """
 from __future__ import annotations
 
@@ -57,6 +62,17 @@ MATRIX_SYSTEMS = ("full2-c2-halfturn.json", "full2-c2-quarterturn.json", "full2-
 DOC = object()  # a command's argument that names the case's document
 CASE_CPU_S = 2.0
 DELETE = object()  # an edit's value that deletes the entry
+# name: the command that reads it, DOC where the mutated document goes.
+DOCUMENTS = {
+    "full2-z.solution.json": ("verify-solution", str(EXAMPLES / "full2-z.json"),
+                              "--solution", DOC),
+    "full2-c2-halfturn.solution.json": (
+        "verify-solution", str(EXAMPLES / "full2-c2-halfturn.json"), "--solution", DOC),
+    "u-table.json": ("generate", str(EXAMPLES / "full2-z.json"), "--u", DOC, "--alpha", "1/2"),
+}
+SOLUTION_CASES = 1_200
+U_CASES = 400
+DOCUMENT_SEED = 26
 
 # name: (example, the (path, value) edits to it, the commands to run it through).
 ESCAPES = {
@@ -118,21 +134,28 @@ def _paths(node, path=()):
     return leaves, keys
 
 
+def _value_edits(rng: random.Random, leaves, keys):
+    """One key deleted, one time in five, else one or two leaves replaced by VALUES."""
+    if rng.random() < 0.2:
+        return [(rng.choice(keys), DELETE)]
+    targets = rng.sample(leaves, min(len(leaves), rng.choice((1, 2))))
+    return [(path, rng.choice(VALUES)) for path in targets]
+
+
+def _shown(edits) -> str:
+    return "; ".join(
+        f"{'/'.join(map(str, path))}={'<deleted>' if value is DELETE else repr(value)}"
+        for path, value in edits)
+
+
 def mutations(rng: random.Random, count: int):
     """count seeded (label, document, command) cases."""
     docs = {name: example(name) for name in SYSTEMS}
     paths = {name: _paths(doc) for name, doc in docs.items()}
     for _ in range(count):
         name, command = rng.choice(SYSTEMS), rng.choice(COMMANDS)
-        leaves, keys = paths[name]
-        if rng.random() < 0.2:
-            edits = [(rng.choice(keys), DELETE)]
-        else:
-            targets = rng.sample(leaves, min(len(leaves), rng.choice((1, 2))))
-            edits = [(path, rng.choice(VALUES)) for path in targets]
-        label = f"{name} {' '.join(command)} " + "; ".join(
-            f"{'/'.join(map(str, path))}={'<deleted>' if value is DELETE else repr(value)}"
-            for path, value in edits)
+        edits = _value_edits(rng, *paths[name])
+        label = f"{name} {' '.join(command)} " + _shown(edits)
         yield label, edited(json.loads(json.dumps(docs[name])), edits), command
 
 
@@ -144,6 +167,15 @@ def _leaf(doc, path):
     for key in path:
         doc = doc[key]
     return doc
+
+
+def _scaled(doc, path, factor):
+    """The numeric leaf at path times factor; an int stays an int when the
+    product is whole."""
+    value = _leaf(doc, path) * factor
+    if isinstance(_leaf(doc, path), int) and float(value).is_integer():
+        value = int(value)
+    return value
 
 
 def scaled_mutations(rng: random.Random, count: int):
@@ -165,11 +197,31 @@ def scaled_mutations(rng: random.Random, count: int):
             name, command = rng.choice(SYSTEMS), rng.choice(SCALED_COMMANDS)
             shown = " ".join(command)
         path, factor = rng.choice(leaves[name]), rng.choice(FACTORS)
-        value = _leaf(docs[name], path) * factor
-        if isinstance(_leaf(docs[name], path), int) and float(value).is_integer():
-            value = int(value)
+        value = _scaled(docs[name], path, factor)
         label = f"{name} {shown} {'/'.join(map(str, path))}*{factor!r}"
         yield label, edited(json.loads(json.dumps(docs[name])), [(path, value)]), command
+
+
+def document_mutations(rng: random.Random, names, count: int):
+    """count seeded (label, document, command) cases over the named
+    DOCUMENTS, each on the command that reads it: a third multiply one
+    numeric leaf by one of FACTORS (where the document has one), the rest
+    are _value_edits."""
+    docs = {name: example(name) for name in names}
+    paths = {name: _paths(doc) for name, doc in docs.items()}
+    numeric = {name: [path for path in paths[name][0] if _numeric(_leaf(doc, path))]
+               for name, doc in docs.items()}
+    for _ in range(count):
+        name = rng.choice(names)
+        if numeric[name] and rng.random() < 1 / 3:
+            path, factor = rng.choice(numeric[name]), rng.choice(FACTORS)
+            edits = [(path, _scaled(docs[name], path, factor))]
+            shown = f"{'/'.join(map(str, path))}*{factor!r}"
+        else:
+            edits = _value_edits(rng, *paths[name])
+            shown = _shown(edits)
+        label = f"{name} {DOCUMENTS[name][0]} {shown}"
+        yield label, edited(json.loads(json.dumps(docs[name])), edits), DOCUMENTS[name]
 
 
 class _OutOfTime(BaseException):
@@ -216,18 +268,24 @@ def run(directory: Path) -> dict:
     cases += mutations(random.Random(SEED), CASES)
     scaled_from = len(cases)
     cases += scaled_mutations(random.Random(SCALED_SEED), SCALED_CASES)
-    codes, scaled_codes, failures = {}, {}, []
+    documents_from = len(cases)
+    rng = random.Random(DOCUMENT_SEED)
+    solutions = [name for name in DOCUMENTS if name.endswith(".solution.json")]
+    cases += document_mutations(rng, solutions, SOLUTION_CASES)
+    cases += document_mutations(rng, ["u-table.json"], U_CASES)
+    codes, scaled_codes, document_codes, failures = {}, {}, {}, []
     for i, (label, doc, command) in enumerate(cases):
         result = run_case(path, doc, command)
         if i < pinned and result != 2:
             result = f"expected exit 2, got {result}"
         if isinstance(result, int):
-            tally = scaled_codes if i >= scaled_from else codes
+            tally = (document_codes if i >= documents_from
+                     else scaled_codes if i >= scaled_from else codes)
             tally[result] = tally.get(result, 0) + 1
         else:
             failures.append(f"{label}: {result}")
     return {"cases": len(cases), "codes": codes, "scaled_codes": scaled_codes,
-            "failures": failures[:20]}
+            "document_codes": document_codes, "failures": failures[:20]}
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import pytest
 
 import livsic.abelian as abelian
 import livsic.groups as groups
-import livsic.skew as skew
+from livsic.skew import transitive_cover
 from launcher import launch
 from livsic import (
     CocycleObstruction,
@@ -523,7 +523,7 @@ def _reference_closing_walk(system, bg, target):
 
 
 def _closing_walk_cases():
-    """Seeded (system, block graph, target) over Z, Z^2, Z^3 on full and sparse shifts."""
+    """Seeded (system, cover, target) over Z, Z^2, Z^3 on full and sparse shifts."""
     cases = []
     for seed in range(12):
         rng = rng_for(53, seed)
@@ -537,7 +537,8 @@ def _closing_walk_cases():
         else:
             psi = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
         system = make_skew_system(spec, group, psi)
-        bg = build_block_graph(spec, rng.randint(1, 2))
+        cover = transitive_cover(system, rng.randint(1, 2))
+        bg = cover.tree.graph
         targets = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(3)]
         targets.append((1,) + (0,) * (d - 1))
         targets.append((0,) * d)
@@ -553,14 +554,15 @@ def _closing_walk_cases():
                 v = bg.edge_head[walk[-1]]
             steps = [system.psi_of(bg.edges[e][0]) for e in walk]
             targets.append(tuple(map(sum, zip(*steps))))
-        cases.extend((system, bg, t) for t in targets)
+        cases.extend((system, cover, t) for t in targets)
     return cases
 
 
 def test_closing_walk_matches_per_edge_bfs():
     found = missing = 0
-    for system, bg, target in _closing_walk_cases():
-        walk = abelian._closing_walk(system, bg, target)
+    for system, cover, target in _closing_walk_cases():
+        bg = cover.tree.graph
+        walk = abelian._closing_walk(system, cover, target)
         assert walk == _reference_closing_walk(system, bg, target), target
         if walk is None:
             missing += 1
@@ -582,12 +584,14 @@ def test_closing_walk_matches_per_edge_bfs_under_a_small_state_cap(monkeypatch):
     # up where _closing_walk still finds the walk: it must then be the one
     # the reference finds without the cap.
     cases = _closing_walk_cases()
-    uncapped = [_reference_closing_walk(*case) for case in cases]
+    uncapped = [_reference_closing_walk(system, cover.tree.graph, target)
+                for system, cover, target in cases]
     monkeypatch.setenv("LIVSIC_MAX_STATES", "40")
     outcomes = set()
     newly_found = 0
-    for (system, bg, target), full in zip(cases, uncapped):
-        walk = abelian._closing_walk(system, bg, target)
+    for (system, cover, target), full in zip(cases, uncapped):
+        bg = cover.tree.graph
+        walk = abelian._closing_walk(system, cover, target)
         reference = _reference_closing_walk(system, bg, target)
         if reference is not None:
             assert walk == reference, target
@@ -599,7 +603,7 @@ def test_closing_walk_matches_per_edge_bfs_under_a_small_state_cap(monkeypatch):
     assert newly_found
 
 
-def _one_shot_closing_walk(system, bg, target):
+def _one_shot_closing_walk(system, cover, target):
     """The one-shot (symbol, offset) search that _closing_walk's kept boxes
     must reproduce: a fresh breadth-first search per call that returns at
     the first goal discovered and gives up once a state that is not the
@@ -607,7 +611,7 @@ def _one_shot_closing_walk(system, bg, target):
     target = tuple(target)
     if not any(target):
         return []
-    spec, cap = bg.spec, max_states_cap()
+    spec, bg, cap = system.sft, cover.tree.graph, max_states_cap()
     bound = max(8, 2 * max(map(abs, target)))
     b0 = bg.vertices[0]
     r = len(b0)
@@ -645,13 +649,12 @@ def _one_shot_closing_walk(system, bg, target):
 
 
 def test_the_box_memo_answers_as_a_fresh_search(monkeypatch):
-    # Every case, twice over in a seeded shuffled order, through one shared
-    # memo of boxes, the cap switching between 40 and the default: each
-    # answer is the one the same call makes on an emptied memo.  After
-    # every call the memo holds at most the cap in states, as read by the
-    # last call that searched (a call that closes its walk within b0 reads
-    # no box); a searched box within the cap is kept as the newest and one
-    # past it is not kept.
+    # Every case, twice over in a seeded shuffled order, through the boxes
+    # its cover keeps, the cap switching between 40 and the default: each
+    # answer is the one-shot search's under that cap.  A searched box
+    # within the cap is kept on its cover under its bound, one past it is
+    # not kept, and a later call resumes a kept box (a call that closes
+    # its walk within b0 reads no box).
     cases = _closing_walk_cases()
     caps = ("40", None)
 
@@ -665,9 +668,7 @@ def test_the_box_memo_answers_as_a_fresh_search(monkeypatch):
     for cap in caps:
         with_cap(cap)
         for i, case in enumerate(cases):
-            abelian._BOXES.clear()
-            fresh[i, cap] = abelian._closing_walk(*case)
-            assert fresh[i, cap] == _one_shot_closing_walk(*case), (i, cap)
+            fresh[i, cap] = _one_shot_closing_walk(*case)
     searched = []
     search = abelian._Box.search
 
@@ -679,39 +680,34 @@ def test_the_box_memo_answers_as_a_fresh_search(monkeypatch):
     rng = rng_for(67, 0)
     calls = [(i, rng.choice(caps)) for i in range(len(cases))] * 2
     rng.shuffle(calls)
-    abelian._BOXES.clear()
-    memo, seen = abelian._BOXES, []
-    kept = dropped = resumed = last_cap = 0
+    seen = []
+    kept = dropped = resumed = 0
     for i, cap in calls:
         with_cap(cap)
         searched.clear()
         assert abelian._closing_walk(*cases[i]) == fresh[i, cap], (i, cap)
-        held = list(memo.held.values())
-        if searched:
-            last_cap = max_states_cap()
-        assert memo.states == sum(len(box.prev) for box in held) <= last_cap
         if searched:
             (box,) = searched
+            boxes = cases[i][1].boxes
             resumed += any(box is old for old in seen)
             seen.append(box)
             if len(box.prev) > max_states_cap():
-                assert box not in held
+                assert boxes.get(box.bound) is not box
                 dropped += 1
             else:
-                assert held[-1] is box
+                assert boxes[box.bound] is box
                 kept += 1
     assert kept and dropped and resumed
     assert {walk is None for walk in fresh.values()} == {True, False}
 
 
 def test_a_kept_box_keeps_the_cap_of_a_one_shot_search(monkeypatch):
-    # For every cap from 48 down to 1, with one shared memo warmed under
+    # For every cap from 48 down to 1, with the covers' boxes warmed under
     # the default cap, every case gets the one-shot search's answer: a
     # goal counts only when at most cap states were discovered before it,
     # whether the box was kept from a larger cap or crosses this one
     # while it expands a state.
     cases = _closing_walk_cases()
-    abelian._BOXES.clear()
     for case in cases:
         abelian._closing_walk(*case)
     outcomes = set()
@@ -740,9 +736,10 @@ def test_closing_walk_finds_a_walk_whose_block_search_exceeds_the_cap():
     system = make_skew_system(
         spec, build_group(GroupSpec.free_abelian(2)), ((1, 0), (0, 1), (-1, -1))
     )
-    bg = build_block_graph(spec, 3)
+    cover = transitive_cover(system, 3)
+    bg = cover.tree.graph
     assert len(bg.vertices) * 81**2 > max_states_cap() > spec.k * 81**2
-    walk = abelian._closing_walk(system, bg, (20, -20))
+    walk = abelian._closing_walk(system, cover, (20, -20))
     assert len(walk) == 60
     assert _closed_walk_weight(system, bg, walk) == (20, -20)
 
@@ -760,8 +757,9 @@ def test_closing_walk_closes_a_periodic_first_block_in_fewer_than_r_steps():
         (sparse, 3, (-2,), 4),
     ):
         system = make_skew_system(spec, Z1, ((1,), (-2,)))
-        bg = build_block_graph(spec, r)
-        walk = abelian._closing_walk(system, bg, target)
+        cover = transitive_cover(system, r)
+        bg = cover.tree.graph
+        walk = abelian._closing_walk(system, cover, target)
         assert walk == _reference_closing_walk(system, bg, target)
         assert len(walk) == length, (spec, r, target)
         assert _closed_walk_weight(system, bg, walk) == target
@@ -880,9 +878,9 @@ def test_the_solver_pivots_at_most_d_times_on_at_most_d_rows(monkeypatch):
     # over Z^2 at r = 4 has 163; the solver reduces only its pivot rows, at
     # most d pivots per cover, each on at most d rows, and explains an
     # inconsistent row without another pivot.  A second solve on the same
-    # cover, certified or refuted, pivots on no row; once the cover memo is
-    # emptied the cover's pivots are made again, and every answer is the
-    # one the first cover gave.
+    # cover, certified or refuted, pivots on no row; an equal but distinct
+    # system makes its cover's pivots again, and every answer is the one
+    # the first cover gave.
     real = groups.bareiss_pivot
     sizes = []
 
@@ -914,10 +912,11 @@ def test_the_solver_pivots_at_most_d_times_on_at_most_d_rows(monkeypatch):
         bad = perturb_one_value(cocycle, rng)[0]
         answers = []
         for order in ((cocycle, bad, cocycle), (bad, cocycle, bad)):
-            skew._COVERS.clear()
+            again = make_skew_system(SftSpec.from_rows(system.sft.transitions), system.group,
+                                     system.psi)
             for i, c in enumerate(order):
                 sizes.clear()
-                answers.append((c is bad, answer(system, c)))
+                answers.append((c is bad, answer(again, c)))
                 if i or not d:
                     assert sizes == [], (i, sizes)
                 else:

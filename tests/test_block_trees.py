@@ -1,13 +1,14 @@
-"""The block-tree and cover memos: one SpanningTree per (shift, r) and
-one transitive Cover per (system, r) in a process.
+"""Held block trees and covers: a shift holds one SpanningTree per r,
+and a skew system one transitive Cover per r.
 
-`sft.block_tree` builds the r-block graph and its tree once, and
-`build_block_graph`, `validate_sft` and `skew.transitive_cover` all read it.
-The memo holds at most LIVSIC_MAX_STATES blocks in all, evicts the least
-recently used tree first, re-reads the cap on a hit, and hands out trees
-whose arrays are tuples.  `skew.transitive_cover` keeps the transitivity
-gate and psi's rises the same way, so a second solve on one cover pays
-only for its cocycle, and check_transitivity reads the same gate.
+`sft.block_tree` builds the r-block graph and its tree once per shift
+object, and `build_block_graph`, `validate_sft` and
+`skew.transitive_cover` all read it.  The cap is read again on every
+call, a refusal is never held, and the trees' arrays are tuples.
+`skew.transitive_cover` keeps the transitivity gate and psi's rises on
+the system the same way, so a second solve on one cover pays only for
+its cocycle, and check_transitivity reads the same gate.  Equal but
+distinct shifts and systems each build their own.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from livsic import (
     solve_free_abelian,
     validate_sft,
 )
-from livsic import generate_matrix_cocycle, solve_matrix_finite, sft
+from livsic import abelian, generate_matrix_cocycle, solve_matrix_finite
 from livsic.groups import Group
 from livsic.sft import SpanningTree, block_tree
 from livsic.skew import transitive_cover
@@ -52,120 +53,38 @@ from corpus import (
 FULL_2 = SftSpec.full_shift(2)
 
 
-@pytest.fixture(autouse=True)
-def empty_memo():
-    sft._TREES.clear()
-    skew._COVERS.clear()
-    yield
-    sft._TREES.clear()
-    skew._COVERS.clear()
-
-
-def _held():
-    """(the memo's (spec, r) keys, least recently used first; the blocks
-    its trees hold, as counted and as its own tally)."""
-    trees = sft._TREES.held
-    return list(trees), sum(len(t.graph.vertices) for t in trees.values()), sft._TREES.states
-
-
 def test_every_reader_shares_one_tree():
-    tree = block_tree(FULL_2, 3)
-    assert block_tree(FULL_2, 3) is tree
-    assert build_block_graph(FULL_2, 3) is tree.graph
-    system = make_skew_system(FULL_2, build_group(GroupSpec.cyclic(2)), (1, 0))
+    spec = SftSpec.full_shift(2)
+    tree = block_tree(spec, 3)
+    assert block_tree(spec, 3) is tree
+    assert build_block_graph(spec, 3) is tree.graph
+    system = make_skew_system(spec, build_group(GroupSpec.cyclic(2)), (1, 0))
     assert transitive_cover(system, 3).tree is tree
-    assert validate_sft(FULL_2).period == 1
-    assert _held()[0] == [(FULL_2, 3), (FULL_2, 1)]
-    # An equal spec is the same key.
-    assert block_tree(SftSpec.from_rows([[1, 1], [1, 1]]), 3) is tree
+    assert validate_sft(spec).period == 1
+    assert list(spec._trees) == [3, 1]
+    # An equal but distinct spec holds a tree of its own.
+    equal = SftSpec.from_rows([[1, 1], [1, 1]])
+    assert equal == spec and block_tree(equal, 3) is not tree
+    assert block_tree(equal, 3).graph == tree.graph
 
 
 def test_a_lowered_cap_refuses_a_cached_graph_as_a_fresh_build(monkeypatch):
-    spec = SftSpec.full_shift(3)
+    spec, fresh_spec = SftSpec.full_shift(3), SftSpec.full_shift(3)
     tree = block_tree(spec, 3)  # 27 blocks
     monkeypatch.setenv("LIVSIC_MAX_STATES", "20")
-    with pytest.raises(RangeTooLarge) as cached:
+    with pytest.raises(RangeTooLarge) as held:
         build_block_graph(spec, 3)
-    sft._TREES.clear()
     with pytest.raises(RangeTooLarge) as fresh:
-        build_block_graph(spec, 3)
-    assert str(cached.value) == str(fresh.value) == "more than 20 admissible words of length 3"
+        build_block_graph(fresh_spec, 3)
+    assert str(held.value) == str(fresh.value) == "more than 20 admissible words of length 3"
     system = make_skew_system(spec, build_group(GroupSpec.cyclic(2)), (1, 0, 0))
     block_tree(spec, 2)
     with pytest.raises(RangeTooLarge, match="more than 20 admissible words of length 3"):
         transitive_cover(system, 3)
-    # The refused tree is dropped, and the cap read back admits it again.
-    assert _held()[0] == [(spec, 2)]
+    # The fresh refusal is not held, and the cap read back admits the held tree again.
+    assert list(spec._trees) == [3, 2] and list(fresh_spec._trees) == []
     monkeypatch.delenv("LIVSIC_MAX_STATES")
-    assert block_tree(spec, 3).graph == tree.graph
-
-
-def test_the_memo_holds_at_most_the_cap_and_evicts_the_oldest_first(monkeypatch):
-    full3, golden = SftSpec.full_shift(3), SftSpec.from_rows([[1, 1], [1, 0]])
-    monkeypatch.setenv("LIVSIC_MAX_STATES", "40")
-    for spec, r in ((FULL_2, 3), (FULL_2, 4), (FULL_2, 2), (full3, 2), (FULL_2, 1)):
-        block_tree(spec, r)  # 8, 16, 4, 9 and 2 blocks
-    assert _held() == ([(FULL_2, 3), (FULL_2, 4), (FULL_2, 2), (full3, 2), (FULL_2, 1)], 39, 39)
-    block_tree(golden, 3)  # 5 more blocks: only the oldest tree goes
-    assert _held() == ([(FULL_2, 4), (FULL_2, 2), (full3, 2), (FULL_2, 1), (golden, 3)], 36, 36)
-    # A hit makes its tree the newest, so the next eviction passes it by.
-    block_tree(FULL_2, 4)
-    block_tree(golden, 4)  # 8 blocks
-    assert _held() == ([(full3, 2), (FULL_2, 1), (golden, 3), (FULL_2, 4), (golden, 4)], 40, 40)
-    # A lowered cap is read on the next call, which first trims the memo.
-    monkeypatch.setenv("LIVSIC_MAX_STATES", "20")
-    block_tree(FULL_2, 1)
-    assert _held() == ([(golden, 4), (FULL_2, 1)], 10, 10)
-
-    # A seeded walk over shifts, block lengths and caps.  After every call,
-    # refused or not, the memo holds at most the cap it was called under,
-    # its tally is the blocks it holds, and only its oldest trees went.
-    rng = rng_for(28, 9_000)
-    specs = [FULL_2, full3, golden, *(random_irreducible_sft(rng, 3) for _ in range(3))]
-    refused = 0
-    for _ in range(400):
-        cap = rng.randint(1, 120)
-        monkeypatch.setenv("LIVSIC_MAX_STATES", str(cap))
-        spec, r = rng.choice(specs), rng.randint(1, 5)
-        rest = [key for key in _held()[0] if key != (spec, r)]
-        try:
-            tree = block_tree(spec, r)
-        except RangeTooLarge:
-            refused += 1
-            kept = _held()[0]
-        else:
-            assert len(tree.graph.vertices) <= cap
-            assert _held()[0][-1] == (spec, r)
-            kept = _held()[0][:-1]
-        assert kept == rest[len(rest) - len(kept):]
-        _, counted, tally = _held()
-        assert counted == tally <= cap
-    assert 20 <= refused <= 300, refused
-
-
-def test_a_value_past_the_cap_is_not_held_and_drops_nothing():
-    memo = sft.StateMemo(len)
-    memo.put("k", [1] * 5, 3)
-    assert (memo.held, memo.states) == ({}, 0)
-    memo.put("a", [1, 2], 3)
-    memo.put("k", [1] * 5, 3)
-    assert (memo.held, memo.states) == ({"a": [1, 2]}, 2)
-    # A value that alone fills the cap is held, and drops the oldest.
-    memo.put("b", [1, 2, 3], 3)
-    assert (memo.held, memo.states) == ({"b": [1, 2, 3]}, 3)
-
-
-def test_a_put_on_a_held_key_replaces_its_value_as_the_newest():
-    memo = sft.StateMemo(len)
-    memo.put("a", [1, 2], 10)
-    memo.put("a", [1, 2], 10)
-    assert (memo.held, memo.states) == ({"a": [1, 2]}, 2)
-    memo.put("b", [1, 2, 3], 10)
-    memo.put("a", [1, 2, 3, 4], 10)
-    assert (list(memo.held), memo.states) == (["b", "a"], 7)
-    # Room for 5 more states: the oldest, now b, goes first.
-    memo.put("c", [1] * 5, 10)
-    assert (memo.held, memo.states) == ({"a": [1, 2, 3, 4], "c": [1] * 5}, 9)
+    assert block_tree(spec, 3) is tree
 
 
 def test_a_cached_tree_cannot_be_changed():
@@ -228,10 +147,10 @@ def test_solves_on_cached_trees_build_neither_a_tree_nor_the_product_graph(monke
 
 
 def test_a_cocycle_builds_the_tree_its_solver_reads(monkeypatch):
-    # The domain check reads a cocycle's windows off the memoized block
+    # The domain check reads a cocycle's windows off its shift's block
     # graph, the edges over r-blocks (at range 0 the 1-blocks), so a
-    # parsed cocycle builds the one tree the solver's gate then hits.
-    system = make_skew_system(FULL_2, build_group(GroupSpec.free_abelian(1)), ((1,), (-1,)))
+    # parsed cocycle builds the one tree the solver's gate then reads.
+    z = build_group(GroupSpec.free_abelian(1))
     built = []
     init = SpanningTree.__init__
 
@@ -243,11 +162,11 @@ def test_a_cocycle_builds_the_tree_its_solver_reads(monkeypatch):
     for rf in (0, 1, 3):
         tree = block_tree(FULL_2, max(rf, 1))
         windows = tree.graph.edges if rf else tree.graph.vertices
-        sft._TREES.clear()
-        skew._COVERS.clear()
-        cocycle = make_cocycle(FULL_2, rf, dict.fromkeys(reversed(windows), 0))
+        spec = SftSpec.full_shift(2)
+        system = make_skew_system(spec, z, ((1,), (-1,)))
+        cocycle = make_cocycle(spec, rf, dict.fromkeys(reversed(windows), 0))
         assert list(cocycle.numerators) == list(windows)
-        assert _held()[0] == [(FULL_2, max(rf, 1))]
+        assert list(spec._trees) == [max(rf, 1)]
         built.clear()
         assert solve_free_abelian(system, cocycle).certificate.certified
         assert built == []
@@ -339,7 +258,7 @@ def test_a_strong_connectivity_check_builds_neither_chords_nor_the_order(monkeyp
         trees.append(self)
 
     monkeypatch.setattr(SpanningTree, "__init__", keeping)
-    for spec in (FULL_2, SftSpec.from_rows([[1, 1], [0, 1]])):
+    for spec in (SftSpec.full_shift(2), SftSpec.from_rows([[1, 1], [0, 1]])):
         SpanningTree(block_tree(spec, 2).graph).strongly_connected
     assert len(trees) == 4
     assert all(vars(tree).keys().isdisjoint({"chords", "order"}) for tree in trees)
@@ -392,11 +311,11 @@ def test_a_second_solve_on_one_cover_pays_only_for_the_cocycle(monkeypatch):
             return exc.witness
 
     def fresh_answer(solve, system, cocycle):
-        skew._COVERS.clear()
-        return answer(solve, system, cocycle)
+        # An equal but distinct system decides its own cover.
+        spec = SftSpec.from_rows(system.sft.transitions)
+        return answer(solve, make_skew_system(spec, system.group, system.psi), cocycle)
 
     fresh = [[fresh_answer(solve, system, c) for c in cocycles] for system, solve, cocycles in cases]
-    skew._COVERS.clear()
     counts = _count_gate(monkeypatch)
     _no_group_hash(monkeypatch)
     for (system, solve, cocycles), expected in zip(cases, fresh):
@@ -432,7 +351,7 @@ def test_a_transitivity_check_and_a_solve_share_one_gate(monkeypatch):
     counts = _count_gate(monkeypatch)
     for system in (c2, s3):
         assert check_transitivity(system).status == "transitive"
-        cover = list(skew._COVERS.held.values())[-1]
+        cover = system._covers[1]
         zero = make_cocycle(system.sft, 0, {(a,): 0 for a in range(1, system.sft.k + 1)})
         for cocycle in (zero, generate_cocycle(system, block_range=1, seed=5)):
             counts.update(dict.fromkeys(counts, 0))
@@ -448,8 +367,8 @@ def test_a_transitivity_check_and_a_solve_share_one_gate(monkeypatch):
 def test_a_lattice_check_reads_its_report_and_functional_from_the_cover(monkeypatch):
     # Over Z^d, Smith's report of the rises and _one_sided's functional are
     # the cover's, made on first use: a second check recomputes neither,
-    # a check on a fresh cover makes both again, and a degenerate solve on
-    # the check's cover reads the check's report.
+    # a check on an equal system's cover makes both again, and a
+    # degenerate solve on the check's cover reads the check's report.
     counts = {"subgroup_rank_and_index": 0, "_one_sided": 0}
     for name in counts:
         def spy(*args, real=getattr(skew, name), name=name):
@@ -463,8 +382,8 @@ def test_a_lattice_check_reads_its_report_and_functional_from_the_cover(monkeypa
     assert counts == {"subgroup_rank_and_index": 1, "_one_sided": 1}
     assert check_transitivity(spread) == first
     assert counts == {"subgroup_rank_and_index": 1, "_one_sided": 1}
-    skew._COVERS.clear()
-    assert check_transitivity(spread) == first
+    again = make_skew_system(SftSpec.full_shift(3), z2, spread.psi)
+    assert check_transitivity(again) == first
     assert counts == {"subgroup_rank_and_index": 2, "_one_sided": 2}
     # psi's second coordinate is 0: a proper lattice, and a pinned alpha.
     flat = make_skew_system(FULL_2, z2, ((1, 0), (-1, 0)))
@@ -477,118 +396,177 @@ def test_a_lattice_check_reads_its_report_and_functional_from_the_cover(monkeypa
     assert counts == {"subgroup_rank_and_index": 3, "_one_sided": 2}
 
 
-def test_an_equal_system_hits_the_memo_and_another_group_does_not(monkeypatch):
+def test_an_equal_but_distinct_system_decides_its_own_cover(monkeypatch):
     spec = SftSpec.full_shift(2)
     first = make_skew_system(spec, s3_group(), (1, 2))
     cover = transitive_cover(first, 2)
     counts = _count_gate(monkeypatch)
     _no_group_hash(monkeypatch)
-    # Rebuilt from equal parts, the group a new but equal object.
+    # Rebuilt from equal parts: an equal system, and its own cover.
     again = make_skew_system(SftSpec.full_shift(2), s3_group(), (1, 2))
-    assert again.group is not first.group
-    assert transitive_cover(again, 2) is cover
-    assert counts["cycle_weights"] == 0
-    # The same psi_f over another group of order 6 is decided afresh.
+    assert again == first and again.group is not first.group
+    held = transitive_cover(again, 2)
+    assert held is not cover and held.tree is not cover.tree
+    assert (held.via, held.wpot, held.cyc) == (cover.via, cover.wpot, cover.cyc)
+    assert counts["cycle_weights"] == 1
+    assert transitive_cover(again, 2) is held and transitive_cover(first, 2) is cover
+    assert counts["cycle_weights"] == 1
+    # The same psi_f over another group of order 6, on the same shift
+    # object: its own cover on the shift's one tree.
     other = make_skew_system(spec, relabelled_group(s3_group(), (4, 2, 5, 0, 1, 3)), (1, 2))
     assert other.psi_f == first.psi_f and other.psi_z == first.psi_z
     relabelled = transitive_cover(other, 2)
-    assert relabelled is not cover and relabelled.group() is other.group
-    assert counts["cycle_weights"] == 1
-    assert list(skew._COVERS.held) == [(spec, 2, (1, 2), ((), ()))]
-    # A refusal is made afresh each time, and kept out of the memo.
+    assert relabelled is not cover and relabelled.tree is cover.tree
+    assert counts["cycle_weights"] == 2
+    assert list(first._covers) == list(other._covers) == [2]
+    # A refusal is made afresh each time, and never held.
     stuck = make_skew_system(spec, s3_group(), (0, 0))
     for _ in range(2):
         with pytest.raises(NotTransitiveError):
             transitive_cover(stuck, 2)
-    assert counts["cycle_weights"] == 3
-    assert len(skew._COVERS.held) == 1
+    assert counts["cycle_weights"] == 4
+    assert stuck._covers == {}
 
 
 def test_a_lowered_cap_refuses_a_cached_cover_as_a_fresh_build(monkeypatch):
-    system = make_skew_system(SftSpec.full_shift(3), s3_group(), (1, 2, 0))
     refusals = []
     for cap in ("20", "100"):  # 27 blocks, and 27 x 6 product states
-        transitive_cover(system, 3)
+        system = make_skew_system(SftSpec.full_shift(3), s3_group(), (1, 2, 0))
+        cover = transitive_cover(system, 3)
         monkeypatch.setenv("LIVSIC_MAX_STATES", cap)
+        fresh = make_skew_system(SftSpec.full_shift(3), s3_group(), (1, 2, 0))
         messages = []
-        for _ in range(2):
+        for candidate in (system, fresh):
             with pytest.raises(RangeTooLarge) as refused:
-                transitive_cover(system, 3)
+                transitive_cover(candidate, 3)
             messages.append(str(refused.value))
-            sft._TREES.clear()
-            skew._COVERS.clear()
         assert messages[0] == messages[1]
+        assert fresh._covers == {}
         refusals.append(messages[0])
         monkeypatch.delenv("LIVSIC_MAX_STATES")
+        # The cap read back admits the held cover again.
+        assert transitive_cover(system, 3) is cover
     assert refusals == ["more than 20 admissible words of length 3",
                         "product graph would have 162 vertices"]
 
 
-def test_the_cover_memo_holds_at_most_the_cap(monkeypatch):
-    # A seeded walk over systems, block lengths and caps.  After every
-    # call, refused or not, the memo holds at most the cap it was called
-    # under, its tally is the product states (blocks x |F|) of its covers,
-    # and a call that returned left its cover the newest.
+def test_held_trees_and_covers_answer_as_fresh_builds_under_every_cap(monkeypatch):
+    # A seeded walk over systems, block lengths and caps, through one set
+    # of systems that hold what they build.  Every answer or refusal is the
+    # one an equal system built afresh gives under the same cap, a shift
+    # holds a tree for exactly the block lengths some call built, and a
+    # system a cover for exactly those some call returned.
     rng = rng_for(107, 9_000)
     z = build_group(GroupSpec.free_abelian(1))
-    systems = [make_skew_system(FULL_2, s3_group(), (1, 2)),
-               make_skew_system(FULL_2, s3_group(), (0, 0)),
-               make_skew_system(SftSpec.full_shift(3), build_group(GroupSpec.cyclic(2)), (1, 0, 0)),
-               make_skew_system(SftSpec.full_shift(3), z, ((1,), (-1,), (0,))),
-               make_skew_system(SftSpec.from_rows([[1, 1], [1, 0]]), z, ((1,), (-2,)))]
+    parts = [(FULL_2.transitions, s3_group(), (1, 2)),
+             (FULL_2.transitions, s3_group(), (0, 0)),
+             (SftSpec.full_shift(3).transitions, build_group(GroupSpec.cyclic(2)), (1, 0, 0)),
+             (SftSpec.full_shift(3).transitions, z, ((1,), (-1,), (0,))),
+             (((1, 1), (1, 0)), z, ((1,), (-2,)))]
+
+    def system_of(rows, group, psi):
+        return make_skew_system(SftSpec.from_rows(rows), group, psi)
+
+    def outcome(system, r):
+        try:
+            cover = transitive_cover(system, r)
+        except (RangeTooLarge, NotTransitiveError) as refused:
+            return type(refused).__name__, str(refused), getattr(refused, "witness", None)
+        return cover.via, cover.wpot, cover.cyc, cover.tree.graph
+
+    systems = [system_of(*part) for part in parts]
+    trees, covers = [set() for _ in parts], [set() for _ in parts]
     returned = 0
     for _ in range(300):
         cap = rng.randint(1, 150)
         monkeypatch.setenv("LIVSIC_MAX_STATES", str(cap))
-        system, r = rng.choice(systems), rng.randint(1, 5)
-        try:
-            cover = transitive_cover(system, r)
-        except (RangeTooLarge, NotTransitiveError):
-            pass
-        else:
+        i, r = rng.randrange(len(parts)), rng.randint(1, 5)
+        system, fresh = systems[i], system_of(*parts[i])
+        held = system._covers.get(r)
+        got = outcome(system, r)
+        assert got == outcome(fresh, r), (i, r, cap)
+        trees[i].update(fresh.sft._trees)
+        if isinstance(got[0], dict):
             returned += 1
-            assert list(skew._COVERS.held.values())[-1] is cover
-        held = skew._COVERS.held.values()
-        states = sum(len(c.tree.graph.vertices) * (c.group().order or 1) for c in held)
-        assert skew._COVERS.states == states <= cap
+            assert held is None or system._covers[r] is held
+            assert len(system._covers[r].tree.parent) * len(system._covers[r].via) <= cap
+            covers[i].add(r)
+        assert set(system.sft._trees) == trees[i] and set(system._covers) == covers[i]
     assert 50 <= returned <= 250, returned
 
 
-def test_the_cover_memo_keeps_no_group_alive(monkeypatch):
-    # Covers over large cyclic groups hold their groups weakly: once the
-    # systems are dropped the tables go, though the covers stay charged
-    # their product states, and an equal group built afterwards is
-    # decided afresh.
-    monkeypatch.setenv("LIVSIC_MAX_STATES", "5000")
-    orders = (500, 600, 700)
-    systems = [make_skew_system(FULL_2, build_group(GroupSpec.cyclic(n)), (1, i))
-               for i, n in enumerate(orders)]
-    groups = [weakref.ref(system.group) for system in systems]
-    for system in systems:
-        transitive_cover(system, 1)
-    assert skew._COVERS.states == 2 * (500 + 600 + 700) <= 5000
-    del system, systems
-    gc.collect()
-    assert [group() for group in groups] == [None] * 3
-    assert skew._COVERS.states == 2 * (500 + 600 + 700)
-    counts = _count_gate(monkeypatch)
-    again = make_skew_system(FULL_2, build_group(GroupSpec.cyclic(700)), (1, 2))
-    assert transitive_cover(again, 1).group() is again.group
-    assert counts["cycle_weights"] == 1
+def test_dropping_a_spec_and_its_system_frees_their_trees_and_covers():
+    # A tree holds no reference back to its spec, nor a cover to its
+    # system, so reference counting frees both with no collection.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        spec = SftSpec.full_shift(3)
+        system = make_skew_system(spec, build_group(GroupSpec.free_abelian(1)),
+                                  ((1,), (-1,), (0,)))
+        cocycle = generate_cocycle(system, alpha=(1,), block_range=2, seed=3)
+        assert solve_free_abelian(system, cocycle).certificate.certified
+        cover = transitive_cover(system, 2)
+        assert abelian._closing_walk(system, cover, (3,)) is not None
+        assert cover.boxes and cover.tree is block_tree(spec, 2)
+        refs = [weakref.ref(cover.tree), weakref.ref(cover)]
+        del spec, system, cocycle, cover
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def test_a_cover_hit_keeps_its_tree_in_the_tree_memo(monkeypatch):
-    system = make_skew_system(FULL_2, s3_group(), (1, 2))
+def test_a_repeated_op_mix_builds_nothing_in_its_second_pass(monkeypatch):
+    # Solves, checks, verifications and a refused Z^d solve, whose witness
+    # reads a closing-walk box, over the same objects twice: the second
+    # pass builds no tree, no cover and no box.
+    z2 = make_skew_system(SftSpec.full_shift(3), build_group(GroupSpec.free_abelian(2)),
+                          ((1, 0), (0, 1), (-1, -1)))
+    s3 = make_skew_system(SftSpec.full_shift(2), s3_group(), (1, 2))
+    stuck = make_skew_system(SftSpec.full_shift(2), s3_group(), (0, 0))
+    ops = []
+    for system, solve in ((z2, solve_free_abelian), (s3, solve_finite_gamma)):
+        good = generate_cocycle(system, block_range=2, seed=7)
+        values = dict(good.values)
+        values[min(values)] += 1
+        bad = make_cocycle(system.sft, 2, values)
+        ops += [(solve, system, good), (solve, system, bad), (check_transitivity, system)]
+    u = random_u(s3, 2, 3, "rotation")
+    ops.append((solve_matrix_finite, s3, generate_matrix_cocycle(s3, u, None, block_range=2)))
+    ops += [(check_transitivity, stuck), (transitive_cover, stuck, 2)]
+    built = {"SpanningTree": 0, "Cover": 0, "_Box": 0}
+    for cls in (SpanningTree, skew.Cover, abelian._Box):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def run_pass():
+        answers = []
+        for op, *args in ops:
+            try:
+                answers.append(repr(op(*args)))
+            except (CocycleObstruction, NotTransitiveError) as refused:
+                answers.append(repr(refused.witness))
+        return answers
+
+    first = run_pass()
+    assert all(built.values()), built
+    built.update(dict.fromkeys(built, 0))
+    assert run_pass() == first
+    assert built == {"SpanningTree": 0, "Cover": 0, "_Box": 0}
+
+
+def test_a_cover_hit_keeps_its_tree_in_the_tree_memo():
+    # A cover reads the tree its system's shift holds for r, so one tree
+    # per (shift object, r) is in use, whichever system or reader asks.
+    system = make_skew_system(SftSpec.full_shift(2), s3_group(), (1, 2))
     cover = transitive_cover(system, 3)
     block_tree(SftSpec.full_shift(3), 2)
     assert transitive_cover(system, 3) is cover
-    assert list(sft._TREES.held)[-1] == (FULL_2, 3)
-    # Once the tree memo has dropped the cover's tree, the cover is
-    # decided afresh on the tree block_tree holds now, so one tree per
-    # (shift, r) is in use.
-    sft._TREES.clear()
-    counts = _count_gate(monkeypatch)
-    rebuilt = transitive_cover(system, 3)
-    assert rebuilt is not cover and rebuilt.tree is block_tree(FULL_2, 3) is not cover.tree
-    assert counts["cycle_weights"] == 1
-    assert transitive_cover(system, 3) is rebuilt
+    assert cover.tree is block_tree(system.sft, 3)
+    other = make_skew_system(system.sft, build_group(GroupSpec.cyclic(2)), (1, 0))
+    assert transitive_cover(other, 3).tree is cover.tree
+    assert build_block_graph(system.sft, 3) is cover.tree.graph

@@ -28,7 +28,7 @@ from livsic import (
     solve_finite_gamma,
     solve_matrix_finite,
 )
-from livsic import abelian, sft, skew
+from livsic import skew
 from livsic.groups import Group
 from corpus import cover_corpus, random_rotation, random_u, rng_for
 
@@ -128,11 +128,8 @@ def test_only_groups_reads_the_cayley_table():
 def _seam_answers() -> list[str]:
     """repr of every answer and refusal of transitive_cover,
     check_transitivity, solve_finite_gamma and solve_matrix_finite, each
-    cocycle also perturbed, over the cover corpus at r = 1-3, every memo
-    emptied first."""
-    sft._TREES.clear()
-    skew._COVERS.clear()
-    abelian._BOXES.clear()
+    cocycle also perturbed, over the cover corpus at r = 1-3, on systems
+    built afresh, which hold no tree or cover yet."""
     answers = []
     for index, (label, system) in enumerate(cover_corpus(61, instances=2)):
         # First, so that it decides the cover over 1-blocks itself.

@@ -1,5 +1,5 @@
-"""Seeded mutations of the example systems and algebra basis files never
-crash `livsic` nor run without bound.
+"""Seeded mutations of the example systems, algebra basis files, solution
+documents and u table never crash `livsic` nor run without bound.
 
 mutation_gate.py runs every case through cli.main in one child, under
 launcher.launch's address-space limit, so a case that exhausts memory
@@ -31,4 +31,6 @@ def test_no_mutation_of_an_example_escapes(tmp_path):
     summary = json.loads(out.read_text(encoding="utf-8"))
     assert summary["failures"] == []
     assert summary["cases"] >= 2_000
+    # Mutated solutions and u tables are refused, rejected and accepted.
+    assert set(summary["document_codes"]) == {"0", "1", "2"}
     assert usage["cpu_s"] <= 10.0, usage

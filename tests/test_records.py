@@ -4,7 +4,9 @@ The reference for each record is a ``dataclasses`` class built here from
 the same class body: the field names and literal defaults are read from
 the module source with the standard library's ast, so the reference does
 not depend on the record helper.  Records check no field types, so
-distinct tuples stand in for field values.
+distinct tuples stand in for field values.  A record that defines a
+``cached_property`` has a ``__dict__`` for its cache, empty until the
+property is read; every other record has none.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import ast
 import itertools
 import pickle
 from dataclasses import field, make_dataclass
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -103,10 +106,11 @@ def test_record_matches_frozen_dataclass(cls, fields):
     refs = [ref(**_values(fields, tag)) for tag in tags]
     positional = cls(*_values(fields, "a").values())
 
+    caches = any(isinstance(value, cached_property) for value in vars(cls).values())
     for rec, rf in zip(recs, refs):
         assert repr(rec) == repr(rf)
         assert hash(rec) == hash(rf)
-        assert not hasattr(rec, "__dict__")
+        assert (vars(rec) == {}) if caches else not hasattr(rec, "__dict__")
     assert positional == recs[0] and not positional != recs[0]
     assert recs[0] != recs[1] and not recs[0] == recs[1]
     assert recs[0] != refs[0] and recs[0] != tuple(_values(fields, "a").values())
@@ -116,10 +120,14 @@ def test_record_matches_frozen_dataclass(cls, fields):
     with pytest.raises(TypeError):
         recs[0] < recs[1]  # noqa: B015
 
+    if caches:
+        vars(recs[0])["cached"] = True  # a cache entry: ==, hash and pickling leave it out
+        assert recs[0] == positional and hash(recs[0]) == hash(positional)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(recs[0], protocol))
         assert type(copy) is cls and copy == recs[0]
         assert repr(copy) == repr(recs[0])
+        assert (vars(copy) == {}) if caches else not hasattr(copy, "__dict__")
 
     required = {name: value for (name, _, has_default), value in
                 zip(fields, _values(fields, "a").values()) if not has_default}

@@ -159,7 +159,6 @@ def test_a_refused_finite_solve_closes_the_monodromy_group_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(skew, name, spy)
-    skew._COVERS.clear()
     with pytest.raises(NotTransitiveError) as refused:
         solve_finite_gamma(system, cocycle)
     assert counts == {"_closure": 1, "cycle_weights": 1}
@@ -168,7 +167,7 @@ def test_a_refused_finite_solve_closes_the_monodromy_group_once(monkeypatch):
         verdict = check_transitivity(system)
         assert counts == {"_closure": 1, "cycle_weights": 1}
         assert verdict.status == "not_transitive" and verdict.witness == refused.value.witness
-        assert not skew._COVERS.held and skew._COVERS.states == 0
+        assert system._covers == {}
     monkeypatch.undo()
     assert refused.value.witness == (((1,), "e"), ((1,), "g"))
     reference = product_scc_witness(SpanningTree(build_product_graph(system, 1)))
@@ -626,16 +625,19 @@ def test_strong_connectivity_matches_brute_closure():
 
 def test_a_refused_finite_cover_builds_one_spanning_tree(monkeypatch):
     # The unreachable pair is read from the tree the caller already holds,
-    # and that tree is built once per (shift, r) in a process: after the
-    # memo is cleared, every refusal over the 1-block graph shares one.
-    system = make_skew_system(FULL_2, C2, (0, 0))
+    # and that tree is built once per r and held by the shift: every
+    # refusal over the 1-block graph of a shift that has built none yet
+    # shares one.  The cocycles are over an equal shift, which holds its own.
     identity = [[1.0, 0.0], [0.0, 1.0]]
     cocycles = {
-        solve_finite_gamma: generate_cocycle(system, block_range=1, seed=1),
+        solve_finite_gamma: generate_cocycle(
+            make_skew_system(FULL_2, C2, (0, 0)), block_range=1, seed=1
+        ),
         solve_matrix_finite: make_matrix_cocycle(
             FULL_2, 0, {(1,): identity, (2,): identity}
         ),
     }
+    system = make_skew_system(SftSpec.full_shift(2), C2, (0, 0))
     built = []
     init = SpanningTree.__init__
 
@@ -644,14 +646,13 @@ def test_a_refused_finite_cover_builds_one_spanning_tree(monkeypatch):
         init(self, graph)
 
     monkeypatch.setattr(SpanningTree, "__init__", counting)
-    sft._TREES.clear()
     for _ in range(2):
         for solve, cocycle in cocycles.items():
             with pytest.raises(NotTransitiveError):
                 solve(system, cocycle)
         assert check_transitivity(system).status == "not_transitive"
     assert len(built) == 1
-    assert built[0] is build_block_graph(FULL_2, 1)
+    assert built[0] is build_block_graph(system.sft, 1)
 
 
 # ---------------------------------------------------------------------------
